@@ -11,7 +11,7 @@ Measured here: an LSM with a generous block cache serves a hot read set
 almost entirely from RAM — until an update burst compacts the tree and
 deletes the cached files, collapsing the hit rate and sending reads back
 to the device.  QinDB's read latency is untouched by the same update
-burst: its "cache" (the skip-list index) is the primary structure,
+burst: its "cache" (the memtable index) is the primary structure,
 invalidated by nothing.
 """
 

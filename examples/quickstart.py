@@ -41,8 +41,8 @@ def main() -> None:
     db.delete(url, 1)
     print("after deleting v1, v2 still reads:", db.get(url, 2).decode())
 
-    # Sorted range scans — the reason the memtable is a skip list, not a
-    # hash table.
+    # Sorted range scans — the reason the memtable is a sorted index, not
+    # a hash table.
     for index in range(5):
         db.put(f"https://example.cn/page/{index:02d}".encode(), 1, b"v")
     found = [key.decode() for key, _version, _value in db.scan(

@@ -115,8 +115,13 @@ class ChunkedDeduplicator:
     def __init__(self, average_chunk_bytes: int = 512) -> None:
         self.average_chunk_bytes = average_chunk_bytes
         self._known_signatures: set[bytes] = set()
-        #: per-key whole-value signature, to short-circuit unchanged values
+        #: per-key whole-value signature of the version being processed
+        #: and of the one before it, to short-circuit unchanged values —
+        #: against the immediate predecessor only (see
+        #: :meth:`repro.bifrost.dedup.Deduplicator.process`)
         self._value_signatures: Dict[Tuple[IndexKind, bytes], bytes] = {}
+        self._previous_signatures: Dict[Tuple[IndexKind, bytes], bytes] = {}
+        self._version: Optional[int] = None
 
     @property
     def tracked_chunks(self) -> int:
@@ -146,6 +151,11 @@ class ChunkedDeduplicator:
         entry signatures (``entry.signature``) are honoured.
         """
         output = result.dataset
+        if output.version != self._version:
+            self._previous_signatures = self._value_signatures
+            self._value_signatures = {}
+            self._version = output.version
+        previous = self._previous_signatures
         for entry in entries:
             if entry.value is None:
                 raise ConfigError("chunked dedup input must carry values")
@@ -153,13 +163,13 @@ class ChunkedDeduplicator:
             result.bytes_before += entry.wire_bytes
             store_key = (entry.kind, entry.key)
             value_signature = entry.signature or signature(entry.value)
-            if self._value_signatures.get(store_key) == value_signature:
+            self._value_signatures[store_key] = value_signature
+            if previous.get(store_key) == value_signature:
                 stripped = entry.deduplicated()
                 output.add(stripped)
                 result.unchanged_entries += 1
                 result.bytes_after += stripped.wire_bytes
                 continue
-            self._value_signatures[store_key] = value_signature
 
             recipe: List[bytes] = []
             new_chunks: Dict[bytes, bytes] = {}

@@ -62,9 +62,12 @@ class Deduplicator:
     def process(self, dataset: IndexDataset) -> DedupResult:
         """Strip values that are identical to the previous version's.
 
-        Updates the signature store to the current version as it goes, so
+        Replaces the signature store with the current version's, so
         calling ``process`` version after version compares each version
-        against its immediate predecessor.
+        against its immediate predecessor — and only it: a key absent
+        from a version ships its value when it returns, because by then
+        the stores may have evicted and collected the record an older
+        signature vouched for.
 
         An entry carrying a build-time signature (the index pipeline
         computes one per value) is compared without re-hashing its value;
@@ -76,6 +79,8 @@ class Deduplicator:
         bytes_before = 0
         bytes_after = 0
         hashes_avoided = 0
+        previous = self._signatures
+        current: Dict[Tuple[IndexKind, bytes], bytes] = {}
         for kind in IndexKind:
             for entry in dataset.of_kind(kind):
                 if entry.value is None:
@@ -91,7 +96,7 @@ class Deduplicator:
                     hashes_avoided += 1
                 else:
                     current_signature = signature(entry.value)
-                if self._signatures.get(store_key) == current_signature:
+                if previous.get(store_key) == current_signature:
                     stripped = entry.deduplicated()
                     output.add(stripped)
                     deduplicated += 1
@@ -99,7 +104,8 @@ class Deduplicator:
                 else:
                     output.add(entry)
                     bytes_after += entry.wire_bytes
-                self._signatures[store_key] = current_signature
+                current[store_key] = current_signature
+        self._signatures = current
         self.hashes_avoided += hashes_avoided
         return DedupResult(
             dataset=output,

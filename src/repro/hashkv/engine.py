@@ -5,7 +5,7 @@ value-less deduplicated puts resolved by probing earlier versions,
 flag-style deletes) so benches can swap it in; the structural difference
 under measurement is the *index*:
 
-* QinDB: a sorted skip list — neighbours are adjacent, so traceback,
+* QinDB: a sorted in-memory index — neighbours are adjacent, so traceback,
   referent checks, and range scans are neighbourhood walks;
 * HashKV: a hash table — point lookups are O(1), but version probing
   must guess keys, and a range scan degenerates into a full-table sweep

@@ -28,10 +28,10 @@ from repro.errors import (
 from repro.lsm.blockcache import BlockCache
 from repro.lsm.compaction import Compactor, merge_tables
 from repro.lsm.levels import LevelState
+from repro.lsm.skiplist import SkipListMap
 from repro.lsm.sstable import Composite, SSTable
 from repro.lsm.wal import WriteAheadLog
 from repro.qindb.records import Record, RecordType
-from repro.qindb.skiplist import SkipListMap
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.files import BlockFileSystem
 from repro.ssd.ftl import FlashTranslationLayer

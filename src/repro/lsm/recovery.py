@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.lsm.engine import LSMConfig, LSMEngine
+from repro.lsm.skiplist import SkipListMap
 from repro.lsm.sstable import SSTable
-from repro.qindb.skiplist import SkipListMap
 from repro.ssd.files import BlockFileSystem
 
 

@@ -2,7 +2,7 @@
 
 QinDB replaces the LSM-tree with:
 
-* a **memtable**: an in-memory skip list of ``(key, version)`` items, each
+* a **memtable**: a sorted in-memory index of ``(key, version)`` items, each
   holding the AOF location of the record plus the paper's two flags —
   ``r`` (the value was removed by deduplication) and ``d`` (deleted);
 * **append-only files (AOFs)**: fixed-size (64 MB) segments written
@@ -27,7 +27,6 @@ from repro.qindb.gctable import GCTable, SegmentOccupancy
 from repro.qindb.memtable import IndexItem, Memtable
 from repro.qindb.readcache import RecordCache
 from repro.qindb.records import Record, RecordType, decode_record, encode_record
-from repro.qindb.skiplist import SkipListMap
 
 __all__ = [
     "AofManager",
@@ -43,7 +42,6 @@ __all__ = [
     "RecordLocation",
     "RecordType",
     "SegmentOccupancy",
-    "SkipListMap",
     "decode_record",
     "encode_record",
 ]

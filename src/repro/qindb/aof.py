@@ -8,11 +8,12 @@ out fresh ones.
 
 Offsets are segment-local, so a record's address is the pair
 ``(segment_id, offset)`` — exactly the ``offset`` field of the paper's
-skip-list items.
+memtable items.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.errors import StorageError
@@ -74,55 +75,39 @@ class AofSegment:
         self.record_count += 1
         return RecordLocation(self.segment_id, offset, len(encoded))
 
-    def append_batch(self, records: List[Record]) -> List[RecordLocation]:
-        """Append as many of ``records`` as fit, back-to-back.
+    def append_encoded_batch(
+        self, encoded: List[bytes]
+    ) -> Tuple[List[RecordLocation], int]:
+        """Append as many of the pre-encoded frames as fit, back-to-back.
 
-        Admission mirrors the one-at-a-time path exactly: a record is
+        Admission mirrors the one-at-a-time path exactly: a frame is
         accepted while the segment is not yet full, so the split point
         across segments is the same the sequential path would choose.
-        The accepted records' encodings go to the unit in one
+        The accepted frames go to the unit in one
         :meth:`~repro.ssd.native.NativeUnit.append_many` call so the
         device layer can coalesce their full pages into multi-page
-        programs.  Returns the accepted records' locations (a prefix of
-        ``records``; the caller rolls the remainder into a new segment).
+        programs.  Returns the accepted frames' locations (a prefix of
+        ``encoded``; the caller rolls the remainder into a new segment)
+        and their total bytes — frame lengths are taken once, here, for
+        the layers below and above.
         """
         if self.is_full:
             raise StorageError(f"segment {self.segment_id} is full")
-        return self.append_encoded_batch(
-            [encode_record(record) for record in records], _checked=True
-        )
-
-    def append_encoded_batch(
-        self, encoded: List[bytes], _checked: bool = False
-    ) -> List[RecordLocation]:
-        """:meth:`append_batch` for pre-encoded frames (the hot path).
-
-        Accepts a prefix of ``encoded`` exactly as :meth:`append_batch`
-        would, returning its locations; the caller rolls the rest into
-        the next segment.
-        """
-        if not _checked and self.is_full:
-            raise StorageError(f"segment {self.segment_id} is full")
-        size = self.size
-        capacity = self.capacity_bytes
+        room = self.capacity_bytes - self.size
         lengths = list(map(len, encoded))
-        total = len(encoded)
-        # A record is admitted while the segment is not yet full *before*
-        # it is appended, so the whole batch fits iff the size just
-        # before the last record is still under capacity.
-        if total and size + sum(lengths) - lengths[-1] < capacity:
-            accepted = total
-        else:
-            accepted = total
-            for index, length in enumerate(lengths):
-                if size >= capacity:
-                    accepted = index
+        nbytes = sum(lengths)
+        # A frame is admitted while the segment is not yet full *before*
+        # it is appended, so the whole batch fits iff the bytes ahead of
+        # the last frame leave room.
+        if not lengths or nbytes - lengths[-1] >= room:
+            nbytes = 0
+            for accepted, length in enumerate(lengths):
+                if nbytes >= room:
+                    encoded = encoded[:accepted]
+                    lengths = lengths[:accepted]
                     break
-                size += length
-        if accepted < total:
-            encoded = encoded[:accepted]
-            lengths = lengths[:accepted]
-        offsets = self._unit.append_many(encoded)
+                nbytes += length
+        start = self._unit.append_many(encoded)
         self.record_count += len(encoded)
         segment_id = self.segment_id
         # tuple.__new__ directly: RecordLocation is a NamedTuple, and
@@ -130,10 +115,11 @@ class AofSegment:
         # record on the hot path.
         new_location = tuple.__new__
         cls = RecordLocation
+        offsets = accumulate(lengths, initial=start)
         return [
             new_location(cls, (segment_id, offset, length))
             for offset, length in zip(offsets, lengths)
-        ]
+        ], nbytes
 
     def read(self, location: RecordLocation) -> Record:
         """Read and decode the record at ``location``."""
@@ -231,9 +217,12 @@ class _FileUnit:
     def append(self, data: bytes) -> int:
         return self._file.append(data)
 
-    def append_many(self, chunks) -> list:
+    def append_many(self, chunks) -> int:
         """No native coalescing through the FTL: one append per chunk."""
-        return [self._file.append(chunk) for chunk in chunks]
+        start = self._file.size
+        for chunk in chunks:
+            self._file.append(chunk)
+        return start
 
     def read(self, offset: int, length: int) -> bytes:
         return self._file.read(offset, length)
@@ -324,40 +313,31 @@ class AofManager:
         self.bytes_appended += location.length
         return location
 
-    def append_batch(self, records: List[Record]) -> List[RecordLocation]:
-        """Append ``records`` back-to-back, rolling segments as they fill.
-
-        Records land in input order; within one segment their full pages
-        coalesce into multi-page device programs.  Segment split points
-        match what sequential :meth:`append` calls would produce.
-        """
-        return self.append_encoded_batch(
-            [encode_record(record) for record in records]
-        )
-
     def append_encoded_batch(
         self, encoded: List[bytes]
-    ) -> List[RecordLocation]:
-        """:meth:`append_batch` for pre-encoded frames (the hot path)."""
+    ) -> Tuple[List[RecordLocation], List[Tuple[int, int]]]:
+        """Append pre-encoded frames back-to-back, rolling segments as
+        they fill.
+
+        Frames land in input order; within one segment their full pages
+        coalesce into multi-page device programs.  Segment split points
+        match what sequential :meth:`append` calls would produce.
+        Returns the frames' locations and one ``(segment_id, nbytes)``
+        per segment written — what the GC table accounts.
+        """
         locations: List[RecordLocation] = []
-        index = 0
-        total = len(encoded)
-        while index < total:
+        appended: List[Tuple[int, int]] = []
+        while len(locations) < len(encoded):
             segment = self._active
             if segment is None or segment.is_full:
                 segment = self._open_segment()
-            accepted = segment.append_encoded_batch(
-                encoded if index == 0 else encoded[index:]
+            accepted, nbytes = segment.append_encoded_batch(
+                encoded[len(locations):] if locations else encoded
             )
-            self.bytes_appended += sum(
-                location.length for location in accepted
-            )
-            if index == 0 and len(accepted) == total:
-                # Common case: the whole batch fit in the active segment.
-                return accepted
-            locations.extend(accepted)
-            index += len(accepted)
-        return locations
+            self.bytes_appended += nbytes
+            appended.append((segment.segment_id, nbytes))
+            locations += accepted
+        return locations, appended
 
     def read(self, location: RecordLocation) -> Record:
         """Read the record at ``location`` from whichever segment owns it."""

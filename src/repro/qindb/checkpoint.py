@@ -168,7 +168,7 @@ def recover(
     engine.device = aofs.device
     engine.config = config or QinDBConfig()
     engine.aofs = aofs
-    engine.memtable = Memtable(seed=engine.config.memtable_seed)
+    engine.memtable = Memtable()
     engine.gc_table = GCTable(threshold=engine.config.gc_occupancy_threshold)
     # The read cache is volatile: a recovered node starts cold.
     engine.read_cache = (

@@ -3,10 +3,10 @@
 The engine wires the paper's pieces together over one simulated SSD:
 
 * :meth:`QinDB.put` appends the (possibly value-less) record to the active
-  AOF and inserts the skip-list item — no disk sorting, ever;
+  AOF and inserts the memtable item — no disk sorting, ever;
 * :meth:`QinDB.put_batch` is the slice-granular ingest path: the same
-  records back-to-back, sorted in RAM for skip-list insertion locality,
-  with page programs coalesced and per-key bookkeeping amortised;
+  records back-to-back, with page programs coalesced and per-key
+  bookkeeping amortised;
 * :meth:`QinDB.get` resolves deduplicated items by *traceback*: walk to
   older versions of the same key until one carries a value;
 * :meth:`QinDB.delete` only sets the ``d`` flag and updates the GC table
@@ -18,15 +18,15 @@ The engine wires the paper's pieces together over one simulated SSD:
   whole segment — block-aligned, so the device GC never runs.
 
 Time: every operation charges its I/O to the simulated device and its CPU
-work (skip-list comparisons) to the device clock, so ``device.now`` deltas
-are operation latencies and counter deltas over time are throughputs.
+work (memtable search comparisons) to the device clock, so ``device.now``
+deltas are operation latencies and counter deltas over time are
+throughputs.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -76,8 +76,7 @@ class QinDBConfig:
     #: checkpoint the memtable every this-many appended bytes (the
     #: paper's "checkpointed periodically"); None disables.
     checkpoint_interval_bytes: Optional[int] = None
-    memtable_seed: int = 0x51DB
-    #: CPU cost charged per skip-list comparison and per operation.
+    #: CPU cost charged per memtable comparison and per operation.
     cpu_per_step_s: float = 200e-9
     cpu_per_op_s: float = 2e-6
     #: byte budget for the record read cache; ``None``/``0`` disables it
@@ -185,7 +184,7 @@ class QinDB:
             segment_bytes=self.config.segment_bytes,
             backend=self.config.aof_backend,
         )
-        self.memtable = Memtable(seed=self.config.memtable_seed)
+        self.memtable = Memtable()
         self.gc_table = GCTable(threshold=self.config.gc_occupancy_threshold)
         self.read_cache: Optional[RecordCache] = (
             RecordCache(self.config.read_cache_bytes)
@@ -270,10 +269,10 @@ class QinDB:
         append back-to-back (sequence numbers follow input order, exactly
         as sequential puts would assign them) so the AOF/device layer can
         coalesce contiguous block-aligned pages into multi-page device
-        programs, and the memtable insertion pre-sorts the batch by
-        ``(key, version)`` so the skip list reuses its search finger
-        between adjacent keys.  CPU charging, the GC check, and the
-        checkpoint check run once per batch instead of once per key.
+        programs, and the memtable takes the whole batch in one
+        :meth:`~repro.qindb.memtable.Memtable.put_batch_pairs`.  CPU
+        charging, the GC check, and the checkpoint check run once per
+        batch instead of once per key.
 
         The stored state — memtable items, sequence numbers, GC-table
         accounting, AOF bytes, recovery contents — is identical to
@@ -302,7 +301,7 @@ class QinDB:
         add_encoded = encoded.append
         # Memtable entries are built here with a placeholder location and
         # patched once the AOF assigns real ones — the batch list is then
-        # ready to sort and insert with no rebuild pass.
+        # ready to insert with no rebuild pass.
         make_item = IndexItem
         batch: List[Tuple[Tuple[bytes, int], IndexItem]] = []
         add_pending = batch.append
@@ -368,16 +367,12 @@ class QinDB:
             # A mid-loop encoding error still consumes the sequence
             # numbers it drew, exactly as sequential puts would have.
             self._sequence = sequence
-        locations = self.aofs.append_encoded_batch(encoded)
-        self.gc_table.record_appended_many(locations)
+        locations, appended = self.aofs.append_encoded_batch(encoded)
+        for segment_id, nbytes in appended:
+            self.gc_table.record_appended(segment_id, nbytes)
         for pair, location in zip(batch, locations):
             pair[1].location = location
-        # Pre-sort for insertion locality.  The sort is stable, so a
-        # (key, version) duplicated within the batch applies in input
-        # order — last writer wins, matching sequential puts.
-        batch.sort(key=itemgetter(0))
-        previous_items = self.memtable.put_batch_pairs(batch)
-        for previous in previous_items:
+        for previous in self.memtable.put_batch_pairs(batch):
             if previous is not None and not previous.deleted:
                 self.gc_table.record_dead(
                     previous.location.segment_id, previous.location.length
@@ -394,10 +389,8 @@ class QinDB:
         deduplicated versions; raises :class:`KeyNotFoundError` if the
         item is absent or deleted, or if the dedup chain is broken.
 
-        Single descent: :meth:`Memtable.resolve` finds the item *and*
-        its traceback target in one skip-list search plus neighbour
-        hops, so a deduplicated read no longer pays a fresh O(log n)
-        search per chain hop.
+        :meth:`Memtable.resolve` finds the item *and* its traceback
+        target in one search plus neighbour hops.
         """
         self._check_open()
         item, older = self.memtable.resolve(key, version)
@@ -427,12 +420,10 @@ class QinDB:
         The batched read path, mirroring what :meth:`put_batch` did for
         writes:
 
-        * item resolution goes through the memtable's O(1) mirror dict
-          (plus one :meth:`~repro.qindb.memtable.Memtable.resolve` per
-          *distinct* deduplicated item for its traceback target), and one
-          real skip-list search on the last item reproduces the batch's
-          CPU charge — the same single-descent amortization
-          :meth:`delete_batch` uses;
+        * the items and their traceback targets come from one
+          :meth:`~repro.qindb.memtable.Memtable.resolve_batch`, charged
+          as one memtable search plus a step per further item and per
+          traceback hop;
         * the read cache is probed first per distinct location, so a hot
           record cached once serves every batch slot that resolves to it;
         * cache misses deduplicate by :class:`RecordLocation` — a zipfian
@@ -454,32 +445,17 @@ class QinDB:
         self._check_open()
         if not items:
             return []
-        lookup = self.memtable.lookup
-        resolve = self.memtable.resolve
         results: List[Optional[bytes]] = [None] * len(items)
         #: location -> result slots it satisfies (dedup happens here)
         need: Dict[RecordLocation, List[int]] = {}
-        #: (key, version) -> traceback target, memoized across the batch
-        older_cache: Dict[Tuple[bytes, int], Optional[IndexItem]] = {}
-        for index, (key, version) in enumerate(items):
-            item = lookup(key, version)
+        for index, (item, older) in enumerate(
+            self.memtable.resolve_batch(items)
+        ):
             if item is None or item.deleted:
                 continue
-            if item.has_value:
-                need.setdefault(item.location, []).append(index)
-                continue
-            pair = (key, version)
-            if pair in older_cache:
-                older = older_cache[pair]
-            else:
-                _item, older = resolve(key, version)
-                older_cache[pair] = older
-            if older is not None:
-                need.setdefault(older.location, []).append(index)
-        # Only the final search's step count survives to _charge_cpu: one
-        # real search on the last item stands in for the whole batch's
-        # descent, exactly as the batched delete path charges.
-        self.memtable.get(*items[-1])
+            source = item if item.has_value else older
+            if source is not None:
+                need.setdefault(source.location, []).append(index)
         self._charge_cpu()
         self.reads_in_flight += 1
         try:
@@ -547,26 +523,19 @@ class QinDB:
         a duplicate within the batch) raises :class:`KeyNotFoundError`
         with the engine untouched — then the flags and GC accounting
         apply and the tombstones append back-to-back through
-        ``append_batch``, coalescing their page programs the same way
-        :meth:`put_batch` does.  CPU charging and the GC/checkpoint
-        polls run once per batch.
+        ``append_encoded_batch``, coalescing their page programs the
+        same way :meth:`put_batch` does.  CPU charging and the
+        GC/checkpoint polls run once per batch.
         """
         self._check_open()
         if not items:
             return
-        resolved: List[IndexItem] = []
+        resolved = self.memtable.get_batch(items)
         seen: set = set()
-        lookup = self.memtable.lookup
-        for key, version in items:
-            item = lookup(key, version)
+        for (key, version), item in zip(items, resolved):
             if item is None or item.deleted or (key, version) in seen:
                 raise KeyNotFoundError(f"no live item for {key!r}/{version}")
             seen.add((key, version))
-            resolved.append(item)
-        # Only the final search's step count survives to _charge_cpu, so
-        # one real skip-list search on the last item reproduces the CPU
-        # charge the per-item memtable.get() validation loop produced.
-        self.memtable.get(*items[-1])
         # Tombstone framing inlined from ``encode_frame`` (empty value:
         # crc32(b"", state) == state), one call frame per batch.
         delete_type = int(RecordType.DELETE)
@@ -608,9 +577,11 @@ class QinDB:
         finally:
             self._sequence = sequence
         self.gc_table.record_dead_many(dead_locations)
-        locations = self.aofs.append_encoded_batch(encoded)
-        self.gc_table.record_appended_many(locations)
-        self.gc_table.record_dead_many(locations)
+        _locations, appended = self.aofs.append_encoded_batch(encoded)
+        for segment_id, nbytes in appended:
+            # A tombstone is dead on arrival.
+            self.gc_table.record_appended(segment_id, nbytes)
+            self.gc_table.record_dead(segment_id, nbytes)
         self._charge_cpu()
         self._maybe_gc()
         self._maybe_checkpoint()
@@ -649,18 +620,16 @@ class QinDB:
         self._charge_cpu()
         if target is None or target.has_value:
             return None
-        base_version: Optional[int] = None
-        base = None
-        for item_version, item in self.memtable.versions_of(key):
-            if item_version >= version:
-                break
-            if item.has_value:
-                base_version, base = item_version, item
-        if base is None:
-            raise KeyNotFoundError(
-                f"dedup chain for {key!r}/{version} reaches no stored value"
-            )
-        return (base_version, self._read_value(base.location), base.deleted)
+        for base_version, base in self.memtable.older_versions(key, version):
+            if base.has_value:
+                return (
+                    base_version,
+                    self._read_value(base.location),
+                    base.deleted,
+                )
+        raise KeyNotFoundError(
+            f"dedup chain for {key!r}/{version} reaches no stored value"
+        )
 
     def peek(self, key: bytes, version: int):
         """Raw repair read: the record *as stored*, or ``None``.
@@ -734,9 +703,7 @@ class QinDB:
 
         Older versions are consulted regardless of their ``d`` flag — a
         deleted record's value remains usable until GC reclaims it, which
-        is exactly why GC must re-append referenced dead records.  One
-        skip-list descent resolves the whole chain (see
-        :meth:`Memtable.resolve`).
+        is exactly why GC must re-append referenced dead records.
         """
         _item, older = self.memtable.resolve(key, version)
         self._charge_cpu()
@@ -824,9 +791,9 @@ class QinDB:
         """Collect one AOF segment (paper Figure 2, steps 3-6).
 
         Live records and dead records still referenced by newer
-        deduplicated versions are re-appended (and the skip-list offsets
+        deduplicated versions are re-appended (and the memtable offsets
         updated); unreferenced dead records vanish, and their flagged
-        items are dropped from the skip list.  Finally the segment is
+        items are dropped from the memtable.  Finally the segment is
         erased wholesale.
         """
         self._check_open()

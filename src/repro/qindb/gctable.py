@@ -72,30 +72,6 @@ class GCTable:
         if row.dead_bytes:
             self._update_membership(row)
 
-    def record_appended_many(self, locations) -> None:
-        """Batch :meth:`record_appended`: one row update per segment.
-
-        Equivalent to calling :meth:`record_appended` per location —
-        appends only ever sum into ``total_bytes`` — but a slice-sized
-        batch touches each segment row once instead of once per record.
-        """
-        if not locations:
-            return
-        first = locations[0].segment_id
-        if locations[-1].segment_id == first:
-            # Slice-sized appends almost always land in one segment.
-            self.record_appended(
-                first, sum(location.length for location in locations)
-            )
-            return
-        totals: Dict[int, int] = {}
-        get = totals.get
-        for location in locations:
-            segment_id = location.segment_id
-            totals[segment_id] = get(segment_id, 0) + location.length
-        for segment_id, nbytes in totals.items():
-            self.record_appended(segment_id, nbytes)
-
     def record_dead_many(self, locations) -> None:
         """Batch :meth:`record_dead` for locations that died together."""
         totals: Dict[int, int] = {}

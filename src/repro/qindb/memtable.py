@@ -1,28 +1,47 @@
-"""QinDB's memtable: sorted ``(key, version)`` items over a skip list.
+"""QinDB's memtable: a sorted in-memory index of ``(key, version)`` items.
 
-Each item is the paper's skip-list entry — the AOF offset of the record
+Each item is the paper's memtable entry — the AOF offset of the record
 plus the ``r`` flag (``deduplicated``: the value field was removed
-upstream) and the ``d`` flag (``deleted``).  Items of one key sort
-adjacent in increasing version order, so:
+upstream) and the ``d`` flag (``deleted``).  The paper asks for "sorting
+only in RAM, pure appends on disk"; here that is one dict from item key
+to item plus one sorted list of the item keys.  A batch of puts is a
+``dict.update`` and a list ``extend``; the list is re-sorted on the next
+ordered access, where Timsort merges the already-sorted prefix with the
+appended run.  Point operations are dict hits, and every ordered walk is
+a ``bisect`` plus an index walk.
+
+Items of one key sort adjacent in increasing version order, so:
 
 * GET's *traceback* ("find the nearest older version that still carries a
   value") is a descending neighbour walk, and
 * GC's *referent check* ("is this dead record still resolved to by a newer
   deduplicated version?") is an ascending neighbour walk.
+
+CPU cost model: every put, get and resolve operation — of one item or of
+a batch — sets :attr:`Memtable.last_search_steps` to ``len(table)
+.bit_length() + neighbour hops``: the comparisons of the one binary search
+that positions the operation, then one step per neighbour visited (each
+further item of a batch, each older version a traceback walks).  It
+depends on the table's size only, never on the order its contents arrived
+in.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import KeyNotFoundError
 from repro.qindb.aof import RecordLocation
-from repro.qindb.skiplist import SkipListMap
 
 #: a (key, version) composite; tuples compare key-first then version,
 #: giving exactly the paper's "same keys naturally aggregated in the order
 #: of increasing version numbers".
 ItemKey = Tuple[bytes, int]
+
+#: modelled resident bytes of an item beside its key (version + fields)
+_ITEM_OVERHEAD = 8 + 40
 
 
 @dataclass(slots=True)
@@ -44,17 +63,28 @@ class IndexItem:
 class Memtable:
     """The in-memory index: every live (key, version) the engine knows."""
 
-    def __init__(self, seed: int = 0x51DB) -> None:
-        self._items = SkipListMap(seed=seed)
-        #: (key, version) -> item, mirroring the skip list for O(1) point
-        #: lookups that do *not* model a search (see :meth:`lookup`)
-        self._by_key: Dict[ItemKey, IndexItem] = {}
+    def __init__(self) -> None:
+        self._items: Dict[ItemKey, IndexItem] = {}
+        #: the keys of ``_items``: sorted, except that while ``_sorted`` is
+        #: False the keys put since the last ordered access trail unsorted
+        self._keys: List[ItemKey] = []
+        self._sorted = True
         #: approximate resident bytes (keys + per-item overhead), the ``M``
         #: term in the RUM accounting
         self.approximate_bytes = 0
+        #: comparisons charged for the most recent put, get or resolve
+        #: operation (see the module docstring)
+        self.last_search_steps = 0
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def _ordered(self) -> List[ItemKey]:
+        """The item keys, sorted."""
+        if not self._sorted:
+            self._keys.sort()
+            self._sorted = True
+        return self._keys
 
     # ------------------------------------------------------------------
     def put(
@@ -70,76 +100,61 @@ class Memtable:
         Returns the *previous* item if one was replaced (its record bytes
         just became dead), else None.
         """
-        item_key: ItemKey = (key, version)
-        # The previous item comes from the mirror dict: the skip-list
-        # insert below performs the one search whose step count the CPU
-        # cost model charges, exactly as before.
-        previous = self._by_key.get(item_key)
-        item = IndexItem(
-            location=location, deduplicated=deduplicated, sequence=sequence
-        )
-        if self._items.insert(item_key, item):
-            self.approximate_bytes += len(key) + 8 + 40
-        self._by_key[item_key] = item
+        item = IndexItem(location, deduplicated, False, sequence)
+        return self.put_batch_pairs([((key, version), item)])[0]
+
+    def put_batch_pairs(
+        self, pairs: Sequence[Tuple[ItemKey, IndexItem]]
+    ) -> List[Optional[IndexItem]]:
+        """Insert or replace ``(item_key, item)`` pairs, in input order.
+
+        The pairs need not be sorted.  Returns the replaced previous
+        :class:`IndexItem` (or None) per pair; where a ``(key, version)``
+        repeats inside the batch the last writer wins and each later pair
+        reports the one before it — same as sequential puts.
+        """
+        items = self._items
+        batch = dict(pairs)
+        if len(batch) == len(pairs):
+            previous = list(map(items.get, batch))
+            items.update(batch)
+        else:
+            previous = []
+            for item_key, item in pairs:
+                previous.append(items.get(item_key))
+                items[item_key] = item
+        added = [
+            pair[0]
+            for pair, replaced in zip(pairs, previous)
+            if replaced is None
+        ]
+        if added:
+            self._keys.extend(added)
+            self._sorted = False
+            self.approximate_bytes += _ITEM_OVERHEAD * len(added) + sum(
+                len(item_key[0]) for item_key in added
+            )
+        self._charge(len(pairs))
         return previous
 
-    def put_batch(
-        self,
-        entries: list,
-    ) -> list:
-        """Insert a pre-sorted batch of items in one fingered pass.
-
-        ``entries`` is a list of ``(key, version, location, deduplicated,
-        sequence)`` tuples sorted by ``(key, version)`` (stable, so a
-        duplicated pair applies in input order — last writer wins, same
-        as sequential puts).  Returns the replaced previous
-        :class:`IndexItem` (or None) per entry, in the same order.
-        """
-        return self.put_batch_pairs(
-            [
-                (
-                    (key, version),
-                    IndexItem(location, deduplicated, False, sequence),
-                )
-                for key, version, location, deduplicated, sequence in entries
-            ]
+    def _charge(self, count: int, hops: int = 0) -> None:
+        """Set :attr:`last_search_steps` for an operation on ``count``
+        items whose tracebacks visited ``hops`` older versions."""
+        self.last_search_steps = (
+            len(self._items).bit_length() + max(count - 1, 0) + hops
         )
-
-    def put_batch_pairs(self, pairs: list) -> list:
-        """:meth:`put_batch` over pre-built ``(item_key, item)`` pairs.
-
-        The hot ingest path: the engine constructs the
-        ``((key, version), IndexItem)`` pairs directly (sorted by item
-        key, stable), skipping the intermediate 5-tuple unpack.
-        """
-        results = self._items.insert_batch(pairs)
-        # dict.update consumes the (item_key, item) pairs in one C loop;
-        # input order means a duplicated key applies last-writer-wins,
-        # same as the per-item assignment did.
-        self._by_key.update(pairs)
-        self.approximate_bytes += sum(
-            len(pair[0][0]) + 48
-            for pair, result in zip(pairs, results)
-            if result[0]
-        )
-        return [replaced for _was_new, replaced in results]
 
     def get(self, key: bytes, version: int) -> Optional[IndexItem]:
-        """The item for (key, version), or None.
+        """The item for (key, version), or None."""
+        self._charge(1)
+        return self._items.get((key, version))
 
-        Performs a real skip-list search so
-        :attr:`last_search_steps` models the lookup's cost.
-        """
-        return self._items.get((key, version), default=None)
-
-    def lookup(self, key: bytes, version: int) -> Optional[IndexItem]:
-        """O(1) point lookup via the mirror dict.
-
-        Does NOT touch :attr:`last_search_steps` — for callers that
-        validate many items but charge only one search (the batched
-        delete path), or that account their cost elsewhere.
-        """
-        return self._by_key.get((key, version))
+    def get_batch(
+        self, item_keys: Sequence[ItemKey]
+    ) -> List[Optional[IndexItem]]:
+        """:meth:`get` for a batch of ``(key, version)`` pairs."""
+        self._charge(len(item_keys))
+        return list(map(self._items.get, item_keys))
 
     def mark_deleted(self, key: bytes, version: int) -> Optional[IndexItem]:
         """Set the ``d`` flag; returns the item, or None if absent."""
@@ -150,106 +165,108 @@ class Memtable:
 
     def drop(self, key: bytes, version: int) -> None:
         """Remove the item entirely (GC of an unreferenced dead record)."""
-        self._items.remove((key, version))
-        del self._by_key[(key, version)]
-        self.approximate_bytes -= len(key) + 8 + 40
+        item_key = (key, version)
+        try:
+            del self._items[item_key]
+        except KeyError:
+            raise KeyNotFoundError(f"no memtable item {item_key!r}") from None
+        keys = self._ordered()
+        del keys[bisect_left(keys, item_key)]
+        self.approximate_bytes -= len(key) + _ITEM_OVERHEAD
 
     def resolve(
         self, key: bytes, version: int
     ) -> Tuple[Optional[IndexItem], Optional[IndexItem]]:
-        """Single-descent read path: the item *and* its traceback target.
+        """The read path: the item *and*, if it is value-less, the record
+        GET's traceback resolves it to.
 
-        One skip-list search descends to the start of ``key``'s version
-        chain (the 1-tuple ``(key,)`` sorts before every ``(key, v)``,
-        so it reaches the chain regardless of the smallest stored
-        version), then level-0 neighbour hops walk the chain in
-        ascending version order.  Along the way the newest value-bearing
-        item below ``version`` is remembered — exactly the record GET's
-        traceback would resolve a deduplicated item to (the ``d`` flag
-        is ignored, per the paper's referent rule).
-
-        Returns ``(item, older)``: the item at ``(key, version)`` or
-        None, and the nearest older value-bearing item or None.  The
-        walk hops are charged into :attr:`last_search_steps` so the CPU
-        cost model sees one search plus the hops — not one fresh
-        O(log n) search per hop as the old per-hop traceback paid.
+        Returns ``(item, base)``: the item at ``(key, version)`` or None,
+        and — for a deduplicated item — the nearest older item of the key
+        that carries a value, or None when the chain reaches none (the
+        ``d`` flag is ignored, per the paper's referent rule).  ``base``
+        is None for an item that has its own value.
         """
-        target: Optional[IndexItem] = None
-        older: Optional[IndexItem] = None
+        return self.resolve_batch([(key, version)])[0]
+
+    def resolve_batch(
+        self, item_keys: Sequence[ItemKey]
+    ) -> List[Tuple[Optional[IndexItem], Optional[IndexItem]]]:
+        """:meth:`resolve` for a batch of ``(key, version)`` pairs."""
+        items = self._items
         hops = 0
-        for (item_key, item_version), item in self._items.items_from(
-            (key,), inclusive=True
-        ):
-            if item_key != key or item_version > version:
-                break
-            if item_version == version:
-                target = item
-                break  # every older version was already walked
-            if item.has_value:
-                older = item
-            hops += 1
-        self._items.charge_steps(hops)
-        return target, older
+        resolved = []
+        for item_key in item_keys:
+            item = items.get(item_key)
+            base: Optional[IndexItem] = None
+            if item is not None and item.deduplicated:
+                for _older_version, older in self.older_versions(*item_key):
+                    hops += 1
+                    if older.has_value:
+                        base = older
+                        break
+            resolved.append((item, base))
+        self._charge(len(item_keys), hops)
+        return resolved
 
     # ------------------------------------------------------------------
     # Neighbourhood walks
     # ------------------------------------------------------------------
+    def _walk(
+        self, index: int, step: int, key: bytes
+    ) -> Iterator[Tuple[int, IndexItem]]:
+        """Items of ``key`` from sorted position ``index``, ``step`` at a
+        time, until the neighbour belongs to another key."""
+        keys = self._keys
+        items = self._items
+        while 0 <= index < len(keys):
+            item_key = keys[index]
+            if item_key[0] != key:
+                return
+            yield item_key[1], items[item_key]
+            index += step
+
     def older_versions(
         self, key: bytes, version: int
     ) -> Iterator[Tuple[int, IndexItem]]:
         """Items of ``key`` with smaller versions, newest first."""
-        for (item_key, item_version), item in self._items.items_before(
-            (key, version)
-        ):
-            if item_key != key:
-                return
-            yield item_version, item
+        index = bisect_left(self._ordered(), (key, version))
+        return self._walk(index - 1, -1, key)
 
     def newer_versions(
         self, key: bytes, version: int
     ) -> Iterator[Tuple[int, IndexItem]]:
         """Items of ``key`` with larger versions, oldest first."""
-        for (item_key, item_version), item in self._items.items_from(
-            (key, version), inclusive=False
-        ):
-            if item_key != key:
-                return
-            yield item_version, item
+        index = bisect_right(self._ordered(), (key, version))
+        return self._walk(index, 1, key)
 
     def versions_of(self, key: bytes) -> Iterator[Tuple[int, IndexItem]]:
         """All items of ``key`` in increasing version order."""
-        for (item_key, item_version), item in self._items.items_from(
-            (key, 0), inclusive=True
-        ):
-            if item_key != key:
-                return
-            yield item_version, item
+        # The 1-tuple ``(key,)`` sorts before every ``(key, version)``.
+        return self._walk(bisect_left(self._ordered(), (key,)), 1, key)
 
     def latest_version(self, key: bytes) -> Optional[Tuple[int, IndexItem]]:
         """The newest item of ``key``, or None."""
-        entry = self._items.lower((key, 0xFFFFFFFFFFFFFFFF + 1))
-        if entry is None:
-            return None
-        (item_key, item_version), item = entry
-        if item_key != key:
-            return None
-        return item_version, item
+        index = bisect_left(self._ordered(), (key + b"\x00",))
+        return next(self._walk(index - 1, -1, key), None)
 
     def scan(
         self, start_key: bytes, end_key: bytes
     ) -> Iterator[Tuple[bytes, int, IndexItem]]:
-        """Items with ``start_key <= key < end_key``, sorted."""
-        for (item_key, item_version), item in self._items.range(
-            (start_key, 0), (end_key, 0)
-        ):
-            yield item_key, item_version, item
+        """Items with ``start_key <= key < end_key``, sorted.
+
+        Walks a snapshot of the key range, so a put or drop while the
+        scan is suspended cannot shift it; an item dropped meanwhile is
+        skipped.
+        """
+        keys = self._ordered()
+        start = bisect_left(keys, (start_key,))
+        for item_key in keys[start : bisect_left(keys, (end_key,), start)]:
+            item = self._items.get(item_key)
+            if item is not None:
+                yield item_key[0], item_key[1], item
 
     def items(self) -> Iterator[Tuple[bytes, int, IndexItem]]:
         """Every item in sorted order."""
-        for (item_key, item_version), item in self._items:
-            yield item_key, item_version, item
-
-    @property
-    def last_search_steps(self) -> int:
-        """Comparisons in the most recent skip-list search (cost model)."""
-        return self._items.last_search_steps
+        items = self._items
+        for item_key in self._ordered():
+            yield item_key[0], item_key[1], items[item_key]

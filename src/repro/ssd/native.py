@@ -15,7 +15,6 @@ writer would).
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import List
 
 from repro.errors import OutOfRangeError, StorageError
@@ -90,8 +89,9 @@ class NativeUnit:
             self._program_page(page)
         return offset
 
-    def append_many(self, chunks: List[bytes]) -> List[int]:
-        """Append ``chunks`` back-to-back; returns each chunk's offset.
+    def append_many(self, chunks: List[bytes]) -> int:
+        """Append ``chunks`` back-to-back; returns the first chunk's offset
+        (each later chunk begins where the one before it ends).
 
         The batched write path: all chunks land in the fill buffer first,
         then every run of full pages within one block is programmed with a
@@ -102,13 +102,11 @@ class NativeUnit:
         only the command count (and therefore the charged time) shrinks.
         """
         self._check_live()
-        # C-loop bulk path: offsets via accumulate, one join for the
-        # payload, instead of three Python-level ops per chunk.  The
+        start = self.size
+        # One join for the payload instead of per-chunk buffer ops.  The
         # full-page prefix of the joined blob lands in ``_data`` with a
         # single extend (memoryview slices avoid intermediate copies);
         # only the trailing partial page round-trips through ``_pending``.
-        offsets = list(accumulate(map(len, chunks), initial=self.size))
-        offsets.pop()
         if self._pending:
             blob = bytes(self._pending) + b"".join(chunks)
         else:
@@ -130,7 +128,7 @@ class NativeUnit:
             else:
                 self._data += memoryview(blob)[:nfull]
         self._pending = bytearray(memoryview(blob)[nfull:])
-        return offsets
+        return start
 
     def flush(self) -> None:
         """Pad and program any buffered partial page."""

@@ -84,6 +84,20 @@ def test_unchanged_values_still_fully_deduplicated():
     assert result.bandwidth_saving_ratio > 0.9
 
 
+def test_key_absent_from_a_version_ships_again_when_it_returns():
+    """Same predecessor rule as the whole-value deduplicator, per kind
+    stream: an unchanged value is stripped only against the version
+    immediately before."""
+    value = b"same-value" * 100
+    dedup = ChunkedDeduplicator()
+    dedup.process(dataset(1, [(b"k", value), (b"stay", value)]))
+    dedup.process(dataset(2, [(b"stay", value)]))
+    result = dedup.process(dataset(3, [(b"k", value), (b"stay", value)]))
+    entries = {e.key: e.value for e in result.dataset.of_kind(IndexKind.SUMMARY)}
+    assert entries == {b"k": value, b"stay": None}
+    assert (IndexKind.SUMMARY, b"k") in result.encodings
+
+
 def test_partial_modification_saves_most_bytes():
     """The case whole-value dedup cannot help with at all."""
     import random

@@ -56,6 +56,19 @@ def test_comparison_is_against_immediate_predecessor():
     assert result.deduplicated_entries == 0
 
 
+def test_key_absent_from_a_version_ships_its_value_when_it_returns():
+    """Only the immediate predecessor vouches for a value: by the time a
+    vanished key returns, the stores may have collected its old record."""
+    dedup = Deduplicator()
+    dedup.process(dataset(1, [(b"k", b"A"), (b"stay", b"S")]))
+    gap = dedup.process(dataset(2, [(b"stay", b"S")]))
+    assert gap.deduplicated_entries == 1
+    assert dedup.tracked_keys == 1
+    result = dedup.process(dataset(3, [(b"k", b"A"), (b"stay", b"S")]))
+    entries = {e.key: e.value for e in result.dataset.of_kind(IndexKind.FORWARD)}
+    assert entries == {b"k": b"A", b"stay": None}
+
+
 def test_same_key_different_kinds_do_not_collide():
     dedup = Deduplicator()
     built = IndexDataset(version=1)

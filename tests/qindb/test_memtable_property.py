@@ -1,11 +1,13 @@
-"""Property tests for the memtable's version-neighbourhood walks."""
+"""Property tests for the memtable: the version-neighbourhood walks, and
+a model test of every operation against ``dict`` + ``sorted()``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import KeyNotFoundError
 from repro.qindb.aof import RecordLocation
-from repro.qindb.memtable import Memtable
+from repro.qindb.memtable import IndexItem, Memtable
 
 KEYS = [b"a", b"ab", b"b"]
 
@@ -60,3 +62,94 @@ def test_property_scan_matches_model(entries, low, high):
     scanned = [(k, v) for k, v, _item in memtable.scan(low, high)]
     expected = sorted((k, v) for k, v in entries if low <= k < high)
     assert scanned == expected
+
+
+# ------------------------------------------------- model: dict + sorted()
+ITEM_KEYS = st.tuples(
+    st.sampled_from(KEYS), st.integers(min_value=0, max_value=12)
+)
+OPS = st.one_of(
+    # a batch may repeat a (key, version): last writer wins
+    st.tuples(
+        st.just("put_batch"),
+        st.lists(st.tuples(ITEM_KEYS, st.booleans()), max_size=8),
+    ),
+    st.tuples(st.just("drop"), ITEM_KEYS),
+    st.tuples(st.just("mark_deleted"), ITEM_KEYS),
+)
+
+
+def check_against_model(memtable, model, probe_key, probe_version):
+    """Every ordered walk agrees with ``sorted()`` over the model dict."""
+    ordered = sorted(model)
+    assert len(memtable) == len(model)
+    assert [(k, v, item) for k, v, item in memtable.items()] == [
+        (k, v, model[(k, v)]) for k, v in ordered
+    ]
+    assert memtable.approximate_bytes == sum(len(k) + 48 for k, _v in model)
+    chain = [(v, model[(k, v)]) for k, v in ordered if k == probe_key]
+    assert list(memtable.versions_of(probe_key)) == chain
+    assert memtable.latest_version(probe_key) == (chain[-1] if chain else None)
+    older = [(v, item) for v, item in reversed(chain) if v < probe_version]
+    assert list(memtable.older_versions(probe_key, probe_version)) == older
+    assert list(memtable.newer_versions(probe_key, probe_version)) == [
+        (v, item) for v, item in chain if v > probe_version
+    ]
+    for low in KEYS:
+        for high in KEYS:
+            assert list(memtable.scan(low, high)) == [
+                (k, v, model[(k, v)]) for k, v in ordered if low <= k < high
+            ]
+    item = model.get((probe_key, probe_version))
+    base, hops = None, 0
+    if item is not None and item.deduplicated:
+        for _version, candidate in older:
+            hops += 1
+            if candidate.has_value:
+                base = candidate
+                break
+    assert memtable.resolve(probe_key, probe_version) == (item, base)
+    assert memtable.last_search_steps == len(model).bit_length() + hops
+    assert memtable.get(probe_key, probe_version) is item
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(OPS, max_size=25),
+    probe_key=st.sampled_from(KEYS),
+    probe_version=st.integers(min_value=0, max_value=12),
+)
+def test_property_memtable_matches_dict_and_sorted(
+    ops, probe_key, probe_version
+):
+    memtable = Memtable()
+    model = {}
+    for sequence, (action, argument) in enumerate(ops):
+        if action == "put_batch":
+            pairs = [
+                (item_key, IndexItem(RecordLocation(0, sequence, 1), dedup))
+                for item_key, dedup in argument
+            ]
+            expected = []
+            for item_key, item in pairs:
+                expected.append(model.get(item_key))
+                model[item_key] = item
+            previous = memtable.put_batch_pairs(pairs)
+            assert len(previous) == len(expected)
+            assert all(a is b for a, b in zip(previous, expected))
+        elif action == "drop":
+            if argument in model:
+                del model[argument]
+                memtable.drop(*argument)
+            else:
+                with pytest.raises(KeyNotFoundError):
+                    memtable.drop(*argument)
+        else:
+            item = memtable.mark_deleted(*argument)
+            assert item is model.get(argument)
+            if item is not None:
+                assert item.deleted
+        # walks interleave with the mutations, so a pending re-sort, a
+        # drop from the sorted list and a re-put of a dropped key all
+        # get exercised
+        check_against_model(memtable, model, probe_key, probe_version)
