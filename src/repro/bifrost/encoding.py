@@ -54,6 +54,9 @@ MODE_DELTA = 2  # copy/literal ops against a signature-matched base
 #: blocks the synthetic builders compose values from
 DELTA_BLOCK_BYTES = 64
 
+#: DEFLATE level for the packed slice stream
+COMPRESS_LEVEL = 6
+
 #: modeled single-core codec throughputs (bytes/second) for the CPU
 #: charge accounting; deterministic, so bench entries are reproducible
 ENCODE_BYTES_PER_S = 400e6
@@ -202,21 +205,7 @@ class WireEncoder:
     the value bytes so changed values can delta against them.
     """
 
-    def __init__(
-        self,
-        delta_enabled: bool = True,
-        compress_level: int = 6,
-        block_bytes: int = DELTA_BLOCK_BYTES,
-    ) -> None:
-        if not 1 <= compress_level <= 9:
-            raise WireCodecError(
-                f"compress_level must be in [1, 9], got {compress_level}"
-            )
-        if block_bytes < 16:
-            raise WireCodecError("block_bytes must be >= 16")
-        self.delta_enabled = delta_enabled
-        self.compress_level = compress_level
-        self.block_bytes = block_bytes
+    def __init__(self) -> None:
         self.stats = WireStats()
         self._bases: Dict[Tuple[IndexKind, bytes], Tuple[bytes, bytes]] = {}
 
@@ -248,10 +237,10 @@ class WireEncoder:
             sig = entry.signature
             if sig is None:
                 sig = signature(value)
-            base = bases.get((kind, key)) if self.delta_enabled else None
+            base = bases.get((kind, key))
             ops = None
             if base is not None:
-                ops = delta_encode(base[1], value, self.block_bytes)
+                ops = delta_encode(base[1], value)
             if ops is None:
                 buf.append(MODE_FULL)
                 buf += sig
@@ -266,7 +255,7 @@ class WireEncoder:
                 buf += ops
                 delta += 1
             bases[(kind, key)] = (sig, value)
-        wire = zlib.compress(bytes(buf), self.compress_level)
+        wire = zlib.compress(bytes(buf), COMPRESS_LEVEL)
         item.wire = wire
         item.crc = checksum(wire)
         stats = self.stats
@@ -449,6 +438,7 @@ class WireDecoder:
 
 
 __all__ = [
+    "COMPRESS_LEVEL",
     "DELTA_BLOCK_BYTES",
     "DecodeStats",
     "MODE_DELTA",

@@ -64,13 +64,7 @@ def deserialize_entries(payload: bytes) -> Iterator[IndexEntry]:
 
 @dataclass(slots=True)
 class Slice:
-    """One transmission unit: entries of a single kind, checksummed.
-
-    A *delta* slice (``is_delta=True``) carries the chunk-level wire
-    encoding from :mod:`repro.bifrost.chunking` instead of full values;
-    the destination reassembles against its chunk store via
-    :meth:`delta_items`.
-    """
+    """One transmission unit: entries of a single kind, checksummed."""
 
     slice_id: str
     version: int
@@ -80,7 +74,6 @@ class Slice:
     crc: int
     #: simulated time the slice becomes available at the build DC
     available_at: float = 0.0
-    is_delta: bool = False
     #: compressed wire stream (:mod:`repro.bifrost.encoding`); when set,
     #: *this* is what travels — size accounting, the CRC, and corruption
     #: all apply to the wire bytes, and ingestion decodes back to the
@@ -110,45 +103,6 @@ class Slice:
             crc=checksum(payload),
             available_at=available_at,
         )
-
-    @classmethod
-    def pack_delta(
-        cls,
-        slice_id: str,
-        version: int,
-        kind: IndexKind,
-        entries: List[IndexEntry],
-        encodings,
-        available_at: float = 0.0,
-    ) -> "Slice":
-        """Pack entries as the chunk-delta wire format.
-
-        ``encodings`` maps ``(kind, key)`` to the
-        :class:`~repro.bifrost.chunking.DeltaEncodedValue` for every
-        entry that carries a value; value-less entries ship as unchanged
-        markers.
-        """
-        from repro.bifrost.chunking import serialize_delta_entries
-
-        payload = serialize_delta_entries(entries, encodings)
-        return cls(
-            slice_id=slice_id,
-            version=version,
-            kind=kind,
-            entries=entries,
-            payload=payload,
-            crc=checksum(payload),
-            available_at=available_at,
-            is_delta=True,
-        )
-
-    def delta_items(self):
-        """Decode a delta slice's wire payload: (kind, key, encoding)."""
-        from repro.bifrost.chunking import deserialize_delta_entries
-
-        if not self.is_delta:
-            raise ConfigError(f"slice {self.slice_id} is not delta-encoded")
-        return deserialize_delta_entries(self.payload)
 
     @property
     def payload_bytes(self) -> int:
@@ -216,7 +170,6 @@ class Slice:
             payload=payload,
             crc=self.crc,
             available_at=self.available_at,
-            is_delta=self.is_delta,
             wire=wire,
         )
 
@@ -260,40 +213,3 @@ class Slicer:
     ) -> Slice:
         slice_id = f"v{version}-{kind.value}-{sequence:05d}"
         return Slice.pack(slice_id, version, kind, list(entries))
-
-    def make_delta_slices(self, dataset: IndexDataset, encodings) -> List[Slice]:
-        """Split a dataset into delta-encoded slices of ~target size.
-
-        ``encodings`` is the :class:`~repro.bifrost.chunking`
-        ``(kind, key) -> DeltaEncodedValue`` map; batch sizes follow the
-        *wire* bytes of the delta stream, not the full values.
-        """
-        slices: List[Slice] = []
-        for kind in IndexKind:
-            batch: List[IndexEntry] = []
-            batch_bytes = 0
-            sequence = 0
-            for entry in dataset.of_kind(kind):
-                if entry.value is None:
-                    wire = entry.key_bytes + 16
-                else:
-                    wire = entry.key_bytes + encodings[(kind, entry.key)].wire_bytes
-                batch.append(entry)
-                batch_bytes += wire
-                if batch_bytes >= self.target_slice_bytes:
-                    slice_id = f"v{dataset.version}-{kind.value}-{sequence:05d}"
-                    slices.append(
-                        Slice.pack_delta(
-                            slice_id, dataset.version, kind, batch, encodings
-                        )
-                    )
-                    batch, batch_bytes = [], 0
-                    sequence += 1
-            if batch:
-                slice_id = f"v{dataset.version}-{kind.value}-{sequence:05d}"
-                slices.append(
-                    Slice.pack_delta(
-                        slice_id, dataset.version, kind, batch, encodings
-                    )
-                )
-        return slices

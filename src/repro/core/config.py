@@ -33,13 +33,7 @@ class DirectLoadConfig:
 
     # Delivery
     dedup_enabled: bool = True
-    #: "whole" = the paper's whole-value signature dedup; "chunked" = the
-    #: rsync-style chunk-level delta encoding (finer savings on partially
-    #: modified values).  Ignored when ``dedup_enabled`` is False.
-    dedup_mode: Literal["whole", "chunked"] = "whole"
     slice_bytes: int = 4 * 1024 * 1024
-    #: content-defined chunk size target for the chunked mode
-    chunk_bytes: int = 512
     #: wire-encode packed slices for transmission (delta changed values
     #: against their predecessor, varint-pack, DEFLATE the stream; see
     #: :mod:`repro.bifrost.encoding`).  Off by default: encoding changes
@@ -47,11 +41,6 @@ class DirectLoadConfig:
     #: are recorded against the unencoded wire.  Delivered contents are
     #: byte-identical either way (tests/integration/test_wire_equivalence).
     wire_encoding: bool = False
-    #: within wire encoding, delta changed values against the predecessor
-    #: version (False = compress-only, the A15 ablation's middle arm)
-    wire_delta: bool = True
-    #: DEFLATE level for the packed slice stream
-    wire_compress_level: int = 6
     generation_window_s: float = 600.0
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     transport: TransportConfig = field(default_factory=TransportConfig)
@@ -83,20 +72,5 @@ class DirectLoadConfig:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.generation_window_s < 0:
             raise ConfigError("generation_window_s must be >= 0")
-        if self.dedup_mode not in ("whole", "chunked"):
-            raise ConfigError(f"unknown dedup_mode {self.dedup_mode!r}")
-        if self.chunk_bytes < 64:
-            raise ConfigError("chunk_bytes must be >= 64")
-        if (
-            self.wire_encoding
-            and self.dedup_enabled
-            and self.dedup_mode == "chunked"
-        ):
-            raise ConfigError(
-                "wire_encoding and chunked dedup are alternative "
-                "bandwidth layers; enable one or the other"
-            )
-        if not 1 <= self.wire_compress_level <= 9:
-            raise ConfigError("wire_compress_level must be in [1, 9]")
         if self.max_live_versions < 2:
             raise ConfigError("max_live_versions must be >= 2")

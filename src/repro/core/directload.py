@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bifrost.channels import build_topology
-from repro.bifrost.chunking import ChunkedDeduplicator
 from repro.bifrost.dedup import Deduplicator, DedupResult
 from repro.bifrost.encoding import WireEncoder
 from repro.bifrost.monitor import NetworkMonitor
@@ -122,24 +121,12 @@ class DirectLoad:
             ),
         )
         self.deduplicator = Deduplicator()
-        # One chunk deduplicator per index family: summary chunks are only
-        # ever shipped to summary-storing data centers, so chunk knowledge
-        # must not leak across families.
-        self.chunk_dedupers = {
-            kind: ChunkedDeduplicator(average_chunk_bytes=self.config.chunk_bytes)
-            for kind in IndexKind
-        }
         self.slicer = Slicer(target_slice_bytes=self.config.slice_bytes)
         #: wire codec between the slicer and the scheduler — packed slice
         #: payloads are delta+DEFLATE encoded for transmission and decoded
         #: back at each receiving cluster (None when wire_encoding is off)
         self.wire_encoder: Optional[WireEncoder] = (
-            WireEncoder(
-                delta_enabled=self.config.wire_delta,
-                compress_level=self.config.wire_compress_level,
-            )
-            if self.config.wire_encoding
-            else None
+            WireEncoder() if self.config.wire_encoding else None
         )
         self.scheduler = StreamScheduler(self.config.generation_window_s)
         self.clusters: Dict[str, MintCluster] = {
@@ -389,29 +376,16 @@ class DirectLoad:
                 dataset = self.pipeline.advance_and_build(mutation_rate)
         version = dataset.version
 
-        chunked = (
-            self.config.dedup_enabled and self.config.dedup_mode == "chunked"
-        )
-        encodings = None
         with span(
             "dedup",
             version=version,
-            mode=self.config.dedup_mode if self.config.dedup_enabled else "off",
+            mode="whole" if self.config.dedup_enabled else "off",
         ):
             if not self.config.dedup_enabled:
                 to_deliver = dataset
                 dedup_ratio = 0.0
                 saving = 0.0
                 bytes_before = dataset.total_bytes
-            elif chunked:
-                to_deliver, encodings, counters = self._chunk_dedup(dataset)
-                dedup_ratio = counters["unchanged"] / max(1, counters["total"])
-                bytes_before = counters["bytes_before"]
-                saving = (
-                    (bytes_before - counters["bytes_after"]) / bytes_before
-                    if bytes_before
-                    else 0.0
-                )
             else:
                 dedup_result: DedupResult = self.deduplicator.process(dataset)
                 to_deliver = dedup_result.dataset
@@ -420,12 +394,7 @@ class DirectLoad:
                 bytes_before = dedup_result.bytes_before
 
         with span("slice", version=version):
-            if chunked:
-                raw_slices = self.slicer.make_delta_slices(
-                    to_deliver, encodings
-                )
-            else:
-                raw_slices = self.slicer.make_slices(to_deliver)
+            raw_slices = self.slicer.make_slices(to_deliver)
 
         if self.wire_encoder is not None:
             with span("encode", version=version, slices=len(raw_slices)):
@@ -469,31 +438,6 @@ class DirectLoad:
         )
 
     # ------------------------------------------------------------------
-    def _chunk_dedup(self, dataset):
-        """Delta-encode each index family against its own chunk history.
-
-        Entries stream straight out of the source dataset into each
-        family's deduplicator — one shared result dataset, no per-kind
-        ``IndexDataset`` staging copies.
-        """
-        from repro.bifrost.chunking import ChunkDedupResult
-        from repro.indexing.types import IndexDataset
-
-        result = ChunkDedupResult(
-            dataset=IndexDataset(version=dataset.version), encodings={}
-        )
-        for kind in IndexKind:
-            self.chunk_dedupers[kind].process_entries(
-                dataset.of_kind(kind), result
-            )
-        counters = {
-            "total": result.total_entries,
-            "unchanged": result.unchanged_entries,
-            "bytes_before": result.bytes_before,
-            "bytes_after": result.bytes_after,
-        }
-        return result.dataset, result.encodings, counters
-
     def _gray_release(
         self, version: int, dedup_ratio: float, track: str = MAIN_TRACK
     ) -> tuple[bool, float]:

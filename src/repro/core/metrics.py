@@ -17,7 +17,6 @@
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,74 +60,33 @@ class PercentileTracker:
     next ``add``/``extend``, so ``summary()`` (three percentile reads)
     sorts once instead of three times; :attr:`sort_count` witnesses it.
 
-    Two storage modes:
-
-    * **exact** (default, ``max_samples=None``): every sample is kept and
-      percentiles are exact — what the tier-1 tests and the figure
-      benches pin.
-    * **streaming** (``max_samples=N``): a seeded reservoir (Vitter's
-      Algorithm R) holds at most ``N`` samples, so fleet-scale SLO
-      tracking over millions of reads stays bounded-memory.  The mean is
-      exact either way (running sum); percentiles come off the reservoir
-      and converge to the exact ones as ``N`` grows.  ``len()`` reports
-      samples *observed*, not held.
+    Every sample is kept and percentiles are exact — the reference the
+    tier-1 tests and the figure benches pin, and what
+    :class:`~repro.obs.hist.LogHistogram` (the bounded-memory structure
+    the serving path uses) is checked against.
     """
 
-    def __init__(
-        self, max_samples: Optional[int] = None, seed: int = 0x51D
-    ) -> None:
-        if max_samples is not None and max_samples <= 0:
-            raise ConfigError(
-                f"max_samples must be positive or None, got {max_samples}"
-            )
-        self._max_samples = max_samples
-        # The RNG exists only in streaming mode, so exact-mode instances
-        # stay byte-identical to the pre-reservoir implementation.
-        self._rng = random.Random(seed) if max_samples is not None else None
+    def __init__(self) -> None:
         self._samples: List[float] = []
         self._ordered: Optional[List[float]] = None
         self._sort_count = 0
-        self._count = 0
         self._sum = 0.0
 
     def add(self, sample: float) -> None:
-        self._count += 1
+        self._samples.append(sample)
+        self._ordered = None
         self._sum += sample
-        cap = self._max_samples
-        if cap is None or len(self._samples) < cap:
-            self._samples.append(sample)
-            self._ordered = None
-            return
-        # Algorithm R: the n-th sample replaces a reservoir slot with
-        # probability cap/n, keeping every observed sample equally likely
-        # to be held.
-        slot = self._rng.randrange(self._count)
-        if slot < cap:
-            self._samples[slot] = sample
-            self._ordered = None
 
     def extend(self, samples: Sequence[float]) -> None:
-        if self._max_samples is None:
-            start = len(self._samples)
-            self._samples.extend(samples)
-            self._ordered = None
-            added = self._samples[start:]
-            self._count += len(added)
-            # Element-wise accumulation keeps the running sum bit-identical
-            # to the query-time ``sum()`` the exact mode used to compute.
-            for sample in added:
-                self._sum += sample
-            return
-        for sample in samples:
-            self.add(sample)
+        start = len(self._samples)
+        self._samples.extend(samples)
+        self._ordered = None
+        # Element-wise accumulation keeps the running sum bit-identical
+        # to what the same samples fed through ``add`` produce.
+        for sample in self._samples[start:]:
+            self._sum += sample
 
     def __len__(self) -> int:
-        """Samples observed (== samples held in exact mode)."""
-        return self._count
-
-    @property
-    def held_samples(self) -> int:
-        """Samples actually resident (bounded by ``max_samples``)."""
         return len(self._samples)
 
     @property
@@ -138,10 +96,9 @@ class PercentileTracker:
 
     @property
     def mean(self) -> float:
-        """Exact running mean in both modes."""
-        if not self._count:
+        if not self._samples:
             return 0.0
-        return self._sum / self._count
+        return self._sum / len(self._samples)
 
     def percentile(self, p: float) -> float:
         """The ``p``-th percentile (nearest-rank on the sorted samples)."""

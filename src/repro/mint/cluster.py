@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.bifrost.chunking import ChunkStore
 from repro.bifrost.encoding import WireDecoder
 from repro.bifrost.slices import Slice
 from repro.errors import (
@@ -120,10 +119,6 @@ class MintCluster:
         self._registry = None
         #: per-version keys ingested, for the version-deletion thread
         self.version_keys: Dict[int, List[bytes]] = {}
-        #: receiver-side chunk store for delta-encoded slices
-        self.chunk_store = ChunkStore()
-        #: per-version chunk recipes, released when the version drops
-        self._version_recipes: Dict[int, List[List[bytes]]] = {}
         #: versions already dropped; a straggler slice of one of these
         #: (still in flight when the version retired) must be discarded,
         #: never ingested — the pipelined engine's version-order guard
@@ -442,8 +437,7 @@ class MintCluster:
         and land as one engine batch per node (:meth:`put_batch`) instead
         of one put per key per replica.  Value-less (deduplicated)
         entries are stored value-less — QinDB's GET traceback resolves
-        them against the previous version.  Delta slices are reassembled
-        against this data center's chunk store.
+        them against the previous version.
 
         A slice of an already-retired version (its keys were dropped
         while this copy was still in flight) is discarded whole: writing
@@ -463,8 +457,6 @@ class MintCluster:
             return 0
         if item.wire is not None:
             return self._ingest_wire(item)
-        if item.is_delta:
-            return self._ingest_delta(item)
         return self._store_entries(item, item.entries)
 
     def _ingest_wire(self, item: Slice) -> int:
@@ -537,30 +529,6 @@ class MintCluster:
             )
         return len(batch)
 
-    def _ingest_delta(self, item: Slice) -> int:
-        recipes = self._version_recipes.setdefault(item.version, [])
-        batch = []
-        for kind, key, encoding in item.delta_items():
-            skey = storage_key(kind, key)
-            if encoding is None:
-                batch.append((skey, item.version, None))
-            else:
-                value = self.chunk_store.absorb(encoding)
-                recipes.append(encoding.recipe)
-                batch.append((skey, item.version, value))
-        self.put_batch(batch)
-        self.version_keys.setdefault(item.version, []).extend(
-            skey for skey, _version, _value in batch
-        )
-        if self.integrity is not None:
-            # Chunk-delta entries carry no build signature (values are
-            # reassembled here); audits still leaf-check them.
-            self.integrity.absorb(
-                item,
-                [(skey, value, None) for skey, _version, value in batch],
-            )
-        return len(batch)
-
     def drop_version(self, version: int) -> int:
         """Delete every key ingested under ``version`` (oldest-version
         removal when more than four versions persist).
@@ -608,8 +576,6 @@ class MintCluster:
                     batch,
                     missing_ok=group.group_id in tolerant_groups,
                 )
-        for recipe in self._version_recipes.pop(version, []):
-            self.chunk_store.release(recipe)
         for parked in [
             item for item in self._parked_slices if item.version == version
         ]:

@@ -4,11 +4,10 @@ A :class:`LogHistogram` spreads samples across geometrically growing
 buckets: bucket ``i`` covers ``(min_value * growth**(i-1),
 min_value * growth**i]``, so relative resolution is constant —
 ``growth - 1`` (2% by default) — from microseconds to hours in ~1200
-``int`` slots.  That buys three things the exact/streaming
-:class:`~repro.core.metrics.PercentileTracker` cannot offer together:
+``int`` slots.  That buys three things the exact, keep-every-sample
+:class:`~repro.core.metrics.PercentileTracker` cannot offer:
 
-* **fixed memory** regardless of sample count (no reservoir, no
-  sampling error that depends on the seed);
+* **fixed memory** regardless of sample count;
 * **mergeability** — two histograms with the same geometry add
   bucket-wise, so per-replica latency distributions aggregate into a
   fleet distribution without shipping samples;
@@ -17,7 +16,7 @@ min_value * growth**i]``, so relative resolution is constant —
   ``>=`` the exact nearest-rank percentile and within one bucket width
   (a factor of ``growth``) of it.
 
-The mean stays exact either way (running sum).  The API mirrors
+The mean stays exact (running sum).  The API mirrors
 ``PercentileTracker`` (``add``/``extend``/``percentile``/``quantiles``/
 ``summary``/``len``) so it drops into the serving SLO path unchanged.
 """

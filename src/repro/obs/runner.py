@@ -24,9 +24,10 @@ from repro.obs.tracer import Tracer
 def observe_config():
     """A small fleet that still exercises every pipeline stage.
 
-    Two regions' worth of data centers, three-node groups, chunked dedup
-    on — large enough that transmit, ingest, GC, and gray release all
-    fire, small enough to finish in seconds of wall time.
+    The default three regions of data centers, one three-node group
+    each, whole-value dedup on — large enough that transmit, ingest, GC,
+    and gray release all fire, small enough to finish in seconds of wall
+    time.
     """
     from repro.core.config import DirectLoadConfig
     from repro.mint.cluster import MintConfig

@@ -11,7 +11,8 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.elastic.planner import RebalancePlanner
@@ -39,9 +40,8 @@ def load_keys(cluster, prefix):
     return keys
 
 
-@given(prefix=st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=25, deadline=None)
-def test_single_join_moves_about_one_share(prefix):
+def join_deviation(prefix):
+    """Plan one node join; returns moved fraction minus the fair share."""
     cluster = fresh_cluster()
     group = cluster.groups[0]
     load_keys(cluster, prefix)
@@ -55,16 +55,13 @@ def test_single_join_moves_about_one_share(prefix):
     for task in tasks:
         assert [n.name for n in task.copy_targets] == [node.name]
         assert len(task.withdraw_targets) == 1
-    # statistically minimal: the new node receives its fair share of
-    # keys (replica_count / new member count), not the whole keyspace
+    # the new node's fair share: replica_count / new member count
     share = group.replica_count / len(group.nodes)
-    fraction = len(tasks) / KEYS
-    assert abs(fraction - share) < 0.18
+    return len(tasks) / KEYS - share
 
 
-@given(prefix=st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=25, deadline=None)
-def test_single_leave_moves_about_the_leavers_share(prefix):
+def leave_deviation(prefix):
+    """Plan one node drain; returns moved fraction minus the leaver's share."""
     cluster = fresh_cluster()
     group = cluster.groups[0]
     load_keys(cluster, prefix)
@@ -78,8 +75,35 @@ def test_single_leave_moves_about_the_leavers_share(prefix):
         assert [n.name for n in task.withdraw_targets] == [leaver]
         assert len(task.copy_targets) == 1
     share = group.replica_count / NODES  # what the leaver owned
-    fraction = len(tasks) / KEYS
-    assert abs(fraction - share) < 0.18
+    return len(tasks) / KEYS - share
+
+
+# The moved fraction of 150 keys has a measured sd of 0.04 around the
+# fair share, so a random draw only gets a cut far in the tail (0.25;
+# prefix 889 sits at +0.18 and tripped the old 0.18 cut), and the
+# statistical claim — the mean is the fair share — is checked over a
+# fixed prefix range instead.
+SHARE_PREFIXES = range(200)
+
+
+@given(prefix=st.integers(min_value=0, max_value=2**32))
+@example(prefix=889)
+@settings(max_examples=25, deadline=None)
+def test_single_join_moves_about_one_share(prefix):
+    assert abs(join_deviation(prefix)) < 0.25
+
+
+@given(prefix=st.integers(min_value=0, max_value=2**32))
+@example(prefix=889)
+@settings(max_examples=25, deadline=None)
+def test_single_leave_moves_about_the_leavers_share(prefix):
+    assert abs(leave_deviation(prefix)) < 0.25
+
+
+@pytest.mark.parametrize("deviation", [join_deviation, leave_deviation])
+def test_mean_movement_is_the_fair_share(deviation):
+    deviations = [deviation(prefix) for prefix in SHARE_PREFIXES]
+    assert abs(sum(deviations) / len(deviations)) < 0.01
 
 
 keys = st.binary(min_size=1, max_size=24)

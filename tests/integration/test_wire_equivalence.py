@@ -3,58 +3,109 @@
 The contract the bandwidth layer must honour everywhere: whatever the
 codec does to what *travels*, what every replica *stores* is
 byte-identical to the unencoded run — across plain months, pipelined
-months (where version N+1 slices overtake version N's), and chaos months
-where the compressed stream itself gets corrupted in flight.
+months (where version N+1 slices overtake version N's), months long
+enough to evict and garbage-collect the versions the codec's delta bases
+came from, and chaos months where the compressed stream itself gets
+corrupted in flight.
 """
 
 import pytest
 
 from repro.bifrost.channels import TopologyConfig
+from repro.bifrost.transport import TransportConfig
 from repro.core.config import DirectLoadConfig
 from repro.core.directload import DirectLoad
-from repro.mint.cluster import MintConfig
-from repro.workloads.bandwidth import fleet_digest
+from repro.mint.cluster import MintConfig, storage_key
+from repro.workloads.bandwidth import fleet_digest, month_rates
 from repro.workloads.chaos import ChaosConfig, run_chaos
 
 MONTH = [None, 0.4, 0.6, 0.5]
 
+#: bootstrap + 8 changed-value-heavy days: with four live versions kept,
+#: five versions are evicted while later ones still delta against them
+EVICTING_MONTH = month_rates(8)
+#: values large enough that the evicted versions fill a sealed 4 MB AOF
+#: segment on the summary-storing nodes, so GC collects it mid-month
+GC_SIZED = dict(
+    doc_count=60,
+    summary_value_bytes=16 * 1024,
+    forward_value_bytes=4 * 1024,
+    slice_bytes=64 * 1024,
+)
 
-def make_system(wire: bool) -> DirectLoad:
-    return DirectLoad(
-        DirectLoadConfig(
-            wire_encoding=wire,
-            doc_count=40,
-            vocabulary_size=250,
-            doc_length=16,
-            summary_value_bytes=512,
-            forward_value_bytes=128,
-            slice_bytes=16 * 1024,
-            generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=2_000_000.0),
-            mint=MintConfig(
-                group_count=1,
-                nodes_per_group=3,
-                node_capacity_bytes=48 * 1024 * 1024,
-            ),
-        )
+
+def make_system(wire: bool, dedup: bool = True, **overrides) -> DirectLoad:
+    settings = dict(
+        wire_encoding=wire,
+        dedup_enabled=dedup,
+        doc_count=40,
+        vocabulary_size=250,
+        doc_length=16,
+        summary_value_bytes=512,
+        forward_value_bytes=128,
+        slice_bytes=16 * 1024,
+        generation_window_s=5.0,
+        topology=TopologyConfig(backbone_bps=2_000_000.0),
+        mint=MintConfig(
+            group_count=1,
+            nodes_per_group=3,
+            node_capacity_bytes=48 * 1024 * 1024,
+        ),
     )
+    settings.update(overrides)
+    return DirectLoad(DirectLoadConfig(**settings))
 
 
-def run_month(wire: bool, pipelined: bool):
-    system = make_system(wire)
+def record_builds(system: DirectLoad) -> dict:
+    """Version -> the full pre-dedup dataset the build pipeline emitted."""
+    built = {}
+    build_version = system.pipeline.build_version
+
+    def recording():
+        dataset = build_version()
+        built[dataset.version] = dataset
+        return dataset
+
+    system.pipeline.build_version = recording
+    return built
+
+
+def run_month(
+    wire: bool, pipelined: bool, dedup: bool = True, month=MONTH, **overrides
+):
+    """Run ``month``; returns the system, its reports and what it built."""
+    system = make_system(wire, dedup, **overrides)
+    built = record_builds(system)
     if pipelined:
-        reports = system.run_pipelined_cycles(MONTH)
+        reports = system.run_pipelined_cycles(month)
     else:
         reports = [
-            system.run_update_cycle(mutation_rate=rate) for rate in MONTH
+            system.run_update_cycle(mutation_rate=rate) for rate in month
         ]
-    return system, reports
+    return system, reports, built
+
+
+def assert_live_versions_read_back(system: DirectLoad, built: dict) -> None:
+    """Every live ``(key, version)`` in every DC is the freshly built bytes."""
+    for version in system.versions.live_versions:
+        expected = {
+            storage_key(kind, entry.key): entry.value
+            for kind, entries in built[version].entries.items()
+            for entry in entries
+        }
+        for dc, cluster in system.clusters.items():
+            keys = cluster.version_keys[version]
+            assert keys
+            for key in keys:
+                assert cluster.get(key, version) == expected[key], (
+                    dc, version, key,
+                )
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["plain", "pipelined"])
 def test_wire_month_is_byte_identical_and_smaller(pipelined):
-    baseline, base_reports = run_month(wire=False, pipelined=pipelined)
-    wired, wire_reports = run_month(wire=True, pipelined=pipelined)
+    baseline, base_reports, _ = run_month(wire=False, pipelined=pipelined)
+    wired, wire_reports, _ = run_month(wire=True, pipelined=pipelined)
     # Identical delivery accounting, cycle by cycle...
     assert [r.keys_delivered for r in wire_reports] == [
         r.keys_delivered for r in base_reports
@@ -75,6 +126,54 @@ def test_wire_month_is_byte_identical_and_smaller(pipelined):
     stats = wired.wire_encoder.stats
     assert stats.compression_ratio < 1.0
     assert stats.bytes_saved > 0
+
+
+@pytest.mark.parametrize("pipelined", [False, True], ids=["plain", "pipelined"])
+@pytest.mark.parametrize("dedup", [False, True], ids=["raw", "dedup"])
+def test_wire_survives_eviction_and_gc(pipelined, dedup):
+    """The codec across version eviction: delta bases outlive the
+    versions that carried them, and nothing stored depends on the codec.
+
+    Four arms — raw, dedup, wire, dedup+wire — over a month that evicts
+    five versions: the wire arm of each dedup setting must store exactly
+    what its unencoded twin stores, and all four must read back the
+    bytes the build pipeline produced.
+    """
+    systems = {}
+    for wire in (False, True):
+        system, reports, built = run_month(
+            wire, pipelined, dedup, EVICTING_MONTH, **GC_SIZED
+        )
+        evicted = [v for report in reports for v in report.evicted_versions]
+        assert len(evicted) == 5
+        assert_live_versions_read_back(system, built)
+        for cluster in system.clusters.values():
+            assert cluster.under_replicated() == []
+        systems[wire] = system
+    assert fleet_digest(systems[True]) == fleet_digest(systems[False])
+    assert (
+        systems[True].transport.total_wire_bytes_sent
+        < systems[False].transport.total_wire_bytes_sent
+    )
+    # Eviction really reclaimed space: segments were garbage-collected.
+    assert any(
+        node.engine.gc_runs > 0
+        for cluster in systems[True].clusters.values()
+        for node in cluster.all_nodes
+    )
+
+
+def test_wire_encoding_over_p2p_distribution():
+    """Wire-encoded slices ride the peer-forwarding fabric, and every DC
+    still decodes byte-identical values."""
+    system, reports, built = run_month(
+        wire=True,
+        pipelined=False,
+        transport=TransportConfig(distribution="p2p", seed=9),
+    )
+    assert all(report.promoted for report in reports)
+    assert system.wire_encoder.stats.entries_delta > 0
+    assert_live_versions_read_back(system, built)
 
 
 def test_chaos_month_with_wire_encoding_loses_nothing():
