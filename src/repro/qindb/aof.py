@@ -14,10 +14,10 @@ memtable items.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import StorageError
-from repro.qindb.records import Record, decode_record, encode_record, scan_records
+from repro.qindb.records import Frame, Record, decode_record, encode_record, scan_frames
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -159,22 +159,17 @@ class AofSegment:
             ]
         return [decode_record(raw)[0] for raw in raws]
 
-    def scan(self) -> Iterator[Tuple[int, Record]]:
-        """Yield every ``(offset, record)`` — the recovery scan.
+    def read_frames(self) -> Tuple[bytes, List[Frame]]:
+        """The segment's image and its verified frames — what GC and
+        recovery walk.
 
         Charges a full sequential read of the segment's programmed pages,
-        then decodes in memory (as a real recovery would).
+        then walks the frame headers in memory
+        (:func:`~repro.qindb.records.scan_frames`).
         """
         self.flush()
-        if self._unit.size:
-            image = self._unit.read(0, self._unit.size)
-        else:
-            image = b""
-        yield from scan_records(
-            image,
-            page_size=self._unit.page_size,
-            tolerate_torn_tail=True,
-        )
+        image = self._unit.read(0, self._unit.size) if self._unit.size else b""
+        return image, scan_frames(image, self._unit.page_size)
 
     def flush(self) -> None:
         """Force any buffered partial page onto flash."""
@@ -375,16 +370,6 @@ class AofManager:
         if segment is self._active:
             self._active = None
         segment.erase()
-
-    def scan_all(self) -> Iterator[Tuple[int, int, Record]]:
-        """Yield ``(segment_id, offset, record)`` across all segments.
-
-        Segments are visited in id order, which is append order — the
-        order recovery must respect so newer records win.
-        """
-        for segment in self.segments:
-            for offset, record in segment.scan():
-                yield segment.segment_id, offset, record
 
     # ------------------------------------------------------------------
     def _open_segment(self) -> AofSegment:

@@ -34,13 +34,9 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.metrics import BatchCounters
 from repro.errors import CorruptionError
 from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.engine import QinDB, QinDBConfig
-from repro.qindb.gctable import GCTable
-from repro.qindb.memtable import Memtable
-from repro.qindb.readcache import RecordCache
 from repro.qindb.records import RecordType
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -164,29 +160,9 @@ def recover(
     read sequentially and the memtable and GC table are reconstructed.
     With a valid checkpoint, only records past the watermark are replayed.
     """
-    engine = QinDB.__new__(QinDB)
-    engine.device = aofs.device
-    engine.config = config or QinDBConfig()
-    engine.aofs = aofs
-    engine.memtable = Memtable()
-    engine.gc_table = GCTable(threshold=engine.config.gc_occupancy_threshold)
-    # The read cache is volatile: a recovered node starts cold.
-    engine.read_cache = (
-        RecordCache(engine.config.read_cache_bytes)
-        if engine.config.read_cache_bytes
-        else None
-    )
-    engine.user_bytes_written = 0
-    engine.user_bytes_read = 0
-    engine.gc_runs = 0
-    engine.gc_bytes_reappended = 0
-    engine.batch_counters = BatchCounters()
-    engine.reads_in_flight = 0
-    engine._gc_since_checkpoint = False
-    engine._closed = False
-    engine._sequence = 0
-    engine.latest_checkpoint = None
-    engine._bytes_at_last_checkpoint = 0
+    # Everything volatile starts cold (memtable, GC table, read cache,
+    # counters); only the AOFs survived.
+    engine = QinDB(aofs.device, config, aofs=aofs)
 
     watermark_segment, watermark_size = -1, -1
     if checkpoint is not None and checkpoint_valid:
@@ -194,66 +170,67 @@ def recover(
         watermark_segment = checkpoint.watermark_segment
         watermark_size = checkpoint.watermark_size
 
-    def replay_records():
-        """Records past the watermark; fully-covered segments are not
+    def replay_frames():
+        """Frames past the watermark; fully-covered segments are not
         even read (this is what makes checkpoints cheaper than scans)."""
         for segment in aofs.segments:
             if segment.segment_id < watermark_segment:
                 continue
-            for offset, record in segment.scan():
+            for frame in segment.read_frames()[1]:
                 if (
                     segment.segment_id == watermark_segment
-                    and offset < watermark_size
+                    and frame[0] < watermark_size
                 ):
                     continue
-                yield segment.segment_id, offset, record
+                yield segment.segment_id, frame
 
     #: highest tombstone sequence seen per (key, version)
     pending_tombstones: Dict[Tuple[bytes, int], int] = {}
-    for segment_id, offset, record in replay_records():
-        engine._sequence = max(engine._sequence, record.sequence)
-        key_version = (record.key, record.version)
-        if record.type is RecordType.DELETE:
+    for segment_id, frame in replay_frames():
+        offset, end, rtype, key, version, sequence = frame
+        engine._sequence = max(engine._sequence, sequence)
+        key_version = (key, version)
+        size = end - offset
+        if rtype == RecordType.DELETE:
             previous_tomb = pending_tombstones.get(key_version, -1)
-            pending_tombstones[key_version] = max(previous_tomb, record.sequence)
-            item = engine.memtable.get(record.key, record.version)
+            pending_tombstones[key_version] = max(previous_tomb, sequence)
+            item = engine.memtable.get(key, version)
             if (
                 item is not None
                 and not item.deleted
-                and record.sequence > item.sequence
+                and sequence > item.sequence
             ):
-                engine.memtable.mark_deleted(record.key, record.version)
+                engine.memtable.mark_deleted(key, version)
                 engine.gc_table.record_dead(
                     item.location.segment_id, item.location.length
                 )
             # Account the tombstone's own bytes (appended and dead).
-            size = record.encoded_size
             engine.gc_table.record_appended(segment_id, size)
             engine.gc_table.record_dead(segment_id, size)
             continue
 
-        location = RecordLocation(segment_id, offset, record.encoded_size)
-        engine.gc_table.record_appended(segment_id, location.length)
-        existing = engine.memtable.get(record.key, record.version)
-        if existing is not None and record.sequence <= existing.sequence:
+        location = RecordLocation(segment_id, offset, size)
+        engine.gc_table.record_appended(segment_id, size)
+        existing = engine.memtable.get(key, version)
+        if existing is not None and sequence <= existing.sequence:
             # A stale physical copy (GC duplicate); its bytes are dead.
-            engine.gc_table.record_dead(segment_id, location.length)
+            engine.gc_table.record_dead(segment_id, size)
             continue
         previous = engine.memtable.put(
-            record.key,
-            record.version,
+            key,
+            version,
             location,
-            record.type is RecordType.PUT_DEDUP,
-            sequence=record.sequence,
+            rtype == RecordType.PUT_DEDUP,
+            sequence=sequence,
         )
         if previous is not None and not previous.deleted:
             engine.gc_table.record_dead(
                 previous.location.segment_id, previous.location.length
             )
         tombstone_sequence = pending_tombstones.get(key_version, -1)
-        if tombstone_sequence > record.sequence:
+        if tombstone_sequence > sequence:
             # GC moved this put physically past its tombstone; the
             # delete still logically follows it.
-            engine.memtable.mark_deleted(record.key, record.version)
-            engine.gc_table.record_dead(segment_id, location.length)
+            engine.memtable.mark_deleted(key, version)
+            engine.gc_table.record_dead(segment_id, size)
     return engine

@@ -176,10 +176,12 @@ class QinDB:
         self,
         device: SimulatedSSD,
         config: QinDBConfig | None = None,
+        aofs: AofManager | None = None,
     ) -> None:
         self.device = device
         self.config = config or QinDBConfig()
-        self.aofs = AofManager(
+        #: ``aofs`` is recovery's: the segments that survived a crash
+        self.aofs = aofs if aofs is not None else AofManager(
             device,
             segment_bytes=self.config.segment_bytes,
             backend=self.config.aof_backend,
@@ -804,58 +806,77 @@ class QinDB:
             if self.trace is not None
             else nullcontext()
         )
-        with span:
-            self._collect_segment(segment_id)
+        with span as opened:
+            counts = self._collect_segment(segment_id)
+            if opened is not None:
+                opened.attrs.update(counts)
 
-    def _collect_segment(self, segment_id: int) -> None:
+    def _collect_segment(self, segment_id: int) -> Dict[str, int]:
+        """Verify every frame, decide in scan order, move survivors verbatim.
+
+        ``read_frames`` checks the whole victim *before any state is
+        touched*: a corrupt one raises with the engine unchanged.  A
+        re-append keeps the original sequence, so a survivor's bytes are
+        the bytes just read — nothing is decoded or re-encoded.
+        """
+        image, frames = self.aofs.segment(segment_id).read_frames()
         if self.read_cache is not None:
             # Surviving records move to new locations and the segment's
             # blocks are erased; cached values keyed into it must die
             # before the erase or a later lookup could serve bytes the
             # device no longer holds.
             self.read_cache.invalidate_segment(segment_id)
-        segment = self.aofs.segment(segment_id)
-        for offset, record in segment.scan():
-            location = RecordLocation(segment_id, offset, record.encoded_size)
-            if record.type is RecordType.DELETE:
-                self._gc_tombstone(record)
-                continue
-            item = self.memtable.get(record.key, record.version)
-            if item is None or item.location != location:
-                continue  # superseded or already moved; dies with segment
-            if not item.deleted:
-                self._reappend(record, item)
-            elif record.has_value and self._is_referenced(
-                record.key, record.version
+        memtable = self.memtable
+        put_value = int(RecordType.PUT_VALUE)
+        tombstone = int(RecordType.DELETE)
+        #: surviving frames in scan order, and the item each re-points
+        #: (None for a carried tombstone)
+        moved: List[bytes] = []
+        owners: List[Optional[IndexItem]] = []
+        items_before = len(memtable)
+        for offset, end, rtype, key, version, _sequence in frames:
+            item = memtable.get(key, version)
+            if rtype == tombstone:
+                # Carry a delete tombstone forward while its target lives.
+                if item is not None and item.deleted:
+                    moved.append(image[offset:end])
+                    owners.append(None)
+            elif item is None or item.location != (
+                segment_id, offset, end - offset
             ):
+                pass  # superseded or already moved; dies with segment
+            elif not item.deleted or (
                 # Dead but a newer deduplicated version resolves here.
-                self._reappend(record, item)
+                rtype == put_value and self._is_referenced(key, version)
+            ):
+                moved.append(image[offset:end])
+                owners.append(item)
             else:
-                self.memtable.drop(record.key, record.version)
+                memtable.drop(key, version)
+        locations, appended = self.aofs.append_encoded_batch(moved)
+        for written_id, nbytes in appended:
+            self.gc_table.record_appended(written_id, nbytes)
+            self.gc_bytes_reappended += nbytes
+        #: tombstones and referenced-but-dead frames stay "dead" in the
+        #: accounting so their new segment can still reach the threshold
+        dead: List[RecordLocation] = []
+        for item, location in zip(owners, locations):
+            if item is not None:
+                item.location = location
+            if item is None or item.deleted:
+                dead.append(location)
+        self.gc_table.record_dead_many(dead)
         self.gc_table.forget(segment_id)
         self.aofs.drop_segment(segment_id)
         self.gc_runs += 1
         self._gc_since_checkpoint = True
-
-    def _gc_tombstone(self, record: Record) -> None:
-        """Carry a delete tombstone forward while its target item lives."""
-        item = self.memtable.get(record.key, record.version)
-        if item is None or not item.deleted:
-            return
-        location = self.aofs.append(record)
-        self.gc_table.record_appended(location.segment_id, location.length)
-        self.gc_table.record_dead(location.segment_id, location.length)
-        self.gc_bytes_reappended += location.length
-
-    def _reappend(self, record: Record, item: IndexItem) -> None:
-        location = self.aofs.append(record)
-        self.gc_table.record_appended(location.segment_id, location.length)
-        item.location = location
-        if item.deleted:
-            # Referenced-but-dead bytes stay "dead" in the accounting so
-            # their new segment can still reach the GC threshold.
-            self.gc_table.record_dead(location.segment_id, location.length)
-        self.gc_bytes_reappended += location.length
+        return {
+            "frames": len(frames),
+            "moved": len(moved),
+            "dropped": items_before - len(memtable),
+            "tombstones_carried": owners.count(None),
+            "bytes_moved": sum(nbytes for _id, nbytes in appended),
+        }
 
     def _is_referenced(self, key: bytes, version: int) -> bool:
         """Does some newer deduplicated version resolve to this record?

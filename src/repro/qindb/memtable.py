@@ -146,8 +146,9 @@ class Memtable:
 
     def get(self, key: bytes, version: int) -> Optional[IndexItem]:
         """The item for (key, version), or None."""
-        self._charge(1)
-        return self._items.get((key, version))
+        items = self._items
+        self.last_search_steps = len(items).bit_length()  # _charge(1)
+        return items.get((key, version))
 
     def get_batch(
         self, item_keys: Sequence[ItemKey]

@@ -28,7 +28,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import CorruptionError, StorageError, TruncatedRecordError
 
@@ -184,7 +184,7 @@ def scan_records(
 
     Zero bytes where a record header should start are page padding from
     the block-aligned writer; when ``page_size`` is given the scan skips to
-    the next page boundary and continues (this is the recovery scan).
+    the next page boundary and continues (as :func:`scan_frames` does).
 
     With ``tolerate_torn_tail`` a truncated record at the very end of the
     buffer terminates the scan silently — a crash can catch the final
@@ -207,3 +207,56 @@ def scan_records(
             raise
         yield offset, record
         offset = next_offset
+
+
+#: ``(offset, end, type, key, version, sequence)`` of one verified frame
+Frame = Tuple[int, int, int, bytes, int, int]
+_VALUE_TYPE = int(RecordType.PUT_VALUE)
+_TYPE_NAMES = {int(record_type): record_type.name for record_type in RecordType}
+
+
+def scan_frames(image: bytes, page_size: int) -> List[Frame]:
+    """Verify every frame of a segment image; return their headers.
+
+    The maintenance walk (GC, recovery): same checks and typed errors as
+    ``scan_records(image, page_size, tolerate_torn_tail=True)``, but no
+    :class:`Record` is built and no value is copied — key and value are
+    contiguous in the frame, so the CRC is one call over a view of it.
+    ``image[offset:end]`` is the frame verbatim.  The list is complete
+    before the caller sees it: a corrupt image raises with nothing
+    consumed, which is what lets GC verify before it mutates.
+    """
+    view = memoryview(image)
+    length = len(image)
+    unpack_header = _HEADER.unpack_from
+    pack_prefix = _CRC_PREFIX.pack
+    crc32 = zlib.crc32
+    frames: List[Frame] = []
+    add = frames.append
+    offset = 0
+    while offset < length:
+        if image[offset] == 0:  # page padding
+            offset = (offset // page_size + 1) * page_size
+            continue
+        key_start = offset + HEADER_SIZE
+        if key_start > length:
+            break  # torn header: end of log
+        magic, rtype, key_len, value_len, version, sequence, crc = (
+            unpack_header(image, offset)
+        )
+        if magic != MAGIC:
+            raise CorruptionError(f"bad magic 0x{magic:02x} at offset {offset}")
+        end = key_start + key_len + value_len
+        if end > length:
+            break  # torn body: end of log
+        prefix_crc = crc32(pack_prefix(rtype, version, sequence))
+        if crc32(view[key_start:end], prefix_crc) != crc:
+            raise CorruptionError(f"CRC mismatch for record at offset {offset}")
+        if rtype not in _TYPE_NAMES:
+            raise CorruptionError(f"unknown record type {rtype} at {offset}")
+        if value_len and rtype != _VALUE_TYPE:
+            raise StorageError(f"{_TYPE_NAMES[rtype]} records carry no value")
+        key = image[key_start : key_start + key_len]
+        add((offset, end, rtype, key, version, sequence))
+        offset = end
+    return frames

@@ -61,3 +61,38 @@ def test_untraced_engine_is_unaffected():
     churn(engine)  # no tracer bound: plain GC/checkpoint path still works
     assert engine.stats().gc_runs > 0
     assert engine.get(b"key", 200) == bytes(4096)
+
+
+def test_gc_sweep_span_explains_the_collection():
+    """A sweep's span says what it walked, moved and dropped."""
+    engine, tracer = traced_engine()
+    value = bytes(4096)
+    engine.put_batch([(b"base", 1, value), (b"base", 2, None)])
+    engine.delete_batch([(b"base", 1)])  # dead, but base/2 resolves to it
+    churn(engine)
+    sweeps = [s for s in tracer.finished_spans() if s.name == "gc_sweep"]
+    assert sweeps
+    for span in sweeps:
+        attrs = span.attrs
+        assert attrs["frames"] >= attrs["moved"] + attrs["dropped"]
+        assert attrs["tombstones_carried"] <= attrs["moved"]
+        assert (attrs["bytes_moved"] > 0) == (attrs["moved"] > 0)
+    stats = engine.stats()
+    assert sum(s.attrs["bytes_moved"] for s in sweeps) == (
+        stats.gc_bytes_reappended
+    )
+    assert sum(s.attrs["dropped"] for s in sweeps) > 0
+    # the referenced dead base and its tombstone were carried, not dropped
+    assert sum(s.attrs["tombstones_carried"] for s in sweeps) > 0
+    assert engine.get(b"base", 2) == value
+
+
+def test_gc_sweep_attrs_are_discarded_by_a_disabled_tracer():
+    engine = QinDB.with_capacity(
+        16 * 1024 * 1024, config=QinDBConfig(segment_bytes=SEGMENT)
+    )
+    tracer = Tracer(lambda: 0.0, enabled=False)
+    engine.bind_trace(tracer.track("engine:n0", clock=engine.device))
+    churn(engine)
+    assert engine.stats().gc_runs > 0
+    assert tracer.finished_spans() == []

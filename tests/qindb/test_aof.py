@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.qindb.aof import AofManager, RecordLocation
-from repro.qindb.records import Record, RecordType
+from repro.qindb.records import Record, RecordType, encode_record
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 
@@ -69,20 +69,43 @@ def test_drop_segment_frees_blocks(manager):
         manager.segment(victim)
 
 
+def walked_keys(manager):
+    """Keys in frame-walk order across segments in id (= append) order."""
+    return [
+        frame[3]
+        for segment in manager.segments
+        for frame in segment.read_frames()[1]
+    ]
+
+
 def test_scan_all_visits_in_order(manager):
-    keys = [f"k{i:03d}".encode() for i in range(15)]
+    keys = [f"k{i:03d}".encode() for i in range(20)]
     for key in keys:
         manager.append(rec(key, size=800))
-    scanned = [record.key for _sid, _off, record in manager.scan_all()]
-    assert scanned == keys
+    assert manager.segment_count > 1
+    assert walked_keys(manager) == keys
+
+
+def test_read_frames_returns_verbatim_frames(manager):
+    records = [rec(f"k{i}".encode(), version=i, size=300) for i in range(6)]
+    locations = [manager.append(record) for record in records]
+    segment = manager.segment(0)
+    image, frames = segment.read_frames()
+    assert len(image) == segment.size
+    for record, location, frame in zip(records, locations, frames):
+        offset, end, rtype, key, version, sequence = frame
+        assert (offset, end - offset) == (location.offset, location.length)
+        assert (rtype, key, version, sequence) == (
+            record.type, record.key, record.version, record.sequence
+        )
+        assert image[offset:end] == encode_record(record)
 
 
 def test_scan_handles_page_padding_from_flush(manager):
     manager.append(rec(b"first", size=100))
     manager.flush()  # pads the partial page
     manager.append(rec(b"second", size=100))
-    scanned = [record.key for _sid, _off, record in manager.scan_all()]
-    assert scanned == [b"first", b"second"]
+    assert walked_keys(manager) == [b"first", b"second"]
 
 
 def test_read_from_wrong_segment_rejected(manager):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import KeyNotFoundError, StorageError
+from repro.errors import CorruptionError, KeyNotFoundError, StorageError
 from repro.qindb.engine import QinDB, QinDBConfig
 
 
@@ -177,3 +177,67 @@ def test_tombstones_carried_forward_by_gc():
     # The url/1 item survived GC (still flagged deleted, still referenced).
     survived = engine.memtable.get(b"url", 1)
     assert survived is not None and survived.deleted
+
+
+def test_corrupt_victim_leaves_the_engine_untouched():
+    """Verification precedes mutation: a CRC failure on the victim's
+    *last* frame must raise before anything was moved or dropped.
+
+    The per-record collector raised the same error half-way: 56 items
+    re-pointed, 224 dropped, 52,248 B appended, the victim still there
+    at occupancy 0.203 — nominated again on every later batch.
+    """
+    engine = small_engine()
+    items = [
+        (f"k{index:04d}".encode(), 1, bytes([index % 251]) * 900)
+        for index in range(600)
+    ]
+    engine.put_batch(items)
+    victim = 0
+    in_victim = sorted(
+        (item.location, key)
+        for key, _version, item in engine.memtable.items()
+        if item.location.segment_id == victim
+    )
+    # Kill 80% of the victim (its last frame stays live), with
+    # collection deferred so it is this test that triggers it.
+    engine.reads_in_flight = 1
+    engine.delete_batch(
+        [
+            (key, 1)
+            for index, (_at, key) in enumerate(reversed(in_victim))
+            if index % 5
+        ]
+    )
+    engine.reads_in_flight = 0
+    assert engine.gc_runs == 0
+    assert engine.gc_table.victims() == [victim]
+    # Flip one value byte of the victim's last frame on the media.
+    last, corrupt_key = in_victim[-1]
+    segment = engine.aofs.segment(victim)
+    segment._unit._data[last.offset + last.length - 1] ^= 0xFF
+
+    def state():
+        return (
+            {
+                (key, version): (item.location, item.deleted)
+                for key, version, item in engine.memtable.items()
+            },
+            engine.gc_table.snapshot(),
+            engine.aofs.bytes_appended,
+            engine.gc_bytes_reappended,
+            engine.aofs.segment_count,
+            engine.gc_runs,
+        )
+
+    before = state()
+    with pytest.raises(CorruptionError):
+        engine.collect_segment(victim)
+    assert state() == before
+    assert engine.aofs.segment(victim) is segment  # not erased
+    # Every other live key still reads back; the damaged one fails typed.
+    for key, version, value in items:
+        if engine.exists(key, version) and key != corrupt_key:
+            assert engine.get(key, version) == value
+    with pytest.raises(CorruptionError):
+        engine.get(corrupt_key, 1)

@@ -179,6 +179,20 @@ def test_recovered_engine_is_fully_operational():
     assert recovered.get(b"k", 2) == b"v1"  # referent rule still applies
 
 
+def test_recovered_engine_can_collect_garbage():
+    """A recovered engine has no trace track bound; its GC must still
+    run (``recover`` used to leave ``engine.trace`` unset, so the first
+    sweep after a restart died with AttributeError)."""
+    engine = small_engine()
+    for index in range(200):
+        engine.put(f"k{index:03d}".encode(), 1, b"v" * 4000)
+    engine.flush()
+    recovered = recover(crash(engine), config=engine.config)
+    recovered.delete_batch([(f"k{index:03d}".encode(), 1) for index in range(190)])
+    assert recovered.gc_runs > 0
+    assert recovered.get(b"k199", 1) == b"v" * 4000
+
+
 def test_auto_checkpointing_kicks_in_and_speeds_node_recovery():
     """The paper's periodic checkpointing, wired through the engine."""
     engine = QinDB.with_capacity(
