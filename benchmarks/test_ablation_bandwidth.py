@@ -34,7 +34,7 @@ DAYS = 2
 
 @pytest.fixture(scope="module")
 def entry():
-    return run_bandwidth(days=DAYS, label="ablation")
+    return run_bandwidth(days=DAYS)
 
 
 def test_ablation_wire_beyond_dedup(entry, benchmark):

@@ -8,7 +8,6 @@ Usage::
     python -m repro month --pipelined  # overlapped daily update cycles
     python -m repro dedup-sweep     # bandwidth saving across dup ratios
     python -m repro observe         # traced cycle: stages + metrics
-    python -m repro perf --json     # kernel bench: events/sec per scenario
     python -m repro bandwidth --json  # wire bytes: dedup x encoding arms
     python -m repro serve --json    # read-serving: batching, shedding, SLO
     python -m repro chaos --plan single-node-crash  # faults + recovery
@@ -159,28 +158,11 @@ def _cmd_fig5(args) -> int:
 
 def _cmd_fig9(args) -> int:
     from repro.analysis.stats import pearson_correlation
-    from repro.bifrost.channels import TopologyConfig
-    from repro.core.config import DirectLoadConfig
-    from repro.core.directload import DirectLoad
-    from repro.mint.cluster import MintConfig
+    from repro.workloads.chaos import build_chaos_system
     from repro.workloads.month import MonthlyTrace, MonthlyTraceConfig
 
-    system = DirectLoad(
-        DirectLoadConfig(
-            doc_count=80,
-            vocabulary_size=300,
-            doc_length=20,
-            summary_value_bytes=1024,
-            forward_value_bytes=256,
-            slice_bytes=32 * 1024,
-            generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=100_000.0),
-            mint=MintConfig(
-                group_count=1, nodes_per_group=3,
-                node_capacity_bytes=64 * 1024 * 1024,
-            ),
-        )
-    )
+    # a backbone slow enough that update time tracks the bytes dedup saves
+    system = build_chaos_system(backbone_bps=100_000.0)
     system.run_update_cycle()
     days = []
     ratios, times = [], []
@@ -216,43 +198,17 @@ def _cmd_fig9(args) -> int:
     return 0
 
 
-def _make_month_system():
-    """A small generation-window-bound DirectLoad for ``repro month``.
-
-    The backbone is fast enough that a version's delivery tail is a
-    fraction of the 5 s generation window — the regime where pipelining
-    generation against delivery actually shortens the month.
-    """
-    from repro.bifrost.channels import TopologyConfig
-    from repro.core.config import DirectLoadConfig
-    from repro.core.directload import DirectLoad
-    from repro.mint.cluster import MintConfig
-
-    return DirectLoad(
-        DirectLoadConfig(
-            doc_count=80,
-            vocabulary_size=300,
-            doc_length=20,
-            summary_value_bytes=1024,
-            forward_value_bytes=256,
-            slice_bytes=32 * 1024,
-            generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=1_000_000.0),
-            mint=MintConfig(
-                group_count=1, nodes_per_group=3,
-                node_capacity_bytes=64 * 1024 * 1024,
-            ),
-        )
-    )
-
-
 def _cmd_month(args) -> int:
+    from repro.workloads.chaos import build_chaos_system
     from repro.workloads.month import MonthlyTrace, MonthlyTraceConfig
 
     schedule = MonthlyTrace(MonthlyTraceConfig(days=args.days)).days()
     # Version 1 is the bootstrap load; one more version per scheduled day.
     specs = [None] + [day.mutation_rate for day in schedule]
-    system = _make_month_system()
+    # The backbone is fast enough that a version's delivery tail is a
+    # fraction of the 5 s generation window — the regime where pipelining
+    # generation against delivery actually shortens the month.
+    system = build_chaos_system()
     if args.pipelined:
         reports = system.run_pipelined_cycles(specs)
         makespan_s = system.last_pipelined_makespan_s
@@ -424,158 +380,10 @@ def _cmd_observe(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from repro.workloads.perf import compare_entries, run_perf
-
-    entry = run_perf(
-        scenarios=args.scenario or None,
-        days=args.days,
-        repeat=args.repeat,
-        fleet=args.fleet,
-        tracing=args.tracing,
-        label=args.label,
-        fleet_groups=args.fleet_groups,
-        fleet_nodes_per_group=args.fleet_nodes,
-    )
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        if not entries:
-            wanted = (
-                f" labelled {args.baseline_label!r}"
-                if args.baseline_label
-                else ""
-            )
-            failures.append(f"{args.check} has no baseline entries{wanted}")
-        else:
-            failures = compare_entries(
-                entry, entries[-1], min_ratio=args.min_ratio
-            )
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "kernel",
-                "units": {
-                    "events_per_s": "kernel events per wall second",
-                    "sim_s_per_wall_s": "simulated seconds per wall second",
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    data = dict(entry)
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
-
-    def render(data: dict) -> None:
-        rows = [
-            [
-                name,
-                f"{result['events']:,}",
-                f"{result['wall_s']:.3f}s",
-                f"{result['events_per_s']:,.0f}",
-                f"{result['sim_s_per_wall_s']:,.1f}",
-                f"{result['keys_delivered']:,}",
-            ]
-            for name, result in data["scenarios"].items()
-        ]
-        print(
-            render_table(
-                ["scenario", "events", "wall", "events/s", "sim-s/wall-s",
-                 "keys"],
-                rows,
-            )
-        )
-        if "fleet" in data:
-            fleet = data["fleet"]
-            print(
-                f"\nfleet smoke: {fleet['nodes']} nodes, "
-                f"{fleet['keys_per_cycle']:,} keys/cycle, "
-                f"{fleet['wall_s']:.2f}s wall "
-                f"({fleet['events_per_s']:,.0f} events/s)"
-            )
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {data['label']!r} to {data['out']}")
-
-    _emit(args, data, render)
-    return 1 if failures else 0
-
-
 def _cmd_bandwidth(args) -> int:
-    from repro.workloads.bandwidth import (
-        compare_bandwidth_entries,
-        run_bandwidth,
-    )
+    from repro.workloads.bandwidth import run_bandwidth
 
-    entry = run_bandwidth(days=args.days, label=args.label)
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        if not entries:
-            wanted = (
-                f" labelled {args.baseline_label!r}"
-                if args.baseline_label
-                else ""
-            )
-            failures.append(f"{args.check} has no baseline entries{wanted}")
-        else:
-            failures = compare_bandwidth_entries(
-                entry, entries[-1], min_ratio=args.min_ratio
-            )
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "bandwidth",
-                "units": {
-                    "wire_reduction_ratio": (
-                        "fraction of wire bytes removed beyond dedup alone"
-                    ),
-                    "hash_ratio": (
-                        "naive over tiered full hashes during audits"
-                    ),
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    data = dict(entry)
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
+    data = run_bandwidth(days=args.days)
 
     def render(data: dict) -> None:
         rows = [
@@ -614,26 +422,18 @@ def _cmd_bandwidth(args) -> int:
             f"{audit['tiered_hashes_per_slice']:.1f} hashes/slice "
             f"(log2 bound {audit['log2_bound_per_slice']})"
         )
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {data['label']!r} to {data['out']}")
 
     _emit(args, data, render)
-    return 1 if failures else 0
+    ok = data["delivered_digest_match"] and data["audit"]["clean"]
+    return 0 if ok else 1
 
 
 def _cmd_serve(args) -> int:
     from repro.serving import ServingConfig
     from repro.workloads.serving import (
+        MIN_BATCHED_SPEEDUP,
         FlashCrowdConfig,
         ServingWorkloadConfig,
-        compare_serving_entries,
         run_serving_bench,
     )
 
@@ -655,49 +455,7 @@ def _cmd_serve(args) -> int:
         ),
         seed=args.seed,
     )
-    entry = run_serving_bench(label=args.label or "run", workload=workload)
-
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        baseline = entries[-1] if entries else None
-        failures = compare_serving_entries(
-            entry, baseline, min_ratio=args.min_ratio
-        )
-        if baseline is None:
-            failures.append(f"{args.check} has no baseline entries")
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "serving",
-                "units": {
-                    "keys_per_device_s": (
-                        "reads served per simulated device-second"
-                    ),
-                    "speedup": "batched over per-key read throughput",
-                    "latency": "simulated seconds, admitted requests only",
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    data = dict(entry)
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
+    data = run_serving_bench(workload)
 
     def render(data: dict) -> None:
         ablation = data["ablation"]
@@ -729,18 +487,15 @@ def _cmd_serve(args) -> int:
             f"({'met' if fleet['slo_met'] else 'MISSED'}); "
             f"{data['workload']['achieved_qps']:,.0f} qps achieved"
         )
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {data['label']!r} to {data['out']}")
 
     _emit(args, data, render)
-    return 1 if failures else 0
+    ablation = data["ablation"]
+    ok = (
+        ablation["digests_match"]
+        and ablation["speedup"] >= MIN_BATCHED_SPEEDUP
+        and data["serving"]["fleet"]["slo_met"]
+    )
+    return 0 if ok else 1
 
 
 def _cmd_chaos(args) -> int:
@@ -956,7 +711,6 @@ def _cmd_rebalance(args) -> int:
     from repro.workloads.rebalance import (
         RebalanceConfig,
         bench_entry,
-        compare_rebalance_entries,
         run_rebalance,
     )
 
@@ -970,59 +724,8 @@ def _cmd_rebalance(args) -> int:
     )
     result = run_rebalance(config)
     data = dict(result.data)
-    entry = bench_entry(data, label=args.label)
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        if not entries:
-            wanted = (
-                f" labelled {args.baseline_label!r}"
-                if args.baseline_label
-                else ""
-            )
-            failures.append(f"{args.check} has no baseline entries{wanted}")
-        else:
-            failures = compare_rebalance_entries(
-                entry, entries[-1], min_ratio=args.min_ratio
-            )
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "rebalance",
-                "units": {
-                    "bytes_moved": (
-                        "payload bytes copied by the migrator, including "
-                        "dedup chain bases"
-                    ),
-                    "move_duration_s": (
-                        "summed simulated seconds of topology operations"
-                    ),
-                    "read_p99_during_move_s": (
-                        "p99 read service time (simulated seconds) for "
-                        "probes issued while a migration was in flight"
-                    ),
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    entry = bench_entry(data)
     data["entry"] = entry
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
 
     def render(data: dict) -> None:
         entry = data["entry"]
@@ -1077,15 +780,6 @@ def _cmd_rebalance(args) -> int:
         ]
         for name, ok in contracts:
             print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {entry['label']!r} to {data['out']}")
 
     _emit(args, data, render)
     contracts_ok = (
@@ -1093,7 +787,7 @@ def _cmd_rebalance(args) -> int:
         and entry["under_replicated_final"] == 0
         and entry["digests_match"]
     )
-    return 0 if contracts_ok and not failures else 1
+    return 0 if contracts_ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1138,60 +832,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the Chrome trace_event JSON here",
     )
 
-    perf = commands.add_parser(
-        "perf", help="kernel perf bench: events/sec on the canned scenarios"
-    )
-    perf.add_argument(
-        "--scenario", action="append", default=None,
-        help="run only this scenario (repeatable); default: all three",
-    )
-    perf.add_argument("--days", type=int, default=6)
-    perf.add_argument(
-        "--repeat", type=int, default=1,
-        help="best-of-N wall time per scenario (damps scheduler noise)",
-    )
-    perf.add_argument(
-        "--fleet", action="store_true",
-        help="also run the 72-node / 100k-keys-per-cycle fleet smoke",
-    )
-    perf.add_argument(
-        "--fleet-groups", type=int, default=None,
-        help="override the fleet smoke's groups per data center",
-    )
-    perf.add_argument(
-        "--fleet-nodes", type=int, default=None,
-        help="override the fleet smoke's nodes per group",
-    )
-    perf.add_argument(
-        "--tracing", action="store_true",
-        help="run with tracing enabled instead of the null-tracer path",
-    )
-    perf.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-refactor)",
-    )
-    perf.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_kernel.json",
-    )
-    perf.add_argument(
-        "--check", default=None,
-        help="compare events/sec against the last entry of this baseline "
-        "file; exit 1 on regression",
-    )
-    perf.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="regression gate: fail below this fraction of baseline "
-        "events/sec (default 0.8 = fail on >20%% regression)",
-    )
-    perf.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label "
-        "instead of the file's last entry (CI uses the pre-refactor "
-        "entry: absolute events/sec varies across runner hardware, so "
-        "gating against a fast machine's best-of-8 would flake)",
-    )
-
     bandwidth = commands.add_parser(
         "bandwidth",
         help="wire-encoding bench: bytes on the wire across dedup x "
@@ -1200,28 +840,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     bandwidth.add_argument(
         "--days", type=int, default=4,
         help="changed-value-heavy cycles after the bootstrap",
-    )
-    bandwidth.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-encoding)",
-    )
-    bandwidth.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_bandwidth.json",
-    )
-    bandwidth.add_argument(
-        "--check", default=None,
-        help="gate against the last entry of this baseline file; "
-        "exit 1 on regression",
-    )
-    bandwidth.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="regression gate: fail below this fraction of the baseline "
-        "wire_reduction_ratio / audit hash_ratio",
-    )
-    bandwidth.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label",
     )
 
     serve = commands.add_parser(
@@ -1263,28 +881,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="optional chaos plan injected during the run",
     )
     serve.add_argument("--seed", type=int, default=23)
-    serve.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-batching)",
-    )
-    serve.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_serving.json",
-    )
-    serve.add_argument(
-        "--check", default=None,
-        help="gate against the last entry of this baseline file; "
-        "exit 1 on regression or a failed absolute check",
-    )
-    serve.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="relative gate: fail below this fraction of baseline "
-        "batched keys/device-s",
-    )
-    serve.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label",
-    )
 
     chaos = commands.add_parser(
         "chaos", help="an update cycle under a fault plan + recovery audit"
@@ -1389,32 +985,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--records-per-s", type=float, default=2000.0,
         help="migration copy budget in records per simulated second",
     )
-    rebalance.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-elastic)",
-    )
-    rebalance.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_rebalance.json",
-    )
-    rebalance.add_argument(
-        "--check", default=None,
-        help="gate against the last entry of this baseline file; "
-        "exit 1 on contract breach or regression",
-    )
-    rebalance.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="regression gate: fail when bytes moved, move duration, or "
-        "mid-move read p99 exceed baseline / min-ratio",
-    )
-    rebalance.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label",
-    )
 
     for sub in (
-        demo, fig5, fig9, month, dedup_sweep, report, observe, perf,
-        bandwidth, serve, chaos, health, rebalance,
+        demo, fig5, fig9, month, dedup_sweep, report, observe, bandwidth,
+        serve, chaos, health, rebalance,
     ):
         sub.add_argument(
             "--json", action="store_true",
@@ -1430,7 +1004,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "dedup-sweep": _cmd_dedup_sweep,
         "report": _cmd_report,
         "observe": _cmd_observe,
-        "perf": _cmd_perf,
         "bandwidth": _cmd_bandwidth,
         "serve": _cmd_serve,
         "chaos": _cmd_chaos,

@@ -173,18 +173,6 @@ class CacheCounters:
             "hit_rate": self.hit_rate,
         }
 
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose live views under ``prefix.*`` in a metrics registry."""
-        registry.register_many(
-            prefix,
-            {
-                "hits": lambda: self.hits,
-                "misses": lambda: self.misses,
-                "evictions": lambda: self.evictions,
-                "invalidated": lambda: self.invalidated,
-            },
-        )
-
 
 @dataclass
 class BatchCounters:
@@ -221,18 +209,6 @@ class BatchCounters:
             "batched_gets": self.batched_gets,
             "mean_get_batch_size": self.mean_get_batch_size,
         }
-
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose live views under ``prefix.*`` in a metrics registry."""
-        registry.register_many(
-            prefix,
-            {
-                "batches": lambda: self.batches,
-                "batched_puts": lambda: self.batched_puts,
-                "get_batches": lambda: self.get_batches,
-                "batched_gets": lambda: self.batched_gets,
-            },
-        )
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.bifrost.signature import signature
-from repro.errors import ConfigError, KeyNotFoundError, NodeDownError
+from repro.errors import KeyNotFoundError, NodeDownError
 from repro.mint.cluster import MintCluster
 from repro.mint.group import NodeGroup
 from repro.mint.integrity import leaf_checksum, seal_summary
@@ -328,12 +328,7 @@ class ReplicaRepairer:
         """
         if not node.is_up:
             raise NodeDownError(f"cannot audit {node.name}: node is down")
-        integrity = getattr(cluster, "integrity", None)
-        if integrity is None:
-            raise ConfigError(
-                f"cluster {cluster.name} has integrity_enabled=False; "
-                "nothing to audit against"
-            )
+        integrity = cluster.integrity
         result = AuditResult()
         counters = integrity.counters
         for summary in integrity.all_summaries():

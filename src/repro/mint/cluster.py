@@ -9,6 +9,8 @@ key so URLs and terms never collide).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.bifrost.encoding import WireDecoder
@@ -39,6 +41,80 @@ def storage_key(kind: IndexKind, key: bytes) -> bytes:
     return _KIND_PREFIX[kind] + key
 
 
+#: Per-node metric views: ``family -> {metric name: attribute path}``,
+#: registered as ``<family>.<node path>.<metric name>``.  A path is
+#: walked from the :class:`StorageNode` each time the metric is read,
+#: so a view follows ``node.engine`` across the engine swap a crash
+#: recovery performs, and a path the engine lacks (the LSM baseline has
+#: no AOF, read cache or batch counters) reads 0.0 instead of failing
+#: the whole snapshot.  ``?.`` follows an attribute that may be None (no
+#: read cache configured), reading 0.0 without the cost of a raise; a
+#: trailing ``()`` calls what the path ends at.
+NODE_METRIC_VIEWS: Dict[str, Dict[str, str]] = {
+    "mint": {
+        "puts": "puts",
+        "gets": "gets",
+        "skipped_gets": "skipped_gets",
+        "missing_gets": "missing_gets",
+        "deletes": "deletes",
+        "recoveries": "recoveries",
+        "up": "is_up",
+    },
+    "qindb": {
+        "user_bytes_written": "engine.user_bytes_written",
+        "user_bytes_read": "engine.user_bytes_read",
+        "aof_bytes_appended": "engine.aofs.bytes_appended",
+        "disk_used_bytes": "engine.aofs.disk_used_bytes",
+        "gc_runs": "engine.gc_runs",
+        "gc_bytes_reappended": "engine.gc_bytes_reappended",
+        "memtable_items": "engine.memtable.__len__()",
+        "read_cache.hits": "engine.read_cache?.counters.hits",
+        "read_cache.misses": "engine.read_cache?.counters.misses",
+        "read_cache.evictions": "engine.read_cache?.counters.evictions",
+        "read_cache.invalidated": "engine.read_cache?.counters.invalidated",
+        "batch.batches": "engine.batch_counters.batches",
+        "batch.batched_puts": "engine.batch_counters.batched_puts",
+    },
+    "ssd": {
+        "host_pages_written": "engine.device.counters.host_pages_written",
+        "host_pages_read": "engine.device.counters.host_pages_read",
+        "gc_pages_written": "engine.device.counters.gc_pages_written",
+        "blocks_erased": "engine.device.counters.blocks_erased",
+        "host_write_ops": "engine.device.counters.host_write_ops",
+        "gc_write_ops": "engine.device.counters.gc_write_ops",
+        "busy_time_s": "engine.device.counters.busy_time_s",
+        "device_now_s": "engine.device.now",
+    },
+}
+
+
+@cache
+def _parse_view(path: str) -> tuple:
+    """``(head getter, tail getter past a ``?.`` or None, called)``;
+    parsed once per path, not once per node."""
+    called = path.endswith("()")
+    head, _, tail = path.removesuffix("()").partition("?.")
+    return attrgetter(head), attrgetter(tail) if tail else None, called
+
+
+def _node_view(node: StorageNode, path: str) -> Callable[[], float]:
+    """A live reader of one :data:`NODE_METRIC_VIEWS` path on ``node``."""
+    read_head, read_tail, called = _parse_view(path)
+
+    def value() -> float:
+        try:
+            found = read_head(node)
+            if read_tail is not None:
+                if found is None:
+                    return 0.0
+                found = read_tail(found)
+        except AttributeError:
+            return 0.0
+        return found() if called else found
+
+    return value
+
+
 @dataclass(frozen=True)
 class MintConfig:
     """Shape of one data center's cluster."""
@@ -47,11 +123,6 @@ class MintConfig:
     nodes_per_group: int = 3
     replica_count: int = 3
     node_capacity_bytes: int = 256 * 1024 * 1024
-    #: keep tiered integrity summaries (CRC32 leaves + a Merkle tree +
-    #: one BLAKE2b seal per ingested slice) for audit-time verification;
-    #: pure bookkeeping — no stored byte changes.  Perf scenarios turn
-    #: it off to keep kernel bench numbers comparable.
-    integrity_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.group_count < 1:
@@ -134,9 +205,7 @@ class MintCluster:
         #: parked slices discarded because their version retired first
         self.parked_dropped = 0
         #: tiered integrity summaries of everything ingested (audit tier)
-        self.integrity: Optional[IntegrityIndex] = (
-            IntegrityIndex() if self.config.integrity_enabled else None
-        )
+        self.integrity = IntegrityIndex()
         #: optional trace track (``obs.TraceTrack``) for ingest spans
         self.trace = None
         #: key -> group memo over the slot directory.  Node faults flip
@@ -221,8 +290,8 @@ class MintCluster:
         node = group.remove_node(name)
         if self._registry is not None:
             path = node.name.replace("/", ".")
-            for prefix in (f"mint.{path}", f"qindb.{path}", f"ssd.{path}"):
-                self._registry.unregister_prefix(prefix)
+            for family in NODE_METRIC_VIEWS:
+                self._registry.unregister_prefix(f"{family}.{path}")
         return node
 
     def add_group(self, node_count: Optional[int] = None) -> NodeGroup:
@@ -279,10 +348,8 @@ class MintCluster:
             )
             for node in group.nodes:
                 path = node.name.replace("/", ".")
-                for prefix in (
-                    f"mint.{path}", f"qindb.{path}", f"ssd.{path}"
-                ):
-                    self._registry.unregister_prefix(prefix)
+                for family in NODE_METRIC_VIEWS:
+                    self._registry.unregister_prefix(f"{family}.{path}")
         return group
 
     def begin_slot_move(self, slot: int, target: NodeGroup) -> None:
@@ -519,14 +586,13 @@ class MintCluster:
         self.version_keys.setdefault(item.version, []).extend(
             skey for skey, _version, _value in batch
         )
-        if self.integrity is not None:
-            self.integrity.absorb(
-                item,
-                [
-                    (skey, value, entry.signature)
-                    for (skey, _version, value), entry in zip(batch, entries)
-                ],
-            )
+        self.integrity.absorb(
+            item,
+            [
+                (skey, value, entry.signature)
+                for (skey, _version, value), entry in zip(batch, entries)
+            ],
+        )
         return len(batch)
 
     def drop_version(self, version: int) -> int:
@@ -582,8 +648,7 @@ class MintCluster:
             self._parked_slices.remove(parked)
             self.parked_dropped += 1
         self.wire_decoder.release_version(version)
-        if self.integrity is not None:
-            self.integrity.drop_version(version)
+        self.integrity.drop_version(version)
         return len(keys)
 
     def under_replicated(self) -> List[tuple]:
@@ -664,14 +729,11 @@ class MintCluster:
         """Register per-node counters across the storage stack.
 
         Naming folds the node path into dotted segments
-        (``north-dc1/g0/n0`` -> ``north-dc1.g0.n0``) under four
+        (``north-dc1/g0/n0`` -> ``north-dc1.g0.n0``) under three
         subsystem roots: ``mint.<node>.*`` (request tallies),
         ``qindb.<node>.*`` (engine counters, incl. ``read_cache.*`` and
-        ``batch.*``), and ``ssd.<node>.*`` (firmware counters).  Every
-        reader dereferences ``node.engine`` at call time, so views stay
-        live across a crash/recovery that swaps the engine object; a
-        counter the engine lacks (the LSM baseline has no read cache)
-        reads 0.0 rather than failing the whole snapshot.
+        ``batch.*``), and ``ssd.<node>.*`` (firmware counters) — the
+        :data:`NODE_METRIC_VIEWS` table.
 
         The registry is retained: elastic membership changes register
         (and unregister) their node/group readers as they happen, so a
@@ -698,10 +760,7 @@ class MintCluster:
                 "parked_now": lambda: len(self._parked_slices),
             },
         )
-        if self.integrity is not None:
-            self.integrity.register_metrics(
-                registry, f"integrity.{self.name}"
-            )
+        self.integrity.register_metrics(registry, f"integrity.{self.name}")
 
         # Cluster-level elastic gauges: topology shape and migration
         # pressure, one glance for "is a rebalance running".
@@ -764,106 +823,15 @@ class MintCluster:
         )
 
     def _register_node_metrics(self, registry, node: StorageNode) -> None:
-        def engine_view(node, read):
-            def value() -> float:
-                try:
-                    return float(read(node.engine))
-                except AttributeError:
-                    return 0.0
-            return value
-
-        path = node.name.replace("/", ".")
-        registry.register_many(
-            f"mint.{path}",
-            {
-                "puts": lambda node=node: node.puts,
-                "gets": lambda node=node: node.gets,
-                "skipped_gets": lambda node=node: node.skipped_gets,
-                "missing_gets": lambda node=node: node.missing_gets,
-                "deletes": lambda node=node: node.deletes,
-                "recoveries": lambda node=node: node.recoveries,
-                "up": lambda node=node: 1.0 if node.is_up else 0.0,
-            },
-        )
-        registry.register_many(
-            f"qindb.{path}",
-            {
-                "user_bytes_written": engine_view(
-                    node, lambda e: e.user_bytes_written
-                ),
-                "user_bytes_read": engine_view(
-                    node, lambda e: e.user_bytes_read
-                ),
-                "aof_bytes_appended": engine_view(
-                    node, lambda e: e.aofs.bytes_appended
-                ),
-                "disk_used_bytes": engine_view(
-                    node, lambda e: e.aofs.disk_used_bytes
-                ),
-                "gc_runs": engine_view(node, lambda e: e.gc_runs),
-                "gc_bytes_reappended": engine_view(
-                    node, lambda e: e.gc_bytes_reappended
-                ),
-                "memtable_items": engine_view(
-                    node, lambda e: len(e.memtable)
-                ),
-                "read_cache.hits": engine_view(
-                    node,
-                    lambda e: e.read_cache.counters.hits if e.read_cache else 0,
-                ),
-                "read_cache.misses": engine_view(
-                    node,
-                    lambda e: e.read_cache.counters.misses
-                    if e.read_cache
-                    else 0,
-                ),
-                "read_cache.evictions": engine_view(
-                    node,
-                    lambda e: e.read_cache.counters.evictions
-                    if e.read_cache
-                    else 0,
-                ),
-                "read_cache.invalidated": engine_view(
-                    node,
-                    lambda e: e.read_cache.counters.invalidated
-                    if e.read_cache
-                    else 0,
-                ),
-                "batch.batches": engine_view(
-                    node, lambda e: e.batch_counters.batches
-                ),
-                "batch.batched_puts": engine_view(
-                    node, lambda e: e.batch_counters.batched_puts
-                ),
-            },
-        )
-        registry.register_many(
-            f"ssd.{path}",
-            {
-                "host_pages_written": engine_view(
-                    node, lambda e: e.device.counters.host_pages_written
-                ),
-                "host_pages_read": engine_view(
-                    node, lambda e: e.device.counters.host_pages_read
-                ),
-                "gc_pages_written": engine_view(
-                    node, lambda e: e.device.counters.gc_pages_written
-                ),
-                "blocks_erased": engine_view(
-                    node, lambda e: e.device.counters.blocks_erased
-                ),
-                "host_write_ops": engine_view(
-                    node, lambda e: e.device.counters.host_write_ops
-                ),
-                "gc_write_ops": engine_view(
-                    node, lambda e: e.device.counters.gc_write_ops
-                ),
-                "busy_time_s": engine_view(
-                    node, lambda e: e.device.counters.busy_time_s
-                ),
-                "device_now_s": engine_view(node, lambda e: e.device.now),
-            },
-        )
+        node_path = node.name.replace("/", ".")
+        for family, views in NODE_METRIC_VIEWS.items():
+            registry.register_many(
+                f"{family}.{node_path}",
+                {
+                    name: _node_view(node, path)
+                    for name, path in views.items()
+                },
+            )
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

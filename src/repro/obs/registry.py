@@ -261,7 +261,7 @@ class MetricsRegistry:
         metrics = self._metrics
         for entry in self._order:
             if entry.__class__ is str:
-                if _matches(entry, prefix):
+                if prefix is None or _matches(entry, prefix):
                     out[entry] = float(metrics[entry]())
                 continue
             entry_prefix = entry.prefix

@@ -74,24 +74,6 @@ class DeviceCounters:
             return 1.0
         return self.total_pages_written / self.host_pages_written
 
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose the firmware counters under ``prefix.*`` live views."""
-        registry.register_many(
-            prefix,
-            {
-                "host_pages_written": lambda: self.host_pages_written,
-                "host_pages_read": lambda: self.host_pages_read,
-                "gc_pages_written": lambda: self.gc_pages_written,
-                "gc_pages_read": lambda: self.gc_pages_read,
-                "blocks_erased": lambda: self.blocks_erased,
-                "busy_time_s": lambda: self.busy_time_s,
-                "host_write_ops": lambda: self.host_write_ops,
-                "gc_write_ops": lambda: self.gc_write_ops,
-                "total_bytes_written": lambda: self.total_bytes_written,
-                "total_bytes_read": lambda: self.total_bytes_read,
-            },
-        )
-
     def snapshot(self) -> "DeviceCounters":
         """An independent copy, for delta computations between samples."""
         return DeviceCounters(

@@ -21,55 +21,27 @@ the full-stack arm: full cryptographic hashes per audited slice under
 the tiered audit (O(log n) sampling + Merkle paths) vs the naive
 re-hash-everything baseline (O(n)).
 
-``repro bandwidth`` is the CLI front end; ``compare_bandwidth_entries``
-implements the CI regression gate against ``BENCH_bandwidth.json``.
+``repro bandwidth`` is the CLI front end; it exits non-zero when the
+arms' delivered bytes differ or the audit is not clean.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import platform
 import time
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
+from repro.workloads.chaos import build_chaos_system, fleet_state
 
-#: canonical arm order, as recorded in BENCH_bandwidth.json
+#: canonical arm order
 ARM_NAMES = ("raw", "dedup", "wire", "dedup+wire")
 
 #: changed-value-heavy daily mutation rates (cycled to the month length):
 #: most values change every cycle, so whole-value dedup saves little and
 #: the delta layer has to do the work
 HEAVY_RATES = (0.55, 0.7, 0.6, 0.65, 0.5, 0.7)
-
-
-def build_bandwidth_system(dedup: bool, wire: bool, tracing: bool = False):
-    """The chaos-size fleet with the requested bandwidth layers."""
-    from repro.bifrost.channels import TopologyConfig
-    from repro.core.config import DirectLoadConfig
-    from repro.core.directload import DirectLoad
-    from repro.mint.cluster import MintConfig
-
-    return DirectLoad(
-        DirectLoadConfig(
-            tracing_enabled=tracing,
-            dedup_enabled=dedup,
-            wire_encoding=wire,
-            doc_count=80,
-            vocabulary_size=300,
-            doc_length=20,
-            summary_value_bytes=1024,
-            forward_value_bytes=256,
-            slice_bytes=32 * 1024,
-            generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=1_000_000.0),
-            mint=MintConfig(
-                group_count=1, nodes_per_group=3,
-                node_capacity_bytes=64 * 1024 * 1024,
-            ),
-        )
-    )
 
 
 def month_rates(days: int) -> List[Optional[float]]:
@@ -87,8 +59,6 @@ def fleet_digest(system) -> str:
     The byte-identity witness: two runs that delivered the same bytes to
     the same replicas produce the same digest, whatever travelled.
     """
-    from repro.workloads.chaos import fleet_state
-
     state = fleet_state(system)
     digest = hashlib.sha256()
     for state_key, record in sorted(state.items()):
@@ -106,7 +76,9 @@ def run_arm(name: str, days: int, tracing: bool = False) -> Dict[str, object]:
         )
     dedup = name in ("dedup", "dedup+wire")
     wire = name in ("wire", "dedup+wire")
-    system = build_bandwidth_system(dedup, wire, tracing=tracing)
+    system = build_chaos_system(
+        tracing=tracing, dedup=dedup, wire_encoding=wire
+    )
     started = time.perf_counter()
     reports = system.run_pipelined_cycles(month_rates(days))
     wall_s = time.perf_counter() - started
@@ -203,12 +175,8 @@ def _audit_economics(system) -> Dict[str, object]:
     }
 
 
-def run_bandwidth(
-    days: int = 4,
-    label: Optional[str] = None,
-    tracing: bool = False,
-) -> Dict[str, object]:
-    """Run all four arms and return one BENCH_bandwidth entry."""
+def run_bandwidth(days: int = 4, tracing: bool = False) -> Dict[str, object]:
+    """Run all four arms and return the bandwidth report."""
     arms: Dict[str, Dict[str, object]] = {}
     systems: Dict[str, object] = {}
     for name in ARM_NAMES:
@@ -219,8 +187,6 @@ def run_bandwidth(
     dedup_only = arms["dedup"]["wire_bytes_sent"]
     raw_only = arms["raw"]["wire_bytes_sent"]
     entry: Dict[str, object] = {
-        "label": label or "run",
-        "python": platform.python_version(),
         "days": days,
         "arms": arms,
         #: the A15 headline: wire bytes removed beyond dedup alone
@@ -243,48 +209,9 @@ def run_bandwidth(
     return entry
 
 
-def compare_bandwidth_entries(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    min_ratio: float = 0.8,
-) -> List[str]:
-    """The CI regression gate for the bandwidth bench.
-
-    Fails when the beyond-dedup wire reduction falls below ``min_ratio``
-    of the baseline's, when delivered contents stop being byte-identical
-    across arms, or when the tiered audit loses its hashing advantage.
-    """
-    failures: List[str] = []
-    base_reduction = baseline.get("wire_reduction_ratio", 0.0)
-    reduction = current.get("wire_reduction_ratio", 0.0)
-    if base_reduction and reduction < min_ratio * base_reduction:
-        failures.append(
-            f"wire_reduction_ratio {reduction:.4f} is below "
-            f"{min_ratio:.0%} of baseline {base_reduction:.4f} "
-            f"(label {baseline.get('label')!r})"
-        )
-    if not current.get("delivered_digest_match", False):
-        failures.append(
-            "delivered contents are not byte-identical across arms "
-            "(delivered_digest_match is false)"
-        )
-    audit = current.get("audit", {})
-    base_audit = baseline.get("audit", {})
-    base_hash_ratio = base_audit.get("hash_ratio", 0.0)
-    hash_ratio = audit.get("hash_ratio", 0.0)
-    if base_hash_ratio and hash_ratio < min_ratio * base_hash_ratio:
-        failures.append(
-            f"audit hash_ratio {hash_ratio:.2f} is below "
-            f"{min_ratio:.0%} of baseline {base_hash_ratio:.2f}"
-        )
-    return failures
-
-
 __all__ = [
     "ARM_NAMES",
     "HEAVY_RATES",
-    "build_bandwidth_system",
-    "compare_bandwidth_entries",
     "fleet_digest",
     "month_rates",
     "run_arm",

@@ -82,14 +82,23 @@ class ChaosRunResult:
     engine: object = field(repr=False, default=None)
 
 
-def build_chaos_system(tracing: bool = True, wire_encoding: bool = False):
-    """The standard small system every chaos scenario is written against.
+def build_chaos_system(
+    tracing: bool = True,
+    dedup: bool = True,
+    wire_encoding: bool = False,
+    group_count: int = 1,
+    backbone_bps: float = 1_000_000.0,
+):
+    """The standard small system every chaos scenario is written against,
+    and the one the month, fig9, bandwidth, serving and rebalance
+    workloads run on.
 
-    Same shape as the CLI's month system: three regions, one group of
-    three nodes per data center, a backbone slow enough that deliveries
-    overlap the scheduled faults.  ``tracing=False`` runs the same fleet
-    on the null-tracer path (the perf-bench configuration);
-    ``wire_encoding=True`` turns on the bandwidth layer.
+    Three regions, ``group_count`` groups of three nodes per data center
+    (one by default; serving uses two so ``multi_get`` partitions), a
+    backbone slow enough that deliveries overlap the scheduled faults
+    and the next generation window.  ``tracing=False`` runs the same
+    fleet on the null-tracer path; ``dedup`` and ``wire_encoding``
+    select the bandwidth layers.
     """
     from repro.bifrost.channels import TopologyConfig
     from repro.core.config import DirectLoadConfig
@@ -99,6 +108,7 @@ def build_chaos_system(tracing: bool = True, wire_encoding: bool = False):
     return DirectLoad(
         DirectLoadConfig(
             tracing_enabled=tracing,
+            dedup_enabled=dedup,
             wire_encoding=wire_encoding,
             doc_count=80,
             vocabulary_size=300,
@@ -107,9 +117,9 @@ def build_chaos_system(tracing: bool = True, wire_encoding: bool = False):
             forward_value_bytes=256,
             slice_bytes=32 * 1024,
             generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=1_000_000.0),
+            topology=TopologyConfig(backbone_bps=backbone_bps),
             mint=MintConfig(
-                group_count=1, nodes_per_group=3,
+                group_count=group_count, nodes_per_group=3,
                 node_capacity_bytes=64 * 1024 * 1024,
             ),
         )

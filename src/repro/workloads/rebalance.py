@@ -29,7 +29,6 @@ The exit contract extends the chaos workload's:
 
 from __future__ import annotations
 
-import platform
 import random
 import time
 from dataclasses import dataclass, field
@@ -486,28 +485,15 @@ def run_rebalance(
 
 
 # ----------------------------------------------------------------------
-# The bench entry and its CI gate
+# The report summary
 # ----------------------------------------------------------------------
 
 
-def run_rebalance_bench(
-    config: RebalanceConfig | None = None,
-    label: Optional[str] = None,
-    tracing: bool = True,
-) -> Dict[str, object]:
-    """One BENCH_rebalance entry: the headline movement and SLO numbers."""
-    result = run_rebalance(config, tracing=tracing)
-    return bench_entry(result.data, label)
-
-
-def bench_entry(
-    data: Dict[str, object], label: Optional[str] = None
-) -> Dict[str, object]:
-    """Distil a full ``run_rebalance`` report into a bench entry."""
+def bench_entry(data: Dict[str, object]) -> Dict[str, object]:
+    """Distil a full ``run_rebalance`` report into its headline movement,
+    read-latency and contract numbers."""
     migration = data["migration"]
     return {
-        "label": label or "run",
-        "python": platform.python_version(),
         "days": data["days"],
         "plan": data["plan"],
         "operations": migration["operations"],
@@ -533,49 +519,10 @@ def bench_entry(
     }
 
 
-def compare_rebalance_entries(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    min_ratio: float = 0.8,
-) -> List[str]:
-    """The CI regression gate for the rebalance bench.
-
-    Hard contracts first (zero loss, byte-identical equivalence, full
-    replication — these never regress by ratio), then ratio gates on
-    the deterministic simulated costs: bytes moved, migration duration,
-    and read p99 during migration must not exceed ``1/min_ratio`` times
-    the baseline's.
-    """
-    failures: List[str] = []
-    if not current.get("zero_loss", False):
-        failures.append("acknowledged keys were lost (zero_loss is false)")
-    if not current.get("digests_match", False):
-        failures.append(
-            "migrated fleet diverged from the statically-provisioned "
-            "baseline (digests_match is false)"
-        )
-    if current.get("under_replicated_final", 0):
-        failures.append(
-            f"{current['under_replicated_final']} keys ended "
-            "under-replicated"
-        )
-    for name in ("bytes_moved", "move_duration_s", "read_p99_during_move_s"):
-        base = baseline.get(name, 0.0)
-        value = current.get(name, 0.0)
-        if base and value > base / min_ratio:
-            failures.append(
-                f"{name} {value:g} exceeds 1/{min_ratio:.0%} of "
-                f"baseline {base:g} (label {baseline.get('label')!r})"
-            )
-    return failures
-
-
 __all__ = [
     "RebalanceConfig",
     "RebalanceRunResult",
-    "compare_rebalance_entries",
     "replay_operations",
     "run_baseline",
     "run_rebalance",
-    "run_rebalance_bench",
 ]

@@ -49,6 +49,10 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigError, OverloadError
 from repro.serving import ServingConfig, ServingFrontend
 
+#: acceptance floor of the A13 ablation: batched over per-key read
+#: throughput at the default batch size
+MIN_BATCHED_SPEEDUP = 3.0
+
 
 @dataclass(frozen=True)
 class FlashCrowdConfig:
@@ -116,28 +120,9 @@ class ServingRunResult:
 def build_serving_system(tracing: bool = False):
     """The chaos-month fleet widened to two groups per DC, so cluster
     ``multi_get`` exercises its group partitioning."""
-    from repro.bifrost.channels import TopologyConfig
-    from repro.core.config import DirectLoadConfig
-    from repro.core.directload import DirectLoad
-    from repro.mint.cluster import MintConfig
+    from repro.workloads.chaos import build_chaos_system
 
-    return DirectLoad(
-        DirectLoadConfig(
-            tracing_enabled=tracing,
-            doc_count=80,
-            vocabulary_size=300,
-            doc_length=20,
-            summary_value_bytes=1024,
-            forward_value_bytes=256,
-            slice_bytes=32 * 1024,
-            generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=1_000_000.0),
-            mint=MintConfig(
-                group_count=2, nodes_per_group=3,
-                node_capacity_bytes=64 * 1024 * 1024,
-            ),
-        )
-    )
+    return build_chaos_system(tracing=tracing, group_count=2)
 
 
 def _zipfish_index(rng: random.Random, count: int) -> int:
@@ -418,16 +403,11 @@ def run_multiget_ablation(
 
 
 def run_serving_bench(
-    label: str = "run",
     workload: ServingWorkloadConfig | None = None,
 ) -> Dict[str, object]:
-    """One BENCH_serving entry: the ablation plus a full workload run."""
-    import platform
-
+    """The ``repro serve`` report: the ablation plus a full workload run."""
     result = run_serving(workload)
     return {
-        "label": label,
-        "python": platform.python_version(),
         "ablation": run_multiget_ablation(),
         "serving": {
             "fleet": result.data["serving"]["fleet"],
@@ -438,57 +418,12 @@ def run_serving_bench(
     }
 
 
-def compare_serving_entries(
-    current: Dict[str, object],
-    baseline: Optional[Dict[str, object]],
-    min_ratio: float = 0.8,
-    min_speedup: float = 3.0,
-) -> List[str]:
-    """The serving CI gate.
-
-    Absolute checks on ``current`` (digest equality, batched speedup,
-    SLO) always apply; the relative throughput check runs only when a
-    ``baseline`` entry exists.  All numbers are simulated-time metrics,
-    so the gate is deterministic.
-    """
-    failures: List[str] = []
-    ablation = current.get("ablation", {})
-    if not ablation.get("digests_match", False):
-        failures.append("ablation arms returned different bytes")
-    speedup = ablation.get("speedup", 0.0)
-    if speedup < min_speedup:
-        failures.append(
-            f"batched read speedup {speedup:.2f}x is below the "
-            f"{min_speedup:.1f}x floor"
-        )
-    serving = current.get("serving", {}).get("fleet", {})
-    if serving and not serving.get("slo_met", False):
-        failures.append(
-            f"admitted p99 {serving.get('p99_s')}s exceeds the "
-            f"{serving.get('slo_p99_s')}s SLO"
-        )
-    if baseline:
-        base = (
-            baseline.get("ablation", {})
-            .get("batched", {})
-            .get("keys_per_device_s", 0.0)
-        )
-        rate = ablation.get("batched", {}).get("keys_per_device_s", 0.0)
-        if base and rate < min_ratio * base:
-            failures.append(
-                f"batched throughput {rate:.1f} keys/device-s is below "
-                f"{min_ratio:.0%} of baseline {base:.1f} "
-                f"(label {baseline.get('label')!r})"
-            )
-    return failures
-
-
 __all__ = [
     "FlashCrowdConfig",
+    "MIN_BATCHED_SPEEDUP",
     "ServingRunResult",
     "ServingWorkloadConfig",
     "build_serving_system",
-    "compare_serving_entries",
     "run_multiget_ablation",
     "run_serving",
     "run_serving_bench",

@@ -134,3 +134,56 @@ def test_unknown_command_rejected():
 def test_command_is_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv", [["perf"], ["serve", "--check", "x"]], ids=" ".join
+)
+def test_retired_gate_surface_is_rejected(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+
+
+#: the workload entry point each gated command reports from
+_RUNNERS = {
+    "bandwidth": "repro.workloads.bandwidth.run_bandwidth",
+    "serve": "repro.workloads.serving.run_serving_bench",
+}
+
+
+def _bandwidth_report(digest_match=True, clean=True):
+    return {"delivered_digest_match": digest_match, "audit": {"clean": clean}}
+
+
+def _serve_report(digests_match=True, speedup=4.0, slo_met=True):
+    return {
+        "ablation": {"digests_match": digests_match, "speedup": speedup},
+        "serving": {"fleet": {"slo_met": slo_met}},
+    }
+
+
+@pytest.mark.parametrize(
+    "command, report, expected",
+    [
+        ("bandwidth", _bandwidth_report(), 0),
+        ("bandwidth", _bandwidth_report(digest_match=False), 1),
+        ("bandwidth", _bandwidth_report(clean=False), 1),
+        ("serve", _serve_report(), 0),
+        ("serve", _serve_report(digests_match=False), 1),
+        ("serve", _serve_report(speedup=2.9), 1),
+        ("serve", _serve_report(slo_met=False), 1),
+    ],
+    ids=[
+        "bandwidth-ok", "bandwidth-digests-differ", "bandwidth-audit-dirty",
+        "serve-ok", "serve-digests-differ", "serve-speedup-under-floor",
+        "serve-slo-missed",
+    ],
+)
+def test_exit_code_is_the_hard_contracts(
+    monkeypatch, capsys, command, report, expected
+):
+    """No flag arms the contracts: a broken report alone exits 1."""
+    monkeypatch.setattr(_RUNNERS[command], lambda *args, **kwargs: report)
+    assert main([command, "--json"]) == expected
+    assert json.loads(capsys.readouterr().out) == report

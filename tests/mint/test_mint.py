@@ -10,10 +10,17 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.indexing.types import IndexEntry, IndexKind
-from repro.mint.cluster import MintCluster, MintConfig, storage_key
+from repro.lsm.engine import LSMEngine
+from repro.mint.cluster import (
+    NODE_METRIC_VIEWS,
+    MintCluster,
+    MintConfig,
+    storage_key,
+)
 from repro.mint.group import NodeGroup
 from repro.mint.hashing import rendezvous_ranking, stable_hash
 from repro.mint.node import StorageNode
+from repro.obs.registry import MetricsRegistry
 from repro.qindb.engine import QinDB, QinDBConfig
 
 
@@ -237,6 +244,38 @@ def test_cluster_stats_expose_per_node_read_counts():
     assert set(per_node) == {node.name for node in cluster.all_nodes}
     assert sum(per_node.values()) == stats["gets"] == 30
     assert max(per_node.values()) <= 15  # balanced, not pinned
+
+
+@pytest.mark.parametrize(
+    "engine_factory",
+    [None, lambda name: LSMEngine.with_capacity(16 * 1024 * 1024)],
+    ids=["qindb", "lsm"],
+)
+def test_node_metric_catalog_is_the_view_table(engine_factory):
+    cluster = MintCluster(
+        "dc1",
+        MintConfig(group_count=1, node_capacity_bytes=16 * 1024 * 1024),
+        engine_factory=engine_factory,
+    )
+    registry = MetricsRegistry()
+    cluster.register_metrics(registry)
+    cluster.put(b"key", 1, b"value")
+    cluster.get(b"key", 1)
+    node_path = cluster.all_nodes[0].name.replace("/", ".")
+    moved = set()
+    for family, views in NODE_METRIC_VIEWS.items():
+        prefix = f"{family}.{node_path}"
+        names = registry.names(prefix)
+        assert names == sorted(f"{prefix}.{name}" for name in views)
+        for name in names:
+            value = registry.value(name)
+            assert isinstance(value, float)
+            if value:
+                moved.add(name.removeprefix(f"{prefix}."))
+    # a misspelt path would read 0.0 forever; these cannot after a put
+    assert moved >= {"puts", "up", "user_bytes_written", "device_now_s"}
+    if engine_factory is None:
+        assert moved >= {"aof_bytes_appended", "memtable_items"}
 
 
 def test_group_delete_reaches_live_replicas():

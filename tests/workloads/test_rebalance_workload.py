@@ -1,4 +1,4 @@
-"""The growing-fleet rebalance workload and its CI gate."""
+"""The growing-fleet rebalance workload and its exit contracts."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.errors import ConfigError
 from repro.workloads.rebalance import (
     RebalanceConfig,
     bench_entry,
-    compare_rebalance_entries,
     run_rebalance,
 )
 
@@ -72,43 +71,16 @@ def test_crash_during_split_converges():
 
 
 def test_bench_entry_distils_the_report(small_run):
-    entry = bench_entry(small_run.data, label="unit")
-    assert entry["label"] == "unit"
+    entry = bench_entry(small_run.data)
     assert entry["zero_loss"] is True
     assert entry["digests_match"] is True
     assert entry["operations"] == len(small_run.data["operations"])
-    assert entry["bytes_moved"] > 0
-    assert entry["move_duration_s"] > 0
-
-
-def test_gate_passes_identical_entries(small_run):
-    entry = bench_entry(small_run.data)
-    assert compare_rebalance_entries(entry, dict(entry)) == []
-
-
-def test_gate_fails_broken_contracts_and_regressions(small_run):
-    baseline = bench_entry(small_run.data)
-
-    broken = dict(baseline, zero_loss=False)
-    assert any(
-        "zero_loss" in line
-        for line in compare_rebalance_entries(broken, baseline)
-    )
-    diverged = dict(baseline, digests_match=False)
-    assert compare_rebalance_entries(diverged, baseline)
-    degraded = dict(baseline, under_replicated_final=2)
-    assert compare_rebalance_entries(degraded, baseline)
-    # movement regression: 2x the baseline bytes fails the 0.8 gate
-    bloated = dict(baseline, bytes_moved=baseline["bytes_moved"] * 2)
-    assert any(
-        "bytes_moved" in line
-        for line in compare_rebalance_entries(bloated, baseline)
-    )
-    # but a within-ratio wobble passes
-    wobble = dict(
-        baseline, bytes_moved=int(baseline["bytes_moved"] * 1.1)
-    )
-    assert compare_rebalance_entries(wobble, baseline) == []
+    # The movement and mid-move read numbers are exact per seed; pinned
+    # so a change that moves more bytes or slows mid-move reads shows up.
+    assert entry["bytes_moved"] == 2_626_992
+    assert entry["keys_moved"] == 1_101
+    assert entry["move_duration_s"] == 9.9897
+    assert entry["read_p99_during_move_s"] == 6.5e-05
 
 
 def test_config_validation():
@@ -120,35 +92,15 @@ def test_config_validation():
         RebalanceConfig(max_nodes_per_group=2)
 
 
-def test_cli_rebalance_json_and_gate(capsys, tmp_path):
-    bench_path = tmp_path / "BENCH_rebalance.json"
-    code = main(
-        [
-            "rebalance", "--days", "4", "--split-day", "2",
-            "--label", "seed", "--out", str(bench_path), "--json",
-        ]
-    )
+def test_cli_rebalance_json_and_gate(capsys):
+    code = main(["rebalance", "--days", "4", "--split-day", "2", "--json"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     entry = data["entry"]
     assert entry["zero_loss"] and entry["digests_match"]
-    assert data["out"] == str(bench_path)
-
-    bench = json.loads(bench_path.read_text())
-    assert bench["benchmark"] == "rebalance"
-    assert [e["label"] for e in bench["entries"]] == ["seed"]
-
-    # gating the same shape against the recorded entry passes
-    code = main(
-        [
-            "rebalance", "--days", "4", "--split-day", "2",
-            "--check", str(bench_path), "--baseline-label", "seed",
-            "--json",
-        ]
-    )
-    assert code == 0
-    gated = json.loads(capsys.readouterr().out)
-    assert gated["regressions"] == []
+    assert entry["under_replicated_final"] == 0
+    for section in ("availability", "fleet", "autoscaler"):
+        assert section in data
 
 
 def test_cli_rebalance_renders_contracts(capsys):

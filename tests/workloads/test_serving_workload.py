@@ -1,4 +1,4 @@
-"""The serving workload end to end: clients, updates, faults, gating."""
+"""The serving workload end to end: clients, updates, faults, contracts."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ import pytest
 from repro.errors import ConfigError
 from repro.serving import ServingConfig
 from repro.workloads.serving import (
+    MIN_BATCHED_SPEEDUP,
     FlashCrowdConfig,
     ServingWorkloadConfig,
-    compare_serving_entries,
     run_multiget_ablation,
     run_serving,
 )
@@ -93,48 +93,26 @@ def test_config_validation():
 def test_multiget_ablation_meets_acceptance_floor():
     ablation = run_multiget_ablation(reads_per_dc=128)
     assert ablation["digests_match"]
-    assert ablation["speedup"] >= 3.0
+    assert ablation["speedup"] >= MIN_BATCHED_SPEEDUP
     assert ablation["per_key"]["keys"] == ablation["batched"]["keys"]
+    # Simulated device time is exact per seed; pinned so a read-path
+    # change that costs batched throughput shows up, not just one that
+    # falls through the floor.
+    assert ablation["speedup"] == 3.81
+    assert ablation["batched"]["keys_per_device_s"] == 60_984.3
 
 
-def entry(speedup=4.0, digests=True, slo=True, batched_rate=60_000.0):
-    return {
-        "label": "x",
-        "ablation": {
-            "speedup": speedup,
-            "digests_match": digests,
-            "batched": {"keys_per_device_s": batched_rate},
-        },
-        "serving": {"fleet": {"slo_met": slo, "p99_s": 0.1, "slo_p99_s": 0.05}},
-    }
-
-
-def test_compare_serving_entries_gates():
-    assert compare_serving_entries(entry(), entry()) == []
-    assert compare_serving_entries(entry(speedup=2.0), None)
-    assert compare_serving_entries(entry(digests=False), None)
-    assert compare_serving_entries(entry(slo=False), None)
-    failures = compare_serving_entries(
-        entry(batched_rate=10_000.0), entry(batched_rate=60_000.0)
-    )
-    assert any("below" in line for line in failures)
-
-
-def test_cli_serve_json_and_out(tmp_path, capsys):
+def test_cli_serve_json_and_out(capsys):
     from repro.cli import main
 
-    out = tmp_path / "BENCH_serving.json"
     code = main(
         [
             "serve", "--json", "--duration", "3", "--days", "1",
-            "--qps-per-node", "30", "--label", "test",
-            "--out", str(out),
+            "--qps-per-node", "30",
         ]
     )
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ablation"]["digests_match"]
     assert data["workload"]["serving"]["fleet"]["requests"] > 0
-    bench = json.loads(out.read_text())
-    assert bench["benchmark"] == "serving"
-    assert bench["entries"][-1]["label"] == "test"
+    assert len(data["workload"]["cycles"]) == 2

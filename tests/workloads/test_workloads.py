@@ -220,19 +220,3 @@ def test_replay_without_pacing_runs_at_device_speed():
     # Unpaced: elapsed is just the device busy time (far faster than any
     # realistic offered rate).
     assert result.elapsed_s < 1.0
-
-
-def test_perf_fleet_shape_overrides():
-    from repro.workloads.perf import build_perf_system
-
-    system = build_perf_system(
-        fleet=True, tracing=False, groups=2, nodes_per_group=4
-    )
-    for cluster in system.clusters.values():
-        assert len(cluster.groups) == 2
-        assert all(len(group.nodes) == 4 for group in cluster.groups)
-
-    default = build_perf_system(fleet=True, tracing=False)
-    for cluster in default.clusters.values():
-        assert len(cluster.groups) == 4
-        assert all(len(group.nodes) == 3 for group in cluster.groups)
