@@ -56,6 +56,7 @@ NODE_METRIC_VIEWS: Dict[str, Dict[str, str]] = {
         "gets": "gets",
         "skipped_gets": "skipped_gets",
         "missing_gets": "missing_gets",
+        "corrupt_gets": "corrupt_gets",
         "deletes": "deletes",
         "recoveries": "recoveries",
         "up": "is_up",
@@ -837,9 +838,10 @@ class MintCluster:
     def stats(self) -> Dict[str, object]:
         """Aggregate engine counters across all nodes.
 
-        All values are scalar totals except ``gets_per_node``, a
-        node-name → read-count map: the witness for whether replica
-        reads actually spread across a group or pile onto one node.
+        All values are scalar totals except the node-name → count maps:
+        ``gets_per_node`` (the witness for whether replica reads spread
+        across a group or pile onto one node) and ``skipped_gets_per_node``
+        / ``corrupt_gets_per_node`` (who was down, or held a bad frame).
         """
         totals: Dict[str, object] = {
             "nodes": 0,
@@ -871,6 +873,7 @@ class MintCluster:
             totals["shed_gets"] += group.shed_gets
         gets_per_node: Dict[str, int] = {}
         skipped_gets_per_node: Dict[str, int] = {}
+        corrupt_gets_per_node: Dict[str, int] = {}
         for node in self.all_nodes:
             totals["nodes"] += 1
             totals["healthy_nodes"] += 1 if node.is_up else 0
@@ -880,6 +883,7 @@ class MintCluster:
             totals["missing_gets"] += node.missing_gets
             gets_per_node[node.name] = node.gets
             skipped_gets_per_node[node.name] = node.skipped_gets
+            corrupt_gets_per_node[node.name] = node.corrupt_gets
             stats = node.engine.stats()
             totals["user_bytes_written"] += stats.user_bytes_written
             totals["disk_used_bytes"] += stats.disk_used_bytes
@@ -892,6 +896,7 @@ class MintCluster:
             totals["device_write_ops"] += node.engine.device.counters.host_write_ops
         totals["gets_per_node"] = gets_per_node
         totals["skipped_gets_per_node"] = skipped_gets_per_node
+        totals["corrupt_gets_per_node"] = corrupt_gets_per_node
         return totals
 
     @property

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import (
     ClusterError,
+    CorruptionError,
     KeyNotFoundError,
     NodeDownError,
     ReplicationError,
@@ -104,7 +105,7 @@ class NodeGroup:
     # ------------------------------------------------------------------
     @property
     def nodes(self) -> List[StorageNode]:
-        return [self._nodes[name] for name in sorted(self._nodes)]
+        return [self._nodes[name] for name in self._member_names]
 
     @property
     def healthy_count(self) -> int:
@@ -446,74 +447,75 @@ class NodeGroup:
         and absorbs the read cost, so no single device clock soaks up a
         whole group's read traffic.
 
-        Failover semantics are unchanged: a down replica is skipped, and
-        a replica that is up but *missing* the key (it lost an unflushed
-        tail in a crash and has not been repaired yet) falls through to
-        the next the same way — the parallel fan-out masks both.  Both
-        fall-throughs are counted now: the missing node's
-        ``missing_gets`` ticks, and a read ultimately answered by a
-        non-preferred replica ticks the group's ``failover_gets`` — the
-        observability the write path always had.
+        A down replica is skipped, and a replica that is up but *missing*
+        the key (it lost an unflushed tail in a crash and has not been
+        repaired yet) or whose stored frame fails its checks
+        (:class:`~repro.errors.CorruptionError`) falls through to the
+        next the same way — the parallel fan-out masks all three, and
+        only a key no live replica could serve raises.  Each is counted:
+        the node's ``skipped_gets`` / ``missing_gets`` / ``corrupt_gets``
+        ticks, and a read answered by a non-preferred replica ticks the
+        group's ``failover_gets``.
         """
         self.gets += 1
-        missing: KeyNotFoundError | None = None
-        all_down = True
+        #: what the live replicas failed with; corruption outranks missing
+        failure: KeyNotFoundError | CorruptionError | None = None
         fell_through = False
         for node in self.read_order(key):
-            if not node.is_up:
+            if node.is_up:
+                try:
+                    value = node.get(key, version)
+                except NodeDownError:
+                    node.skipped_gets += 1
+                except CorruptionError as exc:
+                    failure = exc
+                    node.corrupt_gets += 1
+                except KeyNotFoundError as exc:
+                    failure = failure or exc
+                    node.missing_gets += 1
+                else:
+                    if fell_through:
+                        self.failover_gets += 1
+                    return value
+            else:
                 # Skip proactively rather than paying a NodeDownError per
                 # read; the skip is visible in the node's stats.
                 node.skipped_gets += 1
-                fell_through = True
-                continue
-            try:
-                value = node.get(key, version)
-            except NodeDownError:
-                node.skipped_gets += 1
-                fell_through = True
-                continue
-            except KeyNotFoundError as exc:
-                all_down = False
-                missing = exc
-                node.missing_gets += 1
-                fell_through = True
-                continue
-            if fell_through:
-                self.failover_gets += 1
-            return value
-        if all_down:
+            fell_through = True
+        if failure is None:
             raise ReplicationError(
                 f"all replicas down for key {key!r} in group {self.group_id}"
             )
-        assert missing is not None
-        raise missing
+        raise failure
 
     def multi_get(self, items, missing: str = "raise") -> List:
         """Read a batch of ``(key, version)`` pairs, one engine batch per
         node; returns the values in input order.
 
-        The scatter half of the serving fast path: each item picks the
-        least-loaded live replica via the batch-aware
-        :meth:`read_order` (the running per-node assignment count
-        outranks the device clock, so a batch of hot keys spreads across
-        the replica set within one call), sub-batches issue as a single
-        :meth:`StorageNode.get_batch` per node, and failures fail over
-        *per key*: an item its node missed (``None`` in the sub-batch
-        result — the node lost an unflushed tail) retries on the key's
-        next untried replica in a later round, while the resolved rest of
-        the batch stands.
+        The scatter half of the serving fast path: each item goes to the
+        head of the batch-aware :meth:`read_order` (the running per-node
+        assignment count outranks the device clock, so a batch of hot
+        keys spreads across the replica set within one call), sub-batches
+        issue as a single :meth:`StorageNode.get_batch` per node, and
+        failures fail over *per key*: an item its replica could not serve
+        retries on the key's next untried replica in a later round, while
+        the resolved rest of the batch stands.
 
-        Counter semantics match :meth:`get`: a down replica encountered
-        in an item's order ticks its ``skipped_gets``, an up-but-missing
-        serve ticks the node's ``missing_gets``, and an item answered by
-        a non-preferred replica ticks the group's ``failover_gets``.
+        Counter semantics match :meth:`get`: a down replica in an item's
+        order ticks its ``skipped_gets``, an up replica missing the key
+        (``None`` in its sub-batch result: a lost unflushed tail) its
+        ``missing_gets``, one whose sub-batch raised
+        :class:`~repro.errors.CorruptionError` its ``corrupt_gets``, and
+        an item answered by a non-preferred replica the group's
+        ``failover_gets``.
 
-        A key with every replica down raises
-        :class:`~repro.errors.ReplicationError`; a key every live
-        replica is missing raises :class:`~repro.errors.KeyNotFoundError`
-        when ``missing="raise"`` (the default, matching :meth:`get`) or
-        reads as ``None`` when ``missing="none"`` (the serving frontend's
-        mode: one cold key must not fail a coalesced batch).
+        With every replica tried, a key raises the ``CorruptionError`` of
+        a corrupt copy if it met one; else, if live replicas missed it,
+        :class:`~repro.errors.KeyNotFoundError` when ``missing="raise"``
+        (the default, matching :meth:`get`) or reads as ``None`` when
+        ``missing="none"`` (the serving frontend's mode: one cold key
+        must not fail a coalesced batch); with no replica up,
+        :class:`~repro.errors.ReplicationError`.
         """
         if missing not in ("raise", "none"):
             raise ClusterError(
@@ -526,30 +528,57 @@ class NodeGroup:
         self.multi_gets += 1
         self.batched_gets += count
         results: List = [None] * count
-        #: per item: node names already tried (live serve or down skip)
-        tried: List[set] = [set() for _ in range(count)]
+        #: per item: names of the replicas that failed it (down skip,
+        #: missing or corrupt serve) — no set until the item first fails
+        tried: List[Optional[set]] = [None] * count
         #: per item: some live replica answered but lacked the key
         live_missed = [False] * count
+        #: item -> the CorruptionError a live replica answered it with
+        corrupt: Dict[int, CorruptionError] = {}
         #: node name -> items assigned this call (the read_order bias)
         assigned: Dict[str, int] = {}
-        pending = list(range(count))
+        steady = self._old_member_names is None and not self._draining
+        pending = range(count)
         while pending:
             per_node: Dict[StorageNode, List[int]] = {}
             for index in pending:
                 key = items[index][0]
+                seen = tried[index]
                 choice = None
-                for node in self.read_order(key, assigned):
-                    if node.name in tried[index]:
-                        continue
-                    if not node.is_up:
-                        node.skipped_gets += 1
-                        tried[index].add(node.name)
-                        continue
-                    choice = node
-                    break
+                if seen is None and steady:
+                    # First try, no transition or drain: the head of
+                    # ``read_order(key, assigned)`` is the strict-<
+                    # minimum of (assigned, device clock) over the live
+                    # replicas in rank order — same order, no sort.
+                    least = earliest = None
+                    for node in self.replicas_for(key):
+                        if not node.is_up:
+                            continue
+                        load = assigned.get(node.name, 0)
+                        now = node.engine.device.now
+                        if (
+                            choice is None
+                            or load < least
+                            or (load == least and now < earliest)
+                        ):
+                            choice, least, earliest = node, load, now
                 if choice is None:
-                    # Every replica tried: distinguish "live replicas
-                    # missed the key" from "no replica was ever up".
+                    if seen is None:
+                        seen = tried[index] = set()
+                    for node in self.read_order(key, assigned):
+                        if node.name in seen:
+                            continue
+                        if node.is_up:
+                            choice = node
+                            break
+                        node.skipped_gets += 1
+                        seen.add(node.name)
+                if choice is None:
+                    # Every replica tried: a corrupt copy outranks "live
+                    # replicas missed the key", which outranks "no
+                    # replica was ever up".
+                    if index in corrupt:
+                        raise corrupt[index]
                     if not live_missed[index]:
                         raise ReplicationError(
                             f"all replicas down for key {key!r} in "
@@ -560,7 +589,6 @@ class NodeGroup:
                             f"no live item for {key!r}/{items[index][1]}"
                         )
                     continue  # missing == "none": the slot stays None
-                tried[index].add(choice.name)
                 assigned[choice.name] = assigned.get(choice.name, 0) + 1
                 per_node.setdefault(choice, []).append(index)
             retry: List[int] = []
@@ -570,21 +598,31 @@ class NodeGroup:
                 indices = per_node.get(node)
                 if not indices:
                     continue
+                #: the items this replica failed; they retry elsewhere
+                lost = indices
                 try:
                     values = node.get_batch([items[i] for i in indices])
                 except NodeDownError:
                     node.skipped_gets += len(indices)
-                    retry.extend(indices)
-                    continue
-                for index, value in zip(indices, values):
-                    if value is None:
-                        node.missing_gets += 1
-                        live_missed[index] = True
-                        retry.append(index)
-                    else:
-                        results[index] = value
-                        if len(tried[index]) > 1:
-                            self.failover_gets += 1
+                except CorruptionError as exc:
+                    # A frame failed its checks; the engine does not say
+                    # whose, so the replica failed the whole sub-batch.
+                    node.corrupt_gets += len(indices)
+                    corrupt.update(dict.fromkeys(indices, exc))
+                else:
+                    lost = []
+                    for index, value in zip(indices, values):
+                        if value is None:
+                            live_missed[index] = True
+                            lost.append(index)
+                        else:
+                            results[index] = value
+                            if tried[index]:
+                                self.failover_gets += 1
+                    node.missing_gets += len(lost)
+                for index in lost:
+                    tried[index] = (tried[index] or set()) | {node.name}
+                retry += lost
             retry.sort()
             pending = retry
         return results

@@ -34,6 +34,9 @@ class StorageNode:
         #: reads this node served while *up* but missing the key (a lost
         #: unflushed tail awaiting repair); the group fails them over
         self.missing_gets = 0
+        #: reads this node answered with a :class:`CorruptionError` (a
+        #: stored frame failed its checks); the group fails them over
+        self.corrupt_gets = 0
         self.deletes = 0
         self.recoveries = 0
         self.last_recovery_seconds = 0.0

@@ -17,7 +17,8 @@ from itertools import accumulate
 from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import StorageError
-from repro.qindb.records import Frame, Record, decode_record, encode_record, scan_frames
+from repro.qindb.records import Frame, Record, decode_record, decode_value
+from repro.qindb.records import encode_record, scan_frames
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -121,43 +122,42 @@ class AofSegment:
             for offset, length in zip(offsets, lengths)
         ], nbytes
 
+    def _foreign(self, location: RecordLocation) -> StorageError:
+        return StorageError(
+            f"location {location} does not belong to segment {self.segment_id}"
+        )
+
     def read(self, location: RecordLocation) -> Record:
-        """Read and decode the record at ``location``."""
+        """Read and decode the whole record at ``location``."""
         if location.segment_id != self.segment_id:
-            raise StorageError(
-                f"location {location} does not belong to segment "
-                f"{self.segment_id}"
-            )
-        raw = self._unit.read(location.offset, location.length)
-        record, _end = decode_record(raw)
-        return record
+            raise self._foreign(location)
+        return decode_record(
+            self._unit.read(location.offset, location.length)
+        )[0]
 
-    def read_many(self, locations: List[RecordLocation]) -> List[Record]:
-        """Read and decode a batch of records in one command set.
+    def read_value(self, location: RecordLocation) -> bytes:
+        """Read the frame at ``location``, verify it, return its value."""
+        if location.segment_id != self.segment_id:
+            raise self._foreign(location)
+        return decode_value(self._unit.read(location.offset, location.length))
 
-        The unit computes the union of pages the locations touch and
-        issues coalesced multi-page reads (see
-        :meth:`~repro.ssd.native.NativeUnit.read_many`); a backend
-        without a batched read (the filesystem ablation path) falls back
-        to per-location reads.  Records return in input order.
+    def read_values(self, locations: List[RecordLocation]) -> List[bytes]:
+        """:meth:`read_value` for a batch, as one command set.
+
+        The unit reads the union of pages the locations touch, coalesced
+        (:meth:`~repro.ssd.native.NativeUnit.read_many`, which charges a
+        single range exactly as ``read`` does — so one location takes
+        :meth:`read_value`); a backend without a batched read (the
+        filesystem ablation path) reads per location.  Input order.
         """
+        unit_read_many = getattr(self._unit, "read_many", None)
+        if len(locations) == 1 or unit_read_many is None:
+            return [self.read_value(location) for location in locations]
         for location in locations:
             if location.segment_id != self.segment_id:
-                raise StorageError(
-                    f"location {location} does not belong to segment "
-                    f"{self.segment_id}"
-                )
-        unit_read_many = getattr(self._unit, "read_many", None)
-        if unit_read_many is not None:
-            raws = unit_read_many(
-                [(location.offset, location.length) for location in locations]
-            )
-        else:
-            raws = [
-                self._unit.read(location.offset, location.length)
-                for location in locations
-            ]
-        return [decode_record(raw)[0] for raw in raws]
+                raise self._foreign(location)
+        ranges = [(location.offset, location.length) for location in locations]
+        return [decode_value(raw) for raw in unit_read_many(ranges)]
 
     def read_frames(self) -> Tuple[bytes, List[Frame]]:
         """The segment's image and its verified frames — what GC and
@@ -335,29 +335,35 @@ class AofManager:
         return locations, appended
 
     def read(self, location: RecordLocation) -> Record:
-        """Read the record at ``location`` from whichever segment owns it."""
+        """The whole :class:`Record` at ``location``: kept for the
+        hash-index baseline (``repro.hashkv``) alone.  QinDB's reads take
+        :meth:`read_values` / :meth:`AofSegment.read_value` and build no
+        ``Record``."""
         return self.segment(location.segment_id).read(location)
 
-    def read_many(self, locations: List[RecordLocation]) -> List[Record]:
-        """Read a batch of records, grouped per owning segment.
+    def read_values(self, locations: List[RecordLocation]) -> List[bytes]:
+        """Read a batch of verified values, grouped per owning segment.
 
         Locations bucket by segment (visited in id order, so the device
         charge sequence is deterministic) and each segment serves its
-        share as one coalesced :meth:`AofSegment.read_many`; records
+        share as one coalesced :meth:`AofSegment.read_values`; values
         return in input order.
         """
+        if len(locations) == 1:
+            location = locations[0]
+            return [self.segment(location.segment_id).read_value(location)]
         by_segment: Dict[int, List[int]] = {}
         for index, location in enumerate(locations):
             by_segment.setdefault(location.segment_id, []).append(index)
-        records: List[Record | None] = [None] * len(locations)
+        values: List[bytes | None] = [None] * len(locations)
         for segment_id in sorted(by_segment):
             indices = by_segment[segment_id]
-            decoded = self.segment(segment_id).read_many(
+            found = self.segment(segment_id).read_values(
                 [locations[index] for index in indices]
             )
-            for index, record in zip(indices, decoded):
-                records[index] = record
-        return records
+            for index, value in zip(indices, found):
+                values[index] = value
+        return values
 
     def flush(self) -> None:
         """Flush the active segment's partial page."""

@@ -432,7 +432,7 @@ class QinDB:
           batch full of hot keys pays one positioned device read where
           the per-key loop pays one per request — and the survivors issue
           as coalesced multi-page reads
-          (:meth:`~repro.qindb.aof.AofManager.read_many`), charging the
+          (:meth:`~repro.qindb.aof.AofManager.read_values`), charging the
           device per *batch* instead of per key.
 
         Returns one entry per item, in input order: the value bytes, or
@@ -475,16 +475,17 @@ class QinDB:
             else:
                 misses = list(need)
             if misses:
-                records = self.aofs.read_many(misses)
-                for location, record in zip(misses, records):
-                    if cache is not None and record.value is not None:
-                        cache.put(location, record.value)
+                values = self.aofs.read_values(misses)
+                for location, value in zip(misses, values):
+                    if cache is not None:
+                        cache.put(location, value)
                     for index in need[location]:
-                        results[index] = record.value
-            for index, (key, _version) in enumerate(items):
-                value = results[index]
+                        results[index] = value
+            user_bytes = 0
+            for item, value in zip(items, results):
                 if value is not None:
-                    self.user_bytes_read += len(key) + len(value)
+                    user_bytes += len(item[0]) + len(value)
+            self.user_bytes_read += user_bytes
         finally:
             self.reads_in_flight -= 1
         self.batch_counters.get_batches += 1
@@ -695,10 +696,10 @@ class QinDB:
             if value is not None:
                 self.device.advance(self.config.cpu_per_op_s)
                 return value
-        record = self.aofs.read(location)
-        if cache is not None and record.value is not None:
-            cache.put(location, record.value)
-        return record.value
+        value = self.aofs.segment(location.segment_id).read_value(location)
+        if cache is not None:
+            cache.put(location, value)
+        return value
 
     def _traceback(self, key: bytes, version: int) -> bytes:
         """The paper's traceback: nearest older version with a value.

@@ -215,6 +215,36 @@ _VALUE_TYPE = int(RecordType.PUT_VALUE)
 _TYPE_NAMES = {int(record_type): record_type.name for record_type in RecordType}
 
 
+def decode_value(buffer: bytes) -> bytes:
+    """Verify the frame at the start of ``buffer``; return its value.
+
+    The read path: every check :func:`decode_record` makes, in its order
+    and with its typed errors, but no :class:`Record` is built and the
+    key is never copied — the CRC is one call over a view of key+value,
+    as in :func:`scan_frames`.
+    """
+    length = len(buffer)
+    if length < HEADER_SIZE:
+        raise TruncatedRecordError(f"truncated header: {length} bytes")
+    magic, rtype, key_len, value_len, version, sequence, crc = (
+        _HEADER.unpack_from(buffer)
+    )
+    if magic != MAGIC:
+        raise CorruptionError(f"bad magic 0x{magic:02x}")
+    value_start = HEADER_SIZE + key_len
+    end = value_start + value_len
+    if end > length:
+        raise TruncatedRecordError(f"truncated body: {length} of {end} bytes")
+    prefix_crc = zlib.crc32(_CRC_PREFIX.pack(rtype, version, sequence))
+    if zlib.crc32(memoryview(buffer)[HEADER_SIZE:end], prefix_crc) != crc:
+        raise CorruptionError("CRC mismatch for record")
+    if rtype not in _TYPE_NAMES:
+        raise CorruptionError(f"unknown record type {rtype}")
+    if value_len and rtype != _VALUE_TYPE:
+        raise StorageError(f"{_TYPE_NAMES[rtype]} records carry no value")
+    return buffer[value_start:end]
+
+
 def scan_frames(image: bytes, page_size: int) -> List[Frame]:
     """Verify every frame of a segment image; return their headers.
 

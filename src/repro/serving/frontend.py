@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import OverloadError, ReplicationError
+from repro.errors import OverloadError, ReproError
 from repro.mint.cluster import MintCluster, storage_key
 from repro.mint.group import NodeGroup
 from repro.obs.hist import LogHistogram
@@ -147,7 +147,12 @@ class ServingFrontend:
         group = cluster.group_for(key)
         bucket = self._bucket(dc, group)
         self.requests[dc] += 1
-        if bucket.outstanding >= self.depth_limit(group):
+        # The bound is never below one replica's share, so the live
+        # replicas are only counted once the bucket is that deep.
+        if (
+            bucket.outstanding >= self.config.max_queue_depth_per_replica
+            and bucket.outstanding >= self.depth_limit(group)
+        ):
             self.shed[dc] += 1
             group.shed_gets += 1
             raise OverloadError(
@@ -181,16 +186,19 @@ class ServingFrontend:
         config = self.config
         group = bucket.group
         track = self._track(dc)
+        latency = self.latency[dc]
+        free_at = bucket.free_at
         try:
+            # Plain-number yields are the kernel's pooled sleeps: the
+            # schedule point of a ``Timeout``, without the allocation.
             if config.coalesce_window_s > 0:
-                yield sim.timeout(config.coalesce_window_s)
+                yield config.coalesce_window_s
             while bucket.pending:
                 batch = bucket.pending[: config.max_batch]
                 del bucket.pending[: len(batch)]
                 items = [(key, version) for key, version, _e, _a in batch]
-                before = {
-                    node.name: node.engine.device.now for node in group.nodes
-                }
+                nodes = group.nodes
+                before = [node.engine.device.now for node in nodes]
                 span = None
                 if track is not None:
                     span = track.span(
@@ -200,10 +208,10 @@ class ServingFrontend:
                 try:
                     try:
                         values = group.multi_get(items, missing="none")
-                    except ReplicationError:
-                        # no live replica at all: every key in the batch
-                        # fails together; report rather than crash the
-                        # serving loop
+                    except ReproError:
+                        # No live replica at all, or every live copy of a
+                        # key corrupt: the batch fails together; report
+                        # rather than crash the serving loop.
                         self.errors[dc] += len(items)
                         values = [None] * len(items)
                 finally:
@@ -214,24 +222,24 @@ class ServingFrontend:
                 # Fold the synchronous call's device-clock advances
                 # through the per-node horizon: a node still busy with
                 # the previous batch starts this one when it frees up.
-                completion = sim.now
-                for node in group.nodes:
-                    delta = node.engine.device.now - before[node.name]
+                now = completion = sim.now
+                for node, clock in zip(nodes, before):
+                    delta = node.engine.device.now - clock
                     if delta <= 0:
                         continue
-                    start = max(sim.now, bucket.free_at.get(node.name, 0.0))
+                    start = max(now, free_at.get(node.name, 0.0))
                     finish = start + delta
-                    bucket.free_at[node.name] = finish
+                    free_at[node.name] = finish
                     completion = max(completion, finish)
-                if completion > sim.now:
-                    yield sim.timeout(completion - sim.now)
-                for (key, _version, event, arrival), value in zip(
+                if completion > now:
+                    yield completion - now
+                    now = sim.now
+                self.not_found[dc] += values.count(None)
+                bucket.outstanding -= len(batch)
+                for (_key, _version, event, arrival), value in zip(
                     batch, values
                 ):
-                    self.latency[dc].add(sim.now - arrival)
-                    if value is None:
-                        self.not_found[dc] += 1
-                    bucket.outstanding -= 1
+                    latency.add(now - arrival)
                     event.succeed(value)
         finally:
             bucket.flusher = None

@@ -175,53 +175,42 @@ class Simulator:
                     f"run(until={deadline}) is before now={self._now}"
                 )
 
-        if stop_event is None and deadline == _INF:
-            # Drain-the-queue fast path: the cursor advance is inlined so
-            # the per-event cost is attribute reads and one callback loop,
-            # with no peek()/step() call overhead per iteration.
-            times = self._times
-            buckets = self._buckets
-            pop_time = heapq.heappop
-            events = 0
-            try:
-                while True:
-                    current = self._current
-                    if current is not None and self._pos < len(current):
-                        event = current[self._pos]
-                        self._pos += 1
-                    else:
-                        if current is not None:
-                            del buckets[self._current_time]
-                            self._current = None
-                        if not times:
-                            break
-                        when = pop_time(times)
-                        current = buckets[when]
-                        self._current = current
-                        self._current_time = when
-                        self._now = when
-                        self._pos = 1
-                        event = current[0]
-                    events += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks or ():
-                        callback(event)
-                    if event._ok is False and not callbacks:
-                        raise event._value
-            finally:
-                self.events_processed += events
-            return None
-
-        while True:
-            if stop_event is not None and stop_event.callbacks is None:
-                break
-            upcoming = self.peek()
-            if upcoming == _INF:
-                break
-            if upcoming > deadline:
-                self._now = deadline
-                return None
-            self.step()
+        # One loop for all three forms, the cursor advance inlined: the
+        # per-event cost is attribute reads and one callback loop, with
+        # no peek()/step() call per iteration.
+        times = self._times
+        buckets = self._buckets
+        pop_time = heapq.heappop
+        events = 0
+        try:
+            while stop_event is None or stop_event.callbacks is not None:
+                current = self._current
+                if current is not None and self._pos < len(current):
+                    event = current[self._pos]
+                    self._pos += 1
+                else:
+                    if not times:
+                        break
+                    if times[0] > deadline:
+                        self._now = deadline
+                        return None
+                    if current is not None:
+                        del buckets[self._current_time]
+                    when = pop_time(times)
+                    current = buckets[when]
+                    self._current = current
+                    self._current_time = when
+                    self._now = when
+                    self._pos = 1
+                    event = current[0]
+                events += 1
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks or ():
+                    callback(event)
+                if event._ok is False and not callbacks:
+                    raise event._value  # unwaited failure: see step()
+        finally:
+            self.events_processed += events
 
         if stop_event is not None:
             if stop_event.callbacks is not None:

@@ -48,3 +48,17 @@ def lsm() -> LSMEngine:
             max_file_bytes=16 * 1024,
         ),
     )
+
+
+@pytest.fixture
+def corrupt_frame():
+    """``corrupt_frame(node, key, version=1)``: flip the last stored byte
+    of that record's frame on ``node`` — media damage its CRC catches."""
+
+    def flip(node, key: bytes, version: int = 1) -> None:
+        location = node.engine.memtable.get(key, version).location
+        unit = node.engine.aofs.segment(location.segment_id)._unit
+        unit.flush()  # the frame may still sit in the page-fill buffer
+        unit._data[location.offset + location.length - 1] ^= 1
+
+    return flip

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import (
     ClusterError,
+    CorruptionError,
     KeyNotFoundError,
     ReplicationError,
 )
@@ -98,6 +99,54 @@ def test_multi_get_fails_over_a_missing_replica_copy():
     assert got == [expect[key]] * 4
     assert victim.missing_gets >= 1
     assert group.failover_gets >= 1
+
+
+def test_corrupt_replica_copy_fails_over_per_key(corrupt_frame):
+    """A frame that fails its CRC on one replica is a failed replica for
+    that read, like a missing key: ``get`` and ``multi_get`` answer from
+    the next one and count it (both raised on the parent)."""
+    cluster, expect = seeded_cluster(groups=1)
+    group = cluster.groups[0]
+    key, other = sorted(expect)[:2]
+    victim = group.read_order(key)[0]
+    corrupt_frame(victim, key)
+    # put the damaged copy back at the head of the order
+    for node in group.nodes:
+        if node is not victim:
+            node.engine.device.advance(1.0)
+    assert group.read_order(key)[0] is victim
+    assert group.get(key, 1) == expect[key]
+    assert (victim.corrupt_gets, group.failover_gets) == (1, 1)
+    assert group.read_order(key, {})[0] is victim
+    assert group.multi_get([(key, 1), (other, 1)]) == [
+        expect[key], expect[other]
+    ]
+    assert (victim.corrupt_gets, group.failover_gets) == (2, 2)
+    assert cluster.stats()["corrupt_gets_per_node"][victim.name] == 2
+
+
+def test_every_live_copy_corrupt_raises_corruption_error(corrupt_frame):
+    cluster, expect = seeded_cluster(groups=1)
+    group = cluster.groups[0]
+    key, other = sorted(expect)[:2]
+    for node in group.nodes[1:]:
+        corrupt_frame(node, key)
+    group.nodes[0].fail()
+    with pytest.raises(CorruptionError):
+        group.get(key, 1)
+    for mode in ("raise", "none"):
+        with pytest.raises(CorruptionError):
+            group.multi_get([(other, 1), (key, 1)], missing=mode)
+    assert [node.corrupt_gets > 0 for node in group.nodes] == [
+        False, True, True
+    ]
+    # a live copy that is merely missing does not hide the corrupt one
+    group.nodes[0].recover()
+    group.nodes[0].engine.delete(key, 1)
+    with pytest.raises(CorruptionError):
+        group.get(key, 1)
+    with pytest.raises(CorruptionError):
+        group.multi_get([(key, 1)], missing="none")
 
 
 def test_multi_get_all_replicas_down_raises_replication_error():

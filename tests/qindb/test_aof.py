@@ -115,6 +115,57 @@ def test_read_from_wrong_segment_rejected(manager):
         manager.read(bogus)
 
 
+def test_read_values_order_and_device_charge():
+    """Values come back in input order across segments, and the device is
+    charged what the parent's ``read_many`` charged: per segment in id
+    order, one ``unit.read_many`` — also for a single location, which now
+    takes ``unit.read`` (documented as the identical charge)."""
+    twins = []
+    for _ in range(2):
+        geometry = SSDGeometry(block_count=64, pages_per_block=8, page_size=512)
+        manager = AofManager(SimulatedSSD(geometry), segment_bytes=3 * 512 * 8)
+        locations = [
+            manager.append(rec(f"k{i}".encode(), size=40 + 97 * (i % 9)))
+            for i in range(40)
+        ]
+        twins.append((manager, locations))
+    (new, locations), (old, _same) = twins
+    assert len({location.segment_id for location in locations}) > 1
+    picks = [[7], [39], [3, 4, 5], [30, 2, 17, 2, 38, 16], list(range(40))]
+    for pick in picks:
+        wanted = [locations[index] for index in pick]
+        assert new.read_values(wanted) == [
+            b"v" * (40 + 97 * (index % 9)) for index in pick
+        ]
+        for segment_id in sorted({loc.segment_id for loc in wanted}):
+            old.segment(segment_id)._unit.read_many(
+                [
+                    (loc.offset, loc.length)
+                    for loc in wanted
+                    if loc.segment_id == segment_id
+                ]
+            )
+        assert new.device.now == old.device.now
+        assert (
+            new.device.counters.host_pages_read
+            == old.device.counters.host_pages_read
+        )
+    assert new.read_values([]) == []
+
+
+def test_value_reads_from_wrong_segment_rejected(manager):
+    location = manager.append(rec(b"a"))
+    other = manager.append(rec(b"b"))
+    bogus = RecordLocation(99, location.offset, location.length)
+    with pytest.raises(StorageError):
+        manager.read_values([bogus])
+    segment = manager.segment(location.segment_id)
+    with pytest.raises(StorageError):
+        segment.read_value(bogus)
+    with pytest.raises(StorageError):
+        segment.read_values([other, bogus])
+
+
 def test_disk_used_is_block_granular(manager):
     manager.append(rec(b"tiny", size=10))
     assert manager.disk_used_bytes == 0  # still in the page-fill buffer

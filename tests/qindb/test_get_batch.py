@@ -142,3 +142,20 @@ def test_get_batch_with_read_cache():
     assert first == [b"alpha", b"beta"]
     assert second == [b"alpha", b"beta", b"alpha"]
     assert engine.read_cache.counters.hits > hits_before
+
+
+def test_no_product_read_builds_a_record(monkeypatch):
+    """get, get_batch, peek, chain_base and scan all verify frames with
+    ``decode_value``; none of them constructs a ``Record``."""
+    from repro.qindb.records import Record
+
+    engine = seeded_engine()
+    expected = reference_gets(seeded_engine(), query_items())
+    built = []
+    monkeypatch.setattr(Record, "__post_init__", lambda self: built.append(self))
+    assert engine.get_batch(query_items()) == expected
+    assert reference_gets(engine, query_items()) == expected
+    assert engine.peek(b"key-001", 1)[1] is False
+    assert engine.chain_base(b"key-003", 2)[0] == 1
+    assert len(list(engine.scan(b"key-000", b"key-999"))) > 64
+    assert built == []

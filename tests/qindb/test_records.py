@@ -10,6 +10,7 @@ from repro.qindb.records import (
     Record,
     RecordType,
     decode_record,
+    decode_value,
     encode_frame,
     encode_record,
     scan_frames,
@@ -276,3 +277,63 @@ def test_scan_frames_typed_errors():
         scan_frames(encode_frame(9, b"k", b"", 1, 1), PAGE)
     with pytest.raises(StorageError, match="DELETE records carry no value"):
         scan_frames(encode_frame(int(RecordType.DELETE), b"k", b"v", 1, 1), PAGE)
+
+
+# ----------------------------------------------------------------------
+# decode_value: the read path's decoder, against decode_record
+# ----------------------------------------------------------------------
+@given(
+    # 9 is no record type; any type may (wrongly) be framed with a value
+    rtype=st.sampled_from([1, 2, 3, 9]),
+    key=st.binary(min_size=1, max_size=16),
+    value=st.binary(max_size=300),
+    version=st.integers(min_value=0, max_value=2**64 - 1),
+    sequence=st.integers(min_value=0, max_value=2**64 - 1),
+    padding=st.integers(min_value=0, max_value=40),
+    cut=st.integers(min_value=0, max_value=60),
+    flip=st.one_of(st.none(), st.integers(min_value=0)),
+)
+def test_decode_value_agrees_with_decode_record(
+    rtype, key, value, version, sequence, padding, cut, flip
+):
+    """A frame — whole, padded, torn, or with one byte damaged — decodes
+    to the same value bytes or the same typed error class."""
+    frame = bytearray(encode_frame(rtype, key, value, version, sequence))
+    frame += b"\x00" * padding
+    del frame[len(frame) - min(cut, len(frame)):]
+    if flip is not None and frame:
+        frame[flip % len(frame)] ^= 0x41
+    frame = bytes(frame)
+    outcomes = []
+    for decode in (decode_value, lambda raw: decode_record(raw)[0].value):
+        try:
+            outcomes.append(decode(frame))
+        except (CorruptionError, StorageError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+    if flip is None and cut <= padding and rtype == 1:
+        assert outcomes[0] == value and type(outcomes[0]) is bytes
+
+
+def test_decode_value_typed_errors():
+    """One pinned case per check, in ``decode_record``'s order."""
+    from repro.errors import TruncatedRecordError
+
+    good = encode_frame(1, b"key", b"value", 7, 9)
+    assert decode_value(good) == b"value"
+    assert decode_value(good + b"\x00" * 9) == b"value"
+    assert decode_value(encode_frame(2, b"key", b"", 7, 9)) == b""
+    cases = [
+        (good[: HEADER_SIZE - 1], TruncatedRecordError),  # torn header
+        (b"\x00" + good[1:], CorruptionError),  # bad magic
+        (good[:-1], TruncatedRecordError),  # torn body
+        (good[:-1] + b"X", CorruptionError),  # CRC
+        (encode_frame(9, b"key", b"", 7, 9), CorruptionError),  # type
+        (encode_frame(3, b"key", b"v", 7, 9), StorageError),  # value-less
+    ]
+    for raw, error in cases:
+        with pytest.raises(error) as caught:
+            decode_value(raw)
+        assert type(caught.value) is error
+        with pytest.raises(error):
+            decode_record(raw)

@@ -9,11 +9,15 @@ in the streaming trackers; draining leaves nothing outstanding.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import repro.mint.group as group_module
 from repro.errors import OverloadError
 from repro.mint.cluster import MintCluster, MintConfig
 from repro.obs.registry import MetricsRegistry
+from repro.qindb.records import Record
 from repro.serving import ServingConfig, ServingFrontend
 from repro.simulation.kernel import Simulator
 
@@ -143,6 +147,55 @@ def test_all_replicas_down_reports_errors_not_crash():
     assert frontend.errors["dc0"] == 1
 
 
+def test_corrupt_replica_fails_over_instead_of_killing_the_flusher(
+    corrupt_frame,
+):
+    """One replica's frame fails its CRC; two replicas hold good bytes.
+
+    On the parent the ``CorruptionError`` escaped ``sim.run``, the
+    flusher died, and the six admitted requests stayed outstanding
+    forever (admission depth leaked).
+    """
+    sim, cluster, expect = make_fleet()
+    frontend = ServingFrontend(sim, {"dc0": cluster})
+    keys = sorted(expect)[:6]
+    for key in keys:
+        group = cluster.group_for(key)
+        corrupt_frame(group.read_order(key, {})[0], key)
+    outcomes = run_clients(sim, frontend, [("dc0", key, 1) for key in keys])
+    assert [outcomes[i] for i in range(6)] == [expect[key] for key in keys]
+    assert frontend.outstanding_total == 0
+    assert frontend.active_flushers() == []
+    assert frontend.errors["dc0"] == 0 and frontend.not_found["dc0"] == 0
+    stats = cluster.stats()
+    corrupt = sum(stats["corrupt_gets_per_node"].values())
+    assert corrupt >= 1
+    assert stats["failover_gets"] >= 1
+    assert "corrupt_gets" not in stats  # scalars are hashed into sim_digest
+
+
+def test_every_copy_corrupt_completes_the_batch_as_errors(corrupt_frame):
+    """Whatever ``multi_get`` still raises, the batch's events complete,
+    counted in ``errors``, and the admission depth comes back."""
+    sim, cluster, expect = make_fleet()
+    frontend = ServingFrontend(sim, {"dc0": cluster})
+    bad = sorted(expect)[0]
+    group = cluster.group_for(bad)
+    for node in group.nodes:
+        corrupt_frame(node, bad)
+    batch = [key for key in sorted(expect) if cluster.group_for(key) is group]
+    outcomes = run_clients(
+        sim, frontend, [("dc0", key, 1) for key in batch[:4]]
+    )
+    assert bad in batch[:4]
+    assert list(outcomes.values()) == [None] * 4
+    assert frontend.errors["dc0"] == 4
+    assert frontend.outstanding_total == 0
+    # the flusher is not gone for good: the next request is served
+    good = batch[1]
+    assert run_clients(sim, frontend, [("dc0", good, 1)])[0] == expect[good]
+
+
 def test_latency_grows_with_coalescing_window():
     def p50(window_s):
         sim, cluster, expect = make_fleet()
@@ -181,3 +234,63 @@ def test_sequential_requests_after_drain_reuse_bucket():
     second = run_clients(sim, frontend, [("dc0", key, 1)])
     assert first[0] == second[0] == expect[key]
     assert frontend.batches["dc0"] == 2
+
+
+# ----------------------------------------------------------------------
+# Host-cost pins of the read descent: counts that repeat exactly
+# ----------------------------------------------------------------------
+READS = 2000
+#: kernel events of the run below (3.946 per admitted read) — the same
+#: number on the parent (44cc897), where the same run also built 1,992
+#: ``Record``s and sorted 4,975 times
+PARENT_KERNEL_EVENTS = 7892
+
+
+def test_read_descent_host_cost_pins(monkeypatch):
+    """Wall time wanders; these do not.  With every replica up, 2,000
+    open-loop reads build no ``Record``, sort nothing in ``multi_get``,
+    and take no more kernel events than they did on the parent."""
+    sim, cluster, expect = make_fleet()
+    frontend = ServingFrontend(sim, {"dc0": cluster})
+    rng = random.Random(2019)
+    keys = sorted(expect)
+    wrong = []
+
+    def client():
+        for _ in range(READS):
+            yield rng.expovariate(1000.0)
+            key = keys[min(len(keys) - 1, int(len(keys) ** rng.random()) - 1)]
+            event = frontend.try_submit("dc0", key, 1)
+            event.callbacks.append(
+                lambda done, want=expect[key]: done.value == want
+                or wrong.append(done.value)
+            )
+
+    records_built = []
+    monkeypatch.setattr(
+        Record, "__post_init__", lambda self: records_built.append(self)
+    )
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    # shadows the builtin for the code of mint/group.py only
+    monkeypatch.setattr(group_module, "sorted", counting_sorted, raising=False)
+    events_before = sim.events_processed
+    sim.run(until=sim.process(client()))
+    frontend.drain()
+
+    report = frontend.report()["per_dc"]["dc0"]
+    assert wrong == []
+    assert (report["admitted"], report["shed"]) == (READS, 0)
+    assert (report["not_found"], report["errors"]) == (0, 0)
+    assert 1.0 < report["mean_batch"] < 4.0  # coalescing, but small batches
+    stats = cluster.stats()
+    assert (stats["failover_gets"], stats["missing_gets"]) == (0, 0)
+    assert stats["batched_gets"] == READS
+    # the pins
+    assert records_built == []
+    assert sorts == []
+    assert sim.events_processed - events_before == PARENT_KERNEL_EVENTS
