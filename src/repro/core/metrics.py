@@ -181,34 +181,16 @@ class BatchCounters:
     ``batches`` counts :meth:`put_batch` calls, ``batched_puts`` the keys
     they carried; ``batched_puts / batches`` is the realized batch size.
     ``get_batches``/``batched_gets`` are the read-side mirror for
-    :meth:`get_batch`.  Kept separate from the per-key counters so
-    batch/single equivalence can be asserted on everything *except*
-    these.
+    :meth:`get_batch`.  A per-key verb is a batch of one and counts as
+    such; kept apart from the engine's other counters so that how a run
+    of items was split into batches can be asserted to change nothing
+    *except* these.
     """
 
     batches: int = 0
     batched_puts: int = 0
     get_batches: int = 0
     batched_gets: int = 0
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batched_puts / self.batches if self.batches else 0.0
-
-    @property
-    def mean_get_batch_size(self) -> float:
-        return self.batched_gets / self.get_batches if self.get_batches else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat counter view for table/report aggregation."""
-        return {
-            "batches": self.batches,
-            "batched_puts": self.batched_puts,
-            "mean_batch_size": self.mean_batch_size,
-            "get_batches": self.get_batches,
-            "batched_gets": self.batched_gets,
-            "mean_get_batch_size": self.mean_get_batch_size,
-        }
 
 
 @dataclass

@@ -346,9 +346,9 @@ class Migrator:
         base_version, value, deleted = base
         if target.engine.holds(task.key, base_version):
             return 0
-        target.put(task.key, base_version, value)
+        target.put_batch([(task.key, base_version, value)])
         if deleted:
-            target.delete(task.key, base_version)
+            target.delete_batch([(task.key, base_version)])
         self.stats.bases_copied += 1
         moved = len(task.key) + len(value)
         self.stats.bytes_moved += moved
@@ -443,7 +443,7 @@ class Migrator:
                         )
                         continue
                     try:
-                        node.delete(task.key, version)
+                        node.delete_batch([(task.key, version)])
                         self.stats.withdrawals += 1
                         removed += 1
                     except KeyNotFoundError:

@@ -136,7 +136,7 @@ class ReplicaRepairer:
         for op, key, version in group.repair_backlog.pop(node.name, []):
             if op == "delete":
                 try:
-                    node.delete(key, version)
+                    node.delete_batch([(key, version)])
                     result.deletes_applied += 1
                 except KeyNotFoundError:
                     pass  # the node never had the record; nothing to drop
@@ -180,7 +180,7 @@ class ReplicaRepairer:
                     continue
                 landed = True
                 if not replica.engine.exists(key, version):
-                    replica.put(key, version, value)
+                    replica.put_batch([(key, version, value)])
                     result.keys_copied += 1
                     result.bytes_copied += len(key) + len(value or b"")
             if not landed:
@@ -214,7 +214,7 @@ class ReplicaRepairer:
             # the node was down — never resurrect it).
             return
         value, deduplicated = record
-        node.put(key, version, None if deduplicated else value)
+        node.put_batch([(key, version, None if deduplicated else value)])
         result.keys_copied += 1
         result.bytes_copied += len(key) + len(value or b"")
         if remote:
@@ -248,7 +248,9 @@ class ReplicaRepairer:
             if record is None:
                 continue
             value, deduplicated = record
-            target.put(key, version, None if deduplicated else value)
+            target.put_batch(
+                [(key, version, None if deduplicated else value)]
+            )
             if result is not None:
                 result.keys_copied += 1
                 result.bytes_copied += len(key) + len(value or b"")
@@ -296,12 +298,8 @@ class ReplicaRepairer:
         # Engines without a raw-record read (the LSM baseline): fall back
         # to the user read path.  The dedup flag is unrecoverable there,
         # so the copy materialises as a full value.
-        try:
-            if not engine.exists(key, version):
-                return None
-            return (engine.get(key, version), False)
-        except KeyNotFoundError:
-            return None
+        value = engine.get_batch([(key, version)])[0]
+        return None if value is None else (value, False)
 
     # ------------------------------------------------------------------
     def audit_node(
@@ -425,7 +423,7 @@ class ReplicaRepairer:
                 counters.audit_leaf_checks += 1
                 if leaf_checksum(key, version, peer_stored) != expected:
                     continue  # this peer's copy is damaged too
-                node.put(key, version, peer_stored)
+                node.put_batch([(key, version, peer_stored)])
                 result.records_repaired += 1
                 counters.records_repaired += 1
                 break

@@ -28,7 +28,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.qindb.aof import AofManager, RecordLocation
-from repro.qindb.records import Record, RecordType
+from repro.qindb.records import Record, RecordType, encode_record
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import TimingModel
@@ -109,8 +109,10 @@ class HashKV:
             record = Record(RecordType.PUT_DEDUP, key, version)
         else:
             record = Record(RecordType.PUT_VALUE, key, version, value)
-        location = self.aofs.append(record)
-        self._table[(key, version)] = _HashEntry(location, deduplicated)
+        locations, _appended = self.aofs.append_encoded_batch(
+            [encode_record(record)]
+        )
+        self._table[(key, version)] = _HashEntry(locations[0], deduplicated)
         self.user_bytes_written += len(key) + (0 if value is None else len(value))
         self._charge()
 
@@ -141,8 +143,7 @@ class HashKV:
             probes += 1
             current = self._table.get((key, probe_version))
         self._charge(hash_accesses=max(1, probes))
-        record = self.aofs.read(current.location)
-        value = record.value
+        value = self.aofs.read_values([current.location])[0]
         self.user_bytes_read += len(key) + len(value)
         return value
 
@@ -188,8 +189,7 @@ class HashKV:
                 except KeyNotFoundError:
                     continue
             else:
-                record = self.aofs.read(entry.location)
-                yield key, version, record.value
+                yield key, version, self.aofs.read_values([entry.location])[0]
 
     # ------------------------------------------------------------------
     @property

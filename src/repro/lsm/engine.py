@@ -2,7 +2,9 @@
 
 Identical operation signatures to :class:`repro.qindb.QinDB` (versioned
 ``put``/``get``/``delete``, value-less deduplicated puts, traceback on
-read) so every experiment can swap engines and isolate the storage layout:
+read, and the batch verbs a Mint node drives — here plain loops, an
+LSM-tree has nothing to coalesce) so every experiment can swap engines
+and isolate the storage layout:
 
 * writes go WAL -> memtable -> L0 flush -> leveled compaction; the flush
   and compaction rewrites are the software write amplification;
@@ -17,7 +19,7 @@ read) so every experiment can swap engines and isolate the storage layout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigError,
@@ -25,6 +27,7 @@ from repro.errors import (
     KeyNotFoundError,
     StorageError,
 )
+from repro.core.metrics import BatchCounters
 from repro.lsm.blockcache import BlockCache
 from repro.lsm.compaction import Compactor, merge_tables
 from repro.lsm.levels import LevelState
@@ -89,6 +92,11 @@ class LSMStats:
     device_total_bytes_read: int
     hardware_write_amplification: float
     now: float
+    # Batch-verb tallies, as in ``QinDBStats``.
+    put_batches: int = 0
+    batched_puts: int = 0
+    get_batches: int = 0
+    batched_gets: int = 0
 
     @property
     def engine_bytes_written(self) -> int:
@@ -121,11 +129,13 @@ class LSMEngine:
         self,
         device: SimulatedSSD,
         config: LSMConfig | None = None,
+        fs: BlockFileSystem | None = None,
     ) -> None:
         self.device = device
         self.config = config or LSMConfig()
-        self.ftl = FlashTranslationLayer(device)
-        self.fs = BlockFileSystem(self.ftl)
+        #: ``fs`` is recovery's: the files that survived a crash
+        self.fs = fs or BlockFileSystem(FlashTranslationLayer(device))
+        self.ftl = self.fs.ftl
         self.wal = WriteAheadLog(self.fs)
         self.levels = LevelState(max_levels=self.config.max_levels)
         self.compactor = Compactor(
@@ -150,6 +160,7 @@ class LSMEngine:
         self.user_bytes_read = 0
         self.flush_bytes_written = 0
         self.flush_count = 0
+        self.batch_counters = BatchCounters()
         self._closed = False
 
     @classmethod
@@ -196,6 +207,35 @@ class LSMEngine:
             value = record.value
         self.user_bytes_read += len(key) + len(value)
         return value
+
+    def put_batch(
+        self, items: Sequence[Tuple[bytes, int, Optional[bytes]]]
+    ) -> None:
+        """:meth:`put` per item, in input order."""
+        for key, version, value in items:
+            self.put(key, version, value)
+        self.batch_counters.batches += 1
+        self.batch_counters.batched_puts += len(items)
+
+    def get_batch(
+        self, items: Sequence[Tuple[bytes, int]]
+    ) -> List[Optional[bytes]]:
+        """:meth:`get` per item; ``None`` where it would raise
+        :class:`KeyNotFoundError`."""
+        values: List[Optional[bytes]] = []
+        for key, version in items:
+            try:
+                values.append(self.get(key, version))
+            except KeyNotFoundError:
+                values.append(None)
+        self.batch_counters.get_batches += 1
+        self.batch_counters.batched_gets += len(items)
+        return values
+
+    def delete_batch(self, items: Sequence[Tuple[bytes, int]]) -> None:
+        """:meth:`delete` per item, in input order."""
+        for key, version in items:
+            self.delete(key, version)
 
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live (non-tombstoned) record exists."""
@@ -384,6 +424,10 @@ class LSMEngine:
             device_total_bytes_read=counters.total_bytes_read,
             hardware_write_amplification=counters.hardware_write_amplification,
             now=self.device.now,
+            put_batches=self.batch_counters.batches,
+            batched_puts=self.batch_counters.batched_puts,
+            get_batches=self.batch_counters.get_batches,
+            batched_gets=self.batch_counters.batched_gets,
         )
 
     def flush(self) -> None:
@@ -396,3 +440,10 @@ class LSMEngine:
             if len(self._memtable):
                 self.flush_memtable()
             self._closed = True
+
+    def restart(self) -> "LSMEngine":
+        """Power-fail this engine and return the one recovery rebuilds
+        from the manifest and the surviving WAL."""
+        from repro.lsm.recovery import crash, recover
+
+        return recover(crash(self))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.lsm.engine import LSMConfig, LSMEngine
-from repro.lsm.skiplist import SkipListMap
 from repro.lsm.sstable import SSTable
 from repro.ssd.files import BlockFileSystem
 
@@ -57,57 +56,16 @@ def recover(manifest: Manifest) -> LSMEngine:
 
     The recovered memtable holds exactly the mutations that were logged
     but not yet flushed; everything older is already in the SSTables.
+    Everything volatile starts cold — counters, and the block cache: RAM
+    contents did not survive the crash.
     """
-    engine = LSMEngine.__new__(LSMEngine)
-    engine.config = manifest.config
-    engine.fs = manifest.fs
-    engine.ftl = manifest.fs.ftl
-    engine.device = manifest.fs.ftl.device
-
-    from repro.lsm.compaction import Compactor
-    from repro.lsm.levels import LevelState
-    from repro.lsm.wal import WriteAheadLog
-
-    engine.levels = LevelState(max_levels=manifest.config.max_levels)
+    fs = manifest.fs
+    engine = LSMEngine(fs.ftl.device, manifest.config, fs=fs)
     for level, table in manifest.tables:
         engine.levels.add(level, table)
-    engine.compactor = Compactor(
-        fs=engine.fs,
-        levels=engine.levels,
-        l0_trigger=manifest.config.l0_compaction_trigger,
-        level1_max_bytes=manifest.config.level1_max_bytes,
-        multiplier=manifest.config.level_size_multiplier,
-        max_file_bytes=manifest.config.max_file_bytes,
-        index_interval=manifest.config.index_interval,
-    )
-    # A fresh (cold) block cache: RAM contents did not survive the crash.
-    from repro.lsm.blockcache import BlockCache
-
-    engine.block_cache = (
-        BlockCache(manifest.config.block_cache_bytes)
-        if manifest.config.block_cache_bytes > 0
-        else None
-    )
-    engine.compactor.block_cache = engine.block_cache
-    for _level, table in manifest.tables:
         table.cache = engine.block_cache
-    # Reattach the surviving WAL file and replay it.
-    engine.wal = WriteAheadLog.__new__(WriteAheadLog)
-    engine.wal._fs = manifest.fs
-    engine.wal._name = "wal.log"
-    engine.wal._file = manifest.fs.open("wal.log")
-    engine.wal.bytes_written = 0
-
-    engine._memtable = SkipListMap(seed=manifest.config.memtable_seed)
-    engine._memtable_bytes = 0
     for record in engine.wal.replay():
         engine._memtable.insert((record.key, record.version), record)
         engine._memtable_bytes += record.encoded_size
-
     engine._sequence = manifest.sequence
-    engine.user_bytes_written = 0
-    engine.user_bytes_read = 0
-    engine.flush_bytes_written = 0
-    engine.flush_count = 0
-    engine._closed = False
     return engine

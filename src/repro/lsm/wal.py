@@ -22,7 +22,10 @@ class WriteAheadLog:
     def __init__(self, fs: BlockFileSystem, name: str = "wal.log") -> None:
         self._fs = fs
         self._name = name
-        self._file: SSDFile = fs.create(name)
+        #: a log that survived a crash is reattached, not recreated
+        self._file: SSDFile = (
+            fs.open(name) if fs.exists(name) else fs.create(name)
+        )
         self.bytes_written = 0
 
     @property

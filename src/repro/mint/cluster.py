@@ -46,7 +46,7 @@ def storage_key(kind: IndexKind, key: bytes) -> bytes:
 #: walked from the :class:`StorageNode` each time the metric is read,
 #: so a view follows ``node.engine`` across the engine swap a crash
 #: recovery performs, and a path the engine lacks (the LSM baseline has
-#: no AOF, read cache or batch counters) reads 0.0 instead of failing
+#: no AOF or read cache) reads 0.0 instead of failing
 #: the whole snapshot.  ``?.`` follows an attribute that may be None (no
 #: read cache configured), reading 0.0 without the cost of a raise; a
 #: trailing ``()`` calls what the path ends at.
@@ -383,14 +383,8 @@ class MintCluster:
 
     # ------------------------------------------------------------------
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> int:
-        if self._moving_slots:
-            move = self._moving_slots.get(self.slot_for(key))
-            if move is not None:
-                old, new = move
-                written = old.put(key, version, value)
-                written += new.put(key, version, value)
-                return written
-        return self.group_for(key).put(key, version, value)
+        """A :meth:`put_batch` of one."""
+        return self.put_batch([(key, version, value)])
 
     def put_batch(self, items: List[tuple]) -> int:
         """Write ``(key, version, value)`` triples, partitioned by group.
@@ -436,19 +430,8 @@ class MintCluster:
         return total
 
     def get(self, key: bytes, version: int) -> bytes:
-        if self._moving_slots:
-            move = self._moving_slots.get(self.slot_for(key))
-            if move is not None:
-                # Old-then-new routing: the old owner holds every
-                # acknowledged key until cutover (writes dual-apply),
-                # so the new-owner fallback only matters if the old
-                # group is mid-fault — availability, not correctness.
-                old, new = move
-                try:
-                    return old.get(key, version)
-                except (KeyNotFoundError, ReplicationError):
-                    return new.get(key, version)
-        return self.group_for(key).get(key, version)
+        """A :meth:`multi_get` of one."""
+        return self.multi_get([(key, version)])[0]
 
     def multi_get(self, items: List[tuple], missing: str = "raise") -> List:
         """Read ``(key, version)`` pairs, partitioned by group; returns
@@ -460,15 +443,22 @@ class MintCluster:
         :meth:`NodeGroup.multi_get` — batch-aware replica spreading, one
         engine batch per node — and the per-group results scatter back
         into request order.  ``missing`` passes through: ``"raise"``
-        matches :meth:`get`'s :class:`~repro.errors.KeyNotFoundError`
-        behaviour, ``"none"`` returns per-slot sentinels.
+        raises :class:`~repro.errors.KeyNotFoundError` for a key no live
+        replica holds, ``"none"`` returns per-slot sentinels.  An item
+        whose slot is mid-move reads on its own, old owner then new
+        (:meth:`_get_moving`).
         """
         by_group: Dict[int, List[int]] = {}
+        results: List = [None] * len(items)
+        moving = self._moving_slots
         for index, item in enumerate(items):
+            move = moving.get(self.slot_for(item[0])) if moving else None
+            if move is not None:
+                results[index] = self._get_moving(move, item, missing)
+                continue
             by_group.setdefault(
                 self.group_for(item[0]).group_id, []
             ).append(index)
-        results: List = [None] * len(items)
         for group in self.groups:
             indices = by_group.get(group.group_id)
             if not indices:
@@ -485,17 +475,58 @@ class MintCluster:
                 results[index] = value
         return results
 
+    @staticmethod
+    def _get_moving(move: tuple, item: tuple, missing: str):
+        """Read one item of a slot mid-move: old owner, then new.
+
+        The old owner holds every acknowledged key until cutover (writes
+        dual-apply), so the new-owner fallback only matters if the old
+        group is mid-fault — availability, not correctness.
+        """
+        old, new = move
+        try:
+            value = old.multi_get([item], missing)[0]
+        except (KeyNotFoundError, ReplicationError):
+            value = None
+        if value is None:
+            value = new.multi_get([item], missing)[0]
+        return value
+
     def delete(self, key: bytes, version: int) -> int:
-        if self._moving_slots:
-            move = self._moving_slots.get(self.slot_for(key))
-            if move is not None:
-                old, new = move
-                # The new owner may not have received this record yet
-                # (the migrator is still copying), hence missing_ok.
-                return old.delete(key, version) + new.delete(
-                    key, version, missing_ok=True
+        """A :meth:`delete_batch` of one."""
+        return self.delete_batch([(key, version)])
+
+    def delete_batch(self, items: List[tuple]) -> int:
+        """Delete ``(key, version)`` pairs, partitioned by group (one
+        engine batch per node, mirroring :meth:`put_batch`); returns the
+        total replica deletions performed."""
+        by_group: Dict[int, List[tuple]] = {}
+        tolerant_groups: set = set()
+        moving = self._moving_slots
+        for item in items:
+            move = moving.get(self.slot_for(item[0])) if moving else None
+            if move is None:
+                by_group.setdefault(
+                    self.group_for(item[0]).group_id, []
+                ).append(item)
+            else:
+                # Deletions dual-apply during a slot move, like writes:
+                # a version dropped mid-migration must not survive on
+                # the new owner's copy — which may not hold every record
+                # yet (the migrator is still copying), so its batch
+                # tolerates the holes.
+                by_group.setdefault(move[0].group_id, []).append(item)
+                by_group.setdefault(move[1].group_id, []).append(item)
+                tolerant_groups.add(move[1].group_id)
+        deleted = 0
+        for group in self.groups:
+            batch = by_group.get(group.group_id)
+            if batch:
+                deleted += group.delete_batch(
+                    batch,
+                    missing_ok=group.group_id in tolerant_groups,
                 )
-        return self.group_for(key).delete(key, version)
+        return deleted
 
     # ------------------------------------------------------------------
     def ingest_slice(self, item: Slice) -> int:
@@ -601,7 +632,7 @@ class MintCluster:
         removal when more than four versions persist).
 
         Keys partition by group and delete as one engine batch per node
-        (mirroring :meth:`put_batch`), so eviction — which the pipelined
+        (:meth:`delete_batch`), so eviction — which the pipelined
         engine runs while newer versions' slices are still landing —
         costs a handful of batched passes instead of a delete per key
         per replica.  The version is marked retired first, so any of its
@@ -610,39 +641,7 @@ class MintCluster:
         """
         self._retired_versions.add(version)
         keys = self.version_keys.pop(version, [])
-        by_group: Dict[int, List[tuple]] = {}
-        tolerant_groups: set = set()
-        if self._moving_slots:
-            # Deletions dual-apply during a slot move, like writes: a
-            # version dropped mid-migration must not survive on the
-            # new owner's copy.  The new owner may not hold every
-            # record yet, so its batch tolerates the holes.
-            for key in keys:
-                move = self._moving_slots.get(self.slot_for(key))
-                if move is None:
-                    by_group.setdefault(
-                        self.group_for(key).group_id, []
-                    ).append((key, version))
-                else:
-                    by_group.setdefault(move[0].group_id, []).append(
-                        (key, version)
-                    )
-                    by_group.setdefault(move[1].group_id, []).append(
-                        (key, version)
-                    )
-                    tolerant_groups.add(move[1].group_id)
-        else:
-            for key in keys:
-                by_group.setdefault(self.group_for(key).group_id, []).append(
-                    (key, version)
-                )
-        for group in self.groups:
-            batch = by_group.get(group.group_id)
-            if batch:
-                group.delete_batch(
-                    batch,
-                    missing_ok=group.group_id in tolerant_groups,
-                )
+        self.delete_batch([(key, version) for key in keys])
         for parked in [
             item for item in self._parked_slices if item.version == version
         ]:
@@ -888,11 +887,10 @@ class MintCluster:
             totals["user_bytes_written"] += stats.user_bytes_written
             totals["disk_used_bytes"] += stats.disk_used_bytes
             totals["busy_time_s"] += node.engine.device.counters.busy_time_s
-            # The LSM baseline has no batch path; its stats lack these.
-            totals["put_batches"] += getattr(stats, "put_batches", 0)
-            totals["batched_puts"] += getattr(stats, "batched_puts", 0)
-            totals["get_batches"] += getattr(stats, "get_batches", 0)
-            totals["batched_gets"] += getattr(stats, "batched_gets", 0)
+            totals["put_batches"] += stats.put_batches
+            totals["batched_puts"] += stats.batched_puts
+            totals["get_batches"] += stats.get_batches
+            totals["batched_gets"] += stats.batched_gets
             totals["device_write_ops"] += node.engine.device.counters.host_write_ops
         totals["gets_per_node"] = gets_per_node
         totals["skipped_gets_per_node"] = skipped_gets_per_node

@@ -53,7 +53,7 @@ class NodeGroup:
         #: parked ``(key, version, value)`` writes awaiting a live replica
         self.pending_writes: List = []
         #: read-side tallies, registered as ``mint.<dc>.g<id>.group.*``:
-        #: single gets and multi_get calls/keys through this group,
+        #: :meth:`get` calls, multi_get calls/keys through this group,
         #: reads answered by a non-preferred replica (``failover_gets``),
         #: and requests the serving tier shed at admission (``shed_gets``,
         #: incremented by the frontend's admission controller).
@@ -98,9 +98,6 @@ class NodeGroup:
         self.repair_backlog.setdefault(node_name, []).append(
             (op, key, version)
         )
-
-    # Pre-elastic internal spelling, kept for the write paths below.
-    _note_missed = note_missed
 
     # ------------------------------------------------------------------
     @property
@@ -253,28 +250,8 @@ class NodeGroup:
         return nodes
 
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> int:
-        """Write to every live replica; returns the number written.
-
-        Raises :class:`ReplicationError` if *no* replica accepted the
-        write; a partially-failed write is reported via the return value
-        (the node will be repaired on recovery by the update pipeline).
-        """
-        written = 0
-        for node in self._write_replicas_for(key):
-            try:
-                node.put(key, version, value)
-                written += 1
-            except NodeDownError:
-                self._note_missed(node.name, "put", key, version)
-                continue
-        if written == 0:
-            if self.park_when_unavailable:
-                self.pending_writes.append((key, version, value))
-                return 0
-            raise ReplicationError(
-                f"no live replica for key {key!r} in group {self.group_id}"
-            )
-        return written
+        """A :meth:`put_batch` of one."""
+        return self.put_batch([(key, version, value)])
 
     def put_batch(self, items) -> int:
         """Write a batch of ``(key, version, value)`` triples, one engine
@@ -284,10 +261,12 @@ class NodeGroup:
         sub-batch of items it replicates, in input order, as a single
         :meth:`StorageNode.put_batch` call — so a slice's worth of keys
         costs each engine one batched pass instead of one put per key
-        per replica.  A down node drops its whole sub-batch (the update
-        pipeline repairs it on recovery, as with single puts); an item no
-        live replica accepted raises :class:`ReplicationError`, matching
-        :meth:`put`.
+        per replica.  A down node drops its whole sub-batch, each item
+        noted in ``repair_backlog`` (the update pipeline repairs it on
+        recovery), and the write is reported partial via the return
+        value; an item *no* live replica accepted parks in
+        ``pending_writes`` under ``park_when_unavailable``, else raises
+        :class:`ReplicationError`.
         """
         if not items:
             return 0
@@ -320,7 +299,7 @@ class NodeGroup:
             except NodeDownError:
                 any_down = True
                 for key, version, _value in sub_batch:
-                    self._note_missed(node.name, "put", key, version)
+                    self.note_missed(node.name, "put", key, version)
                 continue
             written += len(sub_batch)
             delivered.add(node)
@@ -375,24 +354,18 @@ class NodeGroup:
         replica was least loaded when the batch arrived (device clocks
         only advance when the engine runs, so without the bias every
         item of a batch would pick the same node).  ``None`` (the
-        default, and every single-key caller) leaves the order exactly
-        as before.
+        default) is an empty map: plain least-loaded order.
         """
+        if assigned is None:
+            assigned = {}
         if self._old_member_names is None and not self._draining:
             replicas = self.replicas_for(key)
-            if assigned is None:
-                sort_key = lambda pair: (  # noqa: E731 - tiny local ordering
-                    not pair[1].is_up,
-                    pair[1].engine.device.now,
-                    pair[0],
-                )
-            else:
-                sort_key = lambda pair: (  # noqa: E731
-                    not pair[1].is_up,
-                    assigned.get(pair[1].name, 0),
-                    pair[1].engine.device.now,
-                    pair[0],
-                )
+            sort_key = lambda pair: (  # noqa: E731 - tiny local ordering
+                not pair[1].is_up,
+                assigned.get(pair[1].name, 0),
+                pair[1].engine.device.now,
+                pair[0],
+            )
             return [
                 node
                 for _rank, node in sorted(enumerate(replicas), key=sort_key)
@@ -416,81 +389,35 @@ class NodeGroup:
             replicas = self.replicas_for(key)
             in_old = {node.name for node in replicas}
         draining = self._draining
-        if assigned is None:
-            sort_key = lambda pair: (  # noqa: E731
-                not pair[1].is_up,
-                pair[1].name in draining,
-                pair[1].name not in in_old,
-                pair[1].engine.device.now,
-                pair[0],
-            )
-        else:
-            sort_key = lambda pair: (  # noqa: E731
-                not pair[1].is_up,
-                pair[1].name in draining,
-                pair[1].name not in in_old,
-                assigned.get(pair[1].name, 0),
-                pair[1].engine.device.now,
-                pair[0],
-            )
+        sort_key = lambda pair: (  # noqa: E731
+            not pair[1].is_up,
+            pair[1].name in draining,
+            pair[1].name not in in_old,
+            assigned.get(pair[1].name, 0),
+            pair[1].engine.device.now,
+            pair[0],
+        )
         return [
             node
             for _rank, node in sorted(enumerate(replicas), key=sort_key)
         ]
 
     def get(self, key: bytes, version: int) -> bytes:
-        """Read from the least-loaded live replica, with failover.
-
-        The paper sends requests "to the relevant nodes in parallel";
-        the simulation models that fan-out actually *spreading* load:
-        the least-loaded live replica (see :meth:`read_order`) answers
-        and absorbs the read cost, so no single device clock soaks up a
-        whole group's read traffic.
-
-        A down replica is skipped, and a replica that is up but *missing*
-        the key (it lost an unflushed tail in a crash and has not been
-        repaired yet) or whose stored frame fails its checks
-        (:class:`~repro.errors.CorruptionError`) falls through to the
-        next the same way — the parallel fan-out masks all three, and
-        only a key no live replica could serve raises.  Each is counted:
-        the node's ``skipped_gets`` / ``missing_gets`` / ``corrupt_gets``
-        ticks, and a read answered by a non-preferred replica ticks the
-        group's ``failover_gets``.
-        """
+        """A :meth:`multi_get` of one, tallied in ``gets``."""
         self.gets += 1
-        #: what the live replicas failed with; corruption outranks missing
-        failure: KeyNotFoundError | CorruptionError | None = None
-        fell_through = False
-        for node in self.read_order(key):
-            if node.is_up:
-                try:
-                    value = node.get(key, version)
-                except NodeDownError:
-                    node.skipped_gets += 1
-                except CorruptionError as exc:
-                    failure = exc
-                    node.corrupt_gets += 1
-                except KeyNotFoundError as exc:
-                    failure = failure or exc
-                    node.missing_gets += 1
-                else:
-                    if fell_through:
-                        self.failover_gets += 1
-                    return value
-            else:
-                # Skip proactively rather than paying a NodeDownError per
-                # read; the skip is visible in the node's stats.
-                node.skipped_gets += 1
-            fell_through = True
-        if failure is None:
-            raise ReplicationError(
-                f"all replicas down for key {key!r} in group {self.group_id}"
-            )
-        raise failure
+        return self.multi_get([(key, version)])[0]
 
     def multi_get(self, items, missing: str = "raise") -> List:
         """Read a batch of ``(key, version)`` pairs, one engine batch per
         node; returns the values in input order.
+
+        The paper sends requests "to the relevant nodes in parallel"; the
+        simulation models that fan-out actually *spreading* load, so no
+        single device clock soaks up a whole group's read traffic, and
+        masking a replica that is down, up but *missing* the key (it lost
+        an unflushed tail in a crash and has not been repaired yet) or
+        holding a frame that fails its checks — only a key no live
+        replica could serve raises.
 
         The scatter half of the serving fast path: each item goes to the
         head of the batch-aware :meth:`read_order` (the running per-node
@@ -501,7 +428,7 @@ class NodeGroup:
         retries on the key's next untried replica in a later round, while
         the resolved rest of the batch stands.
 
-        Counter semantics match :meth:`get`: a down replica in an item's
+        Each fall-through is counted: a down replica in an item's
         order ticks its ``skipped_gets``, an up replica missing the key
         (``None`` in its sub-batch result: a lost unflushed tail) its
         ``missing_gets``, one whose sub-batch raised
@@ -512,7 +439,7 @@ class NodeGroup:
         With every replica tried, a key raises the ``CorruptionError`` of
         a corrupt copy if it met one; else, if live replicas missed it,
         :class:`~repro.errors.KeyNotFoundError` when ``missing="raise"``
-        (the default, matching :meth:`get`) or reads as ``None`` when
+        (the default) or reads as ``None`` when
         ``missing="none"`` (the serving frontend's mode: one cold key
         must not fail a coalesced batch); with no replica up,
         :class:`~repro.errors.ReplicationError`.
@@ -630,38 +557,20 @@ class NodeGroup:
     def delete(
         self, key: bytes, version: int, missing_ok: bool = False
     ) -> int:
-        """Delete on every live replica; returns the number reached.
-
-        ``missing_ok`` (implied while the group is in transition)
-        tolerates replicas that do not hold the record yet — a new
-        placement member the migrator is still copying toward.
-        """
-        tolerant = missing_ok or self._old_member_names is not None
-        deleted = 0
-        for node in self._write_replicas_for(key):
-            try:
-                node.delete(key, version)
-                deleted += 1
-            except NodeDownError:
-                self._note_missed(node.name, "delete", key, version)
-                continue
-            except KeyNotFoundError:
-                if not tolerant:
-                    raise
-                continue
-        self._unpark({(key, version)})
-        return deleted
+        """A :meth:`delete_batch` of one."""
+        return self.delete_batch([(key, version)], missing_ok)
 
     def delete_batch(self, items, missing_ok: bool = False) -> int:
         """Delete ``(key, version)`` pairs, one engine batch per node.
 
         The batched eviction path: items partition by replica set and
         each node takes its sub-batch as a single
-        :meth:`StorageNode.delete_batch` call.  As with :meth:`delete`,
-        a down node is skipped (the version is gone fleet-wide anyway),
-        and ``missing_ok`` (implied in transition) tolerates records a
-        new placement member has not received yet: the batch falls back
-        to per-item deletes, skipping the holes.  Returns the total
+        :meth:`StorageNode.delete_batch` call.  A down node is skipped
+        and the miss noted in ``repair_backlog`` (the version is gone
+        fleet-wide anyway), and ``missing_ok`` (implied in transition)
+        tolerates records a new placement member — one the migrator is
+        still copying toward — has not received yet: the batch replays
+        in batches of one, skipping the holes.  Returns the total
         replica deletions performed.
         """
         if not items:
@@ -681,21 +590,21 @@ class NodeGroup:
                 deleted += len(sub_batch)
             except NodeDownError:
                 for key, version in sub_batch:
-                    self._note_missed(node.name, "delete", key, version)
+                    self.note_missed(node.name, "delete", key, version)
                 continue
             except KeyNotFoundError:
                 if not tolerant:
                     raise
                 # The batched call validated before touching anything,
                 # so replay item-by-item around the missing records.
-                for key, version in sub_batch:
+                for item in sub_batch:
                     try:
-                        node.delete(key, version)
+                        node.delete_batch([item])
                         deleted += 1
                     except KeyNotFoundError:
                         continue
                     except NodeDownError:
-                        self._note_missed(node.name, "delete", key, version)
+                        self.note_missed(node.name, "delete", *item)
         self._unpark({(key, version) for key, version in items})
         return deleted
 

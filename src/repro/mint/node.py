@@ -1,23 +1,61 @@
-"""One Mint storage node: a QinDB (or LSM) engine plus liveness state.
+"""One Mint storage node: a storage engine plus liveness state.
 
 A node can *fail* (its memtable vanishes; only flash survives) and later
-*recover* — for QinDB that is the paper's full AOF scan.  While a node is
-down every operation raises :class:`~repro.errors.NodeDownError`; the
-group layer routes around it.
+*recover* — the engine's own restart: for QinDB the paper's AOF scan, for
+the LSM baseline a WAL replay.  While a node is down every operation
+raises :class:`~repro.errors.NodeDownError`; the group layer routes
+around it.
+
+:class:`Engine` is everything Mint asks of a storage engine: the three
+batch verbs, and nothing per key — a single put, get or delete is a batch
+of one, so each operation has one path from the cluster down to the
+device.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from repro.errors import KeyNotFoundError, NodeDownError
-from repro.lsm.engine import LSMEngine
-from repro.qindb.checkpoint import crash as qindb_crash
-from repro.qindb.checkpoint import recover as qindb_recover
-from repro.qindb.engine import QinDB
+from repro.errors import NodeDownError
+from repro.ssd.device import SimulatedSSD
 
-Engine = Union[QinDB, LSMEngine]
-EngineFactory = Callable[[], Engine]
+#: ``(key, version)``, and the same with a value (``None``: deduplicated)
+Item = Tuple[bytes, int]
+Triple = Tuple[bytes, int, Optional[bytes]]
+
+
+class Engine(Protocol):
+    """The storage-engine interface a :class:`StorageNode` drives
+    (:class:`~repro.qindb.engine.QinDB`, and the
+    :class:`~repro.lsm.engine.LSMEngine` baseline)."""
+
+    device: SimulatedSSD
+
+    def put_batch(self, items: Sequence[Triple]) -> None:
+        """Store ``(key, version, value)`` triples."""
+
+    def get_batch(self, items: Sequence[Item]) -> List[Optional[bytes]]:
+        """Values in input order, ``None`` for an item with no live
+        record or no stored value at the end of its dedup chain."""
+
+    def delete_batch(self, items: Sequence[Item]) -> None:
+        """Delete ``(key, version)`` pairs; raises
+        :class:`~repro.errors.KeyNotFoundError` for one not live."""
+
+    def exists(self, key: bytes, version: int) -> bool:
+        """Whether a live record is stored for ``(key, version)``."""
+
+    def scan(
+        self, start_key: bytes, end_key: bytes
+    ) -> Iterator[Tuple[bytes, int, bytes]]:
+        """Live ``(key, version, value)`` rows in ``[start, end)``."""
+
+    def stats(self):
+        """A counter snapshot with at least ``user_bytes_written``,
+        ``disk_used_bytes`` and the four batch tallies."""
+
+    def restart(self) -> "Engine":
+        """Power-fail the engine; return the one its recovery rebuilds."""
 
 
 class StorageNode:
@@ -47,75 +85,39 @@ class StorageNode:
             raise NodeDownError(f"node {self.name} is down")
 
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> None:
-        self._check_up()
-        self.engine.put(key, version, value)
-        self.puts += 1
+        """A :meth:`put_batch` of one."""
+        self.put_batch([(key, version, value)])
 
     def put_batch(self, items) -> None:
-        """Store a batch of ``(key, version, value)`` triples.
-
-        QinDB takes the whole batch in one engine call (coalesced
-        appends, fingered memtable insertion); engines without a batch
-        path (the LSM baseline) fall back to per-key puts — the batch
-        API stays uniform either way.
-        """
+        """Store a batch of ``(key, version, value)`` triples in one
+        engine call."""
         self._check_up()
-        engine_batch = getattr(self.engine, "put_batch", None)
-        if engine_batch is not None:
-            engine_batch(items)
-        else:
-            for key, version, value in items:
-                self.engine.put(key, version, value)
+        self.engine.put_batch(items)
         self.puts += len(items)
 
-    def get(self, key: bytes, version: int) -> bytes:
-        self._check_up()
-        self.gets += 1
-        return self.engine.get(key, version)
+    def get(self, key: bytes, version: int) -> Optional[bytes]:
+        """A :meth:`get_batch` of one: the value, or ``None``."""
+        return self.get_batch([(key, version)])[0]
 
     def get_batch(self, items) -> list:
-        """Fetch a batch of ``(key, version)`` values in input order.
-
-        Mirrors :meth:`put_batch`: QinDB takes the whole batch in one
-        engine call (deduplicated positioned reads, coalesced multi-page
-        commands, amortized CPU); engines without a batch path (the LSM
-        baseline) fall back to per-key gets.  A missing item reads as
-        ``None`` rather than raising, so the group layer can fail over
-        individual keys while the rest of the batch stands.
+        """Fetch a batch of ``(key, version)`` values in input order, in
+        one engine call.  A missing item reads as ``None`` rather than
+        raising, so the group layer can fail over individual keys while
+        the rest of the batch stands.
         """
         self._check_up()
         self.gets += len(items)
-        engine_batch = getattr(self.engine, "get_batch", None)
-        if engine_batch is not None:
-            return engine_batch(items)
-        values = []
-        for key, version in items:
-            try:
-                values.append(self.engine.get(key, version))
-            except KeyNotFoundError:
-                values.append(None)
-        return values
+        return self.engine.get_batch(items)
 
     def delete(self, key: bytes, version: int) -> None:
-        self._check_up()
-        self.engine.delete(key, version)
-        self.deletes += 1
+        """A :meth:`delete_batch` of one."""
+        self.delete_batch([(key, version)])
 
     def delete_batch(self, items) -> None:
-        """Delete a batch of ``(key, version)`` pairs.
-
-        Mirrors :meth:`put_batch`: QinDB takes the whole batch in one
-        engine call (coalesced tombstone appends, one GC/checkpoint
-        poll); engines without a batch path fall back to per-key
-        deletes.
-        """
+        """Delete a batch of ``(key, version)`` pairs in one engine
+        call."""
         self._check_up()
-        engine_batch = getattr(self.engine, "delete_batch", None)
-        if engine_batch is not None:
-            engine_batch(items)
-        else:
-            for key, version in items:
-                self.engine.delete(key, version)
+        self.engine.delete_batch(items)
         self.deletes += len(items)
 
     def exists(self, key: bytes, version: int) -> bool:
@@ -130,29 +132,16 @@ class StorageNode:
     def recover(self) -> float:
         """Bring the node back; returns simulated recovery seconds.
 
-        A QinDB node rebuilds its memtable and GC table by scanning every
-        AOF (the paper's stated recovery cost); an LSM node replays its
-        WAL (its SSTable metadata persists in a manifest).
+        The engine restarts itself: a QinDB node rebuilds its memtable
+        and GC table from its AOFs (the paper's stated recovery cost), an
+        LSM node replays its WAL (its SSTable metadata persists in a
+        manifest).
         """
         if self.is_up:
             return 0.0
         device = self.engine.device
         started = device.now
-        if isinstance(self.engine, QinDB):
-            checkpoint = self.engine.latest_checkpoint
-            checkpoint_valid = self.engine.checkpoint_valid
-            aofs = qindb_crash(self.engine)
-            self.engine = qindb_recover(
-                aofs,
-                config=self.engine.config,
-                checkpoint=checkpoint,
-                checkpoint_valid=checkpoint_valid,
-            )
-        else:
-            from repro.lsm.recovery import crash as lsm_crash
-            from repro.lsm.recovery import recover as lsm_recover
-
-            self.engine = lsm_recover(lsm_crash(self.engine))
+        self.engine = self.engine.restart()
         self.is_up = True
         self.recoveries += 1
         self.last_recovery_seconds = device.now - started

@@ -17,8 +17,7 @@ from itertools import accumulate
 from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import StorageError
-from repro.qindb.records import Frame, Record, decode_record, decode_value
-from repro.qindb.records import encode_record, scan_frames
+from repro.qindb.records import Frame, decode_value, scan_frames
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -67,23 +66,14 @@ class AofSegment:
         return self._unit.size >= self.capacity_bytes
 
     # ------------------------------------------------------------------
-    def append(self, record: Record) -> RecordLocation:
-        """Append one record; caller must have checked :attr:`is_full`."""
-        if self.is_full:
-            raise StorageError(f"segment {self.segment_id} is full")
-        encoded = encode_record(record)
-        offset = self._unit.append(encoded)
-        self.record_count += 1
-        return RecordLocation(self.segment_id, offset, len(encoded))
-
     def append_encoded_batch(
         self, encoded: List[bytes]
     ) -> Tuple[List[RecordLocation], int]:
         """Append as many of the pre-encoded frames as fit, back-to-back.
 
-        Admission mirrors the one-at-a-time path exactly: a frame is
-        accepted while the segment is not yet full, so the split point
-        across segments is the same the sequential path would choose.
+        A frame is accepted while the segment is not yet full, so the
+        split point across segments does not depend on how the frames
+        were batched.
         The accepted frames go to the unit in one
         :meth:`~repro.ssd.native.NativeUnit.append_many` call so the
         device layer can coalesce their full pages into multi-page
@@ -126,14 +116,6 @@ class AofSegment:
         return StorageError(
             f"location {location} does not belong to segment {self.segment_id}"
         )
-
-    def read(self, location: RecordLocation) -> Record:
-        """Read and decode the whole record at ``location``."""
-        if location.segment_id != self.segment_id:
-            raise self._foreign(location)
-        return decode_record(
-            self._unit.read(location.offset, location.length)
-        )[0]
 
     def read_value(self, location: RecordLocation) -> bytes:
         """Read the frame at ``location``, verify it, return its value."""
@@ -208,9 +190,6 @@ class _FileUnit:
     @property
     def occupied_bytes(self) -> int:
         return self._file.page_count * self._fs.page_size
-
-    def append(self, data: bytes) -> int:
-        return self._file.append(data)
 
     def append_many(self, chunks) -> int:
         """No native coalescing through the FTL: one append per chunk."""
@@ -299,15 +278,6 @@ class AofManager:
         return sum(s.occupied_bytes for s in self._segments.values())
 
     # ------------------------------------------------------------------
-    def append(self, record: Record) -> RecordLocation:
-        """Append a record to the active segment, rolling over if full."""
-        segment = self._active
-        if segment is None or segment.is_full:
-            segment = self._open_segment()
-        location = segment.append(record)
-        self.bytes_appended += location.length
-        return location
-
     def append_encoded_batch(
         self, encoded: List[bytes]
     ) -> Tuple[List[RecordLocation], List[Tuple[int, int]]]:
@@ -316,7 +286,7 @@ class AofManager:
 
         Frames land in input order; within one segment their full pages
         coalesce into multi-page device programs.  Segment split points
-        match what sequential :meth:`append` calls would produce.
+        are those of appending the frames in batches of one.
         Returns the frames' locations and one ``(segment_id, nbytes)``
         per segment written — what the GC table accounts.
         """
@@ -333,13 +303,6 @@ class AofManager:
             appended.append((segment.segment_id, nbytes))
             locations += accepted
         return locations, appended
-
-    def read(self, location: RecordLocation) -> Record:
-        """The whole :class:`Record` at ``location``: kept for the
-        hash-index baseline (``repro.hashkv``) alone.  QinDB's reads take
-        :meth:`read_values` / :meth:`AofSegment.read_value` and build no
-        ``Record``."""
-        return self.segment(location.segment_id).read(location)
 
     def read_values(self, locations: List[RecordLocation]) -> List[bytes]:
         """Read a batch of verified values, grouped per owning segment.

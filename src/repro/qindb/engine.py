@@ -2,15 +2,16 @@
 
 The engine wires the paper's pieces together over one simulated SSD:
 
-* :meth:`QinDB.put` appends the (possibly value-less) record to the active
-  AOF and inserts the memtable item — no disk sorting, ever;
-* :meth:`QinDB.put_batch` is the slice-granular ingest path: the same
-  records back-to-back, with page programs coalesced and per-key
-  bookkeeping amortised;
-* :meth:`QinDB.get` resolves deduplicated items by *traceback*: walk to
-  older versions of the same key until one carries a value;
-* :meth:`QinDB.delete` only sets the ``d`` flag and updates the GC table
-  (plus a small tombstone append so deletes survive recovery);
+* :meth:`QinDB.put_batch` appends the (possibly value-less) records to
+  the active AOF back-to-back, page programs coalesced, and inserts the
+  memtable items — no disk sorting, ever;
+* :meth:`QinDB.get_batch` resolves deduplicated items by *traceback*:
+  walk to older versions of the same key until one carries a value;
+* :meth:`QinDB.delete_batch` only sets the ``d`` flag and updates the GC
+  table (plus a small tombstone append so deletes survive recovery);
+* :meth:`QinDB.put` / :meth:`~QinDB.get` / :meth:`~QinDB.delete` — the
+  paper's Figure 2 verbs — are those three with a batch of one: there is
+  one write path, one read path and one delete path;
 * the **lazy GC** collects a segment when its occupancy falls to the
   threshold, *deferring* while reads are in flight and free space remains;
   collection re-appends live records and dead-but-referenced records (a
@@ -45,7 +46,6 @@ import zlib
 
 from repro.qindb.records import (
     MAGIC,
-    Record,
     RecordType,
     _CRC_PREFIX,
     _HEADER,
@@ -128,10 +128,10 @@ class QinDBStats:
     read_cache_evictions: int = 0
     read_cache_invalidated: int = 0
     read_cache_used_bytes: int = 0
-    # Batched write path (all zero while only single puts are issued).
+    # ``put_batch`` calls and their items (a ``put`` is one of one).
     put_batches: int = 0
     batched_puts: int = 0
-    # Batched read path (all zero while only single gets are issued).
+    # ``get_batch`` calls and their items (a ``get`` is one of one).
     get_batches: int = 0
     batched_gets: int = 0
     #: host program commands the device served; batched appends coalesce
@@ -234,33 +234,17 @@ class QinDB:
     # ------------------------------------------------------------------
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> None:
         """Store ``(key/version, value)``; ``value=None`` means the pair
-        was deduplicated upstream and arrives value-less."""
-        self._check_open()
-        if not isinstance(key, bytes) or not key:
-            raise StorageError("key must be non-empty bytes")
-        deduplicated = value is None
-        sequence = self._next_sequence()
-        if deduplicated:
-            record = Record(RecordType.PUT_DEDUP, key, version, sequence=sequence)
-        else:
-            record = Record(
-                RecordType.PUT_VALUE, key, version, value, sequence=sequence
-            )
-        location = self.aofs.append(record)
-        self.gc_table.record_appended(location.segment_id, location.length)
-        previous = self.memtable.put(
-            key, version, location, deduplicated, sequence=sequence
-        )
-        if previous is not None and not previous.deleted:
-            # The old record's bytes just became dead; an already-deleted
-            # previous item was accounted dead when it was deleted.
-            self.gc_table.record_dead(
-                previous.location.segment_id, previous.location.length
-            )
-        self.user_bytes_written += len(key) + (0 if value is None else len(value))
-        self._charge_cpu()
-        self._maybe_gc()
-        self._maybe_checkpoint()
+        was deduplicated upstream and arrives value-less.
+
+        A :meth:`put_batch` of one.  The device is charged as for any
+        batch: a frame spanning several pages programs as one striped
+        command per block rather than one command per page (200 puts of
+        16 KB at the default ``TimingModel``: 0.061 s / 206 write ops,
+        where the former per-key path charged 0.201 s / 801); a frame
+        that completes at most one page — and every figure run at
+        ``channel_parallelism=1`` — costs what it always did.
+        """
+        self.put_batch([(key, version, value)])
 
     def put_batch(
         self, items: Sequence[Tuple[bytes, int, Optional[bytes]]]
@@ -388,31 +372,15 @@ class QinDB:
 
     def get(self, key: bytes, version: int) -> bytes:
         """Fetch the value of ``(key, version)``, tracebacking through
-        deduplicated versions; raises :class:`KeyNotFoundError` if the
-        item is absent or deleted, or if the dedup chain is broken.
-
-        :meth:`Memtable.resolve` finds the item *and* its traceback
-        target in one search plus neighbour hops.
-        """
-        self._check_open()
-        item, older = self.memtable.resolve(key, version)
-        self._charge_cpu()
-        if item is None or item.deleted:
-            raise KeyNotFoundError(f"no live item for {key!r}/{version}")
-        self.reads_in_flight += 1
-        try:
-            if item.has_value:
-                value = self._read_value(item.location)
-            elif older is not None:
-                value = self._read_value(older.location)
-            else:
-                raise KeyNotFoundError(
-                    f"dedup chain for {key!r}/{version} reaches no stored value"
-                )
-            self.user_bytes_read += len(key) + len(value)
-            return value
-        finally:
-            self.reads_in_flight -= 1
+        deduplicated versions — a :meth:`get_batch` of one; raises
+        :class:`KeyNotFoundError` where that reads ``None``."""
+        value = self.get_batch([(key, version)])[0]
+        if value is None:
+            raise KeyNotFoundError(
+                f"no live item for {key!r}/{version}, or its dedup chain "
+                f"reaches no stored value"
+            )
+        return value
 
     def get_batch(
         self, items: Sequence[Tuple[bytes, int]]
@@ -493,35 +461,16 @@ class QinDB:
         return results
 
     def delete(self, key: bytes, version: int) -> None:
-        """Flag ``(key, version)`` deleted and feed the GC table.
-
-        The data is *not* touched; reclamation happens when the segment's
-        occupancy crosses the threshold and the lazy GC collects it.
-        """
-        self._check_open()
-        item = self.memtable.get(key, version)
-        self._charge_cpu()
-        if item is None or item.deleted:
-            raise KeyNotFoundError(f"no live item for {key!r}/{version}")
-        item.deleted = True
-        self.gc_table.record_dead(item.location.segment_id, item.location.length)
-        # Persist a tombstone so the delete survives a recovery scan.
-        tombstone = Record(
-            RecordType.DELETE, key, version, sequence=self._next_sequence()
-        )
-        location = self.aofs.append(tombstone)
-        self.gc_table.record_appended(location.segment_id, location.length)
-        self.gc_table.record_dead(location.segment_id, location.length)
-        self._maybe_gc()
-        # Tombstones append bytes too: a delete-heavy phase must hit the
-        # periodic checkpoint the same way a put-heavy one does.
-        self._maybe_checkpoint()
+        """Flag ``(key, version)`` deleted: a :meth:`delete_batch` of one."""
+        self.delete_batch([(key, version)])
 
     def delete_batch(self, items: Sequence[Tuple[bytes, int]]) -> None:
         """Flag a batch of ``(key, version)`` items deleted in one pass.
 
-        The batched eviction path (dropping a retired index version
-        deletes every key it ingested): all items are validated before
+        The data is *not* touched; reclamation happens when a segment's
+        occupancy crosses the threshold and the lazy GC collects it.  All
+        items (dropping a retired index version deletes every key it
+        ingested) are validated before
         any state changes — a missing or already-deleted item (including
         a duplicate within the batch) raises :class:`KeyNotFoundError`
         with the engine untouched — then the flags and GC accounting
@@ -715,10 +664,6 @@ class QinDB:
                 f"dedup chain for {key!r}/{version} reaches no stored value"
             )
         return self._read_value(older.location)
-
-    def _next_sequence(self) -> int:
-        self._sequence += 1
-        return self._sequence
 
     def _charge_cpu(self) -> None:
         steps = self.memtable.last_search_steps
@@ -942,3 +887,16 @@ class QinDB:
         if not self._closed:
             self.aofs.flush()
             self._closed = True
+
+    def restart(self) -> "QinDB":
+        """Power-fail this engine and return the one recovery rebuilds
+        from what reached flash: the newest checkpoint while it is still
+        valid, else the paper's full AOF scan."""
+        from repro.qindb.checkpoint import crash, recover
+
+        return recover(
+            crash(self),
+            config=self.config,
+            checkpoint=self.latest_checkpoint,
+            checkpoint_valid=self.checkpoint_valid,
+        )

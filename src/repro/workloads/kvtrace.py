@@ -95,9 +95,10 @@ def replay_trace(
 ) -> TraceReplayResult:
     """Apply ``ops`` to ``engine``, sampling counters per sim interval.
 
-    ``engine`` is anything with the QinDB interface plus ``device`` and
-    ``stats()``.  GETs on missing keys are tolerated (counted but not
-    fatal) so read probes can run against partially loaded stores.
+    ``engine`` is anything with the batch verbs of
+    :class:`~repro.mint.node.Engine` plus ``user_bytes_written``; each op
+    is a batch of one.  GETs on missing keys are tolerated (counted but
+    not fatal) so read probes can run against partially loaded stores.
 
     ``pace_user_bytes_per_s`` throttles the *offered* user-write rate, as
     the paper's replayed index stream is paced by index arrival.  The
@@ -127,17 +128,14 @@ def replay_trace(
                 target = start + engine.user_bytes_written / pace_user_bytes_per_s
                 if device.now < target:
                     device.advance(target - device.now)
-            engine.put(op.key, op.version, op.value)
+            engine.put_batch([(op.key, op.version, op.value)])
         elif op.kind is OpKind.DELETE:
             try:
-                engine.delete(op.key, op.version)
+                engine.delete_batch([(op.key, op.version)])
             except KeyNotFoundError:
                 pass
         else:
-            try:
-                engine.get(op.key, op.version)
-            except KeyNotFoundError:
-                pass
+            engine.get_batch([(op.key, op.version)])
         applied += 1
         sampler.maybe_sample(device.now, counters)
     sampler.finalize(device.now, counters())

@@ -13,8 +13,8 @@ Two entry points:
   (admitted/shed/not-found counts, latency percentiles, shed rate) plus
   live handles.
 * :func:`run_multiget_ablation` — the A13 acceptance measurement: the
-  same zipfian read set served per-key versus through the batched fast
-  path, with a value digest proving the two arms returned byte-identical
+  same zipfian read set through ``multi_get`` in batches of one versus
+  64, with a value digest proving the two arms returned byte-identical
   results.  Throughput is keys per simulated device-second, so the
   number is deterministic and CI-stable.
 
@@ -44,6 +44,8 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError, OverloadError
@@ -298,7 +300,7 @@ def run_serving(
 
 
 # ----------------------------------------------------------------------
-# A13: per-key versus batched read path on the same zipfian read set
+# A13: batch size 1 versus 64 on the same zipfian read set
 # ----------------------------------------------------------------------
 
 
@@ -330,7 +332,8 @@ def run_multiget_ablation(
     batch_size: int = 64,
     seed: int = 97,
 ) -> Dict[str, object]:
-    """Per-key loop versus ``multi_get`` on byte-identical read sets.
+    """``multi_get`` at batch size 1 versus ``batch_size`` on
+    byte-identical read sets — one code path, two batch sizes.
 
     Both arms bootstrap their own (identical, seeded) fleet, serve the
     same zipfian read set, and report keys per simulated device-second.
@@ -338,7 +341,7 @@ def run_multiget_ablation(
     — the fast path is only fast if it is also *right*.
     """
 
-    def arm(batched: bool) -> Dict[str, object]:
+    def arm(size: int) -> Dict[str, object]:
         system = build_serving_system(tracing=False)
         system.run_update_cycle()
         reads = _zipfian_reads(system, reads_per_dc, seed)
@@ -346,28 +349,14 @@ def run_multiget_ablation(
         before = sum(
             _device_seconds(cluster) for cluster in system.clusters.values()
         )
-        if batched:
-            by_dc: Dict[str, List[tuple]] = {}
-            for dc, key, version in reads:
-                by_dc.setdefault(dc, []).append((key, version))
-            values: Dict[str, List] = {}
-            for dc in sorted(by_dc):
-                items = by_dc[dc]
-                got: List = []
-                for start in range(0, len(items), batch_size):
-                    got.extend(
-                        system.clusters[dc].multi_get(
-                            items[start : start + batch_size]
-                        )
-                    )
-                values[dc] = got
-            cursor = {dc: 0 for dc in by_dc}
-            for dc, _key, _version in reads:
-                digest.update(values[dc][cursor[dc]])
-                cursor[dc] += 1
-        else:
-            for dc, key, version in reads:
-                digest.update(system.clusters[dc].get(key, version))
+        # ``reads`` comes grouped by DC, so batches keep its order.
+        for dc, run in groupby(reads, key=itemgetter(0)):
+            items = [(key, version) for _dc, key, version in run]
+            for start in range(0, len(items), size):
+                for value in system.clusters[dc].multi_get(
+                    items[start : start + size]
+                ):
+                    digest.update(value)
         device_s = (
             sum(
                 _device_seconds(cluster)
@@ -384,8 +373,8 @@ def run_multiget_ablation(
             "digest": digest.hexdigest(),
         }
 
-    per_key = arm(batched=False)
-    batched = arm(batched=True)
+    per_key = arm(1)
+    batched = arm(batch_size)
     return {
         "reads_per_dc": reads_per_dc,
         "batch_size": batch_size,

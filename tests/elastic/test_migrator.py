@@ -5,7 +5,7 @@ import types
 import pytest
 
 from repro.elastic.migrator import Migrator, MigratorConfig
-from repro.errors import ConfigError, MigrationError
+from repro.errors import ConfigError, MigrationError, ReplicationError
 from repro.mint.cluster import MintCluster, MintConfig
 from repro.simulation.kernel import Simulator
 from repro.workloads.chaos import fleet_state
@@ -142,6 +142,34 @@ def test_version_dropped_mid_move_is_never_resurrected():
     for key in keys:
         assert replica_copies(cluster, key, 1) == 0
         assert cluster.get(key, 2) == b"v" * 16
+
+
+def test_read_of_a_moving_slot_falls_back_to_the_new_owner():
+    """Mid-move the old owner is authoritative; with every replica of it
+    down, a dual-applied key still reads from the new owner — through
+    ``get`` and ``multi_get`` alike, beside items of settled slots."""
+    _sim, cluster, _migrator = build(groups=2)
+    key, steady = b"key-moving", b"key-steady"
+    source = cluster.group_for(key)
+    target = next(group for group in cluster.groups if group is not source)
+    assert cluster.group_for(steady) is target  # a slot that is not moving
+    cluster.begin_slot_move(cluster.slot_for(key), target)
+    cluster.put(key, 1, b"dual-applied")
+    cluster.put(steady, 1, b"settled")
+    assert replica_copies(cluster, key, 1) == 6
+    # while the old owner serves, the new one is not consulted
+    assert cluster.get(key, 1) == b"dual-applied"
+    assert sum(node.gets for node in target.nodes) == 0
+
+    for node in source.nodes:
+        node.fail()
+    assert cluster.get(key, 1) == b"dual-applied"
+    assert cluster.multi_get([(key, 1)], missing="none") == [b"dual-applied"]
+    assert cluster.multi_get([(steady, 1), (key, 1)]) == [
+        b"settled", b"dual-applied",
+    ]
+    with pytest.raises(ReplicationError):
+        source.multi_get([(key, 1)])
 
 
 def test_dedup_chain_bases_migrate_with_their_referents():

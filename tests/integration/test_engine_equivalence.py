@@ -1,7 +1,8 @@
 """Property test: QinDB and the LSM agree operation-for-operation.
 
 Both engines implement the same versioned KV interface with dedup
-traceback.  They have one documented semantic divergence — QinDB's
+traceback, per key and as the batch verbs of the ``Engine`` protocol.
+They have one documented semantic divergence — QinDB's
 referent rule lets a *deleted* value keep serving newer deduplicated
 versions, while an LSM tombstone shadows it — so the generated workloads
 here never delete a version that a newer deduplicated version still
@@ -11,12 +12,14 @@ exist).  Under that contract the engines must agree exactly, flushes,
 compactions, and GC included.
 """
 
-import pytest
+from itertools import groupby
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KeyNotFoundError
 from repro.lsm.engine import LSMConfig, LSMEngine
+from repro.mint.node import Engine
 from repro.qindb.engine import QinDB, QinDBConfig
 
 KEYS = [b"site-a", b"site-b"]
@@ -86,6 +89,46 @@ def safe_workloads(draw):
     return ops
 
 
+def drive(engine: Engine, ops, grouped: bool):
+    """Apply ``ops``; return every read's outcome, then a full sweep's.
+
+    Per key, through ``put`` / ``get`` / ``delete``; or ``grouped``, each
+    run of one verb — a version's puts, an expiry's deletes, the sweep —
+    as one batch through the :class:`Engine` protocol.  A read of nothing
+    is ``None`` either way.
+    """
+    outcomes = []
+    sweep = [
+        (key, version)
+        for key in KEYS
+        for version in range(1, max((op[2] for op in ops), default=0) + 1)
+    ]
+    runs = [
+        (verb, [op[1:] for op in run])
+        for verb, run in groupby(ops, key=lambda op: op[0])
+    ] + [("get", sweep)]
+    for verb, items in runs:
+        if grouped:
+            if verb == "put":
+                engine.put_batch(items)
+            elif verb == "delete":
+                engine.delete_batch(items)
+            else:
+                outcomes += zip(items, engine.get_batch(items))
+            continue
+        for item in items:
+            if verb == "put":
+                engine.put(*item)
+            elif verb == "delete":
+                engine.delete(*item)
+            else:
+                try:
+                    outcomes.append((item, engine.get(*item)))
+                except KeyNotFoundError:
+                    outcomes.append((item, None))
+    return outcomes
+
+
 @settings(
     max_examples=40,
     deadline=None,
@@ -93,32 +136,9 @@ def safe_workloads(draw):
 )
 @given(ops=safe_workloads())
 def test_property_engines_agree(ops):
+    """Both engines, driven per key and per version, give one answer."""
     qindb, lsm = build_engines()
-    max_version = 0
-    for op in ops:
-        action, key, version = op[0], op[1], op[2]
-        max_version = max(max_version, version)
-        if action == "put":
-            qindb.put(key, version, op[3])
-            lsm.put(key, version, op[3])
-        elif action == "delete":
-            qindb.delete(key, version)
-            lsm.delete(key, version)
-        else:
-            q_outcome = _get(qindb, key, version)
-            l_outcome = _get(lsm, key, version)
-            assert q_outcome == l_outcome, (action, key, version)
-    # Full final sweep across every (key, version).
-    for key in KEYS:
-        for version in range(1, max_version + 1):
-            assert _get(qindb, key, version) == _get(lsm, key, version), (
-                key,
-                version,
-            )
-
-
-def _get(engine, key, version):
-    try:
-        return engine.get(key, version)
-    except KeyNotFoundError:
-        return KeyNotFoundError
+    expected = drive(qindb, ops, grouped=False)
+    assert drive(lsm, ops, grouped=False) == expected
+    for engine in build_engines():
+        assert drive(engine, ops, grouped=True) == expected, type(engine)

@@ -4,15 +4,27 @@ import pytest
 
 from repro.errors import StorageError
 from repro.qindb.aof import AofManager, RecordLocation
-from repro.qindb.records import Record, RecordType, encode_record
+from repro.qindb.records import Record, RecordType, decode_record, encode_record
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
+
+
+class RecordAofs(AofManager):
+    """One ``Record`` in, one ``Record`` out, spelled through the
+    manager's frame API (a batch of one; a positioned unit read)."""
+
+    def append(self, record: Record) -> RecordLocation:
+        return self.append_encoded_batch([encode_record(record)])[0][0]
+
+    def read(self, location: RecordLocation) -> Record:
+        unit = self.segment(location.segment_id)._unit
+        return decode_record(unit.read(location.offset, location.length))[0]
 
 
 @pytest.fixture
 def manager():
     geometry = SSDGeometry(block_count=64, pages_per_block=8, page_size=512)
-    return AofManager(SimulatedSSD(geometry), segment_bytes=3 * 512 * 8)
+    return RecordAofs(SimulatedSSD(geometry), segment_bytes=3 * 512 * 8)
 
 
 def rec(key: bytes, version: int = 1, size: int = 100) -> Record:
@@ -123,7 +135,7 @@ def test_read_values_order_and_device_charge():
     twins = []
     for _ in range(2):
         geometry = SSDGeometry(block_count=64, pages_per_block=8, page_size=512)
-        manager = AofManager(SimulatedSSD(geometry), segment_bytes=3 * 512 * 8)
+        manager = RecordAofs(SimulatedSSD(geometry), segment_bytes=3 * 512 * 8)
         locations = [
             manager.append(rec(f"k{i}".encode(), size=40 + 97 * (i % 9)))
             for i in range(40)

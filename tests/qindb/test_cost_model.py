@@ -92,3 +92,23 @@ def test_charge_depends_on_size_not_on_insertion_order():
         == (64).bit_length()
     )
     assert forward.device.now == pytest.approx(backward.device.now, rel=1e-9)
+
+
+@pytest.mark.parametrize("size", [200, 3000, 16 * 1024])
+def test_put_is_charged_as_a_batch_of_one(size):
+    """``put`` is ``put_batch`` of one item, to the device as well: a
+    frame spanning several pages programs as one striped command per
+    block (the per-key body this replaced programmed page by page — 801
+    commands for 200 puts of 16 KB where this path takes 206)."""
+    single, batched = (
+        QinDB.with_capacity(32 * 1024 * 1024, config=CONFIG) for _ in range(2)
+    )
+    for index in range(20):
+        item = (b"key-%03d" % index, 1, bytes([index]) * size)
+        single.put(*item)
+        batched.put_batch([item])
+    assert single.device.now == batched.device.now
+    counters = single.device.counters
+    assert counters.host_write_ops == batched.device.counters.host_write_ops
+    if size > 2 * single.device.geometry.page_size:
+        assert counters.host_write_ops < counters.host_pages_written

@@ -1,8 +1,8 @@
 """Differential test: frame-level GC against the per-record collector.
 
 :class:`ReferenceQinDB` carries the collector this repo shipped before
-frame-level GC — decode every record of the victim, one ``aofs.append``
-per survivor — verbatim.  Two engines are driven with the same
+frame-level GC — decode every record of the victim, one re-encoded
+append per survivor — verbatim.  Two engines are driven with the same
 ``put_batch`` / ``delete_batch`` / ``collect_segment`` sequences over
 tiny blocks and segments (so survivors roll across a segment boundary
 mid-collection) and must agree, after every collection, on every stored
@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.qindb.aof import RecordLocation
 from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
-from repro.qindb.records import RecordType, scan_frames, scan_records
+from repro.qindb.records import RecordType, encode_record, scan_frames
+from repro.qindb.records import scan_records
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 
@@ -60,17 +61,21 @@ class ReferenceQinDB(QinDB):
         self._gc_since_checkpoint = True
         return {}
 
+    def _append(self, record):
+        """One re-encoded record onto the active AOF; its location."""
+        return self.aofs.append_encoded_batch([encode_record(record)])[0][0]
+
     def _gc_tombstone(self, record):
         item = self.memtable.get(record.key, record.version)
         if item is None or not item.deleted:
             return
-        location = self.aofs.append(record)
+        location = self._append(record)
         self.gc_table.record_appended(location.segment_id, location.length)
         self.gc_table.record_dead(location.segment_id, location.length)
         self.gc_bytes_reappended += location.length
 
     def _reappend(self, record, item):
-        location = self.aofs.append(record)
+        location = self._append(record)
         self.gc_table.record_appended(location.segment_id, location.length)
         item.location = location
         if item.deleted:
