@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.bifrost.encoding import WireDecoder
@@ -28,6 +28,7 @@ from repro.mint.hashing import stable_hash
 from repro.mint.integrity import IntegrityIndex
 from repro.mint.node import Engine, StorageNode
 from repro.qindb.engine import QinDB, QinDBConfig
+from repro.qindb.records import Bodies
 
 _KIND_PREFIX = {
     IndexKind.FORWARD: b"F:",
@@ -392,34 +393,40 @@ class MintCluster:
         Each group receives its keys as one batch (and fans them out as
         one engine batch per node), so slice-granular ingest costs a
         handful of batched passes instead of a put per key per replica.
+        The record bodies are built at most once on the way down — here,
+        unless the caller's batch already carries them — and each group
+        takes its share of them.
         Returns the total replica writes performed.
         """
-        by_group: Dict[int, List[tuple]] = {}
+        items = Bodies.of(items)
+        #: group id -> indices into ``items``, ascending
+        by_group: Dict[int, List[int]] = {}
         if self._moving_slots:
             # Slot-move slow path: items in a moving slot dual-apply to
             # both owners, so the new group is complete at cutover.
             moving = self._moving_slots
             slot_count = self.slot_count
             slot_map = self._slot_map
-            for item in items:
+            for index, item in enumerate(items):
                 slot = stable_hash(item[0]) % slot_count
                 move = moving.get(slot)
                 if move is None:
                     by_group.setdefault(
                         slot_map[slot].group_id, []
-                    ).append(item)
+                    ).append(index)
                 else:
-                    by_group.setdefault(move[0].group_id, []).append(item)
-                    by_group.setdefault(move[1].group_id, []).append(item)
+                    by_group.setdefault(move[0].group_id, []).append(index)
+                    by_group.setdefault(move[1].group_id, []).append(index)
         else:
-            for item in items:
+            for index, item in enumerate(items):
                 by_group.setdefault(
                     self.group_for(item[0]).group_id, []
-                ).append(item)
+                ).append(index)
         total = 0
         for group in self.groups:
-            batch = by_group.get(group.group_id)
-            if batch:
+            indices = by_group.get(group.group_id)
+            if indices:
+                batch = items.take(indices)
                 if self.trace is not None:
                     with self.trace.span(
                         "ingest_group", group=group.group_id, keys=len(batch)
@@ -609,21 +616,22 @@ class MintCluster:
 
         Shared by plain ingest (the slice's own entries) and wire ingest
         (the decoder's output) — both produce byte-identical stores.
+        The record bodies and their checksums are built here, once for
+        this data center: every replica frames the same bodies, and the
+        integrity index keeps the checksums as its leaves.
         """
-        batch = [
-            (storage_key(entry.kind, entry.key), item.version, entry.value)
-            for entry in entries
-        ]
+        batch = Bodies(
+            [
+                (storage_key(entry.kind, entry.key), item.version, entry.value)
+                for entry in entries
+            ]
+        )
         self.put_batch(batch)
         self.version_keys.setdefault(item.version, []).extend(
-            skey for skey, _version, _value in batch
+            map(itemgetter(0), batch)
         )
         self.integrity.absorb(
-            item,
-            [
-                (skey, value, entry.signature)
-                for (skey, _version, value), entry in zip(batch, entries)
-            ],
+            item, batch, [entry.signature for entry in entries]
         )
         return len(batch)
 

@@ -19,6 +19,7 @@ from repro.errors import (
 )
 from repro.mint.hashing import rendezvous_ranking, weighted_rendezvous_ranking
 from repro.mint.node import StorageNode
+from repro.qindb.records import Bodies
 
 
 class NodeGroup:
@@ -261,7 +262,11 @@ class NodeGroup:
         sub-batch of items it replicates, in input order, as a single
         :meth:`StorageNode.put_batch` call — so a slice's worth of keys
         costs each engine one batched pass instead of one put per key
-        per replica.  A down node drops its whole sub-batch, each item
+        per replica.  The record bodies are built once
+        (:class:`~repro.qindb.records.Bodies`, here unless the batch
+        arrives with them) and every replica's sub-batch shares them:
+        a record is checksummed and assembled once, not once per copy.
+        A down node drops its whole sub-batch, each item
         noted in ``repair_backlog`` (the update pipeline repairs it on
         recovery), and the write is reported partial via the return
         value; an item *no* live replica accepted parks in
@@ -270,30 +275,33 @@ class NodeGroup:
         """
         if not items:
             return 0
-        # Buckets key on the node *object* (identity hash), sparing the
-        # per-item-per-replica ``node.name`` attribute loads.  During an
-        # elastic transition the bucketing switches to the dual-apply
-        # union so both placement epochs see the batch.
-        per_node: Dict[StorageNode, List] = {}
+        items = Bodies.of(items)
         if self._old_member_names is None:
             replicas_for = self.replicas_for
         else:
             replicas_for = self._write_replicas_for
+        # Buckets key on the node *object* (identity hash), sparing the
+        # per-item-per-replica ``node.name`` attribute loads, and hold
+        # indices: a node's share is cut from the shared batch once.
+        # During an elastic transition ``replicas_for`` is the dual-apply
+        # union, so both placement epochs see the batch.
+        per_node: Dict[StorageNode, List[int]] = {}
         get_bucket = per_node.get
-        for item in items:
+        for index, item in enumerate(items):
             for node in replicas_for(item[0]):
                 bucket = get_bucket(node)
                 if bucket is None:
-                    per_node[node] = [item]
+                    per_node[node] = [index]
                 else:
-                    bucket.append(item)
+                    bucket.append(index)
         written = 0
         delivered: set = set()
         any_down = False
         for node in self.nodes:
-            sub_batch = per_node.get(node)
-            if not sub_batch:
+            indices = per_node.get(node)
+            if not indices:
                 continue
+            sub_batch = items.take(indices)
             try:
                 node.put_batch(sub_batch)
             except NodeDownError:

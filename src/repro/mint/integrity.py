@@ -6,9 +6,12 @@ integrity *tiered* instead:
 
 * **ingest time (cheap)** — one CRC32 *leaf checksum* per record, a
   Merkle-style tree of CRC32 combines above the leaves, and a single
-  BLAKE2b *seal* over each slice's Merkle root.  Cost per record is one
-  CRC plus O(1) amortised combines; the only cryptographic hash is one
-  per slice.
+  BLAKE2b *seal* over each slice's Merkle root.  The leaf is the
+  record's *body checksum* — the CRC the storage frame is sealed with
+  (:mod:`repro.qindb.records`), computed once when the slice's bodies
+  are built — so absorbing a slice hashes no record at all: the cost is
+  O(1) amortised combines per record and one cryptographic hash per
+  slice.
 * **audit time (rare)** — :class:`repro.faults.repair.ReplicaRepairer`
   samples ``ceil(log2(n)) + 1`` records per slice, recomputes their leaf
   checksums from the stored bytes, verifies each leaf's Merkle path up
@@ -30,27 +33,28 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.bifrost.signature import SIGNATURE_BYTES
 from repro.indexing.types import IndexKind
+from repro.qindb.records import Bodies
 
 _LEAF_HEADER = struct.Struct("<IB")  # version, dedup flag
 _COMBINE = struct.Struct("<II")
 
 
 def leaf_checksum(key: bytes, version: int, value: Optional[bytes]) -> int:
-    """CRC32 leaf over one record: key, version, and stored bytes.
+    """CRC32 leaf over one record: the checksum of its stored body.
 
-    ``value is None`` marks a deduplicated record (the store kept a
-    version marker, not bytes); the flag is covered so a marker and an
-    empty value cannot collide.
+    What an audit recomputes from the bytes a replica holds, and what
+    ingest took from the built batch.  ``value is None`` marks a
+    deduplicated record (the store kept a version marker, not bytes);
+    the body's type field differs, so a marker and an empty value cannot
+    collide.
     """
-    crc = zlib.crc32(key)
-    crc = zlib.crc32(_LEAF_HEADER.pack(version, 1 if value is None else 0), crc)
-    if value is not None:
-        crc = zlib.crc32(value, crc)
-    return crc & 0xFFFFFFFF
+    return Bodies([(key, version, value)]).checksums[0]
 
 
 def combine_checksums(left: int, right: int) -> int:
@@ -183,21 +187,21 @@ class IntegrityIndex:
     def tracked_slices(self) -> int:
         return len(self._slices)
 
-    def absorb(self, item, stored) -> SliceSummary:
+    def absorb(self, item, stored: Bodies, signatures) -> SliceSummary:
         """Summarise one ingested slice: leaves, tree, seal.
 
-        ``stored`` is ``(storage_key, value, build_signature)`` per
-        record in ingest order — the bytes the storage nodes actually
-        hold (post wire-decode when encoding is on), keyed the way the
-        engines key them so audits peek directly.
+        ``stored`` is the batch the storage nodes were handed, in ingest
+        order — the bytes they actually hold (post wire-decode when
+        encoding is on), keyed the way the engines key them so audits
+        peek directly — and ``signatures`` the build signature of each
+        of its records.  The leaves are the batch's body checksums,
+        taken as they are.
         """
         counters = self.counters
-        records: List[Tuple[bytes, int, bool, Optional[bytes]]] = []
-        leaves: List[int] = []
         version = item.version
-        for key, value, build_sig in stored:
-            leaves.append(leaf_checksum(key, version, value))
-            records.append((key, version, value is None, build_sig))
+        leaves = stored.checksums
+        keys = map(itemgetter(0), stored)
+        records = list(zip(keys, repeat(version), stored.dedup, signatures))
         counters.ingest_checksums += len(leaves)
         levels = merkle_levels(leaves) if leaves else [[0]]
         summary = SliceSummary(

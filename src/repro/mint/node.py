@@ -32,7 +32,11 @@ class Engine(Protocol):
     device: SimulatedSSD
 
     def put_batch(self, items: Sequence[Triple]) -> None:
-        """Store ``(key, version, value)`` triples."""
+        """Store ``(key, version, value)`` triples.  The group hands
+        every replica the same kind of sequence — a
+        :class:`~repro.qindb.records.Bodies`, the triples with their
+        record bodies built — and an engine that frames records uses
+        the bodies; any engine may read it as the triples it is."""
 
     def get_batch(self, items: Sequence[Item]) -> List[Optional[bytes]]:
         """Values in input order, ``None`` for an item with no live

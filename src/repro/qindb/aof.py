@@ -61,6 +61,11 @@ class AofSegment:
         return self._unit.occupied_bytes
 
     @property
+    def page_size(self) -> int:
+        """Padding granularity of the backing unit."""
+        return self._unit.page_size
+
+    @property
     def is_full(self) -> bool:
         """Whether the segment has reached its capacity."""
         return self._unit.size >= self.capacity_bytes
@@ -151,7 +156,7 @@ class AofSegment:
         """
         self.flush()
         image = self._unit.read(0, self._unit.size) if self._unit.size else b""
-        return image, scan_frames(image, self._unit.page_size)
+        return image, scan_frames(image, self.page_size)
 
     def flush(self) -> None:
         """Force any buffered partial page onto flash."""
@@ -332,6 +337,13 @@ class AofManager:
         """Flush the active segment's partial page."""
         if self._active is not None:
             self._active.flush()
+
+    def seal_active(self) -> None:
+        """Close the active segment to appends: the next one opens a
+        fresh segment.  Recovery's answer to a torn tail — flash cannot
+        take the bytes back, and a frame written behind them would be
+        read as the torn frame's body."""
+        self._active = None
 
     def drop_segment(self, segment_id: int) -> None:
         """Erase a segment and forget it (the GC's final step)."""

@@ -19,6 +19,12 @@ and the scan applies last-writer-wins by sequence:
 * tombstones seen before their target (GC can move a put past its
   tombstone) are remembered and applied when the put arrives.
 
+A crash can leave the front of one frame programmed at the end of the
+segment that was active (a *torn tail*).  The walk ends there; recovery
+counts those bytes dead and seals the segment, so the engine's next
+append opens a fresh one instead of landing behind bytes no later walk
+could step over.
+
 A checkpoint serializes the memtable and GC table to a native unit with an
 AOF watermark; recovery loads it and replays only records past the
 watermark — sealed segments older than the watermark are not even read,
@@ -37,7 +43,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import CorruptionError
 from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.engine import QinDB, QinDBConfig
-from repro.qindb.records import RecordType
+from repro.qindb.records import RecordType, torn_tail
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
 #: key_len, version, sequence, segment, offset, length, flags
@@ -64,12 +70,15 @@ class Checkpoint:
     def write(cls, engine: QinDB, tag: str = "checkpoint") -> "Checkpoint":
         """Serialize the engine's memtable to a fresh native unit."""
         engine.flush()
-        active_id = engine.aofs.active_segment_id
-        if active_id is None:
-            watermark_segment, watermark_size = -1, 0
+        # The newest segment is the watermark whether or not it is still
+        # active (recovery seals a torn one, GC may drop the active one):
+        # ids only grow, so every later append lands at or past it.
+        segments = engine.aofs.segments
+        if segments:
+            watermark_segment = segments[-1].segment_id
+            watermark_size = segments[-1].size
         else:
-            watermark_segment = active_id
-            watermark_size = engine.aofs.segment(active_id).size
+            watermark_segment, watermark_size = -1, 0
         native = NativeBlockInterface(engine.device)
         unit = native.open_unit(tag=tag)
         count = 0
@@ -176,7 +185,18 @@ def recover(
         for segment in aofs.segments:
             if segment.segment_id < watermark_segment:
                 continue
-            for frame in segment.read_frames()[1]:
+            image, frames = segment.read_frames()
+            torn = torn_tail(image, frames, segment.page_size)
+            if torn:
+                # The crash cut the last frame short.  Its programmed
+                # front stays on flash, dead weight until GC erases the
+                # segment — and nothing may be appended behind it: the
+                # walk would take the new bytes for the torn frame's body.
+                engine.gc_table.record_appended(segment.segment_id, torn)
+                engine.gc_table.record_dead(segment.segment_id, torn)
+                if segment.segment_id == aofs.active_segment_id:
+                    aofs.seal_active()
+            for frame in frames:
                 if (
                     segment.segment_id == watermark_segment
                     and frame[0] < watermark_size

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -41,14 +42,12 @@ from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.gctable import GCTable
 from repro.qindb.memtable import IndexItem, Memtable
 from repro.qindb.readcache import RecordCache
-import struct
-import zlib
-
 from repro.qindb.records import (
-    MAGIC,
+    HEADER_SIZE,
+    Bodies,
     RecordType,
-    _CRC_PREFIX,
-    _HEADER,
+    build_bodies,
+    frame_bodies,
 )
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
@@ -251,11 +250,17 @@ class QinDB:
     ) -> None:
         """Store a batch of ``(key, version, value)`` triples in one pass.
 
-        The batched write path: validation happens once up front, records
-        append back-to-back (sequence numbers follow input order, exactly
-        as sequential puts would assign them) so the AOF/device layer can
-        coalesce contiguous block-aligned pages into multi-page device
-        programs, and the memtable takes the whole batch in one
+        The batched write path.  ``items`` with bodies
+        (:class:`~repro.qindb.records.Bodies` — built here from plain
+        triples, or upstream once for every replica of the batch; the
+        same code runs either way) is validated whole before anything is
+        touched.  Per record this engine then draws the next sequence
+        number (input order, exactly as sequential puts would), seeds
+        one 8-byte CRC update with the body checksum, packs one head and
+        puts it in front of the shared body; the frames go down
+        back-to-back, so the AOF/device layer can coalesce contiguous
+        block-aligned pages into multi-page device programs.  The
+        memtable takes the whole batch in one
         :meth:`~repro.qindb.memtable.Memtable.put_batch_pairs`.  CPU
         charging, the GC check, and the checkpoint check run once per
         batch instead of once per key.
@@ -266,106 +271,28 @@ class QinDB:
         the simulated time and the batch counters differ.
         """
         self._check_open()
-        for key, _version, _value in items:
-            if not isinstance(key, bytes) or not key:
-                raise StorageError("key must be non-empty bytes")
-        if not items:
+        batch = Bodies.of(items)
+        if not batch:
             return
-        # Encode frames directly from the raw fields: same bytes as
-        # ``encode_record(Record(...))``, with ``encode_frame``'s body
-        # inlined — one call frame per *batch* instead of per record.
-        # Field-range violations surface as the same StorageError via the
-        # struct pack limits.
-        put_value = int(RecordType.PUT_VALUE)
-        put_dedup = int(RecordType.PUT_DEDUP)
-        pack_prefix = _CRC_PREFIX.pack
-        pack_header = _HEADER.pack
-        crc32 = zlib.crc32
-        join = b"".join
-        magic = MAGIC
-        encoded: List[bytes] = []
-        add_encoded = encoded.append
-        # Memtable entries are built here with a placeholder location and
-        # patched once the AOF assigns real ones — the batch list is then
-        # ready to insert with no rebuild pass.
-        make_item = IndexItem
-        batch: List[Tuple[Tuple[bytes, int], IndexItem]] = []
-        add_pending = batch.append
-        user_bytes = 0
-        sequence = self._sequence
-        try:
-            try:
-                for key, version, value in items:
-                    sequence += 1
-                    if value is None:
-                        # crc32(b"", state) == state: the empty value
-                        # contributes nothing, so skip that update.
-                        crc = crc32(
-                            key,
-                            crc32(pack_prefix(put_dedup, version, sequence)),
-                        ) & 0xFFFFFFFF
-                        add_encoded(
-                            join(
-                                (
-                                    pack_header(
-                                        magic, put_dedup, len(key), 0,
-                                        version, sequence, crc,
-                                    ),
-                                    key,
-                                )
-                            )
-                        )
-                        add_pending(
-                            ((key, version), make_item(None, True, False, sequence))
-                        )
-                        user_bytes += len(key)
-                    else:
-                        crc = crc32(
-                            value,
-                            crc32(
-                                key,
-                                crc32(
-                                    pack_prefix(put_value, version, sequence)
-                                ),
-                            ),
-                        ) & 0xFFFFFFFF
-                        add_encoded(
-                            join(
-                                (
-                                    pack_header(
-                                        magic, put_value, len(key),
-                                        len(value), version, sequence, crc,
-                                    ),
-                                    key,
-                                    value,
-                                )
-                            )
-                        )
-                        add_pending(
-                            ((key, version), make_item(None, False, False, sequence))
-                        )
-                        user_bytes += len(key) + len(value)
-            except struct.error as exc:
-                raise StorageError(
-                    f"record field out of range: {exc}"
-                ) from None
-        finally:
-            # A mid-loop encoding error still consumes the sequence
-            # numbers it drew, exactly as sequential puts would have.
-            self._sequence = sequence
-        locations, appended = self.aofs.append_encoded_batch(encoded)
+        sequences = self._draw_sequences(len(batch))
+        locations, appended = self.aofs.append_encoded_batch(
+            frame_bodies(sequences, batch.bodies, batch.checksums)
+        )
+        framed = 0
         for segment_id, nbytes in appended:
             self.gc_table.record_appended(segment_id, nbytes)
-        for pair, location in zip(batch, locations):
-            pair[1].location = location
-        for previous in self.memtable.put_batch_pairs(batch):
+            framed += nbytes
+        entries = map(IndexItem, locations, batch.dedup, repeat(False), sequences)
+        for previous in self.memtable.put_batch_pairs(
+            list(zip(batch.item_keys, entries))
+        ):
             if previous is not None and not previous.deleted:
                 self.gc_table.record_dead(
                     previous.location.segment_id, previous.location.length
                 )
-        self.user_bytes_written += user_bytes
+        self.user_bytes_written += framed - HEADER_SIZE * len(batch)
         self.batch_counters.batches += 1
-        self.batch_counters.batched_puts += len(items)
+        self.batch_counters.batched_puts += len(batch)
         self._charge_cpu()
         self._maybe_gc()
         self._maybe_checkpoint()
@@ -488,48 +415,19 @@ class QinDB:
             if item is None or item.deleted or (key, version) in seen:
                 raise KeyNotFoundError(f"no live item for {key!r}/{version}")
             seen.add((key, version))
-        # Tombstone framing inlined from ``encode_frame`` (empty value:
-        # crc32(b"", state) == state), one call frame per batch.
-        delete_type = int(RecordType.DELETE)
-        pack_prefix = _CRC_PREFIX.pack
-        pack_header = _HEADER.pack
-        crc32 = zlib.crc32
-        join = b"".join
-        magic = MAGIC
-        encoded: List[bytes] = []
-        add_encoded = encoded.append
+        keys, versions = zip(*items)
+        bodies, checksums = build_bodies(
+            repeat(int(RecordType.DELETE)), keys, versions, repeat(b"")
+        )
         dead_locations: List[RecordLocation] = []
-        add_dead = dead_locations.append
-        sequence = self._sequence
-        try:
-            try:
-                for (key, version), item in zip(items, resolved):
-                    item.deleted = True
-                    add_dead(item.location)
-                    sequence += 1
-                    crc = crc32(
-                        key,
-                        crc32(pack_prefix(delete_type, version, sequence)),
-                    ) & 0xFFFFFFFF
-                    add_encoded(
-                        join(
-                            (
-                                pack_header(
-                                    magic, delete_type, len(key), 0,
-                                    version, sequence, crc,
-                                ),
-                                key,
-                            )
-                        )
-                    )
-            except struct.error as exc:
-                raise StorageError(
-                    f"record field out of range: {exc}"
-                ) from None
-        finally:
-            self._sequence = sequence
+        for item in resolved:
+            item.deleted = True
+            dead_locations.append(item.location)
+        sequences = self._draw_sequences(len(bodies))
         self.gc_table.record_dead_many(dead_locations)
-        _locations, appended = self.aofs.append_encoded_batch(encoded)
+        _locations, appended = self.aofs.append_encoded_batch(
+            frame_bodies(sequences, bodies, checksums)
+        )
         for segment_id, nbytes in appended:
             # A tombstone is dead on arrival.
             self.gc_table.record_appended(segment_id, nbytes)
@@ -664,6 +562,12 @@ class QinDB:
                 f"dedup chain for {key!r}/{version} reaches no stored value"
             )
         return self._read_value(older.location)
+
+    def _draw_sequences(self, count: int) -> range:
+        """The next ``count`` logical sequence numbers, consumed."""
+        first = self._sequence + 1
+        self._sequence += count
+        return range(first, first + count)
 
     def _charge_cpu(self) -> None:
         steps = self.memtable.last_search_steps

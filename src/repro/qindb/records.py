@@ -1,25 +1,43 @@
-"""Binary framing of AOF records.
+"""Binary framing of AOF records (frame v2).
 
-Every datum QinDB persists is one framed record::
+Every datum QinDB persists is one framed record of two parts::
 
-    magic(1) type(1) key_len(2) value_len(4) version(8) seq(8) crc32(4)
-    key value
+    magic(1) sequence(8) crc(4) | type(1) key_len(2) value_len(4) version(8)
+                                  key value
+
+Right of the bar is the record **body**: a pure function of ``(type,
+key, version, value)``, so it is the same bytes on every replica of the
+record.  Left of it is the 13-byte **head**, the only part an engine
+writes for itself.  Together the fixed fields are 28 bytes, exactly what
+the historical one-struct header took, so no stored length, page count
+or device charge differs from it.
 
 * ``magic`` is a non-zero constant, so page padding (zero bytes) inserted
   by the block-aligned writer is unambiguous during sequential recovery
   scans;
-* ``seq`` is the engine-wide logical sequence number of the mutation.
-  GC re-appends a record with its *original* sequence, so the recovery
-  scan can order mutations correctly even though collection physically
-  moves old records past newer ones;
-* ``crc32`` covers header fields (except itself) plus key and value, so
+* ``sequence`` is the engine-wide logical sequence number of the
+  mutation.  GC re-appends a frame verbatim, so a record keeps its
+  *original* sequence and the recovery scan can order mutations
+  correctly even though collection physically moves old records past
+  newer ones;
+* ``crc`` is ``crc32(sequence_le8, crc32(body))`` — the CRC-32 of the
+  byte stream ``body ‖ sequence``.  It covers every byte of the frame
+  but ``magic`` and itself, the two length fields included, so
   transmission or media corruption surfaces as
-  :class:`~repro.errors.CorruptionError` instead of silent bad data;
+  :class:`~repro.errors.CorruptionError` instead of silent bad data.
+  ``crc32(body)``, the **body checksum**, is computed once where the
+  record enters a data center (:class:`Bodies`); each replica then pays
+  one 8-byte CRC update, one head and one head-plus-body concatenation
+  per record, and Mint's integrity index keeps the same number as the
+  record's Merkle leaf;
 * a ``PUT_DEDUP`` record is the paper's value-less pair: the key arrived
   with its value removed by Bifrost's deduplication;
 * a ``DELETE`` record is a tombstone — the paper applies deletes in memory
   only, but persisting nothing for them would lose them across recovery,
   so recovery-relevant deletes are framed like everything else.
+
+There is one format and one reader of it; nothing here reads the older
+layout.
 """
 
 from __future__ import annotations
@@ -28,14 +46,23 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from itertools import repeat
+from operator import concat, is_
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, StorageError, TruncatedRecordError
 
 MAGIC = 0xD1
-#: magic, type, key_len, value_len, version, sequence, crc
-_HEADER = struct.Struct("<BBHLQQL")
-HEADER_SIZE = _HEADER.size
+#: the per-engine head: magic, sequence, crc
+_HEAD = struct.Struct("<BQL")
+#: the body's fixed fields: type, key_len, value_len, version
+_BODY_HEAD = struct.Struct("<BHLQ")
+#: the head's sequence field alone — the bytes the frame CRC appends
+_SEQUENCE = struct.Struct("<Q")
+HEAD_SIZE = _HEAD.size
+HEADER_SIZE = HEAD_SIZE + _BODY_HEAD.size
+#: where ``sequence`` sits in a frame
+_SEQUENCE_AT = slice(1, 1 + _SEQUENCE.size)
 
 MAX_KEY_LEN = 0xFFFF
 MAX_VALUE_LEN = 0xFFFFFFFF
@@ -82,53 +109,117 @@ class Record:
         return self.type is RecordType.PUT_VALUE
 
 
-#: the CRC's fixed-width prefix — identical bytes to the historical
-#: ``bytes([type]) + version.to_bytes(8, "le") + sequence.to_bytes(8, "le")``
-#: stream, packed in one struct call instead of three allocations
-_CRC_PREFIX = struct.Struct("<BQQ")
+_VALUE_TYPE = int(RecordType.PUT_VALUE)
+_DEDUP_TYPE = int(RecordType.PUT_DEDUP)
+_TYPE_NAMES = {int(record_type): record_type.name for record_type in RecordType}
+#: all 28 fixed bytes in one unpack, for the readers: magic, sequence,
+#: crc, type, key_len, value_len, version
+_HEADER = struct.Struct("<BQLBHLQ")
 
 
-def _crc(
-    record_type: int, version: int, sequence: int, key: bytes, value: bytes
-) -> int:
-    crc = zlib.crc32(_CRC_PREFIX.pack(record_type, version, sequence))
-    return zlib.crc32(value, zlib.crc32(key, crc)) & 0xFFFFFFFF
+# ----------------------------------------------------------------------
+# Writing: bodies once per record, heads once per replica
+# ----------------------------------------------------------------------
+def build_bodies(
+    types: Iterable[int],
+    keys: Sequence[bytes],
+    versions: Iterable[int],
+    values: Iterable[bytes],
+) -> Tuple[List[bytes], List[int]]:
+    """Record bodies and their checksums from parallel field columns.
+
+    The one place a body is assembled and the one CRC pass over key and
+    value.  Field-range violations (key over 64 KiB, version outside 64
+    bits, ...) surface as :class:`StorageError` via the struct limits.
+    """
+    try:
+        heads = map(_BODY_HEAD.pack, types, map(len, keys), map(len, values), versions)
+        bodies = list(map(b"".join, zip(heads, keys, values)))
+    except struct.error as exc:
+        raise StorageError(f"record field out of range: {exc}") from None
+    return bodies, list(map(zlib.crc32, bodies))
+
+
+def frame_bodies(
+    sequences: range, bodies: Sequence[bytes], checksums: Sequence[int]
+) -> List[bytes]:
+    """The frames of ``bodies`` under ``sequences``, one each.
+
+    What a replica does per record: one CRC update over the 8 sequence
+    bytes, seeded with the shared body checksum, one 13-byte head, and
+    one concatenation of head and body.
+    """
+    crcs = map(zlib.crc32, map(_SEQUENCE.pack, sequences), checksums)
+    heads = map(_HEAD.pack, repeat(MAGIC), sequences, crcs)
+    return list(map(concat, heads, bodies))
+
+
+class Bodies(tuple):
+    """A put batch — the ``(key, version, value)`` triples themselves —
+    carrying each record's body, built once.
+
+    It *is* the sequence of triples, so every layer that takes a batch
+    takes this and iterates, indexes and measures it as one; a layer
+    that frames records (:meth:`QinDB.put_batch
+    <repro.qindb.engine.QinDB.put_batch>`) reads the columns beside
+    them.  :meth:`of` is how a layer says "with bodies": a no-op on a
+    batch that has them, the build on plain triples — so where the
+    bodies were built changes who pays for them, never what is stored.
+
+    Columns, one entry per triple: ``item_keys`` (the memtable's ``(key,
+    version)`` tuples, shared by every replica that indexes the record),
+    ``dedup`` (value-less, ``value is None``), ``bodies`` and
+    ``checksums`` (``crc32(body)``: the frame CRC's seed *and* the
+    integrity leaf).
+    """
+
+    COLUMNS = ("item_keys", "dedup", "bodies", "checksums")
+
+    @classmethod
+    def of(cls, items: Sequence[Tuple[bytes, int, Optional[bytes]]]) -> "Bodies":
+        """``items`` with bodies: itself if it has them, else built."""
+        return items if isinstance(items, cls) else cls(items)
+
+    def __new__(cls, items) -> "Bodies":
+        self = tuple.__new__(cls, items)
+        keys, versions, values = zip(*self) if self else ((), (), ())
+        if not all(map(isinstance, keys, repeat(bytes))) or not all(keys):
+            raise StorageError("key must be non-empty bytes")
+        self.dedup = list(map(is_, values, repeat(None)))
+        if True in self.dedup:
+            types = [_DEDUP_TYPE if flag else _VALUE_TYPE for flag in self.dedup]
+            values = [value or b"" for value in values]
+        else:
+            types = repeat(_VALUE_TYPE)
+        self.bodies, self.checksums = build_bodies(types, keys, versions, values)
+        self.item_keys = list(zip(keys, versions))
+        return self
+
+    def take(self, indices: Sequence[int]) -> "Bodies":
+        """The sub-batch at ``indices`` (ascending, distinct), sharing
+        this batch's triples, key tuples and bodies."""
+        if len(indices) == len(self):
+            return self
+        taken = tuple.__new__(Bodies, [self[index] for index in indices])
+        for name in self.COLUMNS:
+            column = getattr(self, name)
+            setattr(taken, name, [column[index] for index in indices])
+        return taken
 
 
 def encode_frame(
-    record_type: int,
-    key: bytes,
-    value: bytes,
-    version: int,
-    sequence: int,
-    # bound at def time: these run once per record on the hot path
-    _pack_prefix=_CRC_PREFIX.pack,
-    _pack_header=_HEADER.pack,
-    _crc32=zlib.crc32,
-    _join=b"".join,
+    record_type: int, key: bytes, value: bytes, version: int, sequence: int
 ) -> bytes:
     """Serialize one record frame from its raw fields.
 
-    The batched-write hot path: byte-identical to
-    ``encode_record(Record(...))`` without constructing (and validating)
-    the dataclass per record.  Field-range violations the dataclass
-    would have caught surface here as :class:`StorageError` via the
-    struct pack limits, so callers see the same error type either way.
+    A batch of one through :func:`build_bodies` and :func:`frame_bodies`,
+    the only writers of the format.  Nothing is validated beyond the
+    struct limits (a :class:`StorageError`), so tests can frame what no
+    engine would.
     """
+    bodies, checksums = build_bodies([record_type], [key], [version], [value])
     try:
-        crc = _crc32(
-            value, _crc32(key, _crc32(_pack_prefix(record_type, version, sequence)))
-        ) & 0xFFFFFFFF
-        return _join(
-            (
-                _pack_header(
-                    MAGIC, record_type, len(key), len(value), version,
-                    sequence, crc,
-                ),
-                key,
-                value,
-            )
-        )
+        return frame_bodies(range(sequence, sequence + 1), bodies, checksums)[0]
     except struct.error as exc:
         raise StorageError(f"record field out of range: {exc}") from None
 
@@ -141,6 +232,9 @@ def encode_record(record: Record) -> bytes:
     )
 
 
+# ----------------------------------------------------------------------
+# Reading: three walkers, the same checks in the same order
+# ----------------------------------------------------------------------
 def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Record, int]:
     """Decode one record at ``offset``; returns (record, next_offset).
 
@@ -152,26 +246,27 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Record, int]:
             f"truncated header at offset {offset} "
             f"(need {HEADER_SIZE}, have {len(buffer) - offset})"
         )
-    magic, rtype, key_len, value_len, version, sequence, crc = (
+    magic, sequence, crc, rtype, key_len, value_len, version = (
         _HEADER.unpack_from(buffer, offset)
     )
     if magic != MAGIC:
         raise CorruptionError(f"bad magic 0x{magic:02x} at offset {offset}")
-    body_start = offset + HEADER_SIZE
-    body_end = body_start + key_len + value_len
+    key_start = offset + HEADER_SIZE
+    body_end = key_start + key_len + value_len
     if body_end > len(buffer):
         raise TruncatedRecordError(
             f"truncated body at offset {offset}: record needs "
             f"{body_end - offset} bytes, {len(buffer) - offset} available"
         )
-    key = bytes(buffer[body_start : body_start + key_len])
-    value = bytes(buffer[body_start + key_len : body_end])
-    if _crc(rtype, version, sequence, key, value) != crc:
+    frame = memoryview(buffer)[offset:body_end]
+    if zlib.crc32(frame[_SEQUENCE_AT], zlib.crc32(frame[HEAD_SIZE:])) != crc:
         raise CorruptionError(f"CRC mismatch for record at offset {offset}")
     try:
         record_type = RecordType(rtype)
     except ValueError:
         raise CorruptionError(f"unknown record type {rtype} at {offset}") from None
+    key = bytes(buffer[key_start : key_start + key_len])
+    value = bytes(buffer[key_start + key_len : body_end])
     return Record(record_type, key, version, value, sequence), body_end
 
 
@@ -211,8 +306,6 @@ def scan_records(
 
 #: ``(offset, end, type, key, version, sequence)`` of one verified frame
 Frame = Tuple[int, int, int, bytes, int, int]
-_VALUE_TYPE = int(RecordType.PUT_VALUE)
-_TYPE_NAMES = {int(record_type): record_type.name for record_type in RecordType}
 
 
 def decode_value(buffer: bytes) -> bytes:
@@ -220,13 +313,14 @@ def decode_value(buffer: bytes) -> bytes:
 
     The read path: every check :func:`decode_record` makes, in its order
     and with its typed errors, but no :class:`Record` is built and the
-    key is never copied — the CRC is one call over a view of key+value,
-    as in :func:`scan_frames`.
+    key is never copied — the body checksum is one call over a view of
+    the body, the sequence bytes are sliced where they lie, as in
+    :func:`scan_frames`.
     """
     length = len(buffer)
     if length < HEADER_SIZE:
         raise TruncatedRecordError(f"truncated header: {length} bytes")
-    magic, rtype, key_len, value_len, version, sequence, crc = (
+    magic, _sequence, crc, rtype, key_len, value_len, _version = (
         _HEADER.unpack_from(buffer)
     )
     if magic != MAGIC:
@@ -235,8 +329,8 @@ def decode_value(buffer: bytes) -> bytes:
     end = value_start + value_len
     if end > length:
         raise TruncatedRecordError(f"truncated body: {length} of {end} bytes")
-    prefix_crc = zlib.crc32(_CRC_PREFIX.pack(rtype, version, sequence))
-    if zlib.crc32(memoryview(buffer)[HEADER_SIZE:end], prefix_crc) != crc:
+    body_crc = zlib.crc32(memoryview(buffer)[HEAD_SIZE:end])
+    if zlib.crc32(buffer[_SEQUENCE_AT], body_crc) != crc:
         raise CorruptionError("CRC mismatch for record")
     if rtype not in _TYPE_NAMES:
         raise CorruptionError(f"unknown record type {rtype}")
@@ -250,19 +344,21 @@ def scan_frames(image: bytes, page_size: int) -> List[Frame]:
 
     The maintenance walk (GC, recovery): same checks and typed errors as
     ``scan_records(image, page_size, tolerate_torn_tail=True)``, but no
-    :class:`Record` is built and no value is copied — key and value are
-    contiguous in the frame, so the CRC is one call over a view of it.
+    :class:`Record` is built and no value is copied — the body is
+    contiguous in the frame, so its checksum is one call over a view.
     ``image[offset:end]`` is the frame verbatim.  The list is complete
     before the caller sees it: a corrupt image raises with nothing
-    consumed, which is what lets GC verify before it mutates.
+    consumed, which is what lets GC verify before it mutates.  A frame
+    cut short by the end of the image (a torn tail) ends the walk
+    silently; :func:`torn_tail` measures it.
     """
     view = memoryview(image)
     length = len(image)
     unpack_header = _HEADER.unpack_from
-    pack_prefix = _CRC_PREFIX.pack
     crc32 = zlib.crc32
     frames: List[Frame] = []
     add = frames.append
+    sequence_from, sequence_to = _SEQUENCE_AT.start, _SEQUENCE_AT.stop
     offset = 0
     while offset < length:
         if image[offset] == 0:  # page padding
@@ -271,7 +367,7 @@ def scan_frames(image: bytes, page_size: int) -> List[Frame]:
         key_start = offset + HEADER_SIZE
         if key_start > length:
             break  # torn header: end of log
-        magic, rtype, key_len, value_len, version, sequence, crc = (
+        magic, sequence, crc, rtype, key_len, value_len, version = (
             unpack_header(image, offset)
         )
         if magic != MAGIC:
@@ -279,8 +375,8 @@ def scan_frames(image: bytes, page_size: int) -> List[Frame]:
         end = key_start + key_len + value_len
         if end > length:
             break  # torn body: end of log
-        prefix_crc = crc32(pack_prefix(rtype, version, sequence))
-        if crc32(view[key_start:end], prefix_crc) != crc:
+        sequence_le8 = view[offset + sequence_from : offset + sequence_to]
+        if crc32(sequence_le8, crc32(view[offset + HEAD_SIZE : end])) != crc:
             raise CorruptionError(f"CRC mismatch for record at offset {offset}")
         if rtype not in _TYPE_NAMES:
             raise CorruptionError(f"unknown record type {rtype} at {offset}")
@@ -290,3 +386,14 @@ def scan_frames(image: bytes, page_size: int) -> List[Frame]:
         add((offset, end, rtype, key, version, sequence))
         offset = end
     return frames
+
+
+def torn_tail(image: bytes, frames: Sequence[Frame], page_size: int) -> int:
+    """Bytes at the end of ``image`` past where :func:`scan_frames`
+    stopped: the front of a frame a crash cut short, 0 for a whole log.
+    """
+    offset = frames[-1][1] if frames else 0
+    length = len(image)
+    while offset < length and image[offset] == 0:  # page padding
+        offset = (offset // page_size + 1) * page_size
+    return max(length - offset, 0)

@@ -1,0 +1,421 @@
+"""Shared record bodies are not a second behaviour.
+
+A slice's record bodies and their checksums are built once per data
+center and every replica frames the same objects.  These tests hold that
+to the definition of the format (``encode_frame``, one record at a time,
+the replica's own sequences) on every placement the group layer has, and
+pin what the write descent costs the host.
+"""
+
+import sys
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bifrost.signature import signature
+from repro.bifrost.slices import Slice
+from repro.faults.repair import ReplicaRepairer
+from repro.indexing.types import IndexEntry, IndexKind
+from repro.mint import integrity as integrity_module
+from repro.mint.cluster import MintCluster, MintConfig, storage_key
+from repro.mint.group import NodeGroup
+from repro.mint.integrity import leaf_checksum
+from repro.mint.node import StorageNode
+from repro.qindb import records as records_module
+from repro.qindb.engine import QinDB, QinDBConfig
+from repro.qindb.records import Bodies, RecordType, encode_frame
+
+
+def make_node(name):
+    return StorageNode(
+        name,
+        QinDB.with_capacity(
+            16 * 1024 * 1024, config=QinDBConfig(segment_bytes=256 * 1024)
+        ),
+    )
+
+
+def make_group(node_count, replicas=3):
+    return NodeGroup(
+        0, [make_node(f"n{i}") for i in range(node_count)], replicas
+    )
+
+
+def triples(count, version=1, tag=b"k", dedup_every=4):
+    """Values of varied length; every ``dedup_every``-th arrives value-less."""
+    return [
+        (
+            tag + b"-%04d" % i,
+            version,
+            None if i % dedup_every == 3 else bytes([i % 251]) * (20 + 7 * (i % 9)),
+        )
+        for i in range(count)
+    ]
+
+
+def image(engine):
+    """Every byte the engine has appended, segment after segment."""
+    return b"".join(
+        segment._unit.read(0, segment.size) for segment in engine.aofs.segments
+    )
+
+
+def frames_of(items, first_sequence=1):
+    """The definition: one ``encode_frame`` per record, in order."""
+    return b"".join(
+        encode_frame(
+            int(RecordType.PUT_DEDUP if value is None else RecordType.PUT_VALUE),
+            key, value or b"", version, sequence,
+        )
+        for sequence, (key, version, value) in enumerate(items, first_sequence)
+    )
+
+
+class Expected:
+    """What each node should hold: the items it was a write replica of,
+    in arrival order, framed under its own sequence numbers."""
+
+    def __init__(self):
+        self.items = {}
+
+    def wrote(self, nodes, item):
+        for node in nodes:
+            self.items.setdefault(node.name, []).append(item)
+
+    def check(self, nodes):
+        for node in nodes:
+            assert image(node.engine) == frames_of(self.items.get(node.name, [])), node.name
+
+
+# ----------------------------------------------------------------------
+# (a) every replica's AOF is the definition's bytes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("node_count", [3, 5])
+def test_replica_images_are_encode_frame_of_their_sub_batch(node_count):
+    group = make_group(node_count)
+    expected = Expected()
+    for version in (1, 2):
+        batch = triples(60, version)
+        assert group.put_batch(batch) == 3 * len(batch)
+        for item in batch:
+            expected.wrote(group.replicas_for(item[0]), item)
+    expected.check(group.nodes)
+    if node_count == 5:
+        shares = {len(expected.items[node.name]) for node in group.nodes}
+        assert len(shares) > 1  # the sub-batches really differ
+
+
+def test_down_node_misses_its_sub_batch_and_the_rest_are_exact():
+    group = make_group(5)
+    expected = Expected()
+    first, second = triples(40, 1), triples(40, 2)
+    group.put_batch(first)
+    for item in first:
+        expected.wrote(group.replicas_for(item[0]), item)
+    down = group.nodes[1]
+    down.fail()
+    written = group.put_batch(second)
+    for item in second:
+        live = [n for n in group.replicas_for(item[0]) if n is not down]
+        expected.wrote(live, item)
+    missed = [i for i in second if down in group.replicas_for(i[0])]
+    assert written == 3 * len(second) - len(missed)
+    assert group.repair_backlog[down.name] == [
+        ("put", key, version) for key, version, _value in missed
+    ]
+    expected.check(group.nodes)
+
+
+def test_open_transition_dual_applies_the_same_bodies():
+    group = make_group(3)
+    expected = Expected()
+    before = triples(30, 1)
+    group.put_batch(before)
+    for item in before:
+        expected.wrote(group.replicas_for(item[0]), item)
+    group.begin_transition()
+    group.add_node(make_node("n9"))
+    during = triples(60, 2)
+    group.put_batch(during)
+    moved = 0
+    for item in during:
+        targets = list(group.replicas_for(item[0]))
+        extra = [n for n in group.old_replicas_for(item[0]) if n not in targets]
+        moved += bool(extra)
+        expected.wrote(targets + extra, item)
+    assert moved  # some keys did write to four nodes
+    expected.check(group.nodes)
+
+
+def test_moving_slot_writes_both_owners_from_one_build(monkeypatch):
+    cluster = MintCluster(
+        "dc1",
+        MintConfig(group_count=2, nodes_per_group=3,
+                   node_capacity_bytes=16 * 1024 * 1024),
+    )
+    batch = triples(80, 1)
+    slot = cluster.slot_for(batch[0][0])
+    owner = cluster.group_for(batch[0][0])
+    target = next(g for g in cluster.groups if g is not owner)
+    cluster.begin_slot_move(slot, target)
+    built = []
+    build = records_module.build_bodies
+
+    def counting(types, keys, versions, values):
+        bodies, checksums = build(types, keys, versions, values)
+        built.append(len(bodies))
+        return bodies, checksums
+
+    monkeypatch.setattr(records_module, "build_bodies", counting)
+    cluster.put_batch(batch)
+    assert built == [len(batch)]  # once, not once per group or replica
+    expected = Expected()
+    for item in batch:
+        if cluster.slot_for(item[0]) == slot:
+            groups = [owner, target]
+        else:
+            groups = [cluster.group_for(item[0])]
+        for group in groups:
+            expected.wrote(group.replicas_for(item[0]), item)
+    assert any(cluster.slot_for(item[0]) == slot for item in batch[1:])
+    expected.check(cluster.all_nodes)
+
+
+# ----------------------------------------------------------------------
+# (b) pre-built or not, an engine ends in the same state
+# ----------------------------------------------------------------------
+def engine_state(engine):
+    return (
+        image(engine),
+        [
+            (key, version, item.location, item.deduplicated, item.deleted,
+             item.sequence)
+            for key, version, item in engine.memtable.items()
+        ],
+        engine.gc_table.snapshot(),
+        engine.stats(),
+        engine._sequence,
+    )
+
+
+def test_prebuilt_batch_and_plain_triples_store_identically():
+    plain, prebuilt, taken = (make_node(f"e{i}").engine for i in range(3))
+    batches = [triples(50, 1), triples(50, 2, dedup_every=2), triples(20, 1)]
+    for batch in batches:
+        plain.put_batch(batch)
+        prebuilt.put_batch(Bodies(batch))
+        # a sub-batch cut from a larger shared build
+        wider = Bodies([(b"other", 9, b"x")] + batch + [(b"more", 9, None)])
+        taken.put_batch(wider.take(range(1, len(batch) + 1)))
+    assert engine_state(plain) == engine_state(prebuilt) == engine_state(taken)
+    assert plain.stats().put_batches == 3
+    for engine in (plain, prebuilt, taken):
+        engine.delete_batch([(key, v) for key, v, _ in batches[1][:10]])
+    assert engine_state(plain) == engine_state(prebuilt) == engine_state(taken)
+
+
+# ----------------------------------------------------------------------
+# (d) the integrity leaf is the stored body's checksum
+# ----------------------------------------------------------------------
+def signed_entries(count, kind=IndexKind.FORWARD):
+    built = []
+    for i in range(count):
+        value = None if i % 5 == 4 else bytes([i % 251]) * (30 + i)
+        built.append(
+            IndexEntry(
+                kind, f"key-{i:04d}".encode(), value,
+                signature=None if value is None else signature(value),
+            )
+        )
+    return built
+
+
+def test_integrity_leaves_are_leaf_checksums_of_the_stored_bytes():
+    cluster = MintCluster("dc1", MintConfig(group_count=2, nodes_per_group=3))
+    base = [
+        IndexEntry(e.kind, e.key, b"base", signature=signature(b"base"))
+        for e in signed_entries(40)
+    ]
+    cluster.ingest_slice(Slice.pack("v1-s0", 1, IndexKind.FORWARD, base))
+    entries = signed_entries(40)
+    cluster.ingest_slice(Slice.pack("v2-s0", 2, IndexKind.FORWARD, entries))
+    (summary,) = cluster.integrity.summaries_for_version(2)
+    assert cluster.integrity.counters.ingest_checksums == 80
+    for index, (key, version, dedup, _sig) in enumerate(summary.records):
+        for node in cluster.group_for(key).replicas_for(key):
+            stored_value, stored_dedup = node.engine.peek(key, version)
+            assert stored_dedup == dedup
+            leaf = leaf_checksum(key, version, stored_value)
+            assert leaf == summary.levels[0][index]
+            # ... which is the CRC of the body as it lies in the AOF
+            location = node.engine.memtable.get(key, version).location
+            unit = node.engine.aofs.segment(location.segment_id)._unit
+            frame = unit.read(location.offset, location.length)
+            assert zlib.crc32(frame[records_module.HEAD_SIZE:]) == leaf
+    assert ReplicaRepairer().audit_cluster(cluster).clean
+
+
+# ----------------------------------------------------------------------
+# Host-cost pins for the write descent
+# ----------------------------------------------------------------------
+def test_write_descent_host_cost_pins(monkeypatch):
+    """Wall time wanders; these do not.  One slice of N records into a
+    3-replica group: N long CRC passes (the parent made 3N in the
+    engines and N more in ``absorb``), N body builds (parent: 3N frame
+    joins of three pieces), no ``leaf_checksum`` at ingest (parent N),
+    and beneath ``QinDB.put_batch`` no per-record ``bytes.join`` (parent
+    3N) — a replica-record costs one two-piece concatenation."""
+    cluster = MintCluster("dc1", MintConfig(group_count=1, nodes_per_group=3))
+    entries = [
+        IndexEntry(
+            IndexKind.FORWARD, f"key-{i:04d}".encode(), bytes([i % 251]) * 96,
+            signature=signature(bytes([i % 251]) * 96),
+        )
+        for i in range(200)
+    ]
+    item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
+    count = len(entries)
+
+    crc_lengths = []
+    crc32 = zlib.crc32
+
+    def counting_crc32(data, value=0):
+        crc_lengths.append(len(data))
+        return crc32(data, value)
+
+    monkeypatch.setattr(zlib, "crc32", counting_crc32)
+    bodies_built = []
+    build = records_module.build_bodies
+
+    def counting_build(types, keys, versions, values):
+        bodies, checksums = build(types, keys, versions, values)
+        bodies_built.append(len(bodies))
+        return bodies, checksums
+
+    monkeypatch.setattr(records_module, "build_bodies", counting_build)
+    leaf_calls = []
+    monkeypatch.setattr(
+        integrity_module, "leaf_checksum",
+        lambda *args: leaf_calls.append(args) or leaf_checksum(*args),
+    )
+    concats = []
+    concat = records_module.concat
+    monkeypatch.setattr(
+        records_module, "concat",
+        lambda head, body: concats.append(len(head)) or concat(head, body),
+    )
+    # ``bytes.join`` calls made anywhere beneath ``QinDB.put_batch``
+    joins_under_put_batch = []
+    put_batch_code = QinDB.put_batch.__code__
+    depth = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth
+        if frame.f_code is put_batch_code and event in ("call", "return"):
+            depth += 1 if event == "call" else -1
+        elif event == "c_call" and depth and getattr(arg, "__name__", "") == "join":
+            joins_under_put_batch.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        assert cluster.ingest_slice(item) == count
+    finally:
+        sys.setprofile(None)
+
+    assert sum(1 for length in crc_lengths if length > 16) == count
+    # per replica-record: one 8-byte update seeded with the body checksum
+    assert crc_lengths.count(8) >= 3 * count
+    assert bodies_built == [count]
+    assert leaf_calls == []
+    # one head-plus-body concatenation per replica-record, and the only
+    # ``join`` beneath the engine is each unit's single ``append_many`` one
+    assert concats == [records_module.HEAD_SIZE] * (3 * count)
+    assert len(joins_under_put_batch) == 3
+    stats = cluster.stats()
+    assert (stats["put_batches"], stats["batched_puts"]) == (3, 3 * count)
+    assert cluster.integrity.counters.ingest_checksums == count
+
+
+def test_read_side_crc_recipe_costs_no_more_than_it_did(monkeypatch):
+    """``decode_value``: two ``crc32`` calls and no ``struct.pack``."""
+    frame = encode_frame(1, b"key", b"v" * 300, 7, 9)
+    calls = []
+    crc32 = zlib.crc32
+    monkeypatch.setattr(
+        zlib, "crc32", lambda *args: calls.append("crc32") or crc32(*args)
+    )
+
+    def profile(_frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "pack":
+            calls.append("pack")
+
+    sys.setprofile(profile)
+    try:
+        assert records_module.decode_value(frame) == b"v" * 300
+    finally:
+        sys.setprofile(None)
+    assert calls == ["crc32", "crc32"]
+
+
+# ----------------------------------------------------------------------
+# Each node's share of the shared batch is its placement, on any membership
+# ----------------------------------------------------------------------
+class RecordingEngine:
+    """An engine that only remembers the batches it was handed."""
+
+    device = None
+
+    def __init__(self):
+        self.batches = []
+
+    def put_batch(self, items):
+        self.batches.append(items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    node_count=st.integers(min_value=3, max_value=6),
+    replicas=st.integers(min_value=1, max_value=3),
+    keys=st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=40),
+    transition=st.booleans(),
+    drain=st.booleans(),
+)
+def test_each_node_takes_exactly_its_placement(
+    node_count, replicas, keys, transition, drain
+):
+    """Whatever the membership — a full group (every node a replica of
+    every key), a wider one, a transition open, a member draining — a
+    node's sub-batch is the items ``replicas_for`` places on it, in
+    input order, every column cut at the same indices, and a key is
+    ranked by the time it is written (reads find the memo warm)."""
+    group = NodeGroup(
+        0,
+        [StorageNode(f"n{i}", RecordingEngine()) for i in range(node_count)],
+        replicas,
+    )
+    if transition:
+        group.begin_transition()
+        group.add_node(StorageNode("n9", RecordingEngine()))
+    if drain and len(group.nodes) > replicas:
+        group.mark_draining(group.nodes[0].name)
+    batch = Bodies([(key, 1, b"v" + key) for key in keys])
+    replicas_for = (
+        group._write_replicas_for if group.in_transition else group.replicas_for
+    )
+    placed = {}
+    for index, item in enumerate(batch):
+        for node in replicas_for(item[0]):
+            placed.setdefault(node.name, []).append(index)
+    assert group.put_batch(batch) == sum(map(len, placed.values()))
+    for node in group.nodes:
+        indices = placed.get(node.name, [])
+        taken = node.engine.batches
+        assert len(taken) == (1 if indices else 0)
+        if indices:
+            assert list(taken[0]) == [batch[index] for index in indices]
+            for name in Bodies.COLUMNS:
+                column = getattr(batch, name)
+                assert getattr(taken[0], name) == [column[i] for i in indices]
+    assert set(keys) <= set(group._placement_cache)

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, StorageError
 from repro.qindb.records import (
+    HEAD_SIZE,
     HEADER_SIZE,
+    Bodies,
     Record,
     RecordType,
     decode_record,
     decode_value,
     encode_frame,
     encode_record,
+    frame_bodies,
     scan_frames,
     scan_records,
 )
@@ -337,3 +340,103 @@ def test_decode_value_typed_errors():
         assert type(caught.value) is error
         with pytest.raises(error):
             decode_record(raw)
+
+
+# ----------------------------------------------------------------------
+# Frame v2: head + shared body
+# ----------------------------------------------------------------------
+def test_frame_layout_is_head_then_body():
+    """``magic(1) sequence(8) crc(4) | type(1) key_len(2) value_len(4)
+    version(8) key value``, the CRC over body then sequence."""
+    import struct
+    import zlib
+
+    frame = encode_frame(1, b"key", b"value", 7, 9)
+    assert HEADER_SIZE == 28 and HEAD_SIZE == 13
+    body = struct.pack("<BHLQ", 1, 3, 5, 7) + b"key" + b"value"
+    crc = zlib.crc32(body + struct.pack("<Q", 9))
+    assert frame == struct.pack("<BQL", 0xD1, 9, crc) + body
+    # the body is the same bytes under any sequence
+    assert encode_frame(1, b"key", b"value", 7, 10)[HEAD_SIZE:] == body
+
+
+mixed_items = st.lists(
+    st.tuples(
+        st.binary(min_size=1, max_size=16),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.one_of(st.none(), st.binary(max_size=300)),
+    ),
+    max_size=12,
+)
+
+
+@given(items=mixed_items, first=st.integers(min_value=0, max_value=2**63))
+def test_built_batch_frames_to_the_frames_of_encode_frame(items, first):
+    batch = Bodies(items)
+    assert list(batch) == items and Bodies.of(batch) is batch
+    sequences = range(first, first + len(items))
+    frames = [
+        encode_frame(2 if value is None else 1, key, value or b"", version, seq)
+        for (key, version, value), seq in zip(items, sequences)
+    ]
+    assert frame_bodies(sequences, batch.bodies, batch.checksums) == frames
+    assert batch.dedup == [value is None for _k, _v, value in items]
+    assert batch.item_keys == [(key, version) for key, version, _v in items]
+    # a sub-batch is the batch of those items
+    picked = list(range(0, len(items), 2))
+    taken = batch.take(picked)
+    rebuilt = Bodies([items[index] for index in picked])
+    assert list(taken) == list(rebuilt)
+    for column in Bodies.COLUMNS:
+        assert getattr(taken, column) == getattr(rebuilt, column)
+
+
+def test_builder_rejects_what_the_engine_always_rejected():
+    for bad in ([(b"", 1, b"v")], [("text", 1, b"v")], [(b"k", -1, b"v")],
+                [(b"k", 2**64, None)], [(b"k" * 70000, 1, b"v")]):
+        with pytest.raises(StorageError):
+            Bodies([(b"good", 1, b"v")] + bad)
+
+
+@given(
+    rtype=st.sampled_from([1, 2, 3]),
+    key=st.binary(min_size=1, max_size=16),
+    value=st.binary(max_size=300),
+    version=st.integers(min_value=0, max_value=2**64 - 1),
+    sequence=st.integers(min_value=0, max_value=2**64 - 1),
+    position=st.integers(min_value=0, max_value=HEADER_SIZE - 1),
+    mask=st.integers(min_value=1, max_value=255),
+    padding=st.integers(min_value=0, max_value=600),
+)
+def test_one_damaged_header_byte_is_caught_or_harmless(
+    rtype, key, value, version, sequence, position, mask, padding
+):
+    """Any single header byte — magic, sequence, crc, type, ``key_len``,
+    ``value_len``, version — damaged: every reader raises a typed error
+    or returns the right bytes, never wrong ones."""
+    value = value if rtype == 1 else b""
+    good = encode_frame(rtype, key, value, version, sequence)
+    follower = encode_frame(1, b"next", b"n" * 20, version, 5)
+    damaged = bytearray(good)
+    damaged[position] ^= mask
+    damaged = bytes(damaged) + b"\x00" * padding
+    typed = (CorruptionError, StorageError)
+    try:
+        assert decode_value(damaged) == value
+    except typed:
+        pass
+    try:
+        record, _end = decode_record(damaged)
+        assert (record.key, record.value) == (key, value)
+    except typed:
+        pass
+    # the walk may stop early at what looks like a torn tail, but a
+    # frame it does return is a frame that was written
+    written = [(int(rtype), key, version, sequence), (1, b"next", version, 5)]
+    page = len(damaged) if padding else PAGE
+    try:
+        walked = scan_frames(damaged + follower, page)
+    except typed:
+        walked = []
+    for frame in walked:
+        assert frame[2:] in written
