@@ -9,7 +9,7 @@ new version at one data center before fleet-wide activation.
 
 from repro.core.config import DirectLoadConfig
 from repro.core.directload import DirectLoad, UpdateCycleReport
-from repro.core.metrics import PercentileTracker, ThroughputSampler, TimeSeries
+from repro.core.metrics import PercentileTracker, ThroughputSampler
 from repro.core.release import GrayRelease, ReleasePhase
 from repro.core.version import VersionManager
 
@@ -20,7 +20,6 @@ __all__ = [
     "PercentileTracker",
     "ReleasePhase",
     "ThroughputSampler",
-    "TimeSeries",
     "UpdateCycleReport",
     "VersionManager",
 ]

@@ -1,7 +1,5 @@
 """Measurement utilities shared by experiments and benches.
 
-* :class:`TimeSeries` — values accumulated into fixed-width time buckets,
-  yielding rate series ("MB/s per minute", the x-axis of Figures 5-7);
 * :class:`PercentileTracker` — latency samples with avg/p99/p99.9
   summaries (Figure 8's three statistical points);
 * :class:`ThroughputSampler` — periodic counter snapshots turned into
@@ -21,36 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-
-
-class TimeSeries:
-    """Values bucketed by time; read back as sums or rates."""
-
-    def __init__(self, bucket_s: float = 60.0) -> None:
-        if bucket_s <= 0:
-            raise ConfigError(f"bucket width must be positive, got {bucket_s}")
-        self.bucket_s = bucket_s
-        self._buckets: Dict[int, float] = {}
-
-    def add(self, when: float, value: float) -> None:
-        """Accumulate ``value`` into the bucket containing ``when``."""
-        bucket = int(when // self.bucket_s)
-        self._buckets[bucket] = self._buckets.get(bucket, 0.0) + value
-
-    def sums(self) -> List[Tuple[float, float]]:
-        """(bucket_start_time, total) for every touched bucket, in order."""
-        return [
-            (bucket * self.bucket_s, self._buckets[bucket])
-            for bucket in sorted(self._buckets)
-        ]
-
-    def rates(self) -> List[Tuple[float, float]]:
-        """(bucket_start_time, total / bucket_seconds) series."""
-        return [(start, total / self.bucket_s) for start, total in self.sums()]
-
-    def rate_values(self) -> List[float]:
-        """Just the rate magnitudes (for mean/stddev summaries)."""
-        return [rate for _start, rate in self.rates()]
 
 
 class PercentileTracker:

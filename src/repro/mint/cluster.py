@@ -69,6 +69,7 @@ NODE_METRIC_VIEWS: Dict[str, Dict[str, str]] = {
         "disk_used_bytes": "engine.aofs.disk_used_bytes",
         "gc_runs": "engine.gc_runs",
         "gc_bytes_reappended": "engine.gc_bytes_reappended",
+        "gc_corrupt_victims": "engine.gc_corrupt_victims",
         "memtable_items": "engine.memtable.__len__()",
         "read_cache.hits": "engine.read_cache?.counters.hits",
         "read_cache.misses": "engine.read_cache?.counters.misses",

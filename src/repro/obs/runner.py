@@ -1,10 +1,14 @@
 """Run an observed DirectLoad cycle: one harness, trace + metrics out.
 
-The runner builds a small-but-complete DirectLoad fleet, runs a few
-update cycles, and packages everything the observability layer saw —
-per-stage simulated-time breakdown, the registry snapshot, snapshot
-deltas across the run, and the Chrome ``trace_event`` export — into a
-single :class:`ObservationReport`.
+The runner takes the workloads' one small fleet
+(:func:`repro.workloads.chaos.build_chaos_system` — three regions, one
+three-node group per data center, whole-value dedup on: large enough
+that transmit, ingest, GC and gray release all fire, small enough to
+finish in seconds of wall time), runs a few update cycles, and packages
+everything the observability layer saw — per-stage simulated-time
+breakdown, the registry snapshot, snapshot deltas across the run, and
+the Chrome ``trace_event`` export — into a single
+:class:`ObservationReport`.
 
 Deliberately *not* imported from ``repro.obs.__init__``: this module
 depends on ``repro.core.directload``, which itself imports ``repro.obs``
@@ -15,37 +19,10 @@ for the registry and tracer.  Import it directly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.registry import MetricsSnapshot
 from repro.obs.tracer import Tracer
-
-
-def observe_config():
-    """A small fleet that still exercises every pipeline stage.
-
-    The default three regions of data centers, one three-node group
-    each, whole-value dedup on — large enough that transmit, ingest, GC,
-    and gray release all fire, small enough to finish in seconds of wall
-    time.
-    """
-    from repro.core.config import DirectLoadConfig
-    from repro.mint.cluster import MintConfig
-
-    return DirectLoadConfig(
-        doc_count=60,
-        vocabulary_size=400,
-        doc_length=20,
-        summary_value_bytes=512,
-        forward_value_bytes=128,
-        slice_bytes=64 * 1024,
-        generation_window_s=30.0,
-        mint=MintConfig(
-            group_count=1,
-            nodes_per_group=3,
-            node_capacity_bytes=48 * 1024 * 1024,
-        ),
-    )
 
 
 @dataclass
@@ -121,27 +98,24 @@ def observe_cycle(
 
     The first cycle bootstraps version 1; later cycles mutate
     ``mutation_rate`` of the corpus so dedup, delta slices, and eviction
-    all have work to do.  Returns the packaged :class:`ObservationReport`.
+    all have work to do.  ``config`` swaps the standard small fleet for
+    a custom one.  Returns the packaged :class:`ObservationReport`.
     """
     from repro.core.directload import DirectLoad
+    from repro.workloads.chaos import build_chaos_system, row
 
-    system = DirectLoad(config or observe_config())
+    system = DirectLoad(config) if config else build_chaos_system()
     first_snapshot = system.metrics.snapshot()
-    cycle_rows: List[Dict[str, object]] = []
-    for index in range(max(1, cycles)):
-        rate: Optional[float] = None if index == 0 else mutation_rate
-        report = system.run_update_cycle(mutation_rate=rate)
-        cycle_rows.append(
-            {
-                "version": report.version,
-                "entries_built": report.entries_built,
-                "dedup_ratio": report.dedup_ratio,
-                "bytes_sent": report.bytes_sent,
-                "update_time_s": report.update_time_s,
-                "keys_delivered": report.keys_delivered,
-                "promoted": report.promoted,
-            }
+    cycle_rows = [
+        row(
+            system.run_update_cycle(
+                mutation_rate=None if index == 0 else mutation_rate
+            ),
+            "version", "entries_built", "dedup_ratio", "bytes_sent",
+            "update_time_s", "keys_delivered", "promoted",
         )
+        for index in range(max(1, cycles))
+    ]
     final_snapshot = system.metrics.snapshot()
     return ObservationReport(
         cycles=cycle_rows,

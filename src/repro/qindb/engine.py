@@ -33,6 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigError,
+    CorruptionError,
     EngineClosedError,
     KeyNotFoundError,
     StorageError,
@@ -136,6 +137,8 @@ class QinDBStats:
     #: host program commands the device served; batched appends coalesce
     #: contiguous pages so this falls while pages written stays equal
     device_write_ops: int = 0
+    #: automatic collections that met a corrupt victim and quarantined it
+    gc_corrupt_victims: int = 0
 
     @property
     def read_cache_hit_rate(self) -> float:
@@ -196,6 +199,10 @@ class QinDB:
         self.user_bytes_read = 0
         self.gc_runs = 0
         self.gc_bytes_reappended = 0
+        #: segments whose frames failed verification under an automatic
+        #: collection; never nominated again on this engine
+        self.gc_quarantined: set = set()
+        self.gc_corrupt_victims = 0
         self.batch_counters = BatchCounters()
         self.reads_in_flight = 0
         self._gc_since_checkpoint = False
@@ -585,7 +592,7 @@ class QinDB:
     def _maybe_gc(self) -> None:
         if not self.config.gc_enabled:
             return
-        exclude = set()
+        exclude = set(self.gc_quarantined)
         active = self.aofs.active_segment_id
         if active is not None:
             exclude.add(active)
@@ -598,7 +605,22 @@ class QinDB:
         # amortizes across mutations instead of stalling writes in one
         # burst, which is what keeps QinDB's user-write rate smooth
         # (Figure 6b).
-        self.collect_segment(victims[0])
+        try:
+            self.collect_segment(victims[0])
+        except CorruptionError:
+            # The write that polled us is already applied and must not
+            # fail because maintenance did.  Verification precedes
+            # mutation, so nothing moved: leave the victim where it is
+            # and stop nominating it (it would fail the same way on
+            # every later batch).  An explicit ``collect_segment`` still
+            # raises.
+            self.gc_quarantined.add(victims[0])
+            self.gc_corrupt_victims += 1
+            if self.trace is not None:
+                self.trace.tracer.instant(
+                    "gc_corrupt_victim", track=self.trace.name,
+                    at=self.device.now, segment=victims[0],
+                )
 
     def _maybe_checkpoint(self) -> None:
         """Periodic checkpointing (paper: "it is checkpointed
@@ -775,6 +797,7 @@ class QinDB:
             segment_count=self.aofs.segment_count,
             gc_runs=self.gc_runs,
             gc_bytes_reappended=self.gc_bytes_reappended,
+            gc_corrupt_victims=self.gc_corrupt_victims,
             device_host_bytes_written=counters.host_bytes_written,
             device_total_bytes_written=counters.total_bytes_written,
             device_total_bytes_read=counters.total_bytes_read,

@@ -33,7 +33,14 @@ import time
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.workloads.chaos import build_chaos_system, fleet_state
+from repro.workloads.chaos import (
+    audit_fleet,
+    build_chaos_system,
+    fleet_state,
+    row,
+    transport_bytes,
+    wire_stats,
+)
 
 #: canonical arm order
 ARM_NAMES = ("raw", "dedup", "wire", "dedup+wire")
@@ -82,47 +89,24 @@ def run_arm(name: str, days: int, tracing: bool = False) -> Dict[str, object]:
     started = time.perf_counter()
     reports = system.run_pipelined_cycles(month_rates(days))
     wall_s = time.perf_counter() - started
-    transport = system.transport
     result: Dict[str, object] = {
         "wall_s": round(wall_s, 4),
         "sim_s": round(system.sim.now, 4),
         "events": int(system.sim.events_processed),
         "cycles": len(reports),
         "keys_delivered": int(sum(r.keys_delivered for r in reports)),
-        "wire_bytes_sent": int(transport.total_wire_bytes_sent),
-        "payload_bytes_sent": int(transport.total_payload_bytes_sent),
+        **transport_bytes(system),
         "state_digest": fleet_digest(system),
     }
     if wire:
-        stats = system.wire_encoder.stats
+        stats = wire_stats(system)
+        del stats["bytes_saved"]
         result.update(
-            {
-                "payload_bytes": int(stats.payload_bytes),
-                "wire_bytes": int(stats.wire_bytes),
-                "compression_ratio": round(stats.compression_ratio, 4),
-                "entries_delta": int(stats.entries_delta),
-                "entries_full": int(stats.entries_full),
-                "encode_cpu_s": round(stats.encode_cpu_s, 6),
-                "decode_cpu_s": round(
-                    sum(
-                        cluster.wire_decoder.stats.decode_cpu_s
-                        for cluster in system.clusters.values()
-                    ),
-                    6,
-                ),
-                "slices_parked": int(
-                    sum(
-                        cluster.slices_parked
-                        for cluster in system.clusters.values()
-                    )
-                ),
-                "slices_unparked": int(
-                    sum(
-                        cluster.slices_unparked
-                        for cluster in system.clusters.values()
-                    )
-                ),
-            }
+            stats,
+            compression_ratio=round(stats["compression_ratio"], 4),
+            encode_cpu_s=round(stats["encode_cpu_s"], 6),
+            decode_cpu_s=round(stats["decode_cpu_s"], 6),
+            **row(system.wire_encoder.stats, "entries_delta", "entries_full"),
         )
     result["_system"] = system  # stripped before the entry serializes
     return result
@@ -130,18 +114,9 @@ def run_arm(name: str, days: int, tracing: bool = False) -> Dict[str, object]:
 
 def _audit_economics(system) -> Dict[str, object]:
     """Tiered vs naive audit hashing on one delivered fleet."""
-    from repro.faults.repair import AuditResult, ReplicaRepairer
-
-    repairer = ReplicaRepairer()
-    tiered = AuditResult()
-    naive = AuditResult()
-    records_tracked = 0
-    slices_tracked = 0
-    for cluster in system.clusters.values():
-        tiered.merge(repairer.audit_cluster(cluster))
-        naive.merge(repairer.audit_cluster(cluster, naive=True))
-        records_tracked += cluster.integrity.counters.records_tracked
-        slices_tracked += cluster.integrity.counters.slices_tracked
+    tiered = audit_fleet(system)
+    naive = audit_fleet(system, naive=True)
+    counters = [c.integrity.counters for c in system.clusters.values()]
     hashes_per_slice = (
         tiered.full_hashes / tiered.slices_audited
         if tiered.slices_audited
@@ -159,8 +134,8 @@ def _audit_economics(system) -> Dict[str, object]:
     )
     log_bound = math.ceil(math.log2(max(2, max_records))) + 2
     return {
-        "records_tracked": int(records_tracked),
-        "slices_tracked": int(slices_tracked),
+        "records_tracked": sum(c.records_tracked for c in counters),
+        "slices_tracked": sum(c.slices_tracked for c in counters),
         "tiered_full_hashes": int(tiered.full_hashes),
         "naive_full_hashes": int(naive.full_hashes),
         "tiered_records_sampled": int(tiered.records_sampled),

@@ -16,13 +16,23 @@ A run under the empty plan (``none``) must leave the fleet byte-identical
 to a plain :meth:`~repro.core.directload.DirectLoad.run_update_cycle`
 sequence — the equivalence test pins the chaos harness itself to zero
 side effects.
+
+This module is also where the experiment layer's one shape lives.  Every
+fleet experiment (``run_chaos`` here, ``run_rebalance``, ``run_serving``,
+``run_health``, the bandwidth arms, ``observe_cycle``, fig9 and the
+quick report) is **build** (:func:`build_chaos_system`, the only place a
+small fleet's config is written) → **arm** (:func:`arm_faults`,
+:func:`arm_telemetry`, :func:`start_probe`) → **drive** (update cycles)
+→ **quiesce** (:func:`quiesce`) → **judge** (:func:`judge`, plus the
+report sections :func:`row`, :func:`availability`, :func:`wire_stats`,
+:func:`transport_bytes`, :func:`audit_fleet`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigError, KeyNotFoundError, ReplicationError
 from repro.faults import FaultInjector, FaultPlan
@@ -90,8 +100,8 @@ def build_chaos_system(
     backbone_bps: float = 1_000_000.0,
 ):
     """The standard small system every chaos scenario is written against,
-    and the one the month, fig9, bandwidth, serving and rebalance
-    workloads run on.
+    and the one the month, fig9, bandwidth, serving, rebalance, observe
+    and quick-report experiments run on.
 
     Three regions, ``group_count`` groups of three nodes per data center
     (one by default; serving uses two so ``multi_get`` partitions), a
@@ -152,6 +162,188 @@ def fleet_state(system) -> Dict:
     return state
 
 
+# ----------------------------------------------------------------------
+# The scenario steps every fleet experiment shares:
+# build -> arm -> drive -> quiesce -> judge
+# ----------------------------------------------------------------------
+
+
+def arm_faults(system) -> FaultInjector:
+    """The workloads' one fault injector, counters registered; the
+    caller starts its plan at the moment the offsets are relative to."""
+    injector = FaultInjector(
+        system.sim,
+        system.clusters,
+        system.topology,
+        system.transport,
+        tracer=system.tracer,
+    )
+    injector.register_metrics(system.metrics)
+    return injector
+
+
+def arm_telemetry(system, sample_interval_s: float, burn_rules=None):
+    """A metrics recorder and the alert engine over it (``burn_rules``
+    None = the engine's defaults); the caller starts the recorder."""
+    from repro.obs.health import HealthEngine
+    from repro.obs.timeseries import RecorderConfig, TimeSeriesRecorder
+
+    recorder = TimeSeriesRecorder(
+        system.sim, system.metrics, RecorderConfig(interval_s=sample_interval_s)
+    )
+    engine = HealthEngine(
+        recorder, burn_rules=burn_rules, tracer=system.tracer
+    )
+    return recorder, engine
+
+
+def start_probe(
+    system, interval_s: float, pick, on_served=None
+) -> Dict[str, object]:
+    """Start a fixed-cadence availability probe; returns its counters.
+
+    Every ``interval_s`` the probe asks ``pick()`` for one
+    ``(cluster, key, version)`` (``None`` sits the tick out) and reads it
+    through the normal path.  Pure read traffic (only device clocks
+    advance), so a probed run's stored state stays identical to an
+    unprobed one.  ``on_served(cluster, service_s)`` receives each
+    successful read's service time: the largest device-clock advance the
+    synchronous get caused (the serving tier's accounting trick).
+    :func:`quiesce` stops the loop.
+    """
+    sim = system.sim
+    counters: Dict[str, object] = {
+        "probes": 0, "unavailable": 0, "stopped": False,
+    }
+
+    def loop():
+        while not counters["stopped"]:
+            target = pick()
+            if target is not None:
+                cluster, key, version = target
+                if on_served is not None:
+                    nodes = [
+                        node for group in cluster.groups for node in group.nodes
+                    ]
+                    before = [node.engine.device.now for node in nodes]
+                counters["probes"] += 1
+                try:
+                    cluster.get(key, version)
+                except (ReplicationError, KeyNotFoundError):
+                    counters["unavailable"] += 1
+                else:
+                    if on_served is not None:
+                        on_served(
+                            cluster,
+                            max(
+                                (
+                                    node.engine.device.now - was
+                                    for node, was in zip(nodes, before)
+                                ),
+                                default=0.0,
+                            ),
+                        )
+            yield sim.timeout(interval_s)
+
+    sim.process(loop())
+    return counters
+
+
+def quiesce(system, injector, probe=None, recorder=None) -> None:
+    """Let the run settle before it is judged.
+
+    A cycle's drive stops at its own delivery tail; faults scheduled
+    past it (a long outage, a late heal) still need to run to completion
+    first.  Then the probe stops, and the recorder takes one closing
+    sample so the final fleet state (everything healed) lands in the
+    ring and still-open alerts get a chance to resolve.
+    """
+    pending = [p for p in injector.processes if not p.processed]
+    if pending:
+        system.sim.run(until=system.sim.all_of(pending))
+    if probe is not None:
+        probe["stopped"] = True
+    if recorder is not None:
+        recorder.stop()
+        recorder.sample_now()
+
+
+def judge(system, versions) -> Dict[str, int]:
+    """The two exit contracts, as report fields: every key of every
+    acknowledged version in ``versions`` still reads back through the
+    normal path, and no ``(key, version)`` is under-replicated."""
+    verified = lost = 0
+    for version in versions:
+        for cluster in system.clusters.values():
+            for key in set(cluster.version_keys.get(version, [])):
+                verified += 1
+                try:
+                    cluster.get(key, version)
+                except (ReplicationError, KeyNotFoundError):
+                    lost += 1
+    return {
+        "verified_keys": verified,
+        "lost_acknowledged_keys": lost,
+        "under_replicated_final": sum(
+            len(cluster.under_replicated())
+            for cluster in system.clusters.values()
+        ),
+    }
+
+
+def audit_fleet(system, naive: bool = False):
+    """One integrity audit of every cluster, merged: the tiered audit,
+    or the ``naive`` re-hash-everything baseline."""
+    from repro.faults.repair import AuditResult, ReplicaRepairer
+
+    repairer = ReplicaRepairer()
+    audit = AuditResult()
+    for cluster in system.clusters.values():
+        audit.merge(repairer.audit_cluster(cluster, naive=naive))
+    return audit
+
+
+def row(source, *names: str) -> Dict[str, object]:
+    """The named attributes of ``source`` as a report row — a cycle
+    report's columns, an injector's counters."""
+    return {name: getattr(source, name) for name in names}
+
+
+def availability(probe: Dict[str, object]) -> Dict[str, object]:
+    """A probe's counters as the report's ``availability`` section."""
+    probes = probe["probes"]
+    return {
+        "probes": probes,
+        "unavailable": probe["unavailable"],
+        "unavailable_ratio": probe["unavailable"] / probes if probes else 0.0,
+    }
+
+
+def transport_bytes(system) -> Dict[str, int]:
+    """Wire-vs-logical bytes the transport sent (equal unless wire
+    encoding is on)."""
+    return {
+        "wire_bytes_sent": system.transport.total_wire_bytes_sent,
+        "payload_bytes_sent": system.transport.total_payload_bytes_sent,
+    }
+
+
+def wire_stats(system) -> Dict[str, object]:
+    """The wire codec's byte and CPU accounting across the fleet."""
+    stats = system.wire_encoder.stats
+    clusters = system.clusters.values()
+    return {
+        **row(
+            stats, "payload_bytes", "wire_bytes", "bytes_saved",
+            "compression_ratio", "encode_cpu_s",
+        ),
+        "decode_cpu_s": sum(c.wire_decoder.stats.decode_cpu_s for c in clusters),
+        **transport_bytes(system),
+        "slices_parked": sum(c.slices_parked for c in clusters),
+        "slices_unparked": sum(c.slices_unparked for c in clusters),
+    }
+
+
 def run_chaos(
     config: ChaosConfig | None = None, tracing: bool = True
 ) -> ChaosRunResult:
@@ -161,208 +353,91 @@ def run_chaos(
     system = build_chaos_system(
         tracing=tracing, wire_encoding=config.wire_encoding
     )
-    sim = system.sim
-
     bootstrap = system.run_update_cycle()
+    injector = arm_faults(system)
 
-    injector = FaultInjector(
-        sim,
-        system.clusters,
-        system.topology,
-        system.transport,
-        tracer=system.tracer,
-    )
-    injector.register_metrics(system.metrics)
-
-    probe_counters = {"probes": 0, "unavailable": 0}
-    probe_stop = {"flag": False}
-
-    def probe():
-        """Seeded fixed-cadence reads of bootstrap keys across the fleet.
-
-        Pure read traffic (only device clocks advance), so a probed run's
-        stored state stays identical to an unprobed one.
-        """
-        rng = random.Random(config.probe_seed)
-        targets = [
-            (cluster, key)
-            for cluster in system.clusters.values()
-            for key in cluster.version_keys.get(bootstrap.version, [])
-        ]
-        while targets and not probe_stop["flag"]:
-            cluster, key = targets[rng.randrange(len(targets))]
-            probe_counters["probes"] += 1
-            try:
-                cluster.get(key, bootstrap.version)
-            except (ReplicationError, KeyNotFoundError):
-                probe_counters["unavailable"] += 1
-            yield sim.timeout(config.probe_interval_s)
-
+    # Seeded reads of bootstrap keys across the fleet.  The probe only
+    # runs when faults are actually scheduled: under the empty plan the
+    # run must be byte-identical to plain cycles, so no extra processes
+    # touch the fleet at all.
+    rng = random.Random(config.probe_seed)
+    targets = [
+        (cluster, key, bootstrap.version)
+        for cluster in system.clusters.values()
+        for key in cluster.version_keys.get(bootstrap.version, [])
+    ]
+    if plan.events and targets:
+        probe = start_probe(
+            system,
+            config.probe_interval_s,
+            lambda: targets[rng.randrange(len(targets))],
+        )
+    else:
+        probe = {"probes": 0, "unavailable": 0}
     system.metrics.register_many(
         "faults.reads",
         {
-            "probes": lambda: probe_counters["probes"],
-            "unavailable": lambda: probe_counters["unavailable"],
-            "unavailable_ratio": lambda: (
-                probe_counters["unavailable"] / probe_counters["probes"]
-                if probe_counters["probes"]
-                else 0.0
-            ),
+            "probes": lambda: probe["probes"],
+            "unavailable": lambda: probe["unavailable"],
+            "unavailable_ratio": lambda: availability(probe)["unavailable_ratio"],
         },
     )
 
-    # The probe only runs when faults are actually scheduled: under the
-    # empty plan the run must be byte-identical to plain cycles, so no
-    # extra processes touch the fleet at all.
-    if plan.events:
-        sim.process(probe())
-
-    recorder = None
-    engine = None
+    recorder = engine = None
     if config.telemetry:
         from repro.obs.health import (
-            HealthEngine,
             default_burn_rules,
             health_scores,
             join_detections,
         )
-        from repro.obs.timeseries import RecorderConfig, TimeSeriesRecorder
 
-        recorder = TimeSeriesRecorder(
-            sim,
-            system.metrics,
-            RecorderConfig(interval_s=config.sample_interval_s),
-        )
-        engine = HealthEngine(
-            recorder,
-            burn_rules=default_burn_rules(
-                config.fast_window_s, config.slow_window_s
-            ),
-            tracer=system.tracer,
+        recorder, engine = arm_telemetry(
+            system,
+            config.sample_interval_s,
+            default_burn_rules(config.fast_window_s, config.slow_window_s),
         )
         recorder.start()
 
     injector.start(plan)
-
     faulted_reports = [
         system.run_update_cycle(mutation_rate=config.mutation_rate)
         for _ in range(config.cycles - 1)
     ]
+    quiesce(system, injector, probe, recorder)
 
-    # A cycle's drive stops at its own delivery tail; faults scheduled
-    # past it (a long outage, a late heal) still need to run to
-    # completion before the fleet is judged.
-    pending = [p for p in injector.processes if not p.processed]
-    if pending:
-        sim.run(until=sim.all_of(pending))
-    probe_stop["flag"] = True
-    if recorder is not None:
-        # One closing sample so the final fleet state (everything healed)
-        # lands in the ring and still-open alerts get a chance to resolve.
-        recorder.stop()
-        recorder.sample_now()
-
-    lost_acknowledged = 0
-    verified_keys = 0
-    for report in faulted_reports:
-        for cluster in system.clusters.values():
-            for key in set(cluster.version_keys.get(report.version, [])):
-                verified_keys += 1
-                try:
-                    cluster.get(key, report.version)
-                except (ReplicationError, KeyNotFoundError):
-                    lost_acknowledged += 1
-
-    under_replicated_final = sum(
-        len(cluster.under_replicated())
-        for cluster in system.clusters.values()
-    )
-
-    counters = injector.counters
     transport = system.transport
-    probes = probe_counters["probes"]
     data: Dict[str, object] = {
         "plan": plan.name,
         "fault_events": len(plan.events),
         "cycles": [
-            {
-                "version": report.version,
-                "keys_delivered": report.keys_delivered,
-                "update_time_s": report.update_time_s,
-                "miss_ratio": report.miss_ratio,
-                "retransmissions": report.retransmissions,
-                "promoted": report.promoted,
-            }
+            row(
+                report, "version", "keys_delivered", "update_time_s",
+                "miss_ratio", "retransmissions", "promoted",
+            )
             for report in [bootstrap] + faulted_reports
         ],
-        "availability": {
-            "probes": probes,
-            "unavailable": probe_counters["unavailable"],
-            "unavailable_ratio": (
-                probe_counters["unavailable"] / probes if probes else 0.0
-            ),
-        },
-        "faults": {
-            "node_crashes": counters.node_crashes,
-            "node_restarts": counters.node_restarts,
-            "group_outages": counters.group_outages,
-            "link_partitions": counters.link_partitions,
-            "corruption_bursts": counters.corruption_bursts,
-            "repair_runs": counters.repair_runs,
-            "repair_keys": counters.repair_keys,
-            "repair_bytes": counters.repair_bytes,
-            "repair_deletes": counters.repair_deletes,
-            "repair_remote_copies": counters.repair_remote_copies,
-            "reprotect_last_s": counters.reprotect_last_s,
-            "reprotect_max_s": counters.reprotect_max_s,
-        },
+        "availability": availability(probe),
+        "faults": row(
+            injector.counters,
+            "node_crashes", "node_restarts", "group_outages",
+            "link_partitions", "corruption_bursts", "repair_runs",
+            "repair_keys", "repair_bytes", "repair_deletes",
+            "repair_remote_copies", "reprotect_last_s", "reprotect_max_s",
+        ),
         "transport": {
             "retransmits": transport.total_retransmissions,
             "abandoned": transport.total_abandoned,
             "relay_failovers": transport.total_relay_failovers,
         },
-        "verified_keys": verified_keys,
-        "lost_acknowledged_keys": lost_acknowledged,
-        "under_replicated_final": under_replicated_final,
+        **judge(system, [report.version for report in faulted_reports]),
     }
     if config.integrity:
-        from repro.faults.repair import AuditResult, ReplicaRepairer
-
-        repairer = ReplicaRepairer()
-        audit = AuditResult()
-        for cluster in system.clusters.values():
-            audit.merge(repairer.audit_cluster(cluster))
-        data["integrity"] = {
-            "slices_audited": audit.slices_audited,
-            "records_sampled": audit.records_sampled,
-            "full_hashes": audit.full_hashes,
-            "divergent_records": audit.divergent_records,
-            "records_repaired": audit.records_repaired,
-            "clean": audit.clean,
-        }
+        data["integrity"] = row(
+            audit_fleet(system), "slices_audited", "records_sampled", "full_hashes",
+            "divergent_records", "records_repaired", "clean",
+        )
     if config.wire_encoding:
-        encoder_stats = system.wire_encoder.stats
-        data["bandwidth"] = {
-            "payload_bytes": encoder_stats.payload_bytes,
-            "wire_bytes": encoder_stats.wire_bytes,
-            "bytes_saved": encoder_stats.bytes_saved,
-            "compression_ratio": encoder_stats.compression_ratio,
-            "encode_cpu_s": encoder_stats.encode_cpu_s,
-            "decode_cpu_s": sum(
-                cluster.wire_decoder.stats.decode_cpu_s
-                for cluster in system.clusters.values()
-            ),
-            "wire_bytes_sent": transport.total_wire_bytes_sent,
-            "payload_bytes_sent": transport.total_payload_bytes_sent,
-            "slices_parked": sum(
-                cluster.slices_parked
-                for cluster in system.clusters.values()
-            ),
-            "slices_unparked": sum(
-                cluster.slices_unparked
-                for cluster in system.clusters.values()
-            ),
-        }
+        data["bandwidth"] = wire_stats(system)
     if engine is not None:
         data["alerts"] = engine.to_dicts()
         # One sampling interval of grace past each heal: an alert for a
@@ -401,9 +476,19 @@ def run_plain_cycles(cycles: int, mutation_rate: float) -> object:
 __all__ = [
     "ChaosConfig",
     "ChaosRunResult",
+    "arm_faults",
+    "arm_telemetry",
+    "audit_fleet",
+    "availability",
     "build_chaos_system",
     "fleet_state",
+    "judge",
+    "quiesce",
     "resolve_plan",
+    "row",
     "run_chaos",
     "run_plain_cycles",
+    "start_probe",
+    "transport_bytes",
+    "wire_stats",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 
 from repro.errors import ConfigError
 from repro.workloads.kvtrace import KVOp, OpKind, make_value
@@ -127,3 +127,69 @@ class Fig5Workload:
             index = self._random.randrange(config.key_count)
             version = self._random.randint(low_version, max_version)
             yield KVOp(OpKind.GET, self.key(index), version)
+
+
+def run_fig5(
+    key_count: int, value_bytes_mean: int, versions: int
+) -> Dict[str, object]:
+    """The Figure 5 experiment: one paced summary-index replay through
+    QinDB and through the LSM baseline, on identical devices.
+
+    ``repro fig5`` runs it small (8 KB values, 8 versions); the quick
+    report needs the larger shape at which the LSM's compaction debt
+    shows in its sustained write rate.
+    """
+    from repro.lsm.engine import LSMConfig, LSMEngine
+    from repro.qindb.engine import QinDB, QinDBConfig
+    from repro.ssd.timing import TimingModel
+    from repro.workloads.chaos import row
+    from repro.workloads.kvtrace import replay_trace
+
+    timing = TimingModel(
+        page_read_s=80e-6, page_write_s=400e-6, block_erase_s=2e-3,
+        channel_parallelism=1,
+    )
+    workload = Fig5WorkloadConfig(
+        key_count=key_count, value_bytes_mean=value_bytes_mean,
+        versions=versions, retained_versions=4,
+    )
+    engines = []
+    for name, engine in (
+        (
+            "QinDB",
+            QinDB.with_capacity(
+                64 * 1024 * 1024,
+                config=QinDBConfig(segment_bytes=2 * 1024 * 1024),
+                timing=timing,
+            ),
+        ),
+        (
+            "LSM",
+            LSMEngine.with_capacity(
+                64 * 1024 * 1024,
+                config=LSMConfig(
+                    memtable_bytes=512 * 1024,
+                    level1_max_bytes=1024 * 1024,
+                    max_file_bytes=128 * 1024,
+                ),
+                timing=timing,
+            ),
+        ),
+    ):
+        result = replay_trace(
+            engine,
+            Fig5Workload(workload).ops(),
+            sample_interval_s=0.5,
+            pace_user_bytes_per_s=3.5 * 1024 * 1024,
+        )
+        engines.append(
+            {
+                "engine": name,
+                **row(result, "user_write_mean_mbs", "sys_write_mean_mbs"),
+                **row(
+                    result.final_stats,
+                    "software_write_amplification", "total_write_amplification",
+                ),
+            }
+        )
+    return {"engines": engines}

@@ -22,7 +22,12 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigError
 from repro.obs.health import health_scores
 from repro.obs.profiler import flamegraph, profile_tracer
-from repro.workloads.chaos import ChaosConfig, ChaosRunResult, run_chaos
+from repro.workloads.chaos import (
+    ChaosConfig,
+    ChaosRunResult,
+    run_chaos,
+    transport_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -121,26 +126,16 @@ def run_health(config: HealthConfig | None = None) -> HealthRunResult:
     )
     source = chaos.data
     data: Dict[str, object] = {
-        "plan": source["plan"],
-        "fault_events": source["fault_events"],
-        "availability": source["availability"],
-        "verified_keys": source["verified_keys"],
-        "lost_acknowledged_keys": source["lost_acknowledged_keys"],
-        "under_replicated_final": source["under_replicated_final"],
-        "alerts": source["alerts"],
-        "detection": source["detection"],
-        "health": source["health"],
-        "telemetry": source["telemetry"],
-        "integrity": source["integrity"],
-        # Wire-vs-logical byte accounting (equal unless wire encoding on)
-        "bandwidth": {
-            "wire_bytes_sent": (
-                chaos.system.transport.total_wire_bytes_sent
-            ),
-            "payload_bytes_sent": (
-                chaos.system.transport.total_payload_bytes_sent
-            ),
+        **{
+            section: source[section]
+            for section in (
+                "plan", "fault_events", "availability", "verified_keys",
+                "lost_acknowledged_keys", "under_replicated_final", "alerts",
+                "detection", "health", "telemetry", "integrity",
+            )
         },
+        # Wire-vs-logical byte accounting (equal unless wire encoding on)
+        "bandwidth": transport_bytes(chaos.system),
         "profile": profile_tracer(chaos.system.tracer, top_k=config.top_k),
         "watch": watch_timeline(
             chaos.recorder, chaos.engine.alerts, config.watch_interval_s

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -93,3 +93,36 @@ class MonthlyTrace:
             ratio = min(config.max_dedup, max(config.min_dedup, noisy))
             schedule.append(DaySpec(day=day, dedup_ratio=ratio))
         return schedule
+
+
+def run_fig9(days: int) -> Tuple[Dict[str, object], object]:
+    """The Figure 9 experiment: a bootstrap, then one update cycle per
+    scheduled day on a backbone slow enough that update time tracks the
+    bytes dedup saves.
+
+    Returns the report (per-day dedup ratio and update time, and their
+    Pearson correlation) and the live system, whose cycle reports the
+    quick report reads further.
+    """
+    from repro.analysis.stats import pearson_correlation
+    from repro.workloads.chaos import build_chaos_system, row
+
+    system = build_chaos_system(backbone_bps=100_000.0)
+    system.run_update_cycle()
+    rows = [
+        {
+            "day": day.day,
+            **row(
+                system.run_update_cycle(mutation_rate=day.mutation_rate),
+                "dedup_ratio", "update_time_s",
+            ),
+        }
+        for day in MonthlyTrace(MonthlyTraceConfig(days=days)).days()
+    ]
+    data = {
+        "days": rows,
+        "pearson_r": pearson_correlation(
+            [r["dedup_ratio"] for r in rows], [r["update_time_s"] for r in rows]
+        ),
+    }
+    return data, system

@@ -41,10 +41,20 @@ from repro.elastic import (
     Migrator,
     MigratorConfig,
 )
-from repro.errors import ConfigError, KeyNotFoundError, ReplicationError
+from repro.errors import ConfigError
 from repro.faults import FaultInjector
 from repro.obs.hist import LogHistogram
-from repro.workloads.chaos import build_chaos_system, resolve_plan
+from repro.workloads.chaos import (
+    arm_faults,
+    arm_telemetry,
+    availability,
+    build_chaos_system,
+    judge,
+    quiesce,
+    resolve_plan,
+    row,
+    start_probe,
+)
 
 
 @dataclass(frozen=True)
@@ -163,10 +173,7 @@ def run_baseline(
     system = build_chaos_system()
     replay_operations(system, operations)
     for rate in rates:
-        if rate is None:
-            system.run_update_cycle()
-        else:
-            system.run_update_cycle(mutation_rate=rate)
+        system.run_update_cycle(mutation_rate=rate)
     return system
 
 
@@ -207,8 +214,7 @@ def run_rebalance(
     config: RebalanceConfig | None = None, tracing: bool = True
 ) -> RebalanceRunResult:
     """Run the growing-fleet month; see the module docstring."""
-    from repro.obs.health import HealthEngine, health_scores
-    from repro.obs.timeseries import RecorderConfig, TimeSeriesRecorder
+    from repro.obs.health import health_scores
     from repro.workloads.bandwidth import fleet_digest
     from repro.workloads.month import MonthlyTrace, MonthlyTraceConfig
 
@@ -226,12 +232,7 @@ def run_rebalance(
         lambda: system.transport.total_payload_bytes_sent,
     )
 
-    recorder = TimeSeriesRecorder(
-        sim,
-        system.metrics,
-        RecorderConfig(interval_s=config.sample_interval_s),
-    )
-    engine = HealthEngine(recorder, tracer=system.tracer)
+    recorder, engine = arm_telemetry(system, config.sample_interval_s)
     autoscaler = FleetAutoscaler(
         recorder,
         AutoscalerConfig(
@@ -254,70 +255,37 @@ def run_rebalance(
         for dc, cluster in system.clusters.items()
     }
 
-    injector = FaultInjector(
-        sim,
-        system.clusters,
-        system.topology,
-        system.transport,
-        tracer=system.tracer,
-    )
-    injector.register_metrics(system.metrics)
+    injector = arm_faults(system)
 
     wall_started = time.perf_counter()
     bootstrap = system.run_update_cycle()
     recorder.start()
 
     # ------------------------------------------------------------------
-    # Read-latency probe: seeded reads of bootstrap keys, timed by the
-    # device-clock advance the synchronous get causes (the serving
-    # tier's accounting trick), split into during-migration vs not.
+    # Read-latency probe: seeded reads against the *newest* live version
+    # (older versions retire as the month progresses), timed per probe
+    # and split into during-migration vs not.
     # ------------------------------------------------------------------
-    probe_counters = {"probes": 0, "unavailable": 0}
-    probe_stop = {"flag": False}
     latency_all = LogHistogram(min_value=1e-6, max_value=10.0)
     latency_moving = LogHistogram(min_value=1e-6, max_value=10.0)
+    rng = random.Random(config.probe_seed)
+    dcs = sorted(system.clusters)
 
-    def probe():
-        """Reads against the *newest* live version (older versions
-        retire as the month progresses), timed per probe."""
-        rng = random.Random(config.probe_seed)
-        dcs = sorted(system.clusters)
-        while not probe_stop["flag"]:
-            dc = dcs[rng.randrange(len(dcs))]
-            cluster = system.clusters[dc]
-            if not cluster.version_keys:
-                yield sim.timeout(config.probe_interval_s)
-                continue
-            version = max(cluster.version_keys)
-            keys = cluster.version_keys[version]
-            key = keys[rng.randrange(len(keys))]
-            nodes = [
-                node for group in cluster.groups for node in group.nodes
-            ]
-            before = {
-                node.name: node.engine.device.now for node in nodes
-            }
-            probe_counters["probes"] += 1
-            moving = not migrators[dc].idle
-            try:
-                cluster.get(key, version)
-            except (ReplicationError, KeyNotFoundError):
-                probe_counters["unavailable"] += 1
-            else:
-                service_s = max(
-                    (
-                        node.engine.device.now - before[node.name]
-                        for node in nodes
-                        if node.name in before
-                    ),
-                    default=0.0,
-                )
-                latency_all.add(service_s)
-                if moving:
-                    latency_moving.add(service_s)
-            yield sim.timeout(config.probe_interval_s)
+    def pick():
+        cluster = system.clusters[dcs[rng.randrange(len(dcs))]]
+        if not cluster.version_keys:
+            return None
+        version = max(cluster.version_keys)
+        keys = cluster.version_keys[version]
+        return cluster, keys[rng.randrange(len(keys))], version
 
-    sim.process(probe())
+    def on_served(cluster, service_s: float) -> None:
+        latency_all.add(service_s)
+        # A synchronous get runs no events: still as idle as before it.
+        if not migrators[cluster.name].idle:
+            latency_moving.add(service_s)
+
+    probe = start_probe(system, config.probe_interval_s, pick, on_served)
 
     # ------------------------------------------------------------------
     # The month: one cycle per scheduled day; between cycles, apply the
@@ -341,11 +309,9 @@ def run_rebalance(
         cycle_rows.append(
             {
                 "day": day.day,
-                "version": report.version,
                 "mutation_rate": round(rate, 4),
                 "dedup_ratio": round(day.dedup_ratio, 4),
-                "keys_delivered": report.keys_delivered,
-                "update_time_s": report.update_time_s,
+                **row(report, "version", "keys_delivered", "update_time_s"),
             }
         )
         if day.day == config.split_day:
@@ -378,31 +344,11 @@ def run_rebalance(
 
     # Drain: every rebalance, then every fault, runs to completion.
     drain_operations()
-    pending = [p for p in injector.processes if not p.processed]
-    if pending:
-        sim.run(until=sim.all_of(pending))
-    probe_stop["flag"] = True
-    recorder.stop()
-    recorder.sample_now()
+    quiesce(system, injector, probe, recorder)
     wall_s = time.perf_counter() - wall_started
 
-    # ------------------------------------------------------------------
     # Contracts: zero acknowledged loss, full replication, equivalence.
-    # ------------------------------------------------------------------
-    lost_acknowledged = 0
-    verified_keys = 0
-    for row in cycle_rows:
-        for cluster in system.clusters.values():
-            for key in set(cluster.version_keys.get(row["version"], [])):
-                verified_keys += 1
-                try:
-                    cluster.get(key, row["version"])
-                except (ReplicationError, KeyNotFoundError):
-                    lost_acknowledged += 1
-    under_replicated_final = sum(
-        len(cluster.under_replicated())
-        for cluster in system.clusters.values()
-    )
+    contracts = judge(system, [cycle["version"] for cycle in cycle_rows])
 
     operations: List[Dict[str, object]] = []
     for dc, migrator in migrators.items():
@@ -419,7 +365,6 @@ def run_rebalance(
         for name, value in migrator.stats.to_dict().items():
             setattr(stats, name, getattr(stats, name) + value)
 
-    probes = probe_counters["probes"]
     data: Dict[str, object] = {
         "days": config.days,
         "plan": plan.name,
@@ -443,16 +388,8 @@ def run_rebalance(
             "overall": latency_all.quantiles(),
             "during_migration": latency_moving.quantiles(),
         },
-        "availability": {
-            "probes": probes,
-            "unavailable": probe_counters["unavailable"],
-            "unavailable_ratio": (
-                probe_counters["unavailable"] / probes if probes else 0.0
-            ),
-        },
-        "verified_keys": verified_keys,
-        "lost_acknowledged_keys": lost_acknowledged,
-        "under_replicated_final": under_replicated_final,
+        "availability": availability(probe),
+        **contracts,
         "equivalence": {
             "live_digest": live_digest,
             "baseline_digest": baseline_digest,
@@ -466,13 +403,10 @@ def run_rebalance(
         "wall_s": round(wall_s, 4),
     }
     if plan.events:
-        counters = injector.counters
-        data["faults"] = {
-            "node_crashes": counters.node_crashes,
-            "node_restarts": counters.node_restarts,
-            "repair_runs": counters.repair_runs,
-            "repair_keys": counters.repair_keys,
-        }
+        data["faults"] = row(
+            injector.counters,
+            "node_crashes", "node_restarts", "repair_runs", "repair_keys",
+        )
     return RebalanceRunResult(
         data=data,
         system=system,

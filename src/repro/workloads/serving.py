@@ -137,6 +137,8 @@ def run_serving(
     config: ServingWorkloadConfig | None = None, tracing: bool = False
 ) -> ServingRunResult:
     """Run the serving workload; see the module docstring."""
+    from repro.workloads.chaos import arm_faults, quiesce, resolve_plan, row
+
     config = config or ServingWorkloadConfig()
     system = build_serving_system(tracing=tracing)
     sim = system.sim
@@ -150,17 +152,7 @@ def run_serving(
 
     injector = None
     if config.plan:
-        from repro.faults import FaultInjector
-        from repro.workloads.chaos import resolve_plan
-
-        injector = FaultInjector(
-            sim,
-            system.clusters,
-            system.topology,
-            system.transport,
-            tracer=system.tracer,
-        )
-        injector.register_metrics(system.metrics)
+        injector = arm_faults(system)
         injector.start(resolve_plan(config.plan))
 
     started = sim.now
@@ -233,9 +225,7 @@ def run_serving(
     stop["flag"] = True
 
     if injector is not None:
-        pending = [p for p in injector.processes if not p.processed]
-        if pending:
-            sim.run(until=sim.all_of(pending))
+        quiesce(system, injector)
     frontend.drain()
     # Clients exit on their next wake; their remaining timeouts are
     # inert once the drive stops, so no explicit teardown is needed.
@@ -269,11 +259,7 @@ def run_serving(
             "concurrent delivery ingest"
         ),
         "cycles": [
-            {
-                "version": report.version,
-                "keys_delivered": report.keys_delivered,
-                "update_time_s": report.update_time_s,
-            }
+            row(report, "version", "keys_delivered", "update_time_s")
             for report in [bootstrap] + list(reports)
         ],
         "serving": serving_report,

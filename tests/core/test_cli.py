@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, main
 
 
 def test_demo_command(capsys):
@@ -187,3 +187,39 @@ def test_exit_code_is_the_hard_contracts(
     monkeypatch.setattr(_RUNNERS[command], lambda *args, **kwargs: report)
     assert main([command, "--json"]) == expected
     assert json.loads(capsys.readouterr().out) == report
+
+
+#: every subcommand at its smallest arguments
+SMALLEST = {
+    "demo": [],
+    "fig5": ["--keys", "24"],
+    "fig9": ["--days", "3"],
+    "month": ["--days", "2"],
+    "dedup-sweep": [],
+    "report": ["--days", "4"],
+    "observe": ["--cycles", "1"],
+    "bandwidth": ["--days", "1"],
+    "serve": ["--days", "1", "--duration", "2"],
+    "chaos": [],
+    "health": ["--cycles", "2"],
+    "rebalance": ["--days", "4", "--split-day", "2"],
+}
+
+
+def test_smallest_arguments_cover_the_command_table():
+    assert set(SMALLEST) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(SMALLEST))
+def test_command_table_contract(name, capsys, tmp_path, monkeypatch):
+    """One shape for every row: ``--json`` prints the dict ``run``
+    returned, ``render`` consumes that same dict, and the exit code is
+    ``ok`` of it."""
+    monkeypatch.chdir(tmp_path)  # ``report`` writes REPORT.md here
+    code = main([name, *SMALLEST[name], "--json"])
+    data = json.loads(capsys.readouterr().out)
+    _help, _add_arguments, _run, render, ok = COMMANDS[name]
+    render(data)
+    assert capsys.readouterr().out.strip()
+    assert code == (0 if ok(data) else 1)
+    assert code == 0  # the smallest run of every command is a healthy one

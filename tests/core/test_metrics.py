@@ -5,26 +5,9 @@ import pytest
 from repro.core.metrics import (
     PercentileTracker,
     ThroughputSampler,
-    TimeSeries,
     mean_and_stddev,
 )
 from repro.errors import ConfigError
-
-
-# ---------------------------------------------------------------- TimeSeries
-def test_timeseries_buckets_and_rates():
-    series = TimeSeries(bucket_s=10.0)
-    series.add(1.0, 100.0)
-    series.add(9.0, 100.0)
-    series.add(15.0, 50.0)
-    assert series.sums() == [(0.0, 200.0), (10.0, 50.0)]
-    assert series.rates() == [(0.0, 20.0), (10.0, 5.0)]
-    assert series.rate_values() == [20.0, 5.0]
-
-
-def test_timeseries_validation():
-    with pytest.raises(ConfigError):
-        TimeSeries(bucket_s=0)
 
 
 # ---------------------------------------------------------------- Percentile

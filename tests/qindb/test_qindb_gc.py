@@ -179,13 +179,12 @@ def test_tombstones_carried_forward_by_gc():
     assert survived is not None and survived.deleted
 
 
-def test_corrupt_victim_leaves_the_engine_untouched():
-    """Verification precedes mutation: a CRC failure on the victim's
-    *last* frame must raise before anything was moved or dropped.
+def corrupt_victim_engine():
+    """An engine whose only GC victim (segment 0, 80% dead) has one
+    flipped value byte in its last, still-live frame.
 
-    The per-record collector raised the same error half-way: 56 items
-    re-pointed, 224 dropped, 52,248 B appended, the victim still there
-    at occupancy 0.203 — nominated again on every later batch.
+    Returns ``(engine, items, victim, corrupt_key)``; collection was
+    deferred while the victim was made, so the caller triggers it.
     """
     engine = small_engine()
     items = [
@@ -199,8 +198,6 @@ def test_corrupt_victim_leaves_the_engine_untouched():
         for key, _version, item in engine.memtable.items()
         if item.location.segment_id == victim
     )
-    # Kill 80% of the victim (its last frame stays live), with
-    # collection deferred so it is this test that triggers it.
     engine.reads_in_flight = 1
     engine.delete_batch(
         [
@@ -212,10 +209,22 @@ def test_corrupt_victim_leaves_the_engine_untouched():
     engine.reads_in_flight = 0
     assert engine.gc_runs == 0
     assert engine.gc_table.victims() == [victim]
-    # Flip one value byte of the victim's last frame on the media.
     last, corrupt_key = in_victim[-1]
     segment = engine.aofs.segment(victim)
     segment._unit._data[last.offset + last.length - 1] ^= 0xFF
+    return engine, items, victim, corrupt_key
+
+
+def test_corrupt_victim_leaves_the_engine_untouched():
+    """Verification precedes mutation: a CRC failure on the victim's
+    *last* frame must raise before anything was moved or dropped.
+
+    The per-record collector raised the same error half-way: 56 items
+    re-pointed, 224 dropped, 52,248 B appended, the victim still there
+    at occupancy 0.203 — nominated again on every later batch.
+    """
+    engine, items, victim, corrupt_key = corrupt_victim_engine()
+    segment = engine.aofs.segment(victim)
 
     def state():
         return (
@@ -241,3 +250,47 @@ def test_corrupt_victim_leaves_the_engine_untouched():
             assert engine.get(key, version) == value
     with pytest.raises(CorruptionError):
         engine.get(corrupt_key, 1)
+
+
+def test_corrupt_victim_never_fails_the_write_that_polled_gc():
+    """Maintenance must not fail a write that was already applied: the
+    automatic collection quarantines a corrupt victim instead of raising
+    out of every later ``put_batch`` (5 of 5 raised, 5 of 5 stored,
+    ``gc_runs`` 0, the victim re-nominated forever)."""
+    from repro.obs.tracer import Tracer
+
+    engine, _items, victim, _corrupt_key = corrupt_victim_engine()
+    tracer = Tracer(engine.device)
+    engine.bind_trace(tracer.track("engine:test", clock=engine.device))
+    raised = 0
+    for batch in range(5):
+        try:
+            engine.put_batch([(b"later-%d" % batch, 2, b"v" * 900)])
+        except CorruptionError:
+            raised += 1
+    assert raised == 0
+    assert all(engine.exists(b"later-%d" % batch, 2) for batch in range(5))
+    assert engine.gc_corrupt_victims == 1  # met once, not once per batch
+    assert engine.stats().gc_corrupt_victims == 1
+    assert engine.gc_runs == 0
+    # Still below the line in the table, but not as the engine nominates.
+    assert victim in engine.gc_table.victims()
+    assert victim not in engine.gc_table.victims(exclude=engine.gc_quarantined)
+    marks = [i for i in tracer.instants if i.name == "gc_corrupt_victim"]
+    assert [(i.track, i.attrs["segment"]) for i in marks] == [
+        ("engine:test", victim)
+    ]
+    # An explicit collection of the victim still raises the typed error.
+    with pytest.raises(CorruptionError):
+        engine.collect_segment(victim)
+    # Other segments still collect: kill everything stored in segment 1.
+    doomed = [
+        (key, version)
+        for key, version, item in engine.memtable.items()
+        if item.location.segment_id == 1 and not item.deleted
+    ]
+    assert doomed
+    engine.delete_batch(doomed)
+    assert engine.gc_runs >= 1
+    assert 1 not in engine.gc_table.snapshot()
+    assert engine.gc_corrupt_victims == 1
