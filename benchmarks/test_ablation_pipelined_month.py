@@ -1,12 +1,14 @@
 """Ablation A10 — pipelined update cycles vs the serial month.
 
-The serial month (Figure 9/10's driver) runs each version's update to
-completion before the next begins, so the month's makespan is the sum of
-per-version update times.  The pipelined engine
-(:meth:`DirectLoad.run_pipelined_cycles`) opens version N+1's generation
-window one ``generation_window_s`` after version N's, while N's tail
-slices are still in flight — the steady state the paper's hourly cadence
-("slices of index data in GBs every hour") implies.
+Both arms run the one cycle engine
+(:meth:`DirectLoad.run_pipelined_cycles`).  The serial month (Figure
+9/10's driver, the control arm) is N trains of one — ``run_update_cycle``
+— so each version's update runs to completion before the next begins and
+the month's makespan is the sum of per-version update times.  One train
+of N opens version N+1's generation window one ``generation_window_s``
+after version N's, while N's tail slices are still in flight — the
+steady state the paper's hourly cadence ("slices of index data in GBs
+every hour") implies.
 
 The bench runs both modes over the identical Fig. 9 dedup schedule on a
 generation-window-bound configuration (delivery tails are a fraction of

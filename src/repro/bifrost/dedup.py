@@ -59,6 +59,12 @@ class Deduplicator:
     def tracked_keys(self) -> int:
         return len(self._signatures)
 
+    def forget(self) -> None:
+        """Drop the predecessor's signatures, so the next version ships
+        every value: after a failed rollout the stores never got the
+        version these signatures describe."""
+        self._signatures = {}
+
     def process(self, dataset: IndexDataset) -> DedupResult:
         """Strip values that are identical to the previous version's.
 

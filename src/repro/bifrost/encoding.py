@@ -213,6 +213,12 @@ class WireEncoder:
     def tracked_keys(self) -> int:
         return len(self._bases)
 
+    def forget(self) -> None:
+        """Drop every delta base, so the next version ships full values:
+        after a failed rollout the receivers may never have decoded the
+        values held here."""
+        self._bases.clear()
+
     def encode_slice(self, item) -> None:
         """Attach the compressed wire stream to a packed slice.
 

@@ -56,9 +56,9 @@ class DirectLoadConfig:
     cross_region_share: float = 0.007
 
     # Observability.  Tracing on is the default (reports carry stage
-    # breakdowns); perf-bench scenarios turn it off to exercise the
-    # allocation-free null-tracer path, which must not change any
-    # delivered byte (see tests/integration/test_perf_equivalence.py).
+    # breakdowns); the repo benchmark's untraced workloads (bench/) turn
+    # it off and run the allocation-free null-tracer path, which must not
+    # change any delivered byte (tests/integration/test_perf_equivalence.py).
     tracing_enabled: bool = True
 
     seed: int = 2019

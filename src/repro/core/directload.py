@@ -6,8 +6,10 @@ transmission over the monitored backbone), a Mint cluster in each of the
 six data centers, bounded version retention with oldest-version deletion,
 and a gray release gate in front of fleet-wide activation.
 
-:meth:`DirectLoad.run_update_cycle` performs one full version update and
-returns the cycle's report — the unit every Figure 9/10 experiment sweeps.
+:meth:`DirectLoad.run_pipelined_cycles` is the update cycle: a train of
+versions, each one's generation overlapping its predecessor's delivery
+tail.  :meth:`DirectLoad.run_update_cycle` is a train of one and returns
+that cycle's report — the unit every Figure 9/10 experiment sweeps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bifrost.channels import build_topology
-from repro.bifrost.dedup import Deduplicator, DedupResult
+from repro.bifrost.dedup import Deduplicator
 from repro.bifrost.encoding import WireEncoder
 from repro.bifrost.monitor import NetworkMonitor
 from repro.bifrost.scheduler import StreamScheduler
@@ -37,7 +39,6 @@ from repro.indexing.vocabulary import ZipfVocabulary
 from repro.lsm.engine import LSMConfig, LSMEngine
 from repro.mint.cluster import MintCluster
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.tracer import MAIN_TRACK
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.simulation.kernel import Simulator
 
@@ -176,76 +177,28 @@ class DirectLoad:
     def run_update_cycle(
         self, mutation_rate: Optional[float] = None
     ) -> UpdateCycleReport:
-        """Build and roll out one new index version end to end.
-
-        Every stage runs inside a tracer span (build -> dedup -> slice ->
-        schedule -> transmit -> evict -> gray release -> activate), so
-        one cycle leaves a complete simulated-time trace behind —
-        :meth:`stage_summary` folds it into the per-stage breakdown.
-        """
-        tracer = self.tracer
-        with tracer.span("cycle") as cycle_span:
-            first_version = not self.versions.live_versions
-            generation = self._generate_stages(
-                tracer.span, mutation_rate, first_version
-            )
-            version = generation.version
-            cycle_span.attrs["version"] = version
-            delivered_keys = [0]
-
-            def ingest(dc: str, item) -> None:
-                with tracer.span(
-                    "ingest",
-                    track=f"ingest:{dc}",
-                    dc=dc,
-                    slice=item.slice_id,
-                    entries=len(item.entries),
-                ):
-                    delivered_keys[0] += self.clusters[dc].ingest_slice(item)
-
-            with tracer.span(
-                "transmit", version=version, slices=len(generation.slices)
-            ):
-                delivery: DeliveryReport = self.transport.deliver_version(
-                    generation.slices, on_arrival=ingest
-                )
-            self.last_delivery = delivery
-
-            with tracer.span("evict"):
-                evicted = self.versions.install(version)
-                for old_version in evicted:
-                    for cluster in self.clusters.values():
-                        cluster.drop_version(old_version)
-
-            promoted, inconsistency = self._gray_release(
-                version, generation.dedup_ratio
-            )
-
-            report = self._make_report(
-                generation, delivery, delivered_keys[0], evicted,
-                inconsistency, promoted,
-            )
-        # The cycle span is closed now: fold its trace into the report.
-        report.stages = self.tracer.stage_summary(
-            root_id=cycle_span.span_id
-        )
-        self.reports.append(report)
-        return report
+        """Build and roll out one new index version end to end: a train
+        of one (see :meth:`run_pipelined_cycles`)."""
+        return self.run_pipelined_cycles([mutation_rate])[0]
 
     def run_pipelined_cycles(
         self, specs: Sequence[Optional[float]]
     ) -> List[UpdateCycleReport]:
-        """Run one update cycle per spec with generation pipelined
-        against delivery.
+        """Run a train of update cycles, one per spec, each version's
+        generation pipelined against its predecessor's delivery.
 
         ``specs`` is one corpus mutation rate per version (``None`` uses
-        the config's default), exactly the values the same days would
-        pass to sequential :meth:`run_update_cycle` calls.  Each cycle
-        runs as a simulation process; one shared kernel drive covers all
-        of them, so version N+1's generation window opens one
+        the config's default).  This is the one definition of a cycle —
+        build -> dedup -> slice -> [encode] -> schedule -> transmit ->
+        evict -> gray release -> activate, every stage inside a tracer
+        span — and a *serial* month is N trains of one.  Each cycle
+        runs as a simulation process; one shared kernel drive covers the
+        whole train, so version N+1's generation window opens one
         ``generation_window_s`` after version N's did — while N's tail
         slices are still in flight — instead of waiting for N's delivery
-        and gray release to finish.
+        and gray release to finish.  (A version's last slice is released
+        at the window's end, so a delivery never finishes inside its
+        window and the wait costs a train of one nothing.)
 
         Version safety:
 
@@ -262,6 +215,16 @@ class DirectLoad:
           is dropped at the cluster (see
           :meth:`~repro.mint.cluster.MintCluster.ingest_slice`).
 
+        Failure: a cycle that raises — in a stage, or in a cluster's
+        ingest of one of its arrivals — ends the train from that version
+        on: it, and each follower the error then reaches through a gate,
+        is retired at every cluster (what is still in flight drops as
+        stale on arrival); versions ahead of it finish.  The first error
+        is raised only once every process of the train has ended, so the
+        next train delivers exactly its own versions — the first of them
+        whole, since the build DC forgets a predecessor the stores never
+        got (DESIGN.md, "Update cycles: one engine").
+
         Tracing: each cycle's spans live on their own ``cycle:{index}``
         track, deliveries and ingests parent under that cycle's spans
         explicitly, and each report's stage summary folds only its own
@@ -275,46 +238,104 @@ class DirectLoad:
             return []
         sim = self.sim
         tracer = self.tracer
+        config = self.config
         count = len(specs)
         # Evaluated once, up front: inside the processes version 1 only
         # installs at its own finalize, long after cycle 2 built.
         bootstrap = not self.versions.live_versions
         gen_gates = [sim.event() for _ in range(count)]
         fin_gates = [sim.event() for _ in range(count)]
-        reports: List[Optional[UpdateCycleReport]] = [None] * count
+        reports: List[UpdateCycleReport] = []
+        #: the version each cycle built, once it has (what a failure retires)
+        built: List[Optional[int]] = [None] * count
+        #: what ended each failed or cancelled cycle, in the order they ended
+        failures: List[Exception] = []
+
+        def wait(gate):
+            """Wait for a predecessor's gate; it carries the error that
+            ended the predecessor, if one did, and that ends this cycle."""
+            error = yield gate
+            if error is not None:
+                raise error
+
+        def retire(version: int) -> None:
+            for cluster in self.clusters.values():
+                cluster.drop_version(version)
 
         def cycle(index: int, mutation_rate: Optional[float]):
             track = f"cycle:{index}"
 
-            def span(name: str, parent=None, **attrs):
-                return tracer.span(name, track=track, parent=parent, **attrs)
+            def span(name: str, **attrs):
+                return tracer.span(name, track=track, **attrs)
 
-            yield gen_gates[index]
-            with span("cycle", pipelined=True) as cycle_span:
+            yield from wait(gen_gates[index])
+            with span("cycle") as cycle_span:
                 first = bootstrap and index == 0
-                generation = self._generate_stages(span, mutation_rate, first)
-                version = generation.version
+                with span("build", first=first):
+                    if first:
+                        dataset = self.pipeline.build_version()
+                    else:
+                        dataset = self.pipeline.advance_and_build(mutation_rate)
+                version = built[index] = dataset.version
                 cycle_span.attrs["version"] = version
-                delivered_keys = [0]
-
-                def ingest(dc: str, item) -> None:
-                    with tracer.span(
-                        "ingest",
-                        track=f"ingest:{dc}",
-                        parent=transmit_span,
-                        dc=dc,
-                        slice=item.slice_id,
-                        entries=len(item.entries),
-                    ):
-                        delivered_keys[0] += self.clusters[dc].ingest_slice(
-                            item
-                        )
 
                 with span(
-                    "transmit", version=version, slices=len(generation.slices)
+                    "dedup",
+                    version=version,
+                    mode="whole" if config.dedup_enabled else "off",
+                ):
+                    if not config.dedup_enabled:
+                        to_deliver = dataset
+                        dedup_ratio = 0.0
+                        saving = 0.0
+                        bytes_before = dataset.total_bytes
+                    else:
+                        result = self.deduplicator.process(dataset)
+                        to_deliver = result.dataset
+                        dedup_ratio = result.dedup_ratio
+                        saving = result.bandwidth_saving_ratio
+                        bytes_before = result.bytes_before
+
+                with span("slice", version=version):
+                    raw_slices = self.slicer.make_slices(to_deliver)
+
+                if self.wire_encoder is not None:
+                    with span("encode", version=version, slices=len(raw_slices)):
+                        self.wire_encoder.encode_slices(raw_slices)
+
+                with span("schedule", slices=len(raw_slices)):
+                    slices = self.scheduler.schedule(
+                        raw_slices, start_time=sim.now
+                    )
+
+                delivered_keys = [0]
+                ingest_errors: List[Exception] = []
+
+                def ingest(dc: str, item) -> None:
+                    try:
+                        with tracer.span(
+                            "ingest",
+                            track=f"ingest:{dc}",
+                            parent=transmit_span,
+                            dc=dc,
+                            slice=item.slice_id,
+                            entries=len(item.entries),
+                        ):
+                            delivered_keys[0] += self.clusters[dc].ingest_slice(
+                                item
+                            )
+                    except Exception as error:
+                        # Kept for the cycle to raise once its other
+                        # deliveries have ended; retired now, they drop
+                        # as stale instead of landing.
+                        ingest_errors.append(error)
+                        retire(version)
+
+                with span(
+                    "transmit", version=version, slices=len(slices)
                 ) as transmit_span:
                     delivery = self.transport.deliver_version(
-                        generation.slices,
+                        slices,
                         on_arrival=ingest,
                         run=False,
                         parent_span=transmit_span,
@@ -322,126 +343,87 @@ class DirectLoad:
                     # One generation window later the build DC is free:
                     # open the next version's window while this one's
                     # deliveries keep flowing.
-                    yield sim.timeout(self.config.generation_window_s)
+                    yield sim.timeout(config.generation_window_s)
                     if index + 1 < count:
                         gen_gates[index + 1].succeed()
                     yield sim.all_of(delivery.processes)
+                    if ingest_errors:
+                        raise ingest_errors[0]
                 self.last_delivery = delivery
 
                 if index > 0:
-                    yield fin_gates[index - 1]
+                    yield from wait(fin_gates[index - 1])
                 with span("evict"):
                     evicted = self.versions.install(version)
                     for old_version in evicted:
-                        for cluster in self.clusters.values():
-                            cluster.drop_version(old_version)
+                        retire(old_version)
 
                 promoted, inconsistency = self._gray_release(
-                    version, generation.dedup_ratio, track=track
+                    version, dedup_ratio, track
                 )
 
-                report = self._make_report(
-                    generation, delivery, delivered_keys[0], evicted,
-                    inconsistency, promoted,
+                report = UpdateCycleReport(
+                    version=version,
+                    entries_built=dataset.entry_count,
+                    dedup_ratio=dedup_ratio,
+                    bandwidth_saving_ratio=saving,
+                    bytes_before_dedup=bytes_before,
+                    bytes_sent=delivery.bytes_sent,
+                    update_time_s=delivery.update_time_s,
+                    miss_ratio=delivery.miss_ratio,
+                    retransmissions=delivery.retransmissions,
+                    detoured=delivery.detoured,
+                    keys_delivered=delivered_keys[0],
+                    evicted_versions=evicted,
+                    inconsistency_rate=inconsistency,
+                    promoted=promoted,
                 )
+            # The cycle span is closed now: fold its trace into the report.
             report.stages = tracer.stage_summary(root_id=cycle_span.span_id)
-            reports[index] = report
+            reports.append(report)
             self.reports.append(report)
-            fin_gates[index].succeed()
+
+        def to_its_end(index: int, mutation_rate: Optional[float]):
+            """Run one cycle; whatever ends it, its follower is released."""
+            ended_by: Optional[Exception] = None
+            try:
+                yield from cycle(index, mutation_rate)
+            except Exception as error:
+                # Recorded, not re-raised: the train raises it once every
+                # cycle has ended.  (Retiring again a version one of its
+                # arrivals already retired finds nothing left to drop.)
+                ended_by = error
+                failures.append(error)
+                if built[index] is not None:
+                    retire(built[index])
+            finally:
+                if index + 1 < count and not gen_gates[index + 1].triggered:
+                    gen_gates[index + 1].succeed(ended_by)
+                fin_gates[index].succeed(ended_by)
 
         processes = [
-            sim.process(cycle(index, spec)) for index, spec in enumerate(specs)
+            sim.process(to_its_end(index, spec))
+            for index, spec in enumerate(specs)
         ]
         gen_gates[0].succeed()
         started = sim.now
         sim.run(until=sim.all_of(processes))
         self.last_pipelined_makespan_s = sim.now - started
-        return [report for report in reports if report is not None]
-
-    # ------------------------------------------------------------------
-    def _generate_stages(
-        self, span, mutation_rate: Optional[float], first_version: bool
-    ) -> _Generation:
-        """Build -> dedup -> slice -> schedule, traced via ``span``.
-
-        ``span`` opens tracer spans on the caller's track (the main
-        track for the serial cycle, a per-version ``cycle:{i}`` track
-        for pipelined ones); the stage names and order are identical
-        either way.
-        """
-        with span("build", first=first_version):
-            if first_version:
-                dataset = self.pipeline.build_version()
-            else:
-                dataset = self.pipeline.advance_and_build(mutation_rate)
-        version = dataset.version
-
-        with span(
-            "dedup",
-            version=version,
-            mode="whole" if self.config.dedup_enabled else "off",
-        ):
-            if not self.config.dedup_enabled:
-                to_deliver = dataset
-                dedup_ratio = 0.0
-                saving = 0.0
-                bytes_before = dataset.total_bytes
-            else:
-                dedup_result: DedupResult = self.deduplicator.process(dataset)
-                to_deliver = dedup_result.dataset
-                dedup_ratio = dedup_result.dedup_ratio
-                saving = dedup_result.bandwidth_saving_ratio
-                bytes_before = dedup_result.bytes_before
-
-        with span("slice", version=version):
-            raw_slices = self.slicer.make_slices(to_deliver)
-
-        if self.wire_encoder is not None:
-            with span("encode", version=version, slices=len(raw_slices)):
-                self.wire_encoder.encode_slices(raw_slices)
-
-        with span("schedule", slices=len(raw_slices)):
-            slices = self.scheduler.schedule(raw_slices, start_time=self.sim.now)
-        return _Generation(
-            dataset=dataset,
-            version=version,
-            slices=slices,
-            dedup_ratio=dedup_ratio,
-            saving=saving,
-            bytes_before=bytes_before,
-        )
-
-    def _make_report(
-        self,
-        generation: _Generation,
-        delivery: DeliveryReport,
-        keys_delivered: int,
-        evicted: List[int],
-        inconsistency: float,
-        promoted: bool,
-    ) -> UpdateCycleReport:
-        return UpdateCycleReport(
-            version=generation.version,
-            entries_built=generation.dataset.entry_count,
-            dedup_ratio=generation.dedup_ratio,
-            bandwidth_saving_ratio=generation.saving,
-            bytes_before_dedup=generation.bytes_before,
-            bytes_sent=delivery.bytes_sent,
-            update_time_s=delivery.update_time_s,
-            miss_ratio=delivery.miss_ratio,
-            retransmissions=delivery.retransmissions,
-            detoured=delivery.detoured,
-            keys_delivered=keys_delivered,
-            evicted_versions=evicted,
-            inconsistency_rate=inconsistency,
-            promoted=promoted,
-        )
+        if failures:
+            # The build DC's predecessor state describes a version the
+            # stores never got: the next version ships whole.
+            self.deduplicator.forget()
+            if self.wire_encoder is not None:
+                self.wire_encoder.forget()
+            raise failures[0]
+        return reports
 
     # ------------------------------------------------------------------
     def _gray_release(
-        self, version: int, dedup_ratio: float, track: str = MAIN_TRACK
+        self, version: int, dedup_ratio: float, track: str
     ) -> tuple[bool, float]:
-        """Advance the gray DC, measure, then promote or roll back.
+        """Advance the gray DC, measure, then promote or roll back, traced
+        on the cycle's ``track``.
 
         The latency probe samples only keys ``version`` itself ingested
         (``cluster.version_keys[version]``) — the gray gate judges a

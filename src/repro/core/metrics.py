@@ -131,16 +131,6 @@ class CacheCounters:
         self.hits = 0
         self.misses = 0
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat counter view for table/report aggregation."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidated": self.invalidated,
-            "hit_rate": self.hit_rate,
-        }
-
 
 @dataclass
 class BatchCounters:

@@ -244,7 +244,7 @@ class ReplicaRepairer:
         for peer in source_group.nodes:
             if peer is target or not peer.is_up:
                 continue
-            record = self._peek(peer, key, version)
+            record = peer.engine.peek(key, version)
             if record is None:
                 continue
             value, deduplicated = record
@@ -268,7 +268,7 @@ class ReplicaRepairer:
             for peer in remote_group.replicas_for(key):
                 if not peer.is_up:
                     continue
-                record = self._peek(peer, key, version)
+                record = peer.engine.peek(key, version)
                 if record is not None:
                     return record
         return None
@@ -284,22 +284,10 @@ class ReplicaRepairer:
         for peer in group.replicas_for(key):
             if peer is node or not peer.is_up:
                 continue
-            record = self._peek(peer, key, version)
+            record = peer.engine.peek(key, version)
             if record is not None:
                 return record
         return None
-
-    @staticmethod
-    def _peek(peer: StorageNode, key: bytes, version: int):
-        engine = peer.engine
-        peek = getattr(engine, "peek", None)
-        if peek is not None:
-            return peek(key, version)
-        # Engines without a raw-record read (the LSM baseline): fall back
-        # to the user read path.  The dedup flag is unrecoverable there,
-        # so the copy materialises as a full value.
-        value = engine.get_batch([(key, version)])[0]
-        return None if value is None else (value, False)
 
     # ------------------------------------------------------------------
     def audit_node(
@@ -361,7 +349,7 @@ class ReplicaRepairer:
             diverged = False
             for index in sampled:
                 key, version, _dedup, build_sig = summary.records[index]
-                record = self._peek(node, key, version)
+                record = node.engine.peek(key, version)
                 result.records_sampled += 1
                 counters.audited_records += 1
                 if record is None:
@@ -402,7 +390,7 @@ class ReplicaRepairer:
         for index in indices:
             key, version, _dedup, _sig = summary.records[index]
             expected = summary.levels[0][index]
-            record = self._peek(node, key, version)
+            record = node.engine.peek(key, version)
             counters.audit_leaf_checks += 1
             if record is not None:
                 value, stored_dedup = record
@@ -415,7 +403,7 @@ class ReplicaRepairer:
             for peer in group.replicas_for(key):
                 if peer is node or not peer.is_up:
                     continue
-                peer_record = self._peek(peer, key, version)
+                peer_record = peer.engine.peek(key, version)
                 if peer_record is None:
                     continue
                 peer_value, peer_dedup = peer_record
@@ -438,14 +426,3 @@ class ReplicaRepairer:
                 if node.is_up:
                     result.merge(self.audit_node(cluster, node, naive=naive))
         return result
-
-    # ------------------------------------------------------------------
-    def repair_group(
-        self, cluster: MintCluster, group: NodeGroup, fleet=None
-    ) -> List[Tuple[StorageNode, RepairResult]]:
-        """Repair every live node of a group (post-outage recovery)."""
-        return [
-            (node, self.repair_node(cluster, group, node, fleet=fleet))
-            for node in group.nodes
-            if node.is_up
-        ]

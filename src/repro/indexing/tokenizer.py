@@ -20,14 +20,3 @@ def tokenize(text: str) -> List[str]:
     ['hello', 'world', 'hello']
     """
     return _TOKEN.findall(text.lower())
-
-
-def unique_terms(text: str) -> List[str]:
-    """Tokenize and deduplicate, preserving first-seen order."""
-    seen = set()
-    ordered: List[str] = []
-    for term in tokenize(text):
-        if term not in seen:
-            seen.add(term)
-            ordered.append(term)
-    return ordered

@@ -56,7 +56,3 @@ class ZipfVocabulary:
         if length < 1:
             raise ConfigError(f"document length must be >= 1, got {length}")
         return [self.sample() for _ in range(length)]
-
-    def reseed(self, seed: int) -> None:
-        """Reset the sampling stream (corpus rounds derive per-round seeds)."""
-        self._random = random.Random(seed)

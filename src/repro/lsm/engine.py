@@ -243,6 +243,12 @@ class LSMEngine:
         record = self._find((key, version), exact=True)
         return record is not None and record.type is not RecordType.DELETE
 
+    def peek(self, key: bytes, version: int):
+        """Repair read, ``(value, deduplicated)`` or ``None``, through
+        the user read path: the copy materialises as a full value."""
+        value = self.get_batch([(key, version)])[0]
+        return None if value is None else (value, False)
+
     def scan(
         self, start_key: bytes, end_key: bytes
     ) -> Iterator[Tuple[bytes, int, bytes]]:

@@ -691,16 +691,6 @@ class MintCluster:
         """Front-end read of one index entry."""
         return self.get(storage_key(kind, key), version)
 
-    def multi_query(
-        self, kind: IndexKind, keys: List[bytes], version: int,
-        missing: str = "raise",
-    ) -> List:
-        """Front-end batched read of several same-kind index entries."""
-        return self.multi_get(
-            [(storage_key(kind, key), version) for key in keys],
-            missing=missing,
-        )
-
     def scan(
         self,
         kind: IndexKind,
@@ -905,8 +895,3 @@ class MintCluster:
         totals["skipped_gets_per_node"] = skipped_gets_per_node
         totals["corrupt_gets_per_node"] = corrupt_gets_per_node
         return totals
-
-    @property
-    def max_device_time(self) -> float:
-        """The slowest node's device clock (cluster makespan proxy)."""
-        return max(node.engine.device.now for node in self.all_nodes)

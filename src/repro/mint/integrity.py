@@ -183,10 +183,6 @@ class IntegrityIndex:
         #: version -> slice_ids, for version-drop pruning
         self._by_version: Dict[int, List[str]] = {}
 
-    @property
-    def tracked_slices(self) -> int:
-        return len(self._slices)
-
     def absorb(self, item, stored: Bodies, signatures) -> SliceSummary:
         """Summarise one ingested slice: leaves, tree, seal.
 

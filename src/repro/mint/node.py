@@ -49,6 +49,12 @@ class Engine(Protocol):
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live record is stored for ``(key, version)``."""
 
+    def peek(
+        self, key: bytes, version: int
+    ) -> Optional[Tuple[Optional[bytes], bool]]:
+        """The record as stored, ``(value, deduplicated)``, or ``None``:
+        the maintenance read replica repair copies from."""
+
     def scan(
         self, start_key: bytes, end_key: bytes
     ) -> Iterator[Tuple[bytes, int, bytes]]:

@@ -74,15 +74,6 @@ class LogHistogram:
         self._sum = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def bucket_count(self) -> int:
-        return len(self._counts)
-
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative width of one bucket (``growth - 1``)."""
-        return self.growth - 1.0
-
     def same_geometry(self, other: "LogHistogram") -> bool:
         return (
             self.min_value == other.min_value

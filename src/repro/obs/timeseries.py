@@ -172,26 +172,5 @@ class TimeSeriesRecorder:
         delta = values.get(name, 0.0) - base[1].get(name, 0.0)
         return delta / span
 
-    def window_rates(
-        self, prefix: str, window_s: float
-    ) -> Dict[str, float]:
-        """Per-counter trailing rates for one subtree (node/group/link)."""
-        if not self.samples:
-            return {}
-        at_s, values = self.samples[-1]
-        base = self._window_base(window_s, at_s)
-        if base is None:
-            return {}
-        span = at_s - base[0]
-        if span <= 0:
-            return {}
-        dotted = prefix + "."
-        out: Dict[str, float] = {}
-        for name, value in values.items():
-            if name != prefix and not name.startswith(dotted):
-                continue
-            out[name] = (value - base[1].get(name, 0.0)) / span
-        return out
-
 
 __all__ = ["RecorderConfig", "SampleHook", "TimeSeriesRecorder"]

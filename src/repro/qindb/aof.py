@@ -134,17 +134,15 @@ class AofSegment:
         The unit reads the union of pages the locations touch, coalesced
         (:meth:`~repro.ssd.native.NativeUnit.read_many`, which charges a
         single range exactly as ``read`` does — so one location takes
-        :meth:`read_value`); a backend without a batched read (the
-        filesystem ablation path) reads per location.  Input order.
+        :meth:`read_value`).  Input order.
         """
-        unit_read_many = getattr(self._unit, "read_many", None)
-        if len(locations) == 1 or unit_read_many is None:
-            return [self.read_value(location) for location in locations]
+        if len(locations) == 1:
+            return [self.read_value(locations[0])]
         for location in locations:
             if location.segment_id != self.segment_id:
                 raise self._foreign(location)
         ranges = [(location.offset, location.length) for location in locations]
-        return [decode_value(raw) for raw in unit_read_many(ranges)]
+        return [decode_value(raw) for raw in self._unit.read_many(ranges)]
 
     def read_frames(self) -> Tuple[bytes, List[Frame]]:
         """The segment's image and its verified frames — what GC and
@@ -205,6 +203,10 @@ class _FileUnit:
 
     def read(self, offset: int, length: int) -> bytes:
         return self._file.read(offset, length)
+
+    def read_many(self, ranges) -> List[bytes]:
+        """No coalescing through the FTL either: one read per range."""
+        return [self._file.read(offset, length) for offset, length in ranges]
 
     def flush(self) -> None:
         """Write-through already; nothing is buffered."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OverloadError, ReproError
-from repro.mint.cluster import MintCluster, storage_key
+from repro.mint.cluster import MintCluster
 from repro.mint.group import NodeGroup
 from repro.obs.hist import LogHistogram
 from repro.simulation.kernel import Simulator
@@ -166,10 +166,6 @@ class ServingFrontend:
         if bucket.flusher is None:
             bucket.flusher = self.sim.process(self._flush(dc, bucket))
         return event
-
-    def submit_query(self, dc: str, kind, key: bytes, version: int):
-        """Like :meth:`try_submit` for a typed index query."""
-        return self.try_submit(dc, storage_key(kind, key), version)
 
     # ------------------------------------------------------------------
     def _track(self, dc: str):

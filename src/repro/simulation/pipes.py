@@ -93,14 +93,6 @@ class Link:
         """Seconds a new transfer would wait before its first byte moves."""
         return max(0.0, self._busy_until - self.sim.now)
 
-    def estimated_transfer_time(self, nbytes: int) -> float:
-        """Predicted delivery time for ``nbytes`` submitted right now."""
-        return (
-            self.queueing_delay()
-            + nbytes * 8.0 / self.bandwidth_bps
-            + self.latency_s
-        )
-
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------

@@ -54,10 +54,6 @@ class DeviceCounters:
         return self.host_pages_written * self.page_size
 
     @property
-    def host_bytes_read(self) -> int:
-        return self.host_pages_read * self.page_size
-
-    @property
     def total_bytes_written(self) -> int:
         """The firmware ``Sys Write`` counter, in bytes."""
         return self.total_pages_written * self.page_size

@@ -156,9 +156,9 @@ def fleet_state(system) -> Dict:
             for key in set(cluster.version_keys[version]):
                 group = cluster.group_for(key)
                 for node in group.replicas_for(key):
-                    peek = getattr(node.engine, "peek", None)
-                    record = peek(key, version) if peek else None
-                    state[(dc, node.name, key, version)] = record
+                    state[(dc, node.name, key, version)] = node.engine.peek(
+                        key, version
+                    )
     return state
 
 

@@ -119,15 +119,6 @@ class Fig5Workload:
                 yield KVOp(OpKind.DELETE, delete_queue[deletes_done], expired)
                 deletes_done += 1
 
-    def read_probe_ops(self, count: int, max_version: int) -> Iterator[KVOp]:
-        """Random GETs over live versions (Figure 8's query stream)."""
-        config = self.config
-        low_version = max(1, max_version - config.retained_versions + 1)
-        for _ in range(count):
-            index = self._random.randrange(config.key_count)
-            version = self._random.randint(low_version, max_version)
-            yield KVOp(OpKind.GET, self.key(index), version)
-
 
 def run_fig5(
     key_count: int, value_bytes_mean: int, versions: int

@@ -71,10 +71,6 @@ class TraceReplayResult:
         return mean_and_stddev([v for _t, v in self.user_write_series])[0]
 
     @property
-    def user_write_stddev_mbs(self) -> float:
-        return mean_and_stddev([v for _t, v in self.user_write_series])[1]
-
-    @property
     def sys_write_mean_mbs(self) -> float:
         return mean_and_stddev([v for _t, v in self.sys_write_series])[0]
 

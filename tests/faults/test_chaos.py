@@ -2,12 +2,16 @@
 single-node-crash plan, and byte-identical equivalence under the empty
 plan."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.directload import DirectLoad
 from repro.errors import ConfigError
 from repro.faults.plan import LinkPartition, NodeCrash
 from repro.workloads.chaos import (
     ChaosConfig,
+    build_chaos_system,
     fleet_state,
     resolve_plan,
     run_chaos,
@@ -70,6 +74,20 @@ def test_empty_plan_is_byte_identical_to_plain_cycles():
         for dc, cluster in plain.clusters.items()
     }
     assert chaos_versions == plain_versions
+
+
+def test_fleet_state_of_an_lsm_fleet_holds_values():
+    """``peek`` is part of the ``Engine`` protocol, so the witness is not
+    vacuous on the baseline engine: every replica's record is there."""
+    config = dataclasses.replace(build_chaos_system().config, engine="lsm")
+    system = DirectLoad(config)
+    system.run_pipelined_cycles([None, 0.3])
+    state = fleet_state(system)
+    assert state
+    assert all(
+        record is not None and record[0] is not None
+        for record in state.values()
+    )
 
 
 def test_resolve_plan_accepts_names_and_raw_text():

@@ -185,14 +185,3 @@ def test_correlated_tail_loss_refetches_cross_region():
     assert result.keys_copied == 1
     assert result.remote_copies == 1
     assert node.engine.get(b"k1", 1) == b"v1"
-
-
-def test_repair_group_covers_every_live_node(cluster):
-    group = cluster.groups[0]
-    cluster.put(b"k1", 1, b"v1")
-    note_version(cluster, 1, b"k1")
-    group.nodes[2].fail()
-    results = ReplicaRepairer().repair_group(cluster, group)
-    assert [node.name for node, _ in results] == [
-        node.name for node in group.nodes if node.is_up
-    ]

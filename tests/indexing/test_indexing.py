@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.indexing.corpus import SyntheticWebCorpus
 from repro.indexing.crawler import Crawler
-from repro.indexing.tokenizer import tokenize, unique_terms
+from repro.indexing.tokenizer import tokenize
 from repro.indexing.types import QualityTier
 from repro.indexing.vocabulary import ZipfVocabulary
 
@@ -55,9 +55,6 @@ def test_tokenize_empty():
     assert tokenize("") == []
     assert tokenize("!!! ...") == []
 
-
-def test_unique_terms_preserves_order():
-    assert unique_terms("b a b c a") == ["b", "a", "c"]
 
 
 # -------------------------------------------------------------------- corpus

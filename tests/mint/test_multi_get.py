@@ -184,14 +184,3 @@ def test_group_read_metrics_registered():
         for g in cluster.groups
     )
     assert total == 8
-
-
-def test_multi_query_wraps_kinds():
-    from repro.indexing.types import IndexKind
-
-    cluster = make_cluster()
-    from repro.mint.cluster import storage_key
-
-    key = storage_key(IndexKind.SUMMARY, b"doc")
-    cluster.put(key, 1, b"payload")
-    assert cluster.multi_query(IndexKind.SUMMARY, [b"doc"], 1) == [b"payload"]

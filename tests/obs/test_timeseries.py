@@ -121,19 +121,6 @@ def test_mid_run_array_registration_samples_cleanly():
     assert recorder.window_delta("link.a-b.bytes", 10.0) == 5.0
 
 
-def test_window_rates_subtree():
-    sim, registry, _box = _counting_system()
-    registry.register("work.other", lambda: 0.0)
-    registry.register("workx.done", lambda: 100.0)
-    recorder = TimeSeriesRecorder(
-        sim, registry, RecorderConfig(interval_s=0.5)
-    )
-    recorder.start()
-    sim.run(until=2.0)
-    rates = recorder.window_rates("work", 1.0)
-    assert set(rates) == {"work.done", "work.other"}  # segment-aware
-    assert rates["work.done"] > 0.0
-
 
 def test_config_validation():
     with pytest.raises(ConfigError):

@@ -69,12 +69,6 @@ def test_queueing_delay_reflects_backlog(sim):
     assert link.queueing_delay() == pytest.approx(2.0)
 
 
-def test_estimated_transfer_time_matches_actual(sim):
-    link = Link(sim, bandwidth_bps=8e6, latency_s=0.1)
-    link.transmit(1_000_000)
-    estimate = link.estimated_transfer_time(500_000)
-    assert estimate == pytest.approx(1.0 + 0.5 + 0.1)
-
 
 def test_utilization_tracks_traffic(sim):
     link = Link(sim, bandwidth_bps=8e6, stat_bucket_s=10.0)

@@ -79,14 +79,6 @@ def test_fig5_value_sizes_spread_around_mean():
     assert 950 < sum(sizes) / len(sizes) < 1050
 
 
-def test_fig5_read_probe_ops():
-    config = Fig5WorkloadConfig(key_count=50, versions=6, retained_versions=4)
-    workload = Fig5Workload(config)
-    probes = list(workload.read_probe_ops(100, max_version=6))
-    assert len(probes) == 100
-    assert all(op.kind is OpKind.GET for op in probes)
-    assert all(3 <= op.version <= 6 for op in probes)
-
 
 def test_fig5_config_validation():
     with pytest.raises(ConfigError):
