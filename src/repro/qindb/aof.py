@@ -14,7 +14,7 @@ memtable items.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import StorageError
 from repro.qindb.records import Frame, decode_value, scan_frames
@@ -23,19 +23,15 @@ from repro.ssd.native import NativeBlockInterface, NativeUnit
 
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 
-
-class RecordLocation(NamedTuple):
-    """Durable address of one record: which segment, at which offset.
-
-    A NamedTuple rather than a dataclass: one is built per appended
-    record on the batched write path, and tuple construction is several
-    times cheaper while keeping the same field names, ordering,
-    hashability, and repr.
-    """
-
-    segment_id: int
-    offset: int
-    length: int
+#: Durable address of one record: ``(segment_id, offset, length)``.
+#:
+#: An exact tuple of ints, never a NamedTuple or dataclass: one is held
+#: per stored record, inside its memtable item, and CPython's cyclic
+#: collector untracks only *exact* tuples whose elements are untracked —
+#: a tuple subclass, a dataclass or any mutable object here would put
+#: every stored record back on the collector's lists, walked on every
+#: full collection for as long as the record lives.
+RecordLocation = Tuple[int, int, int]
 
 
 class AofSegment:
@@ -106,14 +102,9 @@ class AofSegment:
         start = self._unit.append_many(encoded)
         self.record_count += len(encoded)
         segment_id = self.segment_id
-        # tuple.__new__ directly: RecordLocation is a NamedTuple, and
-        # skipping its Python-level __new__ wrapper saves a frame per
-        # record on the hot path.
-        new_location = tuple.__new__
-        cls = RecordLocation
         offsets = accumulate(lengths, initial=start)
         return [
-            new_location(cls, (segment_id, offset, length))
+            (segment_id, offset, length)
             for offset, length in zip(offsets, lengths)
         ], nbytes
 
@@ -124,9 +115,10 @@ class AofSegment:
 
     def read_value(self, location: RecordLocation) -> bytes:
         """Read the frame at ``location``, verify it, return its value."""
-        if location.segment_id != self.segment_id:
+        segment_id, offset, length = location
+        if segment_id != self.segment_id:
             raise self._foreign(location)
-        return decode_value(self._unit.read(location.offset, location.length))
+        return decode_value(self._unit.read(offset, length))
 
     def read_values(self, locations: List[RecordLocation]) -> List[bytes]:
         """:meth:`read_value` for a batch, as one command set.
@@ -139,9 +131,9 @@ class AofSegment:
         if len(locations) == 1:
             return [self.read_value(locations[0])]
         for location in locations:
-            if location.segment_id != self.segment_id:
+            if location[0] != self.segment_id:
                 raise self._foreign(location)
-        ranges = [(location.offset, location.length) for location in locations]
+        ranges = [(offset, length) for _id, offset, length in locations]
         return [decode_value(raw) for raw in self._unit.read_many(ranges)]
 
     def read_frames(self) -> Tuple[bytes, List[Frame]]:
@@ -321,10 +313,10 @@ class AofManager:
         """
         if len(locations) == 1:
             location = locations[0]
-            return [self.segment(location.segment_id).read_value(location)]
+            return [self.segment(location[0]).read_value(location)]
         by_segment: Dict[int, List[int]] = {}
-        for index, location in enumerate(locations):
-            by_segment.setdefault(location.segment_id, []).append(index)
+        for index, (segment_id, _offset, _length) in enumerate(locations):
+            by_segment.setdefault(segment_id, []).append(index)
         values: List[bytes | None] = [None] * len(locations)
         for segment_id in sorted(by_segment):
             indices = by_segment[segment_id]

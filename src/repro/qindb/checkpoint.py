@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import CorruptionError
-from repro.qindb.aof import AofManager, RecordLocation
+from repro.qindb.aof import AofManager
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import RecordType, torn_tail
 from repro.ssd.native import NativeBlockInterface, NativeUnit
@@ -84,17 +84,12 @@ class Checkpoint:
         count = 0
         rows = bytearray()
         for key, version, item in engine.memtable.items():
-            flags = (_FLAG_DEDUP if item.deduplicated else 0) | (
-                _FLAG_DELETED if item.deleted else 0
+            (segment_id, offset, length), deduplicated, deleted, sequence = item
+            flags = (_FLAG_DEDUP if deduplicated else 0) | (
+                _FLAG_DELETED if deleted else 0
             )
             rows += _ROW.pack(
-                len(key),
-                version,
-                item.sequence,
-                item.location.segment_id,
-                item.location.offset,
-                item.location.length,
-                flags,
+                len(key), version, sequence, segment_id, offset, length, flags
             )
             rows += key
             count += 1
@@ -121,6 +116,7 @@ class Checkpoint:
             raise CorruptionError("bad checkpoint magic")
         body = self.unit.read(_HEADER.size, self.unit.size - _HEADER.size)
         offset = 0
+        pairs = []
         for _ in range(count):
             key_len, version, sequence, seg, off, length, flags = _ROW.unpack_from(
                 body, offset
@@ -128,14 +124,15 @@ class Checkpoint:
             offset += _ROW.size
             key = bytes(body[offset : offset + key_len])
             offset += key_len
-            location = RecordLocation(seg, off, length)
-            engine.memtable.put(
-                key, version, location, bool(flags & _FLAG_DEDUP), sequence
-            )
+            deleted = bool(flags & _FLAG_DELETED)
+            pairs.append((
+                (key, version),
+                ((seg, off, length), bool(flags & _FLAG_DEDUP), deleted, sequence),
+            ))
             engine.gc_table.record_appended(seg, length)
-            if flags & _FLAG_DELETED:
-                engine.memtable.mark_deleted(key, version)
+            if deleted:
                 engine.gc_table.record_dead(seg, length)
+        engine.memtable.put_batch_pairs(pairs)
         engine._sequence = max(engine._sequence, max_sequence)
 
     def discard(self) -> None:
@@ -215,38 +212,33 @@ def recover(
             previous_tomb = pending_tombstones.get(key_version, -1)
             pending_tombstones[key_version] = max(previous_tomb, sequence)
             item = engine.memtable.get(key, version)
-            if (
-                item is not None
-                and not item.deleted
-                and sequence > item.sequence
-            ):
-                engine.memtable.mark_deleted(key, version)
-                engine.gc_table.record_dead(
-                    item.location.segment_id, item.location.length
-                )
+            if item is not None:
+                (seg, _off, length), _r, deleted, put_sequence = item
+                if not deleted and sequence > put_sequence:
+                    engine.memtable.mark_deleted(key, version)
+                    engine.gc_table.record_dead(seg, length)
             # Account the tombstone's own bytes (appended and dead).
             engine.gc_table.record_appended(segment_id, size)
             engine.gc_table.record_dead(segment_id, size)
             continue
 
-        location = RecordLocation(segment_id, offset, size)
         engine.gc_table.record_appended(segment_id, size)
         existing = engine.memtable.get(key, version)
-        if existing is not None and sequence <= existing.sequence:
+        if existing is not None and sequence <= existing[3]:  # its sequence
             # A stale physical copy (GC duplicate); its bytes are dead.
             engine.gc_table.record_dead(segment_id, size)
             continue
         previous = engine.memtable.put(
             key,
             version,
-            location,
+            (segment_id, offset, size),
             rtype == RecordType.PUT_DEDUP,
             sequence=sequence,
         )
-        if previous is not None and not previous.deleted:
-            engine.gc_table.record_dead(
-                previous.location.segment_id, previous.location.length
-            )
+        if previous is not None:
+            (seg, _off, length), _r, deleted, _seq = previous
+            if not deleted:
+                engine.gc_table.record_dead(seg, length)
         tombstone_sequence = pending_tombstones.get(key_version, -1)
         if tombstone_sequence > sequence:
             # GC moved this put physically past its tombstone; the

@@ -41,7 +41,7 @@ from repro.errors import (
 from repro.core.metrics import BatchCounters
 from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.gctable import GCTable
-from repro.qindb.memtable import IndexItem, Memtable
+from repro.qindb.memtable import ItemKey, Memtable
 from repro.qindb.readcache import RecordCache
 from repro.qindb.records import (
     HEADER_SIZE,
@@ -289,14 +289,14 @@ class QinDB:
         for segment_id, nbytes in appended:
             self.gc_table.record_appended(segment_id, nbytes)
             framed += nbytes
-        entries = map(IndexItem, locations, batch.dedup, repeat(False), sequences)
+        entries = zip(locations, batch.dedup, repeat(False), sequences)
         for previous in self.memtable.put_batch_pairs(
             list(zip(batch.item_keys, entries))
         ):
-            if previous is not None and not previous.deleted:
-                self.gc_table.record_dead(
-                    previous.location.segment_id, previous.location.length
-                )
+            if previous is not None:
+                (segment_id, _offset, length), _r, deleted, _seq = previous
+                if not deleted:
+                    self.gc_table.record_dead(segment_id, length)
         self.user_bytes_written += framed - HEADER_SIZE * len(batch)
         self.batch_counters.batches += 1
         self.batch_counters.batched_puts += len(batch)
@@ -355,11 +355,11 @@ class QinDB:
         for index, (item, older) in enumerate(
             self.memtable.resolve_batch(items)
         ):
-            if item is None or item.deleted:
+            if item is None or item[2]:  # absent, or the d flag
                 continue
-            source = item if item.has_value else older
+            source = older if item[1] else item  # r flag: its base reads
             if source is not None:
-                need.setdefault(source.location, []).append(index)
+                need.setdefault(source[0], []).append(index)
         self._charge_cpu()
         self.reads_in_flight += 1
         try:
@@ -419,19 +419,16 @@ class QinDB:
         resolved = self.memtable.get_batch(items)
         seen: set = set()
         for (key, version), item in zip(items, resolved):
-            if item is None or item.deleted or (key, version) in seen:
+            if item is None or item[2] or (key, version) in seen:
                 raise KeyNotFoundError(f"no live item for {key!r}/{version}")
             seen.add((key, version))
         keys, versions = zip(*items)
         bodies, checksums = build_bodies(
             repeat(int(RecordType.DELETE)), keys, versions, repeat(b"")
         )
-        dead_locations: List[RecordLocation] = []
-        for item in resolved:
-            item.deleted = True
-            dead_locations.append(item.location)
+        self.memtable.mark_deleted_batch(items)
         sequences = self._draw_sequences(len(bodies))
-        self.gc_table.record_dead_many(dead_locations)
+        self.gc_table.record_dead_many([item[0] for item in resolved])
         _locations, appended = self.aofs.append_encoded_batch(
             frame_bodies(sequences, bodies, checksums)
         )
@@ -448,7 +445,7 @@ class QinDB:
         self._check_open()
         item = self.memtable.get(key, version)
         self._charge_cpu()
-        return item is not None and not item.deleted
+        return item is not None and not item[2]  # the d flag
 
     def holds(self, key: bytes, version: int) -> bool:
         """Whether *any* record — live or deleted — is stored for
@@ -475,15 +472,12 @@ class QinDB:
         self._check_open()
         target = self.memtable.get(key, version)
         self._charge_cpu()
-        if target is None or target.has_value:
+        if target is None or not target[1]:  # absent, or carries a value
             return None
         for base_version, base in self.memtable.older_versions(key, version):
-            if base.has_value:
-                return (
-                    base_version,
-                    self._read_value(base.location),
-                    base.deleted,
-                )
+            location, deduplicated, deleted, _sequence = base
+            if not deduplicated:
+                return (base_version, self._read_value(location), deleted)
         raise KeyNotFoundError(
             f"dedup chain for {key!r}/{version} reaches no stored value"
         )
@@ -502,11 +496,12 @@ class QinDB:
         self._check_open()
         item = self.memtable.get(key, version)
         self._charge_cpu()
-        if item is None or item.deleted:
+        if item is None or item[2]:  # absent, or the d flag
             return None
-        if not item.has_value:
+        location, deduplicated, _deleted, _sequence = item
+        if deduplicated:
             return (None, True)
-        return (self._read_value(item.location), False)
+        return (self._read_value(location), False)
 
     def scan(
         self, start_key: bytes, end_key: bytes
@@ -526,12 +521,13 @@ class QinDB:
         self.reads_in_flight += 1
         try:
             for key, version, item in self.memtable.scan(start_key, end_key):
-                if item.deleted:
+                location, deduplicated, deleted, _sequence = item
+                if deleted:
                     continue
-                if item.has_value:
-                    yield key, version, self._read_value(item.location)
-                else:
+                if deduplicated:
                     yield key, version, self._traceback(key, version)
+                else:
+                    yield key, version, self._read_value(location)
         finally:
             self.reads_in_flight -= 1
 
@@ -550,7 +546,7 @@ class QinDB:
             if value is not None:
                 self.device.advance(self.config.cpu_per_op_s)
                 return value
-        value = self.aofs.segment(location.segment_id).read_value(location)
+        value = self.aofs.segment(location[0]).read_value(location)
         if cache is not None:
             cache.put(location, value)
         return value
@@ -568,7 +564,7 @@ class QinDB:
             raise KeyNotFoundError(
                 f"dedup chain for {key!r}/{version} reaches no stored value"
             )
-        return self._read_value(older.location)
+        return self._read_value(older[0])
 
     def _draw_sequences(self, count: int) -> range:
         """The next ``count`` logical sequence numbers, consumed."""
@@ -701,28 +697,29 @@ class QinDB:
         memtable = self.memtable
         put_value = int(RecordType.PUT_VALUE)
         tombstone = int(RecordType.DELETE)
-        #: surviving frames in scan order, and the item each re-points
-        #: (None for a carried tombstone)
+        #: surviving frames in scan order, and the key of the item each
+        #: re-points (None for a carried tombstone)
         moved: List[bytes] = []
-        owners: List[Optional[IndexItem]] = []
+        owners: List[Optional[ItemKey]] = []
         items_before = len(memtable)
         for offset, end, rtype, key, version, _sequence in frames:
             item = memtable.get(key, version)
+            if item is None:
+                continue  # superseded or dropped; dies with the segment
+            location, _r, deleted, _seq = item
             if rtype == tombstone:
                 # Carry a delete tombstone forward while its target lives.
-                if item is not None and item.deleted:
+                if deleted:
                     moved.append(image[offset:end])
                     owners.append(None)
-            elif item is None or item.location != (
-                segment_id, offset, end - offset
-            ):
+            elif location != (segment_id, offset, end - offset):
                 pass  # superseded or already moved; dies with segment
-            elif not item.deleted or (
+            elif not deleted or (
                 # Dead but a newer deduplicated version resolves here.
                 rtype == put_value and self._is_referenced(key, version)
             ):
                 moved.append(image[offset:end])
-                owners.append(item)
+                owners.append((key, version))
             else:
                 memtable.drop(key, version)
         locations, appended = self.aofs.append_encoded_batch(moved)
@@ -732,10 +729,9 @@ class QinDB:
         #: tombstones and referenced-but-dead frames stay "dead" in the
         #: accounting so their new segment can still reach the threshold
         dead: List[RecordLocation] = []
-        for item, location in zip(owners, locations):
-            if item is not None:
-                item.location = location
-            if item is None or item.deleted:
+        for owner, location in zip(owners, locations):
+            # a carried tombstone, or a relocated item with the d flag
+            if owner is None or memtable.relocate(owner, location)[2]:
                 dead.append(location)
         self.gc_table.record_dead_many(dead)
         self.gc_table.forget(segment_id)
@@ -759,9 +755,10 @@ class QinDB:
         this record.
         """
         for _newer_version, item in self.memtable.newer_versions(key, version):
-            if item.has_value:
+            _location, deduplicated, deleted, _sequence = item
+            if not deduplicated:
                 return False
-            if not item.deleted:
+            if not deleted:
                 return True
         return False
 

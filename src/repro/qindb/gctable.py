@@ -76,9 +76,8 @@ class GCTable:
         """Batch :meth:`record_dead` for locations that died together."""
         totals: Dict[int, int] = {}
         get = totals.get
-        for location in locations:
-            segment_id = location.segment_id
-            totals[segment_id] = get(segment_id, 0) + location.length
+        for segment_id, _offset, length in locations:
+            totals[segment_id] = get(segment_id, 0) + length
         for segment_id, nbytes in totals.items():
             self.record_dead(segment_id, nbytes)
 

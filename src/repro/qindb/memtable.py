@@ -1,14 +1,25 @@
 """QinDB's memtable: a sorted in-memory index of ``(key, version)`` items.
 
-Each item is the paper's memtable entry — the AOF offset of the record
-plus the ``r`` flag (``deduplicated``: the value field was removed
-upstream) and the ``d`` flag (``deleted``).  The paper asks for "sorting
-only in RAM, pure appends on disk"; here that is one dict from item key
-to item plus one sorted list of the item keys.  A batch of puts is a
-``dict.update`` and a list ``extend``; the list is re-sorted on the next
-ordered access, where Timsort merges the already-sorted prefix with the
-appended run.  Point operations are dict hits, and every ordered walk is
-a ``bisect`` plus an index walk.
+Each item is the paper's memtable entry, held as the exact tuple
+``(location, deduplicated, deleted, sequence)``: the record's AOF
+location (itself an exact ``(segment_id, offset, length)`` tuple), the
+``r`` flag (the value field was removed upstream), the ``d`` flag, and
+the sequence number of the put that created it (recovery order).  Every
+element is an int, a bool or an exact tuple, so CPython's cyclic
+collector untracks an item at the first pass that finds its location
+untracked (that pass or the next) and never walks it again — a stored
+record costs the collector nothing.  An item is immutable: a flag or
+location changes by replacing the whole tuple, and only this module's
+verbs do that (:meth:`Memtable.mark_deleted_batch`,
+:meth:`~Memtable.relocate`); callers hand new items to
+:meth:`~Memtable.put_batch_pairs` and otherwise only unpack them.
+
+The paper asks for "sorting only in RAM, pure appends on disk"; here
+that is one dict from item key to item plus one sorted list of the item
+keys.  A batch of puts is a ``dict.update`` and a list ``extend``; the
+list is re-sorted on the next ordered access, where Timsort merges the
+already-sorted prefix with the appended run.  Point operations are dict
+hits, and every ordered walk is a ``bisect`` plus an index walk.
 
 Items of one key sort adjacent in increasing version order, so:
 
@@ -17,19 +28,18 @@ Items of one key sort adjacent in increasing version order, so:
 * GC's *referent check* ("is this dead record still resolved to by a newer
   deduplicated version?") is an ascending neighbour walk.
 
-CPU cost model: every put, get and resolve operation — of one item or of
-a batch — sets :attr:`Memtable.last_search_steps` to ``len(table)
-.bit_length() + neighbour hops``: the comparisons of the one binary search
-that positions the operation, then one step per neighbour visited (each
-further item of a batch, each older version a traceback walks).  It
-depends on the table's size only, never on the order its contents arrived
-in.
+CPU cost model: every put, get, mark-deleted and resolve operation — of
+one item or of a batch — sets :attr:`Memtable.last_search_steps` to
+``len(table).bit_length() + neighbour hops``: the comparisons of the one
+binary search that positions the operation, then one step per neighbour
+visited (each further item of a batch, each older version a traceback
+walks).  It depends on the table's size only, never on the order its
+contents arrived in.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import KeyNotFoundError
@@ -40,24 +50,12 @@ from repro.qindb.aof import RecordLocation
 #: of increasing version numbers".
 ItemKey = Tuple[bytes, int]
 
+#: one memtable entry: ``(location, deduplicated, deleted, sequence)`` —
+#: an exact tuple, so the collector untracks it (see the module docstring)
+IndexItem = Tuple[RecordLocation, bool, bool, int]
+
 #: modelled resident bytes of an item beside its key (version + fields)
 _ITEM_OVERHEAD = 8 + 40
-
-
-@dataclass(slots=True)
-class IndexItem:
-    """One memtable entry: where the record lives, plus the two flags."""
-
-    location: RecordLocation
-    deduplicated: bool = False  # the paper's ``r`` flag
-    deleted: bool = False  # the paper's ``d`` flag
-    #: sequence number of the put that created this item (recovery order)
-    sequence: int = 0
-
-    @property
-    def has_value(self) -> bool:
-        """Whether the record at ``location`` carries a value field."""
-        return not self.deduplicated
 
 
 class Memtable:
@@ -72,8 +70,8 @@ class Memtable:
         #: approximate resident bytes (keys + per-item overhead), the ``M``
         #: term in the RUM accounting
         self.approximate_bytes = 0
-        #: comparisons charged for the most recent put, get or resolve
-        #: operation (see the module docstring)
+        #: comparisons charged for the most recent put, get, mark-deleted
+        #: or resolve operation (see the module docstring)
         self.last_search_steps = 0
 
     def __len__(self) -> int:
@@ -100,7 +98,7 @@ class Memtable:
         Returns the *previous* item if one was replaced (its record bytes
         just became dead), else None.
         """
-        item = IndexItem(location, deduplicated, False, sequence)
+        item = (location, deduplicated, False, sequence)
         return self.put_batch_pairs([((key, version), item)])[0]
 
     def put_batch_pairs(
@@ -108,10 +106,10 @@ class Memtable:
     ) -> List[Optional[IndexItem]]:
         """Insert or replace ``(item_key, item)`` pairs, in input order.
 
-        The pairs need not be sorted.  Returns the replaced previous
-        :class:`IndexItem` (or None) per pair; where a ``(key, version)``
-        repeats inside the batch the last writer wins and each later pair
-        reports the one before it — same as sequential puts.
+        The pairs need not be sorted.  Returns the replaced previous item
+        (or None) per pair; where a ``(key, version)`` repeats inside the
+        batch the last writer wins and each later pair reports the one
+        before it — same as sequential puts.
         """
         items = self._items
         batch = dict(pairs)
@@ -158,10 +156,31 @@ class Memtable:
         return list(map(self._items.get, item_keys))
 
     def mark_deleted(self, key: bytes, version: int) -> Optional[IndexItem]:
-        """Set the ``d`` flag; returns the item, or None if absent."""
-        item = self.get(key, version)
-        if item is not None:
-            item.deleted = True
+        """Set the ``d`` flag: a :meth:`mark_deleted_batch` of one."""
+        return self.mark_deleted_batch([(key, version)])[0]
+
+    def mark_deleted_batch(
+        self, item_keys: Sequence[ItemKey]
+    ) -> List[Optional[IndexItem]]:
+        """Replace each item by its copy with the ``d`` flag set; returns
+        the new items (None where absent), charged as :meth:`get_batch`."""
+        items = self._items
+        marked: List[Optional[IndexItem]] = []
+        for item_key in item_keys:
+            item = items.get(item_key)
+            if item is not None:
+                location, deduplicated, _deleted, sequence = item
+                item = items[item_key] = (location, deduplicated, True, sequence)
+            marked.append(item)
+        self._charge(len(item_keys))
+        return marked
+
+    def relocate(self, item_key: ItemKey, location: RecordLocation) -> IndexItem:
+        """Point an item at its record's new location (GC moved it),
+        flags and sequence kept; returns the new item."""
+        items = self._items
+        _old, deduplicated, deleted, sequence = items[item_key]
+        item = items[item_key] = (location, deduplicated, deleted, sequence)
         return item
 
     def drop(self, key: bytes, version: int) -> None:
@@ -199,10 +218,10 @@ class Memtable:
         for item_key in item_keys:
             item = items.get(item_key)
             base: Optional[IndexItem] = None
-            if item is not None and item.deduplicated:
+            if item is not None and item[1]:  # deduplicated
                 for _older_version, older in self.older_versions(*item_key):
                     hops += 1
-                    if older.has_value:
+                    if not older[1]:  # carries a value
                         base = older
                         break
             resolved.append((item, base))

@@ -98,7 +98,7 @@ class RecordCache:
 
     def invalidate_segment(self, segment_id: int) -> int:
         """Drop every value of one AOF segment (GC is about to erase it)."""
-        victims = [loc for loc in self._values if loc.segment_id == segment_id]
+        victims = [loc for loc in self._values if loc[0] == segment_id]
         for location in victims:
             self._used_bytes -= self._entry_bytes(self._values.pop(location))
         self.counters.invalidated += len(victims)

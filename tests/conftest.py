@@ -56,9 +56,10 @@ def corrupt_frame():
     of that record's frame on ``node`` — media damage its CRC catches."""
 
     def flip(node, key: bytes, version: int = 1) -> None:
-        location = node.engine.memtable.get(key, version).location
-        unit = node.engine.aofs.segment(location.segment_id)._unit
+        location, _r, _d, _sequence = node.engine.memtable.get(key, version)
+        segment_id, offset, length = location
+        unit = node.engine.aofs.segment(segment_id)._unit
         unit.flush()  # the frame may still sit in the page-fill buffer
-        unit._data[location.offset + location.length - 1] ^= 1
+        unit._data[offset + length - 1] ^= 1
 
     return flip

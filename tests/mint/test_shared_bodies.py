@@ -190,9 +190,9 @@ def engine_state(engine):
     return (
         image(engine),
         [
-            (key, version, item.location, item.deduplicated, item.deleted,
-             item.sequence)
-            for key, version, item in engine.memtable.items()
+            (key, version, location, deduplicated, deleted, sequence)
+            for key, version, (location, deduplicated, deleted, sequence)
+            in engine.memtable.items()
         ],
         engine.gc_table.snapshot(),
         engine.stats(),
@@ -250,9 +250,10 @@ def test_integrity_leaves_are_leaf_checksums_of_the_stored_bytes():
             leaf = leaf_checksum(key, version, stored_value)
             assert leaf == summary.levels[0][index]
             # ... which is the CRC of the body as it lies in the AOF
-            location = node.engine.memtable.get(key, version).location
-            unit = node.engine.aofs.segment(location.segment_id)._unit
-            frame = unit.read(location.offset, location.length)
+            location, _r, _d, _sequence = node.engine.memtable.get(key, version)
+            segment_id, offset, length = location
+            unit = node.engine.aofs.segment(segment_id)._unit
+            frame = unit.read(offset, length)
             assert zlib.crc32(frame[records_module.HEAD_SIZE:]) == leaf
     assert ReplicaRepairer().audit_cluster(cluster).clean
 

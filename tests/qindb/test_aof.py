@@ -17,8 +17,9 @@ class RecordAofs(AofManager):
         return self.append_encoded_batch([encode_record(record)])[0][0]
 
     def read(self, location: RecordLocation) -> Record:
-        unit = self.segment(location.segment_id)._unit
-        return decode_record(unit.read(location.offset, location.length))[0]
+        segment_id, offset, length = location
+        unit = self.segment(segment_id)._unit
+        return decode_record(unit.read(offset, length))[0]
 
 
 @pytest.fixture
@@ -40,21 +41,22 @@ def test_segment_smaller_than_block_rejected():
 def test_append_read_roundtrip(manager):
     record = rec(b"key-1")
     location = manager.append(record)
-    assert location.segment_id == 0
+    assert type(location) is tuple  # exact: the collector can untrack it
+    assert location[0] == 0  # segment_id
     assert manager.read(location) == record
 
 
 def test_locations_are_monotone_within_segment(manager):
-    first = manager.append(rec(b"a"))
-    second = manager.append(rec(b"b"))
-    assert second.segment_id == first.segment_id
-    assert second.offset > first.offset
+    first_segment, first_offset, _ = manager.append(rec(b"a"))
+    second_segment, second_offset, _ = manager.append(rec(b"b"))
+    assert second_segment == first_segment
+    assert second_offset > first_offset
 
 
 def test_rollover_to_new_segment(manager):
     # Fill past one segment's capacity (3 blocks of 4 KB).
     locations = [manager.append(rec(f"k{i}".encode(), size=1000)) for i in range(20)]
-    segment_ids = {location.segment_id for location in locations}
+    segment_ids = {segment_id for segment_id, _o, _l in locations}
     assert len(segment_ids) > 1
     assert manager.segment_count == len(segment_ids)
     # Every record still readable after rollover.
@@ -64,8 +66,8 @@ def test_rollover_to_new_segment(manager):
 
 def test_bytes_appended_accounting(manager):
     before = manager.bytes_appended
-    location = manager.append(rec(b"x", size=250))
-    assert manager.bytes_appended - before == location.length
+    _segment_id, _offset, length = manager.append(rec(b"x", size=250))
+    assert manager.bytes_appended - before == length
 
 
 def test_drop_segment_frees_blocks(manager):
@@ -106,7 +108,7 @@ def test_read_frames_returns_verbatim_frames(manager):
     assert len(image) == segment.size
     for record, location, frame in zip(records, locations, frames):
         offset, end, rtype, key, version, sequence = frame
-        assert (offset, end - offset) == (location.offset, location.length)
+        assert (offset, end - offset) == location[1:]
         assert (rtype, key, version, sequence) == (
             record.type, record.key, record.version, record.sequence
         )
@@ -121,8 +123,8 @@ def test_scan_handles_page_padding_from_flush(manager):
 
 
 def test_read_from_wrong_segment_rejected(manager):
-    location = manager.append(rec(b"a"))
-    bogus = RecordLocation(99, location.offset, location.length)
+    _segment_id, offset, length = manager.append(rec(b"a"))
+    bogus = (99, offset, length)
     with pytest.raises(StorageError):
         manager.read(bogus)
 
@@ -142,19 +144,19 @@ def test_read_values_order_and_device_charge():
         ]
         twins.append((manager, locations))
     (new, locations), (old, _same) = twins
-    assert len({location.segment_id for location in locations}) > 1
+    assert len({segment_id for segment_id, _o, _l in locations}) > 1
     picks = [[7], [39], [3, 4, 5], [30, 2, 17, 2, 38, 16], list(range(40))]
     for pick in picks:
         wanted = [locations[index] for index in pick]
         assert new.read_values(wanted) == [
             b"v" * (40 + 97 * (index % 9)) for index in pick
         ]
-        for segment_id in sorted({loc.segment_id for loc in wanted}):
+        for segment_id in sorted({loc[0] for loc in wanted}):
             old.segment(segment_id)._unit.read_many(
                 [
-                    (loc.offset, loc.length)
-                    for loc in wanted
-                    if loc.segment_id == segment_id
+                    (offset, length)
+                    for owner, offset, length in wanted
+                    if owner == segment_id
                 ]
             )
         assert new.device.now == old.device.now
@@ -166,12 +168,12 @@ def test_read_values_order_and_device_charge():
 
 
 def test_value_reads_from_wrong_segment_rejected(manager):
-    location = manager.append(rec(b"a"))
+    segment_id, offset, length = manager.append(rec(b"a"))
     other = manager.append(rec(b"b"))
-    bogus = RecordLocation(99, location.offset, location.length)
+    bogus = (99, offset, length)
     with pytest.raises(StorageError):
         manager.read_values([bogus])
-    segment = manager.segment(location.segment_id)
+    segment = manager.segment(segment_id)
     with pytest.raises(StorageError):
         segment.read_value(bogus)
     with pytest.raises(StorageError):

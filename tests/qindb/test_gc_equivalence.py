@@ -18,7 +18,6 @@ import copy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.qindb.aof import RecordLocation
 from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import RecordType, encode_record, scan_frames
@@ -40,14 +39,14 @@ class ReferenceQinDB(QinDB):
         for offset, record in scan_records(
             image, page_size=unit.page_size, tolerate_torn_tail=True
         ):
-            location = RecordLocation(segment_id, offset, record.encoded_size)
+            location = (segment_id, offset, record.encoded_size)
             if record.type is RecordType.DELETE:
                 self._gc_tombstone(record)
                 continue
             item = self.memtable.get(record.key, record.version)
-            if item is None or item.location != location:
+            if item is None or item[0] != location:
                 continue  # superseded or already moved; dies with segment
-            if not item.deleted:
+            if not item[2]:  # the d flag
                 self._reappend(record, item)
             elif record.has_value and self._is_referenced(
                 record.key, record.version
@@ -67,20 +66,21 @@ class ReferenceQinDB(QinDB):
 
     def _gc_tombstone(self, record):
         item = self.memtable.get(record.key, record.version)
-        if item is None or not item.deleted:
+        if item is None or not item[2]:  # the d flag
             return
-        location = self._append(record)
-        self.gc_table.record_appended(location.segment_id, location.length)
-        self.gc_table.record_dead(location.segment_id, location.length)
-        self.gc_bytes_reappended += location.length
+        segment_id, _offset, length = self._append(record)
+        self.gc_table.record_appended(segment_id, length)
+        self.gc_table.record_dead(segment_id, length)
+        self.gc_bytes_reappended += length
 
     def _reappend(self, record, item):
         location = self._append(record)
-        self.gc_table.record_appended(location.segment_id, location.length)
-        item.location = location
-        if item.deleted:
-            self.gc_table.record_dead(location.segment_id, location.length)
-        self.gc_bytes_reappended += location.length
+        segment_id, _offset, length = location
+        self.gc_table.record_appended(segment_id, length)
+        self.memtable.relocate((record.key, record.version), location)
+        if item[2]:  # the d flag
+            self.gc_table.record_dead(segment_id, length)
+        self.gc_bytes_reappended += length
 
 
 SEGMENT_BYTES = 4 * 1024
@@ -109,13 +109,19 @@ def engine_pair(threshold: float = 0.25, gc_enabled: bool = True):
 
 
 def memtable_dump(engine):
+    """``(key, version) -> (location, deduplicated, deleted, sequence)``."""
     return {
-        (key, version): (
-            tuple(item.location), item.deduplicated, item.deleted,
-            item.sequence,
-        )
+        (key, version): item
         for key, version, item in engine.memtable.items()
     }
+
+
+def segment_of(engine, key, version):
+    """The segment an item's record lives in."""
+    (segment_id, _offset, _length), _r, _d, _s = engine.memtable.get(
+        key, version
+    )
+    return segment_id
 
 
 def image_of(segment) -> bytes:
@@ -203,8 +209,8 @@ def apply(engines, op) -> bool:
     elif kind == "delete":
         live = [
             (key, version)
-            for key, version, item in new.memtable.items()
-            if not item.deleted
+            for key, version, (_loc, _r, deleted, _s) in new.memtable.items()
+            if not deleted
         ]
         if live:
             doomed = dict.fromkeys(live[pick % len(live)] for pick in arg)
@@ -280,7 +286,7 @@ def test_churn_run_collects_and_rolls_segments():
     assert split_collections > 0, "no collection rolled into a new segment"
     assert new.gc_bytes_reappended > 0
     assert any(
-        item.deleted for _key, _version, item in new.memtable.items()
+        deleted for _k, _v, (_loc, _r, deleted, _s) in new.memtable.items()
     ), "no dead-but-referenced base survived"
 
 
@@ -311,11 +317,10 @@ def test_tombstone_physically_before_its_put():
     fill(engines, "a")  # seals segment 0
     both(engines, "delete_batch", [(b"url", 1)])  # tombstone, later segment
     tomb_segment = new.aofs.active_segment_id
-    assert new.memtable.get(b"url", 1).location.segment_id == 0
+    assert segment_of(new, b"url", 1) == 0
     both(engines, "collect_segment", 0)  # url/1 dead but referenced: moves
     assert_equivalent(new, old)
-    moved = new.memtable.get(b"url", 1).location
-    assert moved.segment_id == tomb_segment
+    assert segment_of(new, b"url", 1) == tomb_segment
     order = [
         (rtype, key, version)
         for _o, _e, rtype, key, version, _s in frames_of(new, tomb_segment)
@@ -330,7 +335,7 @@ def test_tombstone_physically_before_its_put():
     assert_equivalent(new, old)
     for engine in engines:
         item = engine.memtable.get(b"url", 1)
-        assert item is not None and item.deleted
+        assert item is not None and item[2]  # the d flag
         assert engine.get(b"url", 2) == b"base" * 60
     # and the delete still wins after a crash
     assert recovered_memtable(new)[(b"url", 1)][2] is True
@@ -348,16 +353,17 @@ def test_two_frames_of_one_key_version_in_one_victim():
     twice = [f for f in frames_of(new, 0) if f[3] == b"twice"]
     assert len(twice) == 2
     pointed_at = sum(
-        item.location.length
-        for _key, _version, item in new.memtable.items()
-        if item.location.segment_id == 0
+        length
+        for _k, _v, ((segment_id, _o, length), _r, _d, _s)
+        in new.memtable.items()
+        if segment_id == 0
     )
     appended_before = new.aofs.bytes_appended
     both(engines, "collect_segment", 0)
     assert_equivalent(new, old)
     # only the newer of the two frames moved
     assert new.aofs.bytes_appended - appended_before == pointed_at
-    assert new.memtable.get(b"twice", 1).location.segment_id != 0
+    assert segment_of(new, b"twice", 1) != 0
     assert new.get(b"twice", 1) == b"new" * 50
 
 
@@ -375,14 +381,16 @@ def test_dead_base_referenced_by_live_dedup_version_survives():
     assert_equivalent(new, old)
     for engine in engines:
         base = engine.memtable.get(b"doc", 1)
-        assert base is not None and base.deleted and base.has_value
-        assert base.location.segment_id != 0
+        assert base is not None
+        (base_segment, _o, _l), deduplicated, deleted, _s = base
+        assert deleted and not deduplicated
+        assert base_segment != 0
         # doc/2 is dead and value-less: nothing resolves *to* it
         assert engine.memtable.get(b"doc", 2) is None
         assert engine.memtable.get(b"gone", 1) is None
         assert engine.get(b"doc", 3) == b"v1" * 100
         # the moved base stays dead in its new segment's accounting
-        assert engine.gc_table.occupancy(base.location.segment_id) < 1.0
+        assert engine.gc_table.occupancy(base_segment) < 1.0
 
 
 def test_torn_tail_on_the_victim_ends_the_walk():
@@ -403,7 +411,7 @@ def test_torn_tail_on_the_victim_ends_the_walk():
     # every frame ahead of the torn one moved and still reads back
     moved = [
         key for key, version in keys
-        if new.memtable.get(key, version).location.segment_id != 0
+        if segment_of(new, key, version) != 0
     ]
     assert len(moved) == len(keys) - 1
     for key in moved:
@@ -416,7 +424,7 @@ def test_all_dead_victim_appends_nothing_and_is_erased():
     keys = fill(engines, "a")
     in_victim = [
         (key, version) for key, version in keys
-        if new.memtable.get(key, version).location.segment_id == 0
+        if segment_of(new, key, version) == 0
     ]
     both(engines, "delete_batch", in_victim)
     fill(engines, "b", count=3)

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.errors import KeyNotFoundError
-from repro.qindb.aof import RecordLocation
 from repro.qindb.memtable import Memtable
 
 
 def loc(segment=0, offset=0, length=10):
-    return RecordLocation(segment, offset, length)
+    return (segment, offset, length)
 
 
 def test_put_get():
@@ -16,8 +15,9 @@ def test_put_get():
     assert mt.put(b"k", 1, loc(), deduplicated=False) is None
     item = mt.get(b"k", 1)
     assert item is not None
-    assert item.has_value
-    assert not item.deleted
+    _location, deduplicated, deleted, _sequence = item
+    assert not deduplicated  # the record carries a value
+    assert not deleted
     assert len(mt) == 1
 
 
@@ -26,26 +26,52 @@ def test_put_replacement_returns_previous():
     mt.put(b"k", 1, loc(0, 0), deduplicated=False)
     previous = mt.put(b"k", 1, loc(0, 100), deduplicated=False)
     assert previous is not None
-    assert previous.location.offset == 0
-    assert mt.get(b"k", 1).location.offset == 100
+    assert previous[0] == loc(0, 0)
+    assert mt.get(b"k", 1)[0] == loc(0, 100)
     assert len(mt) == 1
 
 
 def test_dedup_flag_tracks_r():
     mt = Memtable()
     mt.put(b"k", 2, loc(), deduplicated=True)
-    item = mt.get(b"k", 2)
-    assert item.deduplicated
-    assert not item.has_value
+    _location, deduplicated, deleted, _sequence = mt.get(b"k", 2)
+    assert deduplicated  # the r flag: no value field
+    assert not deleted
 
 
 def test_mark_deleted_sets_d_flag():
     mt = Memtable()
     mt.put(b"k", 1, loc(), deduplicated=False)
     item = mt.mark_deleted(b"k", 1)
-    assert item.deleted
-    assert mt.get(b"k", 1).deleted
+    assert item == (loc(), False, True, 0)
+    assert mt.get(b"k", 1) is item
     assert mt.mark_deleted(b"missing", 1) is None
+
+
+def test_mark_deleted_batch_replaces_items_and_charges_one_search():
+    mt = Memtable()
+    mt.put(b"a", 1, loc(offset=1), deduplicated=False, sequence=5)
+    mt.put(b"b", 1, loc(offset=2), deduplicated=True, sequence=6)
+    marked = mt.mark_deleted_batch([(b"b", 1), (b"missing", 1), (b"a", 1)])
+    assert marked == [
+        (loc(offset=2), True, True, 6), None, (loc(offset=1), False, True, 5)
+    ]
+    assert mt.get(b"a", 1) is marked[2] and mt.get(b"b", 1) is marked[0]
+    mt.mark_deleted_batch([(b"a", 1)] * 3)
+    assert mt.last_search_steps == (2).bit_length() + 2
+    assert len(mt) == 2
+
+
+def test_relocate_moves_location_and_keeps_flags():
+    mt = Memtable()
+    mt.put(b"k", 1, loc(0, 64), deduplicated=True, sequence=9)
+    mt.mark_deleted(b"k", 1)
+    moved = mt.relocate((b"k", 1), loc(3, 128))
+    assert moved == (loc(3, 128), True, True, 9)
+    assert mt.get(b"k", 1) is moved
+    assert [k for k, _v, _i in mt.items()] == [b"k"]
+    with pytest.raises(KeyError):
+        mt.relocate((b"missing", 1), loc())
 
 
 def test_drop_removes_item():

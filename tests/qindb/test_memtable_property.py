@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KeyNotFoundError
-from repro.qindb.aof import RecordLocation
-from repro.qindb.memtable import IndexItem, Memtable
+from repro.qindb.memtable import Memtable
 
 KEYS = [b"a", b"ab", b"b"]
 
@@ -26,7 +25,7 @@ KEYS = [b"a", b"ab", b"b"]
 def test_property_version_walks_match_model(entries, probe_key, probe_version):
     memtable = Memtable()
     for key, version in entries:
-        memtable.put(key, version, RecordLocation(0, 0, 1), deduplicated=False)
+        memtable.put(key, version, (0, 0, 1), deduplicated=False)
 
     model = sorted(v for k, v in entries if k == probe_key)
 
@@ -58,7 +57,7 @@ def test_property_version_walks_match_model(entries, probe_key, probe_version):
 def test_property_scan_matches_model(entries, low, high):
     memtable = Memtable()
     for key, version in entries:
-        memtable.put(key, version, RecordLocation(0, 0, 1), deduplicated=False)
+        memtable.put(key, version, (0, 0, 1), deduplicated=False)
     scanned = [(k, v) for k, v, _item in memtable.scan(low, high)]
     expected = sorted((k, v) for k, v in entries if low <= k < high)
     assert scanned == expected
@@ -76,6 +75,9 @@ OPS = st.one_of(
     ),
     st.tuples(st.just("drop"), ITEM_KEYS),
     st.tuples(st.just("mark_deleted"), ITEM_KEYS),
+    # a batch may repeat a (key, version) or name an absent one
+    st.tuples(st.just("mark_deleted_batch"), st.lists(ITEM_KEYS, max_size=6)),
+    st.tuples(st.just("relocate"), ITEM_KEYS),
 )
 
 
@@ -102,10 +104,10 @@ def check_against_model(memtable, model, probe_key, probe_version):
             ]
     item = model.get((probe_key, probe_version))
     base, hops = None, 0
-    if item is not None and item.deduplicated:
+    if item is not None and item[1]:  # deduplicated
         for _version, candidate in older:
             hops += 1
-            if candidate.has_value:
+            if not candidate[1]:  # carries a value
                 base = candidate
                 break
     assert memtable.resolve(probe_key, probe_version) == (item, base)
@@ -127,7 +129,7 @@ def test_property_memtable_matches_dict_and_sorted(
     for sequence, (action, argument) in enumerate(ops):
         if action == "put_batch":
             pairs = [
-                (item_key, IndexItem(RecordLocation(0, sequence, 1), dedup))
+                (item_key, ((0, sequence, 1), dedup, False, 0))
                 for item_key, dedup in argument
             ]
             expected = []
@@ -144,11 +146,39 @@ def test_property_memtable_matches_dict_and_sorted(
             else:
                 with pytest.raises(KeyNotFoundError):
                     memtable.drop(*argument)
-        else:
+        elif action == "mark_deleted":
+            before = model.get(argument)
             item = memtable.mark_deleted(*argument)
-            assert item is model.get(argument)
-            if item is not None:
-                assert item.deleted
+            if before is None:
+                assert item is None
+            else:
+                location, dedup, _deleted, sequence = before
+                assert item == (location, dedup, True, sequence)
+                model[argument] = item  # the walks must yield this object
+        elif action == "mark_deleted_batch":
+            marked = memtable.mark_deleted_batch(argument)
+            assert len(marked) == len(argument)
+            for item_key, item in zip(argument, marked):
+                before = model.get(item_key)
+                if before is None:
+                    assert item is None
+                else:
+                    location, dedup, _deleted, sequence = before
+                    assert item == (location, dedup, True, sequence)
+                    model[item_key] = item
+            assert memtable.last_search_steps == len(model).bit_length() + max(
+                len(argument) - 1, 0
+            )
+        else:
+            location = (1, sequence, 2)
+            if argument in model:
+                _old, dedup, deleted, item_sequence = model[argument]
+                moved = memtable.relocate(argument, location)
+                assert moved == (location, dedup, deleted, item_sequence)
+                model[argument] = moved
+            else:
+                with pytest.raises(KeyError):
+                    memtable.relocate(argument, location)
         # walks interleave with the mutations, so a pending re-sort, a
         # drop from the sorted list and a re-put of a dropped key all
         # get exercised

@@ -9,12 +9,14 @@ be identical; only the device-command count and the clock may differ.
 
 from __future__ import annotations
 
+import copy
+import gc
 import random
 
 import pytest
 
 from repro.errors import StorageError
-from repro.qindb.checkpoint import crash, recover
+from repro.qindb.checkpoint import Checkpoint, crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
 
 DEVICE_BYTES = 64 * 1024 * 1024
@@ -28,9 +30,9 @@ def make_engine(**overrides) -> QinDB:
 def memtable_image(engine: QinDB):
     """Every observable fact about the memtable, in sorted order."""
     return [
-        (key, version, item.location, item.deduplicated, item.deleted,
-         item.sequence)
-        for key, version, item in engine.memtable.items()
+        (key, version, location, deduplicated, deleted, sequence)
+        for key, version, (location, deduplicated, deleted, sequence)
+        in engine.memtable.items()
     ]
 
 
@@ -199,3 +201,66 @@ def test_unsorted_batch_input_is_sorted_internally():
         sequential.put(key, version, value)
     batched.put_batch(shuffled)
     assert_equivalent(sequential, batched)
+
+
+def full_collections() -> None:
+    """Two full collections.  A pass untracks an exact tuple only if its
+    elements already are, and it may reach an item before the item's
+    location; the second pass finds every location untracked."""
+    gc.collect()
+    gc.collect()
+
+
+def assert_items_untracked(engine: QinDB) -> None:
+    """Every memtable item and its location is an exact tuple the cyclic
+    collector has untracked."""
+    full_collections()
+    items = [item for _key, _version, item in engine.memtable.items()]
+    assert items
+    for item in items:
+        assert type(item) is tuple and type(item[0]) is tuple
+        assert not gc.is_tracked(item)
+        assert not gc.is_tracked(item[0])
+
+
+def test_memtable_items_are_not_collector_tracked():
+    """A stored record costs the cyclic collector nothing: an item is an
+    exact tuple of ints, bools and an exact location tuple, whichever
+    verb built it — a put, a delete, a GC relocation, a checkpoint load
+    or the full-scan replay.  A dataclass item, or a NamedTuple location,
+    is tracked for as long as its record lives (two objects per record)."""
+    engine = make_engine(segment_bytes=256 * 1024, gc_enabled=False)
+    count = 2000
+    keys = [f"k{index:05d}".encode() for index in range(count)]
+    full_collections()
+    tracked_before = len(gc.get_objects())
+    engine.put_batch(
+        [(key, 1, bytes([index % 251]) * 64) for index, key in enumerate(keys)]
+    )
+    full_collections()
+    grown = len(gc.get_objects()) - tracked_before
+    assert grown < 100  # O(1), not O(count): 2 * count at a dataclass item
+    assert_items_untracked(engine)
+    # even keys' version 2 is value-less: its traceback lands on version 1
+    engine.put_batch(
+        [
+            (key, 2, None if index % 2 == 0 else b"v2" * 40)
+            for index, key in enumerate(keys)
+        ]
+    )
+    engine.delete_batch([(key, 1) for key in keys[: count // 2]])
+    assert_items_untracked(engine)
+    assert engine.aofs.active_segment_id != 0
+    engine.collect_segment(0)
+    (moved_segment, _o, _l), _r, deleted, _s = engine.memtable.get(keys[0], 1)
+    assert deleted and moved_segment != 0  # a dead base GC relocated
+    assert engine.memtable.get(keys[1], 1) is None  # unreferenced: dropped
+    assert_items_untracked(engine)
+    assert engine.get(keys[0], 2) == bytes([0]) * 64
+    checkpoint = Checkpoint.write(engine)
+    image = memtable_image(engine)
+    scanned = recover(crash(copy.deepcopy(engine)), config=engine.config)
+    assert_items_untracked(scanned)
+    loaded = recover(crash(engine), config=engine.config, checkpoint=checkpoint)
+    assert memtable_image(loaded) == image
+    assert_items_untracked(loaded)

@@ -111,19 +111,19 @@ def test_gc_drops_unreferenced_deleted_items():
 def test_gc_updates_offsets_for_moved_records():
     engine = small_engine()
     engine.put(b"survivor", 1, b"s" * 3000)
-    survivor_before = engine.memtable.get(b"survivor", 1).location
+    survivor_before = engine.memtable.get(b"survivor", 1)[0]
     for index in range(40):
         engine.put(f"bulk-{index:02d}".encode(), 1, b"b" * 4000)
     for index in range(40):
         engine.delete(f"bulk-{index:02d}".encode(), 1)
     # Collect the survivor's original segment if it became a victim.
-    victim = survivor_before.segment_id
+    victim = survivor_before[0]
     if (
         victim != engine.aofs.active_segment_id
         and engine.gc_table.occupancy(victim) <= 0.25
     ):
         engine.collect_segment(victim)
-        moved = engine.memtable.get(b"survivor", 1).location
+        moved = engine.memtable.get(b"survivor", 1)[0]
         assert moved != survivor_before
     assert engine.get(b"survivor", 1) == b"s" * 3000
 
@@ -164,8 +164,8 @@ def test_tombstones_carried_forward_by_gc():
     engine.put(b"url", 1, b"value" * 200)
     engine.put(b"url", 2, None)
     engine.delete(b"url", 1)
-    item = engine.memtable.get(b"url", 1)
-    assert item.deleted
+    _location, _r, deleted, _sequence = engine.memtable.get(b"url", 1)
+    assert deleted
     for index in range(40):
         engine.put(f"pad-{index:02d}".encode(), 1, b"p" * 4000)
     for index in range(40):
@@ -176,7 +176,7 @@ def test_tombstones_carried_forward_by_gc():
                 engine.collect_segment(segment_id)
     # The url/1 item survived GC (still flagged deleted, still referenced).
     survived = engine.memtable.get(b"url", 1)
-    assert survived is not None and survived.deleted
+    assert survived is not None and survived[2]  # the d flag
 
 
 def corrupt_victim_engine():
@@ -194,9 +194,9 @@ def corrupt_victim_engine():
     engine.put_batch(items)
     victim = 0
     in_victim = sorted(
-        (item.location, key)
-        for key, _version, item in engine.memtable.items()
-        if item.location.segment_id == victim
+        (location, key)
+        for key, _version, (location, _r, _d, _s) in engine.memtable.items()
+        if location[0] == victim  # its segment_id
     )
     engine.reads_in_flight = 1
     engine.delete_batch(
@@ -211,7 +211,8 @@ def corrupt_victim_engine():
     assert engine.gc_table.victims() == [victim]
     last, corrupt_key = in_victim[-1]
     segment = engine.aofs.segment(victim)
-    segment._unit._data[last.offset + last.length - 1] ^= 0xFF
+    _segment_id, offset, length = last
+    segment._unit._data[offset + length - 1] ^= 0xFF
     return engine, items, victim, corrupt_key
 
 
@@ -229,8 +230,9 @@ def test_corrupt_victim_leaves_the_engine_untouched():
     def state():
         return (
             {
-                (key, version): (item.location, item.deleted)
-                for key, version, item in engine.memtable.items()
+                (key, version): (location, deleted)
+                for key, version, (location, _r, deleted, _sequence)
+                in engine.memtable.items()
             },
             engine.gc_table.snapshot(),
             engine.aofs.bytes_appended,
@@ -286,8 +288,9 @@ def test_corrupt_victim_never_fails_the_write_that_polled_gc():
     # Other segments still collect: kill everything stored in segment 1.
     doomed = [
         (key, version)
-        for key, version, item in engine.memtable.items()
-        if item.location.segment_id == 1 and not item.deleted
+        for key, version, ((segment_id, _o, _l), _r, deleted, _s)
+        in engine.memtable.items()
+        if segment_id == 1 and not deleted
     ]
     assert doomed
     engine.delete_batch(doomed)

@@ -31,8 +31,10 @@ def test_recovery_preserves_dedup_flags_and_traceback():
     engine.flush()
     recovered = recover(crash(engine))
     assert recovered.get(b"url", 2) == b"base"
-    item = recovered.memtable.get(b"url", 2)
-    assert item.deduplicated
+    _location, deduplicated, _deleted, _sequence = recovered.memtable.get(
+        b"url", 2
+    )
+    assert deduplicated
 
 
 def test_recovery_honors_tombstones():

@@ -9,7 +9,6 @@ records *before* the erase so no stale value can ever be served.
 import pytest
 
 from repro.errors import ConfigError
-from repro.qindb.aof import RecordLocation
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.readcache import ENTRY_OVERHEAD_BYTES, RecordCache
 
@@ -25,8 +24,8 @@ def make_engine(cache_bytes, **overrides) -> QinDB:
     return QinDB.with_capacity(SMALL_CAPACITY, config=config)
 
 
-def loc(segment_id, offset=0, length=16) -> RecordLocation:
-    return RecordLocation(segment_id, offset, length)
+def loc(segment_id, offset=0, length=16):
+    return (segment_id, offset, length)
 
 
 # ------------------------------------------------------------- RecordCache
@@ -192,12 +191,13 @@ def test_collect_segment_invalidates_cached_records():
     cached_in_victim = [
         location
         for location in engine.read_cache._values
-        if location.segment_id == victim
+        if location[0] == victim
     ]
     assert cached_in_victim, "test setup must cache records in the victim"
     engine.collect_segment(victim)
     assert all(
-        location.segment_id != victim for location in engine.read_cache._values
+        segment_id != victim
+        for segment_id, _offset, _length in engine.read_cache._values
     )
     assert engine.stats().read_cache_invalidated >= len(cached_in_victim)
 
@@ -212,13 +212,13 @@ def test_get_after_gc_rereads_from_new_location():
         engine.put(b"churn", 1, b"x" * 8192)
     engine.flush()
     assert engine.get(b"moved", 1) == b"payload" * 512  # cached
-    old_location = engine.memtable.get(b"moved", 1).location
-    victim = old_location.segment_id
+    old_location = engine.memtable.get(b"moved", 1)[0]
+    victim = old_location[0]
     assert victim != engine.aofs.active_segment_id
     engine.collect_segment(victim)
     engine.flush()  # the moved record must be on flash, not a page buffer
-    new_location = engine.memtable.get(b"moved", 1).location
-    assert new_location.segment_id != victim
+    new_location = engine.memtable.get(b"moved", 1)[0]
+    assert new_location[0] != victim
     misses_before = engine.read_cache.counters.misses
     pages_before = engine.device.counters.total_pages_read
     assert engine.get(b"moved", 1) == b"payload" * 512
