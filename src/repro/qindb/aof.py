@@ -24,13 +24,8 @@ from repro.ssd.native import NativeBlockInterface, NativeUnit
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 
 #: Durable address of one record: ``(segment_id, offset, length)``.
-#:
-#: An exact tuple of ints, never a NamedTuple or dataclass: one is held
-#: per stored record, inside its memtable item, and CPython's cyclic
-#: collector untracks only *exact* tuples whose elements are untracked —
-#: a tuple subclass, a dataclass or any mutable object here would put
-#: every stored record back on the collector's lists, walked on every
-#: full collection for as long as the record lives.
+#: The memtable stores it as three column cells and builds the tuple on
+#: access; the read path keys its batch and the read cache by it.
 RecordLocation = Tuple[int, int, int]
 
 

@@ -43,17 +43,16 @@ from typing import Dict, Optional, Tuple
 from repro.errors import CorruptionError
 from repro.qindb.aof import AofManager
 from repro.qindb.engine import QinDB, QinDBConfig
+from repro.qindb.memtable import DEDUP, DELETED
 from repro.qindb.records import RecordType, torn_tail
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
-#: key_len, version, sequence, segment, offset, length, flags
+#: key_len, version, sequence, segment, offset, length, flags (the
+#: memtable's ``DEDUP`` and ``DELETED`` bits)
 _ROW = struct.Struct("<H Q Q q q l B")
 #: magic, item_count, max_sequence, watermark_seg, watermark_size
 _HEADER = struct.Struct("<4s q q q q")
 _MAGIC = b"QCKP"
-
-_FLAG_DEDUP = 0x01
-_FLAG_DELETED = 0x02
 
 
 @dataclass
@@ -85,9 +84,7 @@ class Checkpoint:
         rows = bytearray()
         for key, version, item in engine.memtable.items():
             (segment_id, offset, length), deduplicated, deleted, sequence = item
-            flags = (_FLAG_DEDUP if deduplicated else 0) | (
-                _FLAG_DELETED if deleted else 0
-            )
+            flags = (DEDUP if deduplicated else 0) | (DELETED if deleted else 0)
             rows += _ROW.pack(
                 len(key), version, sequence, segment_id, offset, length, flags
             )
@@ -116,23 +113,21 @@ class Checkpoint:
             raise CorruptionError("bad checkpoint magic")
         body = self.unit.read(_HEADER.size, self.unit.size - _HEADER.size)
         offset = 0
-        pairs = []
+        item_keys, locations, flag_column, sequences = [], [], bytearray(), []
         for _ in range(count):
             key_len, version, sequence, seg, off, length, flags = _ROW.unpack_from(
                 body, offset
             )
             offset += _ROW.size
-            key = bytes(body[offset : offset + key_len])
+            item_keys.append((bytes(body[offset : offset + key_len]), version))
             offset += key_len
-            deleted = bool(flags & _FLAG_DELETED)
-            pairs.append((
-                (key, version),
-                ((seg, off, length), bool(flags & _FLAG_DEDUP), deleted, sequence),
-            ))
+            locations.append((seg, off, length))
+            flag_column.append(flags & (DEDUP | DELETED))
+            sequences.append(sequence)
             engine.gc_table.record_appended(seg, length)
-            if deleted:
+            if flags & DELETED:
                 engine.gc_table.record_dead(seg, length)
-        engine.memtable.put_batch_pairs(pairs)
+        engine.memtable.put_batch(item_keys, locations, flag_column, sequences)
         engine._sequence = max(engine._sequence, max_sequence)
 
     def discard(self) -> None:

@@ -267,10 +267,11 @@ class QinDB:
         puts it in front of the shared body; the frames go down
         back-to-back, so the AOF/device layer can coalesce contiguous
         block-aligned pages into multi-page device programs.  The
-        memtable takes the whole batch in one
-        :meth:`~repro.qindb.memtable.Memtable.put_batch_pairs`.  CPU
-        charging, the GC check, and the checkpoint check run once per
-        batch instead of once per key.
+        memtable takes the whole batch as columns — the batch's item
+        keys and ``r`` flags, the AOF locations, the sequences — in one
+        :meth:`~repro.qindb.memtable.Memtable.put_batch`.  CPU charging,
+        the GC check, and the checkpoint check run once per batch
+        instead of once per key.
 
         The stored state — memtable items, sequence numbers, GC-table
         accounting, AOF bytes, recovery contents — is identical to
@@ -289,14 +290,12 @@ class QinDB:
         for segment_id, nbytes in appended:
             self.gc_table.record_appended(segment_id, nbytes)
             framed += nbytes
-        entries = zip(locations, batch.dedup, repeat(False), sequences)
-        for previous in self.memtable.put_batch_pairs(
-            list(zip(batch.item_keys, entries))
-        ):
-            if previous is not None:
-                (segment_id, _offset, length), _r, deleted, _seq = previous
-                if not deleted:
-                    self.gc_table.record_dead(segment_id, length)
+        for previous in filter(None, self.memtable.put_batch(
+            batch.item_keys, locations, batch.dedup, sequences
+        )):
+            (segment_id, _offset, length), _r, deleted, _seq = previous
+            if not deleted:
+                self.gc_table.record_dead(segment_id, length)
         self.user_bytes_written += framed - HEADER_SIZE * len(batch)
         self.batch_counters.batches += 1
         self.batch_counters.batched_puts += len(batch)
@@ -324,7 +323,8 @@ class QinDB:
         The batched read path, mirroring what :meth:`put_batch` did for
         writes:
 
-        * the items and their traceback targets come from one
+        * the location each item reads — its own, or its traceback
+          base's — comes from one
           :meth:`~repro.qindb.memtable.Memtable.resolve_batch`, charged
           as one memtable search plus a step per further item and per
           traceback hop;
@@ -352,14 +352,9 @@ class QinDB:
         results: List[Optional[bytes]] = [None] * len(items)
         #: location -> result slots it satisfies (dedup happens here)
         need: Dict[RecordLocation, List[int]] = {}
-        for index, (item, older) in enumerate(
-            self.memtable.resolve_batch(items)
-        ):
-            if item is None or item[2]:  # absent, or the d flag
-                continue
-            source = older if item[1] else item  # r flag: its base reads
-            if source is not None:
-                need.setdefault(source[0], []).append(index)
+        for index, location in enumerate(self.memtable.resolve_batch(items)):
+            if location is not None:
+                need.setdefault(location, []).append(index)
         self._charge_cpu()
         self.reads_in_flight += 1
         try:
@@ -558,13 +553,13 @@ class QinDB:
         deleted record's value remains usable until GC reclaims it, which
         is exactly why GC must re-append referenced dead records.
         """
-        _item, older = self.memtable.resolve(key, version)
+        location = self.memtable.resolve(key, version)
         self._charge_cpu()
-        if older is None:
+        if location is None:
             raise KeyNotFoundError(
                 f"dedup chain for {key!r}/{version} reaches no stored value"
             )
-        return self._read_value(older[0])
+        return self._read_value(location)
 
     def _draw_sequences(self, count: int) -> range:
         """The next ``count`` logical sequence numbers, consumed."""

@@ -1,72 +1,101 @@
-"""QinDB's memtable: a sorted in-memory index of ``(key, version)`` items.
+"""QinDB's memtable: one run of columns per version.
 
-Each item is the paper's memtable entry, held as the exact tuple
-``(location, deduplicated, deleted, sequence)``: the record's AOF
-location (itself an exact ``(segment_id, offset, length)`` tuple), the
-``r`` flag (the value field was removed upstream), the ``d`` flag, and
-the sequence number of the put that created it (recovery order).  Every
-element is an int, a bool or an exact tuple, so CPython's cyclic
-collector untracks an item at the first pass that finds its location
-untracked (that pass or the next) and never walks it again — a stored
-record costs the collector nothing.  An item is immutable: a flag or
-location changes by replacing the whole tuple, and only this module's
-verbs do that (:meth:`Memtable.mark_deleted_batch`,
-:meth:`~Memtable.relocate`); callers hand new items to
-:meth:`~Memtable.put_batch_pairs` and otherwise only unpack them.
+The paper's memtable entry is an AOF offset plus the ``r`` and ``d``
+flags — a few machine words.  Here an entry is one *slot* of its
+version's run: the run maps each key to its slot, and the slot indexes
+``array('q')`` columns of segment, offset, length and sequence (the put
+that created it: recovery order) and a ``bytearray`` of flags (``r`` =
+:data:`DEDUP`, the value field was removed upstream; ``d`` =
+:data:`DELETED`).  Beside the key, a record costs one dict entry, 33
+column bytes and its slot number, none of them tracked by the cyclic
+collector.  DirectLoad ingests whole versions, so a batch extends one
+run's columns; a run is freed when GC drops its last slot.
 
-The paper asks for "sorting only in RAM, pure appends on disk"; here
-that is one dict from item key to item plus one sorted list of the item
-keys.  A batch of puts is a ``dict.update`` and a list ``extend``; the
-list is re-sorted on the next ordered access, where Timsort merges the
-already-sorted prefix with the appended run.  Point operations are dict
-hits, and every ordered walk is a ``bisect`` plus an index walk.
+An *item* is built on access as the exact tuple ``(location,
+deduplicated, deleted, sequence)``, ``location = (segment_id, offset,
+length)`` — a value, not a handle: only this module's verbs change the
+table.  The read path builds none: :meth:`Memtable.resolve_batch`
+returns the location each read lands on.
 
-Items of one key sort adjacent in increasing version order, so:
-
-* GET's *traceback* ("find the nearest older version that still carries a
-  value") is a descending neighbour walk, and
-* GC's *referent check* ("is this dead record still resolved to by a newer
-  deduplicated version?") is an ascending neighbour walk.
+Items of one key order by version, so GET's *traceback* ("the nearest
+older version that still carries a value") probes the key in each older
+run, newest first, and GC's *referent check* ("does a newer
+deduplicated version still resolve to this dead record?") in each newer
+run, oldest first.  Only checkpoints and range scans need key order;
+:meth:`~Memtable.items` and :meth:`~Memtable.scan` sort across runs on
+access ("sorting only in RAM, pure appends on disk").
 
 CPU cost model: every put, get, mark-deleted and resolve operation — of
 one item or of a batch — sets :attr:`Memtable.last_search_steps` to
-``len(table).bit_length() + neighbour hops``: the comparisons of the one
-binary search that positions the operation, then one step per neighbour
-visited (each further item of a batch, each older version a traceback
+``len(table).bit_length() + neighbour hops``: the comparisons of one
+binary search over the whole table, then one step per neighbour visited
+(each further item of a batch, each older item of the key a traceback
 walks).  It depends on the table's size only, never on the order its
-contents arrived in.
+contents arrived in or on how many runs hold them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import KeyNotFoundError
 from repro.qindb.aof import RecordLocation
 
-#: a (key, version) composite; tuples compare key-first then version,
-#: giving exactly the paper's "same keys naturally aggregated in the order
-#: of increasing version numbers".
+#: a (key, version) composite; tuples compare key-first then version
 ItemKey = Tuple[bytes, int]
 
-#: one memtable entry: ``(location, deduplicated, deleted, sequence)`` —
-#: an exact tuple, so the collector untracks it (see the module docstring)
+#: one memtable entry as built on access: ``(location, deduplicated,
+#: deleted, sequence)``
 IndexItem = Tuple[RecordLocation, bool, bool, int]
+
+#: the flag bits of a slot (a checkpoint row stores the same byte)
+DEDUP = 0x01
+DELETED = 0x02
 
 #: modelled resident bytes of an item beside its key (version + fields)
 _ITEM_OVERHEAD = 8 + 40
+
+
+class _Run:
+    """The items of one version: key → slot, and a column per field."""
+
+    __slots__ = ("slots", "segment", "offset", "length", "sequence", "flags")
+
+    def __init__(self) -> None:
+        self.slots: Dict[bytes, int] = {}
+        self.segment, self.offset, self.length, self.sequence = (
+            array("q") for _ in range(4)
+        )
+        self.flags = bytearray()
+
+    def location(self, slot: int) -> RecordLocation:
+        return (self.segment[slot], self.offset[slot], self.length[slot])
+
+    def item(self, key: bytes) -> Optional[IndexItem]:
+        """The item of ``key``, built, or None."""
+        slot = self.slots.get(key)
+        if slot is None:
+            return None
+        flags = self.flags[slot]
+        return (
+            (self.segment[slot], self.offset[slot], self.length[slot]),
+            bool(flags & DEDUP),
+            bool(flags & DELETED),
+            self.sequence[slot],
+        )
 
 
 class Memtable:
     """The in-memory index: every live (key, version) the engine knows."""
 
     def __init__(self) -> None:
-        self._items: Dict[ItemKey, IndexItem] = {}
-        #: the keys of ``_items``: sorted, except that while ``_sorted`` is
-        #: False the keys put since the last ordered access trail unsorted
-        self._keys: List[ItemKey] = []
-        self._sorted = True
+        self._runs: Dict[int, _Run] = {}
+        #: the versions that have a run, ascending
+        self._versions: List[int] = []
+        self._count = 0
         #: approximate resident bytes (keys + per-item overhead), the ``M``
         #: term in the RUM accounting
         self.approximate_bytes = 0
@@ -75,14 +104,18 @@ class Memtable:
         self.last_search_steps = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._count
 
-    def _ordered(self) -> List[ItemKey]:
-        """The item keys, sorted."""
-        if not self._sorted:
-            self._keys.sort()
-            self._sorted = True
-        return self._keys
+    def _item(self, key: bytes, version: int) -> Optional[IndexItem]:
+        run = self._runs.get(version)
+        return None if run is None else run.item(key)
+
+    def _charge(self, count: int, hops: int = 0) -> None:
+        """Set :attr:`last_search_steps` for an operation on ``count``
+        items whose tracebacks visited ``hops`` older versions."""
+        self.last_search_steps = (
+            self._count.bit_length() + max(count - 1, 0) + hops
+        )
 
     # ------------------------------------------------------------------
     def put(
@@ -93,181 +126,195 @@ class Memtable:
         deduplicated: bool,
         sequence: int = 0,
     ) -> Optional[IndexItem]:
-        """Insert or replace the item for (key, version).
+        """Insert or replace the item for (key, version): a
+        :meth:`put_batch` of one; returns the replaced item or None."""
+        return self.put_batch(
+            [(key, version)], [location], [deduplicated], [sequence]
+        )[0]
 
-        Returns the *previous* item if one was replaced (its record bytes
-        just became dead), else None.
-        """
-        item = (location, deduplicated, False, sequence)
-        return self.put_batch_pairs([((key, version), item)])[0]
-
-    def put_batch_pairs(
-        self, pairs: Sequence[Tuple[ItemKey, IndexItem]]
+    def put_batch(
+        self,
+        item_keys: Sequence[ItemKey],
+        locations: Sequence[RecordLocation],
+        flags: Iterable[int],
+        sequences: Iterable[int],
     ) -> List[Optional[IndexItem]]:
-        """Insert or replace ``(item_key, item)`` pairs, in input order.
+        """Insert or replace items, in input order, from columns.
 
-        The pairs need not be sorted.  Returns the replaced previous item
-        (or None) per pair; where a ``(key, version)`` repeats inside the
-        batch the last writer wins and each later pair reports the one
-        before it — same as sequential puts.
+        ``flags`` holds each item's flag bits (a bool is the ``r`` flag
+        alone).  Returns the replaced item (or None) per item; where a
+        ``(key, version)`` repeats inside the batch the last writer wins
+        and each later item reports the one before it — same as
+        sequential puts.  A batch of new keys of one version — every
+        batch an ingest sends — extends that run's columns whole.
         """
-        items = self._items
-        batch = dict(pairs)
-        if len(batch) == len(pairs):
-            previous = list(map(items.get, batch))
-            items.update(batch)
-        else:
-            previous = []
-            for item_key, item in pairs:
-                previous.append(items.get(item_key))
-                items[item_key] = item
-        added = [
-            pair[0]
-            for pair, replaced in zip(pairs, previous)
-            if replaced is None
-        ]
-        if added:
-            self._keys.extend(added)
-            self._sorted = False
-            self.approximate_bytes += _ITEM_OVERHEAD * len(added) + sum(
-                len(item_key[0]) for item_key in added
-            )
-        self._charge(len(pairs))
+        count = len(item_keys)
+        keys = list(map(itemgetter(0), item_keys))
+        versions = set(map(itemgetter(1), item_keys))
+        if len(versions) == 1 and len(set(keys)) == count:
+            version = versions.pop()
+            run = self._runs.get(version)
+            if run is None:
+                run = self._runs[version] = _Run()
+                insort(self._versions, version)
+            if run.slots.keys().isdisjoint(keys):
+                start = len(run.flags)
+                run.slots.update(zip(keys, range(start, start + count)))
+                run.segment.extend(map(itemgetter(0), locations))
+                run.offset.extend(map(itemgetter(1), locations))
+                run.length.extend(map(itemgetter(2), locations))
+                run.flags.extend(flags)
+                run.sequence.extend(sequences)
+                self._count += count
+                self.approximate_bytes += _ITEM_OVERHEAD * count + sum(
+                    map(len, keys)
+                )
+                self._charge(count)
+                return [None] * count
+        # Several versions, or a replaced or repeated (key, version):
+        # item by item, new items through the branch above.
+        previous: List[Optional[IndexItem]] = []
+        for item_key, location, flag, sequence in zip(
+            item_keys, locations, flags, sequences
+        ):
+            run = self._runs.get(item_key[1])
+            slot = None if run is None else run.slots.get(item_key[0])
+            if slot is None:
+                previous += self.put_batch(
+                    [item_key], [location], [flag], [sequence]
+                )
+            else:
+                previous.append(run.item(item_key[0]))
+                run.segment[slot], run.offset[slot], run.length[slot] = location
+                run.flags[slot] = flag
+                run.sequence[slot] = sequence
+        self._charge(count)
         return previous
-
-    def _charge(self, count: int, hops: int = 0) -> None:
-        """Set :attr:`last_search_steps` for an operation on ``count``
-        items whose tracebacks visited ``hops`` older versions."""
-        self.last_search_steps = (
-            len(self._items).bit_length() + max(count - 1, 0) + hops
-        )
 
     def get(self, key: bytes, version: int) -> Optional[IndexItem]:
         """The item for (key, version), or None."""
-        items = self._items
-        self.last_search_steps = len(items).bit_length()  # _charge(1)
-        return items.get((key, version))
+        self.last_search_steps = self._count.bit_length()  # _charge(1)
+        return self._item(key, version)
 
     def get_batch(
         self, item_keys: Sequence[ItemKey]
     ) -> List[Optional[IndexItem]]:
         """:meth:`get` for a batch of ``(key, version)`` pairs."""
         self._charge(len(item_keys))
-        return list(map(self._items.get, item_keys))
+        runs = self._runs
+        return [
+            None if (run := runs.get(version)) is None else run.item(key)
+            for key, version in item_keys
+        ]
 
-    def mark_deleted(self, key: bytes, version: int) -> Optional[IndexItem]:
+    def mark_deleted(self, key: bytes, version: int) -> None:
         """Set the ``d`` flag: a :meth:`mark_deleted_batch` of one."""
-        return self.mark_deleted_batch([(key, version)])[0]
+        self.mark_deleted_batch([(key, version)])
 
-    def mark_deleted_batch(
-        self, item_keys: Sequence[ItemKey]
-    ) -> List[Optional[IndexItem]]:
-        """Replace each item by its copy with the ``d`` flag set; returns
-        the new items (None where absent), charged as :meth:`get_batch`."""
-        items = self._items
-        marked: List[Optional[IndexItem]] = []
-        for item_key in item_keys:
-            item = items.get(item_key)
-            if item is not None:
-                location, deduplicated, _deleted, sequence = item
-                item = items[item_key] = (location, deduplicated, True, sequence)
-            marked.append(item)
+    def mark_deleted_batch(self, item_keys: Sequence[ItemKey]) -> None:
+        """Set each present item's ``d`` flag, charged as
+        :meth:`get_batch`."""
+        runs = self._runs
+        for key, version in item_keys:
+            run = runs.get(version)
+            slot = None if run is None else run.slots.get(key)
+            if slot is not None:
+                run.flags[slot] |= DELETED
         self._charge(len(item_keys))
-        return marked
 
     def relocate(self, item_key: ItemKey, location: RecordLocation) -> IndexItem:
         """Point an item at its record's new location (GC moved it),
-        flags and sequence kept; returns the new item."""
-        items = self._items
-        _old, deduplicated, deleted, sequence = items[item_key]
-        item = items[item_key] = (location, deduplicated, deleted, sequence)
-        return item
+        flags and sequence kept; returns the moved item."""
+        run = self._runs[item_key[1]]  # a KeyError where the item is absent
+        slot = run.slots[item_key[0]]
+        run.segment[slot], run.offset[slot], run.length[slot] = location
+        return run.item(item_key[0])
 
     def drop(self, key: bytes, version: int) -> None:
-        """Remove the item entirely (GC of an unreferenced dead record)."""
-        item_key = (key, version)
-        try:
-            del self._items[item_key]
-        except KeyError:
-            raise KeyNotFoundError(f"no memtable item {item_key!r}") from None
-        keys = self._ordered()
-        del keys[bisect_left(keys, item_key)]
+        """Remove the item entirely (GC of an unreferenced dead record);
+        its run goes with its last item."""
+        run = self._runs.get(version)
+        if run is None or run.slots.pop(key, None) is None:
+            raise KeyNotFoundError(f"no memtable item {(key, version)!r}")
+        if not run.slots:
+            del self._runs[version]
+            self._versions.remove(version)
+        self._count -= 1
         self.approximate_bytes -= len(key) + _ITEM_OVERHEAD
 
-    def resolve(
-        self, key: bytes, version: int
-    ) -> Tuple[Optional[IndexItem], Optional[IndexItem]]:
-        """The read path: the item *and*, if it is value-less, the record
-        GET's traceback resolves it to.
-
-        Returns ``(item, base)``: the item at ``(key, version)`` or None,
-        and — for a deduplicated item — the nearest older item of the key
-        that carries a value, or None when the chain reaches none (the
-        ``d`` flag is ignored, per the paper's referent rule).  ``base``
-        is None for an item that has its own value.
-        """
+    def resolve(self, key: bytes, version: int) -> Optional[RecordLocation]:
+        """The read path: a :meth:`resolve_batch` of one."""
         return self.resolve_batch([(key, version)])[0]
 
     def resolve_batch(
         self, item_keys: Sequence[ItemKey]
-    ) -> List[Tuple[Optional[IndexItem], Optional[IndexItem]]]:
-        """:meth:`resolve` for a batch of ``(key, version)`` pairs."""
-        items = self._items
+    ) -> List[Optional[RecordLocation]]:
+        """Where each ``(key, version)`` read lands, in input order.
+
+        A live item with a value reads its own location; a live
+        deduplicated one, the nearest older item of its key that carries
+        a value (the *traceback*: that item's ``d`` flag is ignored, per
+        the paper's referent rule).  None where the read finds nothing —
+        absent, deleted, or a chain that reaches no value.  A deleted
+        deduplicated item still walks, so its hops are charged.
+        """
+        runs = self._runs
+        versions = self._versions
         hops = 0
-        resolved = []
-        for item_key in item_keys:
-            item = items.get(item_key)
-            base: Optional[IndexItem] = None
-            if item is not None and item[1]:  # deduplicated
-                for _older_version, older in self.older_versions(*item_key):
-                    hops += 1
-                    if not older[1]:  # carries a value
-                        base = older
-                        break
-            resolved.append((item, base))
+        located: List[Optional[RecordLocation]] = []
+        for key, version in item_keys:
+            run = runs.get(version)
+            slot = None if run is None else run.slots.get(key)
+            if slot is None:
+                located.append(None)
+                continue
+            flags = run.flags[slot]
+            if not flags:  # live, with its own value
+                located.append(
+                    (run.segment[slot], run.offset[slot], run.length[slot])
+                )
+            elif flags & DEDUP:
+                base = None
+                for index in range(bisect_left(versions, version) - 1, -1, -1):
+                    older = runs[versions[index]]
+                    older_slot = older.slots.get(key)
+                    if older_slot is not None:
+                        hops += 1
+                        if not older.flags[older_slot] & DEDUP:
+                            base = older.location(older_slot)
+                            break
+                located.append(None if flags & DELETED else base)
+            else:
+                located.append(None)  # deleted
         self._charge(len(item_keys), hops)
-        return resolved
+        return located
 
     # ------------------------------------------------------------------
     # Neighbourhood walks
     # ------------------------------------------------------------------
     def _walk(
-        self, index: int, step: int, key: bytes
+        self, key: bytes, indices: Iterable[int]
     ) -> Iterator[Tuple[int, IndexItem]]:
-        """Items of ``key`` from sorted position ``index``, ``step`` at a
-        time, until the neighbour belongs to another key."""
-        keys = self._keys
-        items = self._items
-        while 0 <= index < len(keys):
-            item_key = keys[index]
-            if item_key[0] != key:
-                return
-            yield item_key[1], items[item_key]
-            index += step
+        """Items of ``key`` in the runs at ``indices`` of the versions."""
+        for index in indices:
+            version = self._versions[index]
+            item = self._runs[version].item(key)
+            if item is not None:
+                yield version, item
 
     def older_versions(
         self, key: bytes, version: int
     ) -> Iterator[Tuple[int, IndexItem]]:
         """Items of ``key`` with smaller versions, newest first."""
-        index = bisect_left(self._ordered(), (key, version))
-        return self._walk(index - 1, -1, key)
+        start = bisect_left(self._versions, version)
+        return self._walk(key, range(start - 1, -1, -1))
 
     def newer_versions(
         self, key: bytes, version: int
     ) -> Iterator[Tuple[int, IndexItem]]:
         """Items of ``key`` with larger versions, oldest first."""
-        index = bisect_right(self._ordered(), (key, version))
-        return self._walk(index, 1, key)
-
-    def versions_of(self, key: bytes) -> Iterator[Tuple[int, IndexItem]]:
-        """All items of ``key`` in increasing version order."""
-        # The 1-tuple ``(key,)`` sorts before every ``(key, version)``.
-        return self._walk(bisect_left(self._ordered(), (key,)), 1, key)
-
-    def latest_version(self, key: bytes) -> Optional[Tuple[int, IndexItem]]:
-        """The newest item of ``key``, or None."""
-        index = bisect_left(self._ordered(), (key + b"\x00",))
-        return next(self._walk(index - 1, -1, key), None)
+        start = bisect_right(self._versions, version)
+        return self._walk(key, range(start, len(self._versions)))
 
     def scan(
         self, start_key: bytes, end_key: bytes
@@ -278,15 +325,20 @@ class Memtable:
         scan is suspended cannot shift it; an item dropped meanwhile is
         skipped.
         """
-        keys = self._ordered()
-        start = bisect_left(keys, (start_key,))
-        for item_key in keys[start : bisect_left(keys, (end_key,), start)]:
-            item = self._items.get(item_key)
-            if item is not None:
-                yield item_key[0], item_key[1], item
+        return self._sorted(lambda key: start_key <= key < end_key)
 
     def items(self) -> Iterator[Tuple[bytes, int, IndexItem]]:
         """Every item in sorted order."""
-        items = self._items
-        for item_key in self._ordered():
-            yield item_key[0], item_key[1], items[item_key]
+        return self._sorted(lambda key: True)
+
+    def _sorted(self, wanted) -> Iterator[Tuple[bytes, int, IndexItem]]:
+        """The items whose key is ``wanted``, sorted across runs."""
+        item_keys = sorted(
+            (key, version)
+            for version, run in self._runs.items()
+            for key in filter(wanted, run.slots)
+        )
+        for key, version in item_keys:
+            item = self._item(key, version)
+            if item is not None:
+                yield key, version, item

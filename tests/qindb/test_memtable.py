@@ -42,21 +42,22 @@ def test_dedup_flag_tracks_r():
 def test_mark_deleted_sets_d_flag():
     mt = Memtable()
     mt.put(b"k", 1, loc(), deduplicated=False)
-    item = mt.mark_deleted(b"k", 1)
-    assert item == (loc(), False, True, 0)
-    assert mt.get(b"k", 1) is item
-    assert mt.mark_deleted(b"missing", 1) is None
+    mt.mark_deleted(b"k", 1)
+    assert mt.get(b"k", 1) == (loc(), False, True, 0)
+    mt.mark_deleted(b"missing", 1)
+    assert mt.get(b"missing", 1) is None and len(mt) == 1
 
 
 def test_mark_deleted_batch_replaces_items_and_charges_one_search():
     mt = Memtable()
     mt.put(b"a", 1, loc(offset=1), deduplicated=False, sequence=5)
     mt.put(b"b", 1, loc(offset=2), deduplicated=True, sequence=6)
-    marked = mt.mark_deleted_batch([(b"b", 1), (b"missing", 1), (b"a", 1)])
-    assert marked == [
+    marked = [(b"b", 1), (b"missing", 1), (b"a", 1)]
+    mt.mark_deleted_batch(marked)
+    assert mt.last_search_steps == (2).bit_length() + 2
+    assert mt.get_batch(marked) == [
         (loc(offset=2), True, True, 6), None, (loc(offset=1), False, True, 5)
     ]
-    assert mt.get(b"a", 1) is marked[2] and mt.get(b"b", 1) is marked[0]
     mt.mark_deleted_batch([(b"a", 1)] * 3)
     assert mt.last_search_steps == (2).bit_length() + 2
     assert len(mt) == 2
@@ -68,7 +69,7 @@ def test_relocate_moves_location_and_keeps_flags():
     mt.mark_deleted(b"k", 1)
     moved = mt.relocate((b"k", 1), loc(3, 128))
     assert moved == (loc(3, 128), True, True, 9)
-    assert mt.get(b"k", 1) is moved
+    assert mt.get(b"k", 1) == moved
     assert [k for k, _v, _i in mt.items()] == [b"k"]
     with pytest.raises(KeyError):
         mt.relocate((b"missing", 1), loc())
@@ -81,13 +82,6 @@ def test_drop_removes_item():
     assert mt.get(b"k", 1) is None
     with pytest.raises(KeyNotFoundError):
         mt.drop(b"k", 1)
-
-
-def test_versions_aggregate_in_order():
-    mt = Memtable()
-    for version in (3, 1, 7, 2):
-        mt.put(b"k", version, loc(offset=version), deduplicated=False)
-    assert [v for v, _i in mt.versions_of(b"k")] == [1, 2, 3, 7]
 
 
 def test_older_versions_descend():
@@ -113,17 +107,6 @@ def test_version_walks_do_not_cross_keys():
     mt.put(b"c", 9, loc(), deduplicated=False)
     assert list(mt.older_versions(b"b", 1)) == []
     assert list(mt.newer_versions(b"b", 1)) == []
-
-
-def test_latest_version():
-    mt = Memtable()
-    assert mt.latest_version(b"k") is None
-    for version in (1, 5, 3):
-        mt.put(b"k", version, loc(), deduplicated=False)
-    mt.put(b"k2", 99, loc(), deduplicated=False)
-    latest = mt.latest_version(b"k")
-    assert latest is not None
-    assert latest[0] == 5
 
 
 def test_scan_by_key_range():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -204,43 +205,57 @@ def test_unsorted_batch_input_is_sorted_internally():
 
 
 def full_collections() -> None:
-    """Two full collections.  A pass untracks an exact tuple only if its
-    elements already are, and it may reach an item before the item's
-    location; the second pass finds every location untracked."""
+    """Two full collections, so nothing a verb left behind is pending."""
     gc.collect()
     gc.collect()
 
 
-def assert_items_untracked(engine: QinDB) -> None:
-    """Every memtable item and its location is an exact tuple the cyclic
-    collector has untracked."""
+def retained_bytes(verb) -> int:
+    """Bytes that code in ``repro/qindb`` allocated while ``verb`` ran
+    and still holds afterwards (the memtable path: the table itself and
+    anything it keeps alive; the flash images live in ``repro/ssd``)."""
+    qindb = [tracemalloc.Filter(True, "*/repro/qindb/*")]
     full_collections()
-    items = [item for _key, _version, item in engine.memtable.items()]
-    assert items
-    for item in items:
-        assert type(item) is tuple and type(item[0]) is tuple
-        assert not gc.is_tracked(item)
-        assert not gc.is_tracked(item[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(qindb)
+        verb()
+        full_collections()
+        after = tracemalloc.take_snapshot().filter_traces(qindb)
+    finally:
+        tracemalloc.stop()
+    return sum(stat.size_diff for stat in after.compare_to(before, "filename"))
 
 
-def test_memtable_items_are_not_collector_tracked():
-    """A stored record costs the cyclic collector nothing: an item is an
-    exact tuple of ints, bools and an exact location tuple, whichever
-    verb built it — a put, a delete, a GC relocation, a checkpoint load
-    or the full-scan replay.  A dataclass item, or a NamedTuple location,
-    is tracked for as long as its record lives (two objects per record)."""
+class TrackedCensus:
+    """Collector-tracked objects added since the last :meth:`grown`."""
+
+    def __init__(self) -> None:
+        full_collections()
+        self.count = len(gc.get_objects())
+
+    def grown(self) -> int:
+        full_collections()
+        before, self.count = self.count, len(gc.get_objects())
+        return self.count - before
+
+
+def test_memtable_holds_a_few_words_per_record():
+    """A stored record costs the memtable one slot of its version's run
+    — a dict entry, its slot number and 33 column bytes, ~100 B here —
+    and the cyclic collector nothing, whichever verb wrote it: a put, a
+    delete, a GC relocation, a checkpoint load or the full-scan replay.
+    A dict of item tuples held ~300 B per record here (item, location
+    and ``(key, version)`` tuples plus their ints), two of them tracked
+    objects until the collector's next pass."""
     engine = make_engine(segment_bytes=256 * 1024, gc_enabled=False)
     count = 2000
     keys = [f"k{index:05d}".encode() for index in range(count)]
-    full_collections()
-    tracked_before = len(gc.get_objects())
-    engine.put_batch(
-        [(key, 1, bytes([index % 251]) * 64) for index, key in enumerate(keys)]
-    )
-    full_collections()
-    grown = len(gc.get_objects()) - tracked_before
-    assert grown < 100  # O(1), not O(count): 2 * count at a dataclass item
-    assert_items_untracked(engine)
+    items = [(key, 1, bytes([index % 251]) * 64) for index, key in enumerate(keys)]
+    census = TrackedCensus()
+    per_record = retained_bytes(lambda: engine.put_batch(items)) / count
+    assert per_record <= 120, per_record
+    assert census.grown() < 100  # O(1), not O(count)
     # even keys' version 2 is value-less: its traceback lands on version 1
     engine.put_batch(
         [
@@ -248,19 +263,23 @@ def test_memtable_items_are_not_collector_tracked():
             for index, key in enumerate(keys)
         ]
     )
+    assert census.grown() < 100
     engine.delete_batch([(key, 1) for key in keys[: count // 2]])
-    assert_items_untracked(engine)
+    assert census.grown() < 100
     assert engine.aofs.active_segment_id != 0
     engine.collect_segment(0)
     (moved_segment, _o, _l), _r, deleted, _s = engine.memtable.get(keys[0], 1)
     assert deleted and moved_segment != 0  # a dead base GC relocated
     assert engine.memtable.get(keys[1], 1) is None  # unreferenced: dropped
-    assert_items_untracked(engine)
+    assert census.grown() < 100
     assert engine.get(keys[0], 2) == bytes([0]) * 64
     checkpoint = Checkpoint.write(engine)
     image = memtable_image(engine)
-    scanned = recover(crash(copy.deepcopy(engine)), config=engine.config)
-    assert_items_untracked(scanned)
+    victim = copy.deepcopy(engine)
+    census.grown()
+    scanned = recover(crash(victim), config=engine.config)
+    assert memtable_image(scanned) == image
+    assert census.grown() < 100
     loaded = recover(crash(engine), config=engine.config, checkpoint=checkpoint)
     assert memtable_image(loaded) == image
-    assert_items_untracked(loaded)
+    assert census.grown() < 100
