@@ -12,7 +12,7 @@ the scales differ (documented per section).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import List
 
 
 @dataclass
@@ -123,10 +123,8 @@ def sections_to_dict(sections: List[tuple]) -> dict:
     }
 
 
-def generate_report(days: int = 8, sections: Optional[List[tuple]] = None) -> str:
-    """Run the quick experiments and render the markdown report."""
-    if sections is None:
-        sections = collect_sections(days)
+def generate_report(sections: List[tuple]) -> str:
+    """Render :func:`collect_sections`' results as the markdown report."""
     lines = [
         "# DirectLoad reproduction — quick report",
         "",
@@ -153,11 +151,3 @@ def generate_report(days: int = 8, sections: Optional[List[tuple]] = None) -> st
     )
     lines.append("")
     return "\n".join(lines)
-
-
-def write_report(path: str, days: int = 8) -> bool:
-    """Generate and write the report; returns True if all claims held."""
-    content = generate_report(days)
-    with open(path, "w") as handle:
-        handle.write(content)
-    return "SOME CLAIMS" not in content

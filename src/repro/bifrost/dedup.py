@@ -55,10 +55,6 @@ class Deduplicator:
         #: lifetime count of re-hashes the build-time signatures spared
         self.hashes_avoided = 0
 
-    @property
-    def tracked_keys(self) -> int:
-        return len(self._signatures)
-
     def forget(self) -> None:
         """Drop the predecessor's signatures, so the next version ships
         every value: after a failed rollout the stores never got the

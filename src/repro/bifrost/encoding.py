@@ -209,10 +209,6 @@ class WireEncoder:
         self.stats = WireStats()
         self._bases: Dict[Tuple[IndexKind, bytes], Tuple[bytes, bytes]] = {}
 
-    @property
-    def tracked_keys(self) -> int:
-        return len(self._bases)
-
     def forget(self) -> None:
         """Drop every delta base, so the next version ships full values:
         after a failed rollout the receivers may never have decoded the
@@ -326,10 +322,6 @@ class WireDecoder:
         self._values: Dict[
             Tuple[IndexKind, bytes], List[Tuple[int, bytes, bytes]]
         ] = {}
-
-    @property
-    def tracked_keys(self) -> int:
-        return len(self._values)
 
     def decode_slice(self, item) -> List[IndexEntry]:
         """The slice's logical entries, byte-identical to the origin's.

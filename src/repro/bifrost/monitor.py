@@ -139,13 +139,6 @@ class NetworkMonitor:
             )
         return best_hops
 
-    def snapshot(self) -> Dict[Tuple[str, str], float]:
-        """Current EWMA utilization per backbone link."""
-        return {
-            pair: estimate.utilization_ewma
-            for pair, estimate in self._estimates.items()
-        }
-
     def register_metrics(self, registry) -> None:
         """Register the per-link EWMA beliefs as live gauges.
 

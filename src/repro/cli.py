@@ -266,7 +266,7 @@ def _run_report(args) -> dict:
 
     sections = collect_sections(days=args.days)
     with open(args.output, "w") as handle:
-        handle.write(generate_report(days=args.days, sections=sections))
+        handle.write(generate_report(sections))
     return {**sections_to_dict(sections), "output": args.output}
 
 

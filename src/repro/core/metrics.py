@@ -117,15 +117,6 @@ class CacheCounters:
     evictions: int = 0
     invalidated: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
     def reset_lookups(self) -> None:
         """Zero the hit/miss tallies (per-phase measurements)."""
         self.hits = 0
@@ -160,51 +151,36 @@ class Sample:
 
 
 class ThroughputSampler:
-    """Snapshots counters on an interval; yields per-interval rates.
+    """Snapshots counter dicts on an interval; yields per-interval rates.
 
-    Counters come either from explicit dicts/callables (the historical
-    API) or from a bound :class:`~repro.obs.registry.MetricsRegistry` —
-    pass ``registry=`` and omit the per-call counter arguments, and every
-    registered metric becomes sampleable.
+    Any ``name -> value`` dict will do, a
+    :meth:`~repro.obs.registry.MetricsRegistry.collect` among them.
     """
 
-    def __init__(self, interval_s: float = 60.0, registry=None) -> None:
+    def __init__(self, interval_s: float = 60.0) -> None:
         if interval_s <= 0:
             raise ConfigError(f"interval must be positive, got {interval_s}")
         self.interval_s = interval_s
-        self.registry = registry
         self._samples: List[Sample] = []
         self._next_due = 0.0
 
-    def _read(self, counters: Optional[Dict[str, float]]) -> Dict[str, float]:
-        if counters is not None:
-            return dict(counters)
-        if self.registry is None:
-            raise ConfigError(
-                "no counters given and no registry bound to the sampler"
-            )
-        return self.registry.collect()
-
-    def prime(self, now: float, counters: Optional[Dict[str, float]] = None) -> None:
+    def prime(self, now: float, counters: Dict[str, float]) -> None:
         """Record the baseline sample at experiment start."""
-        self._samples = [Sample(now, self._read(counters))]
+        self._samples = [Sample(now, dict(counters))]
         self._next_due = now + self.interval_s
 
     def maybe_sample(
-        self,
-        now: float,
-        read_counters: Optional[Callable[[], Dict[str, float]]] = None,
+        self, now: float, read_counters: Callable[[], Dict[str, float]]
     ) -> None:
         """Take snapshots for every interval boundary passed by ``now``."""
         while now >= self._next_due:
-            values = read_counters() if read_counters is not None else None
-            self._samples.append(Sample(self._next_due, self._read(values)))
+            self._samples.append(Sample(self._next_due, dict(read_counters())))
             self._next_due += self.interval_s
 
-    def finalize(self, now: float, counters: Optional[Dict[str, float]] = None) -> None:
+    def finalize(self, now: float, counters: Dict[str, float]) -> None:
         """Record the trailing partial interval."""
         if not self._samples or now > self._samples[-1].at:
-            self._samples.append(Sample(now, self._read(counters)))
+            self._samples.append(Sample(now, dict(counters)))
 
     def rate_series(self, counter: str) -> List[Tuple[float, float]]:
         """(interval_start, delta/second) for one counter.

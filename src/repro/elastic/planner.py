@@ -47,10 +47,6 @@ class MoveTask:
     #: nodes left holding stale copies once the move cuts over
     withdraw_targets: Tuple[StorageNode, ...]
 
-    @property
-    def record_count(self) -> int:
-        return len(self.versions) * len(self.copy_targets)
-
 
 class RebalancePlanner:
     """Diffs placements into the minimal set of per-key move tasks."""

@@ -88,13 +88,6 @@ class RepairResult:
     #: (peer reads and the rejoining node's writes)
     device_seconds: float = 0.0
 
-    def merge(self, other: "RepairResult") -> None:
-        self.keys_copied += other.keys_copied
-        self.bytes_copied += other.bytes_copied
-        self.deletes_applied += other.deletes_applied
-        self.remote_copies += other.remote_copies
-        self.device_seconds += other.device_seconds
-
 
 class ReplicaRepairer:
     """Copies missed ``(key, version)`` records from healthy peers."""

@@ -192,13 +192,6 @@ class HashKV:
                 yield key, version, self.aofs.read_values([entry.location])[0]
 
     # ------------------------------------------------------------------
-    @property
-    def item_count(self) -> int:
-        return len(self._table)
-
-    def flush(self) -> None:
-        self.aofs.flush()
-
     def close(self) -> None:
         if not self._closed:
             self.aofs.flush()

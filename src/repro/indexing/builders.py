@@ -171,10 +171,6 @@ class InvertedIndexBuilder:
             )
         return entries
 
-    @property
-    def term_count(self) -> int:
-        return len(self._postings)
-
 
 @dataclass
 class PipelineConfig:

@@ -57,9 +57,6 @@ class SyntheticWebCorpus:
             )
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._documents)
-
     def document(self, url: str) -> Document:
         """Look up one document."""
         try:

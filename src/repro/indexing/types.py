@@ -104,6 +104,3 @@ class IndexDataset:
         return sum(
             entry.wire_bytes for entries in self.entries.values() for entry in entries
         )
-
-    def counts_by_kind(self) -> Dict[IndexKind, int]:
-        return {kind: len(entries) for kind, entries in self.entries.items()}

@@ -41,10 +41,6 @@ class ZipfVocabulary:
     def __len__(self) -> int:
         return self.size
 
-    def term(self, rank: int) -> str:
-        """The term at frequency rank ``rank`` (0 = most frequent)."""
-        return self._terms[rank]
-
     def sample(self) -> str:
         """Draw one term from the Zipf distribution."""
         point = self._random.random()

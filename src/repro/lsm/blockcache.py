@@ -39,13 +39,6 @@ class BlockCache:
         self.invalidated = 0
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
-
     @property
     def hit_rate(self) -> float:
         lookups = self.hits + self.misses

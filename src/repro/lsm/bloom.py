@@ -9,7 +9,6 @@ simulated reads, and runs must reproduce).
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
 
 from repro.errors import ConfigError
 
@@ -26,15 +25,6 @@ class BloomFilter:
         self._bits = bytearray(-(-self._bit_count // 8))
         # LevelDB uses k = bits_per_key * ln2 ~= 0.69 * bits_per_key.
         self._hash_count = max(1, min(16, int(bits_per_key * 0.69)))
-
-    @classmethod
-    def build(cls, keys: Iterable[bytes], bits_per_key: int = 10) -> "BloomFilter":
-        """Construct a filter sized for (and containing) ``keys``."""
-        materialized = list(keys)
-        bloom = cls(len(materialized), bits_per_key)
-        for key in materialized:
-            bloom.add(key)
-        return bloom
 
     def _probes(self, key: bytes):
         # Double hashing: two independent CRCs combined per probe.

@@ -440,13 +440,6 @@ class LSMEngine:
         """Flush the memtable (used before crash tests and comparisons)."""
         self.flush_memtable()
 
-    def close(self) -> None:
-        """Flush and mark the engine closed."""
-        if not self._closed:
-            if len(self._memtable):
-                self.flush_memtable()
-            self._closed = True
-
     def restart(self) -> "LSMEngine":
         """Power-fail this engine and return the one recovery rebuilds
         from the manifest and the surviving WAL."""

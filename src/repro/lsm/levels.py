@@ -65,10 +65,6 @@ class LevelState:
     def file_count(self, level: int) -> int:
         return len(self._levels[level])
 
-    def total_bytes(self) -> int:
-        """Total file bytes across all levels."""
-        return sum(self.level_bytes(i) for i in range(self.max_levels))
-
     def total_files(self) -> int:
         return sum(len(files) for files in self._levels)
 

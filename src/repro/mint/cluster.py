@@ -259,11 +259,6 @@ class MintCluster:
             if owner is group
         ]
 
-    @property
-    def moving_slots(self) -> Dict[int, tuple]:
-        """Read-only view of in-flight slot moves (slot -> (old, new))."""
-        return dict(self._moving_slots)
-
     # ------------------------------------------------------------------
     # Elastic membership: node join/leave and group split/merge.  These
     # only mutate topology + metric registrations; actual data movement
@@ -377,11 +372,6 @@ class MintCluster:
             raise ClusterError(f"slot {slot} is not moving") from None
         self._slot_map[slot] = target
         self._group_cache.clear()
-
-    def abort_slot_move(self, slot: int) -> None:
-        """Cancel an in-flight move; the old owner keeps the slot."""
-        if self._moving_slots.pop(slot, None) is None:
-            raise ClusterError(f"slot {slot} is not moving")
 
     # ------------------------------------------------------------------
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> int:
@@ -499,10 +489,6 @@ class MintCluster:
         if value is None:
             value = new.multi_get([item], missing)[0]
         return value
-
-    def delete(self, key: bytes, version: int) -> int:
-        """A :meth:`delete_batch` of one."""
-        return self.delete_batch([(key, version)])
 
     def delete_batch(self, items: List[tuple]) -> int:
         """Delete ``(key, version)`` pairs, partitioned by group (one

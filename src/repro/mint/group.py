@@ -562,12 +562,6 @@ class NodeGroup:
             pending = retry
         return results
 
-    def delete(
-        self, key: bytes, version: int, missing_ok: bool = False
-    ) -> int:
-        """A :meth:`delete_batch` of one."""
-        return self.delete_batch([(key, version)], missing_ok)
-
     def delete_batch(self, items, missing_ok: bool = False) -> int:
         """Delete ``(key, version)`` pairs, one engine batch per node.
 

@@ -41,7 +41,6 @@ from repro.bifrost.signature import SIGNATURE_BYTES
 from repro.indexing.types import IndexKind
 from repro.qindb.records import Bodies
 
-_LEAF_HEADER = struct.Struct("<IB")  # version, dedup flag
 _COMBINE = struct.Struct("<II")
 
 
@@ -60,20 +59,6 @@ def leaf_checksum(key: bytes, version: int, value: Optional[bytes]) -> int:
 def combine_checksums(left: int, right: int) -> int:
     """One Merkle combine: CRC32 over the packed child checksums."""
     return zlib.crc32(_COMBINE.pack(left, right)) & 0xFFFFFFFF
-
-
-def record_signature(key: bytes, version: int, value: Optional[bytes]) -> bytes:
-    """Full cryptographic record signature — the audit-tier hash.
-
-    This is the expensive hash the tiered design keeps *off* the ingest
-    path; audits compute it only for sampled records.
-    """
-    digest = hashlib.blake2b(digest_size=SIGNATURE_BYTES)
-    digest.update(key)
-    digest.update(_LEAF_HEADER.pack(version, 1 if value is None else 0))
-    if value is not None:
-        digest.update(value)
-    return digest.digest()
 
 
 def merkle_levels(leaves: List[int]) -> List[List[int]]:
@@ -215,13 +200,6 @@ class IntegrityIndex:
         self._by_version.setdefault(version, []).append(item.slice_id)
         return summary
 
-    def summaries_for_version(self, version: int) -> List[SliceSummary]:
-        return [
-            self._slices[slice_id]
-            for slice_id in self._by_version.get(version, [])
-            if slice_id in self._slices
-        ]
-
     def all_summaries(self) -> List[SliceSummary]:
         return list(self._slices.values())
 
@@ -270,6 +248,5 @@ __all__ = [
     "combine_checksums",
     "leaf_checksum",
     "merkle_levels",
-    "record_signature",
     "seal_summary",
 ]

@@ -94,10 +94,6 @@ class StorageNode:
         if not self.is_up:
             raise NodeDownError(f"node {self.name} is down")
 
-    def put(self, key: bytes, version: int, value: Optional[bytes]) -> None:
-        """A :meth:`put_batch` of one."""
-        self.put_batch([(key, version, value)])
-
     def put_batch(self, items) -> None:
         """Store a batch of ``(key, version, value)`` triples in one
         engine call."""
@@ -119,20 +115,12 @@ class StorageNode:
         self.gets += len(items)
         return self.engine.get_batch(items)
 
-    def delete(self, key: bytes, version: int) -> None:
-        """A :meth:`delete_batch` of one."""
-        self.delete_batch([(key, version)])
-
     def delete_batch(self, items) -> None:
         """Delete a batch of ``(key, version)`` pairs in one engine
         call."""
         self._check_up()
         self.engine.delete_batch(items)
         self.deletes += len(items)
-
-    def exists(self, key: bytes, version: int) -> bool:
-        self._check_up()
-        return self.engine.exists(key, version)
 
     # ------------------------------------------------------------------
     def fail(self) -> None:

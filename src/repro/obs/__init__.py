@@ -31,8 +31,6 @@ from repro.obs.profiler import flamegraph, profile_tracer
 from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
-    get_default_registry,
-    set_default_registry,
 )
 from repro.obs.timeseries import RecorderConfig, TimeSeriesRecorder
 from repro.obs.tracer import Instant, Span, Tracer, TraceTrack
@@ -54,9 +52,7 @@ __all__ = [
     "default_burn_rules",
     "default_gauge_rules",
     "flamegraph",
-    "get_default_registry",
     "health_scores",
     "join_detections",
     "profile_tracer",
-    "set_default_registry",
 ]

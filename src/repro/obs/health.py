@@ -49,17 +49,6 @@ class AlertEvent:
     window_s: float = 0.0
     resolved_at_s: Optional[float] = None
 
-    @property
-    def active(self) -> bool:
-        return self.resolved_at_s is None
-
-    @property
-    def duration_s(self) -> float:
-        return (
-            0.0 if self.resolved_at_s is None
-            else self.resolved_at_s - self.at_s
-        )
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "at_s": self.at_s,
@@ -305,9 +294,6 @@ class HealthEngine:
         return (bad / total) / rule.budget
 
     # ------------------------------------------------------------------
-    def active_alerts(self) -> List[AlertEvent]:
-        return [a for a in self.alerts if a.active]
-
     def to_dicts(self) -> List[Dict[str, object]]:
         return [alert.to_dict() for alert in self.alerts]
 

@@ -191,34 +191,6 @@ class LogHistogram:
         }
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Sparse JSON-friendly form (only touched buckets travel)."""
-        return {
-            "min_value": self.min_value,
-            "max_value": self.max_value,
-            "growth": self.growth,
-            "count": self._count,
-            "sum": self._sum,
-            "buckets": {
-                str(index): count
-                for index, count in enumerate(self._counts)
-                if count
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LogHistogram":
-        histogram = cls(
-            min_value=float(data["min_value"]),
-            max_value=float(data["max_value"]),
-            growth=float(data["growth"]),
-        )
-        for index, count in dict(data.get("buckets", {})).items():
-            histogram._counts[int(index)] = int(count)
-        histogram._count = int(data.get("count", 0))
-        histogram._sum = float(data.get("sum", 0.0))
-        return histogram
-
     def nonzero_buckets(self) -> List[Tuple[float, int]]:
         """(upper_bound, count) for every touched bucket, in order."""
         return [

@@ -9,9 +9,7 @@ registering a metric can never drift from the component's own view.
 A :meth:`MetricsRegistry.snapshot` materializes every callable at one
 instant; two snapshots diff with :meth:`MetricsSnapshot.delta` (counters
 registered between the two snapshots read as 0.0 in the earlier one), and
-prefix queries slice either the registry or a snapshot by subsystem.
-:class:`~repro.core.metrics.ThroughputSampler` accepts a registry as its
-counter source, turning any registered counter into a rate series.
+a prefix slices a collect or snapshot by subsystem.
 """
 
 from __future__ import annotations
@@ -38,17 +36,6 @@ class MetricsSnapshot:
 
     at: float
     values: Dict[str, float] = field(default_factory=dict)
-
-    def value(self, name: str, default: float = 0.0) -> float:
-        return self.values.get(name, default)
-
-    def query(self, prefix: str) -> Dict[str, float]:
-        """The subset of values whose dotted name falls under ``prefix``."""
-        return {
-            name: value
-            for name, value in self.values.items()
-            if _matches(name, prefix)
-        }
 
     def delta(self, earlier: "MetricsSnapshot") -> Dict[str, float]:
         """Per-counter differences since ``earlier``.
@@ -92,20 +79,14 @@ class _ArrayView:
         self.indices = indices
         self.read_row = read_row
 
-    def names(self) -> List[str]:
-        prefix = self.prefix
-        return [f"{prefix}.{suffix}" for suffix in self.suffixes]
-
 
 class MetricsRegistry:
     """Dotted-name registry of live counter/gauge views.
 
     The registry stores *callables*, not values: every read goes straight
     to the owning component's counter, so there is no double bookkeeping
-    and no staleness.  Instances are independent — each
-    :class:`~repro.core.directload.DirectLoad` owns one — but a
-    process-wide default exists for scripts that want a shared plane
-    (:func:`get_default_registry`).
+    and no staleness.  Instances are independent: each
+    :class:`~repro.core.directload.DirectLoad` owns one.
 
     Metrics register either one at a time (:meth:`register`) or as an
     *array view* (:meth:`register_array`): one callable returning a row
@@ -122,9 +103,6 @@ class MetricsRegistry:
         self._metrics: Dict[str, MetricReader] = {}
         #: array member name -> (group, row index)
         self._members: Dict[str, tuple] = {}
-
-    def __len__(self) -> int:
-        return len(self._metrics) + len(self._members)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics or name in self._members
@@ -226,36 +204,11 @@ class MetricsRegistry:
         return len(doomed)
 
     # ------------------------------------------------------------------
-    def names(self, prefix: Optional[str] = None) -> List[str]:
-        """Registered names (under ``prefix``), sorted."""
-        return sorted(
-            name
-            for name in list(self._metrics) + list(self._members)
-            if _matches(name, prefix)
-        )
-
-    def value(self, name: str) -> float:
-        """Read one metric live."""
-        read = self._metrics.get(name)
-        if read is not None:
-            return float(read())
-        try:
-            group, index = self._members[name]
-        except KeyError:
-            raise ConfigError(f"no metric named {name!r}") from None
-        row = tuple(group.read_row())
-        # A row shorter than its registered family (a member added to
-        # the registration before the backing store grew, mid-run) reads
-        # 0.0 — the same "pre-registration history is zero" contract
-        # scalar counters follow — instead of killing the read.
-        return float(row[index]) if index < len(row) else 0.0
-
     def collect(self, prefix: Optional[str] = None) -> Dict[str, float]:
         """Materialize every (matching) metric into a plain dict.
 
         This is the shape :class:`~repro.core.metrics.ThroughputSampler`
-        snapshots, so a registry drops in wherever a counter dict did.
-        Array-view families read their row once per collect.
+        snapshots.  Array-view families read their row once per collect.
         """
         out: Dict[str, float] = {}
         metrics = self._metrics
@@ -298,20 +251,3 @@ class MetricsRegistry:
     ) -> MetricsSnapshot:
         """A :class:`MetricsSnapshot` of the current values."""
         return MetricsSnapshot(at=at, values=self.collect(prefix))
-
-
-_default: Optional[MetricsRegistry] = None
-
-
-def get_default_registry() -> MetricsRegistry:
-    """The lazily-created process-wide registry."""
-    global _default
-    if _default is None:
-        _default = MetricsRegistry()
-    return _default
-
-
-def set_default_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Inject (or reset with ``None``) the process-wide registry."""
-    global _default
-    _default = registry

@@ -104,15 +104,6 @@ class TimeSeriesRecorder:
     def sample_count(self) -> int:
         return len(self.samples)
 
-    def latest(self, name: str, default: float = 0.0) -> float:
-        if not self.samples:
-            return default
-        return self.samples[-1][1].get(name, default)
-
-    def series(self, name: str) -> List[Tuple[float, float]]:
-        """(at_s, value) across the ring; missing samples read 0.0."""
-        return [(at, values.get(name, 0.0)) for at, values in self.samples]
-
     def _window_base(
         self, window_s: float, at: float
     ) -> Optional[Tuple[float, Dict[str, float]]]:

@@ -57,14 +57,6 @@ class Instant:
     at_s: float
     attrs: Dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "track": self.track,
-            "at_s": self.at_s,
-            "attrs": dict(self.attrs),
-        }
-
 
 @dataclass(slots=True)
 class Span:
@@ -131,9 +123,6 @@ class _NullSpan:
     attrs = _NullAttrs()
     finished = True
     duration_s = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {}
 
 
 _NULL_SPAN = _NullSpan()
@@ -282,11 +271,6 @@ class Tracer:
         )
         self.instants.append(event)
         return event
-
-    def current(self, track: str = MAIN_TRACK) -> Optional[Span]:
-        """The innermost open span on ``track``, if any."""
-        stack = self._open_stacks.get(track)
-        return stack[-1] if stack else None
 
     def clear(self) -> None:
         """Drop all finished spans and instants (open spans survive)."""

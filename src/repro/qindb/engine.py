@@ -147,16 +147,6 @@ class QinDBStats:
         return self.read_cache_hits / lookups if lookups else 0.0
 
     @property
-    def mean_put_batch_size(self) -> float:
-        """Keys per batch across all put_batch calls (0.0 if none)."""
-        return self.batched_puts / self.put_batches if self.put_batches else 0.0
-
-    @property
-    def mean_get_batch_size(self) -> float:
-        """Keys per batch across all get_batch calls (0.0 if none)."""
-        return self.batched_gets / self.get_batches if self.get_batches else 0.0
-
-    @property
     def software_write_amplification(self) -> float:
         """Engine bytes appended per user byte written (>= 1.0)."""
         if self.user_bytes_written == 0:
@@ -553,7 +543,7 @@ class QinDB:
         deleted record's value remains usable until GC reclaims it, which
         is exactly why GC must re-append referenced dead records.
         """
-        location = self.memtable.resolve(key, version)
+        location = self.memtable.resolve_batch([(key, version)])[0]
         self._charge_cpu()
         if location is None:
             raise KeyNotFoundError(
@@ -800,12 +790,6 @@ class QinDB:
     def flush(self) -> None:
         """Flush buffered partial pages to flash."""
         self.aofs.flush()
-
-    def close(self) -> None:
-        """Flush and mark the engine closed."""
-        if not self._closed:
-            self.aofs.flush()
-            self._closed = True
 
     def restart(self) -> "QinDB":
         """Power-fail this engine and return the one recovery rebuilds

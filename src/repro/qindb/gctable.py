@@ -98,11 +98,6 @@ class GCTable:
         self._below.discard(segment_id)
 
     # ------------------------------------------------------------------
-    def occupancy(self, segment_id: int) -> float:
-        """Occupancy ratio of one segment (1.0 if never touched)."""
-        row = self._segments.get(segment_id)
-        return 1.0 if row is None else row.occupancy
-
     def victims(self, exclude: frozenset | set = frozenset()) -> List[int]:
         """Segments at or below the occupancy threshold, worst first."""
         below = self._below

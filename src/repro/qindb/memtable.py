@@ -242,10 +242,6 @@ class Memtable:
         self._count -= 1
         self.approximate_bytes -= len(key) + _ITEM_OVERHEAD
 
-    def resolve(self, key: bytes, version: int) -> Optional[RecordLocation]:
-        """The read path: a :meth:`resolve_batch` of one."""
-        return self.resolve_batch([(key, version)])[0]
-
     def resolve_batch(
         self, item_keys: Sequence[ItemKey]
     ) -> List[Optional[RecordLocation]]:

@@ -59,10 +59,6 @@ class RecordCache:
     def used_bytes(self) -> int:
         return self._used_bytes
 
-    @property
-    def hit_rate(self) -> float:
-        return self.counters.hit_rate
-
     def reset_counters(self) -> None:
         """Zero the hit/miss counters (per-phase measurements)."""
         self.counters.reset_lookups()

@@ -103,11 +103,6 @@ class Record:
         """Bytes this record occupies on disk."""
         return HEADER_SIZE + len(self.key) + len(self.value)
 
-    @property
-    def has_value(self) -> bool:
-        """Whether the record stores an actual value field."""
-        return self.type is RecordType.PUT_VALUE
-
 
 _VALUE_TYPE = int(RecordType.PUT_VALUE)
 _DEDUP_TYPE = int(RecordType.PUT_DEDUP)

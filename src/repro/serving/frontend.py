@@ -249,10 +249,6 @@ class ServingFrontend:
             if bucket.flusher is not None
         ]
 
-    @property
-    def outstanding_total(self) -> int:
-        return sum(bucket.outstanding for bucket in self._buckets.values())
-
     def drain(self) -> None:
         """Run the simulator until every queued request completes."""
         while True:

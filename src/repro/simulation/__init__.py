@@ -10,14 +10,13 @@ but it is a real event loop with a stable total order of events, so all
 experiments built on it are reproducible bit-for-bit.
 """
 
-from repro.simulation.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.simulation.events import AllOf, Event, Process, Timeout
 from repro.simulation.kernel import Simulator
 from repro.simulation.pipes import Link
 from repro.simulation.resources import Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Link",
     "Process",

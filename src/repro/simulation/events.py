@@ -51,13 +51,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """Whether the event succeeded; raises if it has not triggered."""
-        if self._ok is None:
-            raise SimulationError("event has not triggered yet")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's payload (or exception, if it failed)."""
         if self._value is _PENDING:
@@ -155,11 +148,6 @@ class Process(Event):
         init.callbacks.append(self._resume)
         sim._schedule(init)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the generator has not yet finished."""
-        return not self.triggered
-
     def _resume(self, event: Event) -> None:
         """Advance the generator after ``event`` has triggered."""
         self._target = None
@@ -205,8 +193,8 @@ class Process(Event):
         target.add_callback(self._resume)
 
 
-class _Condition(Event):
-    """Base for events that aggregate several child events."""
+class AllOf(Event):
+    """Triggers when every child event has succeeded (or any fails)."""
 
     __slots__ = ("events", "_remaining")
 
@@ -224,15 +212,6 @@ class _Condition(Event):
             event.add_callback(self._child_triggered)
 
     def _child_triggered(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has succeeded (or any fails)."""
-
-    __slots__ = ()
-
-    def _child_triggered(self, event: Event) -> None:
         if self.triggered:
             return
         if not event._ok:
@@ -241,17 +220,3 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed({child: child._value for child in self.events})
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as one child event succeeds (or any fails)."""
-
-    __slots__ = ()
-
-    def _child_triggered(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed({event: event._value})

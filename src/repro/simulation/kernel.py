@@ -22,7 +22,7 @@ import heapq
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.simulation.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.simulation.events import AllOf, Event, Process, Timeout
 
 _INF = float("inf")
 
@@ -92,10 +92,6 @@ class Simulator:
     def all_of(self, events) -> AllOf:
         """An event firing once all ``events`` succeed."""
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """An event firing once any of ``events`` succeeds."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and execution

@@ -14,14 +14,13 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import ConfigError, LinkPartitionedError, SimulationError
-from repro.simulation.events import Event, Timeout
 from repro.simulation.kernel import Simulator
 
 
 class Link:
     """A FIFO serializing channel with fixed bandwidth and latency.
 
-    ``transmit(nbytes)`` returns an event that succeeds when the last byte
+    ``transmit_delay(nbytes)`` returns the seconds until the last byte
     arrives at the far end: serialization happens back-to-back behind any
     transfers already queued, then propagation delay is added.
     """
@@ -59,22 +58,13 @@ class Link:
         self._bucket_bytes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def transmit(self, nbytes: int) -> Event:
-        """Queue ``nbytes`` for transfer; event fires at delivery time.
+    def transmit_delay(self, nbytes: int) -> float:
+        """Queue ``nbytes``; returns the seconds until delivery, for a
+        process to yield (its pooled sleep, no ``Timeout`` per hop).
 
         A partitioned link rejects new transfers with
         :class:`LinkPartitionedError` (transfers already serialized keep
         their scheduled delivery — the bytes were on the wire).
-        """
-        return Timeout(self.sim, self.transmit_delay(nbytes), value=nbytes)
-
-    def transmit_delay(self, nbytes: int) -> float:
-        """Queue ``nbytes``; returns the seconds until delivery.
-
-        Identical accounting to :meth:`transmit`, but hands back the
-        plain delay for the process numeric-yield fast path: a sender
-        doing ``yield link.transmit_delay(n)`` reuses its one pooled
-        sleep event per hop instead of allocating a ``Timeout`` each.
         """
         if nbytes < 0:
             raise SimulationError(f"cannot transmit negative bytes: {nbytes}")
@@ -97,7 +87,7 @@ class Link:
     # Fault injection
     # ------------------------------------------------------------------
     def partition(self) -> None:
-        """Blackhole the link: every new ``transmit`` raises until
+        """Blackhole the link: every new ``transmit_delay`` raises until
         :meth:`restore`."""
         self.partitioned = True
 

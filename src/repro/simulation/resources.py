@@ -37,16 +37,6 @@ class Resource:
         self._in_use = 0
         self._waiters: deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of processes waiting for a slot."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that succeeds once a slot is held."""
         event = Event(self.sim)

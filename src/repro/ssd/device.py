@@ -35,12 +35,6 @@ class Block:
         self.write_ptr = 0
         self.erase_count = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Block({self.block_id}, owner={self.owner!r}, "
-            f"write_ptr={self.write_ptr}, erases={self.erase_count})"
-        )
-
 
 class SimulatedSSD:
     """A flash device with explicit pages, blocks, timing, and counters."""
@@ -166,15 +160,3 @@ class SimulatedSSD:
     def _charge(self, seconds: float) -> None:
         self._now += seconds
         self.counters.busy_time_s += seconds
-
-    # ------------------------------------------------------------------
-    def wear_summary(self) -> dict:
-        """Erase-count statistics across all blocks (for wear analysis)."""
-        counts = [b.erase_count for b in self._blocks.values()]
-        total = sum(counts)
-        return {
-            "total_erases": total,
-            "max_erases": max(counts),
-            "min_erases": min(counts),
-            "mean_erases": total / len(counts),
-        }

@@ -149,19 +149,10 @@ class BlockFileSystem:
         handle._data = bytearray()
         handle._deleted = True
 
-    def list_files(self) -> List[str]:
-        """All file names, sorted."""
-        return sorted(self._files)
-
     @property
     def used_bytes(self) -> int:
         """Sum of file sizes (logical occupancy)."""
         return sum(f.size for f in self._files.values())
-
-    @property
-    def used_pages(self) -> int:
-        """Logical pages allocated to live files."""
-        return sum(f.page_count for f in self._files.values())
 
     # ------------------------------------------------------------------
     def _allocate_lpa(self) -> int:

@@ -46,16 +46,6 @@ class FlashTranslationLayer:
         self._gc_active: Optional[_FtlBlock] = None
 
     # ------------------------------------------------------------------
-    @property
-    def mapped_pages(self) -> int:
-        """Logical pages currently holding data."""
-        return len(self._map)
-
-    def is_mapped(self, lpa: int) -> bool:
-        """Whether the logical page currently maps to flash."""
-        return lpa in self._map
-
-    # ------------------------------------------------------------------
     # Host operations
     # ------------------------------------------------------------------
     def write(self, lpas: Iterable[int]) -> None:

@@ -45,16 +45,6 @@ class SSDGeometry:
         return self.page_size * self.pages_per_block
 
     @property
-    def total_pages(self) -> int:
-        """Physical pages on the device."""
-        return self.block_count * self.pages_per_block
-
-    @property
-    def physical_capacity(self) -> int:
-        """Raw bytes of flash, including over-provisioned space."""
-        return self.block_count * self.block_size
-
-    @property
     def reserved_blocks(self) -> int:
         """Blocks held back from the host as over-provisioning."""
         return max(2, int(self.block_count * self.op_ratio))
@@ -63,11 +53,6 @@ class SSDGeometry:
     def exported_blocks(self) -> int:
         """Blocks' worth of capacity visible to the host."""
         return self.block_count - self.reserved_blocks
-
-    @property
-    def exported_capacity(self) -> int:
-        """Host-visible bytes."""
-        return self.exported_blocks * self.block_size
 
     @property
     def exported_pages(self) -> int:

@@ -52,16 +52,6 @@ class NativeUnit:
         ]
 
     @property
-    def programmed_bytes(self) -> int:
-        """Bytes physically on flash (page-granular, includes padding)."""
-        return self._programmed_pages * self._device.geometry.page_size
-
-    @property
-    def block_count(self) -> int:
-        """Erase blocks this unit currently owns."""
-        return len(self._blocks)
-
-    @property
     def occupied_bytes(self) -> int:
         """Block-granular footprint on the device."""
         return len(self._blocks) * self._device.geometry.block_size

@@ -39,12 +39,6 @@ class DeviceCounters:
         return self.host_write_ops + self.gc_write_ops
 
     @property
-    def pages_per_write_op(self) -> float:
-        """Mean pages per program command (the coalescing factor)."""
-        ops = self.total_write_ops
-        return self.total_pages_written / ops if ops else 0.0
-
-    @property
     def total_pages_read(self) -> int:
         """Pages physically sensed (host + device GC)."""
         return self.host_pages_read + self.gc_pages_read
@@ -69,31 +63,3 @@ class DeviceCounters:
         if self.host_pages_written == 0:
             return 1.0
         return self.total_pages_written / self.host_pages_written
-
-    def snapshot(self) -> "DeviceCounters":
-        """An independent copy, for delta computations between samples."""
-        return DeviceCounters(
-            page_size=self.page_size,
-            host_pages_written=self.host_pages_written,
-            host_pages_read=self.host_pages_read,
-            gc_pages_written=self.gc_pages_written,
-            gc_pages_read=self.gc_pages_read,
-            blocks_erased=self.blocks_erased,
-            busy_time_s=self.busy_time_s,
-            host_write_ops=self.host_write_ops,
-            gc_write_ops=self.gc_write_ops,
-        )
-
-    def delta(self, earlier: "DeviceCounters") -> "DeviceCounters":
-        """Counter differences since ``earlier`` (a prior snapshot)."""
-        return DeviceCounters(
-            page_size=self.page_size,
-            host_pages_written=self.host_pages_written - earlier.host_pages_written,
-            host_pages_read=self.host_pages_read - earlier.host_pages_read,
-            gc_pages_written=self.gc_pages_written - earlier.gc_pages_written,
-            gc_pages_read=self.gc_pages_read - earlier.gc_pages_read,
-            blocks_erased=self.blocks_erased - earlier.blocks_erased,
-            busy_time_s=self.busy_time_s - earlier.busy_time_s,
-            host_write_ops=self.host_write_ops - earlier.host_write_ops,
-            gc_write_ops=self.gc_write_ops - earlier.gc_write_ops,
-        )

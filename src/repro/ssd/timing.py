@@ -58,11 +58,3 @@ class TimingModel:
         # One serial latency, remaining pages amortized across channels.
         extra = max(0, npages - 1)
         return per_page + extra * per_page / self.channel_parallelism
-
-    def sequential_write_bandwidth(self, page_size: int) -> float:
-        """Asymptotic sequential write bandwidth in bytes/second."""
-        return page_size * self.channel_parallelism / self.page_write_s
-
-    def sequential_read_bandwidth(self, page_size: int) -> float:
-        """Asymptotic sequential read bandwidth in bytes/second."""
-        return page_size * self.channel_parallelism / self.page_read_s

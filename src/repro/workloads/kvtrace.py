@@ -74,14 +74,6 @@ class TraceReplayResult:
     def sys_write_mean_mbs(self) -> float:
         return mean_and_stddev([v for _t, v in self.sys_write_series])[0]
 
-    @property
-    def measured_write_amplification(self) -> float:
-        """Mean Sys Write over mean User Write (Figure 5's headline)."""
-        user = self.user_write_mean_mbs
-        if user == 0:
-            return 1.0
-        return self.sys_write_mean_mbs / user
-
 
 def replay_trace(
     engine,

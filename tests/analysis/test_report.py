@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.report import ReportRow, generate_report, write_report
+from repro.analysis.report import ReportRow
+from repro.cli import main
 
 
 def test_report_rows_render():
@@ -13,7 +14,7 @@ def test_report_rows_render():
 @pytest.mark.slow
 def test_generate_report_end_to_end(tmp_path):
     path = tmp_path / "REPORT.md"
-    all_hold = write_report(str(path), days=4)
+    all_hold = main(["report", "--days", "4", "--output", str(path)]) == 0
     content = path.read_text()
     assert "# DirectLoad reproduction" in content
     assert "Figure 5 headline" in content

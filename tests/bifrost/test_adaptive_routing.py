@@ -27,7 +27,7 @@ def congested_setup():
     # Saturate the direct origin->north inverted stream with background
     # cross-traffic for a long while.
     direct = topology.stream_link(ORIGIN, "north", "inverted")
-    direct.transmit(int(direct.bandwidth_bps / 8 * 500))
+    direct.transmit_delay(int(direct.bandwidth_bps / 8 * 500))
     sim.run(until=5.0)
     monitor.sample_now()
     return sim, topology, monitor

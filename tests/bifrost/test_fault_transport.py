@@ -77,7 +77,7 @@ def test_partitioned_link_raises_when_transmitting(sim, topology):
     link = topology.backbone[("origin", "north")]
 
     def send():
-        yield link.transmit(1000)
+        yield link.transmit_delay(1000)
 
     process = sim.process(send())
     with pytest.raises(LinkPartitionedError):

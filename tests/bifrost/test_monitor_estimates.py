@@ -7,6 +7,11 @@ from repro.bifrost.monitor import NetworkMonitor
 from repro.simulation.kernel import Simulator
 
 
+def ewma(monitor, pair):
+    """The monitor's smoothed utilization belief for one backbone link."""
+    return monitor._estimates[pair].utilization_ewma
+
+
 @pytest.fixture
 def setup():
     sim = Simulator()
@@ -38,7 +43,7 @@ def test_queueing_delay_included(setup):
     sim, topology = setup
     monitor = NetworkMonitor(topology)
     sublink = topology.stream_link(ORIGIN, "north", "summary")
-    sublink.transmit(int(sublink.bandwidth_bps / 8 * 10))  # 10s backlog
+    sublink.transmit_delay(int(sublink.bandwidth_bps / 8 * 10))  # 10s backlog
     estimate = monitor.estimate_route_time([ORIGIN, "north"], 1000, "summary")
     assert estimate > 10.0
 
@@ -48,14 +53,14 @@ def test_ewma_smooths_samples(setup):
     monitor = NetworkMonitor(topology, sample_interval_s=10.0, ewma_alpha=0.5)
     link = topology.backbone[(ORIGIN, "north")]
     # Saturate one window, sample, then an idle window, sample.
-    link.transmit(int(link.bandwidth_bps / 8 * 10))
+    link.transmit_delay(int(link.bandwidth_bps / 8 * 10))
     sim.run(until=10.0)
     monitor.sample_now()
-    busy = monitor.snapshot()[(ORIGIN, "north")]
+    busy = ewma(monitor, (ORIGIN, "north"))
     # Advance past the 60 s stat bucket so the next window is truly idle.
     sim.run(until=70.0)
     monitor.sample_now()
-    after_idle = monitor.snapshot()[(ORIGIN, "north")]
+    after_idle = ewma(monitor, (ORIGIN, "north"))
     assert 0.0 < after_idle < busy  # decayed but not forgotten
 
 
@@ -66,15 +71,15 @@ def test_ewma_converges_toward_step_change(setup):
     monitor = NetworkMonitor(topology, sample_interval_s=60.0, ewma_alpha=alpha)
     link = topology.backbone[(ORIGIN, "north")]
     monitor.sample_now()  # idle seed
-    assert monitor.snapshot()[(ORIGIN, "north")] == 0.0
+    assert ewma(monitor, (ORIGIN, "north")) == 0.0
     # Step: the link runs saturated from now on; sample once per window.
     window_bytes = int(link.bandwidth_bps / 8 * 60)
     gaps = []
     for _ in range(8):
-        link.transmit(window_bytes)
+        link.transmit_delay(window_bytes)
         sim.run(until=sim.now + 60.0)
         monitor.sample_now()
-        gaps.append(1.0 - monitor.snapshot()[(ORIGIN, "north")])
+        gaps.append(1.0 - ewma(monitor, (ORIGIN, "north")))
     for before, after in zip(gaps, gaps[1:]):
         assert after < before  # monotone approach to the new level
         assert after == pytest.approx(before * (1.0 - alpha), rel=0.05)
@@ -89,7 +94,8 @@ def test_route_scoring_prefers_faster_predicted_relay(setup):
     # Idle: every path predicts alike, ties favour the direct route.
     assert monitor.choose_route("north", nbytes, "summary") == [ORIGIN, "north"]
     direct = topology.backbone[(ORIGIN, "north")]
-    direct.transmit(int(direct.bandwidth_bps / 8 * 60))  # one window's worth
+    # one window's worth
+    direct.transmit_delay(int(direct.bandwidth_bps / 8 * 60))
     sim.run(until=60.0)
     monitor.sample_now()  # alpha=1.0: belief snaps to the observation
     hops = monitor.choose_route("north", nbytes, "summary")
@@ -107,13 +113,14 @@ def test_monitor_metrics_registered(setup):
     registry = MetricsRegistry()
     monitor.register_metrics(registry)
     name = f"bifrost.monitor.{ORIGIN}-north.utilization_ewma"
-    assert registry.value(name) == 0.0
+    assert registry.collect()[name] == 0.0
     link = topology.backbone[(ORIGIN, "north")]
-    link.transmit(int(link.bandwidth_bps / 8 * 60))
+    link.transmit_delay(int(link.bandwidth_bps / 8 * 60))
     sim.run(until=60.0)
     monitor.sample_now()
-    assert registry.value(name) > 0.9  # live view of the belief
-    assert registry.value(f"bifrost.monitor.{ORIGIN}-north.samples") == 1.0
+    values = registry.collect()
+    assert values[name] > 0.9  # live view of the belief
+    assert values[f"bifrost.monitor.{ORIGIN}-north.samples"] == 1.0
 
 
 def test_sampling_loop_runs_periodically(setup):
@@ -122,6 +129,6 @@ def test_sampling_loop_runs_periodically(setup):
     monitor.start()
     monitor.start()  # idempotent
     link = topology.backbone[(ORIGIN, "east")]
-    link.transmit(int(link.bandwidth_bps / 8 * 4))
+    link.transmit_delay(int(link.bandwidth_bps / 8 * 4))
     sim.run(until=6.0)
-    assert monitor.snapshot()[(ORIGIN, "east")] > 0.0
+    assert ewma(monitor, (ORIGIN, "east")) > 0.0

@@ -77,7 +77,7 @@ def test_monitor_prediction_reflects_traffic(sim, topology):
     assert idle == pytest.approx(1e8)
     # Saturate the link for a while, then sample.
     link = topology.backbone[(ORIGIN, "north")]
-    link.transmit(int(1e8 / 8 * 50))  # 50 seconds of traffic
+    link.transmit_delay(int(1e8 / 8 * 50))  # 50 seconds of traffic
     sim.run(until=10.0)
     monitor.sample_now()
     busy = monitor.predicted_available_bps(ORIGIN, "north")
@@ -88,7 +88,7 @@ def test_monitor_chooses_detour_around_congestion(sim, topology):
     monitor = NetworkMonitor(topology, sample_interval_s=10.0, ewma_alpha=1.0)
     # Congest the direct origin->north summary stream heavily.
     direct = topology.stream_link(ORIGIN, "north", "summary")
-    direct.transmit(int(direct.bandwidth_bps / 8 * 500))
+    direct.transmit_delay(int(direct.bandwidth_bps / 8 * 500))
     sim.run(until=10.0)
     monitor.sample_now()
     hops = monitor.choose_route("north", nbytes=1_000_000, stream="summary")
@@ -283,4 +283,4 @@ def test_relay_slots_do_not_bind_at_paper_scale(sim, topology):
     )
     assert report.deliveries == 10 * 6
     for region in topology.regions:
-        assert topology.relay_slots[region].queue_length == 0
+        assert not topology.relay_slots[region]._waiters

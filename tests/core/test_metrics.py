@@ -115,17 +115,11 @@ def test_sampler_reads_from_registry():
     registry = MetricsRegistry()
     box = {"bytes": 0.0}
     registry.register("qindb.n0.bytes", lambda: box["bytes"])
-    sampler = ThroughputSampler(interval_s=10.0, registry=registry)
-    sampler.prime(0.0)
-    box["bytes"] = 500.0
-    sampler.maybe_sample(10.0)
-    assert sampler.rate_series("qindb.n0.bytes") == [(0.0, 50.0)]
-
-
-def test_sampler_without_counters_or_registry_is_config_error():
     sampler = ThroughputSampler(interval_s=10.0)
-    with pytest.raises(ConfigError):
-        sampler.prime(0.0)
+    sampler.prime(0.0, registry.collect())
+    box["bytes"] = 500.0
+    sampler.maybe_sample(10.0, registry.collect)
+    assert sampler.rate_series("qindb.n0.bytes") == [(0.0, 50.0)]
 
 
 # ----------------------------------------------------------------- mean/std

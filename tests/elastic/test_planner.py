@@ -90,8 +90,6 @@ def test_slot_move_plan_covers_exactly_the_moving_slots():
         assert {n.name for n in task.copy_targets} == {
             n.name for n in target.replicas_for(task.key)
         }
-    for slot in moving:
-        cluster.abort_slot_move(slot)
 
 
 def test_versions_ascend_so_chain_bases_land_first():

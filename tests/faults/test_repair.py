@@ -51,7 +51,7 @@ def test_backlog_delete_replays(cluster):
     for replica in group.nodes:
         replica.engine.flush()
     node.fail()
-    cluster.delete(b"k1", 1)
+    cluster.delete_batch([(b"k1", 1)])
 
     node.recover()
     result = ReplicaRepairer().repair_node(cluster, group, node)
@@ -112,7 +112,8 @@ def test_repair_never_resurrects_dropped_versions(cluster):
     node = group.nodes[0]
     node.fail()
     cluster.put(b"gone", 7, b"x")
-    cluster.delete(b"gone", 7)  # the version retired while node was down
+    # the version retired while node was down
+    cluster.delete_batch([(b"gone", 7)])
 
     node.recover()
     result = ReplicaRepairer().repair_node(cluster, group, node)
@@ -160,7 +161,7 @@ def test_dropped_version_unparks(cluster):
     for replica in group.nodes:
         replica.fail()
     cluster.put(b"parked", 3, b"p")
-    cluster.delete(b"parked", 3)
+    cluster.delete_batch([(b"parked", 3)])
     assert group.pending_writes == []
 
 

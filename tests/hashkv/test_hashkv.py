@@ -16,7 +16,7 @@ def hashkv():
 def test_put_get_roundtrip(hashkv):
     hashkv.put(b"k", 1, b"value")
     assert hashkv.get(b"k", 1) == b"value"
-    assert hashkv.item_count == 1
+    assert len(hashkv._table) == 1
 
 
 def test_get_missing_raises(hashkv):

@@ -64,7 +64,7 @@ def test_inverted_builder_incremental_updates():
     assert b"pear" not in entries  # empty posting removed
     assert entries[b"plum"] == b"u1"
     assert entries[b"apple"] == b"u1\nu2"
-    assert builder.term_count == 2
+    assert len(builder._postings) == 2
 
 
 def test_inverted_update_unchanged_doc_affects_nothing():
@@ -102,7 +102,7 @@ def test_dataset_accounting():
         corpus, PipelineConfig(summary_value_bytes=256, forward_value_bytes=128)
     )
     dataset = pipeline.build_version()
-    assert dataset.entry_count == sum(dataset.counts_by_kind().values())
+    assert dataset.entry_count == sum(len(e) for e in dataset.entries.values())
     assert dataset.total_bytes > 10 * (256 + 128)
 
 

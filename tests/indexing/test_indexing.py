@@ -13,14 +13,14 @@ from repro.indexing.vocabulary import ZipfVocabulary
 # ---------------------------------------------------------------- vocabulary
 def test_vocabulary_terms_are_ranked():
     vocab = ZipfVocabulary(100)
-    assert vocab.term(0) == "term000000"
+    assert vocab._terms[0] == "term000000"
     assert len(vocab) == 100
 
 
 def test_vocabulary_sampling_is_skewed():
     vocab = ZipfVocabulary(1000, exponent=1.2, seed=1)
     samples = [vocab.sample() for _ in range(5000)]
-    top_terms = {vocab.term(rank) for rank in range(10)}
+    top_terms = {vocab._terms[rank] for rank in range(10)}
     top_share = sum(1 for s in samples if s in top_terms) / len(samples)
     assert top_share > 0.3  # head terms dominate under Zipf
 

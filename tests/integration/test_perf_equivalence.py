@@ -176,5 +176,5 @@ def test_null_tracer_is_inert_pipelined():
 def test_null_tracer_records_nothing():
     system, _ = _run_plain(tracing=False)
     assert system.tracer.spans == []
-    assert system.tracer.to_json() == []
+    assert system.tracer.finished_spans() == []
     assert system.tracer.stage_summary() == []

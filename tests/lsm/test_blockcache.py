@@ -37,14 +37,14 @@ def test_lru_eviction_order():
 def test_oversized_block_not_cached():
     cache = BlockCache(10)
     cache.put(("f", 0), b"x" * 100)
-    assert len(cache) == 0
+    assert len(cache._blocks) == 0
 
 
 def test_replacing_a_key_updates_bytes():
     cache = BlockCache(100)
     cache.put(("f", 0), b"a" * 60)
     cache.put(("f", 0), b"b" * 30)
-    assert cache.used_bytes == 30
+    assert cache._used_bytes == 30
     assert cache.get(("f", 0)) == b"b" * 30
 
 

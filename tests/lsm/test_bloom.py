@@ -6,15 +6,23 @@ from repro.errors import ConfigError
 from repro.lsm.bloom import BloomFilter
 
 
+def build(keys, bits_per_key=10):
+    """A filter sized for, and holding, ``keys``."""
+    bloom = BloomFilter(len(keys), bits_per_key)
+    for key in keys:
+        bloom.add(key)
+    return bloom
+
+
 def test_no_false_negatives():
     keys = [f"key-{i}".encode() for i in range(500)]
-    bloom = BloomFilter.build(keys)
+    bloom = build(keys)
     assert all(bloom.may_contain(key) for key in keys)
 
 
 def test_false_positive_rate_reasonable():
     keys = [f"key-{i}".encode() for i in range(2000)]
-    bloom = BloomFilter.build(keys, bits_per_key=10)
+    bloom = build(keys, bits_per_key=10)
     probes = [f"absent-{i}".encode() for i in range(2000)]
     false_positives = sum(1 for p in probes if bloom.may_contain(p))
     # 10 bits/key gives ~1% theoretical; allow generous headroom.
@@ -31,7 +39,7 @@ def test_more_bits_fewer_false_positives():
     probes = [f"absent-{i}".encode() for i in range(3000)]
 
     def fp_rate(bits):
-        bloom = BloomFilter.build(keys, bits_per_key=bits)
+        bloom = build(keys, bits_per_key=bits)
         return sum(1 for p in probes if bloom.may_contain(p))
 
     assert fp_rate(16) <= fp_rate(4)
@@ -52,8 +60,8 @@ def test_validation():
 
 def test_deterministic_across_instances():
     keys = [f"k{i}".encode() for i in range(100)]
-    a = BloomFilter.build(keys)
-    b = BloomFilter.build(keys)
+    a = build(keys)
+    b = build(keys)
     probes = [f"p{i}".encode() for i in range(100)]
     assert [a.may_contain(p) for p in probes] == [
         b.may_contain(p) for p in probes

@@ -79,7 +79,7 @@ def test_byte_and_file_accounting(fs):
     levels.add(1, a)
     levels.add(2, b)
     assert levels.level_bytes(1) == a.size
-    assert levels.total_bytes() == a.size + b.size
+    assert levels.level_bytes(2) == b.size
     assert levels.total_files() == 2
     assert levels.file_count(1) == 1
     assert levels.deepest_nonempty() == 2

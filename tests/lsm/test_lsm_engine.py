@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import EngineClosedError, KeyNotFoundError, StorageError
 from repro.lsm.engine import LSMConfig, LSMEngine
+from repro.lsm.recovery import crash
 
 
 def test_put_get_roundtrip(lsm):
@@ -116,7 +117,7 @@ def test_stats_fields(lsm):
 
 def test_close_rejects_operations(lsm):
     lsm.put(b"k", 1, b"v")
-    lsm.close()
+    crash(lsm)  # a crashed engine is closed
     with pytest.raises(EngineClosedError):
         lsm.get(b"k", 1)
 

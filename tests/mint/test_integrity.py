@@ -26,6 +26,14 @@ from repro.mint.integrity import (
 )
 
 
+def summaries(cluster, version):
+    """The integrity summaries of one version's slices."""
+    return [
+        summary for summary in cluster.integrity.all_summaries()
+        if summary.version == version
+    ]
+
+
 def signed_entries(count, value_bytes=96, kind=IndexKind.FORWARD):
     built = []
     for i in range(count):
@@ -108,7 +116,7 @@ def test_absorb_tracks_counters_and_verifies_paths():
     assert counters.seal_signatures == 1  # ONE crypto hash for the slice
     assert counters.records_tracked == 9
     assert counters.slices_tracked == 1
-    (summary,) = cluster.integrity.summaries_for_version(1)
+    (summary,) = summaries(cluster, 1)
     assert summary.record_count == 9
     assert summary.seal == seal_summary(summary.slice_id, summary.root)
     # Every leaf's Merkle path folds up to the sealed root.
@@ -122,7 +130,7 @@ def test_drop_version_prunes_summaries():
     ingest(cluster, 1, signed_entries(4))
     ingest(cluster, 2, signed_entries(4, value_bytes=64), slice_id="v2-s0")
     cluster.drop_version(1)
-    assert cluster.integrity.summaries_for_version(1) == []
+    assert summaries(cluster, 1) == []
     assert cluster.integrity.counters.slices_tracked == 1
     assert cluster.integrity.counters.records_tracked == 4
 
@@ -150,7 +158,7 @@ def test_audit_detects_and_repairs_damaged_replica():
     ingest(cluster, 1, entries)
     victim_key = storage_key(entries[0].kind, entries[0].key)
     node = cluster.group_for(victim_key).replicas_for(victim_key)[0]
-    node.put(victim_key, 1, b"bit-rotted garbage")
+    node.put_batch([(victim_key, 1, b"bit-rotted garbage")])
     repairer = ReplicaRepairer()
     result = repairer.audit_node(cluster, node)
     assert result.leaf_mismatches >= 1
@@ -167,13 +175,13 @@ def test_audit_detects_signature_mismatch_against_build_sig():
     cluster = make_cluster()
     entries = signed_entries(2)
     item = ingest(cluster, 1, entries)
-    (summary,) = cluster.integrity.summaries_for_version(1)
+    (summary,) = summaries(cluster, 1)
     forged = b"forged-but-consistent"
     victim_key = storage_key(entries[0].kind, entries[0].key)
     # Overwrite the record on every replica AND recompute the CRC tree
     # as an attacker with checksum access could.
     for node in cluster.group_for(victim_key).replicas_for(victim_key):
-        node.put(victim_key, 1, forged)
+        node.put_batch([(victim_key, 1, forged)])
     leaves = [leaf_checksum(victim_key, 1, forged)] + [
         summary.levels[0][i] for i in range(1, summary.record_count)
     ]

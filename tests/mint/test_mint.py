@@ -65,29 +65,29 @@ def test_rendezvous_stability_under_membership_change():
 # ---------------------------------------------------------------------- node
 def test_node_operations_and_counters():
     node = make_node()
-    node.put(b"k", 1, b"v")
+    node.put_batch([(b"k", 1, b"v")])
     assert node.get(b"k", 1) == b"v"
-    assert node.exists(b"k", 1)
-    node.delete(b"k", 1)
+    assert node.engine.exists(b"k", 1)
+    node.delete_batch([(b"k", 1)])
     assert (node.puts, node.gets, node.deletes) == (1, 1, 1)
 
 
 def test_down_node_rejects_everything():
     node = make_node()
-    node.put(b"k", 1, b"v")
+    node.put_batch([(b"k", 1, b"v")])
     node.fail()
     with pytest.raises(NodeDownError):
         node.get(b"k", 1)
     with pytest.raises(NodeDownError):
-        node.put(b"k", 2, b"v")
+        node.put_batch([(b"k", 2, b"v")])
     with pytest.raises(NodeDownError):
-        node.delete(b"k", 1)
+        node.delete_batch([(b"k", 1)])
 
 
 def test_node_recovery_restores_data():
     node = make_node()
     for index in range(20):
-        node.put(f"k{index}".encode(), 1, bytes([index]) * 100)
+        node.put_batch([(f"k{index}".encode(), 1, bytes([index]) * 100)])
     node.engine.flush()
     node.fail()
     cost = node.recover()
@@ -265,10 +265,11 @@ def test_node_metric_catalog_is_the_view_table(engine_factory):
     moved = set()
     for family, views in NODE_METRIC_VIEWS.items():
         prefix = f"{family}.{node_path}"
-        names = registry.names(prefix)
+        values = registry.collect(prefix)
+        names = sorted(values)
         assert names == sorted(f"{prefix}.{name}" for name in views)
         for name in names:
-            value = registry.value(name)
+            value = values[name]
             assert isinstance(value, float)
             if value:
                 moved.add(name.removeprefix(f"{prefix}."))
@@ -281,7 +282,7 @@ def test_node_metric_catalog_is_the_view_table(engine_factory):
 def test_group_delete_reaches_live_replicas():
     group = make_group()
     group.put(b"k", 1, b"v")
-    assert group.delete(b"k", 1) == 3
+    assert group.delete_batch([(b"k", 1)]) == 3
     with pytest.raises(Exception):
         group.get(b"k", 1)
 
@@ -298,7 +299,7 @@ def test_cluster_put_get_delete():
     cluster = MintCluster("dc1", MintConfig(group_count=2, nodes_per_group=3))
     cluster.put(b"k", 1, b"v")
     assert cluster.get(b"k", 1) == b"v"
-    cluster.delete(b"k", 1)
+    cluster.delete_batch([(b"k", 1)])
     with pytest.raises(Exception):
         cluster.get(b"k", 1)
 

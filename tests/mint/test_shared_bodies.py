@@ -28,6 +28,14 @@ from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import Bodies, RecordType, encode_frame
 
 
+def summaries(cluster, version):
+    """The integrity summaries of one version's slices."""
+    return [
+        summary for summary in cluster.integrity.all_summaries()
+        if summary.version == version
+    ]
+
+
 def make_node(name):
     return StorageNode(
         name,
@@ -241,7 +249,7 @@ def test_integrity_leaves_are_leaf_checksums_of_the_stored_bytes():
     cluster.ingest_slice(Slice.pack("v1-s0", 1, IndexKind.FORWARD, base))
     entries = signed_entries(40)
     cluster.ingest_slice(Slice.pack("v2-s0", 2, IndexKind.FORWARD, entries))
-    (summary,) = cluster.integrity.summaries_for_version(2)
+    (summary,) = summaries(cluster, 2)
     assert cluster.integrity.counters.ingest_checksums == 80
     for index, (key, version, dedup, _sig) in enumerate(summary.records):
         for node in cluster.group_for(key).replicas_for(key):

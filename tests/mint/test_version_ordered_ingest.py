@@ -120,10 +120,10 @@ def test_group_delete_batch_matches_serial_deletes():
     assert batched.delete_batch(items) == 24  # 8 keys x 3 replicas
     assert batched.delete_batch([]) == 0
     for key, version in items:
-        serial.delete(key, version)
+        serial.delete_batch([(key, version)])
     for key, version in items:
         for group in (batched, serial):
-            assert not group.nodes[0].exists(key, version)
+            assert not group.nodes[0].engine.exists(key, version)
     assert [n.deletes for n in batched.nodes] == [n.deletes for n in serial.nodes]
 
 

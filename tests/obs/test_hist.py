@@ -73,17 +73,6 @@ def test_merged_empty_iterable_is_empty_histogram():
     assert merged.percentile(99.0) == 0.0
 
 
-def test_dict_round_trip():
-    hist = LogHistogram()
-    hist.extend([0.001, 0.05, 0.05, 2.0])
-    clone = LogHistogram.from_dict(hist.to_dict())
-    assert clone.same_geometry(hist)
-    assert len(clone) == len(hist)
-    assert clone.mean == pytest.approx(hist.mean)
-    for p in (50.0, 99.0):
-        assert clone.percentile(p) == hist.percentile(p)
-
-
 def test_quantiles_and_summary_shapes():
     hist = LogHistogram()
     hist.extend([0.01] * 100)

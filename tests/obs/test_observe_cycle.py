@@ -84,7 +84,7 @@ def test_single_snapshot_covers_every_subsystem(system: DirectLoad):
     assert some("bifrost.monitor.", "utilization_ewma")
     assert some("mint.", "puts")
     # and the fleet actually wrote something during the cycle
-    written = sum(snapshot.query("qindb").get(n, 0.0) for n in names
+    written = sum(snapshot.values.get(n, 0.0) for n in names
                   if n.startswith("qindb.") and n.endswith("user_bytes_written"))
     assert written > 0
 

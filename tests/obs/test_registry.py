@@ -3,20 +3,16 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import (
-    MetricsRegistry,
-    get_default_registry,
-    set_default_registry,
-)
+from repro.obs import MetricsRegistry
 
 
 def test_register_and_read_live():
     registry = MetricsRegistry()
     box = {"n": 0}
     registry.register("qindb.n0.puts", lambda: box["n"])
-    assert registry.value("qindb.n0.puts") == 0.0
+    assert registry.collect()["qindb.n0.puts"] == 0.0
     box["n"] = 7
-    assert registry.value("qindb.n0.puts") == 7.0  # live view, no copy
+    assert registry.collect()["qindb.n0.puts"] == 7.0  # live view, no copy
 
 
 def test_duplicate_name_rejected_unless_replace():
@@ -25,7 +21,7 @@ def test_duplicate_name_rejected_unless_replace():
     with pytest.raises(ConfigError):
         registry.register("a.b", lambda: 2)
     registry.register("a.b", lambda: 2, replace=True)
-    assert registry.value("a.b") == 2.0
+    assert registry.collect()["a.b"] == 2.0
 
 
 def test_invalid_names_rejected():
@@ -35,21 +31,18 @@ def test_invalid_names_rejected():
             registry.register(bad, lambda: 0)
 
 
-def test_unknown_name_read_is_config_error():
-    with pytest.raises(ConfigError):
-        MetricsRegistry().value("no.such.metric")
-
-
 def test_prefix_matching_is_segment_aware():
     registry = MetricsRegistry()
     registry.register_many(
         "qindb.n0", {"puts": lambda: 1, "gets": lambda: 2}
     )
     registry.register("qindbx.other", lambda: 3)
-    assert registry.names("qindb") == ["qindb.n0.gets", "qindb.n0.puts"]
-    assert registry.names("qindb.n0.puts") == ["qindb.n0.puts"]
+    assert sorted(registry.collect("qindb")) == [
+        "qindb.n0.gets", "qindb.n0.puts"
+    ]
+    assert list(registry.collect("qindb.n0.puts")) == ["qindb.n0.puts"]
     # "qindb" must not match "qindbx.*" mid-segment
-    assert "qindbx.other" not in registry.names("qindb")
+    assert "qindbx.other" not in registry.collect("qindb")
     assert set(registry.collect("qindb.n0")) == {
         "qindb.n0.puts",
         "qindb.n0.gets",
@@ -61,7 +54,7 @@ def test_unregister_prefix():
     registry.register_many("ssd.n0", {"a": lambda: 0, "b": lambda: 0})
     registry.register("mint.g0.puts", lambda: 0)
     assert registry.unregister_prefix("ssd") == 2
-    assert registry.names() == ["mint.g0.puts"]
+    assert list(registry.collect()) == ["mint.g0.puts"]
 
 
 def test_snapshot_query_and_delta():
@@ -73,8 +66,10 @@ def test_snapshot_query_and_delta():
     box["a"], box["b"] = 4.0, 25.0
     registry.register("x.c", lambda: 100.0)  # registered mid-run
     second = registry.snapshot(at=2.0)
-    assert first.value("x.a") == 1.0
-    assert second.query("x") == {"x.a": 4.0, "x.b": 25.0, "x.c": 100.0}
+    assert first.values["x.a"] == 1.0
+    assert registry.snapshot("x").values == {
+        "x.a": 4.0, "x.b": 25.0, "x.c": 100.0
+    }
     delta = second.delta(first)
     assert delta == {"x.a": 3.0, "x.b": 15.0, "x.c": 100.0}  # missing -> 0.0
 
@@ -85,7 +80,7 @@ def test_snapshot_is_frozen_against_later_mutation():
     registry.register("c", lambda: box["n"])
     snap = registry.snapshot()
     box["n"] = 99
-    assert snap.value("c") == 5.0
+    assert snap.values["c"] == 5.0
 
 
 def test_array_view_short_row_reads_zero():
@@ -102,11 +97,10 @@ def test_array_view_short_row_reads_zero():
     registry.register_array("link.a-b", ("x", "y", "z"), lambda: row)
     values = registry.collect()
     assert values == {"link.a-b.x": 1.0, "link.a-b.y": 2.0, "link.a-b.z": 0.0}
-    assert registry.value("link.a-b.z") == 0.0
     # prefix-filtered collect takes the other code path; same contract
     assert registry.collect("link.a-b.z") == {"link.a-b.z": 0.0}
     row.append(3.0)  # the backing store catches up
-    assert registry.value("link.a-b.z") == 3.0
+    assert registry.collect()["link.a-b.z"] == 3.0
 
 
 def test_array_view_mid_run_registration_delta():
@@ -139,7 +133,8 @@ def test_delta_keeps_names_dropped_from_later_snapshot():
 
 
 def test_throughput_sampler_survives_mid_run_array_rows():
-    """A registry-bound sampler rates array members registered mid-run.
+    """A sampler fed registry collects rates array members registered
+    mid-run.
 
     The first snapshot predates the family; the second sees a short row
     (backing store still catching up); the third sees the full row.  No
@@ -148,26 +143,13 @@ def test_throughput_sampler_survives_mid_run_array_rows():
     from repro.core.metrics import ThroughputSampler
 
     registry = MetricsRegistry()
-    sampler = ThroughputSampler(interval_s=1.0, registry=registry)
-    sampler.prime(0.0)
+    sampler = ThroughputSampler(interval_s=1.0)
+    sampler.prime(0.0, registry.collect())
     row = [10.0]
     registry.register_array("link.a-b", ("bytes", "sent"), lambda: row)
-    sampler.maybe_sample(1.0)  # short row: ``sent`` reads 0.0
+    sampler.maybe_sample(1.0, registry.collect)  # short row: ``sent`` 0.0
     row[0] = 30.0
     row.append(4.0)
-    sampler.maybe_sample(2.0)
+    sampler.maybe_sample(2.0, registry.collect)
     assert sampler.rate_series("link.a-b.bytes") == [(0.0, 10.0), (1.0, 20.0)]
     assert sampler.rate_series("link.a-b.sent") == [(0.0, 0.0), (1.0, 4.0)]
-
-
-def test_default_registry_injectable():
-    original = get_default_registry()
-    try:
-        replacement = MetricsRegistry()
-        set_default_registry(replacement)
-        assert get_default_registry() is replacement
-        set_default_registry(None)
-        fresh = get_default_registry()
-        assert fresh is not replacement
-    finally:
-        set_default_registry(original)

@@ -31,7 +31,7 @@ def test_sampling_loop_and_series():
     recorder.start()
     sim.run(until=2.0)  # the until-boundary event itself still runs
     assert recorder.sample_count == 5
-    series = recorder.series("work.done")
+    series = [(at, values["work.done"]) for at, values in recorder.samples]
     assert [at for at, _v in series] == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert series[-1][1] > series[0][1]
 
@@ -115,8 +115,9 @@ def test_mid_run_array_registration_samples_cleanly():
     registry.register_array("link.a-b", ("bytes", "sent"), lambda: row)
     sim.run(until=1.6)
     # present samples read the live row; ``sent`` (short row) reads 0.0
-    assert recorder.latest("link.a-b.bytes") == 5.0
-    assert recorder.latest("link.a-b.sent") == 0.0
+    latest = recorder.samples[-1][1]
+    assert latest["link.a-b.bytes"] == 5.0
+    assert latest["link.a-b.sent"] == 0.0
     # windows spanning the registration count growth from zero
     assert recorder.window_delta("link.a-b.bytes", 10.0) == 5.0
 

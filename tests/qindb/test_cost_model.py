@@ -42,9 +42,9 @@ def test_get_and_traceback_hops():
     assert engine.memtable.last_search_steps == search + 1
     assert engine.get(b"k", 4) == b"base"  # walks v3, v2, v1
     assert engine.memtable.last_search_steps == search + 3
-    engine.memtable.resolve(b"k", 3)
+    engine.memtable.resolve_batch([(b"k", 3)])
     assert engine.memtable.last_search_steps == search + 2
-    engine.memtable.resolve(b"absent", 1)
+    engine.memtable.resolve_batch([(b"absent", 1)])
     assert engine.memtable.last_search_steps == search
 
 

@@ -48,7 +48,7 @@ class ReferenceQinDB(QinDB):
                 continue  # superseded or already moved; dies with segment
             if not item[2]:  # the d flag
                 self._reappend(record, item)
-            elif record.has_value and self._is_referenced(
+            elif record.type is RecordType.PUT_VALUE and self._is_referenced(
                 record.key, record.version
             ):
                 self._reappend(record, item)
@@ -276,7 +276,8 @@ def test_churn_run_collects_and_rolls_segments():
         ]
         if not sealed:
             continue
-        victim = max(sealed, key=new.gc_table.occupancy)
+        occupancy = new.gc_table.snapshot()
+        victim = max(sealed, key=lambda sid: occupancy.get(sid, 1.0))
         segments_before = {s.segment_id for s in new.aofs.segments}
         both(engines, "collect_segment", victim)
         opened = {s.segment_id for s in new.aofs.segments} - segments_before
@@ -390,7 +391,7 @@ def test_dead_base_referenced_by_live_dedup_version_survives():
         assert engine.memtable.get(b"gone", 1) is None
         assert engine.get(b"doc", 3) == b"v1" * 100
         # the moved base stays dead in its new segment's accounting
-        assert engine.gc_table.occupancy(base_segment) < 1.0
+        assert engine.gc_table.snapshot().get(base_segment, 1.0) < 1.0
 
 
 def test_torn_tail_on_the_victim_ends_the_walk():

@@ -15,7 +15,6 @@ def test_threshold_validation():
 
 def test_fresh_segment_occupancy_is_one():
     table = GCTable()
-    assert table.occupancy(5) == 1.0
     entry = table.entry(5)
     assert entry.occupancy == 1.0
     assert entry.live_bytes == 0
@@ -25,7 +24,7 @@ def test_occupancy_math():
     table = GCTable()
     table.record_appended(1, 1000)
     table.record_dead(1, 250)
-    assert table.occupancy(1) == pytest.approx(0.75)
+    assert table.entry(1).occupancy == pytest.approx(0.75)
     assert table.entry(1).live_bytes == 750
 
 
@@ -66,7 +65,7 @@ def test_forget_clears_row():
     table.record_appended(1, 100)
     table.record_dead(1, 100)
     table.forget(1)
-    assert table.occupancy(1) == 1.0
+    assert 1 not in table._segments
     assert table.victims() == []
     table.forget(1)  # idempotent
 

@@ -108,7 +108,7 @@ def check_against_model(memtable, model, probe_key, probe_version):
         reads = None if base is None else base[0]
     else:
         reads = item[0]
-    assert memtable.resolve(probe_key, probe_version) == reads
+    assert memtable.resolve_batch([(probe_key, probe_version)])[0] == reads
     assert memtable.last_search_steps == len(model).bit_length() + hops
     assert memtable.get(probe_key, probe_version) == item
 

@@ -89,7 +89,6 @@ def test_batch_matches_sequential_mixed_kinds():
     stats = batched.stats()
     assert stats.put_batches == 1
     assert stats.batched_puts == len(items)
-    assert stats.mean_put_batch_size == len(items)
     assert sequential.stats().put_batches == len(items)
 
 

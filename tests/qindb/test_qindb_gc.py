@@ -84,7 +84,7 @@ def test_gc_reappends_referenced_dead_values():
     for segment_id in list(engine.gc_table.snapshot()):
         if segment_id == engine.aofs.active_segment_id:
             continue
-        if engine.gc_table.occupancy(segment_id) <= 0.25:
+        if engine.gc_table.snapshot().get(segment_id, 1.0) <= 0.25:
             engine.collect_segment(segment_id)
     assert engine.gc_runs > 0
     # The referenced dead value still resolves.
@@ -103,7 +103,7 @@ def test_gc_drops_unreferenced_deleted_items():
     # After enough GC the deleted items leave the skip list entirely.
     for segment_id in list(engine.gc_table.snapshot()):
         if segment_id != engine.aofs.active_segment_id:
-            if engine.gc_table.occupancy(segment_id) <= 0.25:
+            if engine.gc_table.snapshot().get(segment_id, 1.0) <= 0.25:
                 engine.collect_segment(segment_id)
     assert len(engine.memtable) < items_before
 
@@ -120,7 +120,7 @@ def test_gc_updates_offsets_for_moved_records():
     victim = survivor_before[0]
     if (
         victim != engine.aofs.active_segment_id
-        and engine.gc_table.occupancy(victim) <= 0.25
+        and engine.gc_table.snapshot().get(victim, 1.0) <= 0.25
     ):
         engine.collect_segment(victim)
         moved = engine.memtable.get(b"survivor", 1)[0]
@@ -172,7 +172,7 @@ def test_tombstones_carried_forward_by_gc():
         engine.delete(f"pad-{index:02d}".encode(), 1)
     for segment_id in list(engine.gc_table.snapshot()):
         if segment_id != engine.aofs.active_segment_id:
-            if engine.gc_table.occupancy(segment_id) <= 0.25:
+            if engine.gc_table.snapshot().get(segment_id, 1.0) <= 0.25:
                 engine.collect_segment(segment_id)
     # The url/1 item survived GC (still flagged deleted, still referenced).
     survived = engine.memtable.get(b"url", 1)

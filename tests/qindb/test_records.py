@@ -33,7 +33,7 @@ def test_roundtrip_dedup_and_delete():
         record = Record(rtype, b"key", 3)
         decoded, _end = decode_record(encode_record(record))
         assert decoded == record
-        assert not decoded.has_value
+        assert decoded.type is not RecordType.PUT_VALUE
 
 
 def test_valueless_types_reject_values():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.events import AllOf, AnyOf, Event, Timeout
+from repro.simulation.events import AllOf, Event, Timeout
 from repro.simulation.kernel import Simulator
 
 
@@ -13,15 +13,12 @@ def test_event_starts_untriggered(sim):
     assert not event.processed
     with pytest.raises(SimulationError):
         _ = event.value
-    with pytest.raises(SimulationError):
-        _ = event.ok
 
 
 def test_event_succeed_carries_value(sim):
     event = sim.event()
     event.succeed(42)
     assert event.triggered
-    assert event.ok
     assert event.value == 42
 
 
@@ -78,7 +75,7 @@ def test_process_returns_value(sim):
     process = sim.process(worker(sim))
     sim.run()
     assert process.value == "done"
-    assert not process.is_alive
+    assert process.triggered
 
 
 def test_process_requires_generator(sim):
@@ -189,20 +186,6 @@ def test_all_of_collects_all_values(sim):
     sim.run()
     assert process.value == ["a", "b"]
     assert sim.now == 2.0
-
-
-def test_any_of_fires_on_first(sim):
-    t1 = sim.timeout(5.0, value="slow")
-    t2 = sim.timeout(1.0, value="fast")
-    condition = AnyOf(sim, [t1, t2])
-
-    def waiter(sim, condition):
-        values = yield condition
-        return list(values.values())
-
-    process = sim.process(waiter(sim, condition))
-    sim.run()
-    assert process.value == ["fast"]
 
 
 def test_empty_all_of_fires_immediately(sim):

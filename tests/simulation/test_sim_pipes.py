@@ -19,7 +19,7 @@ def test_transfer_time_is_bytes_over_bandwidth_plus_latency(sim):
     link = Link(sim, bandwidth_bps=8e6, latency_s=0.5)  # 1 MB/s
 
     def sender(sim, link):
-        yield link.transmit(1_000_000)
+        yield link.transmit_delay(1_000_000)
         return sim.now
 
     process = sim.process(sender(sim, link))
@@ -32,7 +32,7 @@ def test_transfers_serialize_fifo(sim):
     arrivals = []
 
     def sender(sim, link, name, nbytes):
-        yield link.transmit(nbytes)
+        yield link.transmit_delay(nbytes)
         arrivals.append((name, sim.now))
 
     sim.process(sender(sim, link, "a", 1_000_000))
@@ -47,14 +47,14 @@ def test_transfers_serialize_fifo(sim):
 def test_negative_bytes_rejected(sim):
     link = Link(sim, bandwidth_bps=1e6)
     with pytest.raises(SimulationError):
-        link.transmit(-1)
+        link.transmit_delay(-1)
 
 
 def test_zero_byte_transfer_takes_only_latency(sim):
     link = Link(sim, bandwidth_bps=1e6, latency_s=0.25)
 
     def sender(sim, link):
-        yield link.transmit(0)
+        yield link.transmit_delay(0)
         return sim.now
 
     process = sim.process(sender(sim, link))
@@ -65,7 +65,7 @@ def test_zero_byte_transfer_takes_only_latency(sim):
 def test_queueing_delay_reflects_backlog(sim):
     link = Link(sim, bandwidth_bps=8e6)
     assert link.queueing_delay() == 0.0
-    link.transmit(2_000_000)  # 2 seconds of serialization
+    link.transmit_delay(2_000_000)  # 2 seconds of serialization
     assert link.queueing_delay() == pytest.approx(2.0)
 
 
@@ -73,7 +73,7 @@ def test_queueing_delay_reflects_backlog(sim):
 def test_utilization_tracks_traffic(sim):
     link = Link(sim, bandwidth_bps=8e6, stat_bucket_s=10.0)
     # 5 seconds' worth of bytes in a 10-second bucket => ~50% utilization.
-    link.transmit(5_000_000)
+    link.transmit_delay(5_000_000)
     sim.run()
     assert 0.4 <= link.utilization(10.0) <= 0.6
 
@@ -104,7 +104,7 @@ def test_reserved_streams_do_not_share_bandwidth(sim):
     arrivals = {}
 
     def sender(sim, sublink, name):
-        yield sublink.transmit(1_000_000)
+        yield sublink.transmit_delay(1_000_000)
         arrivals[name] = sim.now
 
     sim.process(sender(sim, sublinks["a"], "a"))
@@ -118,7 +118,7 @@ def test_reserved_streams_do_not_share_bandwidth(sim):
 
 def test_byte_counters(sim):
     link = Link(sim, bandwidth_bps=1e6)
-    link.transmit(100)
-    link.transmit(200)
+    link.transmit_delay(100)
+    link.transmit_delay(200)
     assert link.bytes_sent == 300
     assert link.transfer_count == 2

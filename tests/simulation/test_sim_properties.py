@@ -21,7 +21,7 @@ def test_property_link_fifo_conserves_bytes_and_order(transfers):
     completions = []
 
     def sender(sim, link, index, nbytes):
-        yield link.transmit(nbytes)
+        yield link.transmit_delay(nbytes)
         completions.append((sim.now, index))
 
     for index, nbytes in enumerate(transfers):
@@ -75,7 +75,7 @@ def test_property_utilization_bounded(traffic):
 
     def sender(sim, link, start, nbytes):
         yield sim.timeout(start)
-        yield link.transmit(nbytes)
+        yield link.transmit_delay(nbytes)
 
     for start, nbytes in traffic:
         sim.process(sender(sim, link, start, nbytes))

@@ -18,8 +18,8 @@ def test_resource_grants_up_to_capacity_immediately(sim):
     third = resource.acquire()
     assert first.triggered and second.triggered
     assert not third.triggered
-    assert resource.in_use == 2
-    assert resource.queue_length == 1
+    resource.release()
+    assert third.triggered
 
 
 def test_release_hands_slot_to_waiter(sim):
@@ -29,7 +29,8 @@ def test_release_hands_slot_to_waiter(sim):
     assert not waiter.triggered
     resource.release()
     assert waiter.triggered
-    assert resource.in_use == 1  # handed over, not freed
+    # handed over, not freed: the slot is still held
+    assert not resource.acquire().triggered
 
 
 def test_release_without_hold_is_an_error(sim):

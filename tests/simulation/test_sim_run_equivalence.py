@@ -72,13 +72,13 @@ def draw_script(rng, depth=0):
     for _ in range(rng.randint(1, 5)):
         kind = rng.choice(
             ["sleep", "sleep", "timeout", "wait", "fire", "fail", "all",
-             "any", "spawn", "spawn", "crash"]
+             "spawn", "spawn", "crash"]
         )
         if kind in ("sleep", "timeout"):
             script.append((kind, rng.choice(DELAYS)))
         elif kind in ("wait", "fire", "fail"):
             script.append((kind, rng.randrange(3)))
-        elif kind in ("all", "any"):
+        elif kind == "all":
             script.append(
                 (kind, [rng.choice(DELAYS) for _ in range(rng.randint(0, 3))])
             )
@@ -122,9 +122,10 @@ class Graph:
                     shared[action[1]].succeed(name)
                 elif kind == "fail" and not shared[action[1]].triggered:
                     shared[action[1]].fail(Boom(f"shared by {name}"))
-                elif kind in ("all", "any"):
-                    join = sim.all_of if kind == "all" else sim.any_of
-                    yield join([sim.timeout(delay) for delay in action[1]])
+                elif kind == "all":
+                    yield sim.all_of(
+                        [sim.timeout(delay) for delay in action[1]]
+                    )
                 elif kind == "spawn":
                     child = sim.process(self._worker(action[1]))
                     if action[2]:

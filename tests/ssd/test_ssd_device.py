@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeviceFullError, OutOfRangeError
+from repro.obs import MetricsRegistry
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 
@@ -107,17 +108,22 @@ def test_wear_summary(device):
     block = device.allocate_block("x")
     device.program(block.block_id, 1)
     device.erase_block(block.block_id)
-    summary = device.wear_summary()
-    assert summary["total_erases"] == 1
-    assert summary["max_erases"] == 1
-    assert summary["min_erases"] == 0
+    counts = [b.erase_count for b in device._blocks.values()]
+    assert sum(counts) == 1
+    assert max(counts) == 1
+    assert min(counts) == 0
 
 
 def test_counters_snapshot_and_delta(device):
+    """Device traffic between two instants is a registry snapshot delta."""
+    registry = MetricsRegistry()
+    registry.register(
+        "ssd.host_pages_written", lambda: device.counters.host_pages_written
+    )
     block = device.allocate_block("x")
     device.program(block.block_id, 3)
-    before = device.counters.snapshot()
+    before = registry.snapshot()
     device.program(block.block_id, 5)
-    delta = device.counters.delta(before)
-    assert delta.host_pages_written == 5
-    assert before.host_pages_written == 3  # snapshot unaffected
+    delta = registry.snapshot().delta(before)
+    assert delta["ssd.host_pages_written"] == 5
+    assert before.values["ssd.host_pages_written"] == 3  # snapshot unaffected

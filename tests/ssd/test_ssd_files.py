@@ -47,7 +47,7 @@ def test_exists_and_list(fs):
     fs.create("a")
     assert fs.exists("a")
     assert not fs.exists("c")
-    assert fs.list_files() == ["a", "b"]
+    assert sorted(fs._files) == ["a", "b"]
 
 
 def test_read_past_eof_rejected(fs):
@@ -71,10 +71,9 @@ def test_write_at_overwrites_in_place(fs):
 def test_delete_frees_pages_and_blocks_reuse(fs):
     file = fs.create("big")
     file.append(b"z" * 5000)
-    pages_before = fs.used_pages
-    assert pages_before > 0
+    assert file.page_count > 0
     fs.delete("big")
-    assert fs.used_pages == 0
+    assert fs.used_bytes == 0
     assert not fs.exists("big")
     with pytest.raises(StorageError):
         file.append(b"more")  # handle is dead
@@ -113,7 +112,8 @@ def test_read_charges_touched_pages(fs):
 
 
 def test_filesystem_full_raises(fs):
-    budget = fs.ftl.device.geometry.exported_capacity
+    geometry = fs.ftl.device.geometry
+    budget = geometry.exported_blocks * geometry.block_size
     file = fs.create("hog")
     with pytest.raises(DeviceFullError):
         # Logical space is the exported capacity; exceed it.
@@ -122,7 +122,8 @@ def test_filesystem_full_raises(fs):
 
 
 def test_deleted_space_is_reusable(fs):
-    chunk = b"y" * (fs.ftl.device.geometry.exported_capacity // 2)
+    geometry = fs.ftl.device.geometry
+    chunk = b"y" * (geometry.exported_blocks * geometry.block_size // 2)
     for round_index in range(6):
         file = fs.create(f"round-{round_index}")
         file.append(chunk)

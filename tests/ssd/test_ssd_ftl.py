@@ -23,7 +23,7 @@ def make_ftl(blocks=32, op_ratio=0.15):
 def test_write_then_read_is_mapped():
     device, ftl = make_ftl()
     ftl.write([0, 1, 2])
-    assert ftl.mapped_pages == 3
+    assert len(ftl._map) == 3
     assert ftl.read([0, 1, 2]) == 3
     assert device.counters.host_pages_read == 3
 
@@ -38,7 +38,7 @@ def test_overwrite_invalidates_old_page():
     device, ftl = make_ftl()
     ftl.write([7])
     ftl.write([7])
-    assert ftl.mapped_pages == 1
+    assert len(ftl._map) == 1
     assert device.counters.host_pages_written == 2
 
 
@@ -46,8 +46,8 @@ def test_trim_unmaps():
     device, ftl = make_ftl()
     ftl.write([1, 2, 3])
     ftl.trim([2])
-    assert ftl.mapped_pages == 2
-    assert not ftl.is_mapped(2)
+    assert len(ftl._map) == 2
+    assert 2 not in ftl._map
     assert ftl.read([2]) == 0
 
 
@@ -86,14 +86,14 @@ def test_gc_preserves_all_live_mappings():
         ftl.write([rng.choice(churn_space)])
     # Despite heavy GC, every originally live page is still mapped.
     for lpa in live:
-        assert ftl.is_mapped(lpa)
+        assert lpa in ftl._map
 
 
 def test_full_logical_space_without_overwrites_fills_cleanly():
     device, ftl = make_ftl(blocks=16, op_ratio=0.2)
     budget = device.geometry.exported_pages
     ftl.write(range(budget))
-    assert ftl.mapped_pages == budget
+    assert len(ftl._map) == budget
 
 
 def test_exported_space_is_fully_writable_even_when_all_live():
@@ -104,13 +104,14 @@ def test_exported_space_is_fully_writable_even_when_all_live():
     ftl.write(range(budget))  # 100% of exported space live
     for _round in range(3):
         ftl.write(range(budget))  # full overwrite churn
-    assert ftl.mapped_pages == budget
+    assert len(ftl._map) == budget
 
 
 def test_writes_beyond_exported_space_rejected():
     device, ftl = make_ftl(blocks=8, op_ratio=0.3)
     with pytest.raises(OutOfRangeError):
-        ftl.write(range(device.geometry.total_pages))
+        geometry = device.geometry
+        ftl.write(range(geometry.block_count * geometry.pages_per_block))
 
 
 def test_trim_then_refill_reuses_space():
@@ -119,7 +120,7 @@ def test_trim_then_refill_reuses_space():
     for _round in range(4):
         ftl.write(range(budget // 2))
         ftl.trim(range(budget // 2))
-    assert ftl.mapped_pages == 0
+    assert len(ftl._map) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,6 +144,6 @@ def test_property_mapping_matches_model(ops):
         else:
             ftl.trim([lpa])
             model.discard(lpa)
-    assert ftl.mapped_pages == len(model)
+    assert len(ftl._map) == len(model)
     for lpa in model:
-        assert ftl.is_mapped(lpa)
+        assert lpa in ftl._map

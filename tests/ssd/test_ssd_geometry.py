@@ -15,10 +15,8 @@ def test_defaults_match_paper_figure3():
 
 def test_capacity_arithmetic():
     geometry = SSDGeometry(block_count=100)
-    assert geometry.total_pages == 6400
-    assert geometry.physical_capacity == 100 * 256 * 1024
     assert geometry.exported_blocks == 100 - geometry.reserved_blocks
-    assert geometry.exported_capacity == geometry.exported_blocks * 256 * 1024
+    assert geometry.exported_pages == geometry.exported_blocks * 64
 
 
 def test_over_provisioning_reserve():
@@ -30,7 +28,7 @@ def test_over_provisioning_reserve():
 
 def test_from_capacity_rounds_to_blocks():
     geometry = SSDGeometry.from_capacity(16 * 1024 * 1024)
-    assert geometry.physical_capacity == 16 * 1024 * 1024
+    assert geometry.block_count * geometry.block_size == 16 * 1024 * 1024
     assert geometry.block_count == 64
 
 

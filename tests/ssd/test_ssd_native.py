@@ -28,7 +28,7 @@ def test_partial_page_stays_buffered_until_flush(native):
     assert device.counters.host_pages_written == 0  # still buffered
     unit.flush()
     assert device.counters.host_pages_written == 1
-    assert unit.programmed_bytes == 512
+    assert unit._programmed_pages == 1
 
 
 def test_full_pages_program_as_they_fill(native):
@@ -51,11 +51,10 @@ def test_flush_padding_shifts_next_append_to_page_boundary(native):
 
 def test_blocks_allocated_on_demand(native):
     unit = native.open_unit("aof")
-    assert unit.block_count == 0
+    assert unit.occupied_bytes == 0
     unit.append(b"z" * 512)
-    assert unit.block_count == 1
+    assert unit.occupied_bytes == 512 * 8
     unit.append(b"z" * 512 * 8)  # spills into a second block
-    assert unit.block_count == 2
     assert unit.occupied_bytes == 2 * 512 * 8
 
 
@@ -101,7 +100,8 @@ def test_native_path_has_unit_write_amplification(native):
 
 def test_device_exhaustion_raises(native):
     unit = native.open_unit("hog")
-    capacity = native.device.geometry.physical_capacity
+    geometry = native.device.geometry
+    capacity = geometry.block_count * geometry.block_size
     with pytest.raises(DeviceFullError):
         unit.append(b"x" * (capacity + 512 * 8))
 
