@@ -3,8 +3,8 @@
 When a node rejoins (its engine crash-recovered from flash), two kinds
 of damage remain:
 
-* **missed writes** — puts and deletes the group routed around while the
-  node was down, recorded per node in
+* **missed writes** — puts, deletes and version evictions the group
+  routed around while the node was down, recorded per node in
   :attr:`~repro.mint.group.NodeGroup.repair_backlog`;
 * **lost tail** — records the node had accepted but not flushed before
   the power failure, which crash recovery cannot resurrect.
@@ -127,7 +127,9 @@ class ReplicaRepairer:
             peer.name: peer.engine.device.now for peer in group.nodes
         }
         for op, key, version in group.repair_backlog.pop(node.name, []):
-            if op == "delete":
+            if op == "retire":
+                result.deletes_applied += node.retire_version(version)
+            elif op == "delete":
                 try:
                     node.delete_batch([(key, version)])
                     result.deletes_applied += 1

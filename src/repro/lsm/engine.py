@@ -237,6 +237,19 @@ class LSMEngine:
         for key, version in items:
             self.delete(key, version)
 
+    def retire_version(self, version: int) -> int:
+        """Tombstone every live record of ``version``, found in one walk
+        of the merged records; returns how many."""
+        self._check_open()
+        items = [
+            (record.key, version)
+            for record in merge_tables(self._sources())
+            if record.version == version
+            and record.type is not RecordType.DELETE
+        ]
+        self.delete_batch(items)
+        return len(items)
+
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live (non-tombstoned) record exists."""
         self._check_open()
@@ -254,14 +267,9 @@ class LSMEngine:
     ) -> Iterator[Tuple[bytes, int, bytes]]:
         """Merged range scan with dedup resolution (newest copy wins)."""
         self._check_open()
-        sources = [self._memtable_records()]
-        sources += [t.iter_records() for t in self.levels.level(0)]
-        for level in range(1, self.levels.max_levels):
-            for table in self.levels.level(level):
-                sources.append(table.iter_records())
         low = (start_key, 0)
         high = (end_key, 0)
-        for record in merge_tables(sources):
+        for record in merge_tables(self._sources()):
             composite = (record.key, record.version)
             if composite < low:
                 continue
@@ -394,9 +402,15 @@ class LSMEngine:
             f"dedup chain for {key!r}/{version} reaches no stored value"
         )
 
-    def _memtable_records(self) -> Iterator[Record]:
-        for _key, record in self._memtable:
-            yield record
+    def _sources(self) -> List[Iterator[Record]]:
+        """Every record source, newest first: the memtable, then each
+        level's tables (the order :func:`merge_tables` shadows by)."""
+        sources = [(record for _key, record in self._memtable)]
+        sources += [t.iter_records() for t in self.levels.level(0)]
+        for level in range(1, self.levels.max_levels):
+            for table in self.levels.level(level):
+                sources.append(table.iter_records())
+        return sources
 
     def _charge_cpu(self) -> None:
         steps = self._memtable.last_search_steps

@@ -27,6 +27,7 @@ from repro.mint.group import NodeGroup
 from repro.mint.hashing import stable_hash
 from repro.mint.integrity import IntegrityIndex
 from repro.mint.node import Engine, StorageNode
+from repro.obs.tracer import UNTRACED
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import Bodies
 
@@ -209,8 +210,9 @@ class MintCluster:
         self.parked_dropped = 0
         #: tiered integrity summaries of everything ingested (audit tier)
         self.integrity = IntegrityIndex()
-        #: optional trace track (``obs.TraceTrack``) for ingest spans
-        self.trace = None
+        #: trace track (``obs.TraceTrack``) for ingest spans; untraced
+        #: until bound
+        self.trace = UNTRACED
         #: key -> group memo over the slot directory.  Node faults flip
         #: ``is_up`` inside a group and never move keys, so entries
         #: survive them; a slot *cutover* (:meth:`complete_slot_move`)
@@ -418,12 +420,9 @@ class MintCluster:
             indices = by_group.get(group.group_id)
             if indices:
                 batch = items.take(indices)
-                if self.trace is not None:
-                    with self.trace.span(
-                        "ingest_group", group=group.group_id, keys=len(batch)
-                    ):
-                        total += group.put_batch(batch)
-                else:
+                with self.trace.span(
+                    "ingest_group", group=group.group_id, keys=len(batch)
+                ):
                     total += group.put_batch(batch)
         return total
 
@@ -462,12 +461,9 @@ class MintCluster:
             if not indices:
                 continue
             batch = [items[index] for index in indices]
-            if self.trace is not None:
-                with self.trace.span(
-                    "multi_get_group", group=group.group_id, keys=len(batch)
-                ):
-                    values = group.multi_get(batch, missing=missing)
-            else:
+            with self.trace.span(
+                "multi_get_group", group=group.group_id, keys=len(batch)
+            ):
                 values = group.multi_get(batch, missing=missing)
             for index, value in zip(indices, values):
                 results[index] = value
@@ -489,38 +485,6 @@ class MintCluster:
         if value is None:
             value = new.multi_get([item], missing)[0]
         return value
-
-    def delete_batch(self, items: List[tuple]) -> int:
-        """Delete ``(key, version)`` pairs, partitioned by group (one
-        engine batch per node, mirroring :meth:`put_batch`); returns the
-        total replica deletions performed."""
-        by_group: Dict[int, List[tuple]] = {}
-        tolerant_groups: set = set()
-        moving = self._moving_slots
-        for item in items:
-            move = moving.get(self.slot_for(item[0])) if moving else None
-            if move is None:
-                by_group.setdefault(
-                    self.group_for(item[0]).group_id, []
-                ).append(item)
-            else:
-                # Deletions dual-apply during a slot move, like writes:
-                # a version dropped mid-migration must not survive on
-                # the new owner's copy — which may not hold every record
-                # yet (the migrator is still copying), so its batch
-                # tolerates the holes.
-                by_group.setdefault(move[0].group_id, []).append(item)
-                by_group.setdefault(move[1].group_id, []).append(item)
-                tolerant_groups.add(move[1].group_id)
-        deleted = 0
-        for group in self.groups:
-            batch = by_group.get(group.group_id)
-            if batch:
-                deleted += group.delete_batch(
-                    batch,
-                    missing_ok=group.group_id in tolerant_groups,
-                )
-        return deleted
 
     # ------------------------------------------------------------------
     def ingest_slice(self, item: Slice) -> int:
@@ -555,13 +519,9 @@ class MintCluster:
     def _ingest_wire(self, item: Slice) -> int:
         """Decode a wire-encoded slice, parking it if a base is missing."""
         try:
-            if self.trace is not None:
-                with self.trace.span(
-                    "wire_decode", slice=item.slice_id,
-                    entries=len(item.entries),
-                ):
-                    entries = self.wire_decoder.decode_slice(item)
-            else:
+            with self.trace.span(
+                "wire_decode", slice=item.slice_id, entries=len(item.entries)
+            ):
                 entries = self.wire_decoder.decode_slice(item)
         except WireBaseUnavailableError:
             self._parked_slices.append(item)
@@ -623,20 +583,22 @@ class MintCluster:
         return len(batch)
 
     def drop_version(self, version: int) -> int:
-        """Delete every key ingested under ``version`` (oldest-version
-        removal when more than four versions persist).
+        """Evict ``version`` (oldest-version removal when more than four
+        versions persist); returns the keys it had ingested.
 
-        Keys partition by group and delete as one engine batch per node
-        (:meth:`delete_batch`), so eviction — which the pipelined
-        engine runs while newer versions' slices are still landing —
-        costs a handful of batched passes instead of a delete per key
-        per replica.  The version is marked retired first, so any of its
-        slices still in flight are dropped on arrival instead of
-        re-ingesting keys this deletion just removed.
+        Every group retires the version on every member node, one engine
+        call per node (:meth:`NodeGroup.retire_version`): each engine
+        deletes the live records of the version it holds, so eviction
+        never depends on where the current placement puts a key — a copy
+        a slot move or rebalance left behind goes too.  The version is
+        marked retired first, so any of its slices still in flight are
+        dropped on arrival instead of re-ingesting keys this eviction
+        just removed.
         """
         self._retired_versions.add(version)
         keys = self.version_keys.pop(version, [])
-        self.delete_batch([(key, version) for key in keys])
+        for group in self.groups:
+            group.retire_version(version)
         for parked in [
             item for item in self._parked_slices if item.version == version
         ]:
@@ -676,34 +638,6 @@ class MintCluster:
     def query(self, kind: IndexKind, key: bytes, version: int) -> bytes:
         """Front-end read of one index entry."""
         return self.get(storage_key(kind, key), version)
-
-    def scan(
-        self,
-        kind: IndexKind,
-        start_key: bytes,
-        end_key: bytes,
-        version: Optional[int] = None,
-    ):
-        """Range query across the whole cluster, sorted by key.
-
-        Keys hash across groups, so a range scan is a scatter-gather:
-        every group scans its nodes and the results merge-sort.  This is
-        the "advanced feature" the paper's sorted memtable buys that the
-        hash-table stores in its related work cannot offer.  ``version``
-        filters to one index version; None returns all live versions.
-        """
-        import heapq
-
-        prefix = _KIND_PREFIX[kind]
-        low = prefix + start_key
-        high = prefix + end_key
-        streams = [group.scan(low, high) for group in self.groups]
-        for skey, item_version, value in heapq.merge(
-            *streams, key=lambda row: (row[0], row[1])
-        ):
-            if version is not None and item_version != version:
-                continue
-            yield skey[len(prefix):], item_version, value
 
     # ------------------------------------------------------------------
     def bind_trace(self, track) -> None:

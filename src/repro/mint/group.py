@@ -42,7 +42,8 @@ class NodeGroup:
         self.replica_count = replica_count
         self._nodes: Dict[str, StorageNode] = {}
         #: node name -> ordered ops the node missed while down, as
-        #: ("put"|"delete", key, version).  Values are *not* kept — the
+        #: ("put"|"delete", key, version), or ("retire", None, version)
+        #: for a whole evicted version.  Values are *not* kept — the
         #: repairer (``repro.faults.repair``) copies them from a healthy
         #: peer when the node rejoins, then clears the entry.
         self.repair_backlog: Dict[str, List] = {}
@@ -93,7 +94,7 @@ class NodeGroup:
             self.add_node(node)
 
     def note_missed(
-        self, node_name: str, op: str, key: bytes, version: int
+        self, node_name: str, op: str, key: Optional[bytes], version: int
     ) -> None:
         """Record an op a down node missed, for later backlog repair."""
         self.repair_backlog.setdefault(node_name, []).append(
@@ -330,19 +331,6 @@ class NodeGroup:
             )
         return written
 
-    def _unpark(self, dropping) -> None:
-        """Discard parked writes for deleted ``(key, version)`` pairs.
-
-        A version dropped mid-outage must never be resurrected when the
-        parked writes replay on recovery.
-        """
-        if self.pending_writes:
-            self.pending_writes = [
-                item
-                for item in self.pending_writes
-                if (item[0], item[1]) not in dropping
-            ]
-
     def read_order(
         self, key: bytes, assigned: Optional[Dict[str, int]] = None
     ) -> List[StorageNode]:
@@ -562,22 +550,15 @@ class NodeGroup:
             pending = retry
         return results
 
-    def delete_batch(self, items, missing_ok: bool = False) -> int:
+    def delete_batch(self, items) -> int:
         """Delete ``(key, version)`` pairs, one engine batch per node.
 
-        The batched eviction path: items partition by replica set and
-        each node takes its sub-batch as a single
-        :meth:`StorageNode.delete_batch` call.  A down node is skipped
-        and the miss noted in ``repair_backlog`` (the version is gone
-        fleet-wide anyway), and ``missing_ok`` (implied in transition)
-        tolerates records a new placement member — one the migrator is
-        still copying toward — has not received yet: the batch replays
-        in batches of one, skipping the holes.  Returns the total
+        Items partition by replica set (both placement epochs during a
+        transition) and each node takes its sub-batch as a single
+        :meth:`StorageNode.delete_batch` call; a down node is skipped
+        and each miss noted in ``repair_backlog``.  Returns the total
         replica deletions performed.
         """
-        if not items:
-            return 0
-        tolerant = missing_ok or self._old_member_names is not None
         per_node: Dict[StorageNode, List] = {}
         for item in items:
             for node in self._write_replicas_for(item[0]):
@@ -589,45 +570,31 @@ class NodeGroup:
                 continue
             try:
                 node.delete_batch(sub_batch)
-                deleted += len(sub_batch)
             except NodeDownError:
                 for key, version in sub_batch:
                     self.note_missed(node.name, "delete", key, version)
                 continue
-            except KeyNotFoundError:
-                if not tolerant:
-                    raise
-                # The batched call validated before touching anything,
-                # so replay item-by-item around the missing records.
-                for item in sub_batch:
-                    try:
-                        node.delete_batch([item])
-                        deleted += 1
-                    except KeyNotFoundError:
-                        continue
-                    except NodeDownError:
-                        self.note_missed(node.name, "delete", *item)
-        self._unpark({(key, version) for key, version in items})
+            deleted += len(sub_batch)
         return deleted
 
-    def scan(self, start_key: bytes, end_key: bytes):
-        """Range-scan the group: the union of every live node's items.
+    def retire_version(self, version: int) -> int:
+        """Evict ``version`` from every member node, one
+        :meth:`StorageNode.retire_version` call each.
 
-        Replicas within the group hold overlapping key subsets (each key
-        lives on ``replica_count`` of the nodes), so the union is
-        deduplicated by (key, version); the result is sorted.
+        Every member is asked, whatever the placement, so a copy the
+        migrator left behind (or has not withdrawn yet) goes too.  A
+        down node gets one ``("retire", None, version)`` backlog entry
+        that repair replays as one call, and parked writes of the
+        version are discarded so they never resurrect it.  Returns the
+        total replica deletions performed.
         """
-        seen = {}
-        any_up = False
+        deleted = 0
         for node in self.nodes:
-            if not node.is_up:
-                continue
-            any_up = True
-            for key, version, value in node.engine.scan(start_key, end_key):
-                seen.setdefault((key, version), value)
-        if not any_up:
-            raise ReplicationError(
-                f"all nodes down in group {self.group_id}; cannot scan"
-            )
-        for (key, version) in sorted(seen):
-            yield key, version, seen[(key, version)]
+            try:
+                deleted += node.retire_version(version)
+            except NodeDownError:
+                self.note_missed(node.name, "retire", None, version)
+        self.pending_writes = [
+            item for item in self.pending_writes if item[1] != version
+        ]
+        return deleted

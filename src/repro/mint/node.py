@@ -7,14 +7,14 @@ raises :class:`~repro.errors.NodeDownError`; the group layer routes
 around it.
 
 :class:`Engine` is everything Mint asks of a storage engine: the three
-batch verbs, and nothing per key — a single put, get or delete is a batch
-of one, so each operation has one path from the cluster down to the
-device.
+batch verbs and the version eviction, and nothing per key — a single
+put, get or delete is a batch of one, so each operation has one path
+from the cluster down to the device.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import NodeDownError
 from repro.ssd.device import SimulatedSSD
@@ -46,6 +46,10 @@ class Engine(Protocol):
         """Delete ``(key, version)`` pairs; raises
         :class:`~repro.errors.KeyNotFoundError` for one not live."""
 
+    def retire_version(self, version: int) -> int:
+        """Delete every live record of ``version`` the engine holds,
+        wherever placement put it; returns how many."""
+
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live record is stored for ``(key, version)``."""
 
@@ -54,11 +58,6 @@ class Engine(Protocol):
     ) -> Optional[Tuple[Optional[bytes], bool]]:
         """The record as stored, ``(value, deduplicated)``, or ``None``:
         the maintenance read replica repair copies from."""
-
-    def scan(
-        self, start_key: bytes, end_key: bytes
-    ) -> Iterator[Tuple[bytes, int, bytes]]:
-        """Live ``(key, version, value)`` rows in ``[start, end)``."""
 
     def stats(self):
         """A counter snapshot with at least ``user_bytes_written``,
@@ -121,6 +120,14 @@ class StorageNode:
         self._check_up()
         self.engine.delete_batch(items)
         self.deletes += len(items)
+
+    def retire_version(self, version: int) -> int:
+        """Evict ``version`` in one engine call; returns the records
+        deleted."""
+        self._check_up()
+        deleted = self.engine.retire_version(version)
+        self.deletes += deleted
+        return deleted
 
     # ------------------------------------------------------------------
     def fail(self) -> None:

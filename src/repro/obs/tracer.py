@@ -429,3 +429,9 @@ class Tracer:
         for row in rows.values():
             row["share"] = row["total_s"] / cycle_s if cycle_s > 0 else 0.0
         return list(rows.values())
+
+
+#: The one way to be untraced: a disabled tracer's track, what a
+#: component that opens spans holds until :meth:`bind_trace` gives it a
+#: live one.  Its spans and instants record nothing.
+UNTRACED = Tracer(lambda: 0.0, enabled=False).track("untraced")

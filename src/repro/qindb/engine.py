@@ -9,6 +9,8 @@ The engine wires the paper's pieces together over one simulated SSD:
   walk to older versions of the same key until one carries a value;
 * :meth:`QinDB.delete_batch` only sets the ``d`` flag and updates the GC
   table (plus a small tombstone append so deletes survive recovery);
+  :meth:`QinDB.retire_version` is that batch over one version's live
+  items — how a node evicts a whole version;
 * :meth:`QinDB.put` / :meth:`~QinDB.get` / :meth:`~QinDB.delete` — the
   paper's Figure 2 verbs — are those three with a batch of one: there is
   one write path, one read path and one delete path;
@@ -26,7 +28,6 @@ throughputs.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -39,6 +40,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.core.metrics import BatchCounters
+from repro.obs.tracer import UNTRACED
 from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.gctable import GCTable
 from repro.qindb.memtable import ItemKey, Memtable
@@ -201,9 +203,9 @@ class QinDB:
         #: the newest periodic checkpoint, if auto-checkpointing is on
         self.latest_checkpoint = None
         self._bytes_at_last_checkpoint = 0
-        #: optional trace track (``obs.TraceTrack`` on the device clock)
-        #: carrying GC-sweep and checkpoint spans
-        self.trace = None
+        #: trace track (``obs.TraceTrack`` on the device clock) carrying
+        #: GC-sweep and checkpoint spans; untraced until bound
+        self.trace = UNTRACED
 
     def bind_trace(self, track) -> None:
         """Attach a trace track for engine-level spans.
@@ -425,6 +427,13 @@ class QinDB:
         self._maybe_gc()
         self._maybe_checkpoint()
 
+    def retire_version(self, version: int) -> int:
+        """Delete every live record of ``version``: its run's live items,
+        in put order, as one :meth:`delete_batch`.  Returns how many."""
+        items = self.memtable.live_keys(version)
+        self.delete_batch(items)
+        return len(items)
+
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live (non-deleted) item exists for (key, version)."""
         self._check_open()
@@ -597,11 +606,10 @@ class QinDB:
             # raises.
             self.gc_quarantined.add(victims[0])
             self.gc_corrupt_victims += 1
-            if self.trace is not None:
-                self.trace.tracer.instant(
-                    "gc_corrupt_victim", track=self.trace.name,
-                    at=self.device.now, segment=victims[0],
-                )
+            self.trace.tracer.instant(
+                "gc_corrupt_victim", track=self.trace.name,
+                at=self.device.now, segment=victims[0],
+            )
 
     def _maybe_checkpoint(self) -> None:
         """Periodic checkpointing (paper: "it is checkpointed
@@ -615,12 +623,7 @@ class QinDB:
             return
         from repro.qindb.checkpoint import Checkpoint
 
-        span = (
-            self.trace.span("checkpoint", appended_bytes=appended)
-            if self.trace is not None
-            else nullcontext()
-        )
-        with span:
+        with self.trace.span("checkpoint", appended_bytes=appended):
             if self.latest_checkpoint is not None:
                 self.latest_checkpoint.discard()
             self.latest_checkpoint = Checkpoint.write(self)
@@ -654,15 +657,8 @@ class QinDB:
         self._check_open()
         if segment_id == self.aofs.active_segment_id:
             raise StorageError("cannot collect the active segment")
-        span = (
-            self.trace.span("gc_sweep", segment=segment_id)
-            if self.trace is not None
-            else nullcontext()
-        )
-        with span as opened:
-            counts = self._collect_segment(segment_id)
-            if opened is not None:
-                opened.attrs.update(counts)
+        with self.trace.span("gc_sweep", segment=segment_id) as opened:
+            opened.attrs.update(self._collect_segment(segment_id))
 
     def _collect_segment(self, segment_id: int) -> Dict[str, int]:
         """Verify every frame, decide in scan order, move survivors verbatim.

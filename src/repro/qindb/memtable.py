@@ -207,6 +207,19 @@ class Memtable:
             for key, version in item_keys
         ]
 
+    def live_keys(self, version: int) -> List[ItemKey]:
+        """The ``(key, version)`` of every live item of ``version``, in
+        put order (the order the run's slots were created)."""
+        run = self._runs.get(version)
+        if run is None:
+            return []
+        flags = run.flags
+        return [
+            (key, version)
+            for key, slot in run.slots.items()
+            if not flags[slot] & DELETED
+        ]
+
     def mark_deleted(self, key: bytes, version: int) -> None:
         """Set the ``d`` flag: a :meth:`mark_deleted_batch` of one."""
         self.mark_deleted_batch([(key, version)])

@@ -144,6 +144,30 @@ def test_version_dropped_mid_move_is_never_resurrected():
         assert cluster.get(key, 2) == b"v" * 16
 
 
+@pytest.mark.parametrize("operation", ["join", "split"])
+def test_version_dropped_during_withdraw_leaves_no_copy(operation):
+    """A version dropped after cutover, while the withdraw is still
+    deleting the stale copies, is gone from every node: eviction does
+    not depend on where the current placement puts a key."""
+    sim, cluster, migrator = build()
+    keys = load_keys(cluster, 120, version=1)
+    load_keys(cluster, 120, version=2)
+    migrator.config = MigratorConfig(max_records_per_s=200.0)
+    if operation == "join":
+        proc = migrator.join_node(cluster.groups[0])
+    else:
+        proc = migrator.split_group(cluster.groups[0])
+    while migrator.stats.withdrawals == 0:
+        sim.run(until=sim.now + 0.01)
+    assert not proc.triggered, "drop must land while the withdraw runs"
+    cluster.drop_version(1)
+    sim.run(until=proc)
+
+    assert sum(replica_copies(cluster, key, 1) for key in keys) == 0
+    for key in keys:
+        assert cluster.get(key, 2) == b"v" * 16
+
+
 def test_read_of_a_moving_slot_falls_back_to_the_new_owner():
     """Mid-move the old owner is authoritative; with every replica of it
     down, a dual-applied key still reads from the new owner — through

@@ -51,13 +51,35 @@ def test_backlog_delete_replays(cluster):
     for replica in group.nodes:
         replica.engine.flush()
     node.fail()
-    cluster.delete_batch([(b"k1", 1)])
+    group.delete_batch([(b"k1", 1)])
 
     node.recover()
     result = ReplicaRepairer().repair_node(cluster, group, node)
     assert result.deletes_applied == 1
     with pytest.raises(KeyNotFoundError):
         node.engine.get(b"k1", 1)
+
+
+def test_missed_eviction_replays_as_one_backlog_entry(cluster):
+    group = cluster.groups[0]
+    node = group.nodes[0]
+    keys = [f"k{index:02d}".encode() for index in range(20)]
+    for version in (1, 2):
+        cluster.put_batch([(key, version, b"v" + key) for key in keys])
+        note_version(cluster, version, *keys)
+    for replica in group.nodes:
+        replica.engine.flush()
+    node.fail()
+    cluster.drop_version(1)
+    assert group.repair_backlog[node.name] == [("retire", None, 1)]
+
+    node.recover()  # the flushed copies of v1 survive the crash
+    assert len(node.engine.memtable.live_keys(1)) == len(keys)
+    result = ReplicaRepairer().repair_node(cluster, group, node)
+    assert result.deletes_applied == len(keys)
+    assert node.engine.memtable.live_keys(1) == []
+    assert not any(node.engine.exists(key, 1) for key in keys)
+    assert all(node.engine.exists(key, 2) for key in keys)
 
 
 def test_repair_requires_a_live_node(cluster):
@@ -113,7 +135,7 @@ def test_repair_never_resurrects_dropped_versions(cluster):
     node.fail()
     cluster.put(b"gone", 7, b"x")
     # the version retired while node was down
-    cluster.delete_batch([(b"gone", 7)])
+    cluster.drop_version(7)
 
     node.recover()
     result = ReplicaRepairer().repair_node(cluster, group, node)
@@ -161,7 +183,7 @@ def test_dropped_version_unparks(cluster):
     for replica in group.nodes:
         replica.fail()
     cluster.put(b"parked", 3, b"p")
-    cluster.delete_batch([(b"parked", 3)])
+    cluster.drop_version(3)
     assert group.pending_writes == []
 
 

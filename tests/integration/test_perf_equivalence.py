@@ -45,6 +45,9 @@ GOLDEN = {
     # ``reprotect_last_s``/``reprotect_max_s`` (4.01163925 -> 4.01022125) —
     # moved.  No other field of the payload and no stored byte changed.
     "chaos": "fdc0d01df934190e35ab5b3772b80744cc2b65fff9eda3ea3174b56702191467",
+    # Seven pipelined cycles that evict versions 1..3 (reports, fleet
+    # state, every node's tallies and engine/device counters).
+    "pipelined-evicting": "5be15dbd2e3e353c3a3a80260ef747a748468f4213085a3638ca20bcf93fc12a",
 }
 
 
@@ -178,3 +181,48 @@ def test_null_tracer_records_nothing():
     assert system.tracer.spans == []
     assert system.tracer.finished_spans() == []
     assert system.tracer.stage_summary() == []
+
+
+# A pipelined month long enough to evict: with ``max_live_versions=4``
+# the installs of versions 5..7 retire versions 1..3 while newer
+# versions' slices are still landing.
+EVICTION_RATES = [None, 0.3, 0.5, 0.2, 0.4, 0.3, 0.5]
+
+
+def _rounded(counters) -> dict:
+    """A counter dataclass as a dict, clock fields to the nanosecond: a
+    device clock is a float sum whose last bit follows the hash seed."""
+    return {
+        name: round(value, 9) if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(counters).items()
+    }
+
+
+def _node_counters(system):
+    """Every node's request tallies and engine and device counters."""
+    return {
+        node.name: {
+            "mint": [node.puts, node.gets, node.deletes],
+            "qindb": _rounded(node.engine.stats()),
+            "ssd": _rounded(node.engine.device.counters),
+        }
+        for cluster in system.clusters.values()
+        for node in cluster.all_nodes
+    }
+
+
+def _evicting_digest():
+    system = build_chaos_system()
+    reports = system.run_pipelined_cycles(EVICTION_RATES)
+    assert any(report.evicted_versions for report in reports)
+    return _digest(
+        {
+            "reports": _report_dicts(reports),
+            "state": _state_rows(system),
+            "counters": _node_counters(system),
+        }
+    )
+
+
+def test_evicting_pipelined_month_byte_identical():
+    assert _evicting_digest() == GOLDEN["pipelined-evicting"]

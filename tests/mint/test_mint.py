@@ -299,7 +299,7 @@ def test_cluster_put_get_delete():
     cluster = MintCluster("dc1", MintConfig(group_count=2, nodes_per_group=3))
     cluster.put(b"k", 1, b"v")
     assert cluster.get(b"k", 1) == b"v"
-    cluster.delete_batch([(b"k", 1)])
+    cluster.drop_version(1)
     with pytest.raises(Exception):
         cluster.get(b"k", 1)
 
@@ -364,53 +364,6 @@ def test_cluster_config_validation():
         MintConfig(group_count=0)
     with pytest.raises(Exception):
         MintConfig(nodes_per_group=2, replica_count=3)
-
-
-def test_cluster_range_scan_merges_groups():
-    cluster = MintCluster("dc1", MintConfig(group_count=3, nodes_per_group=3))
-    for index in range(30):
-        key = storage_key(IndexKind.FORWARD, f"url-{index:03d}".encode())
-        cluster.put(key, 1, f"v{index}".encode())
-    result = list(
-        cluster.scan(IndexKind.FORWARD, b"url-005", b"url-015", version=1)
-    )
-    assert [key for key, _v, _val in result] == [
-        f"url-{i:03d}".encode() for i in range(5, 15)
-    ]
-    assert all(value == f"v{int(key[-3:])}".encode() for key, _v, value in result)
-
-
-def test_cluster_scan_filters_by_version():
-    cluster = MintCluster("dc1", MintConfig(group_count=2, nodes_per_group=3))
-    for version in (1, 2):
-        for index in range(10):
-            key = storage_key(IndexKind.INVERTED, f"t{index:02d}".encode())
-            cluster.put(key, version, f"v{version}".encode())
-    only_v2 = list(cluster.scan(IndexKind.INVERTED, b"t00", b"t99", version=2))
-    assert len(only_v2) == 10
-    assert all(version == 2 for _k, version, _v in only_v2)
-    both = list(cluster.scan(IndexKind.INVERTED, b"t00", b"t99"))
-    assert len(both) == 20
-
-
-def test_cluster_scan_excludes_other_kinds():
-    cluster = MintCluster("dc1", MintConfig(group_count=1, nodes_per_group=3))
-    cluster.put(storage_key(IndexKind.FORWARD, b"x"), 1, b"fwd")
-    cluster.put(storage_key(IndexKind.SUMMARY, b"x"), 1, b"sum")
-    result = list(cluster.scan(IndexKind.FORWARD, b"a", b"z", version=1))
-    assert result == [(b"x", 1, b"fwd")]
-
-
-def test_cluster_scan_survives_node_failures():
-    cluster = MintCluster("dc1", MintConfig(group_count=2, nodes_per_group=3))
-    for index in range(20):
-        key = storage_key(IndexKind.FORWARD, f"u{index:02d}".encode())
-        cluster.put(key, 1, b"v")
-    for group in cluster.groups:
-        group.nodes[0].fail()
-    result = list(cluster.scan(IndexKind.FORWARD, b"u00", b"u99", version=1))
-    # Every key still present: each lives on 3 replicas, 2 still up.
-    assert len(result) == 20
 
 
 # ------------------------------------------------------------------ batching

@@ -117,12 +117,6 @@ KEEP: Dict[str, str] = {
     "repro.lsm.engine.LSMEngine.peek": (
         "LSM baseline's conformance to the Engine protocol"
     ),
-    "repro.lsm.engine.LSMEngine.scan": (
-        "LSM baseline's conformance to the Engine protocol"
-    ),
-    "repro.lsm.engine.LSMEngine._memtable_records": (
-        "the LSM baseline's scan reads its memtable through it"
-    ),
     "repro.lsm.engine.LSMEngine.restart": (
         "LSM baseline's conformance to the Engine protocol (a crashed LSM "
         "node)"
@@ -231,10 +225,9 @@ KEEP: Dict[str, str] = {
     "repro.hashkv.engine.HashKV.close": (
         "deferred cut (test_hashkv::test_close_rejects_operations)"
     ),
-    "repro.mint.cluster.MintCluster.scan": (
-        "deferred cut (4 tests: test_mint::test_cluster_*scan*)"
+    "repro.lsm.engine.LSMEngine.scan": (
+        "deferred cut (test_lsm_engine::test_scan_merges_all_tiers)"
     ),
-    "repro.mint.group.NodeGroup.scan": "deferred cut with MintCluster.scan",
     "repro.obs.tracer.Tracer.clear": (
         "deferred cut (test_tracer::test_to_json_and_clear, "
         "::test_clear_drops_instants)"
