@@ -17,7 +17,11 @@ and the scan applies last-writer-wins by sequence:
   exceeds the installed put's (a re-put after a delete resurrects the
   item, exactly as in the live engine);
 * tombstones seen before their target (GC can move a put past its
-  tombstone) are remembered and applied when the put arrives.
+  tombstone) are remembered and applied when the put arrives;
+* a ``RETIRE`` frame is a tombstone for a whole version: it kills every
+  item of its version whose put has a lower sequence — those installed
+  already, and those that arrive later in the scan — while a re-put
+  after the eviction stays live.
 
 A crash can leave the front of one frame programmed at the end of the
 segment that was active (a *torn tail*).  The walk ends there; recovery
@@ -198,11 +202,21 @@ def recover(
 
     #: highest tombstone sequence seen per (key, version)
     pending_tombstones: Dict[Tuple[bytes, int], int] = {}
+    #: highest RETIRE sequence seen per version
+    retired: Dict[int, int] = {}
     for segment_id, frame in replay_frames():
         offset, end, rtype, key, version, sequence = frame
         engine._sequence = max(engine._sequence, sequence)
         key_version = (key, version)
         size = end - offset
+        if rtype == RecordType.RETIRE:
+            retired[version] = max(retired.get(version, -1), sequence)
+            _count, dead = engine.memtable.retire(version, before=sequence)
+            for seg, nbytes in dead.items():
+                engine.gc_table.record_dead(seg, nbytes)
+            engine.gc_table.record_appended(segment_id, size)
+            engine.gc_table.record_dead(segment_id, size)
+            continue
         if rtype == RecordType.DELETE:
             previous_tomb = pending_tombstones.get(key_version, -1)
             pending_tombstones[key_version] = max(previous_tomb, sequence)
@@ -234,10 +248,12 @@ def recover(
             (seg, _off, length), _r, deleted, _seq = previous
             if not deleted:
                 engine.gc_table.record_dead(seg, length)
-        tombstone_sequence = pending_tombstones.get(key_version, -1)
+        tombstone_sequence = max(
+            pending_tombstones.get(key_version, -1), retired.get(version, -1)
+        )
         if tombstone_sequence > sequence:
-            # GC moved this put physically past its tombstone; the
-            # delete still logically follows it.
+            # GC moved this put physically past its tombstone (or its
+            # version's RETIRE); the delete still logically follows it.
             engine.memtable.mark_deleted(key, version)
             engine.gc_table.record_dead(segment_id, size)
     return engine

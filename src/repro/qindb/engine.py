@@ -9,8 +9,10 @@ The engine wires the paper's pieces together over one simulated SSD:
   walk to older versions of the same key until one carries a value;
 * :meth:`QinDB.delete_batch` only sets the ``d`` flag and updates the GC
   table (plus a small tombstone append so deletes survive recovery);
-  :meth:`QinDB.retire_version` is that batch over one version's live
-  items — how a node evicts a whole version;
+  :meth:`QinDB.retire_version` — how a node evicts a whole version — is
+  one step per version: the ``d`` flag on every item of the version's
+  run, the run's bytes dead in the GC table per segment, and one
+  ``RETIRE`` frame in place of a tombstone per item;
 * :meth:`QinDB.put` / :meth:`~QinDB.get` / :meth:`~QinDB.delete` — the
   paper's Figure 2 verbs — are those three with a batch of one: there is
   one write path, one read path and one delete path;
@@ -18,7 +20,9 @@ The engine wires the paper's pieces together over one simulated SSD:
   threshold, *deferring* while reads are in flight and free space remains;
   collection re-appends live records and dead-but-referenced records (a
   newer deduplicated version still resolves to them), then erases the
-  whole segment — block-aligned, so the device GC never runs.
+  whole segment — block-aligned, so the device GC never runs.  Which
+  frames survive is one question to the memtable per victim
+  (:meth:`~repro.qindb.memtable.Memtable.survivors`).
 
 Time: every operation charges its I/O to the simulated device and its CPU
 work (memtable search comparisons) to the device clock, so ``device.now``
@@ -29,7 +33,7 @@ throughputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -43,7 +47,7 @@ from repro.core.metrics import BatchCounters
 from repro.obs.tracer import UNTRACED
 from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.gctable import GCTable
-from repro.qindb.memtable import ItemKey, Memtable
+from repro.qindb.memtable import Memtable
 from repro.qindb.readcache import RecordCache
 from repro.qindb.records import (
     HEADER_SIZE,
@@ -428,11 +432,36 @@ class QinDB:
         self._maybe_checkpoint()
 
     def retire_version(self, version: int) -> int:
-        """Delete every live record of ``version``: its run's live items,
-        in put order, as one :meth:`delete_batch`.  Returns how many."""
-        items = self.memtable.live_keys(version)
-        self.delete_batch(items)
-        return len(items)
+        """Delete every live record of ``version`` in one step; returns
+        how many.
+
+        The version's run flags all its items deleted in one pass
+        (:meth:`~repro.qindb.memtable.Memtable.retire`), their bytes go
+        dead in the GC table with one entry per segment they occupy, and
+        one ``RETIRE`` frame — dead on arrival, like a tombstone — makes
+        it survive recovery.  Charged as one memtable search; the
+        GC/checkpoint polls run once, as for a :meth:`delete_batch`.  A
+        version with no live item writes nothing.
+        """
+        self._check_open()
+        count, dead = self.memtable.retire(version)
+        if not count:
+            return 0
+        for segment_id, nbytes in dead.items():
+            self.gc_table.record_dead(segment_id, nbytes)
+        bodies, checksums = build_bodies(
+            [int(RecordType.RETIRE)], [b""], [version], [b""]
+        )
+        _locations, appended = self.aofs.append_encoded_batch(
+            frame_bodies(self._draw_sequences(1), bodies, checksums)
+        )
+        for segment_id, nbytes in appended:
+            self.gc_table.record_appended(segment_id, nbytes)
+            self.gc_table.record_dead(segment_id, nbytes)
+        self._charge_cpu()
+        self._maybe_gc()
+        self._maybe_checkpoint()
+        return count
 
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live (non-deleted) item exists for (key, version)."""
@@ -661,7 +690,8 @@ class QinDB:
             opened.attrs.update(self._collect_segment(segment_id))
 
     def _collect_segment(self, segment_id: int) -> Dict[str, int]:
-        """Verify every frame, decide in scan order, move survivors verbatim.
+        """Verify every frame, ask the memtable which survive, move them
+        verbatim.
 
         ``read_frames`` checks the whole victim *before any state is
         touched*: a corrupt one raises with the engine unchanged.  A
@@ -676,45 +706,19 @@ class QinDB:
             # device no longer holds.
             self.read_cache.invalidate_segment(segment_id)
         memtable = self.memtable
-        put_value = int(RecordType.PUT_VALUE)
-        tombstone = int(RecordType.DELETE)
-        #: surviving frames in scan order, and the key of the item each
-        #: re-points (None for a carried tombstone)
-        moved: List[bytes] = []
-        owners: List[Optional[ItemKey]] = []
         items_before = len(memtable)
-        for offset, end, rtype, key, version, _sequence in frames:
-            item = memtable.get(key, version)
-            if item is None:
-                continue  # superseded or dropped; dies with the segment
-            location, _r, deleted, _seq = item
-            if rtype == tombstone:
-                # Carry a delete tombstone forward while its target lives.
-                if deleted:
-                    moved.append(image[offset:end])
-                    owners.append(None)
-            elif location != (segment_id, offset, end - offset):
-                pass  # superseded or already moved; dies with segment
-            elif not deleted or (
-                # Dead but a newer deduplicated version resolves here.
-                rtype == put_value and self._is_referenced(key, version)
-            ):
-                moved.append(image[offset:end])
-                owners.append((key, version))
-            else:
-                memtable.drop(key, version)
+        kept, owners, dead = memtable.survivors(segment_id, frames)
+        moved = [image[frames[index][0] : frames[index][1]] for index in kept]
         locations, appended = self.aofs.append_encoded_batch(moved)
         for written_id, nbytes in appended:
             self.gc_table.record_appended(written_id, nbytes)
             self.gc_bytes_reappended += nbytes
+        memtable.relocate(
+            list(filter(None, owners)), list(compress(locations, owners))
+        )
         #: tombstones and referenced-but-dead frames stay "dead" in the
         #: accounting so their new segment can still reach the threshold
-        dead: List[RecordLocation] = []
-        for owner, location in zip(owners, locations):
-            # a carried tombstone, or a relocated item with the d flag
-            if owner is None or memtable.relocate(owner, location)[2]:
-                dead.append(location)
-        self.gc_table.record_dead_many(dead)
+        self.gc_table.record_dead_many(compress(locations, dead))
         self.gc_table.forget(segment_id)
         self.aofs.drop_segment(segment_id)
         self.gc_runs += 1
@@ -726,22 +730,6 @@ class QinDB:
             "tombstones_carried": owners.count(None),
             "bytes_moved": sum(nbytes for _id, nbytes in appended),
         }
-
-    def _is_referenced(self, key: bytes, version: int) -> bool:
-        """Does some newer deduplicated version resolve to this record?
-
-        Walk newer versions of the key while they are deduplicated: a
-        live deduplicated item means GET on it would traceback here.  The
-        walk stops at the first value-bearing newer version, which shadows
-        this record.
-        """
-        for _newer_version, item in self.memtable.newer_versions(key, version):
-            _location, deduplicated, deleted, _sequence = item
-            if not deduplicated:
-                return False
-            if not deleted:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Introspection

@@ -25,8 +25,14 @@ run, oldest first.  Only checkpoints and range scans need key order;
 :meth:`~Memtable.items` and :meth:`~Memtable.scan` sort across runs on
 access ("sorting only in RAM, pure appends on disk").
 
-CPU cost model: every put, get, mark-deleted and resolve operation — of
-one item or of a batch — sets :attr:`Memtable.last_search_steps` to
+A run is also the unit of eviction: :meth:`Memtable.retire` sets the
+``d`` flag on every slot of a version in one pass over its flag column,
+and GC asks :meth:`Memtable.survivors` which frames of a victim segment
+live on, reading the columns directly — neither builds an item.
+
+CPU cost model: every put, get, mark-deleted, retire and resolve
+operation — of one item or of a batch — sets
+:attr:`Memtable.last_search_steps` to
 ``len(table).bit_length() + neighbour hops``: the comparisons of one
 binary search over the whole table, then one step per neighbour visited
 (each further item of a batch, each older item of the key a traceback
@@ -38,11 +44,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from itertools import compress
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import KeyNotFoundError
 from repro.qindb.aof import RecordLocation
+from repro.qindb.records import Frame, RecordType
 
 #: a (key, version) composite; tuples compare key-first then version
 ItemKey = Tuple[bytes, int]
@@ -57,6 +65,15 @@ DELETED = 0x02
 
 #: modelled resident bytes of an item beside its key (version + fields)
 _ITEM_OVERHEAD = 8 + 40
+
+#: flag byte -> 1 where the slot is live (no ``d`` flag), else 0
+_LIVE = bytes(0 if flags & DELETED else 1 for flags in range(256))
+#: flag byte -> the same byte with the ``d`` flag set
+_RETIRED = bytes(flags | DELETED for flags in range(256))
+
+_PUT_VALUE = int(RecordType.PUT_VALUE)
+_DELETE = int(RecordType.DELETE)
+_RETIRE = int(RecordType.RETIRE)
 
 
 class _Run:
@@ -207,19 +224,6 @@ class Memtable:
             for key, version in item_keys
         ]
 
-    def live_keys(self, version: int) -> List[ItemKey]:
-        """The ``(key, version)`` of every live item of ``version``, in
-        put order (the order the run's slots were created)."""
-        run = self._runs.get(version)
-        if run is None:
-            return []
-        flags = run.flags
-        return [
-            (key, version)
-            for key, slot in run.slots.items()
-            if not flags[slot] & DELETED
-        ]
-
     def mark_deleted(self, key: bytes, version: int) -> None:
         """Set the ``d`` flag: a :meth:`mark_deleted_batch` of one."""
         self.mark_deleted_batch([(key, version)])
@@ -235,13 +239,50 @@ class Memtable:
                 run.flags[slot] |= DELETED
         self._charge(len(item_keys))
 
-    def relocate(self, item_key: ItemKey, location: RecordLocation) -> IndexItem:
-        """Point an item at its record's new location (GC moved it),
-        flags and sequence kept; returns the moved item."""
-        run = self._runs[item_key[1]]  # a KeyError where the item is absent
-        slot = run.slots[item_key[0]]
-        run.segment[slot], run.offset[slot], run.length[slot] = location
-        return run.item(item_key[0])
+    def retire(
+        self, version: int, before: Optional[int] = None
+    ) -> Tuple[int, Dict[int, int]]:
+        """Set the ``d`` flag on every live item of ``version`` — only
+        those with a sequence below ``before``, when given — charged as
+        one search.
+
+        Returns how many items it flagged and their bytes per segment
+        (what the GC table moves to dead).  When every slot is older
+        than ``before`` (always, in a running engine) the flags change
+        in one pass over the run's flag column.
+        """
+        self.last_search_steps = self._count.bit_length()  # _charge(1)
+        run = self._runs.get(version)
+        if run is None:
+            return 0, {}
+        if before is None or max(run.sequence) < before:
+            live = run.flags.translate(_LIVE)
+            run.flags = run.flags.translate(_RETIRED)
+        else:  # a recovery replay meeting a re-put newer than the RETIRE
+            live = bytes(
+                not flags & DELETED and sequence < before
+                for flags, sequence in zip(run.flags, run.sequence)
+            )
+            for slot in compress(range(len(live)), live):
+                run.flags[slot] |= DELETED
+        dead: Dict[int, int] = {}
+        get = dead.get
+        for segment_id, length in zip(
+            compress(run.segment, live), compress(run.length, live)
+        ):
+            dead[segment_id] = get(segment_id, 0) + length
+        return live.count(1), dead
+
+    def relocate(
+        self, item_keys: Sequence[ItemKey], locations: Sequence[RecordLocation]
+    ) -> None:
+        """Point each item at its record's new location (GC moved it),
+        flags and sequence kept.  A KeyError where an item is absent."""
+        runs = self._runs
+        for (key, version), location in zip(item_keys, locations):
+            run = runs[version]
+            slot = run.slots[key]
+            run.segment[slot], run.offset[slot], run.length[slot] = location
 
     def drop(self, key: bytes, version: int) -> None:
         """Remove the item entirely (GC of an unreferenced dead record);
@@ -299,31 +340,113 @@ class Memtable:
         return located
 
     # ------------------------------------------------------------------
+    # Garbage collection
+    # ------------------------------------------------------------------
+    def survivors(
+        self, segment_id: int, frames: Sequence[Frame]
+    ) -> Tuple[List[int], List[Optional[ItemKey]], List[bool]]:
+        """Which frames of victim ``segment_id`` live on, in scan order.
+
+        Returns three columns, one entry per survivor: its index in
+        ``frames``; the item it holds, to :meth:`relocate` once moved
+        (None for a carried ``DELETE`` or ``RETIRE`` frame); and whether
+        its moved bytes count dead in the GC table.  The rules:
+
+        * a put frame survives while its item still points at it: live,
+          or deleted but *referenced* (:meth:`referenced`, value frames
+          only) — it moves dead;
+        * any other item at its frame is deleted and unreferenced, and is
+          dropped here;
+        * a ``DELETE`` tombstone survives, dead, while its item exists
+          and is deleted at its place in the scan;
+        * a ``RETIRE`` frame survives, dead, while its version still has
+          a run once this victim's drops are done.
+
+        Decisions read the run columns; no item is built.
+        """
+        runs = self._runs
+        kept: List[int] = []
+        owners: List[Optional[ItemKey]] = []
+        dead: List[bool] = []
+        doomed: Dict[ItemKey, None] = {}
+        retires: List[Tuple[int, int]] = []  # (position in kept, version)
+
+        def keep(index: int, owner: Optional[ItemKey], is_dead: bool) -> None:
+            kept.append(index)
+            owners.append(owner)
+            dead.append(is_dead)
+
+        for index, (offset, end, rtype, key, version, _sequence) in enumerate(
+            frames
+        ):
+            run = runs.get(version)
+            if run is None:
+                continue  # a dropped version's frame; dies with the segment
+            if rtype == _RETIRE:
+                retires.append((len(kept), version))
+                keep(index, None, True)
+                continue
+            slot = run.slots.get(key)
+            if slot is None:
+                continue  # superseded or dropped; dies with the segment
+            deleted = run.flags[slot] & DELETED
+            if rtype == _DELETE:
+                # Carry a tombstone forward while its target lives.
+                if deleted and (key, version) not in doomed:
+                    keep(index, None, True)
+            elif (
+                run.offset[slot] != offset
+                or run.segment[slot] != segment_id
+                or run.length[slot] != end - offset
+            ):
+                pass  # superseded or already moved; dies with the segment
+            elif not deleted:
+                keep(index, (key, version), False)
+            elif rtype == _PUT_VALUE and self.referenced(key, version):
+                # Dead, but a newer deduplicated version resolves here.
+                keep(index, (key, version), True)
+            else:
+                doomed[(key, version)] = None
+        for key, version in doomed:
+            self.drop(key, version)
+        for position, version in reversed(retires):
+            if version not in runs:
+                del kept[position], owners[position], dead[position]
+        return kept, owners, dead
+
+    def referenced(self, key: bytes, version: int) -> bool:
+        """Does a newer deduplicated version resolve to this record?
+
+        Walk newer versions of the key while they are deduplicated: a
+        live deduplicated item means GET on it would traceback here.  The
+        walk stops at the first value-bearing newer version, which
+        shadows this record.
+        """
+        runs = self._runs
+        versions = self._versions
+        for index in range(bisect_right(versions, version), len(versions)):
+            run = runs[versions[index]]
+            slot = run.slots.get(key)
+            if slot is not None:
+                flags = run.flags[slot]
+                if not flags & DEDUP:
+                    return False
+                if not flags & DELETED:
+                    return True
+        return False
+
+    # ------------------------------------------------------------------
     # Neighbourhood walks
     # ------------------------------------------------------------------
-    def _walk(
-        self, key: bytes, indices: Iterable[int]
-    ) -> Iterator[Tuple[int, IndexItem]]:
-        """Items of ``key`` in the runs at ``indices`` of the versions."""
-        for index in indices:
-            version = self._versions[index]
-            item = self._runs[version].item(key)
-            if item is not None:
-                yield version, item
-
     def older_versions(
         self, key: bytes, version: int
     ) -> Iterator[Tuple[int, IndexItem]]:
         """Items of ``key`` with smaller versions, newest first."""
-        start = bisect_left(self._versions, version)
-        return self._walk(key, range(start - 1, -1, -1))
-
-    def newer_versions(
-        self, key: bytes, version: int
-    ) -> Iterator[Tuple[int, IndexItem]]:
-        """Items of ``key`` with larger versions, oldest first."""
-        start = bisect_right(self._versions, version)
-        return self._walk(key, range(start, len(self._versions)))
+        versions = self._versions
+        for index in range(bisect_left(versions, version) - 1, -1, -1):
+            item = self._runs[versions[index]].item(key)
+            if item is not None:
+                yield versions[index], item
 
     def scan(
         self, start_key: bytes, end_key: bytes

@@ -34,7 +34,11 @@ or device charge differs from it.
   with its value removed by Bifrost's deduplication;
 * a ``DELETE`` record is a tombstone — the paper applies deletes in memory
   only, but persisting nothing for them would lose them across recovery,
-  so recovery-relevant deletes are framed like everything else.
+  so recovery-relevant deletes are framed like everything else;
+* a ``RETIRE`` record evicts a whole version: empty key, no value, and
+  the retired ``version``.  It stands for a tombstone on every item of
+  that version with a lower sequence, so evicting a version of any size
+  writes one 28-byte frame.
 
 There is one format and one reader of it; nothing here reads the older
 layout.
@@ -74,6 +78,7 @@ class RecordType(enum.IntEnum):
     PUT_VALUE = 1  # complete key-value pair
     PUT_DEDUP = 2  # deduplicated pair: key + version, value removed upstream
     DELETE = 3  # tombstone for (key, version)
+    RETIRE = 4  # empty key: every older record of the version is deleted
 
 
 @dataclass(frozen=True, slots=True)

@@ -58,8 +58,8 @@ def corrupt_frame():
     def flip(node, key: bytes, version: int = 1) -> None:
         location, _r, _d, _sequence = node.engine.memtable.get(key, version)
         segment_id, offset, length = location
-        unit = node.engine.aofs.segment(segment_id)._unit
-        unit.flush()  # the frame may still sit in the page-fill buffer
-        unit._data[offset + length - 1] ^= 1
+        node.engine.aofs.segment(segment_id)._unit.corrupt(
+            offset + length - 1, 1
+        )
 
     return flip

@@ -48,8 +48,8 @@ class ReferenceQinDB(QinDB):
                 continue  # superseded or already moved; dies with segment
             if not item[2]:  # the d flag
                 self._reappend(record, item)
-            elif record.type is RecordType.PUT_VALUE and self._is_referenced(
-                record.key, record.version
+            elif record.type is RecordType.PUT_VALUE and (
+                self.memtable.referenced(record.key, record.version)
             ):
                 self._reappend(record, item)
             else:
@@ -77,7 +77,7 @@ class ReferenceQinDB(QinDB):
         location = self._append(record)
         segment_id, _offset, length = location
         self.gc_table.record_appended(segment_id, length)
-        self.memtable.relocate((record.key, record.version), location)
+        self.memtable.relocate([(record.key, record.version)], [location])
         if item[2]:  # the d flag
             self.gc_table.record_dead(segment_id, length)
         self.gc_bytes_reappended += length

@@ -32,8 +32,8 @@ def test_property_version_walks_match_model(entries, probe_key, probe_version):
     older = [v for v, _item in memtable.older_versions(probe_key, probe_version)]
     assert older == [v for v in reversed(model) if v < probe_version]
 
-    newer = [v for v, _item in memtable.newer_versions(probe_key, probe_version)]
-    assert newer == [v for v in model if v > probe_version]
+    # every item carries a value, so no record is referenced
+    assert not memtable.referenced(probe_key, probe_version)
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,9 +86,16 @@ def check_against_model(memtable, model, probe_key, probe_version):
     chain = [(v, model[(k, v)]) for k, v in ordered if k == probe_key]
     older = [(v, item) for v, item in reversed(chain) if v < probe_version]
     assert list(memtable.older_versions(probe_key, probe_version)) == older
-    assert list(memtable.newer_versions(probe_key, probe_version)) == [
-        (v, item) for v, item in chain if v > probe_version
-    ]
+    referenced = False  # a live value-less newer item reads through here
+    for version, (_location, dedup, deleted, _sequence) in chain:
+        if version <= probe_version:
+            continue
+        if not dedup:
+            break
+        if not deleted:
+            referenced = True
+            break
+    assert memtable.referenced(probe_key, probe_version) == referenced
     for low in KEYS:
         for high in KEYS:
             assert list(memtable.scan(low, high)) == [
@@ -163,12 +170,11 @@ def test_property_memtable_matches_dict_and_sorted(
             location = (1, sequence, 2)
             if argument in model:
                 _old, dedup, deleted, item_sequence = model[argument]
-                moved = memtable.relocate(argument, location)
-                assert moved == (location, dedup, deleted, item_sequence)
-                model[argument] = moved
+                memtable.relocate([argument], [location])
+                model[argument] = (location, dedup, deleted, item_sequence)
             else:
                 with pytest.raises(KeyError):
-                    memtable.relocate(argument, location)
+                    memtable.relocate([argument], [location])
         # walks interleave with the mutations, so a pending re-sort, a
         # drop from the sorted list and a re-put of a dropped key all
         # get exercised

@@ -212,7 +212,7 @@ def corrupt_victim_engine():
     last, corrupt_key = in_victim[-1]
     segment = engine.aofs.segment(victim)
     _segment_id, offset, length = last
-    segment._unit._data[offset + length - 1] ^= 0xFF
+    segment._unit.corrupt(offset + length - 1, 0xFF)
     return engine, items, victim, corrupt_key
 
 

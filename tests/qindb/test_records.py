@@ -399,7 +399,7 @@ def test_builder_rejects_what_the_engine_always_rejected():
 
 
 @given(
-    rtype=st.sampled_from([1, 2, 3]),
+    rtype=st.sampled_from([int(record_type) for record_type in RecordType]),
     key=st.binary(min_size=1, max_size=16),
     value=st.binary(max_size=300),
     version=st.integers(min_value=0, max_value=2**64 - 1),
@@ -414,7 +414,8 @@ def test_one_damaged_header_byte_is_caught_or_harmless(
     """Any single header byte — magic, sequence, crc, type, ``key_len``,
     ``value_len``, version — damaged: every reader raises a typed error
     or returns the right bytes, never wrong ones."""
-    value = value if rtype == 1 else b""
+    value = value if rtype == RecordType.PUT_VALUE else b""
+    key = b"" if rtype == RecordType.RETIRE else key
     good = encode_frame(rtype, key, value, version, sequence)
     follower = encode_frame(1, b"next", b"n" * 20, version, 5)
     damaged = bytearray(good)

@@ -11,6 +11,7 @@ segment roll-over happen within a few steps:
 
 * ``put_batch`` of values and value-less records, re-puts included;
 * ``delete_batch`` of live items;
+* ``retire_version``, which deletes every live item of one version;
 * ``collect_segment`` of any sealed segment (and the automatic GC that
   any write may run);
 * ``Checkpoint.write``, and a crash + ``recover`` that uses the newest
@@ -139,6 +140,18 @@ class StorageMachine(RuleBasedStateMachine):
             return
         doomed = list(dict.fromkeys(live[pick % len(live)] for pick in picks))
         self.engine.delete_batch(doomed)
+        for item_key in doomed:
+            self.model[item_key] = (self.model[item_key][0], True)
+        self.settle()
+
+    @rule(version=st.sampled_from(VERSIONS))
+    def retire_version(self, version) -> None:
+        doomed = [
+            item_key
+            for item_key, (_value, deleted) in self.model.items()
+            if item_key[1] == version and not deleted
+        ]
+        assert self.engine.retire_version(version) == len(doomed)
         for item_key in doomed:
             self.model[item_key] = (self.model[item_key][0], True)
         self.settle()

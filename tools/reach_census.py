@@ -182,6 +182,10 @@ KEEP: Dict[str, str] = {
     "repro.qindb.aof._FileUnit.discard_unprogrammed": (
         "a crash of an engine on the filesystem backend (the A2 arm)"
     ),
+    "repro.ssd.native.NativeUnit.corrupt": (
+        "media damage: the one way stored bytes are damaged; the tests' "
+        "bit flips use it, and an at-rest bitrot fault will"
+    ),
     "repro.qindb.engine.QinDB._traceback": (
         "scan's path for a deduplicated row in the scanned range"
     ),
