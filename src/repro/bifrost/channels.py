@@ -229,6 +229,13 @@ class Topology:
         """Every data center, region by region."""
         return [dc for region in self.regions for dc in self.data_centers[region]]
 
+    def receivers(self, region: str, kind: IndexKind) -> List[str]:
+        """The data centers of ``region`` a slice of ``kind`` fans out
+        to: summaries go only to the summary-storing ones."""
+        if kind is IndexKind.SUMMARY:
+            return self.summary_dcs[region]
+        return self.data_centers[region]
+
     def stream_link(self, source: str, destination: str, stream: str) -> Link:
         """The reserved sub-link for ``stream`` on a backbone hop."""
         try:

@@ -1,45 +1,42 @@
-"""Wire encoding: what dedup doesn't catch, delta + compression does.
+"""Wire encoding: what dedup doesn't catch, preset-dictionary DEFLATE does.
 
 Whole-value signature dedup (paper 2.2) removes *unchanged* values from
-the wire, but a changed value still ships in full even when the change
-touched a few of its term blocks.  This layer sits between the slicer
-and the scheduler and rewrites each slice's payload for transmission:
-
-* **delta vs predecessor** — a changed value is encoded as copy/literal
-  ops against the predecessor version's value for the same key,
-  identified by the predecessor's *signature* (so the receiver applies
-  the delta only against provably identical base bytes);
-* **varint packing** — per-entry headers, op lengths, and offsets are
-  LEB128 varints instead of fixed-width struct fields;
-* **group compression** — the packed stream is DEFLATE-compressed as one
-  unit, catching the redundancy *across* a slice's entries that
-  per-value encoding cannot see.
+the wire; a changed value still ships.  This layer sits between the
+slicer and the scheduler and rewrites each slice for transmission with
+nothing but stdlib ``zlib``.  Per entry: an unchanged marker, a full
+value, or a **delta** — one raw-DEFLATE stream whose preset dictionary is
+the slice's preceding values (in entry order) followed by the previous
+version's value of the key, the *base*, :data:`CONTEXT_BYTES` in all.
+The base is named by its signature, so a receiver inflates only against
+provably identical bytes, and rebuilds the rest of the dictionary from
+what it has already decoded in that slice.  Lengths are LEB128 varints
+and the packed stream is DEFLATE-compressed as one unit.
 
 The :class:`~repro.bifrost.slices.Slice` keeps its logical ``payload``
-(what ingestion must reproduce byte-for-byte) and gains ``wire`` — the
-compressed stream that actually travels.  All transport byte accounting
-(transmit delays, ``bytes_sent``, the monitor's congestion model) runs
-on wire bytes; the receiving cluster decodes at ingest and the delivered
-entries are byte-identical to the unencoded run.
+and gains ``wire``, the stream that travels: transport accounting runs
+on wire bytes, and the entries each cluster decodes at ingest are
+byte-identical to the unencoded run.  Every receiver gets the same
+stream, so it is inflated **once for the fleet** (:class:`SliceDecodes`);
+each cluster's :class:`WireDecoder` still verifies the CRC, checks that
+every referenced base is in its *own* signature-keyed cache (or raises
+:class:`~repro.errors.WireBaseUnavailableError`, and the cluster parks
+the slice until the base lands), commits to that cache and charges its
+own modeled CPU.  Raw DEFLATE has no dictionary id and no checksum, so
+each delta is checked against its shipped signature when inflated; a
+torn, overlong or mismatching stream raises
+:class:`~repro.errors.WireCodecError` — never wrong bytes.
 
-Decode keeps a per-receiver base cache keyed by value signature, so
-out-of-order arrival across versions (pipelined months) is safe: a delta
-whose base has not landed yet raises
-:class:`~repro.errors.WireBaseUnavailableError` and the cluster parks
-the slice until the base decodes.
-
-Encode/decode CPU is not simulated as kernel time (the encode happens in
-the build DC's generation window, which already models the build cost);
-instead both sides charge a deterministic modeled CPU account
-(``encode_cpu_s`` / ``decode_cpu_s``) that the bandwidth bench reports
-next to the bytes saved.
+Codec CPU is not simulated time (encoding happens in the build DC's
+generation window); both sides charge a deterministic modeled account
+(``encode_cpu_s`` / ``decode_cpu_s``) that the bandwidth bench reports.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.bifrost.signature import SIGNATURE_BYTES, checksum, signature
 from repro.errors import WireBaseUnavailableError, WireCodecError
@@ -47,20 +44,27 @@ from repro.indexing.types import IndexEntry, IndexKind
 
 #: per-entry wire modes
 MODE_UNCHANGED = 0  # deduplicated marker: no value travels
-MODE_FULL = 1  # full value (no usable base, or delta would not pay)
-MODE_DELTA = 2  # copy/literal ops against a signature-matched base
+MODE_FULL = 1  # full value (no base, or the delta would not pay)
+MODE_DELTA = 2  # raw DEFLATE against the slice so far + a matched base
 
-#: anchor granularity for the delta matcher — matches the 64-byte term
-#: blocks the synthetic builders compose values from
-DELTA_BLOCK_BYTES = 64
+#: cap on a delta's preset dictionary: the tail of the slice's
+#: preceding values followed by the base
+CONTEXT_BYTES = 16 * 1024
 
-#: DEFLATE level for the packed slice stream
+#: DEFLATE level for the delta streams and the packed slice stream
 COMPRESS_LEVEL = 6
 
+#: raw DEFLATE window bits: no zlib header, no Adler-32 (the value's
+#: signature is the check)
+_RAW = -15
+
 #: modeled single-core codec throughputs (bytes/second) for the CPU
-#: charge accounting; deterministic, so bench entries are reproducible
-ENCODE_BYTES_PER_S = 400e6
-DECODE_BYTES_PER_S = 1.2e9
+#: charge accounting; deterministic, so bench entries are reproducible.
+#: Measured on ``retention_month`` pairs (both seeds, 2-vCPU Xeon VM):
+#: encode ~41 MB/s of payload + packed bytes, one full decode ~43 MB/s
+#: of wire + packed bytes.  Every receiver is charged a full decode.
+ENCODE_BYTES_PER_S = 41e6
+DECODE_BYTES_PER_S = 43e6
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +77,7 @@ def append_varint(buf: bytearray, value: int) -> None:
     buf.append(value)
 
 
-def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+def read_varint(data: bytes, pos: int, what: str = "varint") -> Tuple[int, int]:
     """Read a LEB128 varint; returns ``(value, next_pos)``."""
     result = 0
     shift = 0
@@ -86,89 +90,16 @@ def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
                 return result, pos
             shift += 7
     except IndexError:
-        raise WireCodecError("varint runs past the end of the stream")
+        raise WireCodecError(f"{what} runs past the end of the stream")
 
 
-# ----------------------------------------------------------------------
-# delta ops
-def delta_encode(
-    base: bytes, new: bytes, block: int = DELTA_BLOCK_BYTES
-) -> Optional[bytes]:
-    """Copy/literal ops turning ``base`` into ``new``, or None.
-
-    Block-anchored matching: base blocks index by content, the new value
-    scans block-aligned, and every anchor hit extends byte-wise — the
-    right shape for values whose edits replace aligned sub-blocks (the
-    corpus builders' 64-byte term blocks).  Returns None when the ops
-    stream would not be smaller than the value itself (the caller ships
-    the full value instead).
-    """
-    if not base or not new:
-        return None
-    anchors: Dict[bytes, int] = {}
-    offset = 0
-    limit = len(base) - block
-    while offset <= limit:
-        chunk = base[offset : offset + block]
-        if chunk not in anchors:
-            anchors[chunk] = offset
-        offset += block
-    ops = bytearray()
-    base_len = len(base)
-    new_len = len(new)
-    position = 0
-    literal_start = 0
-    while position + block <= new_len:
-        match_at = anchors.get(new[position : position + block])
-        if match_at is None:
-            position += block
-            continue
-        length = block
-        while (
-            position + length < new_len
-            and match_at + length < base_len
-            and new[position + length] == base[match_at + length]
-        ):
-            length += 1
-        if position > literal_start:
-            literal = new[literal_start:position]
-            append_varint(ops, (len(literal) << 1) | 1)
-            ops += literal
-        append_varint(ops, length << 1)  # copy op, tag bit 0
-        append_varint(ops, match_at)
-        position += length
-        literal_start = position
-        if len(ops) >= new_len:
-            return None
-    if literal_start < new_len:
-        literal = new[literal_start:]
-        append_varint(ops, (len(literal) << 1) | 1)
-        ops += literal
-    if len(ops) >= new_len:
-        return None
-    return bytes(ops)
-
-
-def delta_apply(base: bytes, ops: bytes) -> bytes:
-    """Replay a :func:`delta_encode` ops stream against its base."""
-    out = bytearray()
-    pos = 0
-    end = len(ops)
-    while pos < end:
-        header, pos = read_varint(ops, pos)
-        length = header >> 1
-        if header & 1:
-            out += ops[pos : pos + length]
-            pos += length
-        else:
-            offset, pos = read_varint(ops, pos)
-            if offset + length > len(base):
-                raise WireCodecError(
-                    f"delta copy op [{offset}, {offset + length}) exceeds "
-                    f"base of {len(base)} bytes"
-                )
-            out += base[offset : offset + length]
-    return bytes(out)
+def _dictionary(history: bytearray, base: bytes) -> bytes:
+    """A delta's preset dictionary: the slice so far, then the base,
+    :data:`CONTEXT_BYTES` at most (the most recent bytes win)."""
+    room = CONTEXT_BYTES - len(base)
+    if room <= 0:
+        return base[-CONTEXT_BYTES:]
+    return history[-room:] + base
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +133,7 @@ class WireEncoder:
 
     Holds the last-shipped ``(signature, value)`` per ``(kind, key)`` —
     the same predecessor knowledge the deduplicator keeps, extended with
-    the value bytes so changed values can delta against them.
+    the value bytes so changed values can deflate against them.
     """
 
     def __init__(self) -> None:
@@ -226,6 +157,7 @@ class WireEncoder:
         buf = bytearray()
         append_varint(buf, len(item.entries))
         bases = self._bases
+        history = bytearray()
         unchanged = full = delta = 0
         for entry in item.entries:
             key = entry.key
@@ -236,26 +168,27 @@ class WireEncoder:
                 buf.append(MODE_UNCHANGED)
                 unchanged += 1
                 continue
-            sig = entry.signature
-            if sig is None:
-                sig = signature(value)
+            sig = entry.signature or signature(value)
             base = bases.get((kind, key))
-            ops = None
+            data = value
             if base is not None:
-                ops = delta_encode(base[1], value)
-            if ops is None:
+                deflater = zlib.compressobj(
+                    COMPRESS_LEVEL, zlib.DEFLATED, _RAW,
+                    zdict=_dictionary(history, base[1]),
+                )
+                data = deflater.compress(value) + deflater.flush()
+            if len(data) < len(value):
+                buf.append(MODE_DELTA)
+                buf += sig + base[0]
+                delta += 1
+            else:
+                data = value
                 buf.append(MODE_FULL)
                 buf += sig
-                append_varint(buf, len(value))
-                buf += value
                 full += 1
-            else:
-                buf.append(MODE_DELTA)
-                buf += sig
-                buf += base[0]
-                append_varint(buf, len(ops))
-                buf += ops
-                delta += 1
+            append_varint(buf, len(data))
+            buf += data
+            history += value
             bases[(kind, key)] = (sig, value)
         wire = zlib.compress(bytes(buf), COMPRESS_LEVEL)
         item.wire = wire
@@ -306,18 +239,48 @@ class DecodeStats:
     decode_cpu_s: float = 0.0
 
 
+@dataclass(slots=True)
+class DecodedSlice:
+    """One slice's wire stream, inflated and parsed."""
+
+    entries: List[IndexEntry]
+    #: ``(key, base signature)`` of every delta entry, in entry order
+    bases: List[Tuple[bytes, bytes]]
+    raw_bytes: int
+    #: receivers that have yet to commit it
+    pending: int
+
+
+class SliceDecodes(dict):
+    """Decoded slices shared by one fleet's receivers, keyed by ``(kind,
+    version, wire bytes)``: the first decoder holding every base a slice
+    references decodes it, the others take the result.  A result goes
+    once ``receivers[kind]`` decoders (one when not given) have committed
+    it, or when its version is released."""
+
+    def __init__(self, receivers: Optional[Mapping[IndexKind, int]] = None):
+        super().__init__()
+        self.receivers = receivers or {}
+
+    def release(self, version: int) -> None:
+        for key in [key for key in self if key[1] == version]:
+            del self[key]
+
+
 class WireDecoder:
     """One per receiving cluster: wire stream back to logical entries.
 
     Keeps every live decoded value per ``(kind, key)`` keyed by its
     signature, so a delta arriving out of version order still finds its
-    exact base (or parks — never applies against wrong bytes).  Entries
+    exact base (or parks — never inflates against wrong bytes).  Entries
     for dropped versions are pruned, except each key's newest value,
-    which stays the delta base for keys unchanged since.
+    which stays the delta base for keys unchanged since.  ``decodes`` is
+    the fleet's shared table (a private one when not given).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, decodes: Optional[SliceDecodes] = None) -> None:
         self.stats = DecodeStats()
+        self.decodes = SliceDecodes() if decodes is None else decodes
         #: (kind, key) -> [(version, signature, value), ...]
         self._values: Dict[
             Tuple[IndexKind, bytes], List[Tuple[int, bytes, bytes]]
@@ -328,125 +291,157 @@ class WireDecoder:
 
         Verifies the wire CRC first (corruption that slipped past the
         relays is caught before, not after, decompression), decodes the
-        whole stream, and only then commits the new values to the base
-        cache — a mid-slice missing base leaves the decoder untouched so
-        the parked slice can retry cleanly.
+        whole stream — or takes the fleet's decode of it after checking
+        its bases here — and only then commits the new values to the base
+        cache: a missing base or a torn stream leaves the decoder
+        untouched, so a parked slice can retry cleanly.
         """
         item.verify()
         if item.wire is None:
             raise WireCodecError(
                 f"slice {item.slice_id} has no wire stream to decode"
             )
-        try:
-            raw = zlib.decompress(item.wire)
-        except zlib.error as exc:
-            raise WireCodecError(
-                f"slice {item.slice_id} failed to decompress: {exc}"
-            )
         kind = item.kind
         version = item.version
+        shared = (kind, version, item.wire)
+        decoded = self.decodes.get(shared)
+        if decoded is None:
+            decoded = self.decodes[shared] = self._decode(item)
+        else:
+            for key, base_sig in decoded.bases:
+                self._base(item, key, base_sig)
+        decoded.pending -= 1
+        if decoded.pending <= 0:
+            del self.decodes[shared]
         values = self._values
-        entries: List[IndexEntry] = []
-        commits: List[Tuple[bytes, bytes, bytes]] = []
-        count, pos = read_varint(raw, 0)
-        deltas = fulls = 0
-        for _ in range(count):
-            key_len, pos = read_varint(raw, pos)
-            key = raw[pos : pos + key_len]
-            pos += key_len
-            mode = raw[pos]
-            pos += 1
-            if mode == MODE_UNCHANGED:
-                entries.append(IndexEntry(kind, key, None))
-                continue
-            sig = raw[pos : pos + SIGNATURE_BYTES]
-            pos += SIGNATURE_BYTES
-            if mode == MODE_FULL:
-                value_len, pos = read_varint(raw, pos)
-                value = raw[pos : pos + value_len]
-                pos += value_len
-                fulls += 1
-            elif mode == MODE_DELTA:
-                base_sig = raw[pos : pos + SIGNATURE_BYTES]
-                pos += SIGNATURE_BYTES
-                ops_len, pos = read_varint(raw, pos)
-                ops = raw[pos : pos + ops_len]
-                pos += ops_len
-                base_value = self._find_base(kind, key, base_sig)
-                if base_value is None:
-                    self.stats.bases_missing += 1
-                    raise WireBaseUnavailableError(
-                        f"slice {item.slice_id}: no decoded base with the "
-                        f"referenced signature for key {key!r}"
-                    )
-                value = delta_apply(base_value, ops)
-                deltas += 1
-            else:
-                raise WireCodecError(
-                    f"slice {item.slice_id}: unknown entry mode {mode}"
+        entries = decoded.entries
+        committed = 0
+        for entry in entries:
+            if entry.value is not None:
+                values.setdefault((kind, entry.key), []).append(
+                    (version, entry.signature, entry.value)
                 )
-            entries.append(IndexEntry(kind, key, value, signature=sig))
-            commits.append((key, sig, value))
-        if pos != len(raw):
-            raise WireCodecError(
-                f"slice {item.slice_id}: {len(raw) - pos} trailing bytes "
-                "after the last entry"
-            )
-        for key, sig, value in commits:
-            values.setdefault((kind, key), []).append((version, sig, value))
+                committed += 1
         stats = self.stats
         stats.slices_decoded += 1
         stats.entries_decoded += len(entries)
-        stats.deltas_applied += deltas
-        stats.full_values += fulls
+        stats.deltas_applied += len(decoded.bases)
+        stats.full_values += committed - len(decoded.bases)
         stats.decode_cpu_s += (
-            len(item.wire) + len(raw)
+            len(item.wire) + decoded.raw_bytes
         ) / DECODE_BYTES_PER_S
         return entries
 
-    def _find_base(
-        self, kind: IndexKind, key: bytes, base_sig: bytes
-    ) -> Optional[bytes]:
-        candidates = self._values.get((kind, key))
-        if not candidates:
-            return None
-        for _version, sig, value in candidates:
+    def _decode(self, item) -> DecodedSlice:
+        """Inflate and parse a slice's stream, every field bound-checked."""
+        where = f"slice {item.slice_id}"
+        try:
+            raw = zlib.decompress(item.wire)
+        except zlib.error as exc:
+            raise WireCodecError(f"{where} failed to decompress: {exc}")
+        end = len(raw)
+
+        def take(pos: int, length: int, field: str) -> bytes:
+            if pos + length > end:
+                raise WireCodecError(
+                    f"{where}: {field} runs past the end of the stream"
+                )
+            return raw[pos : pos + length]
+
+        kind = item.kind
+        entries: List[IndexEntry] = []
+        bases: List[Tuple[bytes, bytes]] = []
+        history = bytearray()
+        count, pos = read_varint(raw, 0, f"{where}: entry count")
+        for _ in range(count):
+            key_len, pos = read_varint(raw, pos, f"{where}: key length")
+            key = take(pos, key_len, "key")
+            mode = take(pos + key_len, 1, "entry mode")[0]
+            pos += key_len + 1
+            if mode == MODE_UNCHANGED:
+                entries.append(IndexEntry(kind, key, None))
+                continue
+            if mode not in (MODE_FULL, MODE_DELTA):
+                raise WireCodecError(f"{where}: unknown entry mode {mode}")
+            sig = take(pos, SIGNATURE_BYTES, "signature")
+            pos += SIGNATURE_BYTES
+            if mode == MODE_DELTA:
+                base_sig = take(pos, SIGNATURE_BYTES, "base signature")
+                pos += SIGNATURE_BYTES
+            length, pos = read_varint(raw, pos, f"{where}: value length")
+            value = take(pos, length, "value")
+            pos += length
+            if mode == MODE_DELTA:
+                base = self._base(item, key, base_sig)
+                inflater = zlib.decompressobj(
+                    _RAW, zdict=_dictionary(history, base)
+                )
+                try:
+                    value = inflater.decompress(value)
+                except zlib.error as exc:
+                    raise WireCodecError(f"{where}: delta is corrupt: {exc}")
+                if not inflater.eof:
+                    raise WireCodecError(f"{where}: delta is truncated")
+                if inflater.unused_data:
+                    raise WireCodecError(f"{where}: bytes after the delta")
+                if signature(value) != sig:
+                    raise WireCodecError(
+                        f"{where}: delta for key {key!r} inflated to bytes "
+                        "that do not match its signature"
+                    )
+                bases.append((key, base_sig))
+            history += value
+            entries.append(IndexEntry(kind, key, value, signature=sig))
+        if pos != end:
+            raise WireCodecError(
+                f"{where}: {end - pos} trailing bytes after the last entry"
+            )
+        return DecodedSlice(
+            entries, bases, end, self.decodes.receivers.get(kind, 1)
+        )
+
+    def _base(self, item, key: bytes, base_sig: bytes) -> bytes:
+        """This decoder's value of ``key`` with signature ``base_sig``;
+        raises :class:`WireBaseUnavailableError` when it has none."""
+        for _version, sig, value in self._values.get((item.kind, key), ()):
             if sig == base_sig:
                 return value
-        return None
+        self.stats.bases_missing += 1
+        raise WireBaseUnavailableError(
+            f"slice {item.slice_id}: no decoded base with the "
+            f"referenced signature for key {key!r}"
+        )
 
     def release_version(self, version: int) -> None:
-        """Prune cache entries of a dropped version.
+        """Prune cache entries of a dropped version, and the fleet's
+        decodes of it.
 
         Each key's newest value always survives — a key unchanged for
         many versions still deltas against the last value that shipped,
         however old the version that carried it.
         """
+        self.decodes.release(version)
         for cache_key, candidates in self._values.items():
-            if len(candidates) < 2:
-                continue
-            if not any(item[0] == version for item in candidates):
-                continue
-            newest = max(candidates, key=lambda item: item[0])
-            self._values[cache_key] = [
-                item
-                for item in candidates
-                if item[0] != version or item is newest
-            ]
+            if len(candidates) > 1 and any(v == version for v, *_ in candidates):
+                newest = max(candidates, key=itemgetter(0))
+                self._values[cache_key] = [
+                    item
+                    for item in candidates
+                    if item[0] != version or item is newest
+                ]
 
 
 __all__ = [
     "COMPRESS_LEVEL",
-    "DELTA_BLOCK_BYTES",
+    "CONTEXT_BYTES",
     "DecodeStats",
     "MODE_DELTA",
     "MODE_FULL",
     "MODE_UNCHANGED",
+    "SliceDecodes",
     "WireDecoder",
     "WireEncoder",
     "WireStats",
     "append_varint",
-    "delta_apply",
-    "delta_encode",
     "read_varint",
 ]

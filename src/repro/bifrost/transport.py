@@ -35,7 +35,6 @@ from repro.errors import (
     RoutingError,
     TransmissionError,
 )
-from repro.indexing.types import IndexKind
 from repro.simulation.kernel import Simulator
 
 ArrivalCallback = Callable[[str, Slice], None]
@@ -406,8 +405,8 @@ class BifrostTransport:
 
         The slice occupies one of the region's relay-node work slots for
         the duration of the fan-out (the paper's 20-30 relay nodes per
-        group — an undersized group serializes bursts).  Summary slices
-        go only to the region's summary-storing data center(s).
+        group — an undersized group serializes bursts), for every data
+        center of the region that takes the slice's kind.
         """
         sim = self.sim
         config = self.config
@@ -416,11 +415,7 @@ class BifrostTransport:
         slots = self.topology.relay_slots[region]
         yield slots.acquire()
         try:
-            if travelling.kind is IndexKind.SUMMARY:
-                targets = self.topology.summary_dcs[region]
-            else:
-                targets = self.topology.data_centers[region]
-            for dc in targets:
+            for dc in self.topology.receivers(region, travelling.kind):
                 with self._span(
                     "fanout", track, parent=parent_span,
                     dc=dc, slice=travelling.slice_id,

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bifrost.channels import build_topology
 from repro.bifrost.dedup import Deduplicator
-from repro.bifrost.encoding import WireEncoder
+from repro.bifrost.encoding import SliceDecodes, WireEncoder
 from repro.bifrost.monitor import NetworkMonitor
 from repro.bifrost.scheduler import StreamScheduler
 from repro.bifrost.slices import Slicer
@@ -130,8 +130,14 @@ class DirectLoad:
             WireEncoder() if self.config.wire_encoding else None
         )
         self.scheduler = StreamScheduler(self.config.generation_window_s)
+        #: each slice's wire stream is decoded once for all its receivers
+        topology = self.topology
+        decodes = SliceDecodes({
+            kind: sum(len(topology.receivers(r, kind)) for r in topology.regions)
+            for kind in IndexKind
+        })
         self.clusters: Dict[str, MintCluster] = {
-            dc: MintCluster(dc, self.config.mint, self._engine_factory)
+            dc: MintCluster(dc, self.config.mint, self._engine_factory, decodes)
             for dc in self.topology.all_data_centers()
         }
         self.topology.register_metrics(self.metrics)

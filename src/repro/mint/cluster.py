@@ -13,7 +13,7 @@ from functools import cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.bifrost.encoding import WireDecoder
+from repro.bifrost.encoding import SliceDecodes, WireDecoder
 from repro.bifrost.slices import Slice
 from repro.errors import (
     ClusterError,
@@ -153,6 +153,7 @@ class MintCluster:
         name: str,
         config: MintConfig | None = None,
         engine_factory: Optional[Callable[[str], Engine]] = None,
+        wire_decodes: Optional[SliceDecodes] = None,
     ) -> None:
         self.name = name
         self.config = config or MintConfig()
@@ -200,8 +201,9 @@ class MintCluster:
         self._retired_versions: set = set()
         #: slices discarded by the retirement guard
         self.stale_slices_dropped = 0
-        #: receiver side of the wire codec (:mod:`repro.bifrost.encoding`)
-        self.wire_decoder = WireDecoder()
+        #: receiver side of the wire codec (:mod:`repro.bifrost.encoding`);
+        #: ``wire_decodes`` shares each slice's decode across the fleet
+        self.wire_decoder = WireDecoder(wire_decodes)
         #: wire-encoded slices waiting for a delta base still in flight
         self._parked_slices: List[Slice] = []
         self.slices_parked = 0
@@ -539,16 +541,12 @@ class MintCluster:
         unblock other parked slices — so the drain loops until a full
         pass parks everything again.  Drained slices were already
         counted at arrival, so their entry counts are *not* re-reported.
+        (A retired version's parked slices left at :meth:`drop_version`.)
         """
         progress = True
         while progress and self._parked_slices:
             progress = False
             for parked in list(self._parked_slices):
-                if parked.version in self._retired_versions:
-                    self._parked_slices.remove(parked)
-                    self.parked_dropped += 1
-                    progress = True
-                    continue
                 try:
                     entries = self.wire_decoder.decode_slice(parked)
                 except WireBaseUnavailableError:
@@ -599,11 +597,9 @@ class MintCluster:
         keys = self.version_keys.pop(version, [])
         for group in self.groups:
             group.retire_version(version)
-        for parked in [
-            item for item in self._parked_slices if item.version == version
-        ]:
-            self._parked_slices.remove(parked)
-            self.parked_dropped += 1
+        kept = [item for item in self._parked_slices if item.version != version]
+        self.parked_dropped += len(self._parked_slices) - len(kept)
+        self._parked_slices = kept
         self.wire_decoder.release_version(version)
         self.integrity.drop_version(version)
         return len(keys)

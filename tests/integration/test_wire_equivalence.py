@@ -12,6 +12,7 @@ corrupted in flight.
 import pytest
 
 from repro.bifrost.channels import TopologyConfig
+from repro.bifrost.encoding import WireDecoder
 from repro.bifrost.transport import TransportConfig
 from repro.core.config import DirectLoadConfig
 from repro.core.directload import DirectLoad
@@ -126,6 +127,28 @@ def test_wire_month_is_byte_identical_and_smaller(pipelined):
     stats = wired.wire_encoder.stats
     assert stats.compression_ratio < 1.0
     assert stats.bytes_saved > 0
+
+
+def test_each_slice_is_decoded_once_for_the_fleet(monkeypatch):
+    """Every receiving DC gets the same wire stream; it is inflated once,
+    each DC still commits it to its own cache, and the shared decode is
+    freed once every receiver has it."""
+    decodes = []
+    decode = WireDecoder._decode
+
+    def counting(self, item):
+        decodes.append(item.slice_id)
+        return decode(self, item)
+
+    monkeypatch.setattr(WireDecoder, "_decode", counting)
+    system, _reports, built = run_month(wire=True, pipelined=False)
+    encoded = system.wire_encoder.stats.slices_encoded
+    assert len(decodes) == len(set(decodes)) == encoded
+    decoders = [cluster.wire_decoder for cluster in system.clusters.values()]
+    assert sum(d.stats.slices_decoded for d in decoders) > 2 * encoded
+    assert len({id(d.decodes) for d in decoders}) == 1
+    assert len(decoders[0].decodes) == 0
+    assert_live_versions_read_back(system, built)
 
 
 @pytest.mark.parametrize("pipelined", [False, True], ids=["plain", "pipelined"])
