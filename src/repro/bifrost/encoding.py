@@ -239,28 +239,51 @@ class DecodeStats:
     decode_cpu_s: float = 0.0
 
 
-@dataclass(slots=True)
-class DecodedSlice:
-    """One slice's wire stream, inflated and parsed."""
+class DecodedSlice(list):
+    """One slice's logical entries — a wire stream inflated and parsed,
+    or a plain slice's own — as the fleet's receivers take them.
 
-    entries: List[IndexEntry]
-    #: ``(key, base signature)`` of every delta entry, in entry order
-    bases: List[Tuple[bytes, bytes]]
-    raw_bytes: int
-    #: receivers that have yet to commit it
-    pending: int
+    It *is* the entry list, with ``bases`` (``(key, base signature)`` of
+    every delta entry, in entry order), ``raw_bytes`` (the inflated
+    stream's length), ``pending`` (receivers yet to take it) and
+    ``batch``: what they all store, built by the first (Mint's put batch
+    with its bodies)."""
+
+    __slots__ = ("bases", "raw_bytes", "pending", "batch")
+
+    def __init__(self, entries, bases, raw_bytes: int, pending: int) -> None:
+        super().__init__(entries)
+        self.bases = bases
+        self.raw_bytes = raw_bytes
+        self.pending = pending
+        self.batch = None
 
 
 class SliceDecodes(dict):
-    """Decoded slices shared by one fleet's receivers, keyed by ``(kind,
-    version, wire bytes)``: the first decoder holding every base a slice
-    references decodes it, the others take the result.  A result goes
-    once ``receivers[kind]`` decoders (one when not given) have committed
-    it, or when its version is released."""
+    """Slices shared by one fleet's receivers, keyed by ``(kind,
+    version, bytes that travelled)``: the wire stream, decoded by the
+    first decoder holding every base it references, or a plain slice's
+    payload.  A slice goes once ``receivers[kind]`` receivers (one when
+    not given) have taken it, or when its version is released."""
 
     def __init__(self, receivers: Optional[Mapping[IndexKind, int]] = None):
         super().__init__()
         self.receivers = receivers or {}
+
+    def plain(self, item) -> DecodedSlice:
+        """Take the plain (unencoded) slice ``item``."""
+        key = (item.kind, item.version, item.payload)
+        if key not in self:
+            pending = self.receivers.get(item.kind, 1)
+            self[key] = DecodedSlice(item.entries, [], 0, pending)
+        return self.taken(key, self[key])
+
+    def taken(self, key, shared: DecodedSlice) -> DecodedSlice:
+        """``shared``, one more receiver having taken it."""
+        shared.pending -= 1
+        if shared.pending <= 0:
+            del self[key]
+        return shared
 
     def release(self, version: int) -> None:
         for key in [key for key in self if key[1] == version]:
@@ -286,7 +309,7 @@ class WireDecoder:
             Tuple[IndexKind, bytes], List[Tuple[int, bytes, bytes]]
         ] = {}
 
-    def decode_slice(self, item) -> List[IndexEntry]:
+    def decode_slice(self, item) -> DecodedSlice:
         """The slice's logical entries, byte-identical to the origin's.
 
         Verifies the wire CRC first (corruption that slipped past the
@@ -310,13 +333,10 @@ class WireDecoder:
         else:
             for key, base_sig in decoded.bases:
                 self._base(item, key, base_sig)
-        decoded.pending -= 1
-        if decoded.pending <= 0:
-            del self.decodes[shared]
+        self.decodes.taken(shared, decoded)
         values = self._values
-        entries = decoded.entries
         committed = 0
-        for entry in entries:
+        for entry in decoded:
             if entry.value is not None:
                 values.setdefault((kind, entry.key), []).append(
                     (version, entry.signature, entry.value)
@@ -324,13 +344,13 @@ class WireDecoder:
                 committed += 1
         stats = self.stats
         stats.slices_decoded += 1
-        stats.entries_decoded += len(entries)
+        stats.entries_decoded += len(decoded)
         stats.deltas_applied += len(decoded.bases)
         stats.full_values += committed - len(decoded.bases)
         stats.decode_cpu_s += (
             len(item.wire) + decoded.raw_bytes
         ) / DECODE_BYTES_PER_S
-        return entries
+        return decoded
 
     def _decode(self, item) -> DecodedSlice:
         """Inflate and parse a slice's stream, every field bound-checked."""

@@ -25,10 +25,9 @@ from repro.errors import (
     ConfigError,
     EngineClosedError,
     KeyNotFoundError,
-    StorageError,
 )
 from repro.qindb.aof import AofManager, RecordLocation
-from repro.qindb.records import Record, RecordType, encode_record
+from repro.qindb.records import Bodies, frame_heads
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import TimingModel
@@ -102,17 +101,11 @@ class HashKV:
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> None:
         """Append the record and install the hash entry."""
         self._check_open()
-        if not isinstance(key, bytes) or not key:
-            raise StorageError("key must be non-empty bytes")
-        deduplicated = value is None
-        if deduplicated:
-            record = Record(RecordType.PUT_DEDUP, key, version)
-        else:
-            record = Record(RecordType.PUT_VALUE, key, version, value)
-        locations, _appended = self.aofs.append_encoded_batch(
-            [encode_record(record)]
+        batch = Bodies([(key, version, value)])
+        locations, _appended = self.aofs.append_frames(
+            frame_heads(range(1), batch.checksums), batch.bodies
         )
-        self._table[(key, version)] = _HashEntry(locations[0], deduplicated)
+        self._table[(key, version)] = _HashEntry(locations[0], batch.dedup[0])
         self.user_bytes_written += len(key) + (0 if value is None else len(value))
         self._charge()
 

@@ -13,7 +13,7 @@ from functools import cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.bifrost.encoding import SliceDecodes, WireDecoder
+from repro.bifrost.encoding import DecodedSlice, SliceDecodes, WireDecoder
 from repro.bifrost.slices import Slice
 from repro.errors import (
     ClusterError,
@@ -516,7 +516,7 @@ class MintCluster:
             return 0
         if item.wire is not None:
             return self._ingest_wire(item)
-        return self._store_entries(item, item.entries)
+        return self._store_entries(item, self.wire_decoder.decodes.plain(item))
 
     def _ingest_wire(self, item: Slice) -> int:
         """Decode a wire-encoded slice, parking it if a base is missing."""
@@ -556,21 +556,25 @@ class MintCluster:
                 self._store_entries(parked, entries)
                 progress = True
 
-    def _store_entries(self, item: Slice, entries) -> int:
+    def _store_entries(self, item: Slice, entries: DecodedSlice) -> int:
         """The raw batch path: store logical entries, track the version.
 
         Shared by plain ingest (the slice's own entries) and wire ingest
         (the decoder's output) — both produce byte-identical stores.
-        The record bodies and their checksums are built here, once for
-        this data center: every replica frames the same bodies, and the
-        integrity index keeps the checksums as its leaves.
+        The record bodies and their checksums are built once for the
+        fleet, by the first data center to store the slice, and kept
+        with the fleet's shared take of it: every replica in every data
+        center frames the same bodies under the same storage keys, and
+        each integrity index keeps the checksums as its leaves.
         """
-        batch = Bodies(
-            [
-                (storage_key(entry.kind, entry.key), item.version, entry.value)
-                for entry in entries
-            ]
-        )
+        batch = entries.batch
+        if batch is None:
+            batch = entries.batch = Bodies(
+                [
+                    (storage_key(entry.kind, entry.key), item.version, entry.value)
+                    for entry in entries
+                ]
+            )
         self.put_batch(batch)
         self.version_keys.setdefault(item.version, []).extend(
             map(itemgetter(0), batch)

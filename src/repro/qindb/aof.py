@@ -14,10 +14,10 @@ memtable items.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.qindb.records import Frame, decode_value, scan_frames
+from repro.qindb.records import HEAD_SIZE, Frame, decode_value, scan_frames
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -62,26 +62,25 @@ class AofSegment:
         return self._unit.size >= self.capacity_bytes
 
     # ------------------------------------------------------------------
-    def append_encoded_batch(
-        self, encoded: List[bytes]
+    def append_frames(
+        self, heads: Sequence[bytes], bodies: Sequence[bytes]
     ) -> Tuple[List[RecordLocation], int]:
-        """Append as many of the pre-encoded frames as fit, back-to-back.
+        """Append as many frames as fit, back-to-back: frame ``i`` is
+        ``heads[i]`` (:data:`~repro.qindb.records.HEAD_SIZE` bytes), then
+        ``bodies[i]``.
 
         A frame is accepted while the segment is not yet full, so the
-        split point across segments does not depend on how the frames
-        were batched.
-        The accepted frames go to the unit in one
-        :meth:`~repro.ssd.native.NativeUnit.append_many` call so the
-        device layer can coalesce their full pages into multi-page
-        programs.  Returns the accepted frames' locations (a prefix of
-        ``encoded``; the caller rolls the remainder into a new segment)
-        and their total bytes — frame lengths are taken once, here, for
-        the layers below and above.
+        split point does not depend on how the frames were batched.  The
+        accepted heads and bodies go down as pieces in one
+        :meth:`~repro.ssd.native.NativeUnit.append_many`, which keeps
+        them by reference and coalesces full pages into multi-page
+        programs.  Returns the accepted frames' locations (a prefix) and
+        their total bytes.
         """
         if self.is_full:
             raise StorageError(f"segment {self.segment_id} is full")
         room = self.capacity_bytes - self.size
-        lengths = list(map(len, encoded))
+        lengths = list(map(HEAD_SIZE.__add__, map(len, bodies)))
         nbytes = sum(lengths)
         # A frame is admitted while the segment is not yet full *before*
         # it is appended, so the whole batch fits iff the bytes ahead of
@@ -90,12 +89,14 @@ class AofSegment:
             nbytes = 0
             for accepted, length in enumerate(lengths):
                 if nbytes >= room:
-                    encoded = encoded[:accepted]
+                    heads, bodies = heads[:accepted], bodies[:accepted]
                     lengths = lengths[:accepted]
                     break
                 nbytes += length
-        start = self._unit.append_many(encoded)
-        self.record_count += len(encoded)
+        pieces = [b""] * (2 * len(lengths))
+        pieces[::2], pieces[1::2] = heads, bodies
+        start = self._unit.append_many(pieces)
+        self.record_count += len(lengths)
         segment_id = self.segment_id
         offsets = accumulate(lengths, initial=start)
         return [
@@ -113,14 +114,14 @@ class AofSegment:
         segment_id, offset, length = location
         if segment_id != self.segment_id:
             raise self._foreign(location)
-        return decode_value(self._unit.read(offset, length))
+        return decode_value(self._unit.read_many([(offset, length)])[0])
 
     def read_values(self, locations: List[RecordLocation]) -> List[bytes]:
         """:meth:`read_value` for a batch, as one command set.
 
         The unit reads the union of pages the locations touch, coalesced
         (:meth:`~repro.ssd.native.NativeUnit.read_many`, which charges a
-        single range exactly as ``read`` does — so one location takes
+        single range as a batch of one — so one location takes
         :meth:`read_value`).  Input order.
         """
         if len(locations) == 1:
@@ -129,7 +130,7 @@ class AofSegment:
             if location[0] != self.segment_id:
                 raise self._foreign(location)
         ranges = [(offset, length) for _id, offset, length in locations]
-        return [decode_value(raw) for raw in self._unit.read_many(ranges)]
+        return [decode_value(pieces) for pieces in self._unit.read_many(ranges)]
 
     def read_frames(self) -> Tuple[bytes, List[Frame]]:
         """The segment's image and its verified frames — what GC and
@@ -182,18 +183,20 @@ class _FileUnit:
         return self._file.page_count * self._fs.page_size
 
     def append_many(self, chunks) -> int:
-        """No native coalescing through the FTL: one append per chunk."""
+        """No native coalescing through the FTL: one append per frame
+        (the chunks are frames' head and body pieces, in pairs)."""
         start = self._file.size
-        for chunk in chunks:
-            self._file.append(chunk)
+        pieces = iter(chunks)
+        for head in pieces:
+            self._file.append(head + next(pieces))
         return start
 
     def read(self, offset: int, length: int) -> bytes:
         return self._file.read(offset, length)
 
-    def read_many(self, ranges) -> List[bytes]:
+    def read_many(self, ranges) -> List[List[bytes]]:
         """No coalescing through the FTL either: one read per range."""
-        return [self._file.read(offset, length) for offset, length in ranges]
+        return [[self._file.read(offset, length)] for offset, length in ranges]
 
     def flush(self) -> None:
         """Write-through already; nothing is buffered."""
@@ -272,26 +275,29 @@ class AofManager:
         return sum(s.occupied_bytes for s in self._segments.values())
 
     # ------------------------------------------------------------------
-    def append_encoded_batch(
-        self, encoded: List[bytes]
+    def append_frames(
+        self, heads: Sequence[bytes], bodies: Sequence[bytes]
     ) -> Tuple[List[RecordLocation], List[Tuple[int, int]]]:
-        """Append pre-encoded frames back-to-back, rolling segments as
-        they fill.
+        """Append frames (``heads[i]`` then ``bodies[i]``) back-to-back,
+        rolling segments as they fill.
 
-        Frames land in input order; within one segment their full pages
-        coalesce into multi-page device programs.  Segment split points
-        are those of appending the frames in batches of one.
-        Returns the frames' locations and one ``(segment_id, nbytes)``
-        per segment written — what the GC table accounts.
+        The AOF's one write shape (puts, tombstones, ``RETIRE`` frames,
+        GC moves).  Frames land in input order; within one segment their
+        full pages coalesce into multi-page device programs.  Segment
+        split points are those of appending the frames in batches of one.
+        Returns the frames' locations and one ``(segment_id, nbytes)`` per
+        segment written — what the GC table accounts.
         """
         locations: List[RecordLocation] = []
         appended: List[Tuple[int, int]] = []
-        while len(locations) < len(encoded):
+        while len(locations) < len(bodies):
             segment = self._active
             if segment is None or segment.is_full:
                 segment = self._open_segment()
-            accepted, nbytes = segment.append_encoded_batch(
-                encoded[len(locations):] if locations else encoded
+            done = len(locations)
+            accepted, nbytes = segment.append_frames(
+                heads[done:] if done else heads,
+                bodies[done:] if done else bodies,
             )
             self.bytes_appended += nbytes
             appended.append((segment.segment_id, nbytes))

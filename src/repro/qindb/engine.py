@@ -50,11 +50,12 @@ from repro.qindb.gctable import GCTable
 from repro.qindb.memtable import Memtable
 from repro.qindb.readcache import RecordCache
 from repro.qindb.records import (
+    HEAD_SIZE,
     HEADER_SIZE,
     Bodies,
     RecordType,
     build_bodies,
-    frame_bodies,
+    frame_heads,
 )
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
@@ -259,10 +260,11 @@ class QinDB:
         same code runs either way) is validated whole before anything is
         touched.  Per record this engine then draws the next sequence
         number (input order, exactly as sequential puts would), seeds
-        one 8-byte CRC update with the body checksum, packs one head and
-        puts it in front of the shared body; the frames go down
-        back-to-back, so the AOF/device layer can coalesce contiguous
-        block-aligned pages into multi-page device programs.  The
+        one 8-byte CRC update with the body checksum and packs one head;
+        heads and the shared bodies go down side by side (the flash keeps
+        a body by reference, one object on every replica), so the
+        AOF/device layer can coalesce contiguous block-aligned pages into
+        multi-page device programs.  The
         memtable takes the whole batch as columns — the batch's item
         keys and ``r`` flags, the AOF locations, the sequences — in one
         :meth:`~repro.qindb.memtable.Memtable.put_batch`.  CPU charging,
@@ -279,8 +281,8 @@ class QinDB:
         if not batch:
             return
         sequences = self._draw_sequences(len(batch))
-        locations, appended = self.aofs.append_encoded_batch(
-            frame_bodies(sequences, batch.bodies, batch.checksums)
+        locations, appended = self.aofs.append_frames(
+            frame_heads(sequences, batch.checksums), batch.bodies
         )
         framed = 0
         for segment_id, nbytes in appended:
@@ -400,7 +402,7 @@ class QinDB:
         a duplicate within the batch) raises :class:`KeyNotFoundError`
         with the engine untouched — then the flags and GC accounting
         apply and the tombstones append back-to-back through
-        ``append_encoded_batch``, coalescing their page programs the
+        ``append_frames``, coalescing their page programs the
         same way :meth:`put_batch` does.  CPU charging and the
         GC/checkpoint polls run once per batch.
         """
@@ -420,8 +422,8 @@ class QinDB:
         self.memtable.mark_deleted_batch(items)
         sequences = self._draw_sequences(len(bodies))
         self.gc_table.record_dead_many([item[0] for item in resolved])
-        _locations, appended = self.aofs.append_encoded_batch(
-            frame_bodies(sequences, bodies, checksums)
+        _locations, appended = self.aofs.append_frames(
+            frame_heads(sequences, checksums), bodies
         )
         for segment_id, nbytes in appended:
             # A tombstone is dead on arrival.
@@ -452,8 +454,8 @@ class QinDB:
         bodies, checksums = build_bodies(
             [int(RecordType.RETIRE)], [b""], [version], [b""]
         )
-        _locations, appended = self.aofs.append_encoded_batch(
-            frame_bodies(self._draw_sequences(1), bodies, checksums)
+        _locations, appended = self.aofs.append_frames(
+            frame_heads(self._draw_sequences(1), checksums), bodies
         )
         for segment_id, nbytes in appended:
             self.gc_table.record_appended(segment_id, nbytes)
@@ -708,8 +710,11 @@ class QinDB:
         memtable = self.memtable
         items_before = len(memtable)
         kept, owners, dead = memtable.survivors(segment_id, frames)
-        moved = [image[frames[index][0] : frames[index][1]] for index in kept]
-        locations, appended = self.aofs.append_encoded_batch(moved)
+        moved = [frames[index] for index in kept]
+        locations, appended = self.aofs.append_frames(
+            [image[frame[0] : frame[0] + HEAD_SIZE] for frame in moved],
+            [image[frame[0] + HEAD_SIZE : frame[1]] for frame in moved],
+        )
         for written_id, nbytes in appended:
             self.gc_table.record_appended(written_id, nbytes)
             self.gc_bytes_reappended += nbytes

@@ -7,10 +7,12 @@ Every datum QinDB persists is one framed record of two parts::
 
 Right of the bar is the record **body**: a pure function of ``(type,
 key, version, value)``, so it is the same bytes on every replica of the
-record.  Left of it is the 13-byte **head**, the only part an engine
-writes for itself.  Together the fixed fields are 28 bytes, exactly what
-the historical one-struct header took, so no stored length, page count
-or device charge differs from it.
+record, built once for the fleet and one object on every replica's
+flash.  Left of it is the 13-byte **head**, the only part an engine
+writes for itself.  Heads and bodies go down, and come back from the
+flash to be verified, as two pieces never joined.  The fixed fields are
+28 bytes, what the historical one-struct header took, so no stored
+length, page count or device charge differs from it.
 
 * ``magic`` is a non-zero constant, so page padding (zero bytes) inserted
   by the block-aligned writer is unambiguous during sequential recovery
@@ -25,11 +27,10 @@ or device charge differs from it.
   but ``magic`` and itself, the two length fields included, so
   transmission or media corruption surfaces as
   :class:`~repro.errors.CorruptionError` instead of silent bad data.
-  ``crc32(body)``, the **body checksum**, is computed once where the
-  record enters a data center (:class:`Bodies`); each replica then pays
-  one 8-byte CRC update, one head and one head-plus-body concatenation
-  per record, and Mint's integrity index keeps the same number as the
-  record's Merkle leaf;
+  ``crc32(body)``, the **body checksum**, is computed with the body
+  (:class:`Bodies`); each replica then pays one 8-byte CRC update and
+  one head per record, and Mint's integrity index keeps the same number
+  as the record's Merkle leaf;
 * a ``PUT_DEDUP`` record is the paper's value-less pair: the key arrived
   with its value removed by Bifrost's deduplication;
 * a ``DELETE`` record is a tombstone — the paper applies deletes in memory
@@ -51,7 +52,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
-from operator import concat, is_
+from operator import is_
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, StorageError, TruncatedRecordError
@@ -64,7 +65,8 @@ _BODY_HEAD = struct.Struct("<BHLQ")
 #: the head's sequence field alone — the bytes the frame CRC appends
 _SEQUENCE = struct.Struct("<Q")
 HEAD_SIZE = _HEAD.size
-HEADER_SIZE = HEAD_SIZE + _BODY_HEAD.size
+_BODY_FIXED = _BODY_HEAD.size
+HEADER_SIZE = HEAD_SIZE + _BODY_FIXED
 #: where ``sequence`` sits in a frame
 _SEQUENCE_AT = slice(1, 1 + _SEQUENCE.size)
 
@@ -140,18 +142,12 @@ def build_bodies(
     return bodies, list(map(zlib.crc32, bodies))
 
 
-def frame_bodies(
-    sequences: range, bodies: Sequence[bytes], checksums: Sequence[int]
-) -> List[bytes]:
-    """The frames of ``bodies`` under ``sequences``, one each.
-
-    What a replica does per record: one CRC update over the 8 sequence
-    bytes, seeded with the shared body checksum, one 13-byte head, and
-    one concatenation of head and body.
-    """
+def frame_heads(sequences: range, checksums: Sequence[int]) -> List[bytes]:
+    """The heads that frame bodies with ``checksums`` under ``sequences``:
+    what a replica does per record, one CRC update over the 8 sequence
+    bytes seeded with the shared body checksum, and one 13-byte head."""
     crcs = map(zlib.crc32, map(_SEQUENCE.pack, sequences), checksums)
-    heads = map(_HEAD.pack, repeat(MAGIC), sequences, crcs)
-    return list(map(concat, heads, bodies))
+    return list(map(_HEAD.pack, repeat(MAGIC), sequences, crcs))
 
 
 class Bodies(tuple):
@@ -212,14 +208,14 @@ def encode_frame(
 ) -> bytes:
     """Serialize one record frame from its raw fields.
 
-    A batch of one through :func:`build_bodies` and :func:`frame_bodies`,
-    the only writers of the format.  Nothing is validated beyond the
-    struct limits (a :class:`StorageError`), so tests can frame what no
-    engine would.
+    A batch of one through :func:`build_bodies` and :func:`frame_heads`,
+    the only writers of the format, head and body joined.  Nothing is
+    validated beyond the struct limits (a :class:`StorageError`), so
+    tests can frame what no engine would.
     """
     bodies, checksums = build_bodies([record_type], [key], [version], [value])
     try:
-        return frame_bodies(range(sequence, sequence + 1), bodies, checksums)[0]
+        return frame_heads(range(sequence, sequence + 1), checksums)[0] + bodies[0]
     except struct.error as exc:
         raise StorageError(f"record field out of range: {exc}") from None
 
@@ -308,35 +304,44 @@ def scan_records(
 Frame = Tuple[int, int, int, bytes, int, int]
 
 
-def decode_value(buffer: bytes) -> bytes:
-    """Verify the frame at the start of ``buffer``; return its value.
+def decode_value(pieces: Sequence[bytes]) -> bytes:
+    """Verify the frame held in ``pieces`` and return its value.
 
-    The read path: every check :func:`decode_record` makes, in its order
-    and with its typed errors, but no :class:`Record` is built and the
-    key is never copied — the body checksum is one call over a view of
-    the body, the sequence bytes are sliced where they lie, as in
-    :func:`scan_frames`.
+    The read path: a frame the unit hands back as its head and its body
+    is checked as those two pieces, never stitched — the frame CRC is
+    ``crc32(sequence, crc32(body))`` — and pieces of any other shape are
+    joined and split at the head first.  Every check :func:`decode_record`
+    makes, in its order and with its typed errors; no :class:`Record` is
+    built and the key is never copied.
     """
-    length = len(buffer)
-    if length < HEADER_SIZE:
-        raise TruncatedRecordError(f"truncated header: {length} bytes")
-    magic, _sequence, crc, rtype, key_len, value_len, _version = (
-        _HEADER.unpack_from(buffer)
-    )
+    if len(pieces) == 2 and len(pieces[0]) == HEAD_SIZE:
+        head, body = pieces
+    else:
+        frame = b"".join(pieces)
+        head, body = frame[:HEAD_SIZE], frame[HEAD_SIZE:]
+    body_len = len(body)
+    if body_len < _BODY_FIXED:  # a short head leaves no body at all
+        raise TruncatedRecordError(
+            f"truncated header: {len(head) + body_len} bytes"
+        )
+    magic, _sequence, crc = _HEAD.unpack(head)
+    rtype, key_len, value_len, _version = _BODY_HEAD.unpack_from(body)
     if magic != MAGIC:
         raise CorruptionError(f"bad magic 0x{magic:02x}")
-    value_start = HEADER_SIZE + key_len
+    value_start = _BODY_FIXED + key_len
     end = value_start + value_len
-    if end > length:
-        raise TruncatedRecordError(f"truncated body: {length} of {end} bytes")
-    body_crc = zlib.crc32(memoryview(buffer)[HEAD_SIZE:end])
-    if zlib.crc32(buffer[_SEQUENCE_AT], body_crc) != crc:
+    if end > body_len:
+        raise TruncatedRecordError(
+            f"truncated body: {HEAD_SIZE + body_len} of {HEAD_SIZE + end} bytes"
+        )
+    body_crc = zlib.crc32(body if end == body_len else memoryview(body)[:end])
+    if zlib.crc32(head[_SEQUENCE_AT], body_crc) != crc:
         raise CorruptionError("CRC mismatch for record")
     if rtype not in _TYPE_NAMES:
         raise CorruptionError(f"unknown record type {rtype}")
     if value_len and rtype != _VALUE_TYPE:
         raise StorageError(f"{_TYPE_NAMES[rtype]} records carry no value")
-    return buffer[value_start:end]
+    return body[value_start:end]
 
 
 def scan_frames(image: bytes, page_size: int) -> List[Frame]:

@@ -48,6 +48,8 @@ class SimulatedSSD:
         self.timing = timing or TimingModel()
         self.counters = DeviceCounters(page_size=geometry.page_size)
         self._now = 0.0
+        #: npages -> seconds a read of them takes (``timing`` is frozen)
+        self._read_s: Dict[int, float] = {}
         self._blocks: Dict[int, Block] = {
             i: Block(i) for i in range(geometry.block_count)
         }
@@ -137,8 +139,16 @@ class SimulatedSSD:
             raise OutOfRangeError(f"reading a free block: {block_id}")
         if npages < 0:
             raise OutOfRangeError(f"negative page count: {npages}")
-        self._count_pages(npages, source, write=False)
-        self._charge(self.timing.read_time(npages))
+        counters = self.counters
+        if source == "host":  # every serving read: no helper calls
+            counters.host_pages_read += npages
+        else:
+            self._count_pages(npages, source, write=False)
+        seconds = self._read_s.get(npages)
+        if seconds is None:
+            seconds = self._read_s[npages] = self.timing.read_time(npages)
+        self._now += seconds
+        counters.busy_time_s += seconds
 
     # ------------------------------------------------------------------
     def _count_pages(self, npages: int, source: str, write: bool) -> None:

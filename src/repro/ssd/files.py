@@ -69,22 +69,6 @@ class SSDFile:
         self._fs.ftl.write(touched)
         return offset
 
-    def write_at(self, offset: int, data: bytes) -> None:
-        """Overwrite ``data`` at ``offset`` (must lie within the file)."""
-        self._check_open()
-        if offset < 0 or offset + len(data) > len(self._data):
-            raise OutOfRangeError(
-                f"write_at [{offset}, {offset + len(data)}) outside file "
-                f"of {len(self._data)} bytes"
-            )
-        if not data:
-            return
-        self._data[offset : offset + len(data)] = data
-        page_size = self._fs.page_size
-        first_page = offset // page_size
-        last_page = (offset + len(data) - 1) // page_size
-        self._fs.ftl.write(self._lpas[first_page : last_page + 1])
-
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``, charging page reads."""
         self._check_open()

@@ -76,9 +76,3 @@ class SSDGeometry:
             pages_per_block=pages_per_block,
             op_ratio=op_ratio,
         )
-
-    def pages_for(self, nbytes: int) -> int:
-        """Pages needed to hold ``nbytes`` (rounded up; 0 bytes → 1 page)."""
-        if nbytes < 0:
-            raise ConfigError(f"negative byte count: {nbytes}")
-        return max(1, -(-nbytes // self.page_size))

@@ -6,16 +6,27 @@ programs, and erases them explicitly.  The device never remaps or migrates
 pages on this path, so hardware write amplification is 1.0 by construction
 — "GC only targets invalid blocks, eliminating write amplification".
 
-A :class:`NativeUnit` is a growable chain of blocks with an append cursor
-and a page-fill buffer: bytes accumulate until a page is full, then the
-page is programmed.  ``flush`` pads and programs the final partial page
-(padding wastes the tail of that page, exactly as a real block-aligned
-writer would).
+A :class:`NativeUnit` is a growable chain of blocks with an append cursor.
+Whole pages are programmed as appends fill them; the last, partial page
+waits in the fill buffer until ``flush`` pads and programs it (padding
+wastes its tail, exactly as a real block-aligned writer would).
+
+A unit keeps what it is given **by reference**: every appended chunk is an
+immutable piece, with an ``array('q')`` of piece end offsets and, per
+page, the piece holding the page's first byte.  A record body built once
+for a slice is one object on every replica in every data center.  Only a
+piece a crash cuts (``discard_unprogrammed``) or media damage
+(``corrupt``) changes is copied, so a flipped bit lands on one replica.
+Programs, reads and their device time are page arithmetic on offsets,
+never on the pieces, so sharing changes no charge.
 """
 
 from __future__ import annotations
 
-from typing import List
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
+from typing import List, Sequence
 
 from repro.errors import OutOfRangeError, StorageError
 from repro.ssd.device import Block, SimulatedSSD
@@ -28,28 +39,44 @@ class NativeUnit:
         self._device = device
         self.tag = tag
         self._blocks: List[Block] = []
-        self._data = bytearray()  # logical contents, including pad bytes
+        #: the contents (pads included) as immutable pieces, the offset
+        #: each ends at, and per page begun the piece holding its first byte
+        self._pieces: List[bytes] = []
+        self._ends = array("q")
+        self._page_first = array("q")
+        self._size = 0
         self._programmed_pages = 0
-        self._pending = bytearray()  # bytes not yet filling a whole page
         self._erased = False
+        self._page_size = device.geometry.page_size
+        self._per_block = device.geometry.pages_per_block
 
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         """Appended payload bytes (programmed + still buffered)."""
-        return len(self._data) + len(self._pending)
+        return self._size
 
     @property
     def page_size(self) -> int:
         """Device page size (padding granularity of this unit)."""
-        return self._device.geometry.page_size
+        return self._page_size
 
     def discard_unprogrammed(self) -> None:
-        """Crash semantics: drop bytes that never reached flash."""
-        self._pending.clear()
-        self._data = self._data[
-            : self._programmed_pages * self._device.geometry.page_size
-        ]
+        """Crash semantics: drop bytes that never reached flash — cut at
+        the programmed page boundary, a piece it splits keeping its
+        programmed front as plain bytes."""
+        cut = self._programmed_pages * self._page_size
+        if cut == self._size:
+            return
+        index = bisect_right(self._ends, cut)
+        start = self._ends[index - 1] if index else 0
+        split = self._pieces[index][: cut - start] if cut > start else None
+        del self._pieces[index:], self._ends[index:]
+        del self._page_first[self._programmed_pages :]
+        if split is not None:
+            self._pieces.append(split)
+            self._ends.append(cut)
+        self._size = cut
 
     @property
     def occupied_bytes(self) -> int:
@@ -64,86 +91,80 @@ class NativeUnit:
     def append(self, data: bytes) -> int:
         """Append ``data``; returns the logical offset it begins at.
 
-        Whole pages are programmed as they fill; a trailing partial page
-        stays in the fill buffer until more data arrives or :meth:`flush`.
+        Whole pages are programmed as they fill, one command per page; a
+        trailing partial page stays buffered until more data or :meth:`flush`.
         """
         self._check_live()
-        offset = self.size
+        offset = self._size
         if not data:
             return offset
-        page_size = self._device.geometry.page_size
-        self._pending.extend(data)
-        while len(self._pending) >= page_size:
-            page = self._pending[:page_size]
-            del self._pending[:page_size]
-            self._program_page(page)
+        self._add([bytes(data)])
+        while self._programmed_pages < self._size // self._page_size:
+            self._program(1)
         return offset
 
-    def append_many(self, chunks: List[bytes]) -> int:
+    def append_many(self, chunks: Sequence[bytes]) -> int:
         """Append ``chunks`` back-to-back; returns the first chunk's offset
         (each later chunk begins where the one before it ends).
 
-        The batched write path: all chunks land in the fill buffer first,
-        then every run of full pages within one block is programmed with a
-        *single* multi-page command — contiguous block-aligned appends
-        coalesce into one device write instead of one per page, which is
-        where the batch's device-time saving comes from.  Byte layout and
-        pages programmed are identical to chunk-at-a-time :meth:`append`;
-        only the command count (and therefore the charged time) shrinks.
+        The chunks are kept, not copied, so they must be ``bytes``.  Every
+        run of full pages within one block is programmed with a *single*
+        multi-page command — the batch's device-time saving.  Byte layout
+        and pages programmed are those of chunk-at-a-time :meth:`append`;
+        only the command count (and the charged time) shrinks.
         """
         self._check_live()
-        start = self.size
-        # One join for the payload instead of per-chunk buffer ops.  The
-        # full-page prefix of the joined blob lands in ``_data`` with a
-        # single extend (memoryview slices avoid intermediate copies);
-        # only the trailing partial page round-trips through ``_pending``.
-        if self._pending:
-            blob = bytes(self._pending) + b"".join(chunks)
-        else:
-            blob = b"".join(chunks)
-        page_size = self._device.geometry.page_size
-        nfull = len(blob) - len(blob) % page_size
-        if nfull:
-            per_block = self._device.geometry.pages_per_block
-            npages_left = nfull // page_size
-            while npages_left:
-                block = self._current_block()
-                room = per_block - block.write_ptr
-                npages = npages_left if npages_left < room else room
-                self._device.program(block.block_id, npages, source="host")
-                self._programmed_pages += npages
-                npages_left -= npages
-            if nfull == len(blob):
-                self._data += blob
-            else:
-                self._data += memoryview(blob)[:nfull]
-        self._pending = bytearray(memoryview(blob)[nfull:])
+        start = self._size
+        self._add(chunks)
+        npages_left = self._size // self._page_size - self._programmed_pages
+        while npages_left:
+            room = self._per_block - self._current_block().write_ptr
+            npages = npages_left if npages_left < room else room
+            self._program(npages)
+            npages_left -= npages
         return start
 
     def flush(self) -> None:
-        """Pad and program any buffered partial page."""
-        self._check_live()
-        if not self._pending:
-            return
-        page_size = self._device.geometry.page_size
-        page = bytes(self._pending) + b"\x00" * (page_size - len(self._pending))
-        self._pending.clear()
-        self._program_page(page)
-        # Padding becomes part of the logical stream so offsets stay
-        # stable: subsequent appends begin on the next page boundary.
-        # (_program_page already appended the padded page to _data.)
+        """Pad and program any buffered partial page.
 
-    def _program_page(self, page) -> None:
-        """Program one page-sized chunk (``bytes`` or ``bytearray``)."""
+        Padding becomes part of the logical stream so offsets stay
+        stable: subsequent appends begin on the next page boundary.
+        """
+        self._check_live()
+        tail = self._size % self._page_size
+        if not tail:
+            return
+        self._add([bytes(self._page_size - tail)])
+        self._program(1)
+
+    def _add(self, pieces: Sequence[bytes]) -> None:
+        """Keep ``pieces`` at the end of the stream and index the pages
+        they begin."""
+        ends = self._ends
+        new_ends = accumulate(map(len, pieces), initial=self._size)
+        next(new_ends)  # the old end
+        ends.extend(new_ends)
+        self._pieces += pieces
+        self._size = ends[-1] if ends else 0
+        page_size = self._page_size
+        page_first = self._page_first
+        page = len(page_first)
+        first = page_first[-1] if page_first else 0
+        while page * page_size < self._size:
+            first = bisect_right(ends, page * page_size, first)
+            page_first.append(first)
+            page += 1
+
+    def _program(self, npages: int) -> None:
+        """Program the next ``npages`` pages, all in the current block."""
         block = self._current_block()
-        self._device.program(block.block_id, 1, source="host")
-        self._data.extend(page)
-        self._programmed_pages += 1
+        self._device.program(block.block_id, npages, source="host")
+        self._programmed_pages += npages
 
     def _current_block(self) -> Block:
         if self._blocks:
             block = self._blocks[-1]
-            if block.write_ptr < self._device.geometry.pages_per_block:
+            if block.write_ptr < self._per_block:
                 return block
         block = self._device.allocate_block(f"native:{self.tag}")
         self._blocks.append(block)
@@ -151,123 +172,82 @@ class NativeUnit:
 
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes at ``offset``, charging page reads.
+        """The bytes at ``[offset, offset + length)``: a :meth:`read_many`
+        of one range, its pieces joined."""
+        return b"".join(self.read_many([(offset, length)])[0])
 
-        Reads may cover buffered (not yet programmed) bytes; only the
-        programmed pages touched are charged to the device.
+    def read_many(self, ranges: Sequence[tuple]) -> List[List[bytes]]:
+        """Read ``(offset, length)`` ranges as one command set; returns,
+        per range in input order, the pieces that hold it — whole pieces
+        as appended (uncopied), the first and last cut to the range.
+
+        Only programmed pages are charged (buffered bytes read free), and
+        the union of them once: a page several ranges share transfers
+        once, and each run of pages within a block is one striped
+        multi-page command — the mirror of :meth:`append_many`.
         """
         self._check_live()
-        if offset < 0 or length < 0:
-            raise OutOfRangeError(f"bad read range: offset={offset}, len={length}")
-        end = offset + length
-        if end > self.size:
-            raise OutOfRangeError(
-                f"read [{offset}, {end}) past end ({self.size}) of "
-                f"native unit {self.tag!r}"
-            )
-        if length == 0:
-            return b""
-        page_size = self._device.geometry.page_size
-        per_block = self._device.geometry.pages_per_block
-        first_page = offset // page_size
-        last_page = (end - 1) // page_size
-        # Charge one striped read per block touched (contiguous pages in a
-        # block transfer together, like a real multi-page read command).
-        page = first_page
-        while page <= last_page and page < self._programmed_pages:
-            block_index = page // per_block
-            block_end = min(
-                (block_index + 1) * per_block - 1,
-                last_page,
-                self._programmed_pages - 1,
-            )
-            npages = block_end - page + 1
-            self._device.read(
-                self._blocks[block_index].block_id, npages, source="host"
-            )
-            page = block_end + 1
-        return self._slice(offset, end)
-
-    def read_many(self, ranges: List[tuple]) -> List[bytes]:
-        """Read several ``(offset, length)`` ranges as one batched command
-        set; returns the bytes of each range, in input order.
-
-        The batched read path: the union of programmed pages the ranges
-        touch is computed first, so a page shared by several ranges
-        (records packed into the same page, or one record requested
-        repeatedly within a batch) transfers once; contiguous runs of
-        pages within a block then issue as single striped multi-page
-        commands — the read-side mirror of :meth:`append_many`'s program
-        coalescing.  The bytes returned per range are identical to
-        per-range :meth:`read` calls, and a single-range batch charges
-        exactly what :meth:`read` would; only the command count (and the
-        charged time) shrinks when ranges share or neighbour pages.
-        """
-        self._check_live()
-        size = self.size
-        page_size = self._device.geometry.page_size
-        programmed = self._programmed_pages
-        pages: set = set()
+        page_size = self._page_size
+        size = self._size
+        pieces, ends, page_first = self._pieces, self._ends, self._page_first
+        pages_begun = len(page_first)
+        spans = []
+        cut: List[List[bytes]] = []
         for offset, length in ranges:
-            if offset < 0 or length < 0:
-                raise OutOfRangeError(
-                    f"bad read range: offset={offset}, len={length}"
-                )
             end = offset + length
-            if end > size:
+            if offset < 0 or length < 0 or end > size:
                 raise OutOfRangeError(
-                    f"read [{offset}, {end}) past end ({size}) of "
-                    f"native unit {self.tag!r}"
+                    f"read [{offset}, {end}) outside [0, {size}) of native "
+                    f"unit {self.tag!r}"
                 )
-            if length == 0:
+            if not length:
+                cut.append([])
                 continue
-            last = (end - 1) // page_size
-            if last >= programmed:
-                last = programmed - 1
-            pages.update(range(offset // page_size, last + 1))
-        per_block = self._device.geometry.pages_per_block
-        run_start: int | None = None
-        previous = -2
-        for page in sorted(pages):
-            if run_start is None:
-                run_start = page
-            elif page != previous + 1 or page % per_block == 0:
-                # The run broke (gap, or a block boundary: multi-page
-                # commands stripe within one block, as in :meth:`read`).
+            page = offset // page_size
+            spans.append((page, (end - 1) // page_size))
+            # The piece holding ``offset`` lies between the pieces that
+            # begin its page and the next: a few entries to bisect.
+            first = bisect_right(
+                ends, offset, page_first[page],
+                page_first[page + 1] + 1 if page + 1 < pages_begun else len(ends),
+            )
+            last = first
+            while ends[last] < end:
+                last += 1
+            parts = pieces[first : last + 1]
+            start = ends[first] - len(parts[0])
+            if start != offset or ends[last] != end:
+                # the range begins or ends inside a piece: copy its part
+                parts[-1] = parts[-1][: end - ends[last] + len(parts[-1])]
+                parts[0] = parts[0][offset - start :]
+            cut.append(parts)
+        if len(spans) > 1:
+            # the union of the spans' pages, as runs
+            spans.sort()
+            runs = [list(spans[0])]
+            for first, last in spans:
+                if first > runs[-1][1] + 1:
+                    runs.append([first, last])
+                elif last > runs[-1][1]:
+                    runs[-1][1] = last
+            spans = runs
+        last_programmed = self._programmed_pages - 1
+        per_block = self._per_block
+        for first, last in spans:
+            if last > last_programmed:
+                last = last_programmed
+            while first <= last:
+                block_index = first // per_block
+                block_last = (block_index + 1) * per_block - 1
+                if block_last > last:
+                    block_last = last
                 self._device.read(
-                    self._blocks[run_start // per_block].block_id,
-                    previous - run_start + 1,
+                    self._blocks[block_index].block_id,
+                    block_last - first + 1,
                     source="host",
                 )
-                run_start = page
-            previous = page
-        if run_start is not None:
-            self._device.read(
-                self._blocks[run_start // per_block].block_id,
-                previous - run_start + 1,
-                source="host",
-            )
-        return [
-            self._slice(offset, offset + length) for offset, length in ranges
-        ]
-
-    def _slice(self, offset: int, end: int) -> bytes:
-        """Stitch ``[offset, end)`` from the programmed and pending
-        regions (no device charge; the caller accounted the pages).
-
-        The programmed part is copied once, through a view: slicing the
-        ``bytearray`` first would copy it twice, a whole segment for GC
-        or recovery.
-        """
-        if end == offset:
-            return b""
-        data_len = len(self._data)
-        data = memoryview(self._data)
-        if end <= data_len:
-            return bytes(data[offset:end])
-        if offset >= data_len:
-            return bytes(self._pending[offset - data_len : end - data_len])
-        return bytes(data[offset:]) + bytes(self._pending[: end - data_len])
+                first = block_last + 1
+        return cut
 
     def corrupt(self, offset: int, mask: int) -> None:
         """Flip the bits of ``mask`` in the stored byte at ``offset``.
@@ -275,31 +255,30 @@ class NativeUnit:
         Media damage: the one way anything damages stored bytes.  No
         device time is charged and nothing is re-programmed, so only a
         later read's checks can notice.  A byte still in the fill buffer
-        is damaged where it waits.
+        is damaged where it waits.  The damaged piece is copied first:
+        the other holders of it (replicas elsewhere) keep clean bytes.
         """
         self._check_live()
-        if not 0 <= offset < self.size:
+        if not 0 <= offset < self._size:
             raise OutOfRangeError(
-                f"corrupt at {offset}: outside [0, {self.size}) of native "
+                f"corrupt at {offset}: outside [0, {self._size}) of native "
                 f"unit {self.tag!r}"
             )
         if not 0 < mask < 256:
             raise StorageError(f"corrupt mask must be in [1, 255], got {mask}")
-        data_len = len(self._data)
-        if offset < data_len:
-            self._data[offset] ^= mask
-        else:
-            self._pending[offset - data_len] ^= mask
+        index = bisect_right(self._ends, offset)
+        damaged = bytearray(self._pieces[index])
+        damaged[offset - (self._ends[index] - len(damaged))] ^= mask
+        self._pieces[index] = bytes(damaged)
 
     def erase(self) -> None:
         """Erase every block this unit owns and drop its contents."""
         self._check_live()
         for block in self._blocks:
             self._device.erase_block(block.block_id)
-        self._blocks = []
-        self._data = bytearray()
-        self._pending = bytearray()
-        self._programmed_pages = 0
+        self._blocks, self._pieces = [], []
+        self._ends, self._page_first = array("q"), array("q")
+        self._size = self._programmed_pages = 0
         self._erased = True
 
 
@@ -309,7 +288,6 @@ class NativeBlockInterface:
     def __init__(self, device: SimulatedSSD) -> None:
         self.device = device
         self._sequence = 0
-        self._live_units: int = 0
 
     def open_unit(self, tag: str = "") -> NativeUnit:
         """Create a new empty unit (an AOF segment, a checkpoint, ...)."""

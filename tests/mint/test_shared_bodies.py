@@ -1,10 +1,11 @@
 """Shared record bodies are not a second behaviour.
 
-A slice's record bodies and their checksums are built once per data
-center and every replica frames the same objects.  These tests hold that
-to the definition of the format (``encode_frame``, one record at a time,
-the replica's own sequences) on every placement the group layer has, and
-pin what the write descent costs the host.
+A slice's record bodies and their checksums are built once for the
+fleet, and every replica in every data center keeps the same objects on
+its flash.  These tests hold that to the definition of the format
+(``encode_frame``, one record at a time, the replica's own sequences) on
+every placement the group layer has, show that damage and crashes still
+land on one replica, and pin what the write descent costs the host.
 """
 
 import sys
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bifrost.encoding import SliceDecodes
 from repro.bifrost.signature import signature
+from repro.errors import CorruptionError
 from repro.bifrost.slices import Slice
 from repro.faults.repair import ReplicaRepairer
 from repro.indexing.types import IndexEntry, IndexKind
@@ -24,6 +27,7 @@ from repro.mint.group import NodeGroup
 from repro.mint.integrity import leaf_checksum
 from repro.mint.node import StorageNode
 from repro.qindb import records as records_module
+from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import Bodies, RecordType, encode_frame
 
@@ -269,14 +273,37 @@ def test_integrity_leaves_are_leaf_checksums_of_the_stored_bytes():
 # ----------------------------------------------------------------------
 # Host-cost pins for the write descent
 # ----------------------------------------------------------------------
+def fleet_of(count, kind=IndexKind.FORWARD):
+    """``count`` data centers of one 3-replica group each, sharing the
+    fleet's slice store as one ``DirectLoad`` wires them."""
+    decodes = SliceDecodes({kind: count})
+    return [
+        MintCluster(
+            f"dc{index}", MintConfig(group_count=1, nodes_per_group=3),
+            wire_decodes=decodes,
+        )
+        for index in range(count)
+    ]
+
+
+def stored_body(node, key, version):
+    """The body a replica's flash holds for a record (a whole-piece read
+    returns the piece itself)."""
+    location, _r, _d, _sequence = node.engine.memtable.get(key, version)
+    segment_id, offset, length = location
+    unit = node.engine.aofs.segment(segment_id)._unit
+    return unit.read(offset + records_module.HEAD_SIZE, length - records_module.HEAD_SIZE)
+
+
 def test_write_descent_host_cost_pins(monkeypatch):
-    """Wall time wanders; these do not.  One slice of N records into a
-    3-replica group: N long CRC passes (the parent made 3N in the
-    engines and N more in ``absorb``), N body builds (parent: 3N frame
-    joins of three pieces), no ``leaf_checksum`` at ingest (parent N),
-    and beneath ``QinDB.put_batch`` no per-record ``bytes.join`` (parent
-    3N) — a replica-record costs one two-piece concatenation."""
-    cluster = MintCluster("dc1", MintConfig(group_count=1, nodes_per_group=3))
+    """Wall time wanders; these do not.  One slice of N records into
+    three data centers of one 3-replica group each: N long CRC passes
+    and N body builds for the whole fleet (the parent built once per
+    data center, 3N), no ``leaf_checksum`` at ingest, and beneath
+    ``QinDB.put_batch`` no ``bytes.join`` (parent: one per unit) and no
+    head-plus-body concatenation (parent: one per replica-record, 9N) —
+    every replica's flash keeps the one body object the build made."""
+    clusters = fleet_of(3)
     entries = [
         IndexEntry(
             IndexKind.FORWARD, f"key-{i:04d}".encode(), bytes([i % 251]) * 96,
@@ -309,12 +336,6 @@ def test_write_descent_host_cost_pins(monkeypatch):
         integrity_module, "leaf_checksum",
         lambda *args: leaf_calls.append(args) or leaf_checksum(*args),
     )
-    concats = []
-    concat = records_module.concat
-    monkeypatch.setattr(
-        records_module, "concat",
-        lambda head, body: concats.append(len(head)) or concat(head, body),
-    )
     # ``bytes.join`` calls made anywhere beneath ``QinDB.put_batch``
     joins_under_put_batch = []
     put_batch_code = QinDB.put_batch.__code__
@@ -329,26 +350,122 @@ def test_write_descent_host_cost_pins(monkeypatch):
 
     sys.setprofile(profile)
     try:
-        assert cluster.ingest_slice(item) == count
+        for cluster in clusters:
+            assert cluster.ingest_slice(item) == count
     finally:
         sys.setprofile(None)
 
     assert sum(1 for length in crc_lengths if length > 16) == count
     # per replica-record: one 8-byte update seeded with the body checksum
-    assert crc_lengths.count(8) >= 3 * count
+    assert crc_lengths.count(8) >= 9 * count
     assert bodies_built == [count]
     assert leaf_calls == []
-    # one head-plus-body concatenation per replica-record, and the only
-    # ``join`` beneath the engine is each unit's single ``append_many`` one
-    assert concats == [records_module.HEAD_SIZE] * (3 * count)
-    assert len(joins_under_put_batch) == 3
-    stats = cluster.stats()
-    assert (stats["put_batches"], stats["batched_puts"]) == (3, 3 * count)
-    assert cluster.integrity.counters.ingest_checksums == count
+    assert joins_under_put_batch == []
+    for entry in entries:
+        key = storage_key(entry.kind, entry.key)
+        bodies = [
+            stored_body(node, key, 1)
+            for cluster in clusters for node in cluster.all_nodes
+        ]
+        assert len(bodies) == 9 and all(body is bodies[0] for body in bodies)
+    for cluster in clusters:
+        stats = cluster.stats()
+        assert (stats["put_batches"], stats["batched_puts"]) == (3, 3 * count)
+        assert cluster.integrity.counters.ingest_checksums == count
+    assert len(clusters[0].wire_decoder.decodes) == 0  # every DC took it
+
+
+# ----------------------------------------------------------------------
+# (e) sharing a body across data centers is invisible
+# ----------------------------------------------------------------------
+def varied_entries(count, tag="key"):
+    return [
+        IndexEntry(
+            IndexKind.FORWARD, f"{tag}-{i:04d}".encode(),
+            bytes([i % 251]) * (40 + 37 * (i % 7)),
+            signature=signature(bytes([i % 251]) * (40 + 37 * (i % 7))),
+        )
+        for i in range(count)
+    ]
+
+
+def test_damage_to_a_shared_body_stays_on_one_replica():
+    """One body object backs nine replicas in three data centers; a bit
+    flipped on one of them fails that replica's CRC alone, the read
+    fails over, and every other copy reads clean."""
+    clusters = fleet_of(3)
+    entries = varied_entries(60)
+    item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
+    for cluster in clusters:
+        cluster.ingest_slice(item)
+    entry = entries[17]
+    key = storage_key(entry.kind, entry.key)
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    shared = stored_body(nodes[0], key, 1)
+    assert all(stored_body(node, key, 1) is shared for node in nodes)
+
+    group = clusters[1].groups[0]
+    victim = group.read_order(key)[0]  # the replica a read tries first
+    location, _r, _d, _sequence = victim.engine.memtable.get(key, 1)
+    segment_id, offset, _length = location
+    victim.engine.aofs.segment(segment_id)._unit.corrupt(
+        offset + records_module.HEADER_SIZE + len(key) + 5, 0x40
+    )
+    assert bytes(shared) == stored_body(nodes[0], key, 1)  # untouched
+    assert clusters[1].query(entry.kind, entry.key, 1) == entry.value
+    assert victim.corrupt_gets == 1 and group.failover_gets == 1
+    for node in nodes:
+        if node is victim:
+            with pytest.raises(CorruptionError):
+                node.engine.get(key, 1)
+        else:
+            assert node.engine.get(key, 1) == entry.value
+
+
+def test_crash_mid_frame_recovers_as_private_copies_would():
+    """A crash cuts a replica whose frames share bodies with other data
+    centers at its last programmed page, inside a frame; recovery builds
+    the engine that private copies of the same frames recover to."""
+    clusters = fleet_of(2)
+    slices = [
+        Slice.pack(f"v{v}-s0", v, IndexKind.FORWARD, varied_entries(45, f"v{v}"))
+        for v in (1, 2)
+    ]
+    private = QinDB.with_capacity(
+        clusters[0].config.node_capacity_bytes,
+        config=QinDBConfig(segment_bytes=4 * 1024 * 1024),
+    )
+    for item in slices:
+        for cluster in clusters:
+            cluster.ingest_slice(item)
+        private.put_batch([
+            (storage_key(entry.kind, entry.key), item.version, entry.value)
+            for entry in item.entries
+        ])
+    engine = clusters[1].groups[0].nodes[2].engine
+    assert engine_state(engine) == engine_state(private)
+    segment = engine.aofs.segment(engine.aofs.active_segment_id)
+    programmed = segment.size - segment.size % segment.page_size
+    assert any(  # the cut lands inside a frame
+        offset < programmed < offset + length
+        for (seg, offset, length), *_flags in (
+            item for _k, _v, item in engine.memtable.items()
+        )
+        if seg == segment.segment_id
+    )
+    recovered = recover(crash(engine), config=engine.config)
+    reference = recover(crash(private), config=private.config)
+    assert engine_state(recovered) == engine_state(reference)
+    assert len(recovered.memtable) < 90  # the torn frame and its tail: gone
+    for node in clusters[0].all_nodes:  # the other data center is whole
+        assert node.engine.get(
+            storage_key(IndexKind.FORWARD, b"v2-0044"), 2
+        ) == slices[1].entries[44].value
 
 
 def test_read_side_crc_recipe_costs_no_more_than_it_did(monkeypatch):
-    """``decode_value``: two ``crc32`` calls and no ``struct.pack``."""
+    """``decode_value`` on a frame's head and body pieces: two ``crc32``
+    calls and no ``struct.pack``."""
     frame = encode_frame(1, b"key", b"v" * 300, 7, 9)
     calls = []
     crc32 = zlib.crc32
@@ -362,7 +479,9 @@ def test_read_side_crc_recipe_costs_no_more_than_it_did(monkeypatch):
 
     sys.setprofile(profile)
     try:
-        assert records_module.decode_value(frame) == b"v" * 300
+        assert records_module.decode_value(
+            [frame[: records_module.HEAD_SIZE], frame[records_module.HEAD_SIZE :]]
+        ) == b"v" * 300
     finally:
         sys.setprofile(None)
     assert calls == ["crc32", "crc32"]

@@ -4,7 +4,13 @@ import pytest
 
 from repro.errors import StorageError
 from repro.qindb.aof import AofManager, RecordLocation
-from repro.qindb.records import Record, RecordType, decode_record, encode_record
+from repro.qindb.records import (
+    HEAD_SIZE,
+    Record,
+    RecordType,
+    decode_record,
+    encode_record,
+)
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 
@@ -14,7 +20,8 @@ class RecordAofs(AofManager):
     manager's frame API (a batch of one; a positioned unit read)."""
 
     def append(self, record: Record) -> RecordLocation:
-        return self.append_encoded_batch([encode_record(record)])[0][0]
+        frame = encode_record(record)
+        return self.append_frames([frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]])[0][0]
 
     def read(self, location: RecordLocation) -> Record:
         segment_id, offset, length = location

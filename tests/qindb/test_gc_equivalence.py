@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
-from repro.qindb.records import RecordType, encode_record, scan_frames
+from repro.qindb.records import (
+    HEAD_SIZE,
+    RecordType,
+    encode_record,
+    scan_frames,
+)
 from repro.qindb.records import scan_records
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
@@ -62,7 +67,10 @@ class ReferenceQinDB(QinDB):
 
     def _append(self, record):
         """One re-encoded record onto the active AOF; its location."""
-        return self.aofs.append_encoded_batch([encode_record(record)])[0][0]
+        frame = encode_record(record)
+        return self.aofs.append_frames(
+            [frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]]
+        )[0][0]
 
     def _gc_tombstone(self, record):
         item = self.memtable.get(record.key, record.version)
@@ -125,8 +133,10 @@ def segment_of(engine, key, version):
 
 
 def image_of(segment) -> bytes:
-    """A segment's stored bytes, read without charging the device."""
-    return bytes(segment._unit._data) + bytes(segment._unit._pending)
+    """A segment's stored bytes, read from a copy of its unit so the
+    device under comparison is not charged."""
+    unit = copy.deepcopy(segment._unit)
+    return unit.read(0, unit.size)
 
 
 def stored_state(engine):
@@ -394,28 +404,38 @@ def test_dead_base_referenced_by_live_dedup_version_survives():
         assert engine.gc_table.snapshot().get(base_segment, 1.0) < 1.0
 
 
+def crash_and_recover(engine):
+    """``engine`` after a power cut and a full-scan recovery, still
+    running its own collector."""
+    recovered = recover(crash(engine), config=engine.config)
+    recovered.__class__ = type(engine)
+    return recovered
+
+
 def test_torn_tail_on_the_victim_ends_the_walk():
+    """A crash cuts the active segment at its last programmed page, inside
+    a frame; recovery seals the segment, and collecting it moves every
+    frame ahead of the tear."""
     engines = engine_pair(gc_enabled=False)
-    new, old = engines
-    keys = fill(engines, "a")
-    fill(engines, "b")
-    last = frames_of(new, 0)[-1]
-    for engine in engines:
-        # half of the victim's last frame never reached flash
-        unit = engine.aofs.segment(0)._unit
-        del unit._data[last[0] + (last[1] - last[0]) // 2:]
+    keys = fill(engines, "a", count=7)
+    segment = engines[0].aofs.segment(0)
+    programmed = segment.size - segment.size % segment.page_size
+    torn = next(
+        frame for frame in frames_of(engines[0], 0)
+        if frame[0] < programmed < frame[1]
+    )
+    new, old = engines = [crash_and_recover(engine) for engine in engines]
+    assert new.aofs.active_segment_id is None  # sealed behind the tear
     intact = frames_of(new, 0)
     assert intact == frames_of(old, 0)
-    assert intact[-1][1] == last[0]  # the walk ends where the tear begins
+    assert intact[-1][1] == torn[0]  # the walk ends where the tear begins
     both(engines, "collect_segment", 0)
     assert_equivalent(new, old)
     # every frame ahead of the torn one moved and still reads back
-    moved = [
-        key for key, version in keys
-        if segment_of(new, key, version) != 0
-    ]
-    assert len(moved) == len(keys) - 1
-    for key in moved:
+    kept = [key for key, version in keys if new.memtable.get(key, version)]
+    assert len(kept) == len(intact)
+    for key in kept:
+        assert segment_of(new, key, 1) != 0
         assert new.get(key, 1) == old.get(key, 1) != b""
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import inspect
 import random
 import tracemalloc
 
@@ -18,6 +19,8 @@ import pytest
 
 from repro.errors import StorageError
 from repro.qindb.checkpoint import Checkpoint, crash, recover
+from repro.qindb import records
+from repro.qindb.records import Bodies
 from repro.qindb.engine import QinDB, QinDBConfig
 
 DEVICE_BYTES = 64 * 1024 * 1024
@@ -209,18 +212,39 @@ def full_collections() -> None:
     gc.collect()
 
 
-def retained_bytes(verb) -> int:
-    """Bytes that code in ``repro/qindb`` allocated while ``verb`` ran
-    and still holds afterwards (the memtable path: the table itself and
-    anything it keeps alive; the flash images live in ``repro/ssd``)."""
-    qindb = [tracemalloc.Filter(True, "*/repro/qindb/*")]
+def lines_of(function):
+    """``(filename, lineno)`` of every source line of ``function``."""
+    lines, first = inspect.getsourcelines(function)
+    filename = function.__code__.co_filename
+    return [(filename, lineno) for lineno in range(first, first + len(lines))]
+
+
+#: where the pieces of the flash images are made — the record bodies and
+#: the heads a unit keeps by reference (``repro/ssd`` holds them)
+FLASH_PIECE_LINES = lines_of(records.build_bodies) + lines_of(records.frame_heads)
+#: what the memtable path holds: code in ``repro/qindb``, less the pieces
+MEMTABLE_FILTERS = [tracemalloc.Filter(True, "*/repro/qindb/*")] + [
+    tracemalloc.Filter(False, filename, lineno)
+    for filename, lineno in FLASH_PIECE_LINES
+]
+#: what the flash holds: the units' own columns and the pieces they keep
+FLASH_FILTERS = [tracemalloc.Filter(True, "*/repro/ssd/*")] + [
+    tracemalloc.Filter(True, filename, lineno)
+    for filename, lineno in FLASH_PIECE_LINES
+]
+
+
+def retained_bytes(verb, filters=MEMTABLE_FILTERS) -> int:
+    """Bytes allocated where ``filters`` select while ``verb`` ran and
+    still held afterwards (by default the memtable path: the table
+    itself and anything it keeps alive, but not the flash images)."""
     full_collections()
     tracemalloc.start()
     try:
-        before = tracemalloc.take_snapshot().filter_traces(qindb)
+        before = tracemalloc.take_snapshot().filter_traces(filters)
         verb()
         full_collections()
-        after = tracemalloc.take_snapshot().filter_traces(qindb)
+        after = tracemalloc.take_snapshot().filter_traces(filters)
     finally:
         tracemalloc.stop()
     return sum(stat.size_diff for stat in after.compare_to(before, "filename"))
@@ -281,4 +305,33 @@ def test_memtable_holds_a_few_words_per_record():
     assert census.grown() < 100
     loaded = recover(crash(engine), config=engine.config, checkpoint=checkpoint)
     assert memtable_image(loaded) == image
+    assert census.grown() < 100
+
+
+def test_flash_keeps_a_head_and_a_body_reference_per_frame():
+    """What a unit holds per stored frame: the 13-byte head object, the
+    record body object, and a piece pointer and end offset for each —
+    ~198 B for the 98-byte frames here (a private ``bytearray`` copy
+    held ~98 B), none of it collector-tracked.  The body is built once
+    and every replica keeps the same object, so a replica handed a
+    built batch pays the head and the four words, ~80 B."""
+    count = 2000
+    items = [
+        (f"k{index:05d}".encode(), 1, bytes([index % 251]) * 64)
+        for index in range(count)
+    ]
+    batch = Bodies(items)
+    first, replica = (
+        make_engine(segment_bytes=256 * 1024, gc_enabled=False) for _ in "ab"
+    )
+    census = TrackedCensus()
+    per_frame = retained_bytes(
+        lambda: first.put_batch(items), FLASH_FILTERS
+    ) / count
+    assert per_frame <= 205, per_frame
+    assert census.grown() < 100
+    per_replica_frame = retained_bytes(
+        lambda: replica.put_batch(batch), FLASH_FILTERS
+    ) / count
+    assert per_replica_frame <= 85, per_replica_frame
     assert census.grown() < 100

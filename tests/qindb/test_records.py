@@ -15,7 +15,7 @@ from repro.qindb.records import (
     decode_value,
     encode_frame,
     encode_record,
-    frame_bodies,
+    frame_heads,
     scan_frames,
     scan_records,
 )
@@ -285,6 +285,24 @@ def test_scan_frames_typed_errors():
 # ----------------------------------------------------------------------
 # decode_value: the read path's decoder, against decode_record
 # ----------------------------------------------------------------------
+def decode_raw(raw: bytes) -> bytes:
+    """``decode_value`` of a frame held as a unit keeps it — its head
+    and its body — and held as one piece: the same answer or error."""
+    outcomes = []
+    for pieces in ([raw[:HEAD_SIZE], raw[HEAD_SIZE:]], [raw]):
+        try:
+            outcomes.append(decode_value(pieces))
+        except (CorruptionError, StorageError) as exc:
+            outcomes.append(exc)
+    split, whole = outcomes
+    assert type(split) is type(whole) and (
+        isinstance(split, Exception) or split == whole
+    )
+    if isinstance(split, Exception):
+        raise split
+    return split
+
+
 @given(
     # 9 is no record type; any type may (wrongly) be framed with a value
     rtype=st.sampled_from([1, 2, 3, 9]),
@@ -308,7 +326,7 @@ def test_decode_value_agrees_with_decode_record(
         frame[flip % len(frame)] ^= 0x41
     frame = bytes(frame)
     outcomes = []
-    for decode in (decode_value, lambda raw: decode_record(raw)[0].value):
+    for decode in (decode_raw, lambda raw: decode_record(raw)[0].value):
         try:
             outcomes.append(decode(frame))
         except (CorruptionError, StorageError) as exc:
@@ -323,9 +341,9 @@ def test_decode_value_typed_errors():
     from repro.errors import TruncatedRecordError
 
     good = encode_frame(1, b"key", b"value", 7, 9)
-    assert decode_value(good) == b"value"
-    assert decode_value(good + b"\x00" * 9) == b"value"
-    assert decode_value(encode_frame(2, b"key", b"", 7, 9)) == b""
+    assert decode_raw(good) == b"value"
+    assert decode_raw(good + b"\x00" * 9) == b"value"
+    assert decode_raw(encode_frame(2, b"key", b"", 7, 9)) == b""
     cases = [
         (good[: HEADER_SIZE - 1], TruncatedRecordError),  # torn header
         (b"\x00" + good[1:], CorruptionError),  # bad magic
@@ -336,7 +354,7 @@ def test_decode_value_typed_errors():
     ]
     for raw, error in cases:
         with pytest.raises(error) as caught:
-            decode_value(raw)
+            decode_raw(raw)
         assert type(caught.value) is error
         with pytest.raises(error):
             decode_record(raw)
@@ -379,7 +397,9 @@ def test_built_batch_frames_to_the_frames_of_encode_frame(items, first):
         encode_frame(2 if value is None else 1, key, value or b"", version, seq)
         for (key, version, value), seq in zip(items, sequences)
     ]
-    assert frame_bodies(sequences, batch.bodies, batch.checksums) == frames
+    heads = frame_heads(sequences, batch.checksums)
+    assert [head + body for head, body in zip(heads, batch.bodies)] == frames
+    assert all(len(head) == HEAD_SIZE for head in heads)
     assert batch.dedup == [value is None for _k, _v, value in items]
     assert batch.item_keys == [(key, version) for key, version, _v in items]
     # a sub-batch is the batch of those items
@@ -423,7 +443,7 @@ def test_one_damaged_header_byte_is_caught_or_harmless(
     damaged = bytes(damaged) + b"\x00" * padding
     typed = (CorruptionError, StorageError)
     try:
-        assert decode_value(damaged) == value
+        assert decode_raw(damaged) == value
     except typed:
         pass
     try:

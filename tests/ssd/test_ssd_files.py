@@ -59,15 +59,6 @@ def test_read_past_eof_rejected(fs):
         file.read(-1, 2)
 
 
-def test_write_at_overwrites_in_place(fs):
-    file = fs.create("x")
-    file.append(b"aaaaaaaaaa")
-    file.write_at(3, b"ZZZ")
-    assert file.read_all() == b"aaaZZZaaaa"
-    with pytest.raises(OutOfRangeError):
-        file.write_at(8, b"toolong")
-
-
 def test_delete_frees_pages_and_blocks_reuse(fs):
     file = fs.create("big")
     file.append(b"z" * 5000)

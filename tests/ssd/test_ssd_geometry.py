@@ -32,16 +32,6 @@ def test_from_capacity_rounds_to_blocks():
     assert geometry.block_count == 64
 
 
-def test_pages_for_rounding():
-    geometry = SSDGeometry(block_count=16)
-    assert geometry.pages_for(0) == 1
-    assert geometry.pages_for(1) == 1
-    assert geometry.pages_for(4096) == 1
-    assert geometry.pages_for(4097) == 2
-    with pytest.raises(ConfigError):
-        geometry.pages_for(-1)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

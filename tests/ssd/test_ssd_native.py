@@ -33,7 +33,7 @@ def test_partial_page_stays_buffered_until_flush(native):
     assert device.counters.host_pages_written == 0  # still buffered
     unit.flush()
     assert device.counters.host_pages_written == 1
-    assert unit._programmed_pages == 1
+    assert unit.size == 512  # the page, padded
 
 
 def test_full_pages_program_as_they_fill(native):
@@ -41,7 +41,9 @@ def test_full_pages_program_as_they_fill(native):
     unit = native.open_unit("aof")
     unit.append(b"x" * (512 * 3 + 10))
     assert device.counters.host_pages_written == 3
-    assert len(unit._pending) == 10
+    unit.discard_unprogrammed()  # the 10 buffered bytes never hit flash
+    assert unit.size == 512 * 3
+    assert device.counters.host_pages_written == 3
 
 
 def test_flush_padding_shifts_next_append_to_page_boundary(native):

@@ -249,12 +249,6 @@ KEEP: Dict[str, str] = {
     "repro.qindb.readcache.RecordCache.clear": (
         "deferred cut (test_readcache::test_cache_clear)"
     ),
-    "repro.ssd.files.SSDFile.write_at": (
-        "deferred cut (test_ssd_files::test_write_at_overwrites_in_place)"
-    ),
-    "repro.ssd.geometry.SSDGeometry.pages_for": (
-        "deferred cut (test_ssd_geometry::test_pages_for_rounding)"
-    ),
     "repro.analysis.stats.summarize": (
         "deferred cut (test_analysis::test_summarize)"
     ),
