@@ -132,17 +132,14 @@ class AofSegment:
         ranges = [(offset, length) for _id, offset, length in locations]
         return [decode_value(pieces) for pieces in self._unit.read_many(ranges)]
 
-    def read_frames(self) -> Tuple[bytes, List[Frame]]:
-        """The segment's image and its verified frames — what GC and
-        recovery walk.
-
-        Charges a full sequential read of the segment's programmed pages,
-        then walks the frame headers in memory
-        (:func:`~repro.qindb.records.scan_frames`).
-        """
+    def read_frames(self) -> Tuple[List[Frame], List[bytes], List[bytes], int]:
+        """What GC and recovery walk: the segment's verified frames, their
+        heads and bodies, and its torn-tail bytes.  One sequential read of
+        its programmed pages, the unit's pieces walked unjoined
+        (:func:`~repro.qindb.records.scan_frames`)."""
         self.flush()
-        image = self._unit.read(0, self._unit.size) if self._unit.size else b""
-        return image, scan_frames(image, self.page_size)
+        unit = self._unit
+        return scan_frames(unit.read_many([(0, unit.size)])[0], self.page_size)
 
     def flush(self) -> None:
         """Force any buffered partial page onto flash."""
@@ -190,9 +187,6 @@ class _FileUnit:
         for head in pieces:
             self._file.append(head + next(pieces))
         return start
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self._file.read(offset, length)
 
     def read_many(self, ranges) -> List[List[bytes]]:
         """No coalescing through the FTL either: one read per range."""

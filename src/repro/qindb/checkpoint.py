@@ -48,7 +48,7 @@ from repro.errors import CorruptionError
 from repro.qindb.aof import AofManager
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.memtable import DEDUP, DELETED
-from repro.qindb.records import RecordType, torn_tail
+from repro.qindb.records import RecordType
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
 #: key_len, version, sequence, segment, offset, length, flags (the
@@ -181,8 +181,7 @@ def recover(
         for segment in aofs.segments:
             if segment.segment_id < watermark_segment:
                 continue
-            image, frames = segment.read_frames()
-            torn = torn_tail(image, frames, segment.page_size)
+            frames, _heads, _bodies, torn = segment.read_frames()
             if torn:
                 # The crash cut the last frame short.  Its programmed
                 # front stays on flash, dead weight until GC erases the

@@ -50,7 +50,6 @@ from repro.qindb.gctable import GCTable
 from repro.qindb.memtable import Memtable
 from repro.qindb.readcache import RecordCache
 from repro.qindb.records import (
-    HEAD_SIZE,
     HEADER_SIZE,
     Bodies,
     RecordType,
@@ -697,10 +696,10 @@ class QinDB:
 
         ``read_frames`` checks the whole victim *before any state is
         touched*: a corrupt one raises with the engine unchanged.  A
-        re-append keeps the original sequence, so a survivor's bytes are
-        the bytes just read — nothing is decoded or re-encoded.
+        re-append keeps the original sequence, so a survivor moves as the
+        head and body objects just walked: nothing is re-encoded or copied.
         """
-        image, frames = self.aofs.segment(segment_id).read_frames()
+        frames, heads, bodies, _torn = self.aofs.segment(segment_id).read_frames()
         if self.read_cache is not None:
             # Surviving records move to new locations and the segment's
             # blocks are erased; cached values keyed into it must die
@@ -710,10 +709,8 @@ class QinDB:
         memtable = self.memtable
         items_before = len(memtable)
         kept, owners, dead = memtable.survivors(segment_id, frames)
-        moved = [frames[index] for index in kept]
         locations, appended = self.aofs.append_frames(
-            [image[frame[0] : frame[0] + HEAD_SIZE] for frame in moved],
-            [image[frame[0] + HEAD_SIZE : frame[1]] for frame in moved],
+            [heads[index] for index in kept], [bodies[index] for index in kept]
         )
         for written_id, nbytes in appended:
             self.gc_table.record_appended(written_id, nbytes)
@@ -730,7 +727,7 @@ class QinDB:
         self._gc_since_checkpoint = True
         return {
             "frames": len(frames),
-            "moved": len(moved),
+            "moved": len(kept),
             "dropped": items_before - len(memtable),
             "tombstones_carried": owners.count(None),
             "bytes_moved": sum(nbytes for _id, nbytes in appended),

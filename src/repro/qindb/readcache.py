@@ -99,9 +99,3 @@ class RecordCache:
             self._used_bytes -= self._entry_bytes(self._values.pop(location))
         self.counters.invalidated += len(victims)
         return len(victims)
-
-    def clear(self) -> None:
-        """Drop everything (counted as invalidations)."""
-        self.counters.invalidated += len(self._values)
-        self._values.clear()
-        self._used_bytes = 0

@@ -14,9 +14,8 @@ flash to be verified, as two pieces never joined.  The fixed fields are
 28 bytes, what the historical one-struct header took, so no stored
 length, page count or device charge differs from it.
 
-* ``magic`` is a non-zero constant, so page padding (zero bytes) inserted
-  by the block-aligned writer is unambiguous during sequential recovery
-  scans;
+* ``magic`` is a non-zero constant, so page padding (zero bytes to the
+  page boundary) is unambiguous in a scan, and a zeroed magic is damage;
 * ``sequence`` is the engine-wide logical sequence number of the
   mutation.  GC re-appends a frame verbatim, so a record keeps its
   *original* sequence and the recovery scan can order mutations
@@ -41,8 +40,9 @@ length, page count or device charge differs from it.
   that version with a lower sequence, so evicting a version of any size
   writes one 28-byte frame.
 
-There is one format and one reader of it; nothing here reads the older
-layout.
+There is one format and one reader of a segment, the walker
+:func:`scan_frames`: GC and recovery walk a unit's pieces, so a moved
+frame keeps its head and body objects.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import is_
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -229,7 +230,7 @@ def encode_record(record: Record) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Reading: three walkers, the same checks in the same order
+# Reading: the same checks in the same order, wherever a frame lies
 # ----------------------------------------------------------------------
 def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Record, int]:
     """Decode one record at ``offset``; returns (record, next_offset).
@@ -266,6 +267,13 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[Record, int]:
     return Record(record_type, key, version, value, sequence), body_end
 
 
+def _check_padding(run: bytes, offset: int) -> None:
+    """Page padding is zero bytes all the way to the page boundary; a
+    zero byte with anything else behind it is a damaged magic byte."""
+    if run.count(0) != len(run):
+        raise CorruptionError(f"bad magic 0x00 at offset {offset}")
+
+
 def scan_records(
     buffer: bytes,
     page_size: Optional[int] = None,
@@ -273,9 +281,9 @@ def scan_records(
 ) -> Iterator[Tuple[int, Record]]:
     """Yield ``(offset, record)`` for every record in a segment image.
 
-    Zero bytes where a record header should start are page padding from
-    the block-aligned writer; when ``page_size`` is given the scan skips to
-    the next page boundary and continues (as :func:`scan_frames` does).
+    Zero bytes running to the next page boundary (with no ``page_size``,
+    to the end) are page padding, skipped; a zero byte with anything else
+    behind it is a damaged magic byte.
 
     With ``tolerate_torn_tail`` a truncated record at the very end of the
     buffer terminates the scan silently — a crash can catch the final
@@ -286,9 +294,9 @@ def scan_records(
     length = len(buffer)
     while offset < length:
         if buffer[offset] == 0:
-            if page_size is None:
-                return
-            offset = (offset // page_size + 1) * page_size
+            boundary = (offset // page_size + 1) * page_size if page_size else length
+            _check_padding(buffer[offset:boundary], offset)
+            offset = boundary
             continue
         try:
             record, next_offset = decode_record(buffer, offset)
@@ -344,61 +352,67 @@ def decode_value(pieces: Sequence[bytes]) -> bytes:
     return body[value_start:end]
 
 
-def scan_frames(image: bytes, page_size: int) -> List[Frame]:
-    """Verify every frame of a segment image; return their headers.
+def scan_frames(
+    pieces: Sequence[bytes], page_size: int
+) -> Tuple[List[Frame], List[bytes], List[bytes], int]:
+    """The frames of a segment held as ``pieces``, their heads and
+    bodies, and the bytes of a torn tail (a frame cut short by the end).
 
-    The maintenance walk (GC, recovery): same checks and typed errors as
-    ``scan_records(image, page_size, tolerate_torn_tail=True)``, but no
-    :class:`Record` is built and no value is copied — the body is
-    contiguous in the frame, so its checksum is one call over a view.
-    ``image[offset:end]`` is the frame verbatim.  The list is complete
-    before the caller sees it: a corrupt image raises with nothing
-    consumed, which is what lets GC verify before it mutates.  A frame
-    cut short by the end of the image (a torn tail) ends the walk
-    silently; :func:`torn_tail` measures it.
+    The checks and typed errors of ``scan_records(b"".join(pieces),
+    page_size, tolerate_torn_tail=True)``, in its order.  A frame whose
+    head and body are whole pieces (as ``append_frames`` writes them) is
+    returned as those objects, so a frame GC moves stays the one every
+    replica shares; any other layout is cut from the pieces as bytes.
+    Damage raises before the caller sees a frame: GC verifies, then mutates.
     """
-    view = memoryview(image)
-    length = len(image)
-    unpack_header = _HEADER.unpack_from
-    crc32 = zlib.crc32
+    ends = list(accumulate(map(len, pieces)))
+    length = ends[-1] if ends else 0
+
+    def cut(start: int, stop: int) -> bytes:
+        first = bisect_right(ends, start)
+        begin = ends[first - 1] if first else 0
+        joined = b"".join(pieces[first : bisect_left(ends, stop, first) + 1])
+        return joined[start - begin : stop - begin]
+
     frames: List[Frame] = []
-    add = frames.append
-    sequence_from, sequence_to = _SEQUENCE_AT.start, _SEQUENCE_AT.stop
-    offset = 0
+    heads, bodies = [], []
+    offset = index = 0
     while offset < length:
-        if image[offset] == 0:  # page padding
-            offset = (offset // page_size + 1) * page_size
+        while ends[index] <= offset:
+            index += 1
+        piece = pieces[index]
+        at = offset - ends[index] + len(piece)
+        if not piece[at]:
+            boundary = (offset // page_size + 1) * page_size
+            _check_padding(cut(offset, min(boundary, length)), offset)
+            offset = boundary
             continue
-        key_start = offset + HEADER_SIZE
-        if key_start > length:
+        if offset + HEADER_SIZE > length:
             break  # torn header: end of log
-        magic, sequence, crc, rtype, key_len, value_len, version = (
-            unpack_header(image, offset)
-        )
+        if not at and len(piece) == HEAD_SIZE and index + 1 < len(pieces):
+            head, body = piece, pieces[index + 1]
+        else:
+            head, body = cut(offset, offset + HEAD_SIZE), b""
+        magic, sequence, crc = _HEAD.unpack(head)
         if magic != MAGIC:
             raise CorruptionError(f"bad magic 0x{magic:02x} at offset {offset}")
-        end = key_start + key_len + value_len
-        if end > length:
-            break  # torn body: end of log
-        sequence_le8 = view[offset + sequence_from : offset + sequence_to]
-        if crc32(sequence_le8, crc32(view[offset + HEAD_SIZE : end])) != crc:
+        if len(body) < _BODY_FIXED:
+            body = cut(offset + HEAD_SIZE, offset + HEADER_SIZE)
+        rtype, key_len, value_len, version = _BODY_HEAD.unpack_from(body)
+        end = offset + HEADER_SIZE + key_len + value_len
+        if len(body) != end - offset - HEAD_SIZE:
+            if end > length:
+                break  # torn body: end of log
+            body = cut(offset + HEAD_SIZE, end)
+        if zlib.crc32(head[_SEQUENCE_AT], zlib.crc32(body)) != crc:
             raise CorruptionError(f"CRC mismatch for record at offset {offset}")
         if rtype not in _TYPE_NAMES:
             raise CorruptionError(f"unknown record type {rtype} at {offset}")
         if value_len and rtype != _VALUE_TYPE:
             raise StorageError(f"{_TYPE_NAMES[rtype]} records carry no value")
-        key = image[key_start : key_start + key_len]
-        add((offset, end, rtype, key, version, sequence))
+        key = body[_BODY_FIXED : _BODY_FIXED + key_len]
+        frames.append((offset, end, rtype, key, version, sequence))
+        heads.append(head)
+        bodies.append(body)
         offset = end
-    return frames
-
-
-def torn_tail(image: bytes, frames: Sequence[Frame], page_size: int) -> int:
-    """Bytes at the end of ``image`` past where :func:`scan_frames`
-    stopped: the front of a frame a crash cut short, 0 for a whole log.
-    """
-    offset = frames[-1][1] if frames else 0
-    length = len(image)
-    while offset < length and image[offset] == 0:  # page padding
-        offset = (offset // page_size + 1) * page_size
-    return max(length - offset, 0)
+    return frames, heads, bodies, max(length - offset, 0)

@@ -463,6 +463,79 @@ def test_crash_mid_frame_recovers_as_private_copies_would():
         ) == slices[1].entries[44].value
 
 
+# ----------------------------------------------------------------------
+# (f) a frame GC moves keeps the body the fleet shares
+# ----------------------------------------------------------------------
+def collected_fleet():
+    """Three data centers of one 3-replica group in 256 KB segments,
+    sharing one slice that overflows segment 0; every replica then
+    collects segment 0 by hand.  Returns the clusters, the entries and
+    the storage keys of the records the collection moved."""
+    decodes = SliceDecodes({IndexKind.FORWARD: 3})
+    clusters = [
+        MintCluster(
+            f"dc{index}", MintConfig(group_count=1, nodes_per_group=3),
+            engine_factory=lambda _name: QinDB.with_capacity(
+                16 * 1024 * 1024,
+                config=QinDBConfig(segment_bytes=256 * 1024, gc_enabled=False),
+            ),
+            wire_decodes=decodes,
+        )
+        for index in range(3)
+    ]
+    entries = varied_entries(1600)
+    item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
+    for cluster in clusters:
+        cluster.ingest_slice(item)
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    moved = [
+        storage_key(entry.kind, entry.key) for entry in entries
+        if nodes[0].engine.memtable.get(storage_key(entry.kind, entry.key), 1)[0][0] == 0
+    ]
+    assert 0 < len(moved) < len(entries)
+    for node in nodes:
+        assert node.engine.aofs.active_segment_id != 0
+        node.engine.collect_segment(0)
+    return clusters, entries, moved
+
+
+def test_a_moved_frame_keeps_the_body_every_replica_shares():
+    """After every replica in every data center collected the victim,
+    each moved record's body is still the one object the slice built."""
+    clusters, _entries, moved = collected_fleet()
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    for key in moved:
+        bodies = [stored_body(node, key, 1) for node in nodes]
+        assert all(body is bodies[0] for body in bodies), key
+        for node in nodes:
+            assert node.engine.memtable.get(key, 1)[0][0] != 0
+    assert all(node.engine.stats().gc_runs == 1 for node in nodes)
+
+
+def test_damage_to_a_moved_body_stays_on_one_replica():
+    clusters, entries, moved = collected_fleet()
+    entry = next(e for e in entries if storage_key(e.kind, e.key) == moved[17])
+    key = moved[17]
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    shared = stored_body(nodes[0], key, 1)
+    group = clusters[1].groups[0]
+    victim = group.read_order(key)[0]
+    location, _r, _d, _sequence = victim.engine.memtable.get(key, 1)
+    segment_id, offset, _length = location
+    victim.engine.aofs.segment(segment_id)._unit.corrupt(
+        offset + records_module.HEADER_SIZE + len(key) + 5, 0x40
+    )
+    assert bytes(shared) == stored_body(nodes[0], key, 1)  # untouched
+    assert clusters[1].query(entry.kind, entry.key, 1) == entry.value
+    assert victim.corrupt_gets == 1 and group.failover_gets == 1
+    for node in nodes:
+        if node is victim:
+            with pytest.raises(CorruptionError):
+                node.engine.get(key, 1)
+        else:
+            assert node.engine.get(key, 1) == entry.value
+
+
 def test_read_side_crc_recipe_costs_no_more_than_it_did(monkeypatch):
     """``decode_value`` on a frame's head and body pieces: two ``crc32``
     calls and no ``struct.pack``."""

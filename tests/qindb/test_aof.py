@@ -95,7 +95,7 @@ def walked_keys(manager):
     return [
         frame[3]
         for segment in manager.segments
-        for frame in segment.read_frames()[1]
+        for frame in segment.read_frames()[0]
     ]
 
 
@@ -111,15 +111,17 @@ def test_read_frames_returns_verbatim_frames(manager):
     records = [rec(f"k{i}".encode(), version=i, size=300) for i in range(6)]
     locations = [manager.append(record) for record in records]
     segment = manager.segment(0)
-    image, frames = segment.read_frames()
-    assert len(image) == segment.size
-    for record, location, frame in zip(records, locations, frames):
+    frames, heads, bodies, torn = segment.read_frames()
+    assert torn == 0 and len(frames) == len(heads) == len(bodies)
+    for record, location, frame, head, body in zip(
+        records, locations, frames, heads, bodies
+    ):
         offset, end, rtype, key, version, sequence = frame
         assert (offset, end - offset) == location[1:]
         assert (rtype, key, version, sequence) == (
             record.type, record.key, record.version, record.sequence
         )
-        assert image[offset:end] == encode_record(record)
+        assert head + body == encode_record(record)
 
 
 def test_scan_handles_page_padding_from_flush(manager):

@@ -316,7 +316,7 @@ def fill(engines, tag: str, count: int = 12, size: int = 400):
 
 def frames_of(engine, segment_id):
     segment = engine.aofs.segment(segment_id)
-    return scan_frames(image_of(segment), segment._unit.page_size)
+    return scan_frames([image_of(segment)], segment._unit.page_size)[0]
 
 
 def test_tombstone_physically_before_its_put():

@@ -335,3 +335,27 @@ def test_flash_keeps_a_head_and_a_body_reference_per_frame():
     ) / count
     assert per_replica_frame <= 85, per_replica_frame
     assert census.grown() < 100
+
+
+def test_gc_moves_a_frame_as_its_head_and_body_references():
+    """A frame GC moves is re-appended as the head and body objects the
+    victim held: the move adds the new unit's piece pointers and end
+    offsets and erasing the victim frees the victim's.  What ``repro``
+    code still holds per moved frame is therefore bounded by what a
+    replica handed a built batch pays (~80 B, above); a moved copy of
+    the 85-byte body would add ~120 B on its own."""
+    count = 3000
+    engine = make_engine(segment_bytes=256 * 1024, gc_enabled=False)
+    engine.put_batch([
+        (f"k{index:05d}".encode(), 1, bytes([index % 251]) * 64)
+        for index in range(count)
+    ])
+    moved = sum(1 for _k, _v, item in engine.memtable.items() if item[0][0] == 0)
+    assert engine.aofs.active_segment_id != 0 and 2000 < moved < count
+    census = TrackedCensus()
+    per_moved_frame = retained_bytes(
+        lambda: engine.collect_segment(0), [tracemalloc.Filter(True, "*/repro/*")]
+    ) / moved
+    assert engine.gc_runs == 1 and engine.get(b"k00000", 1) == bytes(64)
+    assert per_moved_frame <= 85, per_moved_frame
+    assert census.grown() < 100

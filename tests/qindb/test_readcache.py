@@ -94,14 +94,6 @@ def test_cache_invalidate_segment_is_selective():
     assert cache.get(loc(2, offset=0)) == b"c"
 
 
-def test_cache_clear():
-    cache = RecordCache(1 << 20)
-    cache.put(loc(0), b"x")
-    cache.clear()
-    assert len(cache) == 0 and cache.used_bytes == 0
-    assert cache.counters.invalidated == 1
-
-
 # ----------------------------------------------------------- engine wiring
 def test_cache_disabled_by_default():
     engine = QinDB.with_capacity(SMALL_CAPACITY)

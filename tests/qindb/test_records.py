@@ -169,7 +169,8 @@ def test_crc_failure_still_raises_even_with_tolerance():
 
 
 # ----------------------------------------------------------------------
-# scan_frames: the header walk GC and recovery use
+# scan_frames: the walk GC and recovery use, here on one piece (the
+# general case); tests/qindb/test_frame_walk.py walks units' pieces
 # ----------------------------------------------------------------------
 PAGE = 256
 
@@ -190,7 +191,7 @@ def walk_both(image):
     agree with, the latter reduced to frame tuples."""
     outcomes = []
     for walk in (
-        lambda: scan_frames(image, PAGE),
+        lambda: scan_frames([image], PAGE)[0],
         lambda: [
             (offset, offset + record.encoded_size, int(record.type),
              record.key, record.version, record.sequence)
@@ -254,16 +255,19 @@ def test_scan_frames_walks_padding_and_torn_tail():
         Record(RecordType.PUT_DEDUP, b"b", 2, b"", 3),
     ]
     image = paged_image(records, flush_after={0})
-    frames = scan_frames(image, PAGE)
+    frames, heads, bodies, torn = scan_frames([image], PAGE)
+    assert torn == 0
     assert [(f[2], f[3], f[4], f[5]) for f in frames] == [
         (r.type, r.key, r.version, r.sequence) for r in records
     ]
     assert frames[1][0] == PAGE  # resumed at the page boundary
-    for frame, record in zip(frames, records):
-        assert image[frame[0]:frame[1]] == encode_record(record)
-    # a torn body and a torn header both end the log silently
-    assert scan_frames(image[:-3], PAGE) == frames[:2]
-    assert scan_frames(image + image[:10], PAGE) == frames
+    for frame, head, body, record in zip(frames, heads, bodies, records):
+        assert image[frame[0]:frame[1]] == head + body == encode_record(record)
+    # a torn body and a torn header both end the log, their bytes counted
+    assert scan_frames([image[:-3]], PAGE)[0::3] == (
+        frames[:2], len(image) - 3 - frames[2][0]
+    )
+    assert scan_frames([image + image[:10]], PAGE)[0::3] == (frames, 10)
 
 
 def test_scan_frames_typed_errors():
@@ -271,15 +275,15 @@ def test_scan_frames_typed_errors():
     damaged = bytearray(frame)
     damaged[-1] ^= 0xFF
     with pytest.raises(CorruptionError, match="CRC mismatch"):
-        scan_frames(frame + bytes(damaged), PAGE)
+        scan_frames([frame + bytes(damaged)], PAGE)
     with pytest.raises(CorruptionError, match="bad magic"):
-        scan_frames(frame + b"\x7f" + bytes(40), PAGE)
+        scan_frames([frame + b"\x7f" + bytes(40)], PAGE)
     # a well-formed CRC over an unknown type, and over a value on a
     # value-less type: caught by the type checks, not the checksum
     with pytest.raises(CorruptionError, match="unknown record type 9"):
-        scan_frames(encode_frame(9, b"k", b"", 1, 1), PAGE)
+        scan_frames([encode_frame(9, b"k", b"", 1, 1)], PAGE)
     with pytest.raises(StorageError, match="DELETE records carry no value"):
-        scan_frames(encode_frame(int(RecordType.DELETE), b"k", b"v", 1, 1), PAGE)
+        scan_frames([encode_frame(int(RecordType.DELETE), b"k", b"v", 1, 1)], PAGE)
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +460,7 @@ def test_one_damaged_header_byte_is_caught_or_harmless(
     written = [(int(rtype), key, version, sequence), (1, b"next", version, 5)]
     page = len(damaged) if padding else PAGE
     try:
-        walked = scan_frames(damaged + follower, page)
+        walked = scan_frames([damaged + follower], page)[0]
     except typed:
         walked = []
     for frame in walked:

@@ -34,7 +34,7 @@ def retire_frames(engine):
     """``(segment_id, version)`` of every RETIRE frame stored."""
     found = []
     for segment in engine.aofs.segments:
-        _image, frames = segment.read_frames()
+        frames = segment.read_frames()[0]
         found += [
             (segment.segment_id, frame[4])
             for frame in frames
@@ -218,9 +218,10 @@ def test_corrupt_victim_holding_a_retire_is_quarantined_untouched():
     assert victim != engine.aofs.active_segment_id
     assert engine.gc_table.victims() == [victim]
     segment = engine.aofs.segment(victim)
-    image, frames = segment.read_frames()
-    [retire] = [frame for frame in frames if frame[2] == RecordType.RETIRE]
-    assert image[retire[0]:retire[1]] == encode_frame(
+    frames, heads, bodies, _torn = segment.read_frames()
+    [at] = [i for i, frame in enumerate(frames) if frame[2] == RecordType.RETIRE]
+    retire = frames[at]
+    assert heads[at] + bodies[at] == encode_frame(
         int(RecordType.RETIRE), b"", b"", 1, retire[5]
     )
     segment._unit.corrupt(retire[1] - 1, 0x10)

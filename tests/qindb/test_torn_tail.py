@@ -205,11 +205,13 @@ def test_tail_frames_are_what_the_cuts_assume():
     """The offsets above are those of real frames."""
     engine, _ahead = log_cut_at(0)
     engine.flush()
-    image, frames = engine.aofs.segments[0].read_frames()
-    assert len(frames) == 7
-    for frame, (key, version, value) in zip(frames[-3:], TAIL):
+    frames, heads, bodies, torn = engine.aofs.segments[0].read_frames()
+    assert len(frames) == 7 and torn == 0
+    for frame, head, body, (key, version, value) in zip(
+        frames[-3:], heads[-3:], bodies[-3:], TAIL
+    ):
         rtype = RecordType.PUT_DEDUP if value is None else RecordType.PUT_VALUE
-        assert image[frame[0]:frame[1]] == encode_frame(
+        assert head + body == encode_frame(
             int(rtype), key, value or b"", version, frame[5]
         )
     assert frames[-3][0] == 2 * PAGE

@@ -202,18 +202,18 @@ KEEP: Dict[str, str] = {
     "repro.qindb.readcache.RecordCache.invalidate_segment": (
         "keeps the read cache coherent when GC erases a segment"
     ),
-    # fleet verbs (ROADMAP 2(b))
+    # fleet verbs (ROADMAP 3(b))
     "repro.elastic.migrator.Migrator.merge_group": (
-        "elastic merge, a fleet verb of ROADMAP 2(b)"
+        "elastic merge, a fleet verb of ROADMAP 3(b)"
     ),
     "repro.elastic.migrator.Migrator._merge": (
-        "elastic merge, a fleet verb of ROADMAP 2(b)"
+        "elastic merge, a fleet verb of ROADMAP 3(b)"
     ),
     "repro.mint.cluster.MintCluster.remove_group": (
-        "elastic leave, a fleet verb of ROADMAP 2(b)"
+        "elastic leave, a fleet verb of ROADMAP 3(b)"
     ),
     # deferred cuts: unreached, but deleting each also deletes the unit
-    # tests named here; ROADMAP 11 lists them for the next census
+    # tests named here; ROADMAP 12 lists them for the next census
     "repro.simulation.resources.Store": (
         "deferred cut (4 tests: test_sim_resources::test_store_*)"
     ),
@@ -245,9 +245,6 @@ KEEP: Dict[str, str] = {
     ),
     "repro.workloads.fig5.Fig5WorkloadConfig.total_user_bytes": (
         "deferred cut (test_workloads::test_fig5_total_user_bytes_estimate)"
-    ),
-    "repro.qindb.readcache.RecordCache.clear": (
-        "deferred cut (test_readcache::test_cache_clear)"
     ),
     "repro.analysis.stats.summarize": (
         "deferred cut (test_analysis::test_summarize)"
