@@ -104,7 +104,7 @@ class NodeGroup:
     # ------------------------------------------------------------------
     @property
     def nodes(self) -> List[StorageNode]:
-        return [self._nodes[name] for name in self._member_names]
+        return list(map(self._nodes.__getitem__, self._member_names))
 
     @property
     def healthy_count(self) -> int:
@@ -354,24 +354,12 @@ class NodeGroup:
         """
         if assigned is None:
             assigned = {}
-        if self._old_member_names is None and not self._draining:
-            replicas = self.replicas_for(key)
-            sort_key = lambda pair: (  # noqa: E731 - tiny local ordering
-                not pair[1].is_up,
-                assigned.get(pair[1].name, 0),
-                pair[1].engine.device.now,
-                pair[0],
-            )
-            return [
-                node
-                for _rank, node in sorted(enumerate(replicas), key=sort_key)
-            ]
-        # Elastic slow path (transition or drain in effect): candidates
-        # are the old placement (guaranteed complete mid-move) plus any
-        # new-only replicas.  Live non-draining nodes come first — a
-        # draining member never serves while a healthier candidate
-        # exists — then old-placement nodes outrank new-only ones whose
-        # copies may still be in flight; within a tier the usual
+        # Candidates are the key's replicas — in a transition, the old
+        # placement (guaranteed complete mid-move) plus any new-only
+        # replicas.  Live non-draining nodes come first — a draining
+        # member never serves while a healthier candidate exists — then
+        # old-placement nodes outrank new-only ones whose copies may
+        # still be in flight; within a tier the usual
         # least-loaded/rendezvous ordering applies.
         if self._old_member_names is not None:
             replicas = list(self.old_replicas_for(key))
@@ -385,7 +373,7 @@ class NodeGroup:
             replicas = self.replicas_for(key)
             in_old = {node.name for node in replicas}
         draining = self._draining
-        sort_key = lambda pair: (  # noqa: E731
+        sort_key = lambda pair: (  # noqa: E731 - tiny local ordering
             not pair[1].is_up,
             pair[1].name in draining,
             pair[1].name not in in_old,
@@ -458,9 +446,13 @@ class NodeGroup:
         live_missed = [False] * count
         #: item -> the CorruptionError a live replica answered it with
         corrupt: Dict[int, CorruptionError] = {}
-        #: node name -> items assigned this call (the read_order bias)
-        assigned: Dict[str, int] = {}
+        #: node -> items assigned this call (the read_order bias)
+        assigned: Dict[StorageNode, int] = {}
+        assigned_to, item_at = assigned.get, items.__getitem__
         steady = self._old_member_names is None and not self._draining
+        #: memoized placements while current (else replicas_for rebuilds)
+        current = self._placement_version == self.membership_version
+        placed = (self._placement_cache if current else {}).get
         pending = range(count)
         while pending:
             per_node: Dict[StorageNode, List[int]] = {}
@@ -474,21 +466,19 @@ class NodeGroup:
                     # minimum of (assigned, device clock) over the live
                     # replicas in rank order — same order, no sort.
                     least = earliest = None
-                    for node in self.replicas_for(key):
-                        if not node.is_up:
-                            continue
-                        load = assigned.get(node.name, 0)
-                        now = node.engine.device.now
-                        if (
-                            choice is None
-                            or load < least
-                            or (load == least and now < earliest)
-                        ):
-                            choice, least, earliest = node, load, now
+                    for node in placed(key) or self.replicas_for(key):
+                        if node.is_up:
+                            load = assigned_to(node, 0)
+                            now = node.engine.device.now
+                            if choice is None or load < least or (
+                                load == least and now < earliest
+                            ):
+                                choice, least, earliest = node, load, now
                 if choice is None:
                     if seen is None:
                         seen = tried[index] = set()
-                    for node in self.read_order(key, assigned):
+                    by_name = {node.name: n for node, n in assigned.items()}
+                    for node in self.read_order(key, by_name):
                         if node.name in seen:
                             continue
                         if node.is_up:
@@ -512,19 +502,19 @@ class NodeGroup:
                             f"no live item for {key!r}/{items[index][1]}"
                         )
                     continue  # missing == "none": the slot stays None
-                assigned[choice.name] = assigned.get(choice.name, 0) + 1
+                assigned[choice] = assigned_to(choice, 0) + 1
                 per_node.setdefault(choice, []).append(index)
             retry: List[int] = []
             # Deterministic dispatch order (sorted node names), matching
-            # the write path's per-node iteration.
-            for node in self.nodes:
+            # the write path's per-node iteration; one node needs none.
+            for node in per_node if len(per_node) == 1 else self.nodes:
                 indices = per_node.get(node)
                 if not indices:
                     continue
                 #: the items this replica failed; they retry elsewhere
                 lost = indices
                 try:
-                    values = node.get_batch([items[i] for i in indices])
+                    values = node.get_batch(list(map(item_at, indices)))
                 except NodeDownError:
                     node.skipped_gets += len(indices)
                 except CorruptionError as exc:

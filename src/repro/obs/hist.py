@@ -28,6 +28,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
+#: per geometry ``(min_value, max_value, growth)``, the value a sample
+#: in each bucket reads back as — one list shared by its histograms
+_BOUNDS: Dict[Tuple[float, float, float], List[float]] = {}
+
 
 class LogHistogram:
     """Fixed-memory histogram with geometric buckets.
@@ -41,7 +45,7 @@ class LogHistogram:
 
     __slots__ = (
         "min_value", "max_value", "growth",
-        "_log_growth", "_counts", "_count", "_sum",
+        "_log_growth", "_bounds", "_counts", "_count", "_sum",
     )
 
     def __init__(
@@ -70,39 +74,33 @@ class LogHistogram:
             )
         )
         self._counts: List[int] = [0] * (spans + 2)
+        geometry = (self.min_value, self.max_value, self.growth)
+        if geometry not in _BOUNDS:
+            _BOUNDS[geometry] = [self.min_value] + [
+                min(self.min_value * self.growth**index, self.max_value)
+                for index in range(1, spans + 1)
+            ] + [self.max_value]
+        self._bounds = _BOUNDS[geometry]
         self._count = 0
         self._sum = 0.0
 
     # ------------------------------------------------------------------
-    def same_geometry(self, other: "LogHistogram") -> bool:
-        return (
-            self.min_value == other.min_value
-            and self.max_value == other.max_value
-            and self.growth == other.growth
-            and len(self._counts) == len(other._counts)
-        )
-
-    def _upper(self, index: int) -> float:
-        """The value a sample in bucket ``index`` reads back as."""
-        if index <= 0:
-            return self.min_value
-        if index >= len(self._counts) - 1:
-            return self.max_value
-        return min(self.min_value * self.growth ** index, self.max_value)
-
     def _index(self, value: float) -> int:
         if value <= self.min_value:
             return 0
+        last = len(self._counts) - 1
         if value >= self.max_value:
-            return len(self._counts) - 1
+            return last
         index = 1 + int(
             math.log(value / self.min_value) / self._log_growth
         )
         # Float log can land one bucket low on exact boundaries; the
         # upper-bound contract (read-back >= sample) must still hold.
-        while self._upper(index) < value:
+        if index > last:
+            index = last
+        while self._bounds[index] < value:
             index += 1
-        return min(index, len(self._counts) - 1)
+        return index
 
     # ------------------------------------------------------------------
     def add(self, sample: float) -> None:
@@ -116,7 +114,9 @@ class LogHistogram:
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold another histogram's buckets into this one (in place)."""
-        if not self.same_geometry(other):
+        if (self.min_value, self.max_value, self.growth) != (
+            other.min_value, other.max_value, other.growth
+        ):
             raise ConfigError(
                 "cannot merge histograms with different geometries: "
                 f"({self.min_value}, {self.max_value}, {self.growth}) vs "
@@ -170,7 +170,7 @@ class LogHistogram:
         for index, count in enumerate(self._counts):
             cumulative += count
             if cumulative >= rank:
-                return self._upper(index)
+                return self._bounds[index]
         return self.max_value  # pragma: no cover - counts always cover
 
     def summary(self) -> Dict[str, float]:
@@ -194,7 +194,7 @@ class LogHistogram:
     def nonzero_buckets(self) -> List[Tuple[float, int]]:
         """(upper_bound, count) for every touched bucket, in order."""
         return [
-            (self._upper(index), count)
+            (self._bounds[index], count)
             for index, count in enumerate(self._counts)
             if count
         ]

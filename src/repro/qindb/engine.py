@@ -346,42 +346,43 @@ class QinDB:
         self._check_open()
         if not items:
             return []
-        results: List[Optional[bytes]] = [None] * len(items)
-        #: location -> result slots it satisfies (dedup happens here)
-        need: Dict[RecordLocation, List[int]] = {}
-        for index, location in enumerate(self.memtable.resolve_batch(items)):
-            if location is not None:
-                need.setdefault(location, []).append(index)
+        locations = self.memtable.resolve_batch(items)
         self._charge_cpu()
-        self.reads_in_flight += 1
-        try:
-            cache = self.read_cache
-            misses: List[RecordLocation] = []
-            if cache is not None:
-                for location in need:
-                    value = cache.get(location)
-                    if value is not None:
-                        self.device.advance(self.config.cpu_per_op_s)
-                        for index in need[location]:
-                            results[index] = value
-                    else:
-                        misses.append(location)
-            else:
-                misses = list(need)
-            if misses:
-                values = self.aofs.read_values(misses)
-                for location, value in zip(misses, values):
-                    if cache is not None:
-                        cache.put(location, value)
-                    for index in need[location]:
-                        results[index] = value
-            user_bytes = 0
-            for item, value in zip(items, results):
-                if value is not None:
-                    user_bytes += len(item[0]) + len(value)
-            self.user_bytes_read += user_bytes
-        finally:
-            self.reads_in_flight -= 1
+        if len(locations) == 1:  # one item: nothing to deduplicate
+            distinct, slots = [] if locations[0] is None else locations, [(0,)]
+        else:
+            #: location -> result slots it satisfies (dedup happens here)
+            need: Dict[RecordLocation, List[int]] = {}
+            for index, location in enumerate(locations):
+                if location is not None:
+                    need.setdefault(location, []).append(index)
+            distinct, slots = list(need), list(need.values())
+        results: List[Optional[bytes]] = [None] * len(items)
+        cache = self.read_cache
+        if cache is not None:
+            misses, missed_slots = [], []
+            for location, indices in zip(distinct, slots):
+                value = cache.get(location)
+                if value is None:
+                    misses.append(location)
+                    missed_slots.append(indices)
+                    continue
+                self.device.advance(self.config.cpu_per_op_s)
+                for index in indices:
+                    results[index] = value
+            distinct, slots = misses, missed_slots
+        if distinct:
+            values = self.aofs.read_values(distinct)
+            for location, indices, value in zip(distinct, slots, values):
+                if cache is not None:
+                    cache.put(location, value)
+                for index in indices:
+                    results[index] = value
+        user_bytes = 0
+        for item, value in zip(items, results):
+            if value is not None:
+                user_bytes += len(item[0]) + len(value)
+        self.user_bytes_read += user_bytes
         self.batch_counters.get_batches += 1
         self.batch_counters.batched_gets += len(items)
         return results
@@ -570,7 +571,7 @@ class QinDB:
             if value is not None:
                 self.device.advance(self.config.cpu_per_op_s)
                 return value
-        value = self.aofs.segment(location[0]).read_value(location)
+        value = self.aofs.read_values([location])[0]
         if cache is not None:
             cache.put(location, value)
         return value

@@ -24,13 +24,19 @@ each other the way a real device would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OverloadError, ReproError
 from repro.mint.cluster import MintCluster
 from repro.mint.group import NodeGroup
 from repro.obs.hist import LogHistogram
+from repro.simulation.events import Event
 from repro.simulation.kernel import Simulator
+
+#: a queued request's ``(key, version)``; a node's device clock
+_KEY_VERSION = itemgetter(0, 1)
+_DEVICE_CLOCK = attrgetter("engine.device.now")
 
 
 @dataclass
@@ -72,7 +78,8 @@ class ServingConfig:
 class _Bucket:
     """Pending requests for one ``(dc, group)`` pair."""
 
-    __slots__ = ("group", "pending", "outstanding", "flusher", "free_at")
+    __slots__ = ("group", "pending", "outstanding", "flusher", "wake",
+                 "idle", "free_at")
 
     def __init__(self, group: NodeGroup) -> None:
         self.group = group
@@ -80,8 +87,10 @@ class _Bucket:
         self.pending: List[tuple] = []
         #: admitted requests not yet completed (queued or in flight)
         self.outstanding = 0
-        #: the active flusher Process, or None when idle
-        self.flusher = None
+        #: the bucket's one flusher Process, started by its first read;
+        #: ``wake`` is what it waits on while idle (None while it works),
+        #: ``idle`` what :meth:`ServingFrontend.drain` waits on, if any
+        self.flusher = self.wake = self.idle = None
         #: per-node device horizon serializing back-to-back batches
         self.free_at: Dict[str, float] = {}
 
@@ -122,13 +131,6 @@ class ServingFrontend:
         )
 
     # ------------------------------------------------------------------
-    def _bucket(self, dc: str, group: NodeGroup) -> _Bucket:
-        slot = (dc, group.group_id)
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            bucket = self._buckets[slot] = _Bucket(group)
-        return bucket
-
     def depth_limit(self, group: NodeGroup) -> int:
         """Queue bound scaling with live replicas: losing a node sheds
         the load it can no longer absorb instead of queueing it."""
@@ -143,9 +145,11 @@ class ServingFrontend:
         Raises :class:`OverloadError` — synchronously, before any
         queueing — when the target group is at its depth bound.
         """
-        cluster = self.clusters[dc]
-        group = cluster.group_for(key)
-        bucket = self._bucket(dc, group)
+        group = self.clusters[dc].group_for(key)
+        slot = (dc, group.group_id)
+        bucket = self._buckets.get(slot)
+        if bucket is None:
+            bucket = self._buckets[slot] = _Bucket(group)
         self.requests[dc] += 1
         # The bound is never below one replica's share, so the live
         # replicas are only counted once the bucket is that deep.
@@ -160,10 +164,13 @@ class ServingFrontend:
                 f"{bucket.outstanding} >= {self.depth_limit(group)}"
             )
         self.admitted[dc] += 1
-        event = self.sim.event()
+        event = Event(self.sim)
         bucket.pending.append((key, version, event, self.sim.now))
         bucket.outstanding += 1
-        if bucket.flusher is None:
+        if bucket.wake is not None:
+            bucket.wake.succeed()
+            bucket.wake = None
+        elif bucket.flusher is None:
             bucket.flusher = self.sim.process(self._flush(dc, bucket))
         return event
 
@@ -175,9 +182,10 @@ class ServingFrontend:
         return track
 
     def _flush(self, dc: str, bucket: _Bucket):
-        """Flusher process: gather a window, dispatch, account, repeat
-        while work keeps arriving; exits (and clears itself) when the
-        bucket drains."""
+        """The bucket's one flusher: gather a window, dispatch, account,
+        repeat while work arrives, then wait on ``bucket.wake``.  Wake
+        and ``idle`` fire where a process started per burst of work
+        would start and exit, so the event order is that one's."""
         sim = self.sim
         config = self.config
         group = bucket.group
@@ -185,77 +193,87 @@ class ServingFrontend:
         latency = self.latency[dc]
         free_at = bucket.free_at
         try:
-            # Plain-number yields are the kernel's pooled sleeps: the
-            # schedule point of a ``Timeout``, without the allocation.
-            if config.coalesce_window_s > 0:
-                yield config.coalesce_window_s
-            while bucket.pending:
-                batch = bucket.pending[: config.max_batch]
-                del bucket.pending[: len(batch)]
-                items = [(key, version) for key, version, _e, _a in batch]
-                nodes = group.nodes
-                before = [node.engine.device.now for node in nodes]
-                span = None
-                if track is not None:
-                    span = track.span(
-                        "serve_batch", group=group.group_id, keys=len(items)
-                    )
-                    span.__enter__()
-                try:
+            while True:
+                # Plain-number yields are the kernel's pooled sleeps: the
+                # schedule point of a ``Timeout``, without the allocation.
+                if config.coalesce_window_s > 0:
+                    yield config.coalesce_window_s
+                while bucket.pending:
+                    batch = bucket.pending[: config.max_batch]
+                    del bucket.pending[: len(batch)]
+                    items = list(map(_KEY_VERSION, batch))
+                    nodes = group.nodes
+                    before = list(map(_DEVICE_CLOCK, nodes))
+                    span = None
+                    if track is not None:
+                        span = track.span(
+                            "serve_batch", group=group.group_id,
+                            keys=len(items),
+                        )
+                        span.__enter__()
                     try:
                         values = group.multi_get(items, missing="none")
+                        missed = values.count(None)
                     except ReproError:
-                        # No live replica at all, or every live copy of a
-                        # key corrupt: the batch fails together; report
-                        # rather than crash the serving loop.
+                        # No live replica at all, or every live copy of a key
+                        # corrupt: the batch fails together, counted in
+                        # ``errors`` only; report rather than crash the loop.
                         self.errors[dc] += len(items)
-                        values = [None] * len(items)
-                finally:
-                    if span is not None:
-                        span.__exit__(None, None, None)
-                self.batches[dc] += 1
-                self.batched_keys[dc] += len(items)
-                # Fold the synchronous call's device-clock advances
-                # through the per-node horizon: a node still busy with
-                # the previous batch starts this one when it frees up.
-                now = completion = sim.now
-                for node, clock in zip(nodes, before):
-                    delta = node.engine.device.now - clock
-                    if delta <= 0:
-                        continue
-                    start = max(now, free_at.get(node.name, 0.0))
-                    finish = start + delta
-                    free_at[node.name] = finish
-                    completion = max(completion, finish)
-                if completion > now:
-                    yield completion - now
-                    now = sim.now
-                self.not_found[dc] += values.count(None)
-                bucket.outstanding -= len(batch)
-                for (_key, _version, event, arrival), value in zip(
-                    batch, values
-                ):
-                    latency.add(now - arrival)
-                    event.succeed(value)
+                        values, missed = [None] * len(items), 0
+                    finally:
+                        if span is not None:
+                            span.__exit__(None, None, None)
+                    self.batches[dc] += 1
+                    self.batched_keys[dc] += len(items)
+                    # Fold the synchronous call's device-clock advances
+                    # through the per-node horizon: a node still busy with
+                    # the previous batch starts this one when it frees up.
+                    now = completion = sim.now
+                    for node, clock, after in zip(
+                        nodes, before, map(_DEVICE_CLOCK, nodes)
+                    ):
+                        delta = after - clock
+                        if delta <= 0:
+                            continue
+                        start = free_at.get(node.name, 0.0)
+                        finish = (start if start > now else now) + delta
+                        free_at[node.name] = finish
+                        if finish > completion:
+                            completion = finish
+                    if completion > now:
+                        yield completion - now
+                        now = sim.now
+                    self.not_found[dc] += missed
+                    bucket.outstanding -= len(batch)
+                    for (_key, _version, event, arrival), value in zip(
+                        batch, values
+                    ):
+                        latency.add(now - arrival)
+                        event.succeed(value)
+                if bucket.idle is not None:
+                    bucket.idle.succeed()
+                    bucket.idle = None
+                bucket.wake = sim.event()
+                yield bucket.wake
         finally:
-            bucket.flusher = None
+            # a flusher that raised is replaced by the next admitted read
+            bucket.flusher = bucket.wake = None
 
     # ------------------------------------------------------------------
-    def active_flushers(self) -> List:
-        """Processes still draining queued work (for ``sim.all_of``)."""
-        return [
-            bucket.flusher
-            for bucket in self._buckets.values()
-            if bucket.flusher is not None
-        ]
-
     def drain(self) -> None:
-        """Run the simulator until every queued request completes."""
+        """Run the simulator until every queued request completes: until
+        each bucket's flusher is idle with nothing arrived meanwhile."""
+        sim = self.sim
         while True:
-            flushers = self.active_flushers()
-            if not flushers:
-                break
-            self.sim.run(until=self.sim.all_of(flushers))
+            busy = [
+                bucket for bucket in self._buckets.values()
+                if bucket.flusher is not None and bucket.wake is None
+            ]
+            if not busy:
+                return
+            for bucket in busy:
+                bucket.idle = bucket.idle or sim.event()
+            sim.run(until=sim.all_of([bucket.idle for bucket in busy]))
 
     # ------------------------------------------------------------------
     def register_metrics(self, registry) -> None:

@@ -59,7 +59,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value`` as its payload."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
@@ -129,7 +129,7 @@ class Process(Event):
     The resumed value is ``None``.
     """
 
-    __slots__ = ("_generator", "_target", "_sleep")
+    __slots__ = ("_generator", "_sleep", "_wakeup")
 
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -138,7 +138,6 @@ class Process(Event):
             )
         super().__init__(sim)
         self._generator = generator
-        self._target: Event | None = None
         #: the pooled fixed-delay sleep event (created on first use)
         self._sleep: Event | None = None
         # Kick off the process at the current simulation time.
@@ -150,7 +149,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator after ``event`` has triggered."""
-        self._target = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -175,12 +173,12 @@ class Process(Event):
                 raise SimulationError(f"negative timeout delay: {target!r}")
             sleep = self._sleep
             if sleep is None:
-                sleep = Event(self.sim)
+                sleep = self._sleep = Event(self.sim)
                 sleep._ok = True
-                self._sleep = sleep
-            sleep._value = None
-            sleep.callbacks = [self._resume]
-            self._target = sleep
+                sleep._value = None
+                #: the sleep's one callback list, reused for every wait
+                self._wakeup = [self._resume]
+            sleep.callbacks = self._wakeup
             self.sim._schedule(sleep, target)
             return
         if not isinstance(target, Event):
@@ -189,7 +187,6 @@ class Process(Event):
             )
         if target.sim is not self.sim:
             raise SimulationError("process yielded an event from another simulator")
-        self._target = target
         target.add_callback(self._resume)
 
 

@@ -18,7 +18,7 @@ with the pre-bucketing kernel (pinned by
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
@@ -41,7 +41,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_times",
         "_buckets",
         "_current",
@@ -51,7 +51,8 @@ class Simulator:
     )
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        #: current simulated time in seconds
+        self.now = float(start)
         #: heap of distinct pending timestamps
         self._times: list[float] = []
         #: events per timestamp, in schedule order
@@ -59,15 +60,10 @@ class Simulator:
         #: the bucket being drained (stays in ``_buckets`` until empty so
         #: zero-delay cascades append to it and fire this same timestamp)
         self._current: list[Event] | None = None
-        self._current_time = self._now
+        self._current_time = self.now
         self._pos = 0
         #: events processed since construction (perf-bench telemetry)
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Event construction helpers
@@ -98,13 +94,17 @@ class Simulator:
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue a triggered event to be processed after ``delay``."""
+        if not delay and self._current is not None:
+            # this instant's bucket (``run`` drops it before moving on)
+            self._current.append(event)
+            return
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay!r}")
-        when = self._now + delay
+        when = self.now + delay
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = [event]
-            heapq.heappush(self._times, when)
+            heappush(self._times, when)
         else:
             bucket.append(event)
 
@@ -131,11 +131,11 @@ class Simulator:
             self._current = None
         if not self._times:
             return None
-        when = heapq.heappop(self._times)
+        when = heappop(self._times)
         current = self._buckets[when]
         self._current = current
         self._current_time = when
-        self._now = when
+        self.now = when
         self._pos = 1
         return current[0]
 
@@ -166,9 +166,9 @@ class Simulator:
             stop_event = until
         elif until is not None:
             deadline = float(until)
-            if deadline < self._now:
+            if deadline < self.now:
                 raise SimulationError(
-                    f"run(until={deadline}) is before now={self._now}"
+                    f"run(until={deadline}) is before now={self.now}"
                 )
 
         # One loop for all three forms, the cursor advance inlined: the
@@ -176,7 +176,7 @@ class Simulator:
         # no peek()/step() call per iteration.
         times = self._times
         buckets = self._buckets
-        pop_time = heapq.heappop
+        pop_time = heappop
         events = 0
         try:
             while stop_event is None or stop_event.callbacks is not None:
@@ -185,25 +185,28 @@ class Simulator:
                     event = current[self._pos]
                     self._pos += 1
                 else:
+                    if current is not None:
+                        # Drained: finalized before the clock can move on.
+                        del buckets[self._current_time]
+                        self._current = None
                     if not times:
                         break
                     if times[0] > deadline:
-                        self._now = deadline
+                        self.now = deadline
                         return None
-                    if current is not None:
-                        del buckets[self._current_time]
                     when = pop_time(times)
                     current = buckets[when]
                     self._current = current
                     self._current_time = when
-                    self._now = when
+                    self.now = when
                     self._pos = 1
                     event = current[0]
                 events += 1
                 callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks or ():
-                    callback(event)
-                if event._ok is False and not callbacks:
+                if callbacks:
+                    for callback in callbacks:
+                        callback(event)
+                elif event._ok is False:
                     raise event._value  # unwaited failure: see step()
         finally:
             self.events_processed += events
@@ -217,5 +220,5 @@ class Simulator:
                 raise stop_event._value
             return stop_event._value
         if deadline != _INF:
-            self._now = deadline
+            self.now = deadline
         return None

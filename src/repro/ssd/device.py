@@ -47,7 +47,8 @@ class SimulatedSSD:
         self.geometry = geometry
         self.timing = timing or TimingModel()
         self.counters = DeviceCounters(page_size=geometry.page_size)
-        self._now = 0.0
+        #: device-local simulated time in seconds
+        self.now = 0.0
         #: npages -> seconds a read of them takes (``timing`` is frozen)
         self._read_s: Dict[int, float] = {}
         self._blocks: Dict[int, Block] = {
@@ -59,16 +60,11 @@ class SimulatedSSD:
     # ------------------------------------------------------------------
     # Time
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Device-local simulated time in seconds."""
-        return self._now
-
     def advance(self, seconds: float) -> None:
         """Charge non-I/O time (host compute, think time) to the clock."""
         if seconds < 0:
             raise OutOfRangeError(f"cannot advance time by {seconds}")
-        self._now += seconds
+        self.now += seconds
 
     # ------------------------------------------------------------------
     # Block pool
@@ -147,7 +143,7 @@ class SimulatedSSD:
         seconds = self._read_s.get(npages)
         if seconds is None:
             seconds = self._read_s[npages] = self.timing.read_time(npages)
-        self._now += seconds
+        self.now += seconds
         counters.busy_time_s += seconds
 
     # ------------------------------------------------------------------
@@ -168,5 +164,5 @@ class SimulatedSSD:
             raise OutOfRangeError(f"unknown traffic source: {source!r}")
 
     def _charge(self, seconds: float) -> None:
-        self._now += seconds
+        self.now += seconds
         self.counters.busy_time_s += seconds

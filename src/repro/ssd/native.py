@@ -188,66 +188,73 @@ class NativeUnit:
         """
         self._check_live()
         page_size = self._page_size
-        size = self._size
-        pieces, ends, page_first = self._pieces, self._ends, self._page_first
-        pages_begun = len(page_first)
-        spans = []
-        cut: List[List[bytes]] = []
-        for offset, length in ranges:
-            end = offset + length
-            if offset < 0 or length < 0 or end > size:
-                raise OutOfRangeError(
-                    f"read [{offset}, {end}) outside [0, {size}) of native "
-                    f"unit {self.tag!r}"
-                )
-            if not length:
-                cut.append([])
-                continue
-            page = offset // page_size
-            spans.append((page, (end - 1) // page_size))
-            # The piece holding ``offset`` lies between the pieces that
-            # begin its page and the next: a few entries to bisect.
-            first = bisect_right(
-                ends, offset, page_first[page],
-                page_first[page + 1] + 1 if page + 1 < pages_begun else len(ends),
-            )
-            last = first
-            while ends[last] < end:
-                last += 1
-            parts = pieces[first : last + 1]
-            start = ends[first] - len(parts[0])
-            if start != offset or ends[last] != end:
-                # the range begins or ends inside a piece: copy its part
-                parts[-1] = parts[-1][: end - ends[last] + len(parts[-1])]
-                parts[0] = parts[0][offset - start :]
-            cut.append(parts)
-        if len(spans) > 1:
+        if len(ranges) == 1:  # one range: no span list, no union
+            offset, length = ranges[0]
+            parts = self._cut(offset, length)
+            if length:
+                last = offset + length - 1
+                self._charge(offset // page_size, last // page_size)
+            return [parts]
+        cut = [self._cut(offset, length) for offset, length in ranges]
+        spans = sorted(
+            (offset // page_size, (offset + length - 1) // page_size)
+            for offset, length in ranges
+            if length
+        )
+        if spans:
             # the union of the spans' pages, as runs
-            spans.sort()
-            runs = [list(spans[0])]
+            run_first, run_last = spans[0]
             for first, last in spans:
-                if first > runs[-1][1] + 1:
-                    runs.append([first, last])
-                elif last > runs[-1][1]:
-                    runs[-1][1] = last
-            spans = runs
-        last_programmed = self._programmed_pages - 1
-        per_block = self._per_block
-        for first, last in spans:
-            if last > last_programmed:
-                last = last_programmed
-            while first <= last:
-                block_index = first // per_block
-                block_last = (block_index + 1) * per_block - 1
-                if block_last > last:
-                    block_last = last
-                self._device.read(
-                    self._blocks[block_index].block_id,
-                    block_last - first + 1,
-                    source="host",
-                )
-                first = block_last + 1
+                if first > run_last + 1:
+                    self._charge(run_first, run_last)
+                    run_first, run_last = first, last
+                elif last > run_last:
+                    run_last = last
+            self._charge(run_first, run_last)
         return cut
+
+    def _cut(self, offset: int, length: int) -> List[bytes]:
+        """The pieces holding one range, uncharged (see :meth:`read_many`)."""
+        end = offset + length
+        if not 0 <= offset <= end <= self._size:
+            raise OutOfRangeError(
+                f"read [{offset}, {end}) outside [0, {self._size}) of native "
+                f"unit {self.tag!r}"
+            )
+        if not length:
+            return []
+        ends, page_first = self._ends, self._page_first
+        # The piece holding ``offset`` lies between the pieces that
+        # begin its page and the next: a few entries to bisect.
+        page, pages = offset // self._page_size, len(page_first)
+        hi = page_first[page + 1] + 1 if page + 1 < pages else len(ends)
+        first = last = bisect_right(ends, offset, page_first[page], hi)
+        while ends[last] < end:
+            last += 1
+        parts = self._pieces[first : last + 1]
+        start = ends[first] - len(parts[0])
+        if start != offset or ends[last] != end:
+            # the range begins or ends inside a piece: copy its part
+            parts[-1] = parts[-1][: end - ends[last] + len(parts[-1])]
+            parts[0] = parts[0][offset - start :]
+        return parts
+
+    def _charge(self, first: int, last: int) -> None:
+        """Charge the programmed pages of ``first..last``, per block."""
+        if last >= self._programmed_pages:
+            last = self._programmed_pages - 1
+        per_block = self._per_block
+        while first <= last:
+            block_index = first // per_block
+            block_last = (block_index + 1) * per_block - 1
+            if block_last > last:
+                block_last = last
+            self._device.read(
+                self._blocks[block_index].block_id,
+                block_last - first + 1,
+                source="host",
+            )
+            first = block_last + 1
 
     def corrupt(self, offset: int, mask: int) -> None:
         """Flip the bits of ``mask`` in the stored byte at ``offset``.

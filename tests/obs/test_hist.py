@@ -1,9 +1,13 @@
 """Unit tests for the mergeable log-bucketed histogram."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.obs import LogHistogram
@@ -67,6 +71,19 @@ def test_merge_rejects_different_geometry():
         LogHistogram(growth=1.02).merge(LogHistogram(growth=1.05))
 
 
+def test_merge_accepts_same_geometry_however_built():
+    """Geometry is compared by value: a copied or unpickled histogram
+    merges like one built fresh."""
+    source = LogHistogram()
+    source.extend([0.001, 0.02, 0.3])
+    for other in (copy.deepcopy(source), pickle.loads(pickle.dumps(source))):
+        merged = LogHistogram().merge(source).merge(other)
+        assert len(merged) == 6
+        assert merged.nonzero_buckets() == [
+            (bound, 2 * count) for bound, count in source.nonzero_buckets()
+        ]
+
+
 def test_merged_empty_iterable_is_empty_histogram():
     merged = LogHistogram.merged([])
     assert len(merged) == 0
@@ -101,3 +118,58 @@ def test_bad_config_rejected():
         LogHistogram(growth=1.0)
     with pytest.raises(ConfigError):
         LogHistogram().percentile(101.0)
+
+
+# ----------------------------------------------------------------------
+# Bucket identity: a moved bucket would move every serving digest
+# ----------------------------------------------------------------------
+def _log_then_walk(hist, value):
+    """The index formula before the bounds were precomputed: a float log,
+    then a walk up over upper bounds computed with ``**`` per step."""
+    last = len(hist._counts) - 1
+
+    def upper(index):
+        if index <= 0:
+            return hist.min_value
+        if index >= last:
+            return hist.max_value
+        return min(hist.min_value * hist.growth**index, hist.max_value)
+
+    if value <= hist.min_value:
+        return 0
+    if value >= hist.max_value:
+        return last
+    index = 1 + int(math.log(value / hist.min_value) / hist._log_growth)
+    while upper(index) < value:
+        index += 1
+    return min(index, last)
+
+
+#: the serving frontend's geometry, the default one, and a coarse one
+GEOMETRIES = [(1e-6, 100.0, 1.02), (1e-6, 1e4, 1.02), (1e-3, 10.0, 1.5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_index_equals_log_then_walk_inside_the_range(geometry, fraction):
+    hist = LogHistogram(*geometry)
+    # log-uniform over (min, max), so every decade is drawn
+    value = hist.min_value * (hist.max_value / hist.min_value) ** fraction
+    assert hist._index(value) == _log_then_walk(hist, value)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_index_equals_log_then_walk_on_every_bucket_bound(geometry):
+    hist = LogHistogram(*geometry)
+    last = len(hist._counts) - 1
+    edges = [hist.min_value, hist.max_value] + [
+        min(hist.min_value * hist.growth**index, hist.max_value)
+        for index in range(1, last)
+    ]
+    for value in edges:
+        for probe in (value, math.nextafter(value, 0.0),
+                      math.nextafter(value, math.inf)):
+            assert hist._index(probe) == _log_then_walk(hist, probe)

@@ -141,8 +141,8 @@ def test_read_from_wrong_segment_rejected(manager):
 def test_read_values_order_and_device_charge():
     """Values come back in input order across segments, and the device is
     charged what the parent's ``read_many`` charged: per segment in id
-    order, one ``unit.read_many`` — also for a single location, which now
-    takes ``unit.read`` (documented as the identical charge)."""
+    order, one ``unit.read_many`` — also for a single location, which
+    takes the same ``read_values`` path as a batch."""
     twins = []
     for _ in range(2):
         geometry = SSDGeometry(block_count=64, pages_per_block=8, page_size=512)
@@ -184,7 +184,7 @@ def test_value_reads_from_wrong_segment_rejected(manager):
         manager.read_values([bogus])
     segment = manager.segment(segment_id)
     with pytest.raises(StorageError):
-        segment.read_value(bogus)
+        segment.read_values([bogus])
     with pytest.raises(StorageError):
         segment.read_values([other, bogus])
 

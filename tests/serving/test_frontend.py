@@ -9,6 +9,7 @@ in the streaming trackers; draining leaves nothing outstanding.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -150,6 +151,7 @@ def test_all_replicas_down_reports_errors_not_crash():
     outcomes = run_clients(sim, frontend, [("dc0", key, 1)])
     assert outcomes[0] is None
     assert frontend.errors["dc0"] == 1
+    assert frontend.not_found["dc0"] == 0  # an errored read is not a miss
 
 
 def test_corrupt_replica_fails_over_instead_of_killing_the_flusher(
@@ -170,7 +172,10 @@ def test_corrupt_replica_fails_over_instead_of_killing_the_flusher(
     outcomes = run_clients(sim, frontend, [("dc0", key, 1) for key in keys])
     assert [outcomes[i] for i in range(6)] == [expect[key] for key in keys]
     assert outstanding(frontend) == 0
-    assert frontend.active_flushers() == []
+    # every bucket's flusher is alive and idle, waiting to be woken
+    assert all(
+        bucket.wake is not None for bucket in frontend._buckets.values()
+    )
     assert frontend.errors["dc0"] == 0 and frontend.not_found["dc0"] == 0
     stats = cluster.stats()
     corrupt = sum(stats["corrupt_gets_per_node"].values())
@@ -195,6 +200,7 @@ def test_every_copy_corrupt_completes_the_batch_as_errors(corrupt_frame):
     assert bad in batch[:4]
     assert list(outcomes.values()) == [None] * 4
     assert frontend.errors["dc0"] == 4
+    assert frontend.not_found["dc0"] == 0
     assert outstanding(frontend) == 0
     # the flusher is not gone for good: the next request is served
     good = batch[1]
@@ -245,16 +251,29 @@ def test_sequential_requests_after_drain_reuse_bucket():
 # Host-cost pins of the read descent: counts that repeat exactly
 # ----------------------------------------------------------------------
 READS = 2000
-#: kernel events of the run below (3.946 per admitted read) — the same
-#: number on the parent (44cc897), where the same run also built 1,992
-#: ``Record``s and sorted 4,975 times
-PARENT_KERNEL_EVENTS = 7892
+#: kernel events of the run below (3.464 per admitted read), with one
+#: long-lived flusher per bucket
+KERNEL_EVENTS = 6927
+# PARENT_KERNEL_EVENTS = 7892: the same run on 02da4c5, where a flusher
+# exited each time its bucket drained — 966 flusher processes for 991
+# batches.  On 44cc897 the run also built 1,992 ``Record``s and sorted
+# 4,975 times.
 
 
 def test_read_descent_host_cost_pins(monkeypatch):
     """Wall time wanders; these do not.  With every replica up, 2,000
     open-loop reads build no ``Record``, sort nothing in ``multi_get``,
-    and take no more kernel events than they did on the parent."""
+    start one flusher per bucket, and take the kernel events minted
+    for this shape (fewer than the parent's)."""
+    flushers = []
+    process = Simulator.process
+
+    def counting_process(sim, generator):
+        if generator.__qualname__ == "ServingFrontend._flush":
+            flushers.append(generator)
+        return process(sim, generator)
+
+    monkeypatch.setattr(Simulator, "process", counting_process)
     sim, cluster, expect = make_fleet()
     frontend = ServingFrontend(sim, {"dc0": cluster})
     rng = random.Random(2019)
@@ -298,4 +317,48 @@ def test_read_descent_host_cost_pins(monkeypatch):
     # the pins
     assert records_built == []
     assert sorts == []
-    assert sim.events_processed - events_before == PARENT_KERNEL_EVENTS
+    assert sim.events_processed - events_before == KERNEL_EVENTS
+    assert len(flushers) == len(frontend._buckets) == len(cluster.groups)
+
+
+def test_drain_ends_where_a_flusher_per_burst_did():
+    """Draining mid-stream, while a client keeps submitting, and again
+    at the end: the clock, the latency histogram and every node's reads
+    equal what the parent (02da4c5, a flusher process per burst of
+    work) produced — wake and idle events land where its start and exit
+    events did."""
+    sim, cluster, expect = make_fleet()
+    frontend = ServingFrontend(sim, {"dc0": cluster})
+    rng = random.Random(7)
+    keys = sorted(expect)
+    mid = sim.event()
+
+    def client():
+        for index in range(600):
+            # bursts of 50 reads, 50 ms of quiet between them
+            yield rng.expovariate(2000.0) if index % 50 else 0.05
+            frontend.try_submit("dc0", keys[rng.randrange(len(keys))], 1)
+            if index == 320:
+                mid.succeed()
+
+    done = sim.process(client())
+    sim.run(until=mid)
+    assert outstanding(frontend) > 0
+    frontend.drain()
+    assert sim.now == 0.5092258811826933
+    assert outstanding(frontend) == 0
+    sim.run(until=done)
+    frontend.drain()
+    assert sim.now == 0.8906871049935282
+    hist = frontend.latency["dc0"]
+    assert (len(hist), hist.mean) == (600, 0.8365405025517609 / 600)
+    assert hashlib.sha256(
+        repr(hist.nonzero_buckets()).encode()
+    ).hexdigest() == (
+        "d2598ac15d8256beb14eebd9fd3b34289b8c1b1ecfed6b798312416be1e107c5"
+    )
+    assert {node.name: node.gets for node in cluster.all_nodes} == {
+        "dc0/g0/n0": 94, "dc0/g0/n1": 89, "dc0/g0/n2": 94,
+        "dc0/g1/n0": 101, "dc0/g1/n1": 107, "dc0/g1/n2": 115,
+    }
+    assert frontend.batches["dc0"] == 219

@@ -35,9 +35,9 @@ def reference_run(sim, until=None):
         stop_event = until
     elif until is not None:
         deadline = float(until)
-        if deadline < sim._now:
+        if deadline < sim.now:
             raise SimulationError(
-                f"run(until={deadline}) is before now={sim._now}"
+                f"run(until={deadline}) is before now={sim.now}"
             )
     while True:
         if stop_event is not None and stop_event.callbacks is None:
@@ -46,7 +46,7 @@ def reference_run(sim, until=None):
         if upcoming == _INF:
             break
         if upcoming > deadline:
-            sim._now = deadline
+            sim.now = deadline
             return None
         sim.step()
     if stop_event is not None:
@@ -58,7 +58,7 @@ def reference_run(sim, until=None):
             raise stop_event._value
         return stop_event._value
     if deadline != _INF:
-        sim._now = deadline
+        sim.now = deadline
     return None
 
 
