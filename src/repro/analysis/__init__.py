@@ -1,7 +1,7 @@
 """Analysis helpers: statistics, RUM accounting, and table rendering."""
 
 from repro.analysis.rum import RUMProfile, rum_profile
-from repro.analysis.stats import pearson_correlation, summarize
+from repro.analysis.stats import pearson_correlation
 from repro.analysis.tables import render_table
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "pearson_correlation",
     "render_table",
     "rum_profile",
-    "summarize",
 ]

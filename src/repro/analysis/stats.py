@@ -3,25 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """count / mean / std / min / max of a sample."""
-    if not values:
-        return {"count": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
-    count = len(values)
-    mean = sum(values) / count
-    variance = sum((v - mean) ** 2 for v in values) / count
-    return {
-        "count": count,
-        "mean": mean,
-        "std": math.sqrt(variance),
-        "min": min(values),
-        "max": max(values),
-    }
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

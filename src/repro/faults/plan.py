@@ -105,17 +105,6 @@ class FaultPlan:
         )
         object.__setattr__(self, "events", ordered)
 
-    @property
-    def horizon_s(self) -> float:
-        """When the last scheduled fault has fully healed."""
-        horizon = 0.0
-        for event in self.events:
-            duration = getattr(event, "down_s", None)
-            if duration is None:
-                duration = getattr(event, "duration_s", 0.0)
-            horizon = max(horizon, event.at_s + duration)
-        return horizon
-
     # ------------------------------------------------------------------
     @classmethod
     def parse(cls, text: str, name: str = "") -> "FaultPlan":

@@ -8,7 +8,7 @@ sorted by key range; a point lookup touches at most one file per level.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro.errors import StorageError
 from repro.lsm.sstable import Composite, SSTable
@@ -110,9 +110,3 @@ class LevelState:
         if position >= 0:
             yield files[position]
 
-    def describe(self) -> List[Tuple[int, int, int]]:
-        """(level, file_count, bytes) rows, for stats displays."""
-        return [
-            (index, len(files), self.level_bytes(index))
-            for index, files in enumerate(self._levels)
-        ]

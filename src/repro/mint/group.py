@@ -331,60 +331,75 @@ class NodeGroup:
             )
         return written
 
+    def _elastic_tiers(self, key: bytes) -> List[List[StorageNode]]:
+        """The key's read tiers during a transition or a drain, each in
+        rendezvous order: non-draining before draining and, within each,
+        the old placement (guaranteed complete mid-move) before new-only
+        replicas whose copies may still be in flight."""
+        old = self.old_replicas_for(key)
+        new_only = [node for node in self.replicas_for(key) if node not in old]
+        draining = self._draining
+        return [
+            [node for node in part if (node.name in draining) is leaving]
+            for leaving in (False, True)
+            for part in (old, new_only)
+        ]
+
+    def _choose(
+        self, key: bytes, assigned: Dict[StorageNode, int], tried: tuple
+    ) -> Optional[StorageNode]:
+        """The replica the next read of ``key`` goes to: the one rule
+        every read uses, or ``None`` once no live replica is untried.
+
+        The key's replicas come in preference tiers: outside a
+        transition and a drain one, ``replicas_for(key)``, else
+        :meth:`_elastic_tiers`.  In the first tier holding a live
+        replica not in ``tried``, the one with the fewest reads
+        ``assigned`` (node -> reads given it in this batch) wins; ties
+        go to the fewest reads served (``StorageNode.gets``), then to
+        the earlier rendezvous rank.  Nothing here reads a device clock,
+        so a storage-only change cannot re-route a read.
+        """
+        if self._old_member_names is None and not self._draining:
+            tiers = (self.replicas_for(key),)
+        else:
+            tiers = self._elastic_tiers(key)
+        for tier in tiers:
+            choice = None
+            for node in tier:
+                if node.is_up and node not in tried:
+                    load = assigned.get(node, 0)
+                    if choice is None or load < least or (
+                        load == least and node.gets < served
+                    ):
+                        choice, least, served = node, load, node.gets
+            if choice is not None:
+                return choice
+        return None
+
     def read_order(
         self, key: bytes, assigned: Optional[Dict[str, int]] = None
     ) -> List[StorageNode]:
-        """The key's replicas, least-loaded first.
+        """The key's replicas in the order reads would try them: the
+        :meth:`_choose` rule applied repeatedly, each pick counted as
+        tried, followed by the down replicas.
 
-        Load is the replica's device clock (``engine.device.now``): the
-        node that has accumulated the least simulated work serves next,
-        so a hot key's reads rotate across its replica set instead of
-        pinning the rendezvous-top node.  Down replicas sort last (they
-        only matter as failover of last resort) and ties break by
-        rendezvous rank, keeping the order deterministic.
-
-        ``assigned`` is the batch-aware extension :meth:`multi_get`
-        uses: a node-name -> keys-already-assigned-this-batch map that
-        outranks the device clock, so a batch spreads across a key's
-        live replicas *within* one call instead of piling onto whichever
-        replica was least loaded when the batch arrived (device clocks
-        only advance when the engine runs, so without the bias every
-        item of a batch would pick the same node).  ``None`` (the
-        default) is an empty map: plain least-loaded order.
+        ``assigned`` maps node names to reads already given them in this
+        batch (``None``, the default, is an empty map), so a hot key's
+        reads rotate across its live replicas.
         """
-        if assigned is None:
-            assigned = {}
-        # Candidates are the key's replicas — in a transition, the old
-        # placement (guaranteed complete mid-move) plus any new-only
-        # replicas.  Live non-draining nodes come first — a draining
-        # member never serves while a healthier candidate exists — then
-        # old-placement nodes outrank new-only ones whose copies may
-        # still be in flight; within a tier the usual
-        # least-loaded/rendezvous ordering applies.
-        if self._old_member_names is not None:
-            replicas = list(self.old_replicas_for(key))
-            in_old = {node.name for node in replicas}
-            replicas += [
-                node
-                for node in self.replicas_for(key)
-                if node.name not in in_old
-            ]
-        else:
-            replicas = self.replicas_for(key)
-            in_old = {node.name for node in replicas}
-        draining = self._draining
-        sort_key = lambda pair: (  # noqa: E731 - tiny local ordering
-            not pair[1].is_up,
-            pair[1].name in draining,
-            pair[1].name not in in_old,
-            assigned.get(pair[1].name, 0),
-            pair[1].engine.device.now,
-            pair[0],
-        )
-        return [
-            node
-            for _rank, node in sorted(enumerate(replicas), key=sort_key)
-        ]
+        # The write targets are the read candidates: in a transition,
+        # both placement epochs.
+        replicas = self._write_replicas_for(key)
+        names = assigned or {}
+        load = {node: names.get(node.name, 0) for node in replicas}
+        order: tuple = ()
+        while True:
+            node = self._choose(key, load, order)
+            if node is None:
+                break
+            order += (node,)
+        return [*order, *(node for node in replicas if not node.is_up)]
 
     def get(self, key: bytes, version: int) -> bytes:
         """A :meth:`multi_get` of one, tallied in ``gets``."""
@@ -396,21 +411,21 @@ class NodeGroup:
         node; returns the values in input order.
 
         The paper sends requests "to the relevant nodes in parallel"; the
-        simulation models that fan-out actually *spreading* load, so no
-        single device clock soaks up a whole group's read traffic, and
-        masking a replica that is down, up but *missing* the key (it lost
-        an unflushed tail in a crash and has not been repaired yet) or
-        holding a frame that fails its checks — only a key no live
-        replica could serve raises.
+        simulation models that fan-out actually *spreading* load across a
+        key's replicas, and masking a replica that is down, up but
+        *missing* the key (it lost an unflushed tail in a crash and has
+        not been repaired yet) or holding a frame that fails its checks —
+        only a key no live replica could serve raises.
 
-        The scatter half of the serving fast path: each item goes to the
-        head of the batch-aware :meth:`read_order` (the running per-node
-        assignment count outranks the device clock, so a batch of hot
-        keys spreads across the replica set within one call), sub-batches
-        issue as a single :meth:`StorageNode.get_batch` per node, and
-        failures fail over *per key*: an item its replica could not serve
-        retries on the key's next untried replica in a later round, while
-        the resolved rest of the batch stands.
+        The scatter half of the serving fast path: every try of every
+        item — first round and failover, steady and elastic — goes where
+        :meth:`_choose` sends it, given the reads already assigned in
+        this call (so a batch of hot keys spreads across the replica set)
+        and the replicas that already failed the item.  Sub-batches issue
+        as a single :meth:`StorageNode.get_batch` per node, and failures
+        fail over *per key*: an item its replica could not serve retries
+        on the key's next choice in a later round, while the resolved
+        rest of the batch stands.
 
         Each fall-through is counted: a down replica in an item's
         order ticks its ``skipped_gets``, an up replica missing the key
@@ -439,57 +454,32 @@ class NodeGroup:
         self.multi_gets += 1
         self.batched_gets += count
         results: List = [None] * count
-        #: per item: names of the replicas that failed it (down skip,
-        #: missing or corrupt serve) — no set until the item first fails
-        tried: List[Optional[set]] = [None] * count
+        #: per item: the replicas that failed it (missing, corrupt or
+        #: down at dispatch)
+        tried: List[tuple] = [()] * count
         #: per item: some live replica answered but lacked the key
         live_missed = [False] * count
         #: item -> the CorruptionError a live replica answered it with
         corrupt: Dict[int, CorruptionError] = {}
-        #: node -> items assigned this call (the read_order bias)
+        #: node -> items assigned this call
         assigned: Dict[StorageNode, int] = {}
         assigned_to, item_at = assigned.get, items.__getitem__
-        steady = self._old_member_names is None and not self._draining
-        #: memoized placements while current (else replicas_for rebuilds)
-        current = self._placement_version == self.membership_version
-        placed = (self._placement_cache if current else {}).get
+        choose = self._choose
         pending = range(count)
         while pending:
             per_node: Dict[StorageNode, List[int]] = {}
             for index in pending:
                 key = items[index][0]
                 seen = tried[index]
-                choice = None
-                if seen is None and steady:
-                    # First try, no transition or drain: the head of
-                    # ``read_order(key, assigned)`` is the strict-<
-                    # minimum of (assigned, device clock) over the live
-                    # replicas in rank order — same order, no sort.
-                    least = earliest = None
-                    for node in placed(key) or self.replicas_for(key):
-                        if node.is_up:
-                            load = assigned_to(node, 0)
-                            now = node.engine.device.now
-                            if choice is None or load < least or (
-                                load == least and now < earliest
-                            ):
-                                choice, least, earliest = node, load, now
+                choice = choose(key, assigned, seen)
                 if choice is None:
-                    if seen is None:
-                        seen = tried[index] = set()
-                    by_name = {node.name: n for node, n in assigned.items()}
-                    for node in self.read_order(key, by_name):
-                        if node.name in seen:
-                            continue
-                        if node.is_up:
-                            choice = node
-                            break
-                        node.skipped_gets += 1
-                        seen.add(node.name)
-                if choice is None:
-                    # Every replica tried: a corrupt copy outranks "live
-                    # replicas missed the key", which outranks "no
-                    # replica was ever up".
+                    # Every live replica tried: the down ones left count
+                    # as skipped.  A corrupt copy outranks "live replicas
+                    # missed the key", which outranks "no replica was
+                    # ever up".
+                    for node in self.read_order(key):
+                        if node not in seen:
+                            node.skipped_gets += 1
                     if index in corrupt:
                         raise corrupt[index]
                     if not live_missed[index]:
@@ -534,7 +524,7 @@ class NodeGroup:
                                 self.failover_gets += 1
                     node.missing_gets += len(lost)
                 for index in lost:
-                    tried[index] = (tried[index] or set()) | {node.name}
+                    tried[index] += (node,)
                 retry += lost
             retry.sort()
             pending = retry

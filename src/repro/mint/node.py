@@ -75,6 +75,7 @@ class StorageNode:
         self.engine: Engine = engine
         self.is_up = True
         self.puts = 0
+        #: reads routed to this node: the load the replica choice ranks by
         self.gets = 0
         #: reads routed away from this node because it was down
         self.skipped_gets = 0

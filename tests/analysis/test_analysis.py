@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.rum import rum_profile
-from repro.analysis.stats import pearson_correlation, summarize
+from repro.analysis.stats import pearson_correlation
 from repro.analysis.tables import render_table
 from repro.core.metrics import PercentileTracker
 from repro.errors import ConfigError
@@ -12,15 +12,6 @@ from repro.qindb.engine import QinDB, QinDBConfig
 
 
 # --------------------------------------------------------------------- stats
-def test_summarize():
-    stats = summarize([1.0, 2.0, 3.0, 4.0])
-    assert stats["count"] == 4
-    assert stats["mean"] == 2.5
-    assert stats["min"] == 1.0
-    assert stats["max"] == 4.0
-    assert summarize([])["count"] == 0
-
-
 def test_pearson_correlation_extremes():
     xs = [1.0, 2.0, 3.0, 4.0]
     assert pearson_correlation(xs, [2.0, 4.0, 6.0, 8.0]) == pytest.approx(1.0)

@@ -66,14 +66,6 @@ def test_events_sort_by_offset_stably():
     ]
 
 
-def test_horizon_covers_the_last_heal():
-    plan = FaultPlan.parse(
-        "crash node=a/g0/n0 at=1 down=4; corrupt p=0.1 at=2 dur=10"
-    )
-    assert plan.horizon_s == 12.0
-    assert FaultPlan().horizon_s == 0.0
-
-
 @pytest.mark.parametrize(
     "text",
     [

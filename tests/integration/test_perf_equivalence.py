@@ -25,8 +25,6 @@ import functools
 import hashlib
 import json
 
-import pytest
-
 from repro.workloads.chaos import (
     ChaosConfig,
     build_chaos_system,
@@ -50,20 +48,21 @@ GOLDEN = {
     "chaos": "fdc0d01df934190e35ab5b3772b80744cc2b65fff9eda3ea3174b56702191467",
     # Seven pipelined cycles that evict versions 1..3 (reports, fleet
     # state, every node's tallies and engine/device counters).  Re-pinned
-    # once, by eviction as one RETIRE frame per node: no tombstone per
-    # record, so the AOF and device byte, page, op and clock counters
-    # fall, and with the clocks one read of north-dc1/g0 moved from n2 to
-    # n1 (least device time first).  Reports and fleet state unchanged.
-    "pipelined-evicting": "8d17fd85f6a752ab0aa75231e485f18d22e02d691506ff0c97db2b7d35095209",
+    # twice.  First by eviction as one RETIRE frame per node: no
+    # tombstone per record, so the AOF and device byte, page, op and
+    # clock counters fell, and with the clocks one read of north-dc1/g0
+    # moved from n2 to n1 (replicas then ranked by device time).  Then by
+    # ranking replicas by reads served instead of device clocks: that
+    # read moved back, from n1 to n2 (north-dc1/g0's gets per node
+    # n0/n1/n2 are 75/74/75 again, not 75/75/74), and with it the two
+    # nodes' read counters and clocks.  Reports and fleet state unchanged.
+    "pipelined-evicting": "99b806f8e8b1554608aecd85935acca9774896399893ba2a3aa75ed6f6768ca6",
     # The same month's outcome: fleet state, each cycle's version, keys
     # delivered and evicted versions, and every node's puts, gets and
-    # deletes.  Minted before eviction became one RETIRE frame, which
-    # moves it (see the xfail below).
+    # deletes.  Minted before eviction became one RETIRE frame; no
+    # storage change can move it, since no read is routed by a device
+    # clock.
     "pipelined-evicting-state": "a677a1791bfddac8b64931daed0a21a47232a3f2a33608823891239d7872ef47",
-    # That outcome with gets summed per group: which replica serves a
-    # read follows the device clocks (least device time first), which
-    # group serves it does not.
-    "pipelined-evicting-outcome": "1b72c346a9c8fb12ce923e716f6b652f790ec1639cb8e61701d387b01eeb7c0d",
 }
 
 
@@ -229,9 +228,9 @@ def _node_counters(system):
 
 @functools.lru_cache(maxsize=None)
 def _evicting_digests():
-    """The evicting month's digests: its outcome per node (``-state``),
-    per group (``-outcome``) and the whole payload with every engine and
-    device counter.  One run serves every check."""
+    """The evicting month's digests: its outcome per node (``-state``)
+    and the whole payload with every engine and device counter.  One run
+    serves both checks."""
     system = build_chaos_system()
     reports = system.run_pipelined_cycles(EVICTION_RATES)
     assert any(report.evicted_versions for report in reports)
@@ -250,16 +249,6 @@ def _evicting_digests():
             node.name: [node.puts, node.gets, node.deletes] for node in nodes
         },
     }
-    per_group = {
-        "cycles": cycles,
-        "state": state,
-        "tallies": {node.name: [node.puts, node.deletes] for node in nodes},
-        "group_gets": {
-            f"{dc}/{group.group_id}": sum(node.gets for node in group.nodes)
-            for dc, cluster in system.clusters.items()
-            for group in cluster.groups
-        },
-    }
     full = {
         "reports": _report_dicts(reports),
         "state": state,
@@ -267,25 +256,16 @@ def _evicting_digests():
     }
     return {
         "pipelined-evicting-state": _digest(per_node),
-        "pipelined-evicting-outcome": _digest(per_group),
         "pipelined-evicting": _digest(full),
     }
 
 
 def test_evicting_pipelined_month_byte_identical():
-    digests = _evicting_digests()
-    assert digests["pipelined-evicting-outcome"] == (
-        GOLDEN["pipelined-evicting-outcome"]
+    assert _evicting_digests()["pipelined-evicting"] == (
+        GOLDEN["pipelined-evicting"]
     )
-    assert digests["pipelined-evicting"] == GOLDEN["pipelined-evicting"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="one read of north-dc1/g0 moved from n2 to n1: a RETIRE frame "
-    "programs fewer pages than a tombstone per record, so the replicas' "
-    "device clocks (least device time serves first) order differently",
-)
 def test_evicting_pipelined_month_keeps_every_node_tally():
     digests = _evicting_digests()
     assert digests["pipelined-evicting-state"] == (

@@ -89,14 +89,6 @@ def test_deepest_nonempty_when_empty():
     assert LevelState().deepest_nonempty() == -1
 
 
-def test_describe(fs):
-    levels = LevelState()
-    levels.add(0, make_table(fs, "a", 0, 5, sequence=1))
-    rows = levels.describe()
-    assert rows[0][1] == 1  # one file at L0
-    assert all(count == 0 for _lvl, count, _b in rows[1:])
-
-
 def test_validation():
     with pytest.raises(StorageError):
         LevelState(max_levels=1)

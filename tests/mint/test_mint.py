@@ -193,10 +193,14 @@ def test_group_read_order_prefers_least_loaded_live_replica():
     assert {node.name for node in order} == {
         node.name for node in group.replicas_for(b"k")
     }
-    # Busy the front-runner; it must drop behind the idle replicas.
+    # Device time is not load: a busy clock alone leaves the head alone.
     order[0].engine.device.advance(10.0)
+    assert group.read_order(b"k")[0] is order[0]
+    # Busy the front-runner with reads served; it drops behind the idle
+    # replicas.
+    order[0].get(b"k", 1)
     assert group.read_order(b"k")[0] is not order[0]
-    # A down replica sorts last regardless of its clock.
+    # A down replica sorts last regardless of its load.
     idle = group.read_order(b"k")[0]
     idle.fail()
     assert group.read_order(b"k")[-1] is idle

@@ -1,6 +1,6 @@
 """Property tests for ``NodeGroup.read_order`` under faults and load.
 
-The read path leans on ``read_order`` for three promises:
+The read path leans on the replica choice for four promises:
 
 * **determinism** — at equal load the preference order is a pure
   function of the key, so two identical fleets route identically;
@@ -8,7 +8,9 @@ The read path leans on ``read_order`` for three promises:
   preferred over a live one (the failover loop relies on this to find a
   live copy in one pass);
 * **rotation** — the batch-assignment bias rotates hot keys across
-  replicas instead of hammering the rank-0 copy.
+  replicas instead of hammering the rank-0 copy;
+* **storage invariance** — load is reads, not device time or stored
+  bytes, so a storage-only change cannot move a read.
 """
 
 from __future__ import annotations
@@ -271,3 +273,63 @@ def test_multi_get_matches_the_read_order_reference(history, items, missing):
     )
     old = observe(build_group(history), reference_multi_get, items, missing)
     assert new == old
+
+
+# ----------------------------------------------------------------------
+# A storage-only change cannot move a read
+# ----------------------------------------------------------------------
+#: per node: seconds of device time and unrelated records to write
+disturbances = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=MEMBERS),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=6,
+)
+
+
+def read_tallies(group):
+    """What routing decides: every node's read counters, and failovers."""
+    return (
+        [
+            (node.name, node.gets, node.skipped_gets, node.missing_gets,
+             node.corrupt_gets)
+            for node in group.nodes
+        ],
+        group.failover_gets,
+    )
+
+
+@given(
+    history=histories,
+    rounds=st.lists(st.tuples(disturbances, batches), min_size=1, max_size=4),
+    missing=st.sampled_from(["raise", "none"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_storage_only_changes_cannot_move_a_read(history, rounds, missing):
+    """Two identical groups serve the same batches; before each, the
+    twin's devices run ahead and take writes of unrelated keys.  Device
+    time and stored bytes are not read load, so every value and every
+    read counter stays the same."""
+    group, twin = build_group(history), build_group(history)
+    written = 0
+    for disturbance, items in rounds:
+        for node_index, seconds, records in disturbance:
+            node = twin.nodes[node_index % len(twin.nodes)]
+            node.engine.device.advance(seconds)
+            batch = [
+                (b"unrelated-%d" % (written + n), 1, b"x" * 300)
+                for n in range(records)
+            ]
+            written += records
+            if batch:
+                node.engine.put_batch(batch)
+        answers = []
+        for each in (group, twin):
+            try:
+                answers.append(each.multi_get(items, missing))
+            except (ReplicationError, KeyNotFoundError) as exc:
+                answers.append((type(exc), str(exc)))
+        assert answers[0] == answers[1]
+        assert read_tallies(group) == read_tallies(twin)

@@ -97,9 +97,11 @@ def test_multiget_ablation_meets_acceptance_floor():
     assert ablation["per_key"]["keys"] == ablation["batched"]["keys"]
     # Simulated device time is exact per seed; pinned so a read-path
     # change that costs batched throughput shows up, not just one that
-    # falls through the floor.
-    assert ablation["speedup"] == 3.81
-    assert ablation["batched"]["keys_per_device_s"] == 60_984.3
+    # falls through the floor.  Re-minted when replicas came to be
+    # ranked by reads served instead of device clocks (was 3.81 and
+    # 60,984.3).
+    assert ablation["speedup"] == 3.83
+    assert ablation["batched"]["keys_per_device_s"] == 61_276.3
 
 
 def test_cli_serve_json_and_out(capsys):

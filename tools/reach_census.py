@@ -240,17 +240,8 @@ KEEP: Dict[str, str] = {
         "deferred cut (test_tracer::test_to_json_and_clear)"
     ),
     "repro.obs.tracer.Span.to_dict": "deferred cut with Tracer.to_json",
-    "repro.faults.plan.FaultPlan.horizon_s": (
-        "deferred cut (test_plan::test_horizon_covers_the_last_heal)"
-    ),
     "repro.workloads.fig5.Fig5WorkloadConfig.total_user_bytes": (
         "deferred cut (test_workloads::test_fig5_total_user_bytes_estimate)"
-    ),
-    "repro.analysis.stats.summarize": (
-        "deferred cut (test_analysis::test_summarize)"
-    ),
-    "repro.lsm.levels.LevelState.describe": (
-        "deferred cut (test_levels::test_describe)"
     ),
     "repro.core.version.VersionManager.begin_version": (
         "deferred cut "
