@@ -245,18 +245,19 @@ class DecodedSlice(list):
 
     It *is* the entry list, with ``bases`` (``(key, base signature)`` of
     every delta entry, in entry order), ``raw_bytes`` (the inflated
-    stream's length), ``pending`` (receivers yet to take it) and
-    ``batch``: what they all store, built by the first (Mint's put batch
-    with its bodies)."""
+    stream's length), ``pending`` (receivers yet to take it), and what
+    they all store, built by the first: ``batch`` (Mint's put batch with
+    its bodies) and ``signatures`` (each entry's build signature, for
+    the integrity summaries)."""
 
-    __slots__ = ("bases", "raw_bytes", "pending", "batch")
+    __slots__ = ("bases", "raw_bytes", "pending", "batch", "signatures")
 
     def __init__(self, entries, bases, raw_bytes: int, pending: int) -> None:
         super().__init__(entries)
         self.bases = bases
         self.raw_bytes = raw_bytes
         self.pending = pending
-        self.batch = None
+        self.batch = self.signatures = None
 
 
 class SliceDecodes(dict):

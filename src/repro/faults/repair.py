@@ -315,12 +315,10 @@ class ReplicaRepairer:
         for summary in integrity.all_summaries():
             indices = [
                 index
-                for index, record in enumerate(summary.records)
+                for index, (key, _version) in enumerate(summary.item_keys)
                 if any(
                     replica is node
-                    for replica in cluster.group_for(record[0]).replicas_for(
-                        record[0]
-                    )
+                    for replica in cluster.group_for(key).replicas_for(key)
                 )
             ]
             if not indices:
@@ -343,7 +341,8 @@ class ReplicaRepairer:
                 sampled = indices[::step][:count]
             diverged = False
             for index in sampled:
-                key, version, _dedup, build_sig = summary.records[index]
+                key, version = summary.item_keys[index]
+                build_sig = summary.signatures[index]
                 record = node.engine.peek(key, version)
                 result.records_sampled += 1
                 counters.audited_records += 1
@@ -383,7 +382,7 @@ class ReplicaRepairer:
         counters.audit_full_sweeps += 1
         result.full_sweeps += 1
         for index in indices:
-            key, version, _dedup, _sig = summary.records[index]
+            key, version = summary.item_keys[index]
             expected = summary.levels[0][index]
             record = node.engine.peek(key, version)
             counters.audit_leaf_checks += 1

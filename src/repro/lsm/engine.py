@@ -262,31 +262,6 @@ class LSMEngine:
         value = self.get_batch([(key, version)])[0]
         return None if value is None else (value, False)
 
-    def scan(
-        self, start_key: bytes, end_key: bytes
-    ) -> Iterator[Tuple[bytes, int, bytes]]:
-        """Merged range scan with dedup resolution (newest copy wins)."""
-        self._check_open()
-        low = (start_key, 0)
-        high = (end_key, 0)
-        for record in merge_tables(self._sources()):
-            composite = (record.key, record.version)
-            if composite < low:
-                continue
-            if composite >= high:
-                return
-            if record.type is RecordType.DELETE:
-                continue
-            if record.type is RecordType.PUT_DEDUP:
-                try:
-                    yield record.key, record.version, self._traceback(
-                        record.key, record.version
-                    )
-                except KeyNotFoundError:
-                    continue
-            else:
-                yield record.key, record.version, record.value
-
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------

@@ -390,7 +390,10 @@ class MintCluster:
         handful of batched passes instead of a put per key per replica.
         The record bodies are built at most once on the way down — here,
         unless the caller's batch already carries them — and each group
-        takes its share of them.
+        takes its share of them, cut once per distinct share
+        (:meth:`~repro.qindb.records.Bodies.take`): every data center
+        that partitions the fleet's batch alike hands its groups the same
+        sub-batches, and their replicas the same heads.
         Returns the total replica writes performed.
         """
         items = Bodies.of(items)
@@ -563,9 +566,11 @@ class MintCluster:
         (the decoder's output) — both produce byte-identical stores.
         The record bodies and their checksums are built once for the
         fleet, by the first data center to store the slice, and kept
-        with the fleet's shared take of it: every replica in every data
-        center frames the same bodies under the same storage keys, and
-        each integrity index keeps the checksums as its leaves.
+        with the fleet's shared take of it, beside the entries' build
+        signatures: every replica in every data center frames the same
+        bodies under the same storage keys, and each integrity index
+        keeps the checksums as its leaves and the batch's columns and
+        the signatures as its records.
         """
         batch = entries.batch
         if batch is None:
@@ -575,13 +580,12 @@ class MintCluster:
                     for entry in entries
                 ]
             )
+            entries.signatures = [entry.signature for entry in entries]
         self.put_batch(batch)
         self.version_keys.setdefault(item.version, []).extend(
             map(itemgetter(0), batch)
         )
-        self.integrity.absorb(
-            item, batch, [entry.signature for entry in entries]
-        )
+        self.integrity.absorb(item, batch, entries.signatures)
         return len(batch)
 
     def drop_version(self, version: int) -> int:

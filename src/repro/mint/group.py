@@ -72,6 +72,9 @@ class NodeGroup:
         #: restarts only flip ``is_up`` and never move placement, so the
         #: cache survives them — exactly the paper's stability argument.
         self._placement_cache: Dict[bytes, List[StorageNode]] = {}
+        #: ranked replica names -> the one list of those nodes every key
+        #: ranked that way shares; dropped with ``_placement_cache``
+        self._placements: Dict[tuple, List[StorageNode]] = {}
         #: monotonic membership epoch; compared against
         #: ``_placement_version`` to invalidate memoized placements
         self.membership_version = 0
@@ -226,14 +229,16 @@ class NodeGroup:
     def replicas_for(self, key: bytes) -> List[StorageNode]:
         """The ``replica_count`` nodes responsible for ``key``.
 
-        Memoized per key (callers must not mutate the returned list);
-        the cache self-invalidates when ``membership_version`` moves past
-        the version it was built at.  With drains pending, ranking goes
-        through the weighted path (draining members weight 0 — ranked
-        last, so they fall out of the top ``replica_count``).
+        Memoized per key, and keys ranked alike share one list (callers
+        must not mutate it); both memos self-invalidate when
+        ``membership_version`` moves past the version they were built
+        at.  With drains pending, ranking goes through the weighted path
+        (draining members weight 0 — ranked last, so they fall out of
+        the top ``replica_count``).
         """
         if self._placement_version != self.membership_version:
             self._placement_cache.clear()
+            self._placements.clear()
             self._placement_version = self.membership_version
         nodes = self._placement_cache.get(key)
         if nodes is None:
@@ -247,7 +252,12 @@ class NodeGroup:
                 )
             else:
                 ranked = rendezvous_ranking(self._member_names, key)
-            nodes = [self._nodes[name] for name in ranked[: self.replica_count]]
+            names = tuple(ranked[: self.replica_count])
+            nodes = self._placements.get(names)
+            if nodes is None:
+                nodes = self._placements[names] = list(
+                    map(self._nodes.__getitem__, names)
+                )
             self._placement_cache[key] = nodes
         return nodes
 

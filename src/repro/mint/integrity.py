@@ -33,8 +33,6 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.bifrost.signature import SIGNATURE_BYTES
@@ -80,21 +78,26 @@ def merkle_levels(leaves: List[int]) -> List[List[int]]:
 class SliceSummary:
     """The integrity record one ingested slice leaves behind.
 
-    ``records`` holds ``(key, version, dedup, build_signature)`` per
-    record in ingest order — the build signature is ``None`` only for
-    deduplicated markers (no bytes stored, nothing to sign).
+    Per record, in ingest order, as three columns: ``item_keys`` (the
+    stored ``(key, version)``), ``dedup`` (a value-less marker) and
+    ``signatures`` (the build signature, ``None`` only for deduplicated
+    markers: no bytes stored, nothing to sign).  The columns are the
+    slice's shared batch's own lists and a signature list built once per
+    slice, so every data center's summary holds the same objects.
     """
 
     slice_id: str
     kind: IndexKind
     version: int
-    records: List[Tuple[bytes, int, bool, Optional[bytes]]]
+    item_keys: List[Tuple[bytes, int]] = field(repr=False)
+    dedup: List[bool] = field(repr=False)
+    signatures: List[Optional[bytes]] = field(repr=False)
     levels: List[List[int]] = field(repr=False)
     seal: bytes = b""
 
     @property
     def record_count(self) -> int:
-        return len(self.records)
+        return len(self.item_keys)
 
     @property
     def root(self) -> int:
@@ -175,26 +178,27 @@ class IntegrityIndex:
         order — the bytes they actually hold (post wire-decode when
         encoding is on), keyed the way the engines key them so audits
         peek directly — and ``signatures`` the build signature of each
-        of its records.  The leaves are the batch's body checksums,
-        taken as they are.
+        of its records.  The leaves are the batch's body checksums and
+        the record columns its ``item_keys`` and ``dedup``, all taken as
+        they are.
         """
         counters = self.counters
         version = item.version
         leaves = stored.checksums
-        keys = map(itemgetter(0), stored)
-        records = list(zip(keys, repeat(version), stored.dedup, signatures))
         counters.ingest_checksums += len(leaves)
         levels = merkle_levels(leaves) if leaves else [[0]]
         summary = SliceSummary(
             slice_id=item.slice_id,
             kind=item.kind,
             version=version,
-            records=records,
+            item_keys=stored.item_keys,
+            dedup=stored.dedup,
+            signatures=signatures,
             levels=levels,
         )
         summary.seal = seal_summary(summary.slice_id, summary.root)
         counters.seal_signatures += 1
-        counters.records_tracked += len(records)
+        counters.records_tracked += len(leaves)
         counters.slices_tracked += 1
         self._slices[item.slice_id] = summary
         self._by_version.setdefault(version, []).append(item.slice_id)

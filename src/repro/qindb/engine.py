@@ -258,10 +258,13 @@ class QinDB:
         triples, or upstream once for every replica of the batch; the
         same code runs either way) is validated whole before anything is
         touched.  Per record this engine then draws the next sequence
-        number (input order, exactly as sequential puts would), seeds
-        one 8-byte CRC update with the body checksum and packs one head;
-        heads and the shared bodies go down side by side (the flash keeps
-        a body by reference, one object on every replica), so the
+        number (input order, exactly as sequential puts would) and takes
+        the batch's heads at those sequences
+        (:meth:`~repro.qindb.records.Bodies.heads`: one 8-byte CRC
+        update seeded with the body checksum and one head per record,
+        made by the first replica to frame the batch there); heads and
+        the shared bodies go down side by side (the flash keeps both by
+        reference, one object on every replica that shares them), so the
         AOF/device layer can coalesce contiguous block-aligned pages into
         multi-page device programs.  The
         memtable takes the whole batch as columns — the batch's item
@@ -281,7 +284,7 @@ class QinDB:
             return
         sequences = self._draw_sequences(len(batch))
         locations, appended = self.aofs.append_frames(
-            frame_heads(sequences, batch.checksums), batch.bodies
+            batch.heads(sequences), batch.bodies
         )
         framed = 0
         for segment_id, nbytes in appended:

@@ -6,10 +6,11 @@ version's run: the run maps each key to its slot, and the slot indexes
 ``array('q')`` columns of segment, offset, length and sequence (the put
 that created it: recovery order) and a ``bytearray`` of flags (``r`` =
 :data:`DEDUP`, the value field was removed upstream; ``d`` =
-:data:`DELETED`).  Beside the key, a record costs one dict entry, 33
-column bytes and its slot number, none of them tracked by the cyclic
-collector.  DirectLoad ingests whole versions, so a batch extends one
-run's columns; a run is freed when GC drops its last slot.
+:data:`DELETED`).  Beside the key, a record costs one dict entry and
+33 column bytes, none of them tracked by the cyclic collector; its slot
+number is the int object every run shares for that index.  DirectLoad
+ingests whole versions, so a batch extends one run's columns; a run is
+freed when GC drops its last slot.
 
 An *item* is built on access as the exact tuple ``(location,
 deduplicated, deleted, sequence)``, ``location = (segment_id, offset,
@@ -70,6 +71,20 @@ _ITEM_OVERHEAD = 8 + 40
 _LIVE = bytes(0 if flags & DELETED else 1 for flags in range(256))
 #: flag byte -> the same byte with the ``d`` flag set
 _RETIRED = bytes(flags | DELETED for flags in range(256))
+
+#: slot ``i`` of every run of every engine is this table's one int
+#: object, so a record's slot costs its dict entry only.  The first
+#: 4,096 are made at import (~160 KB), so runs of that size never grow
+#: it; a longer run extends it, once for the process.
+_SLOTS = list(range(1 << 12))
+
+
+def _slot_numbers(start: int, count: int) -> List[int]:
+    """The shared int objects ``start .. start + count - 1``."""
+    if start + count > len(_SLOTS):
+        _SLOTS.extend(range(len(_SLOTS), start + count))
+    return _SLOTS[start : start + count]
+
 
 _PUT_VALUE = int(RecordType.PUT_VALUE)
 _DELETE = int(RecordType.DELETE)
@@ -176,7 +191,7 @@ class Memtable:
                 insort(self._versions, version)
             if run.slots.keys().isdisjoint(keys):
                 start = len(run.flags)
-                run.slots.update(zip(keys, range(start, start + count)))
+                run.slots.update(zip(keys, _slot_numbers(start, count)))
                 run.segment.extend(map(itemgetter(0), locations))
                 run.offset.extend(map(itemgetter(1), locations))
                 run.length.extend(map(itemgetter(2), locations))

@@ -8,8 +8,10 @@ Every datum QinDB persists is one framed record of two parts::
 Right of the bar is the record **body**: a pure function of ``(type,
 key, version, value)``, so it is the same bytes on every replica of the
 record, built once for the fleet and one object on every replica's
-flash.  Left of it is the 13-byte **head**, the only part an engine
-writes for itself.  Heads and bodies go down, and come back from the
+flash.  Left of it is the 13-byte **head**, the only part that depends
+on the engine: a pure function of its sequence and the body checksum,
+so replicas framing a batch at the same sequences share it too
+(:meth:`Bodies.heads`).  Heads and bodies go down, and come back from the
 flash to be verified, as two pieces never joined.  The fixed fields are
 28 bytes, what the historical one-struct header took, so no stored
 length, page count or device charge differs from it.
@@ -27,9 +29,9 @@ length, page count or device charge differs from it.
   transmission or media corruption surfaces as
   :class:`~repro.errors.CorruptionError` instead of silent bad data.
   ``crc32(body)``, the **body checksum**, is computed with the body
-  (:class:`Bodies`); each replica then pays one 8-byte CRC update and
-  one head per record, and Mint's integrity index keeps the same number
-  as the record's Merkle leaf;
+  (:class:`Bodies`); framing then costs one 8-byte CRC update and one
+  head per record at each distinct sequence, and Mint's integrity index
+  keeps the same number as the record's Merkle leaf;
 * a ``PUT_DEDUP`` record is the paper's value-less pair: the key arrived
   with its value removed by Bifrost's deduplication;
 * a ``DELETE`` record is a tombstone — the paper applies deletes in memory
@@ -50,6 +52,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -168,6 +171,11 @@ class Bodies(tuple):
     ``dedup`` (value-less, ``value is None``), ``bodies`` and
     ``checksums`` (``crc32(body)``: the frame CRC's seed *and* the
     integrity leaf).
+
+    What every holder of the batch would build alike is built by the
+    first and kept on the batch for the rest: a sub-batch per distinct
+    index list (:meth:`take`) and the heads per first sequence
+    (:meth:`heads`).  A batch nobody shares builds each once, as before.
     """
 
     COLUMNS = ("item_keys", "dedup", "bodies", "checksums")
@@ -190,18 +198,40 @@ class Bodies(tuple):
             types = repeat(_VALUE_TYPE)
         self.bodies, self.checksums = build_bodies(types, keys, versions, values)
         self.item_keys = list(zip(keys, versions))
+        self._takes, self._heads = {}, {}
         return self
 
     def take(self, indices: Sequence[int]) -> "Bodies":
         """The sub-batch at ``indices`` (ascending, distinct), sharing
-        this batch's triples, key tuples and bodies."""
+        this batch's triples, key tuples and bodies.  Equal index lists
+        get the same sub-batch, so its heads are framed once for every
+        group in every data center that stores that share."""
         if len(indices) == len(self):
             return self
-        taken = tuple.__new__(Bodies, [self[index] for index in indices])
-        for name in self.COLUMNS:
-            column = getattr(self, name)
-            setattr(taken, name, [column[index] for index in indices])
+        key = array("q", indices).tobytes()
+        taken = self._takes.get(key)
+        if taken is None:
+            taken = tuple.__new__(Bodies, [self[index] for index in indices])
+            for name in self.COLUMNS:
+                column = getattr(self, name)
+                setattr(taken, name, [column[index] for index in indices])
+            taken._takes, taken._heads = {}, {}
+            self._takes[key] = taken
         return taken
+
+    def heads(self, sequences: range) -> List[bytes]:
+        """The heads framing this batch under ``sequences``
+        (:func:`frame_heads`): built by the first replica to frame it
+        there, the same list for every later one.  A head is a pure
+        function of its sequence and body checksum, and replicas that
+        stored the same batches in the same order draw the same
+        sequences; a replica whose sequences differ builds its own."""
+        heads = self._heads.get(sequences.start)
+        if heads is None:
+            heads = self._heads[sequences.start] = frame_heads(
+                sequences, self.checksums
+            )
+        return heads
 
 
 def encode_frame(

@@ -12,8 +12,9 @@ waits in the fill buffer until ``flush`` pads and programs it (padding
 wastes its tail, exactly as a real block-aligned writer would).
 
 A unit keeps what it is given **by reference**: every appended chunk is an
-immutable piece, with an ``array('q')`` of piece end offsets and, per
-page, the piece holding the page's first byte.  A record body built once
+immutable piece, with an ``array('I')`` of piece end offsets (4 bytes
+each, so a unit holds at most :data:`MAX_UNIT_BYTES`) and, per page, the
+piece holding the page's first byte.  A record body built once
 for a slice is one object on every replica in every data center.  Only a
 piece a crash cuts (``discard_unprogrammed``) or media damage
 (``corrupt``) changes is copied, so a flipped bit lands on one replica.
@@ -31,6 +32,9 @@ from typing import List, Sequence
 from repro.errors import OutOfRangeError, StorageError
 from repro.ssd.device import Block, SimulatedSSD
 
+#: the most a unit holds: its piece end offsets are 4-byte unsigned
+MAX_UNIT_BYTES = 0xFFFFFFFF
+
 
 class NativeUnit:
     """A block-aligned, append-only storage unit on the raw device."""
@@ -42,7 +46,7 @@ class NativeUnit:
         #: the contents (pads included) as immutable pieces, the offset
         #: each ends at, and per page begun the piece holding its first byte
         self._pieces: List[bytes] = []
-        self._ends = array("q")
+        self._ends = array("I")
         self._page_first = array("q")
         self._size = 0
         self._programmed_pages = 0
@@ -141,9 +145,16 @@ class NativeUnit:
         """Keep ``pieces`` at the end of the stream and index the pages
         they begin."""
         ends = self._ends
+        count = len(ends)
         new_ends = accumulate(map(len, pieces), initial=self._size)
         next(new_ends)  # the old end
-        ends.extend(new_ends)
+        try:
+            ends.extend(new_ends)
+        except OverflowError:
+            del ends[count:]
+            raise StorageError(
+                f"native unit {self.tag!r} would exceed {MAX_UNIT_BYTES} bytes"
+            ) from None
         self._pieces += pieces
         self._size = ends[-1] if ends else 0
         page_size = self._page_size
@@ -284,7 +295,7 @@ class NativeUnit:
         for block in self._blocks:
             self._device.erase_block(block.block_id)
         self._blocks, self._pieces = [], []
-        self._ends, self._page_first = array("q"), array("q")
+        self._ends, self._page_first = array("I"), array("q")
         self._size = self._programmed_pages = 0
         self._erased = True
 

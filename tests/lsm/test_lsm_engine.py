@@ -91,16 +91,6 @@ def test_traceback_without_base_raises(lsm):
         lsm.get(b"url", 3)
 
 
-def test_scan_merges_all_tiers(lsm):
-    lsm.put(b"a", 1, b"av")
-    lsm.flush_memtable()
-    lsm.put(b"b", 1, b"bv")
-    lsm.put(b"c", 1, b"cv")
-    lsm.delete(b"c", 1)
-    result = list(lsm.scan(b"a", b"z"))
-    assert result == [(b"a", 1, b"av"), (b"b", 1, b"bv")]
-
-
 def test_stats_fields(lsm):
     lsm.put(b"k", 1, b"v" * 1000)
     stats = lsm.stats()

@@ -255,7 +255,9 @@ def test_integrity_leaves_are_leaf_checksums_of_the_stored_bytes():
     cluster.ingest_slice(Slice.pack("v2-s0", 2, IndexKind.FORWARD, entries))
     (summary,) = summaries(cluster, 2)
     assert cluster.integrity.counters.ingest_checksums == 80
-    for index, (key, version, dedup, _sig) in enumerate(summary.records):
+    for index, ((key, version), dedup) in enumerate(
+        zip(summary.item_keys, summary.dedup)
+    ):
         for node in cluster.group_for(key).replicas_for(key):
             stored_value, stored_dedup = node.engine.peek(key, version)
             assert stored_dedup == dedup
@@ -295,6 +297,14 @@ def stored_body(node, key, version):
     return unit.read(offset + records_module.HEAD_SIZE, length - records_module.HEAD_SIZE)
 
 
+def stored_head(node, key, version):
+    """The head a replica's flash holds for a record (a whole piece)."""
+    location, _r, _d, _sequence = node.engine.memtable.get(key, version)
+    segment_id, offset, _length = location
+    unit = node.engine.aofs.segment(segment_id)._unit
+    return unit.read_many([(offset, records_module.HEAD_SIZE)])[0][0]
+
+
 def test_write_descent_host_cost_pins(monkeypatch):
     """Wall time wanders; these do not.  One slice of N records into
     three data centers of one 3-replica group each: N long CRC passes
@@ -302,7 +312,12 @@ def test_write_descent_host_cost_pins(monkeypatch):
     data center, 3N), no ``leaf_checksum`` at ingest, and beneath
     ``QinDB.put_batch`` no ``bytes.join`` (parent: one per unit) and no
     head-plus-body concatenation (parent: one per replica-record, 9N) —
-    every replica's flash keeps the one body object the build made."""
+    every replica's flash keeps the one body object the build made.
+    The nine replicas frame the slice at the same sequences, so its N
+    heads are made once too: N 8-byte CRC updates for the fleet (the
+    parent made one per replica-record, 9N), beside each data center's
+    N - 1 Merkle combines (also 8 bytes), and every replica keeps the
+    one head object per frame."""
     clusters = fleet_of(3)
     entries = [
         IndexEntry(
@@ -356,8 +371,9 @@ def test_write_descent_host_cost_pins(monkeypatch):
         sys.setprofile(None)
 
     assert sum(1 for length in crc_lengths if length > 16) == count
-    # per replica-record: one 8-byte update seeded with the body checksum
-    assert crc_lengths.count(8) >= 9 * count
+    # per record, once for the fleet: one 8-byte update seeded with the
+    # body checksum; per data center, N - 1 combines of two leaves
+    assert crc_lengths.count(8) == count + 3 * (count - 1)
     assert bodies_built == [count]
     assert leaf_calls == []
     assert joins_under_put_batch == []
@@ -368,6 +384,11 @@ def test_write_descent_host_cost_pins(monkeypatch):
             for cluster in clusters for node in cluster.all_nodes
         ]
         assert len(bodies) == 9 and all(body is bodies[0] for body in bodies)
+        heads = [
+            stored_head(node, key, 1)
+            for cluster in clusters for node in cluster.all_nodes
+        ]
+        assert all(head is heads[0] for head in heads)
     for cluster in clusters:
         stats = cluster.stats()
         assert (stats["put_batches"], stats["batched_puts"]) == (3, 3 * count)
@@ -620,3 +641,157 @@ def test_each_node_takes_exactly_its_placement(
                 column = getattr(batch, name)
                 assert getattr(taken[0], name) == [column[i] for i in indices]
     assert set(keys) <= set(group._placement_cache)
+
+
+# ----------------------------------------------------------------------
+# (g) heads: one object per frame where replicas frame at equal sequences
+# ----------------------------------------------------------------------
+def test_replicas_framing_at_the_same_sequences_share_one_head_per_frame():
+    """Three data centers of two 3-replica groups take two versions: the
+    nine replicas of a group's share frame it at the same sequences, so
+    each frame's head is one object on all of them, as its body is —
+    and the heads are the definition's bytes."""
+    decodes = SliceDecodes({IndexKind.FORWARD: 3})
+    clusters = [
+        MintCluster(
+            f"dc{index}", MintConfig(group_count=2, nodes_per_group=3),
+            wire_decodes=decodes,
+        )
+        for index in range(3)
+    ]
+    for version in (1, 2):
+        item = Slice.pack(
+            f"v{version}-s0", version, IndexKind.FORWARD,
+            varied_entries(80, f"v{version}"),
+        )
+        for cluster in clusters:
+            cluster.ingest_slice(item)
+    for version in (1, 2):
+        for entry in varied_entries(80, f"v{version}"):
+            key = storage_key(entry.kind, entry.key)
+            nodes = [
+                node for cluster in clusters
+                for node in cluster.group_for(key).replicas_for(key)
+            ]
+            heads = [stored_head(node, key, version) for node in nodes]
+            assert len(heads) == 9
+            assert all(head is heads[0] for head in heads), key
+            _location, _r, _d, sequence = nodes[0].engine.memtable.get(key, version)
+            framed = encode_frame(
+                int(RecordType.PUT_VALUE), key, entry.value, version, sequence
+            )
+            assert heads[0] == framed[: records_module.HEAD_SIZE]
+
+
+def test_damage_to_a_shared_head_stays_on_one_replica():
+    """A bit flipped in the sequence field of a head nine replicas share
+    fails that replica's CRC alone (``corrupt`` copies the piece first):
+    the read fails over, only that node ticks ``corrupt_gets``, and every
+    other copy reads clean."""
+    clusters = fleet_of(3)
+    entries = varied_entries(60)
+    item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
+    for cluster in clusters:
+        cluster.ingest_slice(item)
+    entry = entries[23]
+    key = storage_key(entry.kind, entry.key)
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    shared = stored_head(nodes[0], key, 1)
+    assert all(stored_head(node, key, 1) is shared for node in nodes)
+
+    group = clusters[2].groups[0]
+    victim = group.read_order(key)[0]
+    location, _r, _d, _sequence = victim.engine.memtable.get(key, 1)
+    segment_id, offset, _length = location
+    victim.engine.aofs.segment(segment_id)._unit.corrupt(offset + 3, 0x10)
+    assert stored_head(victim, key, 1) is not shared
+    assert all(  # every other replica still holds the clean object
+        stored_head(node, key, 1) is shared for node in nodes if node is not victim
+    )
+    assert clusters[2].query(entry.kind, entry.key, 1) == entry.value
+    assert victim.corrupt_gets == 1 and group.failover_gets == 1
+    assert [node.corrupt_gets for node in nodes].count(0) == len(nodes) - 1
+    for node in nodes:
+        if node is victim:
+            with pytest.raises(CorruptionError):
+                node.engine.get(key, 1)
+        else:
+            assert node.engine.get(key, 1) == entry.value
+
+
+def test_a_replica_with_diverged_sequences_frames_its_own_heads():
+    """One replica of a data center took an extra record first, so it
+    frames the slice one sequence later: it builds its own heads, the
+    replicas that agree still share theirs, and every replica reads back
+    the same bytes and holds the definition's image."""
+    clusters = fleet_of(2)
+    odd = clusters[1].groups[0].nodes[1]
+    odd.put_batch([(b"S:early", 1, b"first")])
+    entries = varied_entries(50)
+    item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
+    for cluster in clusters:
+        cluster.ingest_slice(item)
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    stored = [
+        (storage_key(entry.kind, entry.key), 1, entry.value) for entry in entries
+    ]
+    for key, _version, value in stored:
+        own = stored_head(odd, key, 1)
+        others = [stored_head(node, key, 1) for node in nodes if node is not odd]
+        assert len(others) == 5 and all(head is others[0] for head in others)
+        assert own != others[0]  # one sequence later
+        for node in nodes:
+            assert node.engine.get(key, 1) == value
+    for node in nodes:
+        if node is odd:
+            assert image(node.engine) == frames_of([(b"S:early", 1, b"first")] + stored)
+        else:
+            assert image(node.engine) == frames_of(stored)
+
+
+def test_wider_groups_than_replica_count_ingest_read_and_audit():
+    """Five nodes per group, three replicas: each node's share of a
+    group's batch differs (and, node names differing, from one data
+    center to the next), so sub-batches and heads are shared only where
+    index lists and sequences agree.  Each replica's image is still the
+    definition's, values (deduplicated ones by traceback) read back, and
+    an audit is clean."""
+    decodes = SliceDecodes({IndexKind.FORWARD: 3})
+    clusters = [
+        MintCluster(
+            f"dc{index}",
+            MintConfig(group_count=2, nodes_per_group=5, replica_count=3,
+                       node_capacity_bytes=16 * 1024 * 1024),
+            wire_decodes=decodes,
+        )
+        for index in range(3)
+    ]
+    first = varied_entries(90)
+    second = [
+        IndexEntry(entry.kind, entry.key, None) if i % 3 == 0 else
+        IndexEntry(entry.kind, entry.key, entry.value + b"!",
+                   signature=signature(entry.value + b"!"))
+        for i, entry in enumerate(first)
+    ]
+    for version, entries in ((1, first), (2, second)):
+        item = Slice.pack(f"v{version}-s0", version, IndexKind.FORWARD, entries)
+        for cluster in clusters:
+            assert cluster.ingest_slice(item) == len(entries)
+    for cluster in clusters:
+        expected = Expected()
+        for version, entries in ((1, first), (2, second)):
+            for entry in entries:
+                key = storage_key(entry.kind, entry.key)
+                expected.wrote(
+                    cluster.group_for(key).replicas_for(key),
+                    (key, version, entry.value),
+                )
+        expected.check(cluster.all_nodes)
+        shares = {len(items) for items in expected.items.values()}
+        assert len(shares) > 1  # the nodes' sub-batches really differ
+    for cluster in clusters:
+        for base, entry in zip(first, second):
+            value = base.value if entry.value is None else entry.value
+            assert cluster.query(entry.kind, entry.key, 2) == value
+            assert cluster.query(base.kind, base.key, 1) == base.value
+        assert ReplicaRepairer().audit_cluster(cluster).clean

@@ -265,9 +265,11 @@ class TrackedCensus:
 
 def test_memtable_holds_a_few_words_per_record():
     """A stored record costs the memtable one slot of its version's run
-    — a dict entry, its slot number and 33 column bytes, ~100 B here —
-    and the cyclic collector nothing, whichever verb wrote it: a put, a
-    delete, a GC relocation, a checkpoint load or the full-scan replay.
+    — a dict entry and 33 column bytes, ~73 B here (~100 B when each run
+    made its own slot number objects; slot ``i`` is now one int for
+    every run) — and the cyclic collector nothing, whichever verb wrote
+    it: a put, a delete, a GC relocation, a checkpoint load or the
+    full-scan replay.
     A dict of item tuples held ~300 B per record here (item, location
     and ``(key, version)`` tuples plus their ints), two of them tracked
     objects until the collector's next pass."""
@@ -310,19 +312,23 @@ def test_memtable_holds_a_few_words_per_record():
 
 def test_flash_keeps_a_head_and_a_body_reference_per_frame():
     """What a unit holds per stored frame: the 13-byte head object, the
-    record body object, and a piece pointer and end offset for each —
-    ~198 B for the 98-byte frames here (a private ``bytearray`` copy
-    held ~98 B), none of it collector-tracked.  The body is built once
-    and every replica keeps the same object, so a replica handed a
-    built batch pays the head and the four words, ~80 B."""
+    record body object, and a piece pointer and 4-byte end offset for
+    each — ~189 B for the 98-byte frames here (a private ``bytearray``
+    copy held ~98 B), none of it collector-tracked.  The body is built
+    once and every replica keeps the same object, so a replica handed a
+    built batch pays the head, two pointers and two offsets, and the
+    batch's note of the heads it framed, ~79 B.  A second replica
+    framing that batch at the same sequences takes those heads too and
+    pays the pointers and offsets alone, ~25 B (~80 B when every replica
+    made its own heads)."""
     count = 2000
     items = [
         (f"k{index:05d}".encode(), 1, bytes([index % 251]) * 64)
         for index in range(count)
     ]
     batch = Bodies(items)
-    first, replica = (
-        make_engine(segment_bytes=256 * 1024, gc_enabled=False) for _ in "ab"
+    first, replica, second = (
+        make_engine(segment_bytes=256 * 1024, gc_enabled=False) for _ in "abc"
     )
     census = TrackedCensus()
     per_frame = retained_bytes(
@@ -335,6 +341,12 @@ def test_flash_keeps_a_head_and_a_body_reference_per_frame():
     ) / count
     assert per_replica_frame <= 85, per_replica_frame
     assert census.grown() < 100
+    per_second_frame = retained_bytes(
+        lambda: second.put_batch(batch), FLASH_FILTERS
+    ) / count
+    assert per_second_frame <= 40, per_second_frame
+    assert census.grown() < 100
+    assert memtable_image(second) == memtable_image(replica)
 
 
 def test_gc_moves_a_frame_as_its_head_and_body_references():

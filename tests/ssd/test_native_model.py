@@ -12,13 +12,14 @@ pages read, read commands and the clock are equal too.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
-from repro.ssd.native import NativeBlockInterface
+from repro.ssd.native import MAX_UNIT_BYTES, NativeBlockInterface
 
 PAGE = 512
 PAGES_PER_BLOCK = 4
@@ -272,3 +273,24 @@ def test_reads_hand_back_the_pieces_they_were_given():
     assert body == b"b" * 300
     assert unit.read(513, 300) != body
     assert unit.read_many([(500, 13)])[0][0] is head
+
+
+class _Sized(bytes):
+    """A piece that reports a length it does not hold."""
+
+    def __len__(self) -> int:
+        return MAX_UNIT_BYTES
+
+
+def test_an_append_past_the_offset_range_is_refused_whole():
+    """Piece end offsets are 4 bytes: an append that would carry a unit
+    past :data:`MAX_UNIT_BYTES` raises a typed error and changes
+    nothing (no piece, offset, page or device program)."""
+    device, log = recording_device()
+    unit = NativeBlockInterface(device).open_unit("unit")
+    unit.append_many([b"a" * 100, b"b" * 50])
+    before = (unit.size, list(unit._ends), list(unit._page_first), len(log))
+    with pytest.raises(StorageError):
+        unit.append_many([b"c" * 10, _Sized(b"d")])
+    assert (unit.size, list(unit._ends), list(unit._page_first), len(log)) == before
+    assert unit.read(0, 150) == b"a" * 100 + b"b" * 50

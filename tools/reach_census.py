@@ -229,9 +229,6 @@ KEEP: Dict[str, str] = {
     "repro.hashkv.engine.HashKV.close": (
         "deferred cut (test_hashkv::test_close_rejects_operations)"
     ),
-    "repro.lsm.engine.LSMEngine.scan": (
-        "deferred cut (test_lsm_engine::test_scan_merges_all_tiers)"
-    ),
     "repro.obs.tracer.Tracer.clear": (
         "deferred cut (test_tracer::test_to_json_and_clear, "
         "::test_clear_drops_instants)"
