@@ -1,9 +1,9 @@
 """The hash-indexed engine: an unordered dictionary over AOFs.
 
 Interface-compatible with :class:`~repro.qindb.QinDB` (versioned puts,
-value-less deduplicated puts resolved by probing earlier versions,
-flag-style deletes) so benches can swap it in; the structural difference
-under measurement is the *index*:
+value-less deduplicated puts resolved by probing earlier versions) so
+benches can swap it in; the structural difference under measurement is
+the *index*:
 
 * QinDB: a sorted in-memory index — neighbours are adjacent, so traceback,
   referent checks, and range scans are neighbourhood walks;
@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import (
-    ConfigError,
-    EngineClosedError,
-    KeyNotFoundError,
-)
+from repro.errors import ConfigError, KeyNotFoundError
 from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.records import Bodies, frame_heads
 from repro.ssd.device import SimulatedSSD
@@ -59,7 +55,6 @@ class HashKVConfig:
 class _HashEntry:
     location: RecordLocation
     deduplicated: bool
-    deleted: bool = False
 
 
 class HashKV:
@@ -74,7 +69,6 @@ class HashKV:
         self._table: Dict[Tuple[bytes, int], _HashEntry] = {}
         self.user_bytes_written = 0
         self.user_bytes_read = 0
-        self._closed = False
 
     @classmethod
     def with_capacity(
@@ -87,10 +81,6 @@ class HashKV:
         return cls(SimulatedSSD(geometry, timing=timing), config=config)
 
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-
     def _charge(self, hash_accesses: int = 1) -> None:
         self.device.advance(
             self.config.cpu_per_op_s
@@ -100,7 +90,6 @@ class HashKV:
     # ------------------------------------------------------------------
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> None:
         """Append the record and install the hash entry."""
-        self._check_open()
         batch = Bodies([(key, version, value)])
         locations, _appended = self.aofs.append_frames(
             frame_heads(range(1), batch.checksums), batch.bodies
@@ -116,10 +105,9 @@ class HashKV:
         predecessor versions one hash probe at a time — each probe a
         random memory access.
         """
-        self._check_open()
         entry = self._table.get((key, version))
         self._charge()
-        if entry is None or entry.deleted:
+        if entry is None:
             raise KeyNotFoundError(f"no live item for {key!r}/{version}")
         probes = 0
         probe_version = version
@@ -140,21 +128,6 @@ class HashKV:
         self.user_bytes_read += len(key) + len(value)
         return value
 
-    def delete(self, key: bytes, version: int) -> None:
-        """Flag the entry deleted (reclamation not modelled here)."""
-        self._check_open()
-        entry = self._table.get((key, version))
-        self._charge()
-        if entry is None or entry.deleted:
-            raise KeyNotFoundError(f"no live item for {key!r}/{version}")
-        entry.deleted = True
-
-    def exists(self, key: bytes, version: int) -> bool:
-        self._check_open()
-        entry = self._table.get((key, version))
-        self._charge()
-        return entry is not None and not entry.deleted
-
     # ------------------------------------------------------------------
     def scan(
         self, start_key: bytes, end_key: bytes
@@ -164,14 +137,13 @@ class HashKV:
         This is the operation the hash layout cannot do better than
         O(table size) — the paper's reason for a *sorted* memtable.
         """
-        self._check_open()
         self.device.advance(
             len(self._table) * self.config.cpu_per_sweep_entry_s
         )
         survivors: List[Tuple[bytes, int]] = [
             (key, version)
-            for (key, version), entry in self._table.items()
-            if start_key <= key < end_key and not entry.deleted
+            for key, version in self._table
+            if start_key <= key < end_key
         ]
         survivors.sort()
         for key, version in survivors:
@@ -183,9 +155,3 @@ class HashKV:
                     continue
             else:
                 yield key, version, self.aofs.read_values([entry.location])[0]
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        if not self._closed:
-            self.aofs.flush()
-            self._closed = True

@@ -183,6 +183,11 @@ class MintCluster:
         #: while writes dual-apply to both, until the migrator calls
         #: :meth:`complete_slot_move`
         self._moving_slots: Dict[int, tuple] = {}
+        #: per slot, the ids of the groups its writes go to — the owner,
+        #: or the old and new owners mid-move: everything a write
+        #: batch's cut by group depends on, so data centers whose
+        #: directories agree share one cut (:meth:`put_batch`)
+        self._directory = self._write_directory()
         #: monotonic id source for groups added after construction
         self._next_group_id = self.config.group_count
         #: per-group monotonic node-name indices for spawned nodes
@@ -215,8 +220,9 @@ class MintCluster:
         #: trace track (``obs.TraceTrack``) for ingest spans; untraced
         #: until bound
         self.trace = UNTRACED
-        #: key -> group memo over the slot directory.  Node faults flip
-        #: ``is_up`` inside a group and never move keys, so entries
+        #: key -> group memo over the slot directory, filled by reads
+        #: (writes cut their batch by group without it).  Node faults
+        #: flip ``is_up`` inside a group and never move keys, so entries
         #: survive them; a slot *cutover* (:meth:`complete_slot_move`)
         #: rewrites the directory and flushes the memo.
         self._group_cache: Dict[bytes, NodeGroup] = {}
@@ -367,6 +373,7 @@ class MintCluster:
         if target not in self.groups:
             raise ClusterError("target group is not part of this cluster")
         self._moving_slots[slot] = (owner, target)
+        self._directory = self._write_directory()
 
     def complete_slot_move(self, slot: int) -> None:
         """Cut a slot over to its new owner and flush the group memo."""
@@ -375,7 +382,17 @@ class MintCluster:
         except KeyError:
             raise ClusterError(f"slot {slot} is not moving") from None
         self._slot_map[slot] = target
+        self._directory = self._write_directory()
         self._group_cache.clear()
+
+    def _write_directory(self) -> tuple:
+        """Per slot, the group ids its writes go to (``_directory``)."""
+        moving = self._moving_slots
+        return tuple(
+            (owner.group_id,) if slot not in moving
+            else tuple(group.group_id for group in moving[slot])
+            for slot, owner in enumerate(self._slot_map)
+        )
 
     # ------------------------------------------------------------------
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> int:
@@ -389,47 +406,47 @@ class MintCluster:
         one engine batch per node), so slice-granular ingest costs a
         handful of batched passes instead of a put per key per replica.
         The record bodies are built at most once on the way down — here,
-        unless the caller's batch already carries them — and each group
-        takes its share of them, cut once per distinct share
-        (:meth:`~repro.qindb.records.Bodies.take`): every data center
-        that partitions the fleet's batch alike hands its groups the same
-        sub-batches, and their replicas the same heads.
+        unless the caller's batch already carries them — and the batch
+        is cut by group once per slot directory (:meth:`_cut`, kept on
+        the batch by :meth:`~repro.qindb.records.Bodies.shared`): every
+        data center whose directory agrees hands its groups the same
+        sub-batches, and their replicas the same heads, without hashing
+        a key.  While a slot is moving, items in it dual-apply to both
+        owners, so the new group is complete at cutover.
         Returns the total replica writes performed.
         """
         items = Bodies.of(items)
-        #: group id -> indices into ``items``, ascending
-        by_group: Dict[int, List[int]] = {}
-        if self._moving_slots:
-            # Slot-move slow path: items in a moving slot dual-apply to
-            # both owners, so the new group is complete at cutover.
-            moving = self._moving_slots
-            slot_count = self.slot_count
-            slot_map = self._slot_map
-            for index, item in enumerate(items):
-                slot = stable_hash(item[0]) % slot_count
-                move = moving.get(slot)
-                if move is None:
-                    by_group.setdefault(
-                        slot_map[slot].group_id, []
-                    ).append(index)
-                else:
-                    by_group.setdefault(move[0].group_id, []).append(index)
-                    by_group.setdefault(move[1].group_id, []).append(index)
-        else:
-            for index, item in enumerate(items):
-                by_group.setdefault(
-                    self.group_for(item[0]).group_id, []
-                ).append(index)
+        by_group = items.shared(self._directory, self._cut)
         total = 0
         for group in self.groups:
-            indices = by_group.get(group.group_id)
-            if indices:
-                batch = items.take(indices)
+            batch = by_group.get(group.group_id)
+            if batch:
                 with self.trace.span(
                     "ingest_group", group=group.group_id, keys=len(batch)
                 ):
                     total += group.put_batch(batch)
         return total
+
+    def _cut(self, items: Bodies) -> Dict[int, Bodies]:
+        """``items`` by the groups the directory sends each key to:
+        group id -> sub-batch, in input order; one ``H(k)`` per key, and
+        none when every slot writes to the same groups."""
+        directory = self._directory
+        if len(set(directory)) == 1:
+            return dict.fromkeys(directory[0], items)
+        slot_count = self.slot_count
+        by_group: Dict[int, List[int]] = {}
+        for index, item in enumerate(items):
+            for group_id in directory[stable_hash(item[0]) % slot_count]:
+                indices = by_group.get(group_id)
+                if indices is None:
+                    by_group[group_id] = [index]
+                else:
+                    indices.append(index)
+        return {
+            group_id: items.take(indices)
+            for group_id, indices in by_group.items()
+        }
 
     def get(self, key: bytes, version: int) -> bytes:
         """A :meth:`multi_get` of one."""

@@ -64,11 +64,14 @@ class NodeGroup:
         self.batched_gets = 0
         self.failover_gets = 0
         self.shed_gets = 0
-        #: key -> replica nodes, memoizing the rendezvous ranking.  The
-        #: cache is *versioned*: every membership mutation (add/remove/
-        #: drain) bumps ``membership_version``, and :meth:`replicas_for`
-        #: discards the map when its recorded version falls behind — so
-        #: no mutation path can forget to invalidate.  Node crashes and
+        #: key -> replica nodes, memoizing the rendezvous ranking: a
+        #: key is ranked when first read (or, in a group that does not
+        #: replicate every key, written), never by a full group's
+        #: write.  The cache is *versioned*: every membership mutation
+        #: (add/remove/drain) bumps ``membership_version``, and
+        #: :meth:`replicas_for` discards the map when its recorded
+        #: version falls behind — so no mutation path can forget to
+        #: invalidate.  Node crashes and
         #: restarts only flip ``is_up`` and never move placement, so the
         #: cache survives them — exactly the paper's stability argument.
         self._placement_cache: Dict[bytes, List[StorageNode]] = {}
@@ -261,6 +264,16 @@ class NodeGroup:
             self._placement_cache[key] = nodes
         return nodes
 
+    @property
+    def replicates_every_key(self) -> bool:
+        """Every member is a replica of every key: no more members than
+        ``replica_count``, no transition open and no member draining."""
+        return (
+            len(self._nodes) <= self.replica_count
+            and self._old_member_names is None
+            and not self._draining
+        )
+
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> int:
         """A :meth:`put_batch` of one."""
         return self.put_batch([(key, version, value)])
@@ -273,8 +286,10 @@ class NodeGroup:
         sub-batch of items it replicates, in input order, as a single
         :meth:`StorageNode.put_batch` call — so a slice's worth of keys
         costs each engine one batched pass instead of one put per key
-        per replica.  The record bodies are built once
-        (:class:`~repro.qindb.records.Bodies`, here unless the batch
+        per replica.  A group that :attr:`replicates_every_key` hands
+        every member the whole batch and ranks no key: placement is
+        ranked when a key is first read.  The record bodies are built
+        once (:class:`~repro.qindb.records.Bodies`, here unless the batch
         arrives with them) and every replica's sub-batch shares them:
         a record is checksummed and assembled once, not once per copy.
         A down node drops its whole sub-batch, each item
@@ -287,10 +302,56 @@ class NodeGroup:
         if not items:
             return 0
         items = Bodies.of(items)
-        if self._old_member_names is None:
-            replicas_for = self.replicas_for
+        if self.replicates_every_key:
+            replicas_for = None
+            shares = dict.fromkeys(self._nodes.values(), items)
         else:
-            replicas_for = self._write_replicas_for
+            if self._old_member_names is None:
+                replicas_for = self.replicas_for
+            else:
+                replicas_for = self._write_replicas_for
+            shares = self._shares(items, replicas_for)
+        written = 0
+        delivered: set = set()
+        any_down = False
+        for node in self.nodes:
+            sub_batch = shares.get(node)
+            if sub_batch is None:
+                continue
+            try:
+                node.put_batch(sub_batch)
+            except NodeDownError:
+                any_down = True
+                for key, version, _value in sub_batch:
+                    self.note_missed(node.name, "put", key, version)
+                continue
+            written += len(sub_batch)
+            delivered.add(node)
+        if not any_down:
+            # Every replica took its sub-batch, so no item can be
+            # replica-less; skip the per-item accounting pass.
+            return written
+        if replicas_for is None:
+            unplaced = () if delivered else items
+        else:
+            unplaced = [
+                item for item in items
+                if not any(node in delivered for node in replicas_for(item[0]))
+            ]
+        for item in unplaced:
+            if self.park_when_unavailable:
+                self.pending_writes.append(item)
+                continue
+            raise ReplicationError(
+                f"no live replica for key {item[0]!r} in "
+                f"group {self.group_id}"
+            )
+        return written
+
+    @staticmethod
+    def _shares(items: Bodies, replicas_for) -> Dict[StorageNode, Bodies]:
+        """Each node's sub-batch of ``items``: the items ``replicas_for``
+        places on it, in input order."""
         # Buckets key on the node *object* (identity hash), sparing the
         # per-item-per-replica ``node.name`` attribute loads, and hold
         # indices: a node's share is cut from the shared batch once.
@@ -305,41 +366,7 @@ class NodeGroup:
                     per_node[node] = [index]
                 else:
                     bucket.append(index)
-        written = 0
-        delivered: set = set()
-        any_down = False
-        for node in self.nodes:
-            indices = per_node.get(node)
-            if not indices:
-                continue
-            sub_batch = items.take(indices)
-            try:
-                node.put_batch(sub_batch)
-            except NodeDownError:
-                any_down = True
-                for key, version, _value in sub_batch:
-                    self.note_missed(node.name, "put", key, version)
-                continue
-            written += len(sub_batch)
-            delivered.add(node)
-        if not any_down:
-            # Every replica took its sub-batch, so no item can be
-            # replica-less; skip the per-item accounting pass.  (The
-            # happy path carries no per-item index bookkeeping at all —
-            # the failure pass below re-derives placement from the
-            # memoized ``replicas_for``.)
-            return written
-        for item in items:
-            if any(node in delivered for node in replicas_for(item[0])):
-                continue
-            if self.park_when_unavailable:
-                self.pending_writes.append(item)
-                continue
-            raise ReplicationError(
-                f"no live replica for key {item[0]!r} in "
-                f"group {self.group_id}"
-            )
-        return written
+        return {node: items.take(indices) for node, indices in per_node.items()}
 
     def _elastic_tiers(self, key: bytes) -> List[List[StorageNode]]:
         """The key's read tiers during a transition or a drain, each in

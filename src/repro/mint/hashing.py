@@ -11,20 +11,50 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import cache
 from typing import List, Sequence, Tuple
+
+
+@cache
+def _salted(salt: bytes):
+    """The blake2b state keyed by ``salt`` (its first 16 bytes,
+    zero-padded), built once per salt: a hash under it is a ``copy`` of
+    this state and an ``update`` with the key.  The salts in use are the
+    empty one and the node names, so the cache stays small."""
+    return hashlib.blake2b(digest_size=8, salt=salt[:16].ljust(16, b"\0"))
+
+
+@cache
+def _named(name: str):
+    """The state a node ``name`` salts its rendezvous weights with."""
+    return _salted(name.encode()[:16])
+
+
+_from_bytes = int.from_bytes
 
 
 def stable_hash(key: bytes, salt: bytes = b"") -> int:
     """A 64-bit deterministic hash of ``key``."""
-    digest = hashlib.blake2b(key, digest_size=8, salt=salt[:16].ljust(16, b"\0"))
-    return int.from_bytes(digest.digest(), "little")
+    state = _salted(salt).copy()
+    state.update(key)
+    return _from_bytes(state.digest(), "little")
+
+
+def _weight(name: str, key: bytes) -> int:
+    """``stable_hash(key, salt=name.encode()[:16])``."""
+    state = _named(name).copy()
+    state.update(key)
+    return _from_bytes(state.digest(), "little")
 
 
 def rendezvous_ranking(node_names: Sequence[str], key: bytes) -> List[str]:
     """Node names ordered by descending rendezvous weight for ``key``."""
-    scored = [
-        (stable_hash(key, salt=name.encode()[:16]), name) for name in node_names
-    ]
+    # ``_weight`` inlined: a key's first read in a data center ranks it
+    scored = []
+    for name in node_names:
+        state = _named(name).copy()
+        state.update(key)
+        scored.append((_from_bytes(state.digest(), "little"), name))
     scored.sort(reverse=True)
     return [name for _score, name in scored]
 
@@ -55,7 +85,7 @@ def weighted_rendezvous_ranking(
     live: List[Tuple[float, int, str]] = []
     drained: List[Tuple[int, str]] = []
     for name, weight in weighted_names:
-        digest = stable_hash(key, salt=name.encode()[:16])
+        digest = _weight(name, key)
         if weight <= 0:
             drained.append((digest, name))
         else:

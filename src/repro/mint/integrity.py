@@ -60,9 +60,11 @@ def combine_checksums(left: int, right: int) -> int:
 
 
 def merkle_levels(leaves: List[int]) -> List[List[int]]:
-    """All tree levels, leaves first; odd nodes promote unchanged."""
-    levels = [list(leaves)]
-    current = levels[0]
+    """All tree levels, leaves first; odd nodes promote unchanged.
+
+    Level 0 is ``leaves`` itself, not a copy: the levels share it."""
+    levels = [leaves]
+    current = leaves
     while len(current) > 1:
         parents = []
         for index in range(0, len(current) - 1, 2):
@@ -72,6 +74,12 @@ def merkle_levels(leaves: List[int]) -> List[List[int]]:
         levels.append(parents)
         current = parents
     return levels
+
+
+def _stored_levels(stored: Bodies) -> List[List[int]]:
+    """The Merkle levels over a stored batch's body checksums (a lone
+    zero root for an empty batch)."""
+    return merkle_levels(stored.checksums) if stored else [[0]]
 
 
 @dataclass
@@ -180,13 +188,14 @@ class IntegrityIndex:
         peek directly — and ``signatures`` the build signature of each
         of its records.  The leaves are the batch's body checksums and
         the record columns its ``item_keys`` and ``dedup``, all taken as
-        they are.
+        they are, and the tree is built once for every index handed the
+        same batch (:func:`_stored_levels`), its leaves the checksum list.
         """
         counters = self.counters
         version = item.version
         leaves = stored.checksums
         counters.ingest_checksums += len(leaves)
-        levels = merkle_levels(leaves) if leaves else [[0]]
+        levels = stored.shared(_stored_levels, _stored_levels)
         summary = SliceSummary(
             slice_id=item.slice_id,
             kind=item.kind,

@@ -57,9 +57,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import is_
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    TypeVar,
+)
 
 from repro.errors import CorruptionError, StorageError, TruncatedRecordError
+
+T = TypeVar("T")
 
 MAGIC = 0xD1
 #: the per-engine head: magic, sequence, crc
@@ -174,8 +179,10 @@ class Bodies(tuple):
 
     What every holder of the batch would build alike is built by the
     first and kept on the batch for the rest: a sub-batch per distinct
-    index list (:meth:`take`) and the heads per first sequence
-    (:meth:`heads`).  A batch nobody shares builds each once, as before.
+    index list (:meth:`take`), the heads per first sequence
+    (:meth:`heads`), and whatever a layer above derives from the batch
+    alone (:meth:`shared`: Mint's cut by group, the integrity tree).  A
+    batch nobody shares builds each once, as before.
     """
 
     COLUMNS = ("item_keys", "dedup", "bodies", "checksums")
@@ -198,7 +205,7 @@ class Bodies(tuple):
             types = repeat(_VALUE_TYPE)
         self.bodies, self.checksums = build_bodies(types, keys, versions, values)
         self.item_keys = list(zip(keys, versions))
-        self._takes, self._heads = {}, {}
+        self._takes, self._heads, self._shared = {}, {}, {}
         return self
 
     def take(self, indices: Sequence[int]) -> "Bodies":
@@ -215,7 +222,7 @@ class Bodies(tuple):
             for name in self.COLUMNS:
                 column = getattr(self, name)
                 setattr(taken, name, [column[index] for index in indices])
-            taken._takes, taken._heads = {}, {}
+            taken._takes, taken._heads, taken._shared = {}, {}, {}
             self._takes[key] = taken
         return taken
 
@@ -232,6 +239,16 @@ class Bodies(tuple):
                 sequences, self.checksums
             )
         return heads
+
+    def shared(self, key: Hashable, build: Callable[["Bodies"], T]) -> T:
+        """``build(self)``, made by the first holder to ask under ``key``
+        and the same object for every later one.  ``key`` must name
+        everything ``build`` reads besides the batch, so holders that
+        ask alike are handed alike; the result is shared, not copied."""
+        found = self._shared.get(key)
+        if found is None:
+            found = self._shared[key] = build(self)
+        return found
 
 
 def encode_frame(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EngineClosedError, KeyNotFoundError, StorageError
+from repro.errors import KeyNotFoundError, StorageError
 from repro.hashkv.engine import HashKV, HashKVConfig
 
 
@@ -48,16 +48,6 @@ def test_dedup_chain_without_base_raises(hashkv):
         hashkv.get(b"k", 2)
 
 
-def test_delete_flags_entry(hashkv):
-    hashkv.put(b"k", 1, b"v")
-    hashkv.delete(b"k", 1)
-    with pytest.raises(KeyNotFoundError):
-        hashkv.get(b"k", 1)
-    assert not hashkv.exists(b"k", 1)
-    with pytest.raises(KeyNotFoundError):
-        hashkv.delete(b"k", 1)
-
-
 def test_scan_is_correct_despite_the_sweep(hashkv):
     for index in (3, 1, 4, 0, 2):
         hashkv.put(f"k{index}".encode(), 1, f"v{index}".encode())
@@ -101,13 +91,6 @@ def test_qindb_scan_cost_scales_with_result_not_table():
         return engine.device.now - before
 
     assert scan_cost(4000) < scan_cost(400) * 3
-
-
-def test_close_rejects_operations(hashkv):
-    hashkv.put(b"k", 1, b"v")
-    hashkv.close()
-    with pytest.raises(EngineClosedError):
-        hashkv.get(b"k", 1)
 
 
 def test_config_validation():

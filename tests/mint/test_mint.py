@@ -1,6 +1,10 @@
 """Unit tests for Mint: hashing, nodes, groups, clusters."""
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bifrost.slices import Slice
 from repro.errors import (
@@ -18,7 +22,11 @@ from repro.mint.cluster import (
     storage_key,
 )
 from repro.mint.group import NodeGroup
-from repro.mint.hashing import rendezvous_ranking, stable_hash
+from repro.mint.hashing import (
+    rendezvous_ranking,
+    stable_hash,
+    weighted_rendezvous_ranking,
+)
 from repro.mint.node import StorageNode
 from repro.obs.registry import MetricsRegistry
 from repro.qindb.engine import QinDB, QinDBConfig
@@ -43,6 +51,40 @@ def test_stable_hash_is_deterministic():
     assert stable_hash(b"key") == stable_hash(b"key")
     assert stable_hash(b"key") != stable_hash(b"kez")
     assert stable_hash(b"key", salt=b"a") != stable_hash(b"key", salt=b"b")
+
+
+def fresh_blake2b(key: bytes, salt: bytes) -> int:
+    """The definition: a blake2b built for this one key."""
+    digest = hashlib.blake2b(key, digest_size=8, salt=salt[:16].ljust(16, b"\0"))
+    return int.from_bytes(digest.digest(), "little")
+
+
+@settings(max_examples=150, deadline=None)
+@example(key=b"", salt=b"", names=["a" * 17, "a" * 16, "b"])
+@given(
+    key=st.binary(max_size=48),
+    salt=st.binary(max_size=24),
+    names=st.lists(st.text(max_size=24), min_size=1, max_size=5, unique=True),
+)
+def test_built_once_hashers_match_a_fresh_blake2b(key, salt, names):
+    """Each salted hasher is built once and copied per key; every digest
+    is the one a fresh ``blake2b(key, salt=...)`` makes — under the
+    empty salt, a salt past 16 bytes (truncated), and node names whose
+    encodings run past 16 bytes — and the rankings order by it."""
+    assert stable_hash(key) == fresh_blake2b(key, b"")
+    assert stable_hash(key, salt=salt) == fresh_blake2b(key, salt)
+    assert stable_hash(key, salt=salt) == stable_hash(key, salt=salt)
+    scored = sorted(
+        ((fresh_blake2b(key, name.encode()[:16]), name) for name in names),
+        reverse=True,
+    )
+    expected = [name for _digest, name in scored]
+    assert rendezvous_ranking(names, key) == expected
+    assert weighted_rendezvous_ranking(
+        [(name, 1.0) for name in names], key
+    ) == expected
+    drained = weighted_rendezvous_ranking([(name, 0.0) for name in names], key)
+    assert drained == expected
 
 
 def test_rendezvous_ranking_is_a_permutation():

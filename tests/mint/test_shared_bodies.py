@@ -12,7 +12,7 @@ import sys
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bifrost.encoding import SliceDecodes
@@ -21,6 +21,8 @@ from repro.errors import CorruptionError
 from repro.bifrost.slices import Slice
 from repro.faults.repair import ReplicaRepairer
 from repro.indexing.types import IndexEntry, IndexKind
+from repro.mint import cluster as cluster_module
+from repro.mint import group as group_module
 from repro.mint import integrity as integrity_module
 from repro.mint.cluster import MintCluster, MintConfig, storage_key
 from repro.mint.group import NodeGroup
@@ -315,9 +317,11 @@ def test_write_descent_host_cost_pins(monkeypatch):
     every replica's flash keeps the one body object the build made.
     The nine replicas frame the slice at the same sequences, so its N
     heads are made once too: N 8-byte CRC updates for the fleet (the
-    parent made one per replica-record, 9N), beside each data center's
-    N - 1 Merkle combines (also 8 bytes), and every replica keeps the
-    one head object per frame."""
+    parent made one per replica-record, 9N), and every replica keeps the
+    one head object per frame.  The slice's Merkle tree is built once
+    for the fleet as well: N - 1 combines (also 8 bytes; the parent
+    built one per data center, 3(N - 1)), every summary holding the same
+    levels, their leaves the batch's checksum list."""
     clusters = fleet_of(3)
     entries = [
         IndexEntry(
@@ -372,8 +376,9 @@ def test_write_descent_host_cost_pins(monkeypatch):
 
     assert sum(1 for length in crc_lengths if length > 16) == count
     # per record, once for the fleet: one 8-byte update seeded with the
-    # body checksum; per data center, N - 1 combines of two leaves
-    assert crc_lengths.count(8) == count + 3 * (count - 1)
+    # body checksum; per slice, once for the fleet: N - 1 combines of two
+    # leaves
+    assert crc_lengths.count(8) == count + (count - 1) == 399
     assert bodies_built == [count]
     assert leaf_calls == []
     assert joins_under_put_batch == []
@@ -394,6 +399,14 @@ def test_write_descent_host_cost_pins(monkeypatch):
         assert (stats["put_batches"], stats["batched_puts"]) == (3, 3 * count)
         assert cluster.integrity.counters.ingest_checksums == count
     assert len(clusters[0].wire_decoder.decodes) == 0  # every DC took it
+    levels = [
+        summary.levels for cluster in clusters for summary in summaries(cluster, 1)
+    ]
+    assert len(levels) == 3 and all(level is levels[0] for level in levels)
+    assert levels[0][0] == [
+        leaf_checksum(storage_key(entry.kind, entry.key), 1, entry.value)
+        for entry in entries
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -597,6 +610,7 @@ class RecordingEngine:
 
 
 @settings(max_examples=60, deadline=None)
+@example(node_count=3, replicas=3, keys=[b"a", b"b"], transition=False, drain=False)
 @given(
     node_count=st.integers(min_value=3, max_value=6),
     replicas=st.integers(min_value=1, max_value=3),
@@ -610,8 +624,9 @@ def test_each_node_takes_exactly_its_placement(
     """Whatever the membership — a full group (every node a replica of
     every key), a wider one, a transition open, a member draining — a
     node's sub-batch is the items ``replicas_for`` places on it, in
-    input order, every column cut at the same indices, and a key is
-    ranked by the time it is written (reads find the memo warm)."""
+    input order, every column cut at the same indices.  A full group
+    ranks no key to write it (placement is ranked at a key's first
+    read); any other group ranks exactly the keys it wrote."""
     group = NodeGroup(
         0,
         [StorageNode(f"n{i}", RecordingEngine()) for i in range(node_count)],
@@ -622,7 +637,22 @@ def test_each_node_takes_exactly_its_placement(
         group.add_node(StorageNode("n9", RecordingEngine()))
     if drain and len(group.nodes) > replicas:
         group.mark_draining(group.nodes[0].name)
+    full = node_count <= replicas and not transition and not group.draining
+    assert group.replicates_every_key == full
     batch = Bodies([(key, 1, b"v" + key) for key in keys])
+    ranked = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("rendezvous_ranking", "weighted_rendezvous_ranking"):
+            rank = getattr(group_module, name)
+            patch.setattr(
+                group_module, name,
+                lambda names, key, rank=rank: ranked.append(key) or rank(names, key),
+            )
+        written = group.put_batch(batch)
+    if full:
+        assert ranked == [] and group._placement_cache == {}
+    else:
+        assert set(ranked) == set(group._placement_cache) == set(keys)
     replicas_for = (
         group._write_replicas_for if group.in_transition else group.replicas_for
     )
@@ -630,7 +660,7 @@ def test_each_node_takes_exactly_its_placement(
     for index, item in enumerate(batch):
         for node in replicas_for(item[0]):
             placed.setdefault(node.name, []).append(index)
-    assert group.put_batch(batch) == sum(map(len, placed.values()))
+    assert written == sum(map(len, placed.values()))
     for node in group.nodes:
         indices = placed.get(node.name, [])
         taken = node.engine.batches
@@ -640,7 +670,140 @@ def test_each_node_takes_exactly_its_placement(
             for name in Bodies.COLUMNS:
                 column = getattr(batch, name)
                 assert getattr(taken[0], name) == [column[i] for i in indices]
-    assert set(keys) <= set(group._placement_cache)
+
+
+# ----------------------------------------------------------------------
+# Placement once per slice for the fleet; ranking at a key's first read
+# ----------------------------------------------------------------------
+def counting(monkeypatch, module, name, calls):
+    """Count ``module.name`` calls into ``calls`` (the key hashed)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda *args: calls.append(args[-1]) or real(*args)
+    )
+
+
+def test_a_fleet_of_full_groups_cuts_a_slice_once_and_ranks_at_first_read(
+    monkeypatch,
+):
+    """One slice into three data centers of two full 3-replica groups:
+    one ``H(k)`` per record for the whole fleet (the first data center
+    cuts the batch by group, the others share its cut) and no
+    rendezvous ranking at all — the parent made three of each per
+    record.  No key map holds a key after ingest; the first read of a
+    key ranks it once, in the data center that serves it, and a second
+    read ranks nothing."""
+    decodes = SliceDecodes({IndexKind.FORWARD: 3})
+    clusters = [
+        MintCluster(
+            f"dc{index}", MintConfig(group_count=2, nodes_per_group=3),
+            wire_decodes=decodes,
+        )
+        for index in range(3)
+    ]
+    entries = varied_entries(120)
+    hashed, ranked = [], []
+    counting(monkeypatch, cluster_module, "stable_hash", hashed)
+    counting(monkeypatch, group_module, "rendezvous_ranking", ranked)
+    counting(monkeypatch, group_module, "weighted_rendezvous_ranking", ranked)
+    item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
+    for cluster in clusters:
+        assert cluster.ingest_slice(item) == len(entries)
+    keys = [storage_key(entry.kind, entry.key) for entry in entries]
+    assert sorted(hashed) == sorted(keys)
+    assert ranked == []
+    for cluster in clusters:
+        assert cluster._group_cache == {}
+        for group in cluster.groups:
+            assert group._placement_cache == {}
+            assert {len(node.engine.memtable) for node in group.nodes} == {
+                sum(cluster.slot_for(key) % 2 == group.group_id for key in keys)
+            }
+    entry = entries[41]
+    assert clusters[1].query(entry.kind, entry.key, 1) == entry.value
+    assert ranked == [keys[41]]
+    assert clusters[1].query(entry.kind, entry.key, 1) == entry.value
+    assert ranked == [keys[41]]
+    assert list(clusters[1]._group_cache) == [keys[41]]
+    assert [
+        list(group._placement_cache) for group in clusters[1].groups
+        if group._placement_cache
+    ] == [[keys[41]]]
+
+
+def test_a_moving_slot_and_a_moved_directory_store_what_the_per_key_cut_stores(
+    monkeypatch,
+):
+    """Four data centers share two slices: dc0 and dc3 on the initial
+    directory, dc1 with a slot mid-move, dc2 with that slot cut over to
+    the other group.  dc3 shares dc0's cut; dc1 and dc2 each cut their
+    own.  Every node of every data center holds exactly what the
+    per-key partition places on it — the key's owner, or both owners of
+    a moving slot, then the group's replicas — and every value reads
+    back."""
+    decodes = SliceDecodes({IndexKind.FORWARD: 4})
+    clusters = [
+        MintCluster(
+            f"dc{index}",
+            MintConfig(group_count=2, nodes_per_group=3,
+                       node_capacity_bytes=16 * 1024 * 1024),
+            wire_decodes=decodes,
+        )
+        for index in range(4)
+    ]
+    slices = [
+        (version, varied_entries(120, f"v{version}")) for version in (1, 2)
+    ]
+    probe = storage_key(IndexKind.FORWARD, slices[0][1][0].key)
+    slot = clusters[0].slot_for(probe)
+    for cluster in clusters[1:3]:
+        owner = cluster.group_for(probe)
+        cluster.begin_slot_move(
+            slot, next(group for group in cluster.groups if group is not owner)
+        )
+    clusters[2].complete_slot_move(slot)
+    hashed = []
+    counting(monkeypatch, cluster_module, "stable_hash", hashed)
+    for version, entries in slices:
+        item = Slice.pack(f"v{version}-s0", version, IndexKind.FORWARD, entries)
+        for cluster in clusters:
+            assert cluster.ingest_slice(item) == len(entries)
+    assert len(hashed) == 3 * 2 * 120  # dc0, dc1 and dc2, per slice
+    monkeypatch.undo()
+    for cluster in clusters:
+        expected = Expected()
+        for version, entries in slices:
+            for entry in entries:
+                key = storage_key(entry.kind, entry.key)
+                move = cluster._moving_slots.get(cluster.slot_for(key))
+                for group in move or (cluster.group_for(key),):
+                    expected.wrote(
+                        group.replicas_for(key), (key, version, entry.value)
+                    )
+        expected.check(cluster.all_nodes)
+        for node in cluster.all_nodes:
+            assert sorted(
+                (key, version) for key, version, _item in node.engine.memtable.items()
+            ) == sorted(item[:2] for item in expected.items.get(node.name, []))
+        for version, entries in slices:
+            for entry in entries:
+                assert cluster.query(entry.kind, entry.key, version) == entry.value
+    moved = [
+        key for key in (
+            storage_key(entry.kind, entry.key) for entry in slices[0][1]
+        )
+        if clusters[0].slot_for(key) == slot
+    ]
+    assert len(moved) > 1  # the slot holds more than the probe key
+    for key in moved:  # dc1 wrote both owners; dc2 only the new one
+        assert sum(
+            node.engine.memtable.get(key, 1) is not None
+            for node in clusters[1].all_nodes
+        ) == 6
+        assert (
+            clusters[2].group_for(key).group_id
+            != clusters[0].group_for(key).group_id
+        )
 
 
 # ----------------------------------------------------------------------

@@ -220,15 +220,6 @@ KEEP: Dict[str, str] = {
     "repro.indexing.tokenizer.tokenize": (
         "deferred cut (2 tests: test_indexing::test_tokenize_*)"
     ),
-    "repro.hashkv.engine.HashKV.delete": (
-        "deferred cut (test_hashkv::test_delete_flags_entry)"
-    ),
-    "repro.hashkv.engine.HashKV.exists": (
-        "deferred cut (test_hashkv::test_delete_flags_entry)"
-    ),
-    "repro.hashkv.engine.HashKV.close": (
-        "deferred cut (test_hashkv::test_close_rejects_operations)"
-    ),
     "repro.obs.tracer.Tracer.clear": (
         "deferred cut (test_tracer::test_to_json_and_clear, "
         "::test_clear_drops_instants)"
