@@ -25,7 +25,6 @@ class VersionManager:
         self.max_live_versions = max_live_versions
         self._live: List[int] = []
         self._active: Optional[int] = None
-        self._next = 1
 
     # ------------------------------------------------------------------
     @property
@@ -37,12 +36,6 @@ class VersionManager:
     def active_version(self) -> Optional[int]:
         """The version currently serving queries."""
         return self._active
-
-    def begin_version(self) -> int:
-        """Allocate the next advancing version number."""
-        version = self._next
-        self._next += 1
-        return version
 
     def install(self, version: int) -> List[int]:
         """A new version finished landing; returns versions to delete.

@@ -49,6 +49,10 @@ class KeyNotFoundError(StorageError):
     """The requested key/version does not exist in the store."""
 
 
+class DuplicateItemError(StorageError):
+    """A put repeated or re-put a ``(key, version)``: each is written once."""
+
+
 class EngineClosedError(StorageError):
     """An operation was issued against a closed storage engine."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.bifrost.signature import signature
-from repro.errors import KeyNotFoundError, NodeDownError
+from repro.errors import CorruptionError, KeyNotFoundError, NodeDownError
 from repro.mint.cluster import MintCluster
 from repro.mint.group import NodeGroup
 from repro.mint.integrity import leaf_checksum, seal_summary
@@ -87,6 +87,22 @@ class RepairResult:
     #: total device-clock seconds the run consumed across the group
     #: (peer reads and the rejoining node's writes)
     device_seconds: float = 0.0
+
+
+def _peek(node: StorageNode, key: bytes, version: int):
+    """``node.engine.peek``, with a copy whose bytes fail their checks
+    read as ``()``: held, but unreadable."""
+    try:
+        return node.engine.peek(key, version)
+    except CorruptionError:
+        return ()
+
+
+def _land(node: StorageNode, key: bytes, version: int, value) -> None:
+    """Put one record on ``node``, or restore the deleted copy a node
+    that withdrew it still holds: a version is written once."""
+    if not (node.is_up and node.engine.restore(key, version)):
+        node.put_batch([(key, version, value)])
 
 
 class ReplicaRepairer:
@@ -175,7 +191,7 @@ class ReplicaRepairer:
                     continue
                 landed = True
                 if not replica.engine.exists(key, version):
-                    replica.put_batch([(key, version, value)])
+                    _land(replica, key, version, value)
                     result.keys_copied += 1
                     result.bytes_copied += len(key) + len(value or b"")
             if not landed:
@@ -209,7 +225,7 @@ class ReplicaRepairer:
             # the node was down — never resurrect it).
             return
         value, deduplicated = record
-        node.put_batch([(key, version, None if deduplicated else value)])
+        _land(node, key, version, None if deduplicated else value)
         result.keys_copied += 1
         result.bytes_copied += len(key) + len(value or b"")
         if remote:
@@ -243,9 +259,7 @@ class ReplicaRepairer:
             if record is None:
                 continue
             value, deduplicated = record
-            target.put_batch(
-                [(key, version, None if deduplicated else value)]
-            )
+            _land(target, key, version, None if deduplicated else value)
             if result is not None:
                 result.keys_copied += 1
                 result.bytes_copied += len(key) + len(value or b"")
@@ -298,10 +312,10 @@ class ReplicaRepairer:
         bytes, verify each leaf's Merkle path up to the BLAKE2b-sealed
         root, and full-hash only the sampled values against their
         build-time signatures — so the expensive cryptographic hashing
-        is O(log n) per slice (``integrity.*.audit_hashes``).  Any
-        divergence triggers a full leaf sweep of that slice to locate
-        every damaged record, each repaired by overwriting from a peer
-        whose copy's leaf checksum matches the sealed tree.
+        is O(log n) per slice (``integrity.*.audit_hashes``).  A copy
+        whose stored bytes fail their checks counts as a leaf mismatch.
+        Any divergence triggers a full leaf sweep of that slice
+        (:meth:`_sweep_slice`).
 
         **Naive** (``naive=True``): the pre-tiered baseline — full-hash
         every stored record of every slice.  Same detection power on a
@@ -343,11 +357,15 @@ class ReplicaRepairer:
             for index in sampled:
                 key, version = summary.item_keys[index]
                 build_sig = summary.signatures[index]
-                record = node.engine.peek(key, version)
                 result.records_sampled += 1
                 counters.audited_records += 1
+                record = _peek(node, key, version)
                 if record is None:
                     result.missing_records += 1
+                    continue
+                if not record:  # unreadable: a damaged leaf
+                    result.leaf_mismatches += 1
+                    diverged = True
                     continue
                 value, stored_dedup = record
                 stored_value = None if stored_dedup else value
@@ -377,35 +395,38 @@ class ReplicaRepairer:
         self, cluster, node, summary, indices, result, counters
     ) -> None:
         """Divergence response: leaf-check every record of the slice on
-        this node and repair the damaged ones from checksum-verified
-        peers."""
+        this node and count each that diverges.  Only a record the node
+        does not hold is re-landed, from a checksum-verified peer; a held
+        copy stays in place (a version is written once)."""
         counters.audit_full_sweeps += 1
         result.full_sweeps += 1
         for index in indices:
             key, version = summary.item_keys[index]
             expected = summary.levels[0][index]
-            record = node.engine.peek(key, version)
             counters.audit_leaf_checks += 1
-            if record is not None:
+            record = _peek(node, key, version)
+            if record:
                 value, stored_dedup = record
                 stored_value = None if stored_dedup else value
                 if leaf_checksum(key, version, stored_value) == expected:
                     continue
             result.divergent_records += 1
             counters.divergent_records += 1
+            if record is not None:
+                continue  # a held copy: never re-put
             group = cluster.group_for(key)
             for peer in group.replicas_for(key):
                 if peer is node or not peer.is_up:
                     continue
-                peer_record = peer.engine.peek(key, version)
-                if peer_record is None:
+                peer_record = _peek(peer, key, version)
+                if not peer_record:
                     continue
                 peer_value, peer_dedup = peer_record
                 peer_stored = None if peer_dedup else peer_value
                 counters.audit_leaf_checks += 1
                 if leaf_checksum(key, version, peer_stored) != expected:
                     continue  # this peer's copy is damaged too
-                node.put_batch([(key, version, peer_stored)])
+                _land(node, key, version, peer_stored)
                 result.records_repaired += 1
                 counters.records_repaired += 1
                 break

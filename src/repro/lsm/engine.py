@@ -256,6 +256,10 @@ class LSMEngine:
         record = self._find((key, version), exact=True)
         return record is not None and record.type is not RecordType.DELETE
 
+    def restore(self, key: bytes, version: int) -> bool:
+        """Never: a put overwrites a deleted record here."""
+        return False
+
     def peek(self, key: bytes, version: int):
         """Repair read, ``(value, deduplicated)`` or ``None``, through
         the user read path: the copy materialises as a full value."""

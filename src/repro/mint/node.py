@@ -36,7 +36,9 @@ class Engine(Protocol):
         every replica the same kind of sequence — a
         :class:`~repro.qindb.records.Bodies`, the triples with their
         record bodies built — and an engine that frames records uses
-        the bodies; any engine may read it as the triples it is."""
+        the bodies; any engine may read it as the triples it is.  No
+        caller re-puts a held ``(key, version)``: QinDB refuses one
+        (``DuplicateItemError``); the LSM baseline would overwrite."""
 
     def get_batch(self, items: Sequence[Item]) -> List[Optional[bytes]]:
         """Values in input order, ``None`` for an item with no live
@@ -52,6 +54,10 @@ class Engine(Protocol):
 
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live record is stored for ``(key, version)``."""
+
+    def restore(self, key: bytes, version: int) -> bool:
+        """Make a held, deleted ``(key, version)`` live again; whether it
+        did.  Repair lands a record a node withdrew this way."""
 
     def peek(
         self, key: bytes, version: int

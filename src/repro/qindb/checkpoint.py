@@ -8,20 +8,19 @@ and the checkpoint.
 
 Ordering: the physical order of records on disk is *not* the logical
 order of mutations, because GC re-appends old records into newer
-segments.  Every record therefore carries its logical sequence number,
-and the scan applies last-writer-wins by sequence:
+segments.  Every record therefore carries its logical sequence number:
 
-* a ``PUT`` installs the item only if its sequence exceeds the sequence
-  already installed for ``(key, version)``;
-* a ``DELETE`` tombstone kills the item only if the tombstone's sequence
-  exceeds the installed put's (a re-put after a delete resurrects the
-  item, exactly as in the live engine);
+* a ``PUT`` installs its item.  A copy at the installed sequence is a
+  GC duplicate (a crash between a move and its victim's erase), dead;
+  one at another sequence no write-once engine made: a CorruptionError;
+* a ``DELETE`` tombstone kills the item if the tombstone's sequence
+  exceeds the installed put's;
 * tombstones seen before their target (GC can move a put past its
   tombstone) are remembered and applied when the put arrives;
 * a ``RETIRE`` frame is a tombstone for a whole version: it kills every
   item of its version whose put has a lower sequence — those installed
-  already, and those that arrive later in the scan — while a re-put
-  after the eviction stays live.
+  already, and those that arrive later in the scan.  A key first put
+  into the version after its ``RETIRE`` stays live.
 
 A crash can leave the front of one frame programmed at the end of the
 segment that was active (a *torn tail*).  The walk ends there; recovery
@@ -232,21 +231,19 @@ def recover(
 
         engine.gc_table.record_appended(segment_id, size)
         existing = engine.memtable.get(key, version)
-        if existing is not None and sequence <= existing[3]:  # its sequence
-            # A stale physical copy (GC duplicate); its bytes are dead.
+        if existing is not None:
+            if sequence != existing[3]:  # its sequence
+                raise CorruptionError(
+                    f"two puts of {key!r}/{version}: sequences "
+                    f"{existing[3]} and {sequence}"
+                )
+            # A GC duplicate: the same bytes as the copy installed.
             engine.gc_table.record_dead(segment_id, size)
             continue
-        previous = engine.memtable.put(
-            key,
-            version,
-            (segment_id, offset, size),
-            rtype == RecordType.PUT_DEDUP,
-            sequence=sequence,
+        engine.memtable.put(
+            key, version, (segment_id, offset, size),
+            rtype == RecordType.PUT_DEDUP, sequence,
         )
-        if previous is not None:
-            (seg, _off, length), _r, deleted, _seq = previous
-            if not deleted:
-                engine.gc_table.record_dead(seg, length)
         tombstone_sequence = max(
             pending_tombstones.get(key_version, -1), retired.get(version, -1)
         )

@@ -4,7 +4,7 @@ The engine wires the paper's pieces together over one simulated SSD:
 
 * :meth:`QinDB.put_batch` appends the (possibly value-less) records to
   the active AOF back-to-back, page programs coalesced, and inserts the
-  memtable items — no disk sorting, ever;
+  memtable items — no disk sorting, ever, and no re-put of a held item;
 * :meth:`QinDB.get_batch` resolves deduplicated items by *traceback*:
   walk to older versions of the same key until one carries a value;
 * :meth:`QinDB.delete_batch` only sets the ``d`` flag and updates the GC
@@ -236,16 +236,9 @@ class QinDB:
     # ------------------------------------------------------------------
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> None:
         """Store ``(key/version, value)``; ``value=None`` means the pair
-        was deduplicated upstream and arrives value-less.
-
-        A :meth:`put_batch` of one.  The device is charged as for any
-        batch: a frame spanning several pages programs as one striped
-        command per block rather than one command per page (200 puts of
-        16 KB at the default ``TimingModel``: 0.061 s / 206 write ops,
-        where the former per-key path charged 0.201 s / 801); a frame
-        that completes at most one page — and every figure run at
-        ``channel_parallelism=1`` — costs what it always did.
-        """
+        was deduplicated upstream and arrives value-less.  A
+        :meth:`put_batch` of one, charged as any batch (EXPERIMENTS.md
+        A20)."""
         self.put_batch([(key, version, value)])
 
     def put_batch(
@@ -257,8 +250,10 @@ class QinDB:
         (:class:`~repro.qindb.records.Bodies` — built here from plain
         triples, or upstream once for every replica of the batch; the
         same code runs either way) is validated whole before anything is
-        touched.  Per record this engine then draws the next sequence
-        number (input order, exactly as sequential puts would) and takes
+        touched: a ``(key, version)`` repeated or already held (live or
+        deleted) raises :class:`~repro.errors.DuplicateItemError`.  Per
+        record this engine then draws the next sequence number (input
+        order, exactly as sequential puts would) and takes
         the batch's heads at those sequences
         (:meth:`~repro.qindb.records.Bodies.heads`: one 8-byte CRC
         update seeded with the body checksum and one head per record,
@@ -282,6 +277,7 @@ class QinDB:
         batch = Bodies.of(items)
         if not batch:
             return
+        self.memtable.check_new(batch.item_keys)
         sequences = self._draw_sequences(len(batch))
         locations, appended = self.aofs.append_frames(
             batch.heads(sequences), batch.bodies
@@ -290,12 +286,9 @@ class QinDB:
         for segment_id, nbytes in appended:
             self.gc_table.record_appended(segment_id, nbytes)
             framed += nbytes
-        for previous in filter(None, self.memtable.put_batch(
+        self.memtable.put_batch(
             batch.item_keys, locations, batch.dedup, sequences
-        )):
-            (segment_id, _offset, length), _r, deleted, _seq = previous
-            if not deleted:
-                self.gc_table.record_dead(segment_id, length)
+        )
         self.user_bytes_written += framed - HEADER_SIZE * len(batch)
         self.batch_counters.batches += 1
         self.batch_counters.batched_puts += len(batch)
@@ -467,6 +460,21 @@ class QinDB:
         self._maybe_gc()
         self._maybe_checkpoint()
         return count
+
+    def restore(self, key: bytes, version: int) -> bool:
+        """Make a deleted ``(key, version)`` live again from its own frame
+        (charged only if it does): how a node takes back a record it
+        withdrew.  In memory only, like an unflushed put: a crash before
+        GC drops the tombstone deletes it again, and repair restores it."""
+        self._check_open()
+        item = self.memtable.get(key, version)
+        if item is None or not item[2]:  # absent, or live
+            return False
+        self.memtable.restore(key, version)
+        (segment_id, _offset, length), _r, _d, _s = item
+        self.gc_table.record_dead(segment_id, -length)  # live again
+        self._charge_cpu()
+        return True
 
     def exists(self, key: bytes, version: int) -> bool:
         """Whether a live (non-deleted) item exists for (key, version)."""

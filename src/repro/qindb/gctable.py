@@ -82,7 +82,8 @@ class GCTable:
             self.record_dead(segment_id, nbytes)
 
     def record_dead(self, segment_id: int, nbytes: int) -> None:
-        """Account record bytes that just became dead (delete/overwrite)."""
+        """Account record bytes that just became dead (delete or retire);
+        a restore books them live again as a negative amount."""
         row = self.entry(segment_id)
         row.dead_bytes += nbytes
         if row.dead_bytes > row.total_bytes:

@@ -49,7 +49,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import KeyNotFoundError
+from repro.errors import DuplicateItemError, KeyNotFoundError
 from repro.qindb.aof import RecordLocation
 from repro.qindb.records import Frame, RecordType
 
@@ -157,12 +157,31 @@ class Memtable:
         location: RecordLocation,
         deduplicated: bool,
         sequence: int = 0,
-    ) -> Optional[IndexItem]:
-        """Insert or replace the item for (key, version): a
-        :meth:`put_batch` of one; returns the replaced item or None."""
-        return self.put_batch(
+    ) -> None:
+        """Insert a new item: a :meth:`put_batch` of one."""
+        self.put_batch(
             [(key, version)], [location], [deduplicated], [sequence]
-        )[0]
+        )
+
+    def check_new(self, item_keys: Sequence[ItemKey]) -> None:
+        """Raise :class:`~repro.errors.DuplicateItemError` unless every
+        ``(key, version)`` is distinct and held by no run, live or
+        deleted.  Builds no item and charges nothing: a batch of one
+        version is two set tests on its keys, any other walked."""
+        versions = set(map(itemgetter(1), item_keys))
+        if len(versions) == 1:
+            keys = set(map(itemgetter(0), item_keys))
+            run = self._runs.get(versions.pop())
+            if len(keys) == len(item_keys) and (
+                run is None or run.slots.keys().isdisjoint(keys)
+            ):
+                return
+        seen = set()
+        for key, version in item_keys:
+            run = self._runs.get(version)
+            if (key, version) in seen or (run and key in run.slots):
+                raise DuplicateItemError(f"re-put of {key!r}/{version}")
+            seen.add((key, version))
 
     def put_batch(
         self,
@@ -170,58 +189,37 @@ class Memtable:
         locations: Sequence[RecordLocation],
         flags: Iterable[int],
         sequences: Iterable[int],
-    ) -> List[Optional[IndexItem]]:
-        """Insert or replace items, in input order, from columns.
-
-        ``flags`` holds each item's flag bits (a bool is the ``r`` flag
-        alone).  Returns the replaced item (or None) per item; where a
-        ``(key, version)`` repeats inside the batch the last writer wins
-        and each later item reports the one before it — same as
-        sequential puts.  A batch of new keys of one version — every
-        batch an ingest sends — extends that run's columns whole.
+    ) -> None:
+        """Insert new items (:meth:`check_new`), in input order, from
+        columns.  ``flags`` holds each item's flag bits (a bool is the
+        ``r`` flag alone).  A batch of one version — every batch an
+        ingest sends — extends that run's columns whole; one spanning
+        versions (a checkpoint load) inserts each version's share so.
         """
         count = len(item_keys)
-        keys = list(map(itemgetter(0), item_keys))
         versions = set(map(itemgetter(1), item_keys))
-        if len(versions) == 1 and len(set(keys)) == count:
-            version = versions.pop()
-            run = self._runs.get(version)
-            if run is None:
-                run = self._runs[version] = _Run()
-                insort(self._versions, version)
-            if run.slots.keys().isdisjoint(keys):
-                start = len(run.flags)
-                run.slots.update(zip(keys, _slot_numbers(start, count)))
-                run.segment.extend(map(itemgetter(0), locations))
-                run.offset.extend(map(itemgetter(1), locations))
-                run.length.extend(map(itemgetter(2), locations))
-                run.flags.extend(flags)
-                run.sequence.extend(sequences)
-                self._count += count
-                self.approximate_bytes += _ITEM_OVERHEAD * count + sum(
-                    map(len, keys)
-                )
-                self._charge(count)
-                return [None] * count
-        # Several versions, or a replaced or repeated (key, version):
-        # item by item, new items through the branch above.
-        previous: List[Optional[IndexItem]] = []
-        for item_key, location, flag, sequence in zip(
-            item_keys, locations, flags, sequences
-        ):
-            run = self._runs.get(item_key[1])
-            slot = None if run is None else run.slots.get(item_key[0])
-            if slot is None:
-                previous += self.put_batch(
-                    [item_key], [location], [flag], [sequence]
-                )
-            else:
-                previous.append(run.item(item_key[0]))
-                run.segment[slot], run.offset[slot], run.length[slot] = location
-                run.flags[slot] = flag
-                run.sequence[slot] = sequence
+        if len(versions) != 1:
+            columns = (item_keys, locations, list(flags), list(sequences))
+            for version in versions:
+                at = [i for i, k in enumerate(item_keys) if k[1] == version]
+                self.put_batch(*([col[i] for i in at] for col in columns))
+            self._charge(count)
+            return
+        version = versions.pop()
+        run = self._runs.get(version)
+        if run is None:
+            run = self._runs[version] = _Run()
+            insort(self._versions, version)
+        keys = list(map(itemgetter(0), item_keys))
+        run.slots.update(zip(keys, _slot_numbers(len(run.flags), count)))
+        run.segment.extend(map(itemgetter(0), locations))
+        run.offset.extend(map(itemgetter(1), locations))
+        run.length.extend(map(itemgetter(2), locations))
+        run.flags.extend(flags)
+        run.sequence.extend(sequences)
+        self._count += count
+        self.approximate_bytes += _ITEM_OVERHEAD * count + sum(map(len, keys))
         self._charge(count)
-        return previous
 
     def get(self, key: bytes, version: int) -> Optional[IndexItem]:
         """The item for (key, version), or None."""
@@ -254,6 +252,12 @@ class Memtable:
                 run.flags[slot] |= DELETED
         self._charge(len(item_keys))
 
+    def restore(self, key: bytes, version: int) -> None:
+        """Clear a held item's ``d`` flag, charged as one search."""
+        run = self._runs[version]
+        run.flags[run.slots[key]] &= ~DELETED
+        self.last_search_steps = self._count.bit_length()  # _charge(1)
+
     def retire(
         self, version: int, before: Optional[int] = None
     ) -> Tuple[int, Dict[int, int]]:
@@ -273,7 +277,7 @@ class Memtable:
         if before is None or max(run.sequence) < before:
             live = run.flags.translate(_LIVE)
             run.flags = run.flags.translate(_RETIRED)
-        else:  # a recovery replay meeting a re-put newer than the RETIRE
+        else:  # replay: a key first put into the version after its RETIRE
             live = bytes(
                 not flags & DELETED and sequence < before
                 for flags, sequence in zip(run.flags, run.sequence)
@@ -391,7 +395,7 @@ class Memtable:
             owners.append(owner)
             dead.append(is_dead)
 
-        for index, (offset, end, rtype, key, version, _sequence) in enumerate(
+        for index, (offset, _end, rtype, key, version, _sequence) in enumerate(
             frames
         ):
             run = runs.get(version)
@@ -403,18 +407,14 @@ class Memtable:
                 continue
             slot = run.slots.get(key)
             if slot is None:
-                continue  # superseded or dropped; dies with the segment
+                continue  # dropped; dies with the segment
             deleted = run.flags[slot] & DELETED
             if rtype == _DELETE:
                 # Carry a tombstone forward while its target lives.
                 if deleted and (key, version) not in doomed:
                     keep(index, None, True)
-            elif (
-                run.offset[slot] != offset
-                or run.segment[slot] != segment_id
-                or run.length[slot] != end - offset
-            ):
-                pass  # superseded or already moved; dies with the segment
+            elif run.offset[slot] != offset or run.segment[slot] != segment_id:
+                pass  # a GC duplicate, already moved; dies with the segment
             elif not deleted:
                 keep(index, (key, version), False)
             elif rtype == _PUT_VALUE and self.referenced(key, version):

@@ -54,16 +54,6 @@ class Fig5WorkloadConfig:
         if not 0.0 <= self.value_spread < 1.0:
             raise ConfigError("value_spread must be in [0, 1)")
 
-    @property
-    def total_user_bytes(self) -> int:
-        """Approximate payload the whole trace writes."""
-        live_fraction = 1.0 - self.dedup_ratio
-        return int(
-            self.versions
-            * self.key_count
-            * (self.key_bytes + live_fraction * self.value_bytes_mean)
-        )
-
 
 class Fig5Workload:
     """Generates the interleaved insert/delete operation stream."""

@@ -17,12 +17,6 @@ DCS = ["north-dc1", "north-dc2", "east-dc1", "east-dc2", "south-dc1", "south-dc2
 
 
 # ----------------------------------------------------------- VersionManager
-def test_versions_advance_monotonically():
-    manager = VersionManager()
-    assert manager.begin_version() == 1
-    assert manager.begin_version() == 2
-
-
 def test_install_keeps_at_most_four():
     manager = VersionManager(max_live_versions=4)
     evicted = []

@@ -75,6 +75,49 @@ def test_leave_drains_then_decommissions():
     assert_fully_replicated(cluster, keys)
 
 
+def test_a_node_takes_back_a_key_it_withdrew(monkeypatch):
+    """Join, then leave the joined node: keys return to the nodes that
+    withdrew them, which still hold those records deleted.  A version is
+    written once, so each restores its own copy and none is put again;
+    a restart before GC drops the tombstones loses the restores, and
+    repair lands them once more."""
+    from repro.faults.repair import ReplicaRepairer
+    from repro.qindb.engine import QinDB
+
+    restored = []
+    restore = QinDB.restore
+
+    def counting(self, key, version):
+        done = restore(self, key, version)
+        restored.append(done)
+        return done
+
+    monkeypatch.setattr(QinDB, "restore", counting)
+    sim, cluster, migrator = build()
+    group = cluster.groups[0]
+    keys = load_keys(cluster, 120)
+    sim.run(until=migrator.join_node(group))
+    withdrawn = sum(
+        node.engine.holds(key, 1) and not node.engine.exists(key, 1)
+        for node in group.nodes for key in keys
+    )
+    assert withdrawn > 0
+    sim.run(until=migrator.leave_node(group, group.nodes[-1].name))
+    assert restored.count(True) == withdrawn
+    assert_fully_replicated(cluster, keys)
+
+    node = group.nodes[0]
+    node.engine.flush()
+    node.fail()
+    node.recover()
+    lost = sum(not node.engine.exists(key, 1) for key in keys)
+    assert lost > 0  # restores whose tombstones were still on flash
+    result = ReplicaRepairer().repair_node(cluster, group, node)
+    assert result.keys_copied == lost
+    assert restored.count(True) == withdrawn + lost
+    assert_fully_replicated(cluster, keys)
+
+
 def test_split_moves_half_the_slots():
     sim, cluster, migrator = build()
     keys = load_keys(cluster, 120)

@@ -1,21 +1,24 @@
-"""Does the fleet ever re-put a ``(key, version)`` an engine already holds?
+"""The write-once refusal never fires on a fleet path.
 
-The storage state machine found a resurrection (``test_storage_machine``'s
-strict xfail): re-put a held ``(key, version)`` into a later segment,
-delete it, collect that segment, crash with no valid checkpoint, and the
-full scan installs the older copy live.  How severe that is depends on
-whether the fleet ever does the first step.  The candidates are repair
-backlog replay (``faults/repair.py``), the migrator's copy stream
-(``elastic/migrator.py``) and the writes a moving slot dual-applies to
-its old and new owner (``MintCluster.put_batch``).
+QinDB refuses a put naming a ``(key, version)`` it already holds, live
+or deleted (:class:`~repro.errors.DuplicateItemError`): a version is
+written once.  The paths that could send one are repair backlog replay
+and the audit's sweep (``faults/repair.py``), the migrator's copy
+stream (``elastic/migrator.py``) and the writes a moving slot
+dual-applies to its old and new owner (``MintCluster.put_batch``).
 
-Every ``QinDB.put_batch`` is wrapped to count the items whose
-``(key, version)`` the engine's memtable already holds (live or
-deleted), by the path that sent them, under every named chaos plan with
-and without the wire codec and under ``rebalance --crash``, each at its
-smallest CLI arguments.  The pinned answer is zero on every path: repair
-copies only what a node lacks, the migrator skips what the target
-already has, and dual-apply lands each write once per node.
+Every ``QinDB.put_batch`` is wrapped to count the refusals it raises, by
+the path that sent the batch, under every named chaos plan with and
+without the wire codec, each at its smallest CLI arguments, and under
+``rebalance`` and ``rebalance --crash``.  The full-length month is the
+one whose autoscaler leaves after it joined: a key goes back to a node
+that withdrew it and still holds it deleted, and repair restores that
+copy (``QinDB.restore``) instead of putting it again.  An exit code alone cannot show a refusal: the
+update cycle catches every exception (``core/directload.py``), so one
+would pass as a failed cycle.  The pinned answer is zero on every path:
+repair copies only what a node lacks or restores what it withdrew, the
+migrator skips what the target already has, and dual-apply lands each
+write once per node.
 """
 
 import collections
@@ -24,6 +27,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.errors import DuplicateItemError
 from repro.faults.plan import NAMED_PLANS
 from repro.qindb.engine import QinDB
 
@@ -31,7 +35,11 @@ SCENARIOS = [
     ["chaos", "--plan", plan, *wire]
     for plan in NAMED_PLANS
     for wire in ([], ["--wire"])
-] + [["rebalance", "--crash", "--days", "4", "--split-day", "2"]]
+] + [
+    ["rebalance", "--crash", "--days", "4", "--split-day", "2"],
+    ["rebalance"],  # joins, then leaves that hand keys back to their nodes
+    ["rebalance", "--crash"],
+]
 
 
 def _path_of(frame) -> str:
@@ -57,22 +65,32 @@ def _path_of(frame) -> str:
 def test_no_path_re_puts_a_held_item(argv, monkeypatch, capsys):
     put_batch = QinDB.put_batch
     puts = collections.Counter()
-    held = collections.Counter()
+    refused = collections.Counter()
 
     def counting(self, items):
-        puts[_path_of(sys._getframe(1))] += len(items)
-        already = sum(
-            1 for key, version, _value in items
-            if self.memtable.get(key, version) is not None
-        )
-        if already:
-            held[_path_of(sys._getframe(1))] += already
-        return put_batch(self, items)
+        path = _path_of(sys._getframe(1))
+        puts[path] += len(items)
+        try:
+            return put_batch(self, items)
+        except DuplicateItemError:
+            refused[path] += 1
+            raise
+
+    restore = QinDB.restore
+    restored = []
+
+    def restoring(self, key, version):
+        done = restore(self, key, version)
+        restored.append(done)
+        return done
 
     monkeypatch.setattr(QinDB, "put_batch", counting)
+    monkeypatch.setattr(QinDB, "restore", restoring)
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
     assert puts["ingest"] > 0  # the wrapper saw the fleet's writes
     if argv[0] == "rebalance":
         assert puts["migration"] > 0 and puts["dual_apply"] > 0
-    assert dict(held) == {}
+    if argv == ["rebalance"]:
+        assert any(restored)  # the path that would re-put is exercised
+    assert dict(refused) == {}

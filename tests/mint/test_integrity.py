@@ -152,41 +152,77 @@ def test_tiered_audit_is_logarithmic_in_slice_size():
     assert tiered.full_hashes < naive.full_hashes / 5
 
 
-def test_audit_detects_and_repairs_damaged_replica():
+def damage(node, key, version):
+    """Flip one stored value byte of ``node``'s copy (media damage)."""
+    (segment_id, offset, length), *_flags = node.engine.memtable.get(key, version)
+    node.engine.aofs.segment(segment_id)._unit.corrupt(offset + length - 1, 0x40)
+
+
+def test_audit_counts_a_damaged_copy_and_reads_fail_over():
+    """Bitrot on one replica: the audit does not stop at the unreadable
+    copy.  It counts it divergent and leaves it in place (a version is
+    written once), and a query still reads the true value from a peer."""
     cluster = make_cluster()
-    entries = signed_entries(3)  # n=3: the tiered sample covers all leaves
+    entries = signed_entries(3)
     ingest(cluster, 1, entries)
     victim_key = storage_key(entries[0].kind, entries[0].key)
     node = cluster.group_for(victim_key).replicas_for(victim_key)[0]
-    node.put_batch([(victim_key, 1, b"bit-rotted garbage")])
+    damage(node, victim_key, 1)
+    result = ReplicaRepairer().audit_cluster(cluster)
+    assert not result.clean
+    assert result.leaf_mismatches == 1
+    assert result.divergent_records == 1
+    assert result.records_repaired == 0
+    assert cluster.query(entries[0].kind, entries[0].key, 1) == entries[0].value
+
+
+def test_audit_detects_and_repairs_damaged_replica():
+    """A node that restarted before a flush (its unflushed tail lost) and
+    then took bitrot in the same slice: the damaged copy triggers the
+    sweep, which re-lands every record the node lacks from a verified
+    peer and counts the damaged copy without re-putting it."""
+    cluster = make_cluster()
+    entries = signed_entries(64)  # ~8.4 KB: the last page is unflushed
+    ingest(cluster, 1, entries)
+    node = cluster.all_nodes[0]
+    node.fail()
+    node.recover()
+    (summary,) = summaries(cluster, 1)
+    lost = [
+        item_key for item_key in summary.item_keys
+        if node.engine.peek(*item_key) is None
+    ]
+    assert lost
+    damaged = summary.item_keys[0]  # the tiered sample always reads it
+    damage(node, *damaged)
     repairer = ReplicaRepairer()
     result = repairer.audit_node(cluster, node)
     assert result.leaf_mismatches >= 1
     assert result.full_sweeps == 1
-    assert result.divergent_records == 1
-    assert result.records_repaired == 1
-    assert node.get(victim_key, 1) == entries[0].value  # peer copy restored
-    assert repairer.audit_cluster(cluster).clean  # fleet converged
+    assert result.divergent_records == 1 + len(lost)
+    assert result.records_repaired == len(lost)
+    values = dict(zip(summary.item_keys, (entry.value for entry in entries)))
+    for item_key in lost:
+        assert node.get(*item_key) == values[item_key]
+    again = repairer.audit_node(cluster, node)
+    assert again.divergent_records == 1 and again.records_repaired == 0
+    entry = entries[0]
+    assert cluster.query(entry.kind, entry.key, 1) == entry.value
 
 
 def test_audit_detects_signature_mismatch_against_build_sig():
-    """A forged value whose CRC tree was also forged still fails the
-    full-hash tier (the build signature rode the slice)."""
+    """A value forged before ingest, carrying the original build
+    signature, has a consistent CRC tree by construction (every leaf is
+    computed from the forged bytes) and still fails the full-hash tier:
+    the build signature rode the slice."""
     cluster = make_cluster()
     entries = signed_entries(2)
-    item = ingest(cluster, 1, entries)
-    (summary,) = summaries(cluster, 1)
-    forged = b"forged-but-consistent"
-    victim_key = storage_key(entries[0].kind, entries[0].key)
-    # Overwrite the record on every replica AND recompute the CRC tree
-    # as an attacker with checksum access could.
-    for node in cluster.group_for(victim_key).replicas_for(victim_key):
-        node.put_batch([(victim_key, 1, forged)])
-    leaves = [leaf_checksum(victim_key, 1, forged)] + [
-        summary.levels[0][i] for i in range(1, summary.record_count)
-    ]
-    summary.levels = merkle_levels(leaves)
-    summary.seal = seal_summary(summary.slice_id, summary.root)
+    original = entries[0]
+    forged = IndexEntry(
+        original.kind, original.key, b"forged-but-consistent",
+        signature=original.signature,
+    )
+    ingest(cluster, 1, [forged] + entries[1:])
     result = ReplicaRepairer().audit_cluster(cluster)
     assert result.signature_mismatches >= 1
     assert not result.clean

@@ -216,7 +216,9 @@ def engine_state(engine):
 
 def test_prebuilt_batch_and_plain_triples_store_identically():
     plain, prebuilt, taken = (make_node(f"e{i}").engine for i in range(3))
-    batches = [triples(50, 1), triples(50, 2, dedup_every=2), triples(20, 1)]
+    batches = [
+        triples(50, 1), triples(50, 2, dedup_every=2), triples(20, 1, b"j")
+    ]
     for batch in batches:
         plain.put_batch(batch)
         prebuilt.put_batch(Bodies(batch))

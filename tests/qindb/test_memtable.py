@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import KeyNotFoundError
+from repro.errors import DuplicateItemError, KeyNotFoundError
 from repro.qindb.memtable import Memtable
 
 
@@ -21,14 +21,24 @@ def test_put_get():
     assert len(mt) == 1
 
 
-def test_put_replacement_returns_previous():
+def test_check_new_refuses_held_and_repeated_items():
     mt = Memtable()
     mt.put(b"k", 1, loc(0, 0), deduplicated=False)
-    previous = mt.put(b"k", 1, loc(0, 100), deduplicated=False)
-    assert previous is not None
-    assert previous[0] == loc(0, 0)
-    assert mt.get(b"k", 1)[0] == loc(0, 100)
-    assert len(mt) == 1
+    mt.put(b"d", 1, loc(0, 10), deduplicated=False)
+    mt.mark_deleted(b"d", 1)
+    steps = mt.last_search_steps
+    mt.check_new([(b"k", 2), (b"n", 1), (b"n", 2)])  # all new
+    for batch in (
+        [(b"k", 1)],  # live
+        [(b"n", 1), (b"d", 1)],  # deleted, still held
+        [(b"n", 1), (b"n", 1)],  # twice in one batch
+        [(b"n", 2), (b"k", 3), (b"n", 2)],  # twice, across versions
+    ):
+        with pytest.raises(DuplicateItemError):
+            mt.check_new(batch)
+    assert mt.last_search_steps == steps  # charges nothing
+    assert mt.get(b"k", 1) == (loc(0, 0), False, False, 0)
+    assert len(mt) == 2
 
 
 def test_dedup_flag_tracks_r():
@@ -71,7 +81,7 @@ def test_retire_flags_items_older_than_before_and_books_their_bytes():
     mt.put(b"d", 1, loc(0, 10, 40), deduplicated=False, sequence=2)
     mt.mark_deleted(b"d", 1)
     mt.put(b"a", 2, loc(2, 0, 5), deduplicated=False, sequence=5)
-    # a re-put (c, sequence 9) newer than the RETIRE stays live
+    # c, first put at sequence 9 after the RETIRE, stays live
     assert mt.retire(1, before=7) == (2, {0: 10, 1: 20})
     assert mt.last_search_steps == len(mt).bit_length()
     assert [mt.get(key, 1)[2] for key in (b"a", b"b", b"c", b"d")] == [
@@ -153,7 +163,8 @@ def test_approximate_bytes_tracks_inserts_and_drops():
     mt.put(b"key-one", 1, loc(), deduplicated=False)
     grown = mt.approximate_bytes
     assert grown > 0
-    mt.put(b"key-one", 1, loc(offset=5), deduplicated=False)  # replace
-    assert mt.approximate_bytes == grown
+    mt.put(b"key-one", 2, loc(offset=5), deduplicated=False)
+    assert mt.approximate_bytes == 2 * grown
     mt.drop(b"key-one", 1)
+    mt.drop(b"key-one", 2)
     assert mt.approximate_bytes == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KeyNotFoundError
+from repro.errors import DuplicateItemError, KeyNotFoundError
 from repro.qindb.memtable import Memtable
 
 KEYS = [b"a", b"ab", b"b"]
@@ -62,7 +62,7 @@ ITEM_KEYS = st.tuples(
     st.sampled_from(KEYS), st.integers(min_value=0, max_value=12)
 )
 OPS = st.one_of(
-    # a batch may repeat a (key, version): last writer wins
+    # a batch may repeat a (key, version) or name a held one: refused
     st.tuples(
         st.just("put_batch"),
         st.lists(st.tuples(ITEM_KEYS, st.booleans()), max_size=8),
@@ -133,17 +133,24 @@ def test_property_memtable_matches_dict_and_sorted(
     model = {}
     for sequence, (action, argument) in enumerate(ops):
         if action == "put_batch":
-            expected = []
-            for item_key, dedup in argument:
-                expected.append(model.get(item_key))
-                model[item_key] = ((0, sequence, 1), dedup, False, 0)
-            previous = memtable.put_batch(
-                [item_key for item_key, _dedup in argument],
-                [(0, sequence, 1)] * len(argument),
-                [dedup for _item_key, dedup in argument],
-                [0] * len(argument),
-            )
-            assert previous == expected
+            item_keys = [item_key for item_key, _dedup in argument]
+            if len(set(item_keys)) < len(item_keys) or any(
+                item_key in model for item_key in item_keys
+            ):
+                steps = memtable.last_search_steps
+                with pytest.raises(DuplicateItemError):
+                    memtable.check_new(item_keys)
+                assert memtable.last_search_steps == steps
+            else:
+                memtable.check_new(item_keys)
+                for item_key, dedup in argument:
+                    model[item_key] = ((0, sequence, 1), dedup, False, 0)
+                memtable.put_batch(
+                    item_keys,
+                    [(0, sequence, 1)] * len(argument),
+                    [dedup for _item_key, dedup in argument],
+                    [0] * len(argument),
+                )
         elif action == "drop":
             if argument in model:
                 del model[argument]

@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import DuplicateItemError, StorageError
 from repro.qindb.checkpoint import Checkpoint, crash, recover
 from repro.qindb import records
 from repro.qindb.records import Bodies
@@ -66,9 +66,10 @@ def assert_equivalent(sequential: QinDB, batched: QinDB) -> None:
 
 
 def mixed_items(count=400, key_space=150, seed=7):
-    """A mixed-kind batch: values, dedup markers, duplicated pairs."""
+    """A mixed-kind batch: values and dedup markers, each ``(key,
+    version)`` once."""
     rng = random.Random(seed)
-    items = []
+    items = {}
     for index in range(count):
         key = f"I:key-{rng.randint(0, key_space):04d}".encode()
         version = 1 + index % 3
@@ -76,10 +77,12 @@ def mixed_items(count=400, key_space=150, seed=7):
             value = None  # deduplicated upstream
         else:
             value = bytes([index % 251]) * rng.randint(1, 700)
-        items.append((key, version, value))
+        items.setdefault((key, version), value)
     # Values must precede dedup markers per key so tracebacks resolve.
-    items.sort(key=lambda item: item[2] is None)
-    return items
+    return sorted(
+        ((key, version, value) for (key, version), value in items.items()),
+        key=lambda item: item[2] is None,
+    )
 
 
 def test_batch_matches_sequential_mixed_kinds():
@@ -128,16 +131,48 @@ def test_batch_matches_sequential_across_segment_rollover():
     assert_equivalent(sequential, batched)
 
 
-def test_batch_duplicate_pairs_apply_last_writer_wins():
-    """A (key, version) duplicated within one batch resolves exactly as
-    two sequential puts: the later value wins, the earlier bytes die."""
-    items = [(b"dup", 1, b"first"), (b"other", 1, b"x"), (b"dup", 1, b"second")]
-    sequential, batched = make_engine(), make_engine()
-    for key, version, value in items:
-        sequential.put(key, version, value)
-    batched.put_batch(items)
-    assert_equivalent(sequential, batched)
-    assert batched.get(b"dup", 1) == b"second"
+def engine_state(engine: QinDB):
+    """What a refused put must leave exactly as it found."""
+    return (
+        memtable_image(engine),
+        engine.gc_table.snapshot(),
+        engine.aofs.bytes_appended,
+        engine._sequence,
+        engine.device.now,
+        engine.stats().put_batches,
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["live", "identical-retry", "deleted", "retired", "repeat-in-batch"]
+)
+def test_re_put_is_refused_with_the_engine_unchanged(case):
+    """A version is written once: a batch naming a held ``(key,
+    version)`` — live, deleted or retired, even with the same bytes — or
+    one pair twice is refused before a sequence is drawn or a byte
+    appended, and the engine takes the next batch as if it never came."""
+    engine = make_engine()
+    engine.put_batch([(b"held", 1, b"first"), (b"other", 1, b"x")])
+    if case == "deleted":
+        engine.delete_batch([(b"held", 1)])
+    elif case == "retired":
+        engine.retire_version(1)
+    refused = {
+        "identical-retry": [(b"new", 1, b"n"), (b"held", 1, b"first")],
+        "repeat-in-batch": [
+            (b"dup", 1, b"first"), (b"new", 1, b"n"), (b"dup", 1, b"second")
+        ],
+    }.get(case, [(b"new", 1, b"n"), (b"held", 1, b"second")])
+    before = engine_state(engine)
+    with pytest.raises(DuplicateItemError):
+        engine.put_batch(refused)
+    assert engine_state(engine) == before
+    assert not engine.holds(b"new", 1) and not engine.holds(b"dup", 1)
+    engine.put_batch([(b"new", 1, b"n"), (b"dup", 1, b"second")])
+    held = None if case in ("deleted", "retired") else b"first"
+    assert engine.get_batch([(b"new", 1), (b"dup", 1), (b"held", 1)]) == [
+        b"n", b"second", held
+    ]
 
 
 def test_batch_recovery_contents_match_sequential():

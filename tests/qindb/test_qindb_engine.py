@@ -213,12 +213,13 @@ def test_open_scan_defers_gc_from_concurrent_puts():
     engine.put(b"stable", 1, b"s" * 1024)
     iterator = engine.scan(b"a", b"z")
     next(iterator)
-    # Churn: every put kills its predecessor, sealing dead segments.
-    for _ in range(40):
-        engine.put(b"churn", 1, b"x" * 32768)
+    # Churn: every record dies as it lands, sealing dead segments.
+    for index in range(40):
+        engine.put(b"churn-%02d" % index, 1, b"x" * 32768)
+        engine.delete(b"churn-%02d" % index, 1)
     assert engine.gc_runs == 0  # deferred while the scan is open
     iterator.close()
-    engine.put(b"churn", 1, b"x" * 32768)
+    engine.put(b"churn-40", 1, b"x" * 32768)
     assert engine.gc_runs >= 1  # collection resumed once the scan ended
 
 

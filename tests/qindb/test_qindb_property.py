@@ -2,7 +2,9 @@
 
 The model implements the paper's semantics directly on dicts:
 
-* PUT stores the value (or a dedup marker);
+* PUT stores the value (or a dedup marker) of a ``(key, version)`` the
+  engine does not hold; one it holds, live or deleted, is refused with
+  nothing changed (a version is written once);
 * GET resolves dedup markers by walking to the nearest older version
   whose value was stored — including *deleted* older versions (their
   values remain usable until reclaimed, and the engine's GC guarantees
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KeyNotFoundError
+from repro.errors import DuplicateItemError, KeyNotFoundError
 from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.ssd.device import SimulatedSSD
@@ -92,13 +94,14 @@ operations = st.lists(
 
 def apply_and_compare(engine, model, ops):
     for action, key, version, salt in ops:
-        if action == "put":
-            value = bytes([salt]) * (200 + salt)
+        if action in ("put", "put_dedup"):
+            value = bytes([salt]) * (200 + salt) if action == "put" else None
+            if engine.memtable.get(key, version) is not None:
+                with pytest.raises(DuplicateItemError):
+                    engine.put(key, version, value)
+                continue
             engine.put(key, version, value)
             model.put(key, version, value)
-        elif action == "put_dedup":
-            engine.put(key, version, None)
-            model.put(key, version, None)
         elif action == "delete":
             expected = None
             try:

@@ -1,10 +1,15 @@
 """Crash / recovery tests: the full AOF scan and checkpointing."""
 
+import copy
+
 import pytest
 
-from repro.errors import KeyNotFoundError
+from repro.errors import CorruptionError, KeyNotFoundError
 from repro.qindb.checkpoint import Checkpoint, crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
+from repro.qindb.records import HEAD_SIZE, HEADER_SIZE, RecordType, encode_frame
+from repro.ssd.device import SimulatedSSD
+from repro.ssd.geometry import SSDGeometry
 
 
 def small_engine():
@@ -295,3 +300,100 @@ def test_checkpoint_then_gc_sweep_then_crash_recovers_via_full_scan():
     # The recovered engine keeps working past the interleaving.
     recovered.put(b"url", 3, None)
     assert recovered.get(b"url", 3) == b"base" * 300
+
+
+def tiny_engine() -> QinDB:
+    """512 B pages and one 4 KB block per segment; no automatic GC."""
+    geometry = SSDGeometry(
+        block_count=512, pages_per_block=8, page_size=512, op_ratio=0.07
+    )
+    return QinDB(
+        SimulatedSSD(geometry),
+        config=QinDBConfig(segment_bytes=4 * 1024, gc_enabled=False),
+    )
+
+
+def test_gc_duplicate_reads_as_the_engine_did_and_counts_dead():
+    """A crash between a collection's moves and its victim's erase leaves
+    every moved frame on flash twice at one sequence.  The full scan
+    installs one copy, reads exactly what the engine read, and books the
+    other copy's bytes dead."""
+    engine = tiny_engine()
+    engine.put_batch(
+        [(b"live", 1, b"L" * 600), (b"base", 1, b"B" * 600),
+         (b"gone", 1, b"G" * 600), (b"base", 2, None)]
+        + [(b"f%d" % index, 1, b"x" * 600) for index in range(4)]
+    )  # seals segment 0
+    engine.delete_batch([(b"base", 1), (b"gone", 1)])
+    assert engine.aofs.active_segment_id == 1
+    moved_live = sum(
+        length
+        for _k, _v, ((segment_id, _o, length), _r, deleted, _s)
+        in engine.memtable.items()
+        if segment_id == 0 and not deleted
+    )
+    engine.aofs.drop_segment = lambda segment_id: None  # the crash
+    engine.collect_segment(0)
+    engine.flush()
+    frames = [
+        (frame[3], frame[4], frame[5])
+        for segment in engine.aofs.segments
+        for frame in segment.read_frames()[0]
+        if frame[3] == b"live"
+    ]
+    assert len(frames) == 2 and frames[0] == frames[1]
+    space = [
+        (key, version)
+        for key in (b"live", b"base", b"gone", b"f0", b"f3")
+        for version in (1, 2)
+    ]
+    reads = engine.get_batch(space)
+    live = [engine.exists(*item) for item in space]
+    recovered = recover(crash(engine), config=engine.config)
+    assert recovered.get_batch(space) == reads
+    assert [recovered.exists(*item) for item in space] == live
+    dead = recovered.gc_table.entry(1).dead_bytes
+    assert dead - engine.gc_table.entry(1).dead_bytes == moved_live
+    assert sum(
+        recovered.gc_table.entry(segment.segment_id).live_bytes
+        for segment in recovered.aofs.segments
+    ) == engine.gc_table.entry(1).live_bytes
+
+
+def test_two_puts_of_one_item_at_different_sequences_are_corruption():
+    """A write-once engine never frames one ``(key, version)`` twice
+    under different sequences, so recovery refuses to pick a winner."""
+    engine = small_engine()
+    engine.put(b"k", 1, b"first")
+    frame = encode_frame(int(RecordType.PUT_VALUE), b"k", b"second", 1, 99)
+    engine.aofs.append_frames([frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]])
+    engine.flush()
+    with pytest.raises(CorruptionError, match=r"b'k'/1: sequences 1 and 99"):
+        recover(crash(engine), config=engine.config)
+
+
+def test_a_restore_lasts_once_gc_drops_its_tombstone():
+    """``restore`` makes a deleted item live from its own frame, in
+    memory: a crash while its tombstone is on flash deletes it again.
+    Once GC collects the tombstone (not carried: its item is live) the
+    restore survives a full scan."""
+    engine = tiny_engine()
+    fillers = [(b"f%d" % index, 1, b"x" * 600) for index in range(6)]
+    engine.put_batch([(b"k", 1, b"K" * 600)] + fillers)  # seals segment 0
+    engine.delete_batch([(b"k", 1)])
+    tombstone_segment = engine.aofs.active_segment_id
+    assert not engine.restore(b"f0", 1) and not engine.restore(b"none", 1)
+    dead = engine.gc_table.entry(0).dead_bytes
+    assert engine.restore(b"k", 1)
+    assert engine.gc_table.entry(0).dead_bytes == dead - (HEADER_SIZE + 601)
+    assert engine.get(b"k", 1) == b"K" * 600
+    engine.flush()
+    crashed = recover(crash(copy.deepcopy(engine)), config=engine.config)
+    assert not crashed.exists(b"k", 1) and crashed.holds(b"k", 1)
+
+    engine.put_batch([(b"g%d" % index, 1, b"y" * 600) for index in range(7)])
+    assert engine.aofs.active_segment_id != tombstone_segment
+    engine.collect_segment(tombstone_segment)
+    engine.flush()
+    recovered = recover(crash(engine), config=engine.config)
+    assert recovered.get(b"k", 1) == b"K" * 600

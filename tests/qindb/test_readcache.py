@@ -200,8 +200,9 @@ def test_get_after_gc_rereads_from_new_location():
     engine = make_engine(4 << 20, gc_enabled=False)
     engine.put(b"moved", 1, b"payload" * 512)
     # Live record + enough dead churn to make segment 0 a victim.
-    for _ in range(80):
-        engine.put(b"churn", 1, b"x" * 8192)
+    for index in range(80):
+        engine.put(b"churn-%02d" % index, 1, b"x" * 8192)
+        engine.delete(b"churn-%02d" % index, 1)
     engine.flush()
     assert engine.get(b"moved", 1) == b"payload" * 512  # cached
     old_location = engine.memtable.get(b"moved", 1)[0]

@@ -3,13 +3,14 @@
 A retirement flags every item of the version's run deleted, books the
 run's bytes dead per segment and writes one ``RETIRE`` frame.  These
 tests pin what it costs, how GC carries the frame, and what recovery
-makes of it — torn, moved past the puts it kills, or followed by a
-re-put.
+makes of it — torn, moved past the puts it kills, or followed by a key
+first put into the retired version.  A re-put of a retired item is
+refused.
 """
 
 import pytest
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, DuplicateItemError
 from repro.qindb.checkpoint import Checkpoint, crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import HEADER_SIZE, RecordType, encode_frame
@@ -27,6 +28,16 @@ def tiny_engine(**config) -> QinDB:
     return QinDB(
         SimulatedSSD(geometry),
         config=QinDBConfig(segment_bytes=4 * 1024, **config),
+    )
+
+
+def engine_state(engine):
+    """What a refused put must leave as it found."""
+    return (
+        list(engine.memtable.items()),
+        engine.gc_table.snapshot(),
+        engine.aofs.bytes_appended,
+        engine._sequence,
     )
 
 
@@ -155,48 +166,51 @@ def test_retire_is_dropped_once_its_version_has_no_run():
 @pytest.mark.parametrize("checkpointed", [False, True])
 def test_re_put_after_retire_stays_live(checkpointed):
     """A RETIRE kills only puts older than itself, on a full scan and past
-    a checkpoint's watermark alike."""
+    a checkpoint's watermark alike: a key first put into the version
+    after it stays live."""
     engine = QinDB.with_capacity(
         16 * 1024 * 1024, config=QinDBConfig(segment_bytes=256 * 1024)
     )
     engine.put_batch([(b"a", 1, b"old-a"), (b"b", 1, b"old-b")])
     checkpoint = Checkpoint.write(engine) if checkpointed else None
     assert engine.retire_version(1) == 2
-    engine.put_batch([(b"a", 1, b"new-a")])
-    assert engine.get(b"a", 1) == b"new-a"
+    engine.put_batch([(b"c", 1, b"new-c")])
+    assert engine.get(b"c", 1) == b"new-c"
     engine.flush()
     recovered = recover(crash(engine), config=engine.config, checkpoint=checkpoint)
-    assert recovered.get(b"a", 1) == b"new-a"
-    assert not recovered.exists(b"b", 1)
-    assert recovered.holds(b"b", 1)
-    # the stale copy of a/1 and every retired byte count dead
+    assert recovered.get(b"c", 1) == b"new-c"
+    for key in (b"a", b"b"):
+        assert not recovered.exists(key, 1) and recovered.holds(key, 1)
+    # every retired byte counts dead
     stats = recovered.gc_table.entry(0)
-    assert stats.live_bytes == HEADER_SIZE + 1 + len(b"new-a")
+    assert stats.live_bytes == HEADER_SIZE + 1 + len(b"new-c")
 
 
 def test_re_put_stays_live_when_gc_carries_its_retire_past_it():
-    """GC carries the RETIRE into a segment after the re-put's, so a full
-    scan meets the re-put first: the RETIRE then kills only the items
-    older than itself, and the re-put stays live."""
+    """GC carries the RETIRE into a segment after that of a key first put
+    into the retired version, so a full scan meets that put first: the
+    RETIRE then kills only the items older than itself (the
+    ``retire(before=...)`` pass), and the new key stays live."""
     engine = tiny_engine(gc_enabled=False)
     old = [(b"a", 1, b"A" * 600), (b"b", 1, b"B" * 600), (b"c", 1, b"C" * 600)]
     engine.put_batch(old + [(b"f%d" % i, 2, b"x" * 600) for i in range(4)])
     assert engine.retire_version(1) == 3
     engine.put_batch([(b"g%d" % i, 2, b"y" * 600) for i in range(7)])
-    engine.put_batch([(b"a", 1, b"new-a")])
+    engine.put_batch([(b"d", 1, b"new-d")])
     engine.put_batch([(b"h%d" % i, 2, b"z" * 600) for i in range(8)])
     [(retire_segment, _version)] = retire_frames(engine)
-    re_put_segment = engine.memtable.get(b"a", 1)[0][0]
-    assert retire_segment < re_put_segment < engine.aofs.active_segment_id
+    new_segment = engine.memtable.get(b"d", 1)[0][0]
+    assert retire_segment < new_segment < engine.aofs.active_segment_id
     assert engine.memtable.get(b"b", 1)[0][0] != retire_segment
 
     engine.collect_segment(retire_segment)
     [(carried_to, _version)] = retire_frames(engine)
-    assert carried_to > re_put_segment
+    assert carried_to > new_segment
 
     engine.flush()
     recovered = recover(crash(engine), config=engine.config)
-    assert recovered.get(b"a", 1) == b"new-a"
+    assert recovered.get(b"d", 1) == b"new-d"
+    assert not recovered.exists(b"a", 1) and recovered.holds(b"a", 1)
     assert not recovered.exists(b"b", 1) and recovered.holds(b"b", 1)
     assert not recovered.exists(b"c", 1) and recovered.holds(b"c", 1)
     assert all(recovered.exists(b"f%d" % i, 2) for i in range(3))
@@ -247,23 +261,22 @@ def test_corrupt_victim_holding_a_retire_is_quarantined_untouched():
     assert engine.get(b"live", 2) == b"y" * 500
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the RETIRE twin of the deleted re-put resurrection: GC drops "
-    "the retired re-put and its RETIRE while the superseded copy of the "
-    "put survives in an uncollected segment; the full scan installs it",
-)
 def test_retired_re_put_stays_retired_after_gc_and_full_scan():
+    """The RETIRE twin of the deleted re-put: the re-put is refused with
+    the engine unchanged, so once GC drops the retired item and its
+    RETIRE no older copy of it is left for a full scan to install."""
     engine = tiny_engine()
     filler = [(b"f%d" % index, 2, b"x" * 600) for index in range(8)]
     engine.put_batch([(b"k", 1, b"A" * 600)] + filler)  # seals segment 0
-    engine.put_batch([(b"k", 1, b"B" * 600)])
+    before = engine_state(engine)
+    with pytest.raises(DuplicateItemError):
+        engine.put_batch([(b"k", 1, b"B" * 600)])
+    assert engine_state(engine) == before
     engine.retire_version(1)
     engine.put_batch([(b"g%d" % index, 2, b"x" * 600) for index in range(8)])
     (segment_id, _offset, _length), _r, _deleted, _s = engine.memtable.get(
         b"k", 1
     )
-    assert segment_id != 0
     engine.collect_segment(segment_id)
     assert not engine.holds(b"k", 1)
     engine.flush()

@@ -9,13 +9,18 @@ or not; anything else reads nothing.
 Rules are the engine's verbs on small segments, so collections and
 segment roll-over happen within a few steps:
 
-* ``put_batch`` of values and value-less records, re-puts included;
+* ``put_batch`` of values and value-less records the engine does not
+  hold;
+* a re-put — a batch naming a held item, or one item twice — which the
+  engine refuses, leaving itself and the model unchanged;
 * ``delete_batch`` of live items;
 * ``retire_version``, which deletes every live item of one version;
 * ``collect_segment`` of any sealed segment (and the automatic GC that
   any write may run);
 * ``Checkpoint.write``, and a crash + ``recover`` that uses the newest
-  checkpoint while no collection has invalidated it.
+  checkpoint while no collection has invalidated it;
+* a crash between a collection's moves and its erase, which leaves two
+  copies of each moved frame at one sequence for the full scan.
 
 The only freedom the engine has is *when* a deleted record disappears:
 GC drops a deleted item unless a live value-less version still resolves
@@ -24,9 +29,9 @@ engine no longer holds, after checking that none of them was still
 needed.  Then ``get_batch``, ``exists``, ``peek`` and ``len(memtable)``
 must agree with the model on every ``(key, version)`` in the space.
 
-One history the machine can reach but rarely draws is pinned below as
-an expected failure: a deleted re-put comes back to life after GC and a
-full-scan recovery.
+One history the machine can reach but rarely draws is pinned below: a
+refused re-put of a deleted item, then GC and a full-scan recovery,
+which must leave the item deleted.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.errors import DuplicateItemError
 from repro.qindb.checkpoint import Checkpoint, crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.ssd.device import SimulatedSSD
@@ -73,6 +79,16 @@ def small_engine() -> QinDB:
             gc_occupancy_threshold=0.5,
             gc_defer_min_free_blocks=0,
         ),
+    )
+
+
+def engine_state(engine: QinDB):
+    """What a refused put must leave as it found."""
+    return (
+        list(engine.memtable.items()),
+        engine.gc_table.snapshot(),
+        engine.aofs.bytes_appended,
+        engine._sequence,
     )
 
 
@@ -122,16 +138,38 @@ class StorageMachine(RuleBasedStateMachine):
                 del self.model[item_key]
 
     # ------------------------------------------------------------ rules
-    @rule(items=put_items)
-    def put_batch(self, items) -> None:
-        batch = []
+    def values(self, items):
+        """The drawn items with values, one ``(key, version)`` each."""
+        batch = {}
         for key, version, size in items:
             self.puts += 1
             value = None if size is None else bytes([self.puts % 251]) * size
-            batch.append((key, version, value))
-            self.model[(key, version)] = (value, False)
+            batch.setdefault((key, version), value)
+        return [(key, version, value) for (key, version), value in batch.items()]
+
+    @rule(items=put_items)
+    def put_batch(self, items) -> None:
+        batch = [
+            item for item in self.values(items) if item[:2] not in self.model
+        ]
+        if not batch:
+            return
         self.engine.put_batch(batch)
+        for key, version, value in batch:
+            self.model[(key, version)] = (value, False)
         self.settle()
+
+    @rule(items=put_items, pick=st.integers(min_value=0))
+    def re_put(self, items, pick) -> None:
+        """A held item (any, when there is one) or a repeat is refused."""
+        batch = self.values(items)
+        held = sorted(self.model)
+        again = held[pick % len(held)] if held else batch[0][:2]
+        batch.insert(pick % (len(batch) + 1), (*again, b"again"))
+        before = engine_state(self.engine)
+        with pytest.raises(DuplicateItemError):
+            self.engine.put_batch(batch)
+        assert engine_state(self.engine) == before
 
     @rule(picks=st.lists(st.integers(min_value=0), min_size=1, max_size=5))
     def delete_batch(self, picks) -> None:
@@ -190,6 +228,29 @@ class StorageMachine(RuleBasedStateMachine):
             self.checkpoint.discard()
             self.checkpoint = None
 
+    @rule(pick=st.integers(min_value=0))
+    def crash_between_move_and_erase(self, pick) -> None:
+        """Collect a sealed segment but crash before its erase: every
+        moved frame is on flash twice at one sequence, and the full scan
+        must read what the engine read."""
+        engine = self.engine
+        sealed = [
+            segment.segment_id
+            for segment in engine.aofs.segments
+            if segment.segment_id != engine.aofs.active_segment_id
+        ]
+        if not sealed:
+            return
+        engine.aofs.drop_segment = lambda segment_id: None
+        engine.collect_segment(sealed[pick % len(sealed)])
+        del engine.aofs.drop_segment
+        engine.flush()
+        self.engine = recover(crash(engine), config=engine.config)
+        if self.checkpoint is not None:
+            self.checkpoint.discard()
+            self.checkpoint = None
+        self.settle()
+
     @precondition(lambda self: self.checkpoint is not None)
     @rule()
     def checkpoint_discard(self) -> None:
@@ -214,26 +275,24 @@ class StorageMachine(RuleBasedStateMachine):
             assert engine.peek(key, version) == expected_peek
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="GC drops a deleted re-put item and its tombstone while an "
-    "older copy of the put survives in an uncollected segment; the "
-    "full-scan replay then installs that copy as live",
-)
 def test_deleted_re_put_stays_deleted_after_gc_and_full_scan():
-    """Pinned history the machine can reach: put ``k/1``, re-put it in a
-    later segment, delete it, collect the later segment, crash with no
-    checkpoint."""
+    """Pinned history the machine can reach: put ``k/1``, re-put it (now
+    refused, the engine unchanged), delete it, collect the segment that
+    holds it, crash with no checkpoint.  An overwrite here would leave
+    the older copy in an uncollected segment once GC dropped the item
+    and its tombstone, and the full scan would install it live."""
     engine = small_engine()
     filler = [(b"f%d" % index, 1, b"x" * 600) for index in range(8)]
     engine.put_batch([(b"k", 1, b"A" * 600)] + filler)  # seals segment 0
-    engine.put_batch([(b"k", 1, b"B" * 600)])
+    before = engine_state(engine)
+    with pytest.raises(DuplicateItemError):
+        engine.put_batch([(b"k", 1, b"B" * 600)])
+    assert engine_state(engine) == before
     engine.delete_batch([(b"k", 1)])
     engine.put_batch([(b"g%d" % index, 1, b"x" * 600) for index in range(8)])
     (segment_id, _offset, _length), _r, _deleted, _s = engine.memtable.get(
         b"k", 1
     )
-    assert segment_id != 0
     engine.collect_segment(segment_id)
     assert not engine.holds(b"k", 1)
     engine.flush()

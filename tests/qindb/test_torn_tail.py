@@ -186,11 +186,12 @@ def test_crash_at_every_prefix_of_the_last_frames(cut):
 
     # the recovered engine is an engine: write, delete, collect, recover
     engine.put_batch(
-        [(b"new01", 9, b"n" * 70), (b"keep1", 7, b"rewritten"), (b"keep1", 9, None)]
+        [(b"new01", 9, b"n" * 70), (b"new02", 7, b"fresh"), (b"keep1", 9, None)]
     )
     engine.delete_batch([(b"keep2", 7), (b"lead0", 7)])
     model[b"new01", 9] = b"n" * 70
-    model[b"keep1", 7] = model[b"keep1", 9] = b"rewritten"
+    model[b"new02", 7] = b"fresh"
+    model[b"keep1", 9] = model[b"keep1", 7]  # the dedup traceback
     del model[b"keep2", 7], model[b"lead0", 7]
     for old in engine.aofs.segments:
         if old.segment_id != engine.aofs.active_segment_id:

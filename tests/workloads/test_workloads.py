@@ -89,11 +89,6 @@ def test_fig5_config_validation():
         Fig5WorkloadConfig(key_bytes=4)
 
 
-def test_fig5_total_user_bytes_estimate():
-    config = Fig5WorkloadConfig(key_count=10, versions=2, value_bytes_mean=100)
-    assert config.total_user_bytes == 2 * 10 * (20 + 100)
-
-
 # -------------------------------------------------------------------- replay
 def test_replay_trace_samples_counters():
     engine = QinDB.with_capacity(
@@ -195,7 +190,11 @@ def test_replay_pacing_holds_the_offered_rate():
         sample_interval_s=0.25,
         pace_user_bytes_per_s=pace,
     )
-    expected_s = config.total_user_bytes / pace
+    # every key of every version, each with its own value (no dedup)
+    user_bytes = config.versions * config.key_count * (
+        config.key_bytes + config.value_bytes_mean
+    )
+    expected_s = user_bytes / pace
     assert result.elapsed_s == pytest.approx(expected_s, rel=0.1)
     interior = [v for _t, v in result.user_write_series][1:-1]
     for rate in interior:

@@ -117,6 +117,10 @@ KEEP: Dict[str, str] = {
     "repro.lsm.engine.LSMEngine.peek": (
         "LSM baseline's conformance to the Engine protocol"
     ),
+    "repro.lsm.engine.LSMEngine.restore": (
+        "LSM baseline's conformance to the Engine protocol (repair on an "
+        "LSM node lands a withdrawn record)"
+    ),
     "repro.lsm.engine.LSMEngine.restart": (
         "LSM baseline's conformance to the Engine protocol (a crashed LSM "
         "node)"
@@ -194,7 +198,8 @@ KEEP: Dict[str, str] = {
     ),
     # repair, parked slices and cache coherence
     "repro.faults.repair.ReplicaRepairer._sweep_slice": (
-        "repair: full leaf sweep of a slice whose sampled audit diverged"
+        "audit: full leaf sweep of a slice whose sample diverged; counts "
+        "each divergent copy and re-lands only those the node lacks"
     ),
     "repro.mint.cluster.MintCluster._drain_parked": (
         "parked wire slices retried when a base arrives"
@@ -228,13 +233,6 @@ KEEP: Dict[str, str] = {
         "deferred cut (test_tracer::test_to_json_and_clear)"
     ),
     "repro.obs.tracer.Span.to_dict": "deferred cut with Tracer.to_json",
-    "repro.workloads.fig5.Fig5WorkloadConfig.total_user_bytes": (
-        "deferred cut (test_workloads::test_fig5_total_user_bytes_estimate)"
-    ),
-    "repro.core.version.VersionManager.begin_version": (
-        "deferred cut "
-        "(test_version_release::test_versions_advance_monotonically)"
-    ),
 }
 
 
