@@ -824,6 +824,7 @@ def _render_rebalance(data: dict) -> None:
     for name, held in (
         ("zero acknowledged-key loss", entry["zero_loss"]),
         ("fully replicated at rest", entry["under_replicated_final"] == 0),
+        ("no stale copy at rest", entry["over_replicated_final"] == 0),
         ("byte-identical vs static baseline", entry["digests_match"]),
     ):
         print(f"  [{'ok' if held else 'FAIL'}] {name}")
@@ -834,6 +835,7 @@ def _rebalance_ok(data: dict) -> bool:
     return bool(
         entry["zero_loss"]
         and entry["under_replicated_final"] == 0
+        and entry["over_replicated_final"] == 0
         and entry["digests_match"]
     )
 

@@ -425,7 +425,9 @@ class Migrator:
             yield self.sim.timeout(self.config.verify_interval_s)
 
     def _withdraw(self, tasks: List[MoveTask]) -> object:
-        """Delete the stale copies the cutover left behind.
+        """Delete the stale copies the cutover left behind: every live
+        version of the key, not only those planned — a version ingested
+        mid-move was dual-applied to the old placement too.
 
         A down holder gets the delete queued in its repair backlog (the
         standard missed-op path), so recovery finishes the withdrawal.
@@ -433,9 +435,7 @@ class Migrator:
         config = self.config
         for task in tasks:
             removed = 0
-            for version in task.versions:
-                if version not in self.cluster.version_keys:
-                    continue
+            for version in sorted(self.cluster.version_keys):
                 for node in task.withdraw_targets:
                     if not node.is_up:
                         task.source_group.note_missed(

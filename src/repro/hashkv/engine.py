@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, KeyNotFoundError
 from repro.qindb.aof import AofManager, RecordLocation
-from repro.qindb.records import Bodies, frame_heads
+from repro.qindb.records import Bodies
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import TimingModel
@@ -91,10 +91,10 @@ class HashKV:
     def put(self, key: bytes, version: int, value: Optional[bytes]) -> None:
         """Append the record and install the hash entry."""
         batch = Bodies([(key, version, value)])
-        locations, _appended = self.aofs.append_frames(
-            frame_heads(range(1), batch.checksums), batch.bodies
+        (run,) = self.aofs.append_frames(batch.frames(range(1)))
+        self._table[(key, version)] = _HashEntry(
+            (run.segment_id, run.offset, run.nbytes), batch.dedup[0]
         )
-        self._table[(key, version)] = _HashEntry(locations[0], batch.dedup[0])
         self.user_bytes_written += len(key) + (0 if value is None else len(value))
         self._charge()
 

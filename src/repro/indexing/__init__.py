@@ -23,7 +23,6 @@ from repro.indexing.builders import (
 )
 from repro.indexing.corpus import SyntheticWebCorpus
 from repro.indexing.crawler import Crawler
-from repro.indexing.tokenizer import tokenize
 from repro.indexing.types import Document, IndexDataset, IndexEntry, IndexKind
 from repro.indexing.vocabulary import ZipfVocabulary
 
@@ -39,5 +38,4 @@ __all__ = [
     "SummaryIndexBuilder",
     "SyntheticWebCorpus",
     "ZipfVocabulary",
-    "tokenize",
 ]

@@ -656,6 +656,27 @@ class MintCluster:
                     shortfalls.append((key, version, live))
         return shortfalls
 
+    def over_replicated(self) -> List[tuple]:
+        """Live ``(key, version, live_copies)`` triples held by more
+        nodes of the cluster than the replica count.
+
+        The mirror of :meth:`under_replicated`, over every node rather
+        than the key's placement: a stale copy a rebalance failed to
+        withdraw is live on a node placement no longer names.
+        """
+        nodes = self.all_nodes
+        surplus: List[tuple] = []
+        for version in sorted(self.version_keys):
+            for key in dict.fromkeys(self.version_keys[version]):
+                live = sum(
+                    1
+                    for node in nodes
+                    if node.is_up and node.engine.exists(key, version)
+                )
+                if live > self.config.replica_count:
+                    surplus.append((key, version, live))
+        return surplus
+
     def query(self, kind: IndexKind, key: bytes, version: int) -> bytes:
         """Front-end read of one index entry."""
         return self.get(storage_key(kind, key), version)

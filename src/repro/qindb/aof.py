@@ -8,16 +8,20 @@ out fresh ones.
 
 Offsets are segment-local, so a record's address is the pair
 ``(segment_id, offset)`` — exactly the ``offset`` field of the paper's
-memtable items.
+memtable items.  An append says where its frames went as one
+:class:`Run` per segment it wrote, never a location per frame: within a
+run the frames lie back-to-back, so their offsets are the batch's
+relative starts shifted by one number (:func:`run_locations`).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.qindb.records import HEAD_SIZE, Frame, decode_value, scan_frames
+from repro.qindb.records import Frame, Frames, decode_value, scan_frames
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -27,6 +31,32 @@ DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 #: The memtable stores it as three column cells and builds the tuple on
 #: access; the read path keys its batch and the read cache by it.
 RecordLocation = Tuple[int, int, int]
+
+
+class Run(NamedTuple):
+    """Where one append put a stretch of its frames: ``count`` of them
+    from index ``first``, back-to-back from ``offset`` of segment
+    ``segment_id``, ``nbytes`` in all."""
+
+    segment_id: int
+    offset: int
+    first: int
+    count: int
+    nbytes: int
+
+
+def run_locations(
+    runs: Sequence[Run], starts: Sequence[int]
+) -> Tuple[array, array]:
+    """The segment and the offset of every frame ``runs`` hold, in
+    order, as two ``array('q')`` columns; ``starts`` are the appended
+    frames' (:attr:`~repro.qindb.records.Frames.starts`)."""
+    segments, offsets = array("q"), array("q")
+    for segment_id, offset, first, count, _nbytes in runs:
+        segments += array("q", (segment_id,)) * count
+        shift = offset - starts[first]
+        offsets.extend(map(shift.__add__, starts[first : first + count]))
+    return segments, offsets
 
 
 class AofSegment:
@@ -62,47 +92,35 @@ class AofSegment:
         return self._unit.size >= self.capacity_bytes
 
     # ------------------------------------------------------------------
-    def append_frames(
-        self, heads: Sequence[bytes], bodies: Sequence[bytes]
-    ) -> Tuple[List[RecordLocation], int]:
-        """Append as many frames as fit, back-to-back: frame ``i`` is
-        ``heads[i]`` (:data:`~repro.qindb.records.HEAD_SIZE` bytes), then
-        ``bodies[i]``.
+    def append_frames(self, frames: Frames, first: int = 0) -> Run:
+        """Append frames ``first, first + 1, ...`` of ``frames`` while
+        they fit, back-to-back, and return their run.
 
         A frame is accepted while the segment is not yet full, so the
         split point does not depend on how the frames were batched.  The
-        accepted heads and bodies go down as pieces in one
+        accepted frames' pieces go down in one
         :meth:`~repro.ssd.native.NativeUnit.append_many`, which keeps
         them by reference and coalesces full pages into multi-page
-        programs.  Returns the accepted frames' locations (a prefix) and
-        their total bytes.
+        programs.
         """
         if self.is_full:
             raise StorageError(f"segment {self.segment_id} is full")
-        room = self.capacity_bytes - self.size
-        lengths = list(map(HEAD_SIZE.__add__, map(len, bodies)))
-        nbytes = sum(lengths)
+        starts = frames.starts
+        total = len(starts) - 1
+        base = starts[first]
         # A frame is admitted while the segment is not yet full *before*
-        # it is appended, so the whole batch fits iff the bytes ahead of
-        # the last frame leave room.
-        if not lengths or nbytes - lengths[-1] >= room:
-            nbytes = 0
-            for accepted, length in enumerate(lengths):
-                if nbytes >= room:
-                    heads, bodies = heads[:accepted], bodies[:accepted]
-                    lengths = lengths[:accepted]
-                    break
-                nbytes += length
-        pieces = [b""] * (2 * len(lengths))
-        pieces[::2], pieces[1::2] = heads, bodies
-        start = self._unit.append_many(pieces)
-        self.record_count += len(lengths)
-        segment_id = self.segment_id
-        offsets = accumulate(lengths, initial=start)
-        return [
-            (segment_id, offset, length)
-            for offset, length in zip(offsets, lengths)
-        ], nbytes
+        # it is appended: while the bytes ahead of it here leave room.
+        stop = bisect_left(
+            starts, base + self.capacity_bytes - self.size, first + 1, total
+        )
+        pieces = frames.pieces
+        if first or stop < total:
+            pieces = pieces[2 * first : 2 * stop]
+        offset = self._unit.append_many(pieces)
+        self.record_count += stop - first
+        return Run(
+            self.segment_id, offset, first, stop - first, starts[stop] - base
+        )
 
     def _foreign(self, location: RecordLocation) -> StorageError:
         return StorageError(
@@ -257,34 +275,26 @@ class AofManager:
         return sum(s.occupied_bytes for s in self._segments.values())
 
     # ------------------------------------------------------------------
-    def append_frames(
-        self, heads: Sequence[bytes], bodies: Sequence[bytes]
-    ) -> Tuple[List[RecordLocation], List[Tuple[int, int]]]:
-        """Append frames (``heads[i]`` then ``bodies[i]``) back-to-back,
-        rolling segments as they fill.
+    def append_frames(self, frames: Frames) -> List[Run]:
+        """Append ``frames`` back-to-back, rolling segments as they fill;
+        returns one :class:`Run` per segment written.
 
         The AOF's one write shape (puts, tombstones, ``RETIRE`` frames,
         GC moves).  Frames land in input order; within one segment their
         full pages coalesce into multi-page device programs.  Segment
         split points are those of appending the frames in batches of one.
-        Returns the frames' locations and one ``(segment_id, nbytes)`` per
-        segment written — what the GC table accounts.
         """
-        locations: List[RecordLocation] = []
-        appended: List[Tuple[int, int]] = []
-        while len(locations) < len(bodies):
+        runs: List[Run] = []
+        first, total = 0, len(frames.lengths)
+        while first < total:
             segment = self._active
             if segment is None or segment.is_full:
                 segment = self._open_segment()
-            done = len(locations)
-            accepted, nbytes = segment.append_frames(
-                heads[done:] if done else heads,
-                bodies[done:] if done else bodies,
-            )
-            self.bytes_appended += nbytes
-            appended.append((segment.segment_id, nbytes))
-            locations += accepted
-        return locations, appended
+            run = segment.append_frames(frames, first)
+            self.bytes_appended += run.nbytes
+            runs.append(run)
+            first += run.count
+        return runs
 
     def read_values(self, locations: List[RecordLocation]) -> List[bytes]:
         """Read a batch of verified values, grouped per owning segment.

@@ -11,8 +11,10 @@ order of mutations, because GC re-appends old records into newer
 segments.  Every record therefore carries its logical sequence number:
 
 * a ``PUT`` installs its item.  A copy at the installed sequence is a
-  GC duplicate (a crash between a move and its victim's erase), dead;
-  one at another sequence no write-once engine made: a CorruptionError;
+  GC duplicate (a crash between a move and its victim's erase): the item
+  takes the later, moved copy, the victim's goes dead, and recovery ends
+  by collecting the victim, as the crashed collection would have.  A
+  copy at another sequence no write-once engine made: a CorruptionError;
 * a ``DELETE`` tombstone kills the item if the tombstone's sequence
   exceeds the installed put's;
 * tombstones seen before their target (GC can move a put past its
@@ -40,13 +42,14 @@ periodically" allows.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import CorruptionError
 from repro.qindb.aof import AofManager
 from repro.qindb.engine import QinDB, QinDBConfig
-from repro.qindb.memtable import DEDUP, DELETED
+from repro.qindb.memtable import DEDUP, DELETED, ItemColumns
 from repro.qindb.records import RecordType
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -116,7 +119,8 @@ class Checkpoint:
             raise CorruptionError("bad checkpoint magic")
         body = self.unit.read(_HEADER.size, self.unit.size - _HEADER.size)
         offset = 0
-        item_keys, locations, flag_column, sequences = [], [], bytearray(), []
+        item_keys, flag_column = [], bytearray()
+        sequences, segments, offsets, lengths = (array("q") for _ in range(4))
         for _ in range(count):
             key_len, version, sequence, seg, off, length, flags = _ROW.unpack_from(
                 body, offset
@@ -124,13 +128,18 @@ class Checkpoint:
             offset += _ROW.size
             item_keys.append((bytes(body[offset : offset + key_len]), version))
             offset += key_len
-            locations.append((seg, off, length))
-            flag_column.append(flags & (DEDUP | DELETED))
             sequences.append(sequence)
+            segments.append(seg)
+            offsets.append(off)
+            lengths.append(length)
+            flag_column.append(flags & (DEDUP | DELETED))
             engine.gc_table.record_appended(seg, length)
             if flags & DELETED:
                 engine.gc_table.record_dead(seg, length)
-        engine.memtable.put_batch(item_keys, locations, flag_column, sequences)
+        engine.memtable.put_batch(
+            ItemColumns(item_keys, bytes(flag_column)),
+            sequences, segments, offsets, lengths,
+        )
         engine._sequence = max(engine._sequence, max_sequence)
 
     def discard(self) -> None:
@@ -202,6 +211,8 @@ def recover(
     pending_tombstones: Dict[Tuple[bytes, int], int] = {}
     #: highest RETIRE sequence seen per version
     retired: Dict[int, int] = {}
+    #: segments a crashed collection left unerased
+    victims: Set[int] = set()
     for segment_id, frame in replay_frames():
         offset, end, rtype, key, version, sequence = frame
         engine._sequence = max(engine._sequence, sequence)
@@ -232,13 +243,24 @@ def recover(
         engine.gc_table.record_appended(segment_id, size)
         existing = engine.memtable.get(key, version)
         if existing is not None:
-            if sequence != existing[3]:  # its sequence
+            first, _r, deleted, first_sequence = existing
+            if sequence != first_sequence:
                 raise CorruptionError(
                     f"two puts of {key!r}/{version}: sequences "
-                    f"{existing[3]} and {sequence}"
+                    f"{first_sequence} and {sequence}"
                 )
-            # A GC duplicate: the same bytes as the copy installed.
-            engine.gc_table.record_dead(segment_id, size)
+            # A GC duplicate: the collection that moved this frame
+            # crashed before erasing its victim, the first copy's
+            # segment.  The item takes the moved copy, the victim's
+            # goes dead, and the victim is collected once the walk ends.
+            engine.memtable.relocate(
+                [key_version], [segment_id], [offset], [size]
+            )
+            if deleted:
+                engine.gc_table.record_dead(segment_id, size)
+            else:
+                engine.gc_table.record_dead(first[0], first[2])
+            victims.add(first[0])
             continue
         engine.memtable.put(
             key, version, (segment_id, offset, size),
@@ -252,4 +274,10 @@ def recover(
             # version's RETIRE); the delete still logically follows it.
             engine.memtable.mark_deleted(key, version)
             engine.gc_table.record_dead(segment_id, size)
+    # Finish what the crashed collections began: whatever of a victim
+    # still lives (a frame whose move did not reach flash, say) moves
+    # now, and its stale copies go with its erase, so no later scan can
+    # install one behind a tombstone GC has since dropped.
+    for segment_id in sorted(victims):
+        engine.collect_segment(segment_id)
     return engine

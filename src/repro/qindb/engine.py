@@ -45,13 +45,14 @@ from repro.errors import (
 )
 from repro.core.metrics import BatchCounters
 from repro.obs.tracer import UNTRACED
-from repro.qindb.aof import AofManager, RecordLocation
+from repro.qindb.aof import AofManager, RecordLocation, run_locations
 from repro.qindb.gctable import GCTable
-from repro.qindb.memtable import Memtable
+from repro.qindb.memtable import ItemColumns, Memtable
 from repro.qindb.readcache import RecordCache
 from repro.qindb.records import (
     HEADER_SIZE,
     Bodies,
+    Frames,
     RecordType,
     build_bodies,
     frame_heads,
@@ -253,17 +254,19 @@ class QinDB:
         touched: a ``(key, version)`` repeated or already held (live or
         deleted) raises :class:`~repro.errors.DuplicateItemError`.  Per
         record this engine then draws the next sequence number (input
-        order, exactly as sequential puts would) and takes
-        the batch's heads at those sequences
-        (:meth:`~repro.qindb.records.Bodies.heads`: one 8-byte CRC
+        order, exactly as sequential puts would) and takes the batch's
+        frames at those sequences
+        (:meth:`~repro.qindb.records.Bodies.frames`: one 8-byte CRC
         update seeded with the body checksum and one head per record,
-        made by the first replica to frame the batch there); heads and
-        the shared bodies go down side by side (the flash keeps both by
-        reference, one object on every replica that shares them), so the
-        AOF/device layer can coalesce contiguous block-aligned pages into
-        multi-page device programs.  The
-        memtable takes the whole batch as columns — the batch's item
-        keys and ``r`` flags, the AOF locations, the sequences — in one
+        the pieces and the sequence column, made by the first replica to
+        frame the batch there); heads and the shared bodies go down side
+        by side (the flash keeps both by reference, one object on every
+        replica that shares them), so the AOF/device layer can coalesce
+        contiguous block-aligned pages into multi-page device programs.
+        The append answers with one run per segment it wrote, and the
+        memtable takes the whole batch as columns — the batch's
+        :class:`~repro.qindb.memtable.ItemColumns` (derived once for
+        every replica), the sequences, and the runs' locations — in one
         :meth:`~repro.qindb.memtable.Memtable.put_batch`.  CPU charging,
         the GC check, and the checkpoint check run once per batch
         instead of once per key.
@@ -277,19 +280,19 @@ class QinDB:
         batch = Bodies.of(items)
         if not batch:
             return
-        self.memtable.check_new(batch.item_keys)
-        sequences = self._draw_sequences(len(batch))
-        locations, appended = self.aofs.append_frames(
-            batch.heads(sequences), batch.bodies
-        )
-        framed = 0
-        for segment_id, nbytes in appended:
-            self.gc_table.record_appended(segment_id, nbytes)
-            framed += nbytes
+        items = batch.shared(ItemColumns, ItemColumns.of_batch)
+        self.memtable.check_new(items)
+        frames = batch.frames(self._draw_sequences(len(batch)))
+        runs = self.aofs.append_frames(frames)
+        for run in runs:
+            self.gc_table.record_appended(run.segment_id, run.nbytes)
         self.memtable.put_batch(
-            batch.item_keys, locations, batch.dedup, sequences
+            items,
+            frames.sequences,
+            *run_locations(runs, frames.starts),
+            frames.lengths,
         )
-        self.user_bytes_written += framed - HEADER_SIZE * len(batch)
+        self.user_bytes_written += frames.starts[-1] - HEADER_SIZE * len(batch)
         self.batch_counters.batches += 1
         self.batch_counters.batched_puts += len(batch)
         self._charge_cpu()
@@ -418,13 +421,7 @@ class QinDB:
         self.memtable.mark_deleted_batch(items)
         sequences = self._draw_sequences(len(bodies))
         self.gc_table.record_dead_many([item[0] for item in resolved])
-        _locations, appended = self.aofs.append_frames(
-            frame_heads(sequences, checksums), bodies
-        )
-        for segment_id, nbytes in appended:
-            # A tombstone is dead on arrival.
-            self.gc_table.record_appended(segment_id, nbytes)
-            self.gc_table.record_dead(segment_id, nbytes)
+        self._append_dead(Frames.of(frame_heads(sequences, checksums), bodies))
         self._charge_cpu()
         self._maybe_gc()
         self._maybe_checkpoint()
@@ -450,12 +447,8 @@ class QinDB:
         bodies, checksums = build_bodies(
             [int(RecordType.RETIRE)], [b""], [version], [b""]
         )
-        _locations, appended = self.aofs.append_frames(
-            frame_heads(self._draw_sequences(1), checksums), bodies
-        )
-        for segment_id, nbytes in appended:
-            self.gc_table.record_appended(segment_id, nbytes)
-            self.gc_table.record_dead(segment_id, nbytes)
+        heads = frame_heads(self._draw_sequences(1), checksums)
+        self._append_dead(Frames.of(heads, bodies))
         self._charge_cpu()
         self._maybe_gc()
         self._maybe_checkpoint()
@@ -602,6 +595,13 @@ class QinDB:
             )
         return self._read_value(location)
 
+    def _append_dead(self, frames: Frames) -> None:
+        """Append frames that are dead on arrival (tombstones, ``RETIRE``
+        frames) and book their bytes so."""
+        for run in self.aofs.append_frames(frames):
+            self.gc_table.record_appended(run.segment_id, run.nbytes)
+            self.gc_table.record_dead(run.segment_id, run.nbytes)
+
     def _draw_sequences(self, count: int) -> range:
         """The next ``count`` logical sequence numbers, consumed."""
         first = self._sequence + 1
@@ -721,18 +721,24 @@ class QinDB:
         memtable = self.memtable
         items_before = len(memtable)
         kept, owners, dead = memtable.survivors(segment_id, frames)
-        locations, appended = self.aofs.append_frames(
+        moved = Frames.of(
             [heads[index] for index in kept], [bodies[index] for index in kept]
         )
-        for written_id, nbytes in appended:
-            self.gc_table.record_appended(written_id, nbytes)
-            self.gc_bytes_reappended += nbytes
+        runs = self.aofs.append_frames(moved)
         memtable.relocate(
-            list(filter(None, owners)), list(compress(locations, owners))
+            owners, *run_locations(runs, moved.starts), moved.lengths
         )
-        #: tombstones and referenced-but-dead frames stay "dead" in the
-        #: accounting so their new segment can still reach the threshold
-        self.gc_table.record_dead_many(compress(locations, dead))
+        for run in runs:
+            self.gc_table.record_appended(run.segment_id, run.nbytes)
+            self.gc_bytes_reappended += run.nbytes
+            #: tombstones and referenced-but-dead frames stay "dead" in
+            #: the accounting so their new segment can still reach the
+            #: threshold
+            at = slice(run.first, run.first + run.count)
+            if any(dead[at]):
+                self.gc_table.record_dead(
+                    run.segment_id, sum(compress(moved.lengths[at], dead[at]))
+                )
         self.gc_table.forget(segment_id)
         self.aofs.drop_segment(segment_id)
         self.gc_runs += 1
@@ -742,7 +748,7 @@ class QinDB:
             "moved": len(kept),
             "dropped": items_before - len(memtable),
             "tombstones_carried": owners.count(None),
-            "bytes_moved": sum(nbytes for _id, nbytes in appended),
+            "bytes_moved": sum(run.nbytes for run in runs),
         }
 
     # ------------------------------------------------------------------

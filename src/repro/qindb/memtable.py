@@ -9,8 +9,11 @@ that created it: recovery order) and a ``bytearray`` of flags (``r`` =
 :data:`DELETED`).  Beside the key, a record costs one dict entry and
 33 column bytes, none of them tracked by the cyclic collector; its slot
 number is the int object every run shares for that index.  DirectLoad
-ingests whole versions, so a batch extends one run's columns; a run is
-freed when GC drops its last slot.
+ingests whole versions, so a batch extends one run's columns by whole
+array copies (:meth:`Memtable.put_batch` takes columns, not items: the
+batch's :class:`ItemColumns`, built once for every replica, and its
+frames' locations as the AOF's runs give them); a run is freed when GC
+drops its last slot.
 
 An *item* is built on access as the exact tuple ``(location,
 deduplicated, deleted, sequence)``, ``location = (segment_id, offset,
@@ -47,7 +50,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateItemError, KeyNotFoundError
 from repro.qindb.aof import RecordLocation
@@ -89,6 +92,38 @@ def _slot_numbers(start: int, count: int) -> List[int]:
 _PUT_VALUE = int(RecordType.PUT_VALUE)
 _DELETE = int(RecordType.DELETE)
 _RETIRE = int(RecordType.RETIRE)
+
+
+class ItemColumns:
+    """New items as :meth:`Memtable.put_batch` takes them.
+
+    Their ``(key, version)`` tuples, the keys alone, the one version
+    they share (None when they span several), whether any item repeats,
+    their flag bytes and the bytes of their keys: all derived from the
+    batch alone, so a batch many replicas store derives them once
+    (:meth:`of_batch`, kept on the batch by
+    :meth:`~repro.qindb.records.Bodies.shared`).
+    """
+
+    __slots__ = (
+        "item_keys", "keys", "version", "repeats", "flags", "key_bytes"
+    )
+
+    def __init__(self, item_keys: Sequence[ItemKey], flags: bytes) -> None:
+        self.item_keys = item_keys
+        self.keys = list(map(itemgetter(0), item_keys))
+        versions = set(map(itemgetter(1), item_keys))
+        self.version = versions.pop() if len(versions) == 1 else None
+        distinct = set(item_keys if self.version is None else self.keys)
+        self.repeats = len(distinct) != len(item_keys)
+        self.flags = flags
+        self.key_bytes = sum(map(len, self.keys))
+
+    @classmethod
+    def of_batch(cls, batch) -> "ItemColumns":
+        """A put batch's (:class:`~repro.qindb.records.Bodies`): each
+        item's ``r`` flag set where its value was removed upstream."""
+        return cls(batch.item_keys, bytes(batch.dedup))
 
 
 class _Run:
@@ -159,25 +194,24 @@ class Memtable:
         sequence: int = 0,
     ) -> None:
         """Insert a new item: a :meth:`put_batch` of one."""
+        flags = bytes((DEDUP if deduplicated else 0,))
         self.put_batch(
-            [(key, version)], [location], [deduplicated], [sequence]
+            ItemColumns([(key, version)], flags),
+            *(array("q", (field,)) for field in (sequence, *location)),
         )
 
-    def check_new(self, item_keys: Sequence[ItemKey]) -> None:
+    def check_new(self, items: ItemColumns) -> None:
         """Raise :class:`~repro.errors.DuplicateItemError` unless every
         ``(key, version)`` is distinct and held by no run, live or
         deleted.  Builds no item and charges nothing: a batch of one
-        version is two set tests on its keys, any other walked."""
-        versions = set(map(itemgetter(1), item_keys))
-        if len(versions) == 1:
-            keys = set(map(itemgetter(0), item_keys))
-            run = self._runs.get(versions.pop())
-            if len(keys) == len(item_keys) and (
-                run is None or run.slots.keys().isdisjoint(keys)
-            ):
+        version without repeats is one set test on its keys, any other
+        walked."""
+        if items.version is not None and not items.repeats:
+            run = self._runs.get(items.version)
+            if run is None or run.slots.keys().isdisjoint(items.keys):
                 return
         seen = set()
-        for key, version in item_keys:
+        for key, version in items.item_keys:
             run = self._runs.get(version)
             if (key, version) in seen or (run and key in run.slots):
                 raise DuplicateItemError(f"re-put of {key!r}/{version}")
@@ -185,40 +219,50 @@ class Memtable:
 
     def put_batch(
         self,
-        item_keys: Sequence[ItemKey],
-        locations: Sequence[RecordLocation],
-        flags: Iterable[int],
-        sequences: Iterable[int],
+        items: ItemColumns,
+        sequences: array,
+        segments: array,
+        offsets: array,
+        lengths: array,
     ) -> None:
         """Insert new items (:meth:`check_new`), in input order, from
-        columns.  ``flags`` holds each item's flag bits (a bool is the
-        ``r`` flag alone).  A batch of one version — every batch an
-        ingest sends — extends that run's columns whole; one spanning
-        versions (a checkpoint load) inserts each version's share so.
+        columns: the items' own, and beside them their sequences and the
+        segment, offset and length of their records, each an
+        ``array('q')`` in item order.  A batch of one version — every
+        batch an ingest sends — extends that run by whole-column copies
+        and one ``key -> slot`` insert per item; one spanning versions (a
+        checkpoint load) inserts each version's share so.
         """
-        count = len(item_keys)
-        versions = set(map(itemgetter(1), item_keys))
-        if len(versions) != 1:
-            columns = (item_keys, locations, list(flags), list(sequences))
-            for version in versions:
-                at = [i for i, k in enumerate(item_keys) if k[1] == version]
-                self.put_batch(*([col[i] for i in at] for col in columns))
+        count = len(items.item_keys)
+        version = items.version
+        if version is None:
+            shares: Dict[int, List[int]] = {}
+            for index, (_key, item_version) in enumerate(items.item_keys):
+                shares.setdefault(item_version, []).append(index)
+            columns = (sequences, segments, offsets, lengths)
+            for at in shares.values():
+                self.put_batch(
+                    ItemColumns(
+                        [items.item_keys[index] for index in at],
+                        bytes(map(items.flags.__getitem__, at)),
+                    ),
+                    *(array("q", map(col.__getitem__, at)) for col in columns),
+                )
             self._charge(count)
             return
-        version = versions.pop()
         run = self._runs.get(version)
         if run is None:
             run = self._runs[version] = _Run()
             insort(self._versions, version)
-        keys = list(map(itemgetter(0), item_keys))
-        run.slots.update(zip(keys, _slot_numbers(len(run.flags), count)))
-        run.segment.extend(map(itemgetter(0), locations))
-        run.offset.extend(map(itemgetter(1), locations))
-        run.length.extend(map(itemgetter(2), locations))
-        run.flags.extend(flags)
-        run.sequence.extend(sequences)
+        slots = _slot_numbers(len(run.flags), count)
+        run.slots.update(zip(items.keys, slots))
+        run.segment += segments
+        run.offset += offsets
+        run.length += lengths
+        run.flags += items.flags
+        run.sequence += sequences
         self._count += count
-        self.approximate_bytes += _ITEM_OVERHEAD * count + sum(map(len, keys))
+        self.approximate_bytes += _ITEM_OVERHEAD * count + items.key_bytes
         self._charge(count)
 
     def get(self, key: bytes, version: int) -> Optional[IndexItem]:
@@ -293,15 +337,26 @@ class Memtable:
         return live.count(1), dead
 
     def relocate(
-        self, item_keys: Sequence[ItemKey], locations: Sequence[RecordLocation]
+        self,
+        item_keys: Sequence[Optional[ItemKey]],
+        segments: Sequence[int],
+        offsets: Sequence[int],
+        lengths: Sequence[int],
     ) -> None:
         """Point each item at its record's new location (GC moved it),
-        flags and sequence kept.  A KeyError where an item is absent."""
+        flags and sequence kept, from columns as :meth:`put_batch` takes
+        them.  An item key of None is a frame moved without an item (a
+        carried tombstone), skipped; a KeyError where an item is absent."""
         runs = self._runs
-        for (key, version), location in zip(item_keys, locations):
-            run = runs[version]
-            slot = run.slots[key]
-            run.segment[slot], run.offset[slot], run.length[slot] = location
+        for item_key, segment_id, offset, length in zip(
+            item_keys, segments, offsets, lengths
+        ):
+            if item_key is not None:
+                run = runs[item_key[1]]
+                slot = run.slots[item_key[0]]
+                run.segment[slot] = segment_id
+                run.offset[slot] = offset
+                run.length[slot] = length
 
     def drop(self, key: bytes, version: int) -> None:
         """Remove the item entirely (GC of an unreferenced dead record);

@@ -11,8 +11,8 @@ record, built once for the fleet and one object on every replica's
 flash.  Left of it is the 13-byte **head**, the only part that depends
 on the engine: a pure function of its sequence and the body checksum,
 so replicas framing a batch at the same sequences share it too
-(:meth:`Bodies.heads`).  Heads and bodies go down, and come back from the
-flash to be verified, as two pieces never joined.  The fixed fields are
+(:meth:`Bodies.frames`).  Heads and bodies go down, and come back from
+the flash to be verified, as two pieces never joined.  The fixed fields are
 28 bytes, what the historical one-struct header took, so no stored
 length, page count or device charge differs from it.
 
@@ -56,10 +56,10 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import is_
+from operator import add, is_
 from typing import (
-    Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
-    TypeVar,
+    Callable, Hashable, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple, TypeVar,
 )
 
 from repro.errors import CorruptionError, StorageError, TruncatedRecordError
@@ -159,6 +159,30 @@ def frame_heads(sequences: range, checksums: Sequence[int]) -> List[bytes]:
     return list(map(_HEAD.pack, repeat(MAGIC), sequences, crcs))
 
 
+class Frames(NamedTuple):
+    """Records framed for the AOF, as one append takes them.
+
+    ``pieces`` holds each frame's head, then its body; ``lengths`` each
+    frame's bytes, and ``starts`` where each begins relative to the
+    first, with one more entry for the total (both ``array('q')``, so an
+    append cuts its runs by bisection and the memtable copies slices).
+    A framed put batch also carries its ``sequences`` column.
+    """
+
+    pieces: List[bytes]
+    lengths: array
+    starts: array
+    sequences: Optional[array] = None
+
+    @classmethod
+    def of(cls, heads: Sequence[bytes], bodies: Sequence[bytes]) -> "Frames":
+        """Frame ``i`` is ``heads[i]`` then ``bodies[i]``."""
+        pieces = [b""] * (2 * len(bodies))
+        pieces[::2], pieces[1::2] = heads, bodies
+        lengths = array("q", map(add, map(len, heads), map(len, bodies)))
+        return cls(pieces, lengths, array("q", accumulate(lengths, initial=0)))
+
+
 class Bodies(tuple):
     """A put batch — the ``(key, version, value)`` triples themselves —
     carrying each record's body, built once.
@@ -179,10 +203,12 @@ class Bodies(tuple):
 
     What every holder of the batch would build alike is built by the
     first and kept on the batch for the rest: a sub-batch per distinct
-    index list (:meth:`take`), the heads per first sequence
-    (:meth:`heads`), and whatever a layer above derives from the batch
-    alone (:meth:`shared`: Mint's cut by group, the integrity tree).  A
-    batch nobody shares builds each once, as before.
+    index list (:meth:`take`), the frames per first sequence
+    (:meth:`frames`: heads, pieces, sequence column; lengths and starts
+    once for all sequences), and whatever a layer above derives from the
+    batch alone (:meth:`shared`: the memtable's item columns, Mint's cut
+    by group, the integrity tree).  A batch nobody shares builds each
+    once, as before.
     """
 
     COLUMNS = ("item_keys", "dedup", "bodies", "checksums")
@@ -205,7 +231,8 @@ class Bodies(tuple):
             types = repeat(_VALUE_TYPE)
         self.bodies, self.checksums = build_bodies(types, keys, versions, values)
         self.item_keys = list(zip(keys, versions))
-        self._takes, self._heads, self._shared = {}, {}, {}
+        self._takes, self._frames, self._shared = {}, {}, {}
+        self._layout = None
         return self
 
     def take(self, indices: Sequence[int]) -> "Bodies":
@@ -222,23 +249,36 @@ class Bodies(tuple):
             for name in self.COLUMNS:
                 column = getattr(self, name)
                 setattr(taken, name, [column[index] for index in indices])
-            taken._takes, taken._heads, taken._shared = {}, {}, {}
+            taken._takes, taken._frames, taken._shared = {}, {}, {}
+            taken._layout = None
             self._takes[key] = taken
         return taken
 
-    def heads(self, sequences: range) -> List[bytes]:
-        """The heads framing this batch under ``sequences``
-        (:func:`frame_heads`): built by the first replica to frame it
-        there, the same list for every later one.  A head is a pure
+    def frames(self, sequences: range) -> Frames:
+        """This batch framed under ``sequences``: its heads
+        (:func:`frame_heads`) interleaved with its bodies, and its
+        sequence column.  Built by the first replica to frame the batch
+        there, the same object for every later one.  A head is a pure
         function of its sequence and body checksum, and replicas that
         stored the same batches in the same order draw the same
-        sequences; a replica whose sequences differ builds its own."""
-        heads = self._heads.get(sequences.start)
-        if heads is None:
-            heads = self._heads[sequences.start] = frame_heads(
-                sequences, self.checksums
+        sequences; a replica whose sequences differ builds its own
+        heads, pieces and sequence column, but shares the frame lengths
+        and starts, which do not depend on the sequences."""
+        framed = self._frames.get(sequences.start)
+        if framed is None:
+            if self._layout is None:
+                lengths = array(
+                    "q", map(HEAD_SIZE.__add__, map(len, self.bodies))
+                )
+                starts = array("q", accumulate(lengths, initial=0))
+                self._layout = (lengths, starts)
+            pieces = [b""] * (2 * len(self))
+            pieces[::2] = frame_heads(sequences, self.checksums)
+            pieces[1::2] = self.bodies
+            framed = self._frames[sequences.start] = Frames(
+                pieces, *self._layout, array("q", sequences)
             )
-        return heads
+        return framed
 
     def shared(self, key: Hashable, build: Callable[["Bodies"], T]) -> T:
         """``build(self)``, made by the first holder to ask under ``key``

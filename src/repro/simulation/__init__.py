@@ -13,7 +13,7 @@ experiments built on it are reproducible bit-for-bit.
 from repro.simulation.events import AllOf, Event, Process, Timeout
 from repro.simulation.kernel import Simulator
 from repro.simulation.pipes import Link
-from repro.simulation.resources import Resource, Store
+from repro.simulation.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -22,6 +22,5 @@ __all__ = [
     "Process",
     "Resource",
     "Simulator",
-    "Store",
     "Timeout",
 ]

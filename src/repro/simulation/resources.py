@@ -1,15 +1,12 @@
-"""Capacity-limited resources and FIFO stores for simulation processes.
+"""Capacity-limited resources for simulation processes.
 
 :class:`Resource` models a pool of interchangeable slots (relay node work
-slots, node service threads).  :class:`Store` is an unbounded FIFO queue of
-items (slice inboxes, work queues) whose ``get`` blocks until an item is
-available.
+slots, node service threads).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 from repro.errors import SimulationError
 from repro.simulation.events import Event
@@ -57,30 +54,3 @@ class Resource:
         else:
             self._in_use -= 1
 
-
-class Store:
-    """An unbounded FIFO queue connecting producer and consumer processes."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest blocked ``get`` if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that succeeds with the next item."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

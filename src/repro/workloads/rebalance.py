@@ -349,6 +349,10 @@ def run_rebalance(
 
     # Contracts: zero acknowledged loss, full replication, equivalence.
     contracts = judge(system, [cycle["version"] for cycle in cycle_rows])
+    # No item live beyond the replica count: a copy a withdrawal missed.
+    contracts["over_replicated_final"] = sum(
+        len(cluster.over_replicated()) for cluster in system.clusters.values()
+    )
 
     operations: List[Dict[str, object]] = []
     for dc, migrator in migrators.items():
@@ -448,6 +452,7 @@ def bench_entry(data: Dict[str, object]) -> Dict[str, object]:
         "groups_final": data["fleet"]["final"]["groups"],
         "zero_loss": data["lost_acknowledged_keys"] == 0,
         "under_replicated_final": data["under_replicated_final"],
+        "over_replicated_final": data["over_replicated_final"],
         "digests_match": data["equivalence"]["digests_match"],
         "wall_s": data["wall_s"],
     }

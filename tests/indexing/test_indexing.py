@@ -1,11 +1,10 @@
-"""Unit tests for vocabulary, tokenizer, corpus, and crawler."""
+"""Unit tests for vocabulary, corpus, and crawler."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.indexing.corpus import SyntheticWebCorpus
 from repro.indexing.crawler import Crawler
-from repro.indexing.tokenizer import tokenize
 from repro.indexing.types import QualityTier
 from repro.indexing.vocabulary import ZipfVocabulary
 
@@ -44,17 +43,6 @@ def test_vocabulary_validation():
         ZipfVocabulary(0)
     with pytest.raises(ConfigError):
         ZipfVocabulary(10, exponent=0)
-
-
-# ----------------------------------------------------------------- tokenizer
-def test_tokenize_lowercases_and_splits():
-    assert tokenize("Hello, World! 42") == ["hello", "world", "42"]
-
-
-def test_tokenize_empty():
-    assert tokenize("") == []
-    assert tokenize("!!! ...") == []
-
 
 
 # -------------------------------------------------------------------- corpus

@@ -8,6 +8,7 @@ every placement the group layer has, show that damage and crashes still
 land on one replica, and pin what the write descent costs the host.
 """
 
+import operator
 import sys
 import zlib
 
@@ -29,8 +30,10 @@ from repro.mint.group import NodeGroup
 from repro.mint.integrity import leaf_checksum
 from repro.mint.node import StorageNode
 from repro.qindb import records as records_module
+from repro.qindb.aof import AofManager
 from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
+from repro.qindb.memtable import ItemColumns, Memtable
 from repro.qindb.records import Bodies, RecordType, encode_frame
 
 
@@ -409,6 +412,71 @@ def test_write_descent_host_cost_pins(monkeypatch):
         leaf_checksum(storage_key(entry.kind, entry.key), 1, entry.value)
         for entry in entries
     ]
+
+
+def test_nine_replicas_build_a_batch_columns_once(monkeypatch):
+    """Three data centers of one 3-replica group store one slice.  What
+    the memtable takes of the batch (its item columns: key list, the one
+    version, the repeat test, flag bytes) is derived once for the nine
+    replicas, and so are the frame lengths and starts; the replicas
+    frame at equal sequences, so the heads, the piece list and the
+    sequence column are built once too and handed to every AOF and
+    memtable as the same objects.  Each append answers with one run,
+    never a location per frame."""
+    clusters = fleet_of(3)
+    entries = varied_entries(120)
+    item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
+    derived = []
+    init = ItemColumns.__init__
+
+    def counting_init(self, item_keys, flags):
+        derived.append(len(item_keys))
+        init(self, item_keys, flags)
+
+    monkeypatch.setattr(ItemColumns, "__init__", counting_init)
+    framed = []
+    frame_heads = records_module.frame_heads
+    monkeypatch.setattr(
+        records_module, "frame_heads",
+        lambda sequences, checksums: framed.append(sequences)
+        or frame_heads(sequences, checksums),
+    )
+    appends, inserts = [], []
+    append_frames = AofManager.append_frames
+    put_batch = Memtable.put_batch
+
+    def recording_append(self, frames):
+        runs = append_frames(self, frames)
+        appends.append((frames, runs))
+        return runs
+
+    def recording_put(self, items, sequences, segments, offsets, lengths):
+        inserts.append((items, sequences, lengths))
+        put_batch(self, items, sequences, segments, offsets, lengths)
+
+    monkeypatch.setattr(AofManager, "append_frames", recording_append)
+    monkeypatch.setattr(Memtable, "put_batch", recording_put)
+    for cluster in clusters:
+        assert cluster.ingest_slice(item) == len(entries)
+
+    assert derived == [len(entries)]
+    assert framed == [range(1, len(entries) + 1)]
+    assert len(appends) == len(inserts) == 9
+    frames = appends[0][0]
+    assert all(shared is frames for shared, _runs in appends)
+    assert all(len(runs) == 1 for _frames, runs in appends)
+    items = inserts[0][0]
+    for columns in inserts:
+        assert columns[0] is items
+        assert columns[1] is frames.sequences
+        assert columns[2] is frames.lengths
+    for cluster in clusters:
+        for node in cluster.all_nodes:
+            run = node.engine.memtable._runs[1]
+            assert run.sequence == frames.sequences
+            assert run.length == frames.lengths
+            unit = node.engine.aofs.segment(0)._unit
+            assert all(map(operator.is_, unit._pieces, frames.pieces))
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.errors import StorageError
 from repro.qindb.aof import AofManager, RecordLocation
 from repro.qindb.records import (
     HEAD_SIZE,
+    Frames,
     Record,
     RecordType,
     decode_record,
@@ -21,7 +22,10 @@ class RecordAofs(AofManager):
 
     def append(self, record: Record) -> RecordLocation:
         frame = encode_record(record)
-        return self.append_frames([frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]])[0][0]
+        (run,) = self.append_frames(
+            Frames.of([frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]])
+        )
+        return (run.segment_id, run.offset, run.nbytes)
 
     def read(self, location: RecordLocation) -> Record:
         segment_id, offset, length = location

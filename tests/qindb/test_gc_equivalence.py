@@ -22,6 +22,7 @@ from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import (
     HEAD_SIZE,
+    Frames,
     RecordType,
     encode_record,
     scan_frames,
@@ -68,9 +69,10 @@ class ReferenceQinDB(QinDB):
     def _append(self, record):
         """One re-encoded record onto the active AOF; its location."""
         frame = encode_record(record)
-        return self.aofs.append_frames(
-            [frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]]
-        )[0][0]
+        (run,) = self.aofs.append_frames(
+            Frames.of([frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]])
+        )
+        return (run.segment_id, run.offset, run.nbytes)
 
     def _gc_tombstone(self, record):
         item = self.memtable.get(record.key, record.version)
@@ -85,7 +87,9 @@ class ReferenceQinDB(QinDB):
         location = self._append(record)
         segment_id, _offset, length = location
         self.gc_table.record_appended(segment_id, length)
-        self.memtable.relocate([(record.key, record.version)], [location])
+        self.memtable.relocate(
+            [(record.key, record.version)], *zip(location)
+        )
         if item[2]:  # the d flag
             self.gc_table.record_dead(segment_id, length)
         self.gc_bytes_reappended += length

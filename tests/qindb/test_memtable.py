@@ -3,11 +3,16 @@
 import pytest
 
 from repro.errors import DuplicateItemError, KeyNotFoundError
-from repro.qindb.memtable import Memtable
+from repro.qindb.memtable import ItemColumns, Memtable
 
 
 def loc(segment=0, offset=0, length=10):
     return (segment, offset, length)
+
+
+def new(item_keys):
+    """``item_keys`` as a batch of new value-bearing items."""
+    return ItemColumns(item_keys, bytes(len(item_keys)))
 
 
 def test_put_get():
@@ -27,7 +32,7 @@ def test_check_new_refuses_held_and_repeated_items():
     mt.put(b"d", 1, loc(0, 10), deduplicated=False)
     mt.mark_deleted(b"d", 1)
     steps = mt.last_search_steps
-    mt.check_new([(b"k", 2), (b"n", 1), (b"n", 2)])  # all new
+    mt.check_new(new([(b"k", 2), (b"n", 1), (b"n", 2)]))  # all new
     for batch in (
         [(b"k", 1)],  # live
         [(b"n", 1), (b"d", 1)],  # deleted, still held
@@ -35,7 +40,7 @@ def test_check_new_refuses_held_and_repeated_items():
         [(b"n", 2), (b"k", 3), (b"n", 2)],  # twice, across versions
     ):
         with pytest.raises(DuplicateItemError):
-            mt.check_new(batch)
+            mt.check_new(new(batch))
     assert mt.last_search_steps == steps  # charges nothing
     assert mt.get(b"k", 1) == (loc(0, 0), False, False, 0)
     assert len(mt) == 2
@@ -99,11 +104,11 @@ def test_relocate_moves_location_and_keeps_flags():
     mt = Memtable()
     mt.put(b"k", 1, loc(0, 64), deduplicated=True, sequence=9)
     mt.mark_deleted(b"k", 1)
-    mt.relocate([(b"k", 1)], [loc(3, 128)])
+    mt.relocate([(b"k", 1)], *zip(loc(3, 128)))
     assert mt.get(b"k", 1) == (loc(3, 128), True, True, 9)
     assert [k for k, _v, _i in mt.items()] == [b"k"]
     with pytest.raises(KeyError):
-        mt.relocate([(b"missing", 1)], [loc()])
+        mt.relocate([(b"missing", 1)], *zip(loc()))
 
 
 def test_drop_removes_item():

@@ -1,12 +1,14 @@
 """Property tests for the memtable: the version-neighbourhood walks, and
 a model test of every operation against ``dict`` + ``sorted()``."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateItemError, KeyNotFoundError
-from repro.qindb.memtable import Memtable
+from repro.qindb.memtable import ItemColumns, Memtable
 
 KEYS = [b"a", b"ab", b"b"]
 
@@ -134,22 +136,27 @@ def test_property_memtable_matches_dict_and_sorted(
     for sequence, (action, argument) in enumerate(ops):
         if action == "put_batch":
             item_keys = [item_key for item_key, _dedup in argument]
+            items = ItemColumns(
+                item_keys, bytes(dedup for _item_key, dedup in argument)
+            )
             if len(set(item_keys)) < len(item_keys) or any(
                 item_key in model for item_key in item_keys
             ):
                 steps = memtable.last_search_steps
                 with pytest.raises(DuplicateItemError):
-                    memtable.check_new(item_keys)
+                    memtable.check_new(items)
                 assert memtable.last_search_steps == steps
             else:
-                memtable.check_new(item_keys)
+                memtable.check_new(items)
                 for item_key, dedup in argument:
                     model[item_key] = ((0, sequence, 1), dedup, False, 0)
+                count = len(argument)
                 memtable.put_batch(
-                    item_keys,
-                    [(0, sequence, 1)] * len(argument),
-                    [dedup for _item_key, dedup in argument],
-                    [0] * len(argument),
+                    items,
+                    *(
+                        array("q", [field]) * count
+                        for field in (0, 0, sequence, 1)
+                    ),
                 )
         elif action == "drop":
             if argument in model:
@@ -177,11 +184,11 @@ def test_property_memtable_matches_dict_and_sorted(
             location = (1, sequence, 2)
             if argument in model:
                 _old, dedup, deleted, item_sequence = model[argument]
-                memtable.relocate([argument], [location])
+                memtable.relocate([argument], *zip(location))
                 model[argument] = (location, dedup, deleted, item_sequence)
             else:
                 with pytest.raises(KeyError):
-                    memtable.relocate([argument], [location])
+                    memtable.relocate([argument], *zip(location))
         # walks interleave with the mutations, so a pending re-sort, a
         # drop from the sorted list and a re-put of a dropped key all
         # get exercised

@@ -351,11 +351,12 @@ def test_flash_keeps_a_head_and_a_body_reference_per_frame():
     each — ~189 B for the 98-byte frames here (a private ``bytearray``
     copy held ~98 B), none of it collector-tracked.  The body is built
     once and every replica keeps the same object, so a replica handed a
-    built batch pays the head, two pointers and two offsets, and the
-    batch's note of the heads it framed, ~79 B.  A second replica
-    framing that batch at the same sequences takes those heads too and
-    pays the pointers and offsets alone, ~25 B (~80 B when every replica
-    made its own heads)."""
+    built batch pays the head, two pointers and two offsets, ~71 B (the
+    batch keeps its framing — piece list, sequence column, lengths and
+    starts — for as long as it lives, outside this count).  A second
+    replica framing that batch at the same sequences takes those heads
+    too and pays the pointers and offsets alone, ~25 B (~80 B when
+    every replica made its own heads)."""
     count = 2000
     items = [
         (f"k{index:05d}".encode(), 1, bytes([index % 251]) * 64)

@@ -7,7 +7,9 @@ import pytest
 from repro.errors import CorruptionError, KeyNotFoundError
 from repro.qindb.checkpoint import Checkpoint, crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
-from repro.qindb.records import HEAD_SIZE, HEADER_SIZE, RecordType, encode_frame
+from repro.qindb.records import (
+    HEAD_SIZE, HEADER_SIZE, Frames, RecordType, encode_frame,
+)
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 
@@ -316,8 +318,9 @@ def tiny_engine() -> QinDB:
 def test_gc_duplicate_reads_as_the_engine_did_and_counts_dead():
     """A crash between a collection's moves and its victim's erase leaves
     every moved frame on flash twice at one sequence.  The full scan
-    installs one copy, reads exactly what the engine read, and books the
-    other copy's bytes dead."""
+    reads exactly what the engine read, keeps the moved copies and
+    finishes the collection: the victim is erased, and every segment is
+    booked as the engine booked it."""
     engine = tiny_engine()
     engine.put_batch(
         [(b"live", 1, b"L" * 600), (b"base", 1, b"B" * 600),
@@ -326,14 +329,9 @@ def test_gc_duplicate_reads_as_the_engine_did_and_counts_dead():
     )  # seals segment 0
     engine.delete_batch([(b"base", 1), (b"gone", 1)])
     assert engine.aofs.active_segment_id == 1
-    moved_live = sum(
-        length
-        for _k, _v, ((segment_id, _o, length), _r, deleted, _s)
-        in engine.memtable.items()
-        if segment_id == 0 and not deleted
-    )
     engine.aofs.drop_segment = lambda segment_id: None  # the crash
     engine.collect_segment(0)
+    del engine.aofs.drop_segment
     engine.flush()
     frames = [
         (frame[3], frame[4], frame[5])
@@ -349,15 +347,52 @@ def test_gc_duplicate_reads_as_the_engine_did_and_counts_dead():
     ]
     reads = engine.get_batch(space)
     live = [engine.exists(*item) for item in space]
+    items = [
+        (key, version, item[0][0])
+        for key, version, item in engine.memtable.items()
+    ]
     recovered = recover(crash(engine), config=engine.config)
     assert recovered.get_batch(space) == reads
     assert [recovered.exists(*item) for item in space] == live
-    dead = recovered.gc_table.entry(1).dead_bytes
-    assert dead - engine.gc_table.entry(1).dead_bytes == moved_live
-    assert sum(
-        recovered.gc_table.entry(segment.segment_id).live_bytes
-        for segment in recovered.aofs.segments
-    ) == engine.gc_table.entry(1).live_bytes
+    assert [segment.segment_id for segment in recovered.aofs.segments] == [1]
+    assert [
+        (key, version, item[0][0])
+        for key, version, item in recovered.memtable.items()
+    ] == [(key, version, 1) for key, version, _segment in items]
+    assert recovered.gc_table.snapshot() == {1: engine.gc_table.snapshot()[1]}
+
+
+def test_a_gc_duplicate_does_not_outlive_the_tombstone_of_its_item():
+    """The copy a crashed collection left behind must not outlast its
+    item.  Kept until GC happened to collect its segment, it stayed on
+    flash after the item was deleted and GC had dropped the item and
+    then its tombstone; the next full scan installed it live."""
+    engine = tiny_engine()
+
+    def fill(tag):  # seals the active segment
+        engine.put_batch([(tag + b"%d" % i, 1, b"x" * 600) for i in range(7)])
+
+    engine.put_batch([(b"k", 1, b"K" * 600)])
+    fill(b"f")  # segment 0: k and fillers
+    engine.delete_batch([(b"f%d" % index, 1) for index in range(7)])
+    engine.aofs.drop_segment = lambda segment_id: None  # the crash
+    engine.collect_segment(0)  # k moves into segment 1
+    del engine.aofs.drop_segment
+    engine.flush()
+    engine = recover(crash(engine), config=engine.config)
+    fill(b"g")
+
+    def holder():
+        return engine.memtable.get(b"k", 1)[0][0]
+
+    engine.collect_segment(holder())  # k moves on, to the active segment
+    engine.delete_batch([(b"k", 1)])
+    fill(b"h")
+    engine.collect_segment(holder())  # drops k, then its tombstone
+    assert not engine.holds(b"k", 1)
+    engine.flush()
+    recovered = recover(crash(engine), config=engine.config)
+    assert not recovered.holds(b"k", 1)
 
 
 def test_two_puts_of_one_item_at_different_sequences_are_corruption():
@@ -366,7 +401,9 @@ def test_two_puts_of_one_item_at_different_sequences_are_corruption():
     engine = small_engine()
     engine.put(b"k", 1, b"first")
     frame = encode_frame(int(RecordType.PUT_VALUE), b"k", b"second", 1, 99)
-    engine.aofs.append_frames([frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]])
+    engine.aofs.append_frames(
+        Frames.of([frame[:HEAD_SIZE]], [frame[HEAD_SIZE:]])
+    )
     engine.flush()
     with pytest.raises(CorruptionError, match=r"b'k'/1: sequences 1 and 99"):
         recover(crash(engine), config=engine.config)

@@ -22,6 +22,12 @@ segment roll-over happen within a few steps:
 * a crash between a collection's moves and its erase, which leaves two
   copies of each moved frame at one sequence for the full scan.
 
+The two collection rules are drawn only while a sealed segment exists
+(the crash only while one holds a live record, so it always moves
+frames); segments are small and every run begins by sealing one, so
+the run meets GC duplicates in many examples
+(:func:`test_the_machine_meets_gc_duplicates_often` counts them).
+
 The only freedom the engine has is *when* a deleted record disappears:
 GC drops a deleted item unless a live value-less version still resolves
 to it.  After each step the model forgets exactly the deleted items the
@@ -41,9 +47,11 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.errors import DuplicateItemError
@@ -68,14 +76,15 @@ put_items = st.lists(
 
 
 def small_engine() -> QinDB:
-    """4 KB erase blocks and one-block segments: a few frames each."""
+    """2 KB erase blocks and one-block segments: a few frames each, so
+    segments seal and collections move frames within a few steps."""
     geometry = SSDGeometry(
-        block_count=512, pages_per_block=8, page_size=512, op_ratio=0.07
+        block_count=512, pages_per_block=4, page_size=512, op_ratio=0.07
     )
     return QinDB(
         SimulatedSSD(geometry),
         config=QinDBConfig(
-            segment_bytes=4 * 1024,
+            segment_bytes=2 * 1024,
             gc_occupancy_threshold=0.5,
             gc_defer_min_free_blocks=0,
         ),
@@ -93,6 +102,10 @@ def engine_state(engine: QinDB):
 
 
 class StorageMachine(RuleBasedStateMachine):
+    #: examples that left GC duplicates on flash for a full scan, counted
+    #: across a run (:func:`test_the_machine_meets_gc_duplicates_often`)
+    duplicate_examples = 0
+
     def __init__(self) -> None:
         super().__init__()
         self.engine = small_engine()
@@ -100,6 +113,32 @@ class StorageMachine(RuleBasedStateMachine):
         self.puts = 0
         self.checkpoint = None
         self.gc_runs_at_checkpoint = 0
+        self.duplicated = False
+
+    def teardown(self) -> None:
+        if self.duplicated:
+            StorageMachine.duplicate_examples += 1
+
+    def sealed(self):
+        """The ids of the segments no longer taking appends."""
+        aofs = self.engine.aofs
+        return [
+            segment.segment_id
+            for segment in aofs.segments
+            if segment.segment_id != aofs.active_segment_id
+        ]
+
+    def holding_live(self):
+        """The sealed segments that hold a live record: a collection of
+        one moves frames."""
+        sealed = set(self.sealed())
+        return sorted(
+            {
+                item[0][0]
+                for _key, _version, item in self.engine.memtable.items()
+                if not item[2] and item[0][0] in sealed
+            }
+        )
 
     # ------------------------------------------------------------ model
     def expected_read(self, key: bytes, version: int):
@@ -138,6 +177,23 @@ class StorageMachine(RuleBasedStateMachine):
                 del self.model[item_key]
 
     # ------------------------------------------------------------ rules
+    @initialize(
+        items=st.lists(
+            st.tuples(
+                st.sampled_from(KEYS), st.sampled_from(VERSIONS), st.just(600)
+            ),
+            min_size=5,
+            max_size=5,
+            unique_by=lambda item: item[:2],
+        )
+    )
+    def seal_a_segment(self, items) -> None:
+        """Four 600-byte records fill the first segment and a fifth
+        opens the next, so every run has a sealed segment holding live
+        records from its first step."""
+        self.put_batch(items)
+        assert self.holding_live()
+
     def values(self, items):
         """The drawn items with values, one ``(key, version)`` each."""
         batch = {}
@@ -194,17 +250,12 @@ class StorageMachine(RuleBasedStateMachine):
             self.model[item_key] = (self.model[item_key][0], True)
         self.settle()
 
+    @precondition(sealed)
     @rule(pick=st.integers(min_value=0))
     def collect_segment(self, pick) -> None:
-        aofs = self.engine.aofs
-        sealed = [
-            segment.segment_id
-            for segment in aofs.segments
-            if segment.segment_id != aofs.active_segment_id
-        ]
-        if sealed:
-            self.engine.collect_segment(sealed[pick % len(sealed)])
-            self.settle()
+        sealed = self.sealed()
+        self.engine.collect_segment(sealed[pick % len(sealed)])
+        self.settle()
 
     @rule()
     def checkpoint_write(self) -> None:
@@ -228,22 +279,18 @@ class StorageMachine(RuleBasedStateMachine):
             self.checkpoint.discard()
             self.checkpoint = None
 
+    @precondition(holding_live)
     @rule(pick=st.integers(min_value=0))
     def crash_between_move_and_erase(self, pick) -> None:
-        """Collect a sealed segment but crash before its erase: every
-        moved frame is on flash twice at one sequence, and the full scan
-        must read what the engine read."""
+        """Collect a sealed segment holding a live record but crash
+        before its erase: every moved frame is on flash twice at one
+        sequence, and the full scan must read what the engine read."""
         engine = self.engine
-        sealed = [
-            segment.segment_id
-            for segment in engine.aofs.segments
-            if segment.segment_id != engine.aofs.active_segment_id
-        ]
-        if not sealed:
-            return
+        victims = self.holding_live()
         engine.aofs.drop_segment = lambda segment_id: None
-        engine.collect_segment(sealed[pick % len(sealed)])
+        engine.collect_segment(victims[pick % len(victims)])
         del engine.aofs.drop_segment
+        self.duplicated = True
         engine.flush()
         self.engine = recover(crash(engine), config=engine.config)
         if self.checkpoint is not None:
@@ -308,3 +355,14 @@ StorageMachine.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 test_storage_machine = StorageMachine.TestCase
+
+
+def test_the_machine_meets_gc_duplicates_often():
+    """The derandomized run crashes between a collection's moves and its
+    erase, with frames moved, in several examples: GC duplicates are
+    checked against the model, not only by one pinned history."""
+    StorageMachine.duplicate_examples = 0
+    run_state_machine_as_test(
+        StorageMachine, settings=StorageMachine.TestCase.settings
+    )
+    assert StorageMachine.duplicate_examples >= 10

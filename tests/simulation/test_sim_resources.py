@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.resources import Resource, Store
+from repro.simulation.resources import Resource
 
 
 def test_resource_capacity_validation(sim):
@@ -71,67 +71,3 @@ def test_fifo_fairness_of_waiters(sim):
     sim.run()
     assert order == ["first", "second", "third"]
 
-
-def test_store_put_then_get(sim):
-    store = Store(sim)
-    store.put("item")
-    assert len(store) == 1
-    event = store.get()
-    assert event.triggered
-    assert event.value == "item"
-    assert len(store) == 0
-
-
-def test_store_get_blocks_until_put(sim):
-    store = Store(sim)
-    received = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        received.append((sim.now, item))
-
-    def producer(sim, store):
-        yield sim.timeout(3.0)
-        store.put("late-item")
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert received == [(3.0, "late-item")]
-
-
-def test_store_fifo_ordering(sim):
-    store = Store(sim)
-    for item in range(5):
-        store.put(item)
-    received = []
-
-    def consumer(sim, store):
-        for _ in range(5):
-            item = yield store.get()
-            received.append(item)
-
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert received == [0, 1, 2, 3, 4]
-
-
-def test_store_multiple_blocked_consumers_fifo(sim):
-    store = Store(sim)
-    received = []
-
-    def consumer(sim, store, name):
-        item = yield store.get()
-        received.append((name, item))
-
-    sim.process(consumer(sim, store, "c1"))
-    sim.process(consumer(sim, store, "c2"))
-
-    def producer(sim, store):
-        yield sim.timeout(1.0)
-        store.put("x")
-        store.put("y")
-
-    sim.process(producer(sim, store))
-    sim.run()
-    assert received == [("c1", "x"), ("c2", "y")]

@@ -25,13 +25,36 @@ def small_run():
     return run_rebalance(SMALL, tracing=False)
 
 
+def holder_counts(system):
+    """How many nodes of its data center hold each live ``(key,
+    version)`` — every node, not only those placement names."""
+    counts = set()
+    for cluster in system.clusters.values():
+        for version, keys in cluster.version_keys.items():
+            for key in set(keys):
+                counts.add(
+                    sum(
+                        node.engine.exists(key, version)
+                        for node in cluster.all_nodes
+                    )
+                )
+    return counts
+
+
 def test_clean_run_holds_every_contract(small_run):
     data = small_run.data
     assert data["lost_acknowledged_keys"] == 0
     assert data["under_replicated_final"] == 0
+    assert data["over_replicated_final"] == 0
     assert data["equivalence"]["digests_match"] is True
     assert data["verified_keys"] > 0
     assert data["availability"]["unavailable"] == 0
+
+
+def test_every_live_item_is_withdrawn_down_to_the_replica_count(small_run):
+    # A version ingested mid-move is dual-applied to the old placement
+    # too; the withdrawal after cutover must take that copy back as well.
+    assert holder_counts(small_run.system) == {3}
 
 
 def test_scripted_split_runs_in_every_dc(small_run):
@@ -62,11 +85,14 @@ def test_crash_during_split_converges():
         scale_up_above=1e12,
         scale_down_below=1.0,
     )
-    data = run_rebalance(config, tracing=False).data
+    run = run_rebalance(config, tracing=False)
+    data = run.data
     assert data["faults"]["node_crashes"] == 1
     assert data["faults"]["node_restarts"] == 1
     assert data["lost_acknowledged_keys"] == 0
     assert data["under_replicated_final"] == 0
+    assert data["over_replicated_final"] == 0
+    assert holder_counts(run.system) == {3}
     assert data["equivalence"]["digests_match"] is True
 
 
@@ -79,7 +105,9 @@ def test_bench_entry_distils_the_report(small_run):
     # so a change that moves more bytes or slows mid-move reads shows up.
     assert entry["bytes_moved"] == 2_626_992
     assert entry["keys_moved"] == 1_101
-    assert entry["move_duration_s"] == 9.9897
+    # withdrawing every live version of a moved key, not only the
+    # planned ones, takes back more copies (the planned alone: 9.9897 s)
+    assert entry["move_duration_s"] == 10.3587
     assert entry["read_p99_during_move_s"] == 6.5e-05
 
 
@@ -99,6 +127,7 @@ def test_cli_rebalance_json_and_gate(capsys):
     entry = data["entry"]
     assert entry["zero_loss"] and entry["digests_match"]
     assert entry["under_replicated_final"] == 0
+    assert entry["over_replicated_final"] == 0
     for section in ("availability", "fleet", "autoscaler"):
         assert section in data
 

@@ -219,12 +219,6 @@ KEEP: Dict[str, str] = {
     ),
     # deferred cuts: unreached, but deleting each also deletes the unit
     # tests named here; ROADMAP 12 lists them for the next census
-    "repro.simulation.resources.Store": (
-        "deferred cut (4 tests: test_sim_resources::test_store_*)"
-    ),
-    "repro.indexing.tokenizer.tokenize": (
-        "deferred cut (2 tests: test_indexing::test_tokenize_*)"
-    ),
     "repro.obs.tracer.Tracer.clear": (
         "deferred cut (test_tracer::test_to_json_and_clear, "
         "::test_clear_drops_instants)"
