@@ -8,23 +8,25 @@ that runs *concurrently* with serving traffic and update cycles:
    the old and the new placement, so records ingested mid-move need no
    copying at all);
 2. plan the diff (:class:`~repro.elastic.planner.RebalancePlanner`);
-3. stream the records over, throttled to a configurable bandwidth and
-   key-rate budget, reusing
-   :meth:`~repro.faults.repair.ReplicaRepairer.copy_record` so
-   deduplicated records migrate value-less — a migrated fleet stays
-   byte-identical to one provisioned that way from the start;
-4. verify every target holds every record (re-copying after crashes —
-   a fault mid-rebalance converges instead of losing data), then cut
-   over;
+3. stream each task's wanted records over (:meth:`Migrator._wanted`),
+   throttled to a configurable bandwidth and key-rate budget, through
+   the repairer's one read rule and one landing
+   (:func:`~repro.faults.repair.read_copy`,
+   :func:`~repro.faults.repair.land_copy`) so deduplicated records
+   migrate value-less — a migrated fleet stays byte-identical to one
+   provisioned that way from the start;
+4. verify every target holds every wanted record (re-copying after
+   crashes — a fault mid-rebalance converges instead of losing data),
+   then cut over;
 5. withdraw the stale copies left on the old placement.
 
 A version dropped while its keys are mid-move is skipped, never
-resurrected: every copy re-checks ``cluster.version_keys`` first.
+resurrected: the wanted records re-check ``cluster.version_keys``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.elastic.planner import MoveTask, RebalancePlanner
@@ -34,7 +36,7 @@ from repro.errors import (
     MigrationError,
     NodeDownError,
 )
-from repro.faults.repair import RepairResult, ReplicaRepairer
+from repro.faults.repair import land_copy, read_copy
 from repro.mint.cluster import MintCluster
 from repro.mint.group import NodeGroup
 
@@ -51,8 +53,6 @@ class MigratorConfig:
     verify_interval_s: float = 0.5
     #: verify rounds before the operation is declared stuck
     max_verify_rounds: int = 240
-    #: delete stale copies from the old placement after cutover
-    withdraw: bool = True
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
@@ -83,6 +83,8 @@ class MigrationStats:
     #: records the verify pass had to re-copy
     verify_retries: int = 0
     total_move_s: float = 0.0
+    #: source copies passed over because they did not read back
+    unreadable_copies: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -96,6 +98,7 @@ class MigrationStats:
             "copy_faults": self.copy_faults,
             "verify_retries": self.verify_retries,
             "total_move_s": self.total_move_s,
+            "unreadable_copies": self.unreadable_copies,
         }
 
 
@@ -107,19 +110,15 @@ class Migrator:
         sim,
         cluster: MintCluster,
         config: Optional[MigratorConfig] = None,
-        repairer: Optional[ReplicaRepairer] = None,
         tracer=None,
         track: str = "elastic",
     ) -> None:
         self.sim = sim
         self.cluster = cluster
         self.config = config or MigratorConfig()
-        self.repairer = repairer or ReplicaRepairer()
         self.tracer = tracer
         self.track = track
         self.stats = MigrationStats()
-        #: copy accounting shared with the repairer's machinery
-        self.copy_result = RepairResult()
         #: completed operations: kind, target, timing, volume — the
         #: topology log a baseline replay applies at time zero
         self.log: List[Dict[str, object]] = []
@@ -232,8 +231,7 @@ class Migrator:
         yield from self._move(tasks, progress=group)
         group.complete_transition()
         self._instant("rebalance:cutover", target=record["target"])
-        if self.config.withdraw:
-            yield from self._withdraw(tasks)
+        yield from self._withdraw(tasks)
 
     def _run_slot_moves(
         self,
@@ -252,130 +250,111 @@ class Migrator:
         for slot in slots:
             self.cluster.complete_slot_move(slot)
         self._instant("rebalance:cutover", target=record["target"])
-        if self.config.withdraw:
-            yield from self._withdraw(tasks)
+        yield from self._withdraw(tasks)
 
     # ------------------------------------------------------------------
     def _move(self, tasks: List[MoveTask], progress: NodeGroup) -> object:
-        """Copy every task's records, then verify until convergent.
+        """Copy every task's wanted records, then verify until convergent.
 
         ``progress`` carries the ``moving_keys`` gauge (the receiving
         group for slot moves, the transitioning group otherwise).
         """
+        config = self.config
         progress.moving_keys = len(tasks)
         try:
             remaining = len(tasks)
             for task in tasks:
-                yield from self._copy_task(task)
+                for version, record in self._wanted(task):
+                    for target in task.copy_targets:
+                        try:
+                            moved = self._copy(task, version, record, target)
+                        except NodeDownError:
+                            # Target crashed under the copy: note a missed
+                            # record so node repair converges too (verify
+                            # retries either kind).
+                            if record is None:
+                                task.target_group.note_missed(
+                                    target.name, "put", task.key, version
+                                )
+                            self.stats.copy_faults += 1
+                            continue
+                        if moved:
+                            yield self.sim.timeout(
+                                moved / config.bandwidth_bps
+                                + 1.0 / config.max_records_per_s
+                            )
+                self.stats.keys_moved += 1
                 remaining -= 1
                 progress.moving_keys = remaining
             yield from self._verify(tasks, progress)
         finally:
             progress.moving_keys = 0
 
-    def _copy_one(self, task: MoveTask, version: int, target) -> int:
-        """Copy one record; returns bytes moved (0 = already present)."""
-        before = self.copy_result.bytes_copied
-        if not self.repairer.copy_record(
-            task.source_group, target, task.key, version, self.copy_result
-        ):
-            return 0
-        moved = self.copy_result.bytes_copied - before
-        if moved:
-            self.stats.records_copied += 1
-            self.stats.bytes_moved += moved
-        else:
-            self.stats.records_skipped += 1
-        return moved
-
-    def _copy_task(self, task: MoveTask) -> object:
-        config = self.config
-        for version in task.versions:
-            # Dropped mid-move: never resurrect a retired version.
-            if version not in self.cluster.version_keys:
-                continue
-            for target in task.copy_targets:
-                try:
-                    moved = self._copy_one(task, version, target)
-                except NodeDownError:
-                    # Target crashed under the copy: note the miss so
-                    # both node repair and the verify pass converge.
-                    task.target_group.note_missed(
-                        target.name, "put", task.key, version
-                    )
-                    self.stats.copy_faults += 1
-                    continue
-                if moved:
-                    yield self.sim.timeout(
-                        moved / config.bandwidth_bps
-                        + 1.0 / config.max_records_per_s
-                    )
-        yield from self._copy_bases(task)
-        self.stats.keys_moved += 1
-
     # ------------------------------------------------------------------
     # Dedup-chain bases.  A value-less record resolves through older
     # versions of its key — possibly to a *retired* version's record the
     # GC retains only because the chain references it.  Moving the live
     # records alone would leave every migrated chain dangling, so the
-    # base travels too, installed exactly as stored: value-bearing and
+    # base travels too, landed exactly as stored: value-bearing and
     # flagged deleted.
     # ------------------------------------------------------------------
-    def _base_for(self, task: MoveTask, version: int):
-        """The retired chain base ``(key, version)`` resolves to.
+    def _wanted(self, task: MoveTask):
+        """The records ``task`` leaves on every copy target, in copy
+        order, as ``(version, record)``: each live version with ``None``
+        (read from a source when a target lacks it), then each retired
+        chain base those versions resolve through, read once here.
 
-        ``None`` when the record carries its own value, its base lives
-        in a retained version (the normal copy pass carries it), or no
-        up source peer can resolve the chain right now (the verify loop
-        retries).  Returns ``(base_version, value, deleted)`` otherwise.
+        A generator, so a version dropped meanwhile is passed over, never
+        resurrected.  A base whose version is retained is one of the live
+        versions' own records; one no up source can resolve right now is
+        left to the verify loop.
         """
-        for peer in task.source_group.nodes:
-            if not peer.is_up or not peer.engine.holds(task.key, version):
+        live = self.cluster.version_keys
+        for version in task.versions:
+            if version in live:
+                yield version, None
+        for version in task.versions:
+            if version not in live:
                 continue
-            try:
-                base = peer.engine.chain_base(task.key, version)
-            except KeyNotFoundError:
-                continue  # partial copy on this peer; try another
-            if base is None or base[0] in self.cluster.version_keys:
-                return None
-            return base
-        return None
+            base = read_copy(
+                task.source_group.nodes, task.key, version, self.stats,
+                base=True,
+            )
+            if base is not None and base[0] not in live:
+                yield base[0], base
 
-    def _install_base(self, task: MoveTask, target, base) -> int:
-        """Reproduce a retired base on ``target``; returns bytes moved."""
-        base_version, value, deleted = base
-        if target.engine.holds(task.key, base_version):
+    def _has(self, target, task: MoveTask, version: int, record) -> bool:
+        """Whether ``target`` already holds a wanted record: live, or for
+        a chain base in any state."""
+        if record is None:
+            return target.engine.exists(task.key, version)
+        return target.engine.holds(task.key, version)
+
+    def _copy(self, task: MoveTask, version: int, record, target) -> int:
+        """Land one wanted record on ``target`` unless it holds it;
+        returns bytes moved (0: held, or no up source has it)."""
+        stats = self.stats
+        if self._has(target, task, version, record):
+            if record is None:
+                stats.records_skipped += 1  # dual-applied
             return 0
-        target.put_batch([(task.key, base_version, value)])
-        if deleted:
-            target.delete_batch([(task.key, base_version)])
-        self.stats.bases_copied += 1
-        moved = len(task.key) + len(value)
-        self.stats.bytes_moved += moved
+        if record is None:
+            sources = (
+                node for node in task.source_group.nodes if node is not target
+            )
+            copy = read_copy(sources, task.key, version, stats)
+            if copy is None:
+                return 0
+            moved = land_copy(target, task.key, copy)
+            stats.records_copied += 1
+        else:
+            moved = land_copy(target, task.key, record)
+            stats.bases_copied += 1
+        stats.bytes_moved += moved
         return moved
 
-    def _copy_bases(self, task: MoveTask) -> object:
-        config = self.config
-        for version in task.versions:
-            if version not in self.cluster.version_keys:
-                continue
-            base = self._base_for(task, version)
-            if base is None:
-                continue
-            for target in task.copy_targets:
-                try:
-                    moved = self._install_base(task, target, base)
-                except NodeDownError:
-                    self.stats.copy_faults += 1
-                    continue
-                if moved:
-                    yield self.sim.timeout(
-                        moved / config.bandwidth_bps
-                        + 1.0 / config.max_records_per_s
-                    )
-
     def _verify(self, tasks: List[MoveTask], progress: NodeGroup) -> object:
-        """Re-copy until every live record sits on every copy target.
+        """Re-copy until every wanted record sits on every copy target.
 
         The convergence loop that makes a crash mid-rebalance safe: a
         target that lost its unflushed tail (or was down for the first
@@ -384,20 +363,13 @@ class Migrator:
         """
         rounds = 0
         while True:
-            missing = []
-            for task in tasks:
-                for version in task.versions:
-                    if version not in self.cluster.version_keys:
-                        continue
-                    for target in task.copy_targets:
-                        if not target.engine.exists(task.key, version):
-                            missing.append((task, version, target, None))
-                    base = self._base_for(task, version)
-                    if base is None:
-                        continue
-                    for target in task.copy_targets:
-                        if not target.engine.holds(task.key, base[0]):
-                            missing.append((task, version, target, base))
+            missing = [
+                (task, version, record, target)
+                for task in tasks
+                for version, record in self._wanted(task)
+                for target in task.copy_targets
+                if not self._has(target, task, version, record)
+            ]
             if not missing:
                 return
             rounds += 1
@@ -407,15 +379,12 @@ class Migrator:
                     f"missing after {rounds} verify rounds"
                 )
             self.stats.verify_retries += len(missing)
-            progress.moving_keys = len({t.key for t, _v, _n, _b in missing})
-            for task, version, target, base in missing:
+            progress.moving_keys = len({entry[0].key for entry in missing})
+            for task, version, record, target in missing:
                 if not target.is_up:
                     continue
                 try:
-                    if base is None:
-                        moved = self._copy_one(task, version, target)
-                    else:
-                        moved = self._install_base(task, target, base)
+                    moved = self._copy(task, version, record, target)
                 except NodeDownError:
                     continue
                 if moved:

@@ -14,16 +14,20 @@ audits every ``(key, version)`` the cluster still references against the
 node's replica responsibility and copies anything missing from a healthy
 peer — restoring the group to ``replica_count`` live copies.
 
-Copies preserve the stored *representation*: a value-less deduplicated
-record is re-created value-less (via :meth:`~repro.qindb.engine.QinDB.peek`),
-never materialised through the GET traceback — so a repaired fleet stays
+Every record copied between replicas — here and by the elastic
+migrator — is read by one rule (:func:`read_copy`: the first up holder
+whose copy reads back; a damaged copy is passed over and counted) and
+landed by one function (:func:`land_copy`).  Copies preserve the stored
+*representation*: a value-less deduplicated record is re-created
+value-less (via :meth:`~repro.qindb.engine.QinDB.peek`), never
+materialised through the GET traceback — so a repaired fleet stays
 byte-identical to one that never faulted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.bifrost.signature import signature
 from repro.errors import CorruptionError, KeyNotFoundError, NodeDownError
@@ -50,6 +54,8 @@ class AuditResult:
     records_repaired: int = 0
     #: records a peek could not find (left to the repair sweep)
     missing_records: int = 0
+    #: peer copies the re-land passed over: unreadable or off their leaf
+    unreadable_copies: int = 0
 
     @property
     def clean(self) -> bool:
@@ -72,6 +78,7 @@ class AuditResult:
         self.divergent_records += other.divergent_records
         self.records_repaired += other.records_repaired
         self.missing_records += other.missing_records
+        self.unreadable_copies += other.unreadable_copies
 
 
 @dataclass
@@ -87,6 +94,8 @@ class RepairResult:
     #: total device-clock seconds the run consumed across the group
     #: (peer reads and the rejoining node's writes)
     device_seconds: float = 0.0
+    #: holder copies passed over because they did not read back
+    unreadable_copies: int = 0
 
 
 def _peek(node: StorageNode, key: bytes, version: int):
@@ -98,11 +107,57 @@ def _peek(node: StorageNode, key: bytes, version: int):
         return ()
 
 
-def _land(node: StorageNode, key: bytes, version: int, value) -> None:
-    """Put one record on ``node``, or restore the deleted copy a node
-    that withdrew it still holds: a version is written once."""
+def read_copy(
+    holders, key: bytes, version: int, tally, leaf=None, base=False
+):
+    """The one read rule: ``(key, version)`` as stored on the first up
+    holder whose copy reads back, as ``(version, value, deleted)`` —
+    ``value`` None for a value-less deduplicated record — or ``None``.
+
+    A copy that raises :class:`CorruptionError`, or whose CRC32 leaf is
+    not ``leaf`` when one is given, is passed over and counted in
+    ``tally.unreadable_copies``.  ``base`` reads instead the dedup-chain
+    base the record resolves to, as
+    :meth:`~repro.qindb.engine.QinDB.chain_base` reports it: the first
+    holder of the record answers (``None`` when it carries its own
+    value), unless its chain reaches no stored value.
+    """
+    for holder in holders:
+        if not holder.is_up:
+            continue
+        engine = holder.engine
+        try:
+            if base:
+                if engine.holds(key, version):
+                    return engine.chain_base(key, version)
+                continue
+            record = engine.peek(key, version)
+        except KeyNotFoundError:
+            continue  # a partial chain: this holder cannot resolve it
+        except CorruptionError:
+            tally.unreadable_copies += 1
+            continue
+        if record is None:
+            continue
+        value = None if record[1] else record[0]
+        if leaf is not None and leaf_checksum(key, version, value) != leaf:
+            tally.unreadable_copies += 1
+            continue
+        return version, value, False
+    return None
+
+
+def land_copy(node: StorageNode, key: bytes, record) -> int:
+    """The one landing: put a :func:`read_copy` record on ``node``, or
+    restore the deleted copy a node that withdrew it still holds (a
+    version is written once); a record stored deleted — a retired chain
+    base — is then flagged deleted again.  Returns the bytes moved."""
+    version, value, deleted = record
     if not (node.is_up and node.engine.restore(key, version)):
         node.put_batch([(key, version, value)])
+    if deleted:
+        node.delete_batch([(key, version)])
+    return len(key) + len(value or b"")
 
 
 class ReplicaRepairer:
@@ -191,9 +246,10 @@ class ReplicaRepairer:
                     continue
                 landed = True
                 if not replica.engine.exists(key, version):
-                    _land(replica, key, version, value)
+                    result.bytes_copied += land_copy(
+                        replica, key, (version, value, False)
+                    )
                     result.keys_copied += 1
-                    result.bytes_copied += len(key) + len(value or b"")
             if not landed:
                 still_parked.append((key, version, value))
         group.pending_writes = still_parked
@@ -205,98 +261,33 @@ class ReplicaRepairer:
         key: bytes,
         version: int,
         result: RepairResult,
-        cluster: Optional[MintCluster] = None,
+        cluster: MintCluster,
         fleet=None,
     ) -> None:
         if node.engine.exists(key, version):
             return
-        record = self._read_from_peers(group, node, key, version)
+        peers = (peer for peer in group.replicas_for(key) if peer is not node)
+        record = read_copy(peers, key, version, result)
         remote = False
-        if record is None and fleet is not None and cluster is not None:
-            # The version is still referenced locally but no group peer
-            # has the record (correlated tail loss): only re-fetch
-            # cross-region for keys the cluster actually acknowledged —
-            # a version dropped mid-outage must stay dropped.
-            if version in cluster.version_keys:
-                record = self._read_from_fleet(cluster, fleet, key, version)
-                remote = record is not None
+        # No group peer has the record (correlated tail loss): only
+        # re-fetch cross-region for keys the cluster still references —
+        # a version dropped mid-outage must stay dropped.
+        if record is None and fleet is not None and (
+            version in cluster.version_keys
+        ):
+            remote_holders = (
+                peer
+                for other in fleet.values()
+                if other is not cluster
+                for peer in other.group_for(key).replicas_for(key)
+            )
+            record = read_copy(remote_holders, key, version, result)
+            remote = record is not None
         if record is None:
-            # No copy survives anywhere (or the version was dropped while
-            # the node was down — never resurrect it).
-            return
-        value, deduplicated = record
-        _land(node, key, version, None if deduplicated else value)
+            return  # no copy survives anywhere: never resurrect
+        result.bytes_copied += land_copy(node, key, record)
         result.keys_copied += 1
-        result.bytes_copied += len(key) + len(value or b"")
-        if remote:
-            result.remote_copies += 1
-
-    def copy_record(
-        self,
-        source_group: NodeGroup,
-        target: StorageNode,
-        key: bytes,
-        version: int,
-        result: Optional[RepairResult] = None,
-    ) -> bool:
-        """Copy one stored record onto ``target``, representation intact.
-
-        The elastic migrator's building block, sharing the repairer's
-        peek-based machinery: a value-less deduplicated record is
-        re-created value-less, so migrated data stays byte-identical to
-        data that never moved.  Idempotent — a record the target already
-        holds is left untouched.  Reads from *any* live node of the
-        source group (mid-transition, placement there may be shifting
-        under the copy).  Returns ``False`` only if no live source node
-        held the record.
-        """
-        if target.engine.exists(key, version):
-            return True
-        for peer in source_group.nodes:
-            if peer is target or not peer.is_up:
-                continue
-            record = peer.engine.peek(key, version)
-            if record is None:
-                continue
-            value, deduplicated = record
-            _land(target, key, version, None if deduplicated else value)
-            if result is not None:
-                result.keys_copied += 1
-                result.bytes_copied += len(key) + len(value or b"")
-            return True
-        return False
-
-    def _read_from_fleet(
-        self, cluster: MintCluster, fleet, key: bytes, version: int
-    ) -> Optional[Tuple[Optional[bytes], bool]]:
-        """The stored record from any other data center holding it."""
-        for other in fleet.values():
-            if other is cluster:
-                continue
-            remote_group = other.group_for(key)
-            for peer in remote_group.replicas_for(key):
-                if not peer.is_up:
-                    continue
-                record = peer.engine.peek(key, version)
-                if record is not None:
-                    return record
-        return None
-
-    def _read_from_peers(
-        self,
-        group: NodeGroup,
-        node: StorageNode,
-        key: bytes,
-        version: int,
-    ) -> Optional[Tuple[Optional[bytes], bool]]:
-        """The stored record from the first healthy peer that has it."""
-        for peer in group.replicas_for(key):
-            if peer is node or not peer.is_up:
-                continue
-            record = peer.engine.peek(key, version)
-            if record is not None:
-                return record
-        return None
+        result.remote_copies += remote
 
     # ------------------------------------------------------------------
     def audit_node(
@@ -414,22 +405,16 @@ class ReplicaRepairer:
             counters.divergent_records += 1
             if record is not None:
                 continue  # a held copy: never re-put
-            group = cluster.group_for(key)
-            for peer in group.replicas_for(key):
-                if peer is node or not peer.is_up:
-                    continue
-                peer_record = _peek(peer, key, version)
-                if not peer_record:
-                    continue
-                peer_value, peer_dedup = peer_record
-                peer_stored = None if peer_dedup else peer_value
-                counters.audit_leaf_checks += 1
-                if leaf_checksum(key, version, peer_stored) != expected:
-                    continue  # this peer's copy is damaged too
-                _land(node, key, version, peer_stored)
+            peers = (
+                peer
+                for peer in cluster.group_for(key).replicas_for(key)
+                if peer is not node
+            )
+            copy = read_copy(peers, key, version, result, leaf=expected)
+            if copy is not None:
+                land_copy(node, key, copy)
                 result.records_repaired += 1
                 counters.records_repaired += 1
-                break
 
     def audit_cluster(
         self, cluster: MintCluster, naive: bool = False

@@ -16,9 +16,8 @@ carry its *own* clock (a storage engine's device clock for GC and
 checkpoint spans); such tracks never parent into the main track, since
 their timestamps live on a different time base.
 
-Exports: :meth:`Tracer.to_json` (plain span dicts) and
-:meth:`Tracer.to_chrome_trace` (Chrome ``trace_event`` format — load the
-file in ``chrome://tracing`` or Perfetto).  :meth:`Tracer.stage_summary`
+Export: :meth:`Tracer.to_chrome_trace` (Chrome ``trace_event`` format —
+load the file in ``chrome://tracing`` or Perfetto).  :meth:`Tracer.stage_summary`
 folds the finished spans into the per-stage table the cycle report and
 ``repro observe`` print.
 """
@@ -77,18 +76,6 @@ class Span:
     @property
     def duration_s(self) -> float:
         return 0.0 if self.end_s is None else self.end_s - self.start_s
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "track": self.track,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "duration_s": self.duration_s,
-            "parent_id": self.parent_id,
-            "attrs": dict(self.attrs),
-        }
 
 
 class _NullAttrs(dict):
@@ -272,11 +259,6 @@ class Tracer:
         self.instants.append(event)
         return event
 
-    def clear(self) -> None:
-        """Drop all finished spans and instants (open spans survive)."""
-        self.spans = [s for s in self.spans if not s.finished]
-        self.instants = []
-
     # ------------------------------------------------------------------
     def _open(self, name: str, track: str, at: float,
               attrs: Dict[str, object],
@@ -320,10 +302,6 @@ class Tracer:
     # ------------------------------------------------------------------
     def finished_spans(self) -> List[Span]:
         return [s for s in self.spans if s.finished]
-
-    def to_json(self) -> List[Dict[str, object]]:
-        """Plain dicts for every finished span, in creation order."""
-        return [s.to_dict() for s in self.finished_spans()]
 
     def to_chrome_trace(self, pid: int = 1) -> Dict[str, object]:
         """The Chrome ``trace_event`` format (``chrome://tracing``).

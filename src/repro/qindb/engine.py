@@ -739,6 +739,10 @@ class QinDB:
                 self.gc_table.record_dead(
                     run.segment_id, sum(compress(moved.lengths[at], dead[at]))
                 )
+        if kept:
+            # Program the moved frames before the erase: left in the
+            # active segment's fill buffer, a crash would lose them.
+            self.aofs.flush()
         self.gc_table.forget(segment_id)
         self.aofs.drop_segment(segment_id)
         self.gc_runs += 1

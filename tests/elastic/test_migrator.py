@@ -262,6 +262,50 @@ def test_dedup_chain_bases_migrate_with_their_referents():
     assert served > 0, "join must have moved some chained keys"
 
 
+def damage_every_copy(node, keys, corrupt_frame, version=1):
+    node.engine.flush()
+    for key in keys:
+        corrupt_frame(node, key, version)
+
+
+def test_a_join_copies_past_a_damaged_first_source(corrupt_frame):
+    """The first source the copy asks holds only damaged copies: each
+    is passed over, counted, and read from the next source."""
+    sim, cluster, migrator = build()
+    group = cluster.groups[0]
+    keys = load_keys(cluster, 60)
+    damage_every_copy(group.nodes[0], keys, corrupt_frame)
+
+    sim.run(until=migrator.join_node(group))
+
+    assert migrator.stats.records_copied > 0
+    assert migrator.stats.unreadable_copies >= migrator.stats.records_copied
+    new_node = group.nodes[-1]
+    moved = [key for key in keys if new_node.engine.exists(key, 1)]
+    assert moved
+    assert all(new_node.engine.get(key, 1) == b"v" * 16 for key in moved)
+    assert cluster.under_replicated() == []
+
+
+def test_a_chain_base_installs_past_a_damaged_first_source(corrupt_frame):
+    sim, cluster, migrator = build()
+    keys = load_keys(cluster, 60, version=1)
+    cluster.put_batch([(key, 2, None) for key in keys])
+    cluster.version_keys.setdefault(2, []).extend(keys)
+    cluster.drop_version(1)
+    group = cluster.groups[0]
+    damage_every_copy(group.nodes[0], keys, corrupt_frame)  # the bases
+
+    sim.run(until=migrator.join_node(group))
+
+    assert migrator.stats.bases_copied > 0
+    assert migrator.stats.unreadable_copies > 0
+    new_node = group.nodes[-1]
+    chained = [key for key in keys if new_node.engine.exists(key, 2)]
+    assert chained
+    assert all(new_node.engine.get(key, 2) == b"v" * 16 for key in chained)
+
+
 def test_concurrent_operations_are_rejected():
     sim, cluster, migrator = build()
     load_keys(cluster, 40)

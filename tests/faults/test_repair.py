@@ -207,3 +207,48 @@ def test_correlated_tail_loss_refetches_cross_region():
     assert result.keys_copied == 1
     assert result.remote_copies == 1
     assert node.engine.get(b"k1", 1) == b"v1"
+
+
+# ------------------------------------------------------------ damaged holders
+def lose_tail(cluster, key, survivors):
+    """Put ``key`` on every replica, then crash every node but
+    ``survivors`` before it flushed: they alone keep a copy."""
+    cluster.put(key, 1, b"v" * 32)
+    note_version(cluster, 1, key)
+    group = cluster.group_for(key)
+    for replica in group.nodes:
+        if replica in survivors:
+            replica.engine.flush()
+        else:
+            replica.fail()
+            replica.recover()
+            assert not replica.engine.exists(key, 1)
+    return group
+
+
+def test_repair_copies_past_a_damaged_first_peer(cluster, corrupt_frame):
+    node = cluster.groups[0].nodes[0]
+    peers = [p for p in cluster.groups[0].replicas_for(b"k") if p is not node]
+    group = lose_tail(cluster, b"k", peers)
+    corrupt_frame(peers[0], b"k")
+
+    result = ReplicaRepairer().repair_node(cluster, group, node)
+    assert result.keys_copied == 1
+    assert result.unreadable_copies == 1
+    assert node.engine.get(b"k", 1) == b"v" * 32
+
+
+def test_a_damaged_only_copy_leaves_the_record_missing_and_counted(
+    cluster, corrupt_frame
+):
+    node = cluster.groups[0].nodes[0]
+    holder = next(
+        p for p in cluster.groups[0].replicas_for(b"k") if p is not node
+    )
+    group = lose_tail(cluster, b"k", [holder])
+    corrupt_frame(holder, b"k")
+
+    result = ReplicaRepairer().repair_node(cluster, group, node)
+    assert result.keys_copied == 0
+    assert result.unreadable_copies == 1
+    assert not node.engine.exists(b"k", 1)

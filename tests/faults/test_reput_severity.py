@@ -44,10 +44,15 @@ SCENARIOS = [
 
 def _path_of(frame) -> str:
     """Which write path a put came down: the nearest caller that is one
-    of the three candidates, else ``ingest``."""
+    of the three candidates, else ``ingest``.  Repair and migration share
+    one landing (``faults/repair.py::land_copy``), so its caller names
+    the path."""
     while frame is not None:
         filename = frame.f_code.co_filename.replace("\\", "/")
-        if filename.endswith("faults/repair.py"):
+        if (
+            filename.endswith("faults/repair.py")
+            and frame.f_code.co_name != "land_copy"
+        ):
             return "repair"
         if filename.endswith("elastic/migrator.py"):
             return "migration"

@@ -118,19 +118,6 @@ def test_error_annotated_and_reraised():
     assert span.attrs["error"] == "ValueError"
 
 
-def test_to_json_and_clear():
-    clock = FakeClock()
-    tracer = Tracer(clock)
-    with tracer.span("a"):
-        clock.now = 2.0
-    payload = tracer.to_json()
-    assert payload[0]["name"] == "a"
-    assert payload[0]["duration_s"] == 2.0
-    json.dumps(payload)  # round-trippable
-    tracer.clear()
-    assert tracer.spans == []
-
-
 def test_chrome_trace_format():
     clock = FakeClock()
     tracer = Tracer(clock)
@@ -225,9 +212,3 @@ def test_disabled_tracer_records_no_instants():
     assert tracer.instant("alert:x") is None
     assert tracer.instants == []
 
-
-def test_clear_drops_instants():
-    tracer = Tracer(FakeClock())
-    tracer.instant("alert:x")
-    tracer.clear()
-    assert tracer.instants == []

@@ -42,6 +42,7 @@ class ReferenceQinDB(QinDB):
         segment.flush()
         unit = segment._unit
         image = unit.read(0, unit.size) if unit.size else b""
+        reappended = self.gc_bytes_reappended
         for offset, record in scan_records(
             image, page_size=unit.page_size, tolerate_torn_tail=True
         ):
@@ -60,6 +61,8 @@ class ReferenceQinDB(QinDB):
                 self._reappend(record, item)
             else:
                 self.memtable.drop(record.key, record.version)
+        if self.gc_bytes_reappended != reappended:
+            self.aofs.flush()  # program the moves before the erase
         self.gc_table.forget(segment_id)
         self.aofs.drop_segment(segment_id)
         self.gc_runs += 1

@@ -128,6 +128,26 @@ def test_gc_updates_offsets_for_moved_records():
     assert engine.get(b"survivor", 1) == b"s" * 3000
 
 
+def test_a_collection_programs_what_it_moved_before_the_erase():
+    """A survivor moved into the active segment's unprogrammed page must
+    reach flash before its victim is erased: a crash right after the
+    collection keeps a record that was on flash before it."""
+    from repro.qindb.checkpoint import crash, recover
+
+    engine = small_engine(gc_enabled=False)
+    keys = [f"k{index:03d}".encode() for index in range(120)]
+    engine.put_batch([(key, 1, b"x" * 1500) for key in keys[:100]])
+    engine.flush()
+    engine.aofs.seal_active()
+    engine.put_batch([(key, 1, b"x" * 1500) for key in keys[100:]])
+    engine.delete_batch([(key, 1) for key in keys[1:]])
+    engine.flush()
+
+    engine.collect_segment(0)
+    recovered = recover(crash(engine), config=engine.config)
+    assert recovered.get(b"k000", 1) == b"x" * 1500
+
+
 def test_collect_active_segment_rejected():
     engine = small_engine()
     engine.put(b"k", 1, b"v")

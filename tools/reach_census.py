@@ -199,7 +199,8 @@ KEEP: Dict[str, str] = {
     # repair, parked slices and cache coherence
     "repro.faults.repair.ReplicaRepairer._sweep_slice": (
         "audit: full leaf sweep of a slice whose sample diverged; counts "
-        "each divergent copy and re-lands only those the node lacks"
+        "each divergent copy and re-lands only those the node lacks, "
+        "through read_copy with the expected leaf and land_copy"
     ),
     "repro.mint.cluster.MintCluster._drain_parked": (
         "parked wire slices retried when a base arrives"
@@ -217,16 +218,6 @@ KEEP: Dict[str, str] = {
     "repro.mint.cluster.MintCluster.remove_group": (
         "elastic leave, a fleet verb of ROADMAP 3(b)"
     ),
-    # deferred cuts: unreached, but deleting each also deletes the unit
-    # tests named here; ROADMAP 12 lists them for the next census
-    "repro.obs.tracer.Tracer.clear": (
-        "deferred cut (test_tracer::test_to_json_and_clear, "
-        "::test_clear_drops_instants)"
-    ),
-    "repro.obs.tracer.Tracer.to_json": (
-        "deferred cut (test_tracer::test_to_json_and_clear)"
-    ),
-    "repro.obs.tracer.Span.to_dict": "deferred cut with Tracer.to_json",
 }
 
 
