@@ -41,6 +41,18 @@ from repro.mint.cluster import MintCluster
 from repro.mint.group import NodeGroup
 
 
+class _ChainBase:
+    """A retired chain base a task wants: known by version, its record
+    ``(version, value, deleted)`` read through ``referent`` — the live
+    version whose chain lands on it — when a target first lacks it."""
+
+    __slots__ = ("referent", "copy")
+
+    def __init__(self, referent: int) -> None:
+        self.referent = referent
+        self.copy = None
+
+
 @dataclass(frozen=True)
 class MigratorConfig:
     """The movement budget and convergence knobs."""
@@ -302,7 +314,9 @@ class Migrator:
         """The records ``task`` leaves on every copy target, in copy
         order, as ``(version, record)``: each live version with ``None``
         (read from a source when a target lacks it), then each retired
-        chain base those versions resolve through, read once here.
+        chain base those versions resolve through, as a
+        :class:`_ChainBase` (its version resolved from a source's
+        memtable; its record read once, when a target first lacks it).
 
         A generator, so a version dropped meanwhile is passed over, never
         resurrected.  A base whose version is retained is one of the live
@@ -316,12 +330,21 @@ class Migrator:
         for version in task.versions:
             if version not in live:
                 continue
-            base = read_copy(
-                task.source_group.nodes, task.key, version, self.stats,
-                base=True,
-            )
-            if base is not None and base[0] not in live:
-                yield base[0], base
+            base = self._base_version(task, version)
+            if base is not None and base not in live:
+                yield base, _ChainBase(version)
+
+    def _base_version(self, task: MoveTask, version: int) -> Optional[int]:
+        """The chain base ``(task.key, version)`` resolves to on the first
+        up source that holds it and can resolve it, or ``None``."""
+        for node in task.source_group.nodes:
+            if not (node.is_up and node.engine.holds(task.key, version)):
+                continue
+            try:
+                return node.engine.chain_base_version(task.key, version)
+            except KeyNotFoundError:
+                continue  # a partial chain: this source cannot resolve it
+        return None
 
     def _has(self, target, task: MoveTask, version: int, record) -> bool:
         """Whether ``target`` already holds a wanted record: live, or for
@@ -348,7 +371,14 @@ class Migrator:
             moved = land_copy(target, task.key, copy)
             stats.records_copied += 1
         else:
-            moved = land_copy(target, task.key, record)
+            if record.copy is None:
+                record.copy = read_copy(
+                    task.source_group.nodes, task.key, record.referent,
+                    stats, base=True,
+                )
+                if record.copy is None:
+                    return 0
+            moved = land_copy(target, task.key, record.copy)
             stats.bases_copied += 1
         stats.bytes_moved += moved
         return moved

@@ -96,6 +96,7 @@ class NodeGroup:
         #: exported as the ``elastic.<dc>.g<id>.moving_keys`` gauge)
         self.moving_keys = 0
         self._member_names: List[str] = []
+        self._members: List[StorageNode] = []
         for node in nodes:
             self.add_node(node)
 
@@ -110,7 +111,10 @@ class NodeGroup:
     # ------------------------------------------------------------------
     @property
     def nodes(self) -> List[StorageNode]:
-        return list(map(self._nodes.__getitem__, self._member_names))
+        """The members in name order: one list per membership, shared
+        by every caller (the read path asks once per flush), so never
+        mutate it."""
+        return self._members
 
     @property
     def healthy_count(self) -> int:
@@ -127,8 +131,7 @@ class NodeGroup:
         if node.name in self._nodes:
             raise ClusterError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
-        self._member_names = sorted(self._nodes)
-        self.membership_version += 1
+        self._set_members()
 
     def remove_node(self, name: str) -> StorageNode:
         """Leave the group (e.g. decommissioning)."""
@@ -138,10 +141,15 @@ class NodeGroup:
                 f"below {self.replica_count} replicas"
             )
         node = self._nodes.pop(name)
-        self._member_names = sorted(self._nodes)
+        self._set_members()
         self._draining.discard(name)
-        self.membership_version += 1
         return node
+
+    def _set_members(self) -> None:
+        """A join or a leave: the member names and list, rebuilt once."""
+        self._member_names = sorted(self._nodes)
+        self._members = list(map(self._nodes.__getitem__, self._member_names))
+        self.membership_version += 1
 
     def mark_draining(self, name: str, draining: bool = True) -> None:
         """Flag a member as leaving: no new placement, failover-only reads.

@@ -98,10 +98,10 @@ class AofSegment:
 
         A frame is accepted while the segment is not yet full, so the
         split point does not depend on how the frames were batched.  The
-        accepted frames' pieces go down in one
-        :meth:`~repro.ssd.native.NativeUnit.append_many`, which keeps
-        them by reference and coalesces full pages into multi-page
-        programs.
+        accepted frames go down as one extent
+        (:meth:`~repro.ssd.native.NativeUnit.append_frames`): the unit
+        keeps the batch's own pieces and starts, and coalesces full pages
+        into multi-page programs.
         """
         if self.is_full:
             raise StorageError(f"segment {self.segment_id} is full")
@@ -113,10 +113,7 @@ class AofSegment:
         stop = bisect_left(
             starts, base + self.capacity_bytes - self.size, first + 1, total
         )
-        pieces = frames.pieces
-        if first or stop < total:
-            pieces = pieces[2 * first : 2 * stop]
-        offset = self._unit.append_many(pieces)
+        offset = self._unit.append_frames(frames, first, stop)
         self.record_count += stop - first
         return Run(
             self.segment_id, offset, first, stop - first, starts[stop] - base
@@ -185,13 +182,13 @@ class _FileUnit:
     def occupied_bytes(self) -> int:
         return self._file.page_count * self._fs.page_size
 
-    def append_many(self, chunks) -> int:
-        """No native coalescing through the FTL: one append per frame
-        (the chunks are frames' head and body pieces, in pairs)."""
+    def append_frames(self, frames: Frames, first: int, stop: int) -> int:
+        """No native coalescing through the FTL: one append per frame,
+        its head and body joined."""
         start = self._file.size
-        pieces = iter(chunks)
-        for head in pieces:
-            self._file.append(head + next(pieces))
+        pieces = frames.pieces
+        for index in range(2 * first, 2 * stop, 2):
+            self._file.append(pieces[index] + pieces[index + 1])
         return start
 
     def read_many(self, ranges) -> List[List[bytes]]:

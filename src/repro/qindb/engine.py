@@ -259,15 +259,17 @@ class QinDB:
         (:meth:`~repro.qindb.records.Bodies.frames`: one 8-byte CRC
         update seeded with the body checksum and one head per record,
         the pieces and the sequence column, made by the first replica to
-        frame the batch there); heads and the shared bodies go down side
-        by side (the flash keeps both by reference, one object on every
-        replica that shares them), so the AOF/device layer can coalesce
-        contiguous block-aligned pages into multi-page device programs.
-        The append answers with one run per segment it wrote, and the
-        memtable takes the whole batch as columns — the batch's
-        :class:`~repro.qindb.memtable.ItemColumns` (derived once for
-        every replica), the sequences, and the runs' locations — in one
-        :meth:`~repro.qindb.memtable.Memtable.put_batch`.  CPU charging,
+        frame the batch there); the frames go down as one extent per
+        segment (the flash keeps the batch's pieces and starts by
+        reference, one object on every replica that shares them), so the
+        AOF/device layer can coalesce contiguous block-aligned pages into
+        multi-page device programs.  The append answers with one run per
+        segment it wrote, and the memtable takes the whole batch as
+        columns — the batch's :class:`~repro.qindb.memtable.ItemColumns`
+        (derived once for every replica), the sequences, and the runs'
+        segment and offset columns (built once per distinct runs, so
+        replicas at the same AOF position copy one pair of arrays) — in
+        one :meth:`~repro.qindb.memtable.Memtable.put_batch`.  CPU charging,
         the GC check, and the checkpoint check run once per batch
         instead of once per key.
 
@@ -289,7 +291,10 @@ class QinDB:
         self.memtable.put_batch(
             items,
             frames.sequences,
-            *run_locations(runs, frames.starts),
+            *batch.shared(
+                (run_locations, *runs),
+                lambda _batch: run_locations(runs, frames.starts),
+            ),
             frames.lengths,
         )
         self.user_bytes_written += frames.starts[-1] - HEADER_SIZE * len(batch)
@@ -498,15 +503,29 @@ class QinDB:
         serve as a chain source).  Maintenance read, like :meth:`peek`:
         no user-read accounting.
         """
+        found = self._chain_base(key, version)
+        if found is None:
+            return None
+        base_version, (location, _deduplicated, deleted, _sequence) = found
+        return (base_version, self._read_value(location), deleted)
+
+    def chain_base_version(self, key: bytes, version: int) -> Optional[int]:
+        """The version :meth:`chain_base` resolves to, from the memtable
+        alone: no value is read from flash, so a damaged base goes
+        unnoticed here.  Same ``None`` and :class:`KeyNotFoundError`."""
+        found = self._chain_base(key, version)
+        return None if found is None else found[0]
+
+    def _chain_base(self, key: bytes, version: int):
+        """``(base_version, base item)`` of :meth:`chain_base`, unread."""
         self._check_open()
         target = self.memtable.get(key, version)
         self._charge_cpu()
         if target is None or not target[1]:  # absent, or carries a value
             return None
         for base_version, base in self.memtable.older_versions(key, version):
-            location, deduplicated, deleted, _sequence = base
-            if not deduplicated:
-                return (base_version, self._read_value(location), deleted)
+            if not base[1]:  # value-bearing
+                return base_version, base
         raise KeyNotFoundError(
             f"dedup chain for {key!r}/{version} reaches no stored value"
         )

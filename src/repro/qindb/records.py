@@ -166,7 +166,10 @@ class Frames(NamedTuple):
     frame's bytes, and ``starts`` where each begins relative to the
     first, with one more entry for the total (both ``array('q')``, so an
     append cuts its runs by bisection and the memtable copies slices).
-    A framed put batch also carries its ``sequences`` column.
+    A framed put batch also carries its ``sequences`` column.  A flash
+    unit keeps ``pieces`` and ``starts`` themselves as the extent of
+    each run appended (:meth:`~repro.ssd.native.NativeUnit.append_frames`),
+    so neither may change once appended.
     """
 
     pieces: List[bytes]

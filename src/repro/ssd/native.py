@@ -11,29 +11,62 @@ Whole pages are programmed as appends fill them; the last, partial page
 waits in the fill buffer until ``flush`` pads and programs it (padding
 wastes its tail, exactly as a real block-aligned writer would).
 
-A unit keeps what it is given **by reference**: every appended chunk is an
-immutable piece, with an ``array('I')`` of piece end offsets (4 bytes
-each, so a unit holds at most :data:`MAX_UNIT_BYTES`) and, per page, the
-piece holding the page's first byte.  A record body built once
-for a slice is one object on every replica in every data center.  Only a
-piece a crash cuts (``discard_unprogrammed``) or media damage
-(``corrupt``) changes is copied, so a flipped bit lands on one replica.
-Programs, reads and their device time are page arithmetic on offsets,
-never on the pieces, so sharing changes no charge.
+A unit keeps what it is given **by reference**, one :class:`Extent` per
+append: the appender's own piece list, its column of entry starts, and
+the range of entries appended.  An append of framed records
+(:meth:`NativeUnit.append_frames`) is one extent over the batch's shared
+pieces and starts, so a replica holds nothing per frame: a record body
+and head built once for the fleet are one object on every replica in
+every data center, and so are the columns that say where they lie.  Any
+other append (checkpoint rows, page padding) is an extent over a small
+list and column of its own.  A read finds its extent with one bisection
+over the extents' offsets and its entry with one more over their starts.
+Only what a crash cuts (``discard_unprogrammed``) or media damage
+(``corrupt``) changes is copied into an extent of its own, so a flipped
+bit lands on one replica.  Programs, reads and their device time are
+page arithmetic on offsets, never on the pieces, so sharing changes no
+charge.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from repro.errors import OutOfRangeError, StorageError
 from repro.ssd.device import Block, SimulatedSSD
 
-#: the most a unit holds: its piece end offsets are 4-byte unsigned
+#: the most a unit holds (a bound no segment comes near, so a length
+#: gone wrong is a typed error, not a runaway unit)
 MAX_UNIT_BYTES = 0xFFFFFFFF
+
+
+class Extent(NamedTuple):
+    """What one append put in a unit: entries ``first .. stop - 1`` of a
+    column, back-to-back from unit offset ``offset``.
+
+    Entry ``i`` is the ``stride`` pieces from ``pieces[stride * i]``
+    (a frame's head and body, or one chunk) and spans ``starts[i] ..
+    starts[i + 1]`` relative to the column, which may hold entries of
+    other appends: a batch's pieces and starts are the same objects in
+    every unit that appended any of its frames.  Shared, so never mutated.
+    """
+
+    offset: int
+    pieces: List[bytes]
+    starts: array
+    first: int
+    stop: int
+    stride: int
+
+
+def _chunks(chunks: Sequence[bytes]) -> tuple:
+    """The extent fields of generic chunks: each chunk one entry."""
+    pieces = list(chunks)
+    starts = array("q", accumulate(map(len, pieces), initial=0))
+    return pieces, starts, 0, len(pieces), 1
 
 
 class NativeUnit:
@@ -43,11 +76,10 @@ class NativeUnit:
         self._device = device
         self.tag = tag
         self._blocks: List[Block] = []
-        #: the contents (pads included) as immutable pieces, the offset
-        #: each ends at, and per page begun the piece holding its first byte
-        self._pieces: List[bytes] = []
-        self._ends = array("I")
-        self._page_first = array("q")
+        #: what the unit holds (pads included), one extent per append,
+        #: and the offset each begins at for bisection; read-only
+        self.extents: List[Extent] = []
+        self._offsets: List[int] = []
         self._size = 0
         self._programmed_pages = 0
         self._erased = False
@@ -67,20 +99,41 @@ class NativeUnit:
 
     def discard_unprogrammed(self) -> None:
         """Crash semantics: drop bytes that never reached flash — cut at
-        the programmed page boundary, a piece it splits keeping its
-        programmed front as plain bytes."""
+        the programmed page boundary.  The extent the cut falls in keeps
+        its whole entries before it, and the entry it splits keeps its
+        programmed front as an extent of plain bytes."""
         cut = self._programmed_pages * self._page_size
         if cut == self._size:
             return
-        index = bisect_right(self._ends, cut)
-        start = self._ends[index - 1] if index else 0
-        split = self._pieces[index][: cut - start] if cut > start else None
-        del self._pieces[index:], self._ends[index:]
-        del self._page_first[self._programmed_pages :]
-        if split is not None:
-            self._pieces.append(split)
-            self._ends.append(cut)
-        self._size = cut
+        held, begin, _stride, _after = self._split(cut)
+        front, room = [], cut - begin
+        for piece in held:
+            if room <= 0:
+                break
+            front.append(piece[:room])
+            room -= len(piece)
+        if front:
+            self._keep(*_chunks(front))
+
+    def _split(self, offset: int):
+        """Cut the unit back to the start of the entry holding
+        ``offset``: drop the extent holding it and every later one,
+        keeping that extent's entries before it.  Returns the entry's
+        pieces (a new list), where it began, its stride, and what
+        followed it, as :meth:`_keep` arguments."""
+        index = bisect_right(self._offsets, offset) - 1
+        at, pieces, starts, first, stop, stride = self.extents[index]
+        shift = at - starts[first]
+        entry = bisect_right(starts, offset - shift, first, stop) - 1
+        after = [extent[1:] for extent in self.extents[index + 1 :]]
+        if entry + 1 < stop:
+            after.insert(0, (pieces, starts, entry + 1, stop, stride))
+        del self.extents[index:], self._offsets[index:]
+        self._size = at
+        if entry > first:
+            self._keep(pieces, starts, first, entry, stride)
+        held = pieces[stride * entry : stride * entry + stride]
+        return held, starts[entry] + shift, stride, after
 
     @property
     def occupied_bytes(self) -> int:
@@ -100,16 +153,15 @@ class NativeUnit:
         """
         self._check_live()
         offset = self._size
-        if not data:
-            return offset
-        self._add([bytes(data)])
+        self._keep(*_chunks([bytes(data)]))
         while self._programmed_pages < self._size // self._page_size:
             self._program(1)
         return offset
 
     def append_many(self, chunks: Sequence[bytes]) -> int:
-        """Append ``chunks`` back-to-back; returns the first chunk's offset
-        (each later chunk begins where the one before it ends).
+        """Append ``chunks`` back-to-back, as one extent; returns the
+        first chunk's offset (each later chunk begins where the one
+        before it ends).
 
         The chunks are kept, not copied, so they must be ``bytes``.  Every
         run of full pages within one block is programmed with a *single*
@@ -118,15 +170,23 @@ class NativeUnit:
         only the command count (and the charged time) shrinks.
         """
         self._check_live()
-        start = self._size
-        self._add(chunks)
-        npages_left = self._size // self._page_size - self._programmed_pages
-        while npages_left:
-            room = self._per_block - self._current_block().write_ptr
-            npages = npages_left if npages_left < room else room
-            self._program(npages)
-            npages_left -= npages
-        return start
+        offset = self._size
+        self._keep(*_chunks(chunks))
+        self._program_full()
+        return offset
+
+    def append_frames(self, frames, first: int, stop: int) -> int:
+        """Append frames ``first .. stop - 1`` of ``frames`` (a
+        :class:`~repro.qindb.records.Frames`: ``pieces`` a head then a
+        body per frame, ``starts`` where each frame begins) as one
+        extent over those shared columns; returns where frame ``first``
+        begins.  Nothing per frame is built or kept.  Programmed as
+        :meth:`append_many` of the frames' pieces."""
+        self._check_live()
+        offset = self._size
+        self._keep(frames.pieces, frames.starts, first, stop, 2)
+        self._program_full()
+        return offset
 
     def flush(self) -> None:
         """Pad and program any buffered partial page.
@@ -138,33 +198,37 @@ class NativeUnit:
         tail = self._size % self._page_size
         if not tail:
             return
-        self._add([bytes(self._page_size - tail)])
+        self._keep(*_chunks([bytes(self._page_size - tail)]))
         self._program(1)
 
-    def _add(self, pieces: Sequence[bytes]) -> None:
-        """Keep ``pieces`` at the end of the stream and index the pages
-        they begin."""
-        ends = self._ends
-        count = len(ends)
-        new_ends = accumulate(map(len, pieces), initial=self._size)
-        next(new_ends)  # the old end
-        try:
-            ends.extend(new_ends)
-        except OverflowError:
-            del ends[count:]
+    def _keep(
+        self, pieces: List[bytes], starts: array, first: int, stop: int,
+        stride: int,
+    ) -> None:
+        """Hold entries ``first .. stop - 1`` of a column as the next
+        extent; an append past :data:`MAX_UNIT_BYTES` is refused whole."""
+        nbytes = starts[stop] - starts[first]
+        if not nbytes:
+            return
+        if self._size + nbytes > MAX_UNIT_BYTES:
             raise StorageError(
                 f"native unit {self.tag!r} would exceed {MAX_UNIT_BYTES} bytes"
-            ) from None
-        self._pieces += pieces
-        self._size = ends[-1] if ends else 0
-        page_size = self._page_size
-        page_first = self._page_first
-        page = len(page_first)
-        first = page_first[-1] if page_first else 0
-        while page * page_size < self._size:
-            first = bisect_right(ends, page * page_size, first)
-            page_first.append(first)
-            page += 1
+            )
+        self.extents.append(
+            Extent(self._size, pieces, starts, first, stop, stride)
+        )
+        self._offsets.append(self._size)
+        self._size += nbytes
+
+    def _program_full(self) -> None:
+        """Program every full page still buffered, one multi-page
+        command per run of pages within a block."""
+        npages_left = self._size // self._page_size - self._programmed_pages
+        while npages_left:
+            room = self._per_block - self._current_block().write_ptr
+            npages = npages_left if npages_left < room else room
+            self._program(npages)
+            npages_left -= npages
 
     def _program(self, npages: int) -> None:
         """Program the next ``npages`` pages, all in the current block."""
@@ -225,7 +289,8 @@ class NativeUnit:
         return cut
 
     def _cut(self, offset: int, length: int) -> List[bytes]:
-        """The pieces holding one range, uncharged (see :meth:`read_many`)."""
+        """The pieces holding one range, uncharged (see :meth:`read_many`):
+        an entry read whole is its pieces as appended."""
         end = offset + length
         if not 0 <= offset <= end <= self._size:
             raise OutOfRangeError(
@@ -234,20 +299,36 @@ class NativeUnit:
             )
         if not length:
             return []
-        ends, page_first = self._ends, self._page_first
-        # The piece holding ``offset`` lies between the pieces that
-        # begin its page and the next: a few entries to bisect.
-        page, pages = offset // self._page_size, len(page_first)
-        hi = page_first[page + 1] + 1 if page + 1 < pages else len(ends)
-        first = last = bisect_right(ends, offset, page_first[page], hi)
-        while ends[last] < end:
-            last += 1
-        parts = self._pieces[first : last + 1]
-        start = ends[first] - len(parts[0])
-        if start != offset or ends[last] != end:
+        extents = self.extents
+        index = bisect_right(self._offsets, offset) - 1
+        at, pieces, starts, first, stop, stride = extents[index]
+        shift = at - starts[first]  # unit offset of the column's zero
+        entry = bisect_right(starts, offset - shift, first, stop) - 1
+        begin = starts[entry] + shift
+        if begin == offset and starts[entry + 1] + shift == end:
+            return pieces[stride * entry : stride * entry + stride]
+        # the piece holding ``offset``, then whole pieces to ``end``
+        piece = stride * entry
+        while begin + len(pieces[piece]) <= offset:
+            begin += len(pieces[piece])
+            piece += 1
+        parts: List[bytes] = []
+        while end - shift > starts[stop]:  # runs past this extent
+            parts += pieces[piece : stride * stop]
+            index += 1
+            at, pieces, starts, first, stop, stride = extents[index]
+            shift = at - starts[first]
+            entry, piece = first, stride * first
+        after = bisect_left(starts, end - shift, entry + 1, stop)
+        last, finish = stride * after, starts[after] + shift
+        while finish - len(pieces[last - 1]) >= end:
+            last -= 1
+            finish -= len(pieces[last])
+        parts += pieces[piece:last]
+        if begin != offset or finish != end:
             # the range begins or ends inside a piece: copy its part
-            parts[-1] = parts[-1][: end - ends[last] + len(parts[-1])]
-            parts[0] = parts[0][offset - start :]
+            parts[-1] = parts[-1][: len(parts[-1]) - (finish - end)]
+            parts[0] = parts[0][offset - begin :]
         return parts
 
     def _charge(self, first: int, last: int) -> None:
@@ -273,8 +354,10 @@ class NativeUnit:
         Media damage: the one way anything damages stored bytes.  No
         device time is charged and nothing is re-programmed, so only a
         later read's checks can notice.  A byte still in the fill buffer
-        is damaged where it waits.  The damaged piece is copied first:
-        the other holders of it (replicas elsewhere) keep clean bytes.
+        is damaged where it waits.  The extent holding it is split around
+        the damaged entry, which becomes an extent of its own holding a
+        damaged copy of the one piece: the other holders of the entry's
+        pieces and columns (replicas elsewhere) keep clean bytes.
         """
         self._check_live()
         if not 0 <= offset < self._size:
@@ -284,18 +367,24 @@ class NativeUnit:
             )
         if not 0 < mask < 256:
             raise StorageError(f"corrupt mask must be in [1, 255], got {mask}")
-        index = bisect_right(self._ends, offset)
-        damaged = bytearray(self._pieces[index])
-        damaged[offset - (self._ends[index] - len(damaged))] ^= mask
-        self._pieces[index] = bytes(damaged)
+        held, begin, stride, after = self._split(offset)
+        position, piece = offset - begin, 0
+        while position >= len(held[piece]):
+            position -= len(held[piece])
+            piece += 1
+        damaged = bytearray(held[piece])
+        damaged[position] ^= mask
+        held[piece] = bytes(damaged)
+        self._keep(held, array("q", (0, sum(map(len, held)))), 0, 1, stride)
+        for extent in after:
+            self._keep(*extent)
 
     def erase(self) -> None:
         """Erase every block this unit owns and drop its contents."""
         self._check_live()
         for block in self._blocks:
             self._device.erase_block(block.block_id)
-        self._blocks, self._pieces = [], []
-        self._ends, self._page_first = array("I"), array("q")
+        self._blocks, self.extents, self._offsets = [], [], []
         self._size = self._programmed_pages = 0
         self._erased = True
 

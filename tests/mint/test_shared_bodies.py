@@ -8,7 +8,6 @@ every placement the group layer has, show that damage and crashes still
 land on one replica, and pin what the write descent costs the host.
 """
 
-import operator
 import sys
 import zlib
 
@@ -422,7 +421,10 @@ def test_nine_replicas_build_a_batch_columns_once(monkeypatch):
     frame at equal sequences, so the heads, the piece list and the
     sequence column are built once too and handed to every AOF and
     memtable as the same objects.  Each append answers with one run,
-    never a location per frame."""
+    never a location per frame; the nine runs lie at one AOF position,
+    so the run's segment and offset columns are built once as well, and
+    every unit holds the slice as one extent over the batch's own piece
+    list and starts — nothing per frame."""
     clusters = fleet_of(3)
     entries = varied_entries(120)
     item = Slice.pack("v1-s0", 1, IndexKind.FORWARD, entries)
@@ -451,7 +453,7 @@ def test_nine_replicas_build_a_batch_columns_once(monkeypatch):
         return runs
 
     def recording_put(self, items, sequences, segments, offsets, lengths):
-        inserts.append((items, sequences, lengths))
+        inserts.append((items, sequences, lengths, segments, offsets))
         put_batch(self, items, sequences, segments, offsets, lengths)
 
     monkeypatch.setattr(AofManager, "append_frames", recording_append)
@@ -470,13 +472,15 @@ def test_nine_replicas_build_a_batch_columns_once(monkeypatch):
         assert columns[0] is items
         assert columns[1] is frames.sequences
         assert columns[2] is frames.lengths
+        assert columns[3] is inserts[0][3] and columns[4] is inserts[0][4]
     for cluster in clusters:
         for node in cluster.all_nodes:
             run = node.engine.memtable._runs[1]
             assert run.sequence == frames.sequences
             assert run.length == frames.lengths
-            unit = node.engine.aofs.segment(0)._unit
-            assert all(map(operator.is_, unit._pieces, frames.pieces))
+            (extent,) = node.engine.aofs.segment(0)._unit.extents
+            assert extent.pieces is frames.pieces
+            assert extent.starts is frames.starts
 
 
 # ----------------------------------------------------------------------

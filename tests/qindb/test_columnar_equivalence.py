@@ -192,7 +192,13 @@ def stored(engine):
     """Every stored piece, memtable item and GC-table row."""
     return {
         "pieces": {
-            segment.segment_id: list(map(bytes, segment._unit._pieces))
+            segment.segment_id: [
+                bytes(piece)
+                for extent in segment._unit.extents
+                for piece in extent.pieces[
+                    extent.stride * extent.first : extent.stride * extent.stop
+                ]
+            ]
             for segment in engine.aofs.segments
         },
         "active": engine.aofs.active_segment_id,

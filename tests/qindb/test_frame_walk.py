@@ -1,8 +1,9 @@
 """The segment walk against the record-at-a-time reference, on real units.
 
 ``scan_frames`` walks a segment as the pieces its unit hands back: a
-native unit's head and body objects (kept zero-copy), pads, a piece a
-crash cut, or the filesystem arm's one piece per read.  Whatever the
+native unit's head and body objects (kept zero-copy, in batch extents
+or frame by frame), pads, a piece a crash cut, or the filesystem arm's
+one piece per read.  Whatever the
 layout — random frames of every type, flush pads, a crash cut at any
 offset, one damaged byte anywhere (a zeroed magic byte included) — it
 must return the frames and the torn-tail byte count that
@@ -21,6 +22,7 @@ from repro.qindb.engine import QinDB, QinDBConfig
 from repro.qindb.records import (
     HEAD_SIZE,
     MAGIC,
+    Frames,
     RecordType,
     encode_frame,
     scan_frames,
@@ -113,9 +115,14 @@ def test_walker_matches_the_record_scan_on_every_unit(batches, crash, cut, damag
     native = NativeBlockInterface(device()).open_unit("walk")
     files = _FileUnit(BlockFileSystem(FlashTranslationLayer(device())), "walk")
     starts = []  # each frame's offset in the native unit
-    for batch, (_fields, pad) in zip(frames, batches):
-        for head, body in batch:
-            starts.append(native.append_many([head, body]))
+    for index, (batch, (_fields, pad)) in enumerate(zip(frames, batches)):
+        if index % 2:  # frame by frame, as chunks
+            for head, body in batch:
+                starts.append(native.append_many([head, body]))
+        else:  # the batch as one extent, as the AOF appends it
+            framed = Frames.of(*zip(*batch))
+            offset = native.append_frames(framed, 0, len(batch))
+            starts += [offset + start for start in framed.starts[:-1]]
         if pad:
             native.flush()
     damaged_frame = None
@@ -131,7 +138,8 @@ def test_walker_matches_the_record_scan_on_every_unit(batches, crash, cut, damag
             flat[damaged_frame] = (bytes(frame[:HEAD_SIZE]), bytes(frame[HEAD_SIZE:]))
         else:  # anywhere in the native stream, pads included
             native.corrupt(position % native.size, mask)
-    files.append_many([piece for frame in flat for piece in frame])
+    if flat:
+        files.append_frames(Frames.of(*zip(*flat)), 0, len(flat))
     if crash:
         native.discard_unprogrammed()
     for unit in (native, files):

@@ -257,15 +257,24 @@ def lines_of(function):
 #: where the pieces of the flash images are made — the record bodies and
 #: the heads a unit keeps by reference (``repro/ssd`` holds them)
 FLASH_PIECE_LINES = lines_of(records.build_bodies) + lines_of(records.frame_heads)
-#: what the memtable path holds: code in ``repro/qindb``, less the pieces
+#: where a batch's framing is made — its piece list and starts, which a
+#: unit's extents keep, and its lengths and sequence column
+FRAMING_LINES = lines_of(records.Bodies.frames) + lines_of(records.Frames.of)
+#: what the memtable path holds: code in ``repro/qindb``, less the
+#: pieces and the framing
 MEMTABLE_FILTERS = [tracemalloc.Filter(True, "*/repro/qindb/*")] + [
     tracemalloc.Filter(False, filename, lineno)
-    for filename, lineno in FLASH_PIECE_LINES
+    for filename, lineno in FLASH_PIECE_LINES + FRAMING_LINES
 ]
 #: what the flash holds: the units' own columns and the pieces they keep
 FLASH_FILTERS = [tracemalloc.Filter(True, "*/repro/ssd/*")] + [
     tracemalloc.Filter(True, filename, lineno)
     for filename, lineno in FLASH_PIECE_LINES
+]
+#: the framing alone
+FRAMING_FILTERS = [
+    tracemalloc.Filter(True, filename, lineno)
+    for filename, lineno in FRAMING_LINES
 ]
 
 
@@ -346,17 +355,21 @@ def test_memtable_holds_a_few_words_per_record():
 
 
 def test_flash_keeps_a_head_and_a_body_reference_per_frame():
-    """What a unit holds per stored frame: the 13-byte head object, the
-    record body object, and a piece pointer and 4-byte end offset for
-    each — ~189 B for the 98-byte frames here (a private ``bytearray``
-    copy held ~98 B), none of it collector-tracked.  The body is built
-    once and every replica keeps the same object, so a replica handed a
-    built batch pays the head, two pointers and two offsets, ~71 B (the
-    batch keeps its framing — piece list, sequence column, lengths and
-    starts — for as long as it lives, outside this count).  A second
-    replica framing that batch at the same sequences takes those heads
-    too and pays the pointers and offsets alone, ~25 B (~80 B when
-    every replica made its own heads)."""
+    """What a unit holds per stored frame: the 13-byte head object and
+    the record body object — ~164 B for the 98-byte frames here (a
+    private ``bytearray`` copy held ~98 B) — and no column of its own:
+    one extent per append over the batch's piece list and starts, none
+    of it collector-tracked.  (A unit that kept a piece pointer and a
+    4-byte end offset per piece held ~189 B.)  Of a batch nobody else
+    holds, the extent keeps the piece list and starts alive, 24 B per
+    frame; the rest of its framing dies with it.  The body is built once
+    and every replica keeps the same object, so a replica handed a built
+    batch pays the head, ~46 B (the batch keeps its framing — piece
+    list, sequence column, lengths and starts — for as long as it lives,
+    outside this count).  A second replica framing that batch at the
+    same sequences takes those heads and that framing too and pays
+    nothing per frame (~25 B when each unit kept its own pointers and
+    offsets, ~80 B when every replica made its own heads)."""
     count = 2000
     items = [
         (f"k{index:05d}".encode(), 1, bytes([index % 251]) * 64)
@@ -367,20 +380,28 @@ def test_flash_keeps_a_head_and_a_body_reference_per_frame():
         make_engine(segment_bytes=256 * 1024, gc_enabled=False) for _ in "abc"
     )
     census = TrackedCensus()
-    per_frame = retained_bytes(
-        lambda: first.put_batch(items), FLASH_FILTERS
-    ) / count
-    assert per_frame <= 205, per_frame
+    retained = []
+
+    def put_first():
+        first.put_batch(items)
+        full_collections()
+        snapshot = tracemalloc.take_snapshot()
+        retained.append(snapshot.filter_traces(FRAMING_FILTERS))
+
+    per_frame = retained_bytes(put_first, FLASH_FILTERS) / count
+    assert per_frame <= 180, per_frame
+    framing = sum(stat.size for stat in retained[0].statistics("filename"))
+    assert framing / count <= 26, framing / count
     assert census.grown() < 100
     per_replica_frame = retained_bytes(
         lambda: replica.put_batch(batch), FLASH_FILTERS
     ) / count
-    assert per_replica_frame <= 85, per_replica_frame
+    assert per_replica_frame <= 60, per_replica_frame
     assert census.grown() < 100
     per_second_frame = retained_bytes(
-        lambda: second.put_batch(batch), FLASH_FILTERS
+        lambda: second.put_batch(batch), FLASH_FILTERS + FRAMING_FILTERS
     ) / count
-    assert per_second_frame <= 40, per_second_frame
+    assert per_second_frame <= 4, per_second_frame
     assert census.grown() < 100
     assert memtable_image(second) == memtable_image(replica)
 

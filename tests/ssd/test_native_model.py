@@ -1,22 +1,28 @@
 """Differential test: a :class:`NativeUnit` against a plain-``bytearray``
 model of one.
 
-The unit keeps the chunks it is given by reference, as pieces; the model
-copies every byte into one ``bytearray`` and buffers the partial page
-apart, as this package's unit did before pieces.  Both run on identical
-fresh devices through the same random sequence of every verb, and must
-agree on every byte read, every offset returned, every error raised and
-every device command issued — so the pages programmed, program commands,
-pages read, read commands and the clock are equal too.
+The unit keeps what it is given by reference, one extent per append —
+generic chunks, or a range of framed records over the batch's own piece
+list and starts; the model copies every byte into one ``bytearray`` and
+buffers the partial page apart, as this package's unit did before pieces.
+Both run on identical fresh devices through the same random sequence of
+every verb, and must agree on every byte read, every offset returned,
+every error raised and every device command issued — so the pages
+programmed, program commands, pages read, read commands and the clock
+are equal too.  Crash cuts, damage, seam and split reads and erases land
+in frame extents as in chunk extents.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.qindb.records import Frames
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.native import MAX_UNIT_BYTES, NativeBlockInterface
@@ -73,6 +79,9 @@ class BytearrayUnit:
             self._program(min(npages, room))
             npages -= min(npages, room)
         return offset
+
+    def append_frames(self, frames, first, stop) -> int:
+        return self.append_many(frames.pieces[2 * first : 2 * stop])
 
     def flush(self) -> None:
         self._live()
@@ -161,9 +170,21 @@ def ramp(length: int, first: int) -> bytes:
 #: up to two pages: chunks cross pages, pieces straddle the programmed
 #: boundary, and a batch can outrun its block
 chunk = st.builds(ramp, st.integers(min_value=0, max_value=1100), st.integers(0, 250))
+#: a framed batch as head and body pieces, and where its appends split it
+framed = st.tuples(
+    st.lists(
+        st.tuples(
+            st.builds(ramp, st.integers(min_value=1, max_value=20), st.integers(0, 250)),
+            st.builds(ramp, st.integers(min_value=0, max_value=700), st.integers(0, 250)),
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.lists(st.integers(min_value=0), max_size=2),
+)
 operation = st.one_of(
     st.tuples(st.just("append"), chunk),
     st.tuples(st.just("append_many"), st.lists(chunk, max_size=5)),
+    st.tuples(st.just("append_frames"), framed),
     st.tuples(st.just("flush"), st.none()),
     st.tuples(st.just("discard_unprogrammed"), st.none()),
     st.tuples(
@@ -211,6 +232,16 @@ def outcome(unit, kind, arg, size, programmed):
             return unit.append(arg)
         if kind == "append_many":
             return unit.append_many(arg)
+        if kind == "append_frames":
+            # one batch, appended as consecutive ranges (a segment split)
+            pairs, splits = arg
+            frames = Frames.of(*zip(*pairs))
+            cuts = sorted(split % (len(pairs) + 1) for split in splits)
+            bounds = [0, *cuts, len(pairs)]
+            return [
+                unit.append_frames(frames, first, stop)
+                for first, stop in zip(bounds, bounds[1:])
+            ]
         if kind in ("flush", "discard_unprogrammed", "erase"):
             return getattr(unit, kind)()
         if kind == "corrupt":
@@ -275,6 +306,46 @@ def test_reads_hand_back_the_pieces_they_were_given():
     assert unit.read_many([(500, 13)])[0][0] is head
 
 
+def test_a_frame_extent_holds_the_batch_columns_and_damage_splits_it():
+    """Two units appending one framed batch hold its piece list and
+    starts themselves — one extent each, nothing per frame — and an
+    exact-frame read is the shared head and body.  Damage to one unit
+    splits its extent around the damaged frame: that frame alone is
+    copied there, and the other unit and the batch keep clean bytes."""
+    heads = [bytes([index]) * 13 for index in range(1, 6)]
+    bodies = [bytes([index]) * (100 + index) for index in range(10, 15)]
+    frames = Frames.of(heads, bodies)
+    damaged, clean = (
+        NativeBlockInterface(recording_device()[0]).open_unit(tag)
+        for tag in ("damaged", "clean")
+    )
+    for unit in (damaged, clean):
+        unit.append_many([b"x" * 7])
+        assert unit.append_frames(frames, 0, 3) == 7
+        assert unit.append_frames(frames, 3, 5) == 7 + frames.starts[3]
+        assert [
+            (extent.pieces, extent.starts, extent.first, extent.stop)
+            for extent in unit.extents[1:]
+        ] == [(frames.pieces, frames.starts, 0, 3), (frames.pieces, frames.starts, 3, 5)]
+        assert all(extent.pieces is frames.pieces for extent in unit.extents[1:])
+        (parts,) = unit.read_many([(7 + frames.starts[1], frames.lengths[1])])
+        assert parts[0] is heads[1] and parts[1] is bodies[1]
+    at = 7 + frames.starts[1] + 13 + 5  # a byte of frame 1's body
+    damaged.corrupt(at, 0x80)
+    assert [
+        (extent.first, extent.stop, extent.pieces is frames.pieces)
+        for extent in damaged.extents[1:]
+    ] == [(0, 1, True), (0, 1, False), (2, 3, True), (3, 5, True)]
+    assert frames.pieces[3] is bodies[1] and bodies[1] == bytes([11]) * 111
+    (parts,) = damaged.read_many([(7 + frames.starts[1], frames.lengths[1])])
+    assert parts[0] is heads[1] and parts[1] != bodies[1]
+    assert clean.read(at, 1) == bytes([11])
+    assert damaged.read(at, 1) == bytes([11 ^ 0x80])
+    image = b"x" * 7 + b"".join(frames.pieces)
+    assert clean.read(0, clean.size) == image
+    assert damaged.read(0, damaged.size) == image[:at] + bytes([11 ^ 0x80]) + image[at + 1 :]
+
+
 class _Sized(bytes):
     """A piece that reports a length it does not hold."""
 
@@ -283,14 +354,18 @@ class _Sized(bytes):
 
 
 def test_an_append_past_the_offset_range_is_refused_whole():
-    """Piece end offsets are 4 bytes: an append that would carry a unit
-    past :data:`MAX_UNIT_BYTES` raises a typed error and changes
-    nothing (no piece, offset, page or device program)."""
+    """An append that would carry a unit past :data:`MAX_UNIT_BYTES`
+    raises a typed error and changes nothing (no extent, offset or
+    device program), whether it is chunks or a range of frames."""
     device, log = recording_device()
     unit = NativeBlockInterface(device).open_unit("unit")
     unit.append_many([b"a" * 100, b"b" * 50])
-    before = (unit.size, list(unit._ends), list(unit._page_first), len(log))
+    before = (unit.size, list(unit.extents), len(log))
     with pytest.raises(StorageError):
         unit.append_many([b"c" * 10, _Sized(b"d")])
-    assert (unit.size, list(unit._ends), list(unit._page_first), len(log)) == before
+    assert (unit.size, list(unit.extents), len(log)) == before
+    huge = Frames([b"h", b"b"], array("q", [MAX_UNIT_BYTES]), array("q", [0, MAX_UNIT_BYTES]))
+    with pytest.raises(StorageError):
+        unit.append_frames(huge, 0, 1)
+    assert (unit.size, list(unit.extents), len(log)) == before
     assert unit.read(0, 150) == b"a" * 100 + b"b" * 50
