@@ -95,14 +95,10 @@ class DeliveryError(TransmissionError):
     or when rerouting around partitioned links ran out of attempts.  The
     transport accounts the loss (``DeliveryReport.abandoned``, the
     per-link ``delivery_errors`` counter) instead of silently dropping
-    the slice.
+    the slice.  A loss counts in the unit of an arrival: every data
+    center the lost copy would have reached, so a lost P2P seed copy
+    counts every region's data centers.
     """
-
-    def __init__(self, message: str, deliveries_lost: int = 1) -> None:
-        super().__init__(message)
-        #: fan-out width lost with this copy (a lost P2P seed copy loses
-        #: every region's delivery at once)
-        self.deliveries_lost = deliveries_lost
 
 
 class ClusterError(ReproError):
