@@ -298,8 +298,10 @@ class WireDecoder:
     signature, so a delta arriving out of version order still finds its
     exact base (or parks — never inflates against wrong bytes).  Entries
     for dropped versions are pruned, except each key's newest value,
-    which stays the delta base for keys unchanged since.  ``decodes`` is
-    the fleet's shared table (a private one when not given).
+    which stays the delta base for keys unchanged since; the cache keys
+    a version committed under are indexed by version, so a release
+    visits those alone.  ``decodes`` is the fleet's shared table (a
+    private one when not given).
     """
 
     def __init__(self, decodes: Optional[SliceDecodes] = None) -> None:
@@ -309,6 +311,8 @@ class WireDecoder:
         self._values: Dict[
             Tuple[IndexKind, bytes], List[Tuple[int, bytes, bytes]]
         ] = {}
+        #: version -> the cache keys holding a value of it
+        self._committed: Dict[int, Dict[Tuple[IndexKind, bytes], None]] = {}
 
     def decode_slice(self, item) -> DecodedSlice:
         """The slice's logical entries, byte-identical to the origin's.
@@ -336,12 +340,15 @@ class WireDecoder:
                 self._base(item, key, base_sig)
         self.decodes.taken(shared, decoded)
         values = self._values
+        holding = self._committed.setdefault(version, {})
         committed = 0
         for entry in decoded:
             if entry.value is not None:
-                values.setdefault((kind, entry.key), []).append(
+                cache_key = (kind, entry.key)
+                values.setdefault(cache_key, []).append(
                     (version, entry.signature, entry.value)
                 )
+                holding[cache_key] = None
                 committed += 1
         stats = self.stats
         stats.slices_decoded += 1
@@ -442,14 +449,23 @@ class WireDecoder:
         however old the version that carried it.
         """
         self.decodes.release(version)
-        for cache_key, candidates in self._values.items():
-            if len(candidates) > 1 and any(v == version for v, *_ in candidates):
-                newest = max(candidates, key=itemgetter(0))
-                self._values[cache_key] = [
+        values = self._values
+        kept: Dict[Tuple[IndexKind, bytes], None] = {}
+        for cache_key in self._committed.pop(version, ()):
+            candidates = values[cache_key]
+            newest = max(candidates, key=itemgetter(0))
+            if len(candidates) > 1:
+                values[cache_key] = [
                     item
                     for item in candidates
                     if item[0] != version or item is newest
                 ]
+            if newest[0] == version:
+                # still this version's: a later release prunes it once
+                # a newer value has arrived, as a scan of every key would
+                kept[cache_key] = None
+        if kept:
+            self._committed[version] = kept
 
 
 __all__ = [

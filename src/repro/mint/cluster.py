@@ -72,6 +72,14 @@ NODE_METRIC_VIEWS: Dict[str, Dict[str, str]] = {
         "gc_bytes_reappended": "engine.gc_bytes_reappended",
         "gc_corrupt_victims": "engine.gc_corrupt_victims",
         "memtable_items": "engine.memtable.__len__()",
+        # private copies of a run shared with other replicas, by the
+        # verb that forced each (repro.qindb.memtable.RunCopies)
+        "memtable_copies.put": "engine.memtable.copies.put",
+        "memtable_copies.delete": "engine.memtable.copies.delete",
+        "memtable_copies.restore": "engine.memtable.copies.restore",
+        "memtable_copies.retire": "engine.memtable.copies.retire",
+        "memtable_copies.relocate": "engine.memtable.copies.relocate",
+        "memtable_copies.drop": "engine.memtable.copies.drop",
         "read_cache.hits": "engine.read_cache?.counters.hits",
         "read_cache.misses": "engine.read_cache?.counters.misses",
         "read_cache.evictions": "engine.read_cache?.counters.evictions",

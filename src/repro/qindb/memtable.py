@@ -34,6 +34,24 @@ A run is also the unit of eviction: :meth:`Memtable.retire` sets the
 and GC asks :meth:`Memtable.survivors` which frames of a victim segment
 live on, reading the columns directly — neither builds an item.
 
+Replicas that store the same batches in the same order build equal
+runs, so a run is held once for all of them.  A memtable keeps, per
+version, the run it holds and its *view*: how many of the run's slots it
+sees; every read and check looks at those slots only.  A batch's
+:class:`ItemColumns`, one object for every replica, remember which run
+each run prefix became once the batch extended it, beside the batch's
+other columns: a replica applying the batch at a prefix already extended
+so takes that run and advances its view, inserting and copying nothing.
+Otherwise the holder that sees a whole run (its *frontier*) appends in
+place, unseen by holders whose views end before.  Every other write — a
+different batch behind the frontier, a delete, restore, retire, GC
+relocation or drop — goes to a run this memtable alone holds and sees
+whole; a replica holding anything else first takes a private copy of the
+slots it sees (counted in :attr:`Memtable.copies` by the verb that forced
+it) and diverges alone from there.  A write in place other than an
+append bumps the run's *stamp*, so no batch hands it out again for a
+prefix it no longer has.
+
 CPU cost model: every put, get, mark-deleted, retire and resolve
 operation — of one item or of a batch — sets
 :attr:`Memtable.last_search_steps` to
@@ -41,7 +59,8 @@ operation — of one item or of a batch — sets
 binary search over the whole table, then one step per neighbour visited
 (each further item of a batch, each older item of the key a traceback
 walks).  It depends on the table's size only, never on the order its
-contents arrived in or on how many runs hold them.
+contents arrived in, on how many runs hold them or on how many
+memtables share a run.
 """
 
 from __future__ import annotations
@@ -102,11 +121,16 @@ class ItemColumns:
     their flag bytes and the bytes of their keys: all derived from the
     batch alone, so a batch many replicas store derives them once
     (:meth:`of_batch`, kept on the batch by
-    :meth:`~repro.qindb.records.Bodies.shared`).
+    :meth:`~repro.qindb.records.Bodies.shared`).  Beside them, what the
+    replicas learnt: the run prefixes the keys were found new against
+    (``checked``) and the run each prefix became once extended by the
+    batch (``extended``), a prefix named by its run's identity, stamp
+    and view.
     """
 
     __slots__ = (
-        "item_keys", "keys", "version", "repeats", "flags", "key_bytes"
+        "item_keys", "keys", "version", "repeats", "flags", "key_bytes",
+        "checked", "extended",
     )
 
     def __init__(self, item_keys: Sequence[ItemKey], flags: bytes) -> None:
@@ -118,6 +142,13 @@ class ItemColumns:
         self.repeats = len(distinct) != len(item_keys)
         self.flags = flags
         self.key_bytes = sum(map(len, self.keys))
+        #: (id, stamp, view) of a run prefix -> the run (held, so its id
+        #: stays its own)
+        self.checked: Dict[tuple, "_Run"] = {}
+        #: (id, stamp, view) of a run prefix, ids of the other four
+        #: columns -> (the run it became, that run's stamp then, and the
+        #: objects the ids name)
+        self.extended: Dict[tuple, tuple] = {}
 
     @classmethod
     def of_batch(cls, batch) -> "ItemColumns":
@@ -127,9 +158,19 @@ class ItemColumns:
 
 
 class _Run:
-    """The items of one version: key → slot, and a column per field."""
+    """The items of one version: key → slot, and a column per field.
 
-    __slots__ = ("slots", "segment", "offset", "length", "sequence", "flags")
+    A run may back several memtables, each seeing its first *view*
+    slots.  ``holders`` counts them — never fewer: a memtable dropped
+    with its engine still counts — and ``stamp`` the writes in place
+    other than appends, so the run's identity and stamp name what every
+    prefix of it holds.
+    """
+
+    __slots__ = (
+        "slots", "segment", "offset", "length", "sequence", "flags",
+        "holders", "stamp",
+    )
 
     def __init__(self) -> None:
         self.slots: Dict[bytes, int] = {}
@@ -137,14 +178,39 @@ class _Run:
             array("q") for _ in range(4)
         )
         self.flags = bytearray()
+        self.holders = 1
+        self.stamp = 0
+
+    def prefix(self, view: int) -> "_Run":
+        """A private copy of the first ``view`` slots."""
+        run = _Run()
+        slots = self.slots
+        run.slots = (
+            slots.copy() if view == len(self.flags)
+            else {key: slot for key, slot in slots.items() if slot < view}
+        )
+        run.segment, run.offset, run.length, run.sequence = (
+            column[:view] for column in (
+                self.segment, self.offset, self.length, self.sequence
+            )
+        )
+        run.flags = self.flags[:view]
+        return run
+
+    def keys(self, view: int):
+        """The keys of the first ``view`` slots."""
+        if view == len(self.flags):
+            return self.slots
+        return [key for key, slot in self.slots.items() if slot < view]
 
     def location(self, slot: int) -> RecordLocation:
         return (self.segment[slot], self.offset[slot], self.length[slot])
 
-    def item(self, key: bytes) -> Optional[IndexItem]:
-        """The item of ``key``, built, or None."""
-        slot = self.slots.get(key)
-        if slot is None:
+    def item(self, key: bytes, view: int) -> Optional[IndexItem]:
+        """The item of ``key`` among the first ``view`` slots, built, or
+        None."""
+        slot = self.slots.get(key, view)
+        if slot >= view:
             return None
         flags = self.flags[slot]
         return (
@@ -155,11 +221,24 @@ class _Run:
         )
 
 
+class RunCopies:
+    """The private run copies one memtable took, by the verb that forced
+    each: a put of a different batch behind the frontier, a delete, a
+    restore, a retire, a GC relocation or drop."""
+
+    __slots__ = ("put", "delete", "restore", "retire", "relocate", "drop")
+
+    def __init__(self) -> None:
+        for verb in self.__slots__:
+            setattr(self, verb, 0)
+
+
 class Memtable:
     """The in-memory index: every live (key, version) the engine knows."""
 
     def __init__(self) -> None:
-        self._runs: Dict[int, _Run] = {}
+        #: version -> (the run held, how many of its slots this sees)
+        self._runs: Dict[int, Tuple[_Run, int]] = {}
         #: the versions that have a run, ascending
         self._versions: List[int] = []
         self._count = 0
@@ -169,13 +248,29 @@ class Memtable:
         #: comparisons charged for the most recent put, get, mark-deleted
         #: or resolve operation (see the module docstring)
         self.last_search_steps = 0
+        self.copies = RunCopies()
 
     def __len__(self) -> int:
         return self._count
 
     def _item(self, key: bytes, version: int) -> Optional[IndexItem]:
-        run = self._runs.get(version)
-        return None if run is None else run.item(key)
+        entry = self._runs.get(version)
+        return None if entry is None else entry[0].item(key, entry[1])
+
+    def _own(self, version: int, verb: str) -> _Run:
+        """The run of ``version`` for this memtable to write in place:
+        the one it holds, under a new stamp, when it sees all of it and
+        nobody else holds it; else a private copy of the slots it sees,
+        counted under ``verb``."""
+        run, view = self._runs[version]
+        if run.holders == 1 and view == len(run.flags):
+            run.stamp += 1
+            return run
+        run.holders -= 1
+        run = run.prefix(view)
+        self._runs[version] = (run, view)
+        setattr(self.copies, verb, getattr(self.copies, verb) + 1)
+        return run
 
     def _charge(self, count: int, hops: int = 0) -> None:
         """Set :attr:`last_search_steps` for an operation on ``count``
@@ -204,16 +299,28 @@ class Memtable:
         """Raise :class:`~repro.errors.DuplicateItemError` unless every
         ``(key, version)`` is distinct and held by no run, live or
         deleted.  Builds no item and charges nothing: a batch of one
-        version without repeats is one set test on its keys, any other
-        walked."""
+        version without repeats is one set test on its keys — none where
+        the batch was found new against the run prefix this memtable
+        sees — any other walked."""
+        runs = self._runs
         if items.version is not None and not items.repeats:
-            run = self._runs.get(items.version)
-            if run is None or run.slots.keys().isdisjoint(items.keys):
+            entry = runs.get(items.version)
+            if entry is None:
+                return
+            run, view = entry
+            prefix = (id(run), run.stamp, view)
+            if prefix in items.checked:
+                return
+            slots = run.slots
+            if view == len(run.flags) and slots.keys().isdisjoint(items.keys):
+                items.checked[prefix] = run
                 return
         seen = set()
         for key, version in items.item_keys:
-            run = self._runs.get(version)
-            if (key, version) in seen or (run and key in run.slots):
+            entry = runs.get(version)
+            if (key, version) in seen or (
+                entry and entry[0].slots.get(key, entry[1]) < entry[1]
+            ):
                 raise DuplicateItemError(f"re-put of {key!r}/{version}")
             seen.add((key, version))
 
@@ -229,8 +336,11 @@ class Memtable:
         columns: the items' own, and beside them their sequences and the
         segment, offset and length of their records, each an
         ``array('q')`` in item order.  A batch of one version — every
-        batch an ingest sends — extends that run by whole-column copies
-        and one ``key -> slot`` insert per item; one spanning versions (a
+        batch an ingest sends — takes the run another replica made of
+        this memtable's run prefix and these very columns, when there is
+        one; else it extends the run by whole-column copies and one ``key
+        -> slot`` insert per item, in place at the frontier, into a
+        private copy of the prefix behind it.  One spanning versions (a
         checkpoint load) inserts each version's share so.
         """
         count = len(items.item_keys)
@@ -250,17 +360,40 @@ class Memtable:
                 )
             self._charge(count)
             return
-        run = self._runs.get(version)
+        run, view = self._runs.get(version, (None, 0))
+        memo = (
+            id(run), None if run is None else run.stamp, view,
+            id(sequences), id(segments), id(offsets), id(lengths),
+        )
+        found = items.extended.get(memo)
+        if found is not None and found[0].stamp == found[1]:
+            extended = found[0]
+            if extended is not run:
+                extended.holders += 1
+        else:
+            if run is None:
+                extended = _Run()
+            elif view == len(run.flags):
+                extended = run  # the frontier: nobody else sees past it
+            else:
+                extended = run.prefix(view)
+                self.copies.put += 1
+            slots = _slot_numbers(len(extended.flags), count)
+            extended.slots.update(zip(items.keys, slots))
+            extended.segment += segments
+            extended.offset += offsets
+            extended.length += lengths
+            extended.flags += items.flags
+            extended.sequence += sequences
+            items.extended[memo] = (
+                extended, extended.stamp,
+                run, sequences, segments, offsets, lengths,
+            )
         if run is None:
-            run = self._runs[version] = _Run()
             insort(self._versions, version)
-        slots = _slot_numbers(len(run.flags), count)
-        run.slots.update(zip(items.keys, slots))
-        run.segment += segments
-        run.offset += offsets
-        run.length += lengths
-        run.flags += items.flags
-        run.sequence += sequences
+        elif extended is not run:
+            run.holders -= 1
+        self._runs[version] = (extended, view + count)
         self._count += count
         self.approximate_bytes += _ITEM_OVERHEAD * count + items.key_bytes
         self._charge(count)
@@ -277,7 +410,8 @@ class Memtable:
         self._charge(len(item_keys))
         runs = self._runs
         return [
-            None if (run := runs.get(version)) is None else run.item(key)
+            None if (entry := runs.get(version)) is None
+            else entry[0].item(key, entry[1])
             for key, version in item_keys
         ]
 
@@ -289,16 +423,23 @@ class Memtable:
         """Set each present item's ``d`` flag, charged as
         :meth:`get_batch`."""
         runs = self._runs
+        owned = set()
         for key, version in item_keys:
-            run = runs.get(version)
-            slot = None if run is None else run.slots.get(key)
-            if slot is not None:
+            entry = runs.get(version)
+            if entry is None:
+                continue
+            run, view = entry
+            slot = run.slots.get(key, view)
+            if slot < view:
+                if version not in owned:
+                    owned.add(version)
+                    run = self._own(version, "delete")
                 run.flags[slot] |= DELETED
         self._charge(len(item_keys))
 
     def restore(self, key: bytes, version: int) -> None:
         """Clear a held item's ``d`` flag, charged as one search."""
-        run = self._runs[version]
+        run = self._own(version, "restore")
         run.flags[run.slots[key]] &= ~DELETED
         self.last_search_steps = self._count.bit_length()  # _charge(1)
 
@@ -315,17 +456,26 @@ class Memtable:
         in one pass over the run's flag column.
         """
         self.last_search_steps = self._count.bit_length()  # _charge(1)
-        run = self._runs.get(version)
-        if run is None:
+        entry = self._runs.get(version)
+        if entry is None:
             return 0, {}
-        if before is None or max(run.sequence) < before:
-            live = run.flags.translate(_LIVE)
-            run.flags = run.flags.translate(_RETIRED)
+        run, view = entry
+        flags = run.flags if view == len(run.flags) else run.flags[:view]
+        whole = before is None or max(run.sequence) < before
+        if whole:
+            live = flags.translate(_LIVE)
         else:  # replay: a key first put into the version after its RETIRE
             live = bytes(
-                not flags & DELETED and sequence < before
-                for flags, sequence in zip(run.flags, run.sequence)
+                not bits & DELETED and sequence < before
+                for bits, sequence in zip(flags, run.sequence)
             )
+        count = live.count(1)
+        if not count:
+            return 0, {}
+        run = self._own(version, "retire")
+        if whole:
+            run.flags = run.flags.translate(_RETIRED)
+        else:
             for slot in compress(range(len(live)), live):
                 run.flags[slot] |= DELETED
         dead: Dict[int, int] = {}
@@ -334,7 +484,7 @@ class Memtable:
             compress(run.segment, live), compress(run.length, live)
         ):
             dead[segment_id] = get(segment_id, 0) + length
-        return live.count(1), dead
+        return count, dead
 
     def relocate(
         self,
@@ -347,13 +497,16 @@ class Memtable:
         flags and sequence kept, from columns as :meth:`put_batch` takes
         them.  An item key of None is a frame moved without an item (a
         carried tombstone), skipped; a KeyError where an item is absent."""
-        runs = self._runs
+        owned: Dict[int, _Run] = {}
         for item_key, segment_id, offset, length in zip(
             item_keys, segments, offsets, lengths
         ):
             if item_key is not None:
-                run = runs[item_key[1]]
-                slot = run.slots[item_key[0]]
+                key, version = item_key
+                run = owned.get(version)
+                if run is None:
+                    run = owned[version] = self._own(version, "relocate")
+                slot = run.slots[key]
                 run.segment[slot] = segment_id
                 run.offset[slot] = offset
                 run.length[slot] = length
@@ -361,9 +514,11 @@ class Memtable:
     def drop(self, key: bytes, version: int) -> None:
         """Remove the item entirely (GC of an unreferenced dead record);
         its run goes with its last item."""
-        run = self._runs.get(version)
-        if run is None or run.slots.pop(key, None) is None:
+        entry = self._runs.get(version)
+        if entry is None or entry[0].slots.get(key, entry[1]) >= entry[1]:
             raise KeyNotFoundError(f"no memtable item {(key, version)!r}")
+        run = self._own(version, "drop")
+        del run.slots[key]
         if not run.slots:
             del self._runs[version]
             self._versions.remove(version)
@@ -387,9 +542,13 @@ class Memtable:
         hops = 0
         located: List[Optional[RecordLocation]] = []
         for key, version in item_keys:
-            run = runs.get(version)
-            slot = None if run is None else run.slots.get(key)
-            if slot is None:
+            entry = runs.get(version)
+            if entry is None:
+                located.append(None)
+                continue
+            run, view = entry
+            slot = run.slots.get(key, view)
+            if slot >= view:
                 located.append(None)
                 continue
             flags = run.flags[slot]
@@ -400,9 +559,9 @@ class Memtable:
             elif flags & DEDUP:
                 base = None
                 for index in range(bisect_left(versions, version) - 1, -1, -1):
-                    older = runs[versions[index]]
-                    older_slot = older.slots.get(key)
-                    if older_slot is not None:
+                    older, older_view = runs[versions[index]]
+                    older_slot = older.slots.get(key, older_view)
+                    if older_slot < older_view:
                         hops += 1
                         if not older.flags[older_slot] & DEDUP:
                             base = older.location(older_slot)
@@ -453,15 +612,16 @@ class Memtable:
         for index, (offset, _end, rtype, key, version, _sequence) in enumerate(
             frames
         ):
-            run = runs.get(version)
-            if run is None:
+            entry = runs.get(version)
+            if entry is None:
                 continue  # a dropped version's frame; dies with the segment
             if rtype == _RETIRE:
                 retires.append((len(kept), version))
                 keep(index, None, True)
                 continue
-            slot = run.slots.get(key)
-            if slot is None:
+            run, view = entry
+            slot = run.slots.get(key, view)
+            if slot >= view:
                 continue  # dropped; dies with the segment
             deleted = run.flags[slot] & DELETED
             if rtype == _DELETE:
@@ -495,9 +655,9 @@ class Memtable:
         runs = self._runs
         versions = self._versions
         for index in range(bisect_right(versions, version), len(versions)):
-            run = runs[versions[index]]
-            slot = run.slots.get(key)
-            if slot is not None:
+            run, view = runs[versions[index]]
+            slot = run.slots.get(key, view)
+            if slot < view:
                 flags = run.flags[slot]
                 if not flags & DEDUP:
                     return False
@@ -514,7 +674,8 @@ class Memtable:
         """Items of ``key`` with smaller versions, newest first."""
         versions = self._versions
         for index in range(bisect_left(versions, version) - 1, -1, -1):
-            item = self._runs[versions[index]].item(key)
+            run, view = self._runs[versions[index]]
+            item = run.item(key, view)
             if item is not None:
                 yield versions[index], item
 
@@ -537,8 +698,8 @@ class Memtable:
         """The items whose key is ``wanted``, sorted across runs."""
         item_keys = sorted(
             (key, version)
-            for version, run in self._runs.items()
-            for key in filter(wanted, run.slots)
+            for version, (run, view) in self._runs.items()
+            for key in filter(wanted, run.keys(view))
         )
         for key, version in item_keys:
             item = self._item(key, version)

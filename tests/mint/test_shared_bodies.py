@@ -28,11 +28,12 @@ from repro.mint.cluster import MintCluster, MintConfig, storage_key
 from repro.mint.group import NodeGroup
 from repro.mint.integrity import leaf_checksum
 from repro.mint.node import StorageNode
+from repro.obs.registry import MetricsRegistry
 from repro.qindb import records as records_module
 from repro.qindb.aof import AofManager
 from repro.qindb.checkpoint import crash, recover
 from repro.qindb.engine import QinDB, QinDBConfig
-from repro.qindb.memtable import ItemColumns, Memtable
+from repro.qindb.memtable import ItemColumns, Memtable, RunCopies
 from repro.qindb.records import Bodies, RecordType, encode_frame
 
 
@@ -475,12 +476,72 @@ def test_nine_replicas_build_a_batch_columns_once(monkeypatch):
         assert columns[3] is inserts[0][3] and columns[4] is inserts[0][4]
     for cluster in clusters:
         for node in cluster.all_nodes:
-            run = node.engine.memtable._runs[1]
+            run, _view = node.engine.memtable._runs[1]
             assert run.sequence == frames.sequences
             assert run.length == frames.lengths
             (extent,) = node.engine.aofs.segment(0)._unit.extents
             assert extent.pieces is frames.pieces
             assert extent.starts is frames.starts
+
+
+def nine_replicas_of_one_run():
+    """Three data centers of one 3-replica group, after two slices of
+    version 1: the nine nodes and the run they hold."""
+    clusters = fleet_of(3)
+    for number in range(2):
+        item = Slice.pack(
+            f"v1-s{number}", 1, IndexKind.FORWARD,
+            varied_entries(60, tag=f"s{number}"),
+        )
+        for cluster in clusters:
+            assert cluster.ingest_slice(item) == 60
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    return clusters, nodes, nodes[0].engine.memtable._runs[1][0]
+
+
+def test_nine_replicas_that_stored_the_same_batches_hold_one_run():
+    """The nine memtables hold one run object for version 1 — one ``key
+    -> slot`` dict and one column per field — each seeing all 120 slots,
+    and none took a copy."""
+    _clusters, nodes, run = nine_replicas_of_one_run()
+    for node in nodes:
+        memtable = node.engine.memtable
+        held, view = memtable._runs[1]
+        assert held is run and held.slots is run.slots
+        assert view == len(run.slots) == len(memtable) == 120
+        assert not any(
+            getattr(memtable.copies, verb) for verb in RunCopies.__slots__
+        )
+    assert run.holders == 9
+
+
+def test_a_diverged_replica_copies_its_run_and_the_others_keep_theirs():
+    """One replica deletes a record: it takes a private copy of the run,
+    counted as a delete in its registry view, and reads the record
+    deleted; the other eight still share the one run, unchanged."""
+    clusters, nodes, run = nine_replicas_of_one_run()
+    before = list(nodes[1].engine.memtable.items())
+    (key, version, _item) = before[7]
+    victim = nodes[0]
+    victim.engine.delete_batch([(key, version)])
+    mine, _view = victim.engine.memtable._runs[1]
+    assert mine is not run and mine.slots is not run.slots
+    assert victim.engine.memtable.get(key, version)[2]  # the d flag
+    assert [
+        (k, v, item) for k, v, item in victim.engine.memtable.items()
+        if k != key
+    ] == [(k, v, item) for k, v, item in before if k != key]
+    for node in nodes[1:]:
+        assert node.engine.memtable._runs[1][0] is run
+        assert list(node.engine.memtable.items()) == before
+    assert run.holders == 8
+    registry = MetricsRegistry()
+    clusters[0].register_metrics(registry)
+    path = "qindb." + victim.name.replace("/", ".") + ".memtable_copies"
+    assert registry.collect(path) == {
+        f"{path}.{verb}": float(verb == "delete")
+        for verb in RunCopies.__slots__
+    }
 
 
 # ----------------------------------------------------------------------

@@ -143,6 +143,8 @@ class PerFrameQinDB(QinDB):
                 self.memtable.relocate([owner], *zip(location))
             if is_dead:
                 self.gc_table.record_dead(moved_id, length)
+        if kept:
+            self.aofs.flush()  # program the moves before the erase
         self.gc_table.forget(segment_id)
         self.aofs.drop_segment(segment_id)
         self.gc_runs += 1
