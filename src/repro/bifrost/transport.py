@@ -106,7 +106,8 @@ class DeliveryReport:
     #: has ended, ``deliveries + abandoned`` is every (DC, slice) due
     abandoned: int = 0
     #: deliveries that switched to (or waited for) a surviving relay
-    #: group because a backbone link was partitioned
+    #: group because a backbone link was partitioned, each counted once
+    #: however many detours or reroute waits it took
     relay_failovers: int = 0
     #: (region, slice_id, reason) for every abandoned delivery — the
     #: typed record behind ``abandoned``
@@ -231,10 +232,12 @@ class BifrostTransport:
             0.999, self.config.corruption_probability + self.corruption_boost
         )
 
-    def _note_failover(self, report, track, item, **attrs) -> None:
-        """Record one relay failover: counters plus a marker span."""
-        report.relay_failovers += 1
-        self.total_relay_failovers += 1
+    def _note_failover(self, report, track, item, first: bool, **attrs) -> None:
+        """Mark one reroute wait or detour with a span; on a delivery's
+        ``first`` one, count the delivery too."""
+        if first:
+            report.relay_failovers += 1
+            self.total_relay_failovers += 1
         with self._span("relay_failover", track, slice=item.slice_id, **attrs):
             pass
 
@@ -332,6 +335,7 @@ class BifrostTransport:
             ):
                 attempts = 0
                 reroutes = 0
+                failed_over = False
                 travelling = None
                 while travelling is None:
                     try:
@@ -352,8 +356,10 @@ class BifrostTransport:
                                 # blackholed; a surviving relay group is
                                 # carrying its slices instead.
                                 self._note_failover(
-                                    report, track, item, via=hops[1]
+                                    report, track, item, not failed_over,
+                                    via=hops[1],
                                 )
+                                failed_over = True
                         travelling = yield from self._carry(
                             item, hops, attempts, report, track
                         )
@@ -367,8 +373,10 @@ class BifrostTransport:
                                 f"reroute attempts ({exc})"
                             )
                         self._note_failover(
-                            report, track, item, reason=str(exc)
+                            report, track, item, not failed_over,
+                            reason=str(exc),
                         )
+                        failed_over = True
                         yield config.reroute_backoff_s
 
                 yield from self._fan_out(

@@ -43,13 +43,13 @@ PARTITIONS = {
 GOLDEN = {
     "origin-fanout/0.0/none": "32b15b76a648aabfc7e0b585447b228517b93050ff35a572920788dab620bdbf",
     "origin-fanout/0.0/origin-north": "828e0ac8c2ce29a27d83a67db0ab6604e9629f0769eb09a08d3689dd05c71423",
-    "origin-fanout/0.0/north-isolated": "7794b707a7fe77ea2d7c3a68afe97fa1b75511b41d637a7c54aa22d088ee3225",
+    "origin-fanout/0.0/north-isolated": "cca6fb88b6cc60d348ac447d6cb3e195ceab315db761b7c94306ca3272f0a6e7",
     "origin-fanout/0.3/none": "ca9895f622d0e0190774dd227e2e06c9bafb1a9480f875ff67e19f7f56beb2e8",
-    "origin-fanout/0.3/origin-north": "a69b34ac18c725bcbc9a59b3e1fbef0d9765ec81ce18b4b0c0f8bd44a7229ff5",
-    "origin-fanout/0.3/north-isolated": "525c5febcd16011cd6cb68b94e621bc289616b1f281efd0dc6cf640a02dd9656",
+    "origin-fanout/0.3/origin-north": "f91143f37018b25804a41498f0f48dd4f722cee583ac09016513bfea655ac9d6",
+    "origin-fanout/0.3/north-isolated": "2415e4378e3d5427a8d2f784889445288959720da417d3a6e61ce04dbda16b82",
     "origin-fanout/0.97/none": "f0c086edabef00b904a680ef81632be9dcb5ed3e3a48f8413d69b2e468fc9fa8",
-    "origin-fanout/0.97/origin-north": "61069ac39f82af1e630fbb4d0804b5e891e2786acbfda4d1814d8dd5cfab3652",
-    "origin-fanout/0.97/north-isolated": "4f110cedf48c3e169fbb2ff15f400784c2e4bdcfe62e0ff04c98db22efdbb36a",
+    "origin-fanout/0.97/origin-north": "15e4736d86dbe8cb0f3f37cf3c4e1fd2b9d1a32e27013f2d41a17e71b091c69e",
+    "origin-fanout/0.97/north-isolated": "33301746d5376786cff6286042987b8b590e9224e894304ccbf61155dc4990a0",
     "p2p/0.0/none": "da8122f28a0ca390920da41e85a78fb3383f6c18c9642a27e60a50e6734654b1",
     "p2p/0.0/origin-north": "d1e35d015d9cd590e0613820a6c63fa1b535affcfe603215cbc07fdbee499480",
     "p2p/0.0/north-isolated": "c7a13d850db8bf73e506dbd4fc393989010d2a7046df2763c9e666f85ab03e92",
