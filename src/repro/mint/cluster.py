@@ -80,6 +80,10 @@ NODE_METRIC_VIEWS: Dict[str, Dict[str, str]] = {
         "memtable_copies.retire": "engine.memtable.copies.retire",
         "memtable_copies.relocate": "engine.memtable.copies.relocate",
         "memtable_copies.drop": "engine.memtable.copies.drop",
+        # segment walks (GC victims, recovery) verified here, and those
+        # taken from an identical replica's (repro.qindb.aof.ScanCounts)
+        "frame_scans.verified": "engine.aofs.scans.verified",
+        "frame_scans.shared": "engine.aofs.scans.shared",
         "read_cache.hits": "engine.read_cache?.counters.hits",
         "read_cache.misses": "engine.read_cache?.counters.misses",
         "read_cache.evictions": "engine.read_cache?.counters.evictions",

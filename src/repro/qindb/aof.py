@@ -21,7 +21,7 @@ from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.qindb.records import Frame, Frames, decode_value, scan_frames
+from repro.qindb.records import FrameWalk, Frames, decode_value, scan_frames
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.native import NativeBlockInterface, NativeUnit
 
@@ -59,16 +59,30 @@ def run_locations(
     return segments, offsets
 
 
+class ScanCounts:
+    """Segment walks (GC victims, recovery scans) this engine's AOF
+    verified itself, and those it took from an identical segment's walk
+    (:meth:`AofSegment.read_frames`)."""
+
+    __slots__ = ("verified", "shared")
+
+    def __init__(self) -> None:
+        self.verified = 0
+        self.shared = 0
+
+
 class AofSegment:
     """One fixed-capacity append-only file."""
 
     def __init__(
-        self, segment_id: int, unit: NativeUnit, capacity_bytes: int
+        self, segment_id: int, unit: NativeUnit, capacity_bytes: int,
+        scans: ScanCounts,
     ) -> None:
         self.segment_id = segment_id
         self.capacity_bytes = capacity_bytes
         self._unit = unit
         self.record_count = 0
+        self.scans = scans
 
     # ------------------------------------------------------------------
     @property
@@ -135,14 +149,33 @@ class AofSegment:
             ranges.append(location[1:])
         return list(map(decode_value, self._unit.read_many(ranges)))
 
-    def read_frames(self) -> Tuple[List[Frame], List[bytes], List[bytes], int]:
+    def read_frames(self) -> Tuple[FrameWalk, List[bytes], List[bytes], int]:
         """What GC and recovery walk: the segment's verified frames, their
         heads and bodies, and its torn-tail bytes.  One sequential read of
-        its programmed pages, the unit's pieces walked unjoined
-        (:func:`~repro.qindb.records.scan_frames`)."""
+        its programmed pages (charged on every segment), the unit's pieces
+        walked unjoined (:func:`~repro.qindb.records.scan_frames`).
+
+        A walk is a pure function of the pieces, and a native unit holds
+        immutable pieces by reference, so the walk is made once for every
+        unit holding the very same extents (replicas that appended alike:
+        :class:`~repro.ssd.native.Contents`), kept with them and counted
+        in :attr:`scans`.  Damage or a crash's cut copies what it changes
+        into an extent of its own, so such a segment walks its own bytes
+        and raises as it would alone.
+        """
         self.flush()
         unit = self._unit
-        return scan_frames(unit.read_many([(0, unit.size)])[0], self.page_size)
+        pieces = unit.read_many([(0, unit.size)])[0]
+        contents = unit.contents
+        if contents is None:  # a file-system unit reads private copies
+            self.scans.verified += 1
+            return scan_frames(pieces, self.page_size)
+        if contents.derived is None:
+            contents.derived = scan_frames(pieces, self.page_size)
+            self.scans.verified += 1
+        else:
+            self.scans.shared += 1
+        return contents.derived
 
     def flush(self) -> None:
         """Force any buffered partial page onto flash."""
@@ -161,6 +194,9 @@ class _FileUnit:
     mid-page appends cost read-modify-writes and the device GC migrates
     pages.  The interface mirrors NativeUnit.
     """
+
+    #: no shared contents: every read is a private copy
+    contents = None
 
     def __init__(self, fs, tag: str) -> None:
         from repro.ssd.files import BlockFileSystem, SSDFile  # local: no cycle
@@ -239,6 +275,8 @@ class AofManager:
 
             self._fs = BlockFileSystem(FlashTranslationLayer(device))
         self._segments: Dict[int, AofSegment] = {}
+        #: segment walks verified here or taken from an identical segment
+        self.scans = ScanCounts()
         self._next_id = 0
         self._active: AofSegment | None = None
         #: total payload bytes ever appended (the engine's disk-write side
@@ -347,7 +385,7 @@ class AofManager:
             unit = _FileUnit(self._fs, tag=str(segment_id))
         else:
             unit = self._native.open_unit(tag=f"aof-{segment_id}")
-        segment = AofSegment(segment_id, unit, self.segment_bytes)
+        segment = AofSegment(segment_id, unit, self.segment_bytes, self.scans)
         self._segments[segment_id] = segment
         self._active = segment
         return segment

@@ -32,6 +32,7 @@ throughputs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -166,6 +167,14 @@ class QinDBStats:
         if self.user_bytes_written == 0:
             return 1.0
         return self.device_total_bytes_written / self.user_bytes_written
+
+
+def _retire_frames(version: int, sequences: range) -> Frames:
+    """The one ``RETIRE`` frame of ``version`` at ``sequences``."""
+    bodies, checksums = build_bodies(
+        [int(RecordType.RETIRE)], [b""], [version], [b""]
+    )
+    return Frames.of(frame_heads(sequences, checksums), bodies)
 
 
 class QinDB:
@@ -441,7 +450,9 @@ class QinDB:
         one ``RETIRE`` frame — dead on arrival, like a tombstone — makes
         it survive recovery.  Charged as one memtable search; the
         GC/checkpoint polls run once, as for a :meth:`delete_batch`.  A
-        version with no live item writes nothing.
+        version with no live item writes nothing.  Replicas retiring one
+        shared run take the retired run and, at equal sequences, the
+        ``RETIRE`` frame the first of them made.
         """
         self._check_open()
         count, dead = self.memtable.retire(version)
@@ -449,11 +460,11 @@ class QinDB:
             return 0
         for segment_id, nbytes in dead.items():
             self.gc_table.record_dead(segment_id, nbytes)
-        bodies, checksums = build_bodies(
-            [int(RecordType.RETIRE)], [b""], [version], [b""]
-        )
-        heads = frame_heads(self._draw_sequences(1), checksums)
-        self._append_dead(Frames.of(heads, bodies))
+        sequences = self._draw_sequences(1)
+        self._append_dead(self.memtable.shared(
+            version, ("retire", sequences.start),
+            lambda: _retire_frames(version, sequences),
+        ))
         self._charge_cpu()
         self._maybe_gc()
         self._maybe_checkpoint()
@@ -729,6 +740,9 @@ class QinDB:
         touched*: a corrupt one raises with the engine unchanged.  A
         re-append keeps the original sequence, so a survivor moves as the
         head and body objects just walked: nothing is re-encoded or copied.
+        Replicas that hold the victim alike share its walk, and with it
+        the survivors, the moved frames and their new locations, each
+        made by the first (:class:`~repro.qindb.records.FrameWalk`).
         """
         frames, heads, bodies, _torn = self.aofs.segment(segment_id).read_frames()
         if self.read_cache is not None:
@@ -740,12 +754,18 @@ class QinDB:
         memtable = self.memtable
         items_before = len(memtable)
         kept, owners, dead = memtable.survivors(segment_id, frames)
-        moved = Frames.of(
+        chosen = array("q", kept).tobytes()
+        moved = frames.shared(("moved", chosen), lambda _walk: Frames.of(
             [heads[index] for index in kept], [bodies[index] for index in kept]
-        )
+        ))
         runs = self.aofs.append_frames(moved)
         memtable.relocate(
-            owners, *run_locations(runs, moved.starts), moved.lengths
+            owners,
+            *frames.shared(
+                ("locations", chosen, *runs),
+                lambda _walk: run_locations(runs, moved.starts),
+            ),
+            moved.lengths,
         )
         for run in runs:
             self.gc_table.record_appended(run.segment_id, run.nbytes)

@@ -52,6 +52,15 @@ it) and diverges alone from there.  A write in place other than an
 append bumps the run's *stamp*, so no batch hands it out again for a
 prefix it no longer has.
 
+Eviction and GC write alike on every replica, so they are made once for
+all holders of a run: a retire or a relocation is looked up in the
+held run's *memo* under the prefix seen and the write's inputs, and the
+first holder to make it keeps the run it made there for the rest
+(:meth:`Memtable._transit`); :meth:`Memtable.survivors` keeps its
+decision and the runs its drops made on the segment's walk, under every
+run it read with its stamp and view.  A run so handed on is never
+written in place again.
+
 CPU cost model: every put, get, mark-deleted, retire and resolve
 operation — of one item or of a batch — sets
 :attr:`Memtable.last_search_steps` to
@@ -69,11 +78,15 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.errors import DuplicateItemError, KeyNotFoundError
 from repro.qindb.aof import RecordLocation
-from repro.qindb.records import Frame, RecordType
+from repro.qindb.records import Frame, FrameWalk, RecordType
+
+T = TypeVar("T")
 
 #: a (key, version) composite; tuples compare key-first then version
 ItemKey = Tuple[bytes, int]
@@ -162,14 +175,18 @@ class _Run:
 
     A run may back several memtables, each seeing its first *view*
     slots.  ``holders`` counts them — never fewer: a memtable dropped
-    with its engine still counts — and ``stamp`` the writes in place
-    other than appends, so the run's identity and stamp name what every
-    prefix of it holds.
+    with its engine still counts, and so does the memo of the run it was
+    made from — and ``stamp`` the writes in place other than appends, so
+    the run's identity and stamp name what every prefix of it holds.
+    ``memo`` keeps what its holders make alike: the run each write other
+    than an append made of a prefix (:meth:`Memtable._transit`), and
+    whatever the engine derives from the run alone
+    (:meth:`Memtable.shared`).
     """
 
     __slots__ = (
         "slots", "segment", "offset", "length", "sequence", "flags",
-        "holders", "stamp",
+        "holders", "stamp", "memo",
     )
 
     def __init__(self) -> None:
@@ -180,6 +197,13 @@ class _Run:
         self.flags = bytearray()
         self.holders = 1
         self.stamp = 0
+        self.memo: Dict[tuple, object] = {}
+
+    def bump(self) -> None:
+        """Mark a write in place other than an append: a new stamp, and
+        nothing remembered of the old one."""
+        self.stamp += 1
+        self.memo.clear()
 
     def prefix(self, view: int) -> "_Run":
         """A private copy of the first ``view`` slots."""
@@ -224,7 +248,10 @@ class _Run:
 class RunCopies:
     """The private run copies one memtable took, by the verb that forced
     each: a put of a different batch behind the frontier, a delete, a
-    restore, a retire, a GC relocation or drop."""
+    restore, a retire, a GC relocation or drop.  A retire, relocation or
+    collection of a run other memtables hold is made once for all of
+    them and handed on (:meth:`Memtable._transit`), so it is counted
+    only where no other memtable holds the run it was made from."""
 
     __slots__ = ("put", "delete", "restore", "retire", "relocate", "drop")
 
@@ -264,13 +291,79 @@ class Memtable:
         counted under ``verb``."""
         run, view = self._runs[version]
         if run.holders == 1 and view == len(run.flags):
-            run.stamp += 1
+            run.bump()
             return run
         run.holders -= 1
         run = run.prefix(view)
         self._runs[version] = (run, view)
-        setattr(self.copies, verb, getattr(self.copies, verb) + 1)
+        self._count_copy(verb)
         return run
+
+    def _count_copy(self, verb: str) -> None:
+        setattr(self.copies, verb, getattr(self.copies, verb) + 1)
+
+    def _writable(self, run: _Run, view: int, verb: str) -> _Run:
+        """What a write other than an append to ``run``, seen to
+        ``view``, goes to: ``run`` itself, under a new stamp, when this
+        memtable is its only holder and sees all of it; else a new run of
+        the slots seen, held once — by the memo that hands it to the
+        other holders — and counted as a copy under ``verb`` only when
+        there are none."""
+        if run.holders == 1 and view == len(run.flags):
+            run.bump()
+            return run
+        if run.holders == 1:
+            self._count_copy(verb)
+        return run.prefix(view)
+
+    def _hold(self, version: int, made: Optional[_Run]) -> None:
+        """Hold ``made`` for ``version``, at the view held; None drops
+        the version."""
+        held, view = self._runs[version]
+        if made is not held:
+            held.holders -= 1
+            if made is not None:
+                made.holders += 1
+        if made is None:
+            del self._runs[version]
+            self._versions.remove(version)
+        else:
+            self._runs[version] = (made, view)
+
+    def _transit(
+        self, version: int, verb: tuple, inputs: tuple = ()
+    ) -> Tuple[Optional[_Run], list]:
+        """Enter a write that every holder of this memtable's run of
+        ``version`` makes alike, named by ``verb`` and the objects
+        ``inputs`` (by identity; the memo holds them).
+
+        Returns the run to write and the write's outcome list (the
+        writer fills it, a later holder reads it).  The first holder of
+        a prefix to make the write makes it (:meth:`_writable`) and keeps
+        the run made in the held run's memo; every later one takes that
+        run, and gets None to write: it is written already."""
+        run, view = self._runs[version]
+        key = (verb, view, *map(id, inputs))  # a write in place clears it
+        found = run.memo.get(key)
+        writable = None
+        if found is None:
+            writable = self._writable(run, view, verb[0])
+            if writable is run:
+                return run, []
+            found = run.memo[key] = (writable, inputs, [])
+        self._hold(version, found[0])
+        return writable, found[2]
+
+    def shared(self, version: int, key: tuple, build: Callable[[], T]) -> T:
+        """``build()``, made by the first holder of this memtable's run
+        of ``version`` to ask under ``key`` and the same object for every
+        later holder of that run.  ``key`` must name everything ``build``
+        reads; the result is shared, not copied."""
+        memo = self._runs[version][0].memo
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = build()
+        return found
 
     def _charge(self, count: int, hops: int = 0) -> None:
         """Set :attr:`last_search_steps` for an operation on ``count``
@@ -472,19 +565,21 @@ class Memtable:
         count = live.count(1)
         if not count:
             return 0, {}
-        run = self._own(version, "retire")
-        if whole:
-            run.flags = run.flags.translate(_RETIRED)
-        else:
-            for slot in compress(range(len(live)), live):
-                run.flags[slot] |= DELETED
-        dead: Dict[int, int] = {}
-        get = dead.get
-        for segment_id, length in zip(
-            compress(run.segment, live), compress(run.length, live)
-        ):
-            dead[segment_id] = get(segment_id, 0) + length
-        return count, dead
+        run, outcome = self._transit(version, ("retire", before))
+        if run is not None:
+            if whole:
+                run.flags = run.flags.translate(_RETIRED)
+            else:
+                for slot in compress(range(len(live)), live):
+                    run.flags[slot] |= DELETED
+            dead: Dict[int, int] = {}
+            get = dead.get
+            for segment_id, length in zip(
+                compress(run.segment, live), compress(run.length, live)
+            ):
+                dead[segment_id] = get(segment_id, 0) + length
+            outcome.append((count, dead))
+        return outcome[0]
 
     def relocate(
         self,
@@ -496,20 +591,25 @@ class Memtable:
         """Point each item at its record's new location (GC moved it),
         flags and sequence kept, from columns as :meth:`put_batch` takes
         them.  An item key of None is a frame moved without an item (a
-        carried tombstone), skipped; a KeyError where an item is absent."""
-        owned: Dict[int, _Run] = {}
-        for item_key, segment_id, offset, length in zip(
-            item_keys, segments, offsets, lengths
-        ):
+        carried tombstone), skipped; a KeyError where an item is absent.
+        A version's run is written once for every holder that relocates
+        it from the same columns (:meth:`_transit`)."""
+        columns = (item_keys, segments, offsets, lengths)
+        owned: Dict[int, Optional[_Run]] = {}
+        for item_key, segment_id, offset, length in zip(*columns):
             if item_key is not None:
                 key, version = item_key
-                run = owned.get(version)
-                if run is None:
-                    run = owned[version] = self._own(version, "relocate")
-                slot = run.slots[key]
-                run.segment[slot] = segment_id
-                run.offset[slot] = offset
-                run.length[slot] = length
+                if version in owned:
+                    run = owned[version]
+                else:
+                    run = owned[version] = self._transit(
+                        version, ("relocate",), columns
+                    )[0]
+                if run is not None:
+                    slot = run.slots[key]
+                    run.segment[slot] = segment_id
+                    run.offset[slot] = offset
+                    run.length[slot] = length
 
     def drop(self, key: bytes, version: int) -> None:
         """Remove the item entirely (GC of an unreferenced dead record);
@@ -576,9 +676,10 @@ class Memtable:
     # Garbage collection
     # ------------------------------------------------------------------
     def survivors(
-        self, segment_id: int, frames: Sequence[Frame]
+        self, segment_id: int, frames: FrameWalk
     ) -> Tuple[List[int], List[Optional[ItemKey]], List[bool]]:
-        """Which frames of victim ``segment_id`` live on, in scan order.
+        """Which frames of victim ``segment_id`` live on, in scan order
+        (``frames`` as its walk returned them).
 
         Returns three columns, one entry per survivor: its index in
         ``frames``; the item it holds, to :meth:`relocate` once moved
@@ -595,8 +696,32 @@ class Memtable:
         * a ``RETIRE`` frame survives, dead, while its version still has
           a run once this victim's drops are done.
 
-        Decisions read the run columns; no item is built.
+        Decisions read the run columns; no item is built.  They and the
+        drops are made once for every memtable that asks about the same
+        walk (:class:`~repro.qindb.records.FrameWalk`) holding the same
+        runs at the same stamps and views: the first decides, and each
+        later one takes its three lists (shared: never mutate them) and
+        the runs its drops made.
         """
+        runs = self._runs
+        state = tuple(
+            (version, *runs[version], runs[version][0].stamp)
+            for version in self._versions
+        )
+        kept, owners, dead, made, dropped, dropped_bytes = frames.shared(
+            ("survivors", segment_id, state),
+            lambda walk: self._decide(segment_id, walk),
+        )
+        for version, run in made:
+            self._hold(version, run)
+        self._count -= dropped
+        self.approximate_bytes -= dropped_bytes
+        return kept, owners, dead
+
+    def _decide(self, segment_id: int, frames: Sequence[Frame]) -> tuple:
+        """:meth:`survivors`' lists, and its drops made but not yet held:
+        the run each version they touch goes to (None once emptied), how
+        many items they drop and those items' modelled bytes."""
         runs = self._runs
         kept: List[int] = []
         owners: List[Optional[ItemKey]] = []
@@ -637,12 +762,24 @@ class Memtable:
                 keep(index, (key, version), True)
             else:
                 doomed[(key, version)] = None
+        made: Dict[int, Optional[_Run]] = {}
+        dropped_bytes = 0
         for key, version in doomed:
-            self.drop(key, version)
+            run = made.get(version)
+            if run is None:
+                run = made[version] = self._writable(*runs[version], "drop")
+            del run.slots[key]
+            dropped_bytes += len(key) + _ITEM_OVERHEAD
+        for version, run in made.items():
+            if not run.slots:
+                made[version] = None
         for position, version in reversed(retires):
-            if version not in runs:
+            if version in made and made[version] is None:
                 del kept[position], owners[position], dead[position]
-        return kept, owners, dead
+        return (
+            kept, owners, dead, tuple(made.items()), len(doomed),
+            dropped_bytes,
+        )
 
     def referenced(self, key: bytes, version: int) -> bool:
         """Does a newer deduplicated version resolve to this record?

@@ -186,7 +186,25 @@ class Frames(NamedTuple):
         return cls(pieces, lengths, array("q", accumulate(lengths, initial=0)))
 
 
-class Bodies(tuple):
+class _Sharing:
+    """What every holder of an object would derive from it alike, built
+    by the first holder to ask and kept in its ``_shared`` dict."""
+
+    __slots__ = ()
+
+    def shared(self, key: Hashable, build: Callable[..., T]) -> T:
+        """``build(self)``, made by the first holder to ask under ``key``
+        and the same object for every later one.  ``key`` must name
+        everything ``build`` reads besides this object, so holders that
+        ask alike are handed alike; it is kept with the result, and the
+        result is shared, not copied."""
+        found = self._shared.get(key)
+        if found is None:
+            found = self._shared[key] = build(self)
+        return found
+
+
+class Bodies(_Sharing, tuple):
     """A put batch — the ``(key, version, value)`` triples themselves —
     carrying each record's body, built once.
 
@@ -283,15 +301,6 @@ class Bodies(tuple):
             )
         return framed
 
-    def shared(self, key: Hashable, build: Callable[["Bodies"], T]) -> T:
-        """``build(self)``, made by the first holder to ask under ``key``
-        and the same object for every later one.  ``key`` must name
-        everything ``build`` reads besides the batch, so holders that
-        ask alike are handed alike; the result is shared, not copied."""
-        found = self._shared.get(key)
-        if found is None:
-            found = self._shared[key] = build(self)
-        return found
 
 
 def encode_frame(
@@ -402,6 +411,23 @@ def scan_records(
 Frame = Tuple[int, int, int, bytes, int, int]
 
 
+class FrameWalk(_Sharing, list):
+    """A segment's verified frames in scan order, as :func:`scan_frames`
+    returns them, carrying what holders of the walk derive from it alike.
+
+    Replicas whose segments hold the same pieces share one walk
+    (:meth:`~repro.qindb.aof.AofSegment.read_frames`), so what GC makes
+    of it — which frames survive, the moved frames, their new locations
+    — is made by the first and kept here for the rest (:meth:`shared`).
+    """
+
+    __slots__ = ("_shared",)
+
+    def __init__(self, frames: Iterable[Frame] = ()) -> None:
+        super().__init__(frames)
+        self._shared: dict = {}
+
+
 def decode_value(pieces: Sequence[bytes]) -> bytes:
     """Verify the frame held in ``pieces`` and return its value.
 
@@ -444,7 +470,7 @@ def decode_value(pieces: Sequence[bytes]) -> bytes:
 
 def scan_frames(
     pieces: Sequence[bytes], page_size: int
-) -> Tuple[List[Frame], List[bytes], List[bytes], int]:
+) -> Tuple[FrameWalk, List[bytes], List[bytes], int]:
     """The frames of a segment held as ``pieces``, their heads and
     bodies, and the bytes of a torn tail (a frame cut short by the end).
 
@@ -464,7 +490,7 @@ def scan_frames(
         joined = b"".join(pieces[first : bisect_left(ends, stop, first) + 1])
         return joined[start - begin : stop - begin]
 
-    frames: List[Frame] = []
+    frames = FrameWalk()
     heads, bodies = [], []
     offset = index = 0
     while offset < length:

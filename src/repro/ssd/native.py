@@ -17,15 +17,17 @@ the range of entries appended.  An append of framed records
 (:meth:`NativeUnit.append_frames`) is one extent over the batch's shared
 pieces and starts, so a replica holds nothing per frame: a record body
 and head built once for the fleet are one object on every replica in
-every data center, and so are the columns that say where they lie.  Any
-other append (checkpoint rows, page padding) is an extent over a small
-list and column of its own.  A read finds its extent with one bisection
-over the extents' offsets and its entry with one more over their starts.
-Only what a crash cuts (``discard_unprogrammed``) or media damage
-(``corrupt``) changes is copied into an extent of its own, so a flipped
-bit lands on one replica.  Programs, reads and their device time are
-page arithmetic on offsets, never on the pieces, so sharing changes no
-charge.
+every data center, and so are the columns that say where they lie.
+Page padding of one length is one shared extent too (:func:`_pad`), so
+replicas that appended alike hold extents equal by identity, not just
+by content.  Any other append (checkpoint rows) is an extent over a
+small list and column of its own.  A read finds its extent with one
+bisection over the extents' offsets and its entry with one more over
+their starts.  Only what a crash cuts (``discard_unprogrammed``) or
+media damage (``corrupt``) changes is copied into an extent of its own,
+so a flipped bit lands on one replica.  Programs, reads and their device
+time are page arithmetic on offsets, never on the pieces, so sharing
+changes no charge.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
+from weakref import WeakValueDictionary
 
 from repro.errors import OutOfRangeError, StorageError
 from repro.ssd.device import Block, SimulatedSSD
@@ -69,6 +72,67 @@ def _chunks(chunks: Sequence[bytes]) -> tuple:
     return pieces, starts, 0, len(pieces), 1
 
 
+class _Pad(list):
+    """The one zero piece of a page pad, and its column of starts."""
+
+    __slots__ = ("starts", "__weakref__")
+
+
+#: pad length -> the pad every unit appends for it; an entry lives while
+#: some unit holds that pad
+_PADS: "WeakValueDictionary[int, _Pad]" = WeakValueDictionary()
+
+
+class Contents:
+    """What a unit holds, as a chain with one node per extent: the node
+    after ``prev`` for an extent is found by that extent's identity (its
+    pieces and starts objects and its range), so units that appended the
+    very same extents in the same order — replicas that stored alike —
+    hold the very same node.  A node holds its extent's pieces and starts
+    and the node before it, so no identity in the key that found it is
+    reused while it lives; it lives while a unit holds it or a later
+    node, and goes when the last is erased or cut back past it.
+
+    ``derived`` is for a layer above: what it makes of these contents
+    alone (an AOF keeps the verified walk of its frames), made once for
+    every unit that holds them.
+    """
+
+    __slots__ = ("prev", "held", "derived", "__weakref__")
+
+    def __init__(self, prev: "Contents | None", held: tuple) -> None:
+        self.prev = prev
+        self.held = held
+        self.derived = None
+
+    def then(
+        self, pieces: List[bytes], starts: array, first: int, stop: int,
+        stride: int,
+    ) -> "Contents":
+        """The node of these contents followed by one more extent."""
+        key = (id(self), id(pieces), id(starts), first, stop, stride)
+        node = _CONTENTS.get(key)
+        if node is None:
+            node = _CONTENTS[key] = Contents(self, (pieces, starts))
+        return node
+
+
+#: (the node before, the extent's identity) -> the node after it; an
+#: entry lives while its node does
+_CONTENTS: "WeakValueDictionary[tuple, Contents]" = WeakValueDictionary()
+#: page size -> the contents of every empty unit of that geometry
+_EMPTY: Dict[int, Contents] = {}
+
+
+def _pad(length: int) -> _Pad:
+    """The shared pad of ``length`` zero bytes."""
+    pad = _PADS.get(length)
+    if pad is None:
+        pad = _PADS[length] = _Pad((bytes(length),))
+        pad.starts = array("q", (0, length))
+    return pad
+
+
 class NativeUnit:
     """A block-aligned, append-only storage unit on the raw device."""
 
@@ -76,14 +140,19 @@ class NativeUnit:
         self._device = device
         self.tag = tag
         self._blocks: List[Block] = []
+        self._page_size = device.geometry.page_size
         #: what the unit holds (pads included), one extent per append,
         #: and the offset each begins at for bisection; read-only
         self.extents: List[Extent] = []
         self._offsets: List[int] = []
+        #: the chain node of ``extents``, shared with every unit that
+        #: appended the same; None once erased
+        self.contents: Optional[Contents] = _EMPTY.get(self._page_size)
+        if self.contents is None:
+            self.contents = _EMPTY[self._page_size] = Contents(None, ())
         self._size = 0
         self._programmed_pages = 0
         self._erased = False
-        self._page_size = device.geometry.page_size
         self._per_block = device.geometry.pages_per_block
 
     # ------------------------------------------------------------------
@@ -128,6 +197,8 @@ class NativeUnit:
         after = [extent[1:] for extent in self.extents[index + 1 :]]
         if entry + 1 < stop:
             after.insert(0, (pieces, starts, entry + 1, stop, stride))
+        for _extent in self.extents[index:]:
+            self.contents = self.contents.prev
         del self.extents[index:], self._offsets[index:]
         self._size = at
         if entry > first:
@@ -198,7 +269,8 @@ class NativeUnit:
         tail = self._size % self._page_size
         if not tail:
             return
-        self._keep(*_chunks([bytes(self._page_size - tail)]))
+        pad = _pad(self._page_size - tail)
+        self._keep(pad, pad.starts, 0, 1, 1)
         self._program(1)
 
     def _keep(
@@ -217,6 +289,7 @@ class NativeUnit:
         self.extents.append(
             Extent(self._size, pieces, starts, first, stop, stride)
         )
+        self.contents = self.contents.then(pieces, starts, first, stop, stride)
         self._offsets.append(self._size)
         self._size += nbytes
 
@@ -385,6 +458,7 @@ class NativeUnit:
         for block in self._blocks:
             self._device.erase_block(block.block_id)
         self._blocks, self.extents, self._offsets = [], [], []
+        self.contents = None
         self._size = self._programmed_pages = 0
         self._erased = True
 

@@ -29,6 +29,7 @@ from repro.mint.group import NodeGroup
 from repro.mint.integrity import leaf_checksum
 from repro.mint.node import StorageNode
 from repro.obs.registry import MetricsRegistry
+from repro.qindb import aof as aof_module
 from repro.qindb import records as records_module
 from repro.qindb.aof import AofManager
 from repro.qindb.checkpoint import crash, recover
@@ -703,6 +704,86 @@ def test_damage_to_a_moved_body_stays_on_one_replica():
                 node.engine.get(key, 1)
         else:
             assert node.engine.get(key, 1) == entry.value
+
+
+def retired_fleet():
+    """Three data centers of one 3-replica group in 256 KB segments, GC
+    by hand: versions 1 and 2 share segment 0, then every data center
+    drops version 1.  Returns the nine nodes."""
+    decodes = SliceDecodes({IndexKind.FORWARD: 3})
+    clusters = [
+        MintCluster(
+            f"dc{index}", MintConfig(group_count=1, nodes_per_group=3),
+            engine_factory=lambda _name: QinDB.with_capacity(
+                16 * 1024 * 1024,
+                config=QinDBConfig(segment_bytes=256 * 1024, gc_enabled=False),
+            ),
+            wire_decodes=decodes,
+        )
+        for index in range(3)
+    ]
+    for version in (1, 2):
+        item = Slice.pack(
+            f"v{version}-s0", version, IndexKind.FORWARD,
+            varied_entries(800, tag=f"v{version}"),
+        )
+        for cluster in clusters:
+            cluster.ingest_slice(item)
+    for cluster in clusters:
+        cluster.drop_version(1)
+    return [node for cluster in clusters for node in cluster.all_nodes]
+
+
+def test_nine_replicas_that_retire_and_collect_alike_keep_one_run():
+    """The retire, the collection's drops and its relocations are made
+    once for the nine: they end holding one run per version, none took
+    a copy, and one walk of the victim served all nine."""
+    nodes = retired_fleet()
+    memtables = [node.engine.memtable for node in nodes]
+    retired = memtables[0]._runs[1][0]
+    assert all(memtable._runs[1][0] is retired for memtable in memtables)
+    for node in nodes:
+        node.engine.collect_segment(0)
+    # Version 1 lay in the victim alone: its run went with its drops.
+    assert sorted(memtables[0]._runs) == [2]
+    run = memtables[0]._runs[2][0]
+    assert all(memtable._runs[2][0] is run for memtable in memtables)
+    stats = nodes[0].engine.stats()
+    assert stats.gc_runs == 1 and stats.gc_bytes_reappended > 0
+    for memtable in memtables:
+        assert memtable.copies.retire == memtable.copies.relocate == 0
+        assert memtable.copies.drop == 0
+    scans = [node.engine.aofs.scans for node in nodes]
+    assert sum(scan.verified for scan in scans) == 1
+    assert sum(scan.shared for scan in scans) == 8
+
+
+def test_nine_replicas_that_collect_alike_walk_once_and_move_one_frames(
+    monkeypatch,
+):
+    """One ``scan_frames`` for the nine collections of segment 0, and
+    the frames they moved are one ``Frames``: every replica's flash
+    holds the very same piece list and starts column for them."""
+    walks = []
+    scan_frames = aof_module.scan_frames
+    monkeypatch.setattr(
+        aof_module, "scan_frames",
+        lambda pieces, page_size: walks.append(page_size)
+        or scan_frames(pieces, page_size),
+    )
+    clusters, _entries, moved = collected_fleet()
+    assert len(walks) == 1
+    nodes = [node for cluster in clusters for node in cluster.all_nodes]
+    held = set()
+    for node in nodes:
+        segment_id, offset, _length = node.engine.memtable.get(moved[0], 1)[0]
+        extent = next(
+            extent
+            for extent in reversed(node.engine.aofs.segment(segment_id)._unit.extents)
+            if extent.offset <= offset
+        )
+        held.add((id(extent.pieces), id(extent.starts)))
+    assert len(held) == 1
 
 
 def test_read_side_crc_recipe_costs_no_more_than_it_did(monkeypatch):
