@@ -126,6 +126,11 @@ KEEP: Dict[str, str] = {
         "node)"
     ),
     # references the tests compare against
+    "repro.qindb.memtable.Memtable.drop": (
+        "drops one item outside a collection: the per-record GC reference "
+        "test_gc_equivalence collects with, and the memtable's unit and "
+        "property tests; a collection's drops are made by survivors"
+    ),
     "repro.simulation.kernel.Simulator.peek": (
         "the one-event-at-a-time reference loop test_sim_run_equivalence "
         "checks run() against"
