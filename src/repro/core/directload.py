@@ -140,6 +140,7 @@ class DirectLoad:
             dc: MintCluster(dc, self.config.mint, self._engine_factory, decodes)
             for dc in self.topology.all_data_centers()
         }
+        self.pipeline.register_metrics(self.metrics)
         self.topology.register_metrics(self.metrics)
         self.monitor.register_metrics(self.metrics)
         self.transport.register_metrics(self.metrics)
